@@ -155,12 +155,24 @@ class HeuristicResult:
     solution: SchedulingSolution
 
 
-def _active_bs_mask(n_bs_total: int, cluster_bs_idx: np.ndarray,
-                    pattern: BssPattern) -> np.ndarray:
+def active_bs_mask(n_bs_total: int, cluster_bs_idx: np.ndarray,
+                   pattern: BssPattern) -> np.ndarray:
+    """Per-BS on/off mask of the whole field under a sleep pattern."""
     active = np.ones(n_bs_total, dtype=bool)
     off = np.asarray(pattern.off_flags, dtype=bool)
     active[cluster_bs_idx] = ~off
     return active
+
+
+def pattern_evaluation(pattern: BssPattern, solution: SchedulingSolution,
+                       vq_mask: np.ndarray, rate_threshold_bps: float) -> PatternEvaluation:
+    """Check a scheduled pattern's metric-set rates against the threshold."""
+    rates = solution.lam[vq_mask]
+    min_rate = float(rates.min())
+    return PatternEvaluation(
+        pattern=pattern, rates_bps=rates, min_rate_bps=min_rate,
+        feasible=bool(min_rate >= rate_threshold_bps), solution=solution,
+    )
 
 
 def evaluate_pattern(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
@@ -174,14 +186,9 @@ def evaluate_pattern(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
     vq = np.asarray(vq_mask, dtype=bool)
     if not vq.any():
         raise ValueError("empty metric set: no centre-cluster users in this realization")
-    active = _active_bs_mask(int(model.sector_bs.max()) + 1, cluster_bs_idx, pattern)
-    sol = schedule(model, rx_w, active, params)
-    rates = sol.lam[vq]
-    min_rate = float(rates.min())
-    return PatternEvaluation(
-        pattern=pattern, rates_bps=rates, min_rate_bps=min_rate,
-        feasible=bool(min_rate >= rate_threshold_bps), solution=sol,
-    )
+    active = active_bs_mask(int(model.sector_bs.max()) + 1, cluster_bs_idx, pattern)
+    return pattern_evaluation(pattern, schedule(model, rx_w, active, params), vq,
+                              rate_threshold_bps)
 
 
 def heuristic_select(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,

@@ -1,17 +1,30 @@
 """Monte-Carlo campaign driver: sweeps, deterministic seeding, CSV export.
 
 A campaign walks the sweep grid (density x CoMP configuration x BSS pattern
-x CoMP threshold x fairness x rate threshold), reusing each realization's
-user drop and channel gains across the whole grid.  Substreams are derived
-from the master seed with counter-based spawn keys, so results do not depend
-on execution order and identical (config, seed) pairs reproduce the output
-byte for byte.
+x CoMP threshold x fairness x rate threshold) over user drops and their
+fading draws.  Each quantity is computed once, at the outermost loop level
+it depends on:
+
+- drop: user positions and the link budget (geometry, path loss, antenna);
+- fading: shadowing, received powers and the centre-cluster metric set;
+- pattern: active sectors, max-SINR association and serving SINR, shared
+  by every CoMP configuration;
+- config: each user's joint SINR within its serving virtual cluster;
+- gamma_d: CoMP flags, link rates and outage;
+- alpha: time fractions, joint-transmission shares and user rates.
+
+``build_gain_matrix``, ``schedule`` and ``evaluate_pattern`` run the same
+stages for a single point.  Substreams are derived from the master seed with
+counter-based spawn keys, so results do not depend on execution order and
+identical (config, seed) pairs reproduce the output byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -20,14 +33,17 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .bss import (default_pattern_list, evaluate_pattern, heuristic_select,
-                  patterns_from_file, realization_stats, validate_pattern_list)
-from .channel import ChannelParams, McsTable, build_gain_matrix, received_power_w
+from .bss import (active_bs_mask, default_pattern_list, heuristic_select,
+                  pattern_evaluation, patterns_from_file, realization_stats,
+                  validate_pattern_list)
+from .channel import (ChannelParams, McsTable, build_gain_matrix, draw_gain_matrix,
+                      drop_link_budget, received_power_w)
 from .clusters import resolve_comp_config
 from .geometry import LayoutConfig, build_layout, drop_users
 from .metrics import aggregate
-from .scheduler import (DEFAULT_GAMMA_D_RANGE_DB, SchedulerParams, build_system_model,
-                        center_cluster_users)
+from .scheduler import (DEFAULT_GAMMA_D_RANGE_DB, SchedulerParams, allocate, associate,
+                        build_system_model, center_cluster_users, cluster_links,
+                        link_rates)
 
 
 class ConfigError(ValueError):
@@ -55,10 +71,33 @@ class CampaignConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        for name in ("densities_per_km2", "alphas", "gamma_ds_db",
-                     "rate_thresholds_bps", "comp_configs"):
-            if not getattr(self, name):
-                raise ConfigError(f"sweep list {name} must be non-empty")
+        sweeps = ("densities_per_km2", "alphas", "gamma_ds_db", "rate_thresholds_bps")
+        for name in sweeps + ("comp_configs",):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ConfigError(f"sweep list {name} must be a non-empty list, "
+                                  f"got {values!r}")
+        if not isinstance(self.traffic_profile, (list, tuple, type(None))):
+            raise ConfigError(
+                f"traffic_profile must be a list, got {self.traffic_profile!r}")
+        for name in sweeps + ("traffic_profile",):
+            for value in getattr(self, name) or ():
+                if not _is_finite_number(value):
+                    raise ConfigError(f"{name} entry {value!r} is not a finite number")
+        for name in ("n_drops", "n_fading", "master_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name}={value!r} must be an integer")
+        for alpha in self.alphas:
+            if alpha <= 0:
+                raise ConfigError(f"alphas entry {alpha!r} must be > 0")
+        seeded = {}
+        for mu in self.densities_per_km2:
+            other = seeded.setdefault(_mu_key(mu), mu)
+            if other != mu:
+                raise ConfigError(
+                    f"densities_per_km2 values {other!r} and {mu!r} would share one "
+                    f"random seed: densities must differ by at least 0.001 per km^2")
         if self.n_drops < 1 or self.n_fading < 1:
             raise ConfigError("n_drops and n_fading must be >= 1")
         if self.format not in ("csv", "json"):
@@ -77,7 +116,7 @@ class CampaignConfig:
             raise ConfigError(f"{source}: unknown config keys {sorted(unknown)}")
         try:
             cfg = cls(**raw)
-        except TypeError as exc:
+        except (TypeError, ConfigError) as exc:
             raise ConfigError(f"{source}: {exc}") from exc
         if isinstance(cfg.gamma_d_range_db, list):
             cfg.gamma_d_range_db = tuple(cfg.gamma_d_range_db)
@@ -119,6 +158,11 @@ def _mu_key(mu: float) -> int:
     return int(round(mu * 1000.0))
 
 
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(eq=False)
 class _Context:
     """Derived immutable campaign state, rebuilt once per worker process."""
@@ -128,6 +172,7 @@ class _Context:
     params: ChannelParams
     mcs: McsTable
     patterns: list
+    active_sectors: list    # per pattern: (S,) bool sector on/off mask
     models: dict            # config name -> (SystemModel, multi_vc_ids)
     center_sector_idx: np.ndarray
     cluster_bs_idx: np.ndarray
@@ -150,8 +195,11 @@ def build_context(cfg: CampaignConfig) -> _Context:
         models[str(choice)] = (model, model.multi_vc_ids)
     center_sector_idx = layout.center_cluster_sector_ids - 1
     cluster_bs_idx = layout.center_cluster_bs_ids - 1
+    active_sectors = [
+        layout.sector_active_mask(active_bs_mask(layout.n_bs, cluster_bs_idx, p))
+        for p in patterns]
     return _Context(cfg=cfg, layout=layout, params=params, mcs=mcs,
-                    patterns=patterns, models=models,
+                    patterns=patterns, active_sectors=active_sectors, models=models,
                     center_sector_idx=center_sector_idx,
                     cluster_bs_idx=cluster_bs_idx)
 
@@ -159,8 +207,11 @@ def build_context(cfg: CampaignConfig) -> _Context:
 def _drop_records(ctx: _Context, mu: float, d: int):
     """All (combo key -> RealizationStats) records of one user drop.
 
-    Returns (records, n_skipped); records are ordered by fading index first,
-    then the sweep grid, which keeps aggregation order deterministic.
+    Returns (records, n_skipped).  Each stage runs once at the loop level it
+    depends on: link budget per drop, gains per fading draw, association per
+    pattern, joint SINR per configuration, link rates per gamma_d and the
+    time fractions per alpha.  Records of one key stay in fading order, which
+    keeps aggregation order deterministic.
     """
     cfg = ctx.cfg
     drop = drop_users(ctx.layout, mu, _seed_key(cfg.master_seed, 0, _mu_key(mu), d))
@@ -168,29 +219,28 @@ def _drop_records(ctx: _Context, mu: float, d: int):
     skipped = 0
     if drop.is_empty:
         return records, cfg.n_fading
+    budget_db = drop_link_budget(ctx.layout, drop, ctx.params)
+    first_model = next(iter(ctx.models.values()))[0]
     for f_idx in range(cfg.n_fading):
-        gains = build_gain_matrix(
-            ctx.layout, drop, ctx.params,
-            _seed_key(cfg.master_seed, 1, _mu_key(mu), d, f_idx))
+        gains = draw_gain_matrix(budget_db, ctx.params,
+                                 _seed_key(cfg.master_seed, 1, _mu_key(mu), d, f_idx))
         rx_w = received_power_w(gains, ctx.params)
-        first_model = next(iter(ctx.models.values()))[0]
         vq = center_cluster_users(first_model, rx_w, ctx.center_sector_idx)
         if not vq.any():
             skipped += 1
             continue
-        for config_name, (model, multi_ids) in ctx.models.items():
-            for pattern in ctx.patterns:
+        for pattern, active_sector in zip(ctx.patterns, ctx.active_sectors):
+            assoc = associate(rx_w, active_sector, ctx.params.noise_w)
+            bs_off = "+".join(map(str, pattern.off_bs_ids))
+            for config_name, (model, multi_ids) in ctx.models.items():
+                links = cluster_links(model, rx_w, assoc)
                 for gamma_d in cfg.gamma_ds_db:
+                    rates = link_rates(model, assoc, links, gamma_d)
                     for alpha in cfg.alphas:
-                        params = SchedulerParams(
-                            alpha=alpha, gamma_d_db=gamma_d,
-                            gamma_d_range_db=tuple(cfg.gamma_d_range_db))
-                        ev = evaluate_pattern(model, rx_w, vq, ctx.cluster_bs_idx,
-                                              pattern, params,
-                                              rate_threshold_bps=0.0)
+                        ev = pattern_evaluation(
+                            pattern, allocate(model, assoc, links, rates, alpha), vq, 0.0)
                         for r_thr in cfg.rate_thresholds_bps:
-                            key = (config_name, pattern.label,
-                                   "+".join(map(str, pattern.off_bs_ids)),
+                            key = (config_name, pattern.label, bs_off,
                                    mu, gamma_d, alpha, r_thr)
                             records.append((key, realization_stats(
                                 ev, vq, multi_ids, r_thr, alpha)))

@@ -56,11 +56,26 @@ def directivity_gain_db(offset_deg):
     return 25.0 - np.minimum(12.0 * (phi / 70.0) ** 2, 20.0)
 
 
+def link_budget_db(pl_db, sector_gain_db, user_gain_dbi, penetration_db):
+    """Fading-free link budget -PL + G_s + G_u - penetration, in dB.
+
+    Terms are summed left to right and shadowing is subtracted last, so a
+    budget computed once per drop gives the same gains, bit for bit, as the
+    whole sum taken per fading draw.
+    """
+    return (-np.asarray(pl_db, dtype=float) + sector_gain_db + user_gain_dbi
+            - penetration_db)
+
+
+def shadowed_gain(budget_db, shadow_db):
+    """Linear gain 10^((budget - shadow)/10) of a link budget under shadowing."""
+    return 10.0 ** ((budget_db - shadow_db) / 10.0)
+
+
 def channel_gain(pl_db, sector_gain_db, user_gain_dbi, penetration_db, shadow_db):
     """Linear channel gain 10^((-PL + G_s + G_u - penetration - shadow)/10)."""
-    exponent = (-np.asarray(pl_db, dtype=float) + sector_gain_db + user_gain_dbi
-                - penetration_db - shadow_db) / 10.0
-    return 10.0 ** exponent
+    return shadowed_gain(link_budget_db(pl_db, sector_gain_db, user_gain_dbi,
+                                        penetration_db), shadow_db)
 
 
 def per_subchannel_power_w(params: ChannelParams) -> float:
@@ -150,23 +165,35 @@ class GainMatrix:
         return self.h.shape[1]
 
 
-def build_gain_matrix(layout: NetworkLayout, drop: UserDrop,
-                      params: ChannelParams, seed) -> GainMatrix:
-    """Draw shadowing and assemble linear gains for every (user, sector) link.
+def drop_link_budget(layout: NetworkLayout, drop: UserDrop,
+                     params: ChannelParams) -> np.ndarray:
+    """Drop-level stage: the (U, S) link budget in dB of every link.
 
-    Shadowing is an i.i.d. lognormal term per link, redrawn per realization;
-    the same seed reproduces the matrix exactly.
+    Distance, bearing, path loss and antenna gain do not depend on fading, so
+    one budget serves every fading draw of the drop.
     """
     dist, az = link_geometry(layout, drop.positions)      # (N, B)
     pl = path_loss_db(dist, params.pl_intercept_db, params.pl_slope_db)
     offsets = wrap_angle_deg(az[:, layout.sector_bs] - layout.sector_boresight_deg[None, :])
-    g_sec = directivity_gain_db(offsets)                   # (N, S)
+    return link_budget_db(pl[:, layout.sector_bs], directivity_gain_db(offsets),
+                          params.user_antenna_gain_dbi, params.penetration_loss_db)
 
+
+def draw_gain_matrix(budget_db: np.ndarray, params: ChannelParams, seed) -> GainMatrix:
+    """Fading-level stage: draw shadowing on top of a drop's link budget.
+
+    Shadowing is an i.i.d. lognormal term per link, redrawn per realization;
+    the same seed reproduces the matrix exactly.
+    """
     rng = np.random.default_rng(seed)
-    shadow = rng.normal(0.0, params.shadowing_stddev_db, size=g_sec.shape)
-    h = channel_gain(pl[:, layout.sector_bs], g_sec, params.user_antenna_gain_dbi,
-                     params.penetration_loss_db, shadow)
-    return GainMatrix(h=h, shadow_db=shadow, seed=seed)
+    shadow = rng.normal(0.0, params.shadowing_stddev_db, size=budget_db.shape)
+    return GainMatrix(h=shadowed_gain(budget_db, shadow), shadow_db=shadow, seed=seed)
+
+
+def build_gain_matrix(layout: NetworkLayout, drop: UserDrop,
+                      params: ChannelParams, seed) -> GainMatrix:
+    """Linear gains of every (user, sector) link: both stages in one call."""
+    return draw_gain_matrix(drop_link_budget(layout, drop, params), params, seed)
 
 
 def received_power_w(gains: GainMatrix, params: ChannelParams) -> np.ndarray:

@@ -177,53 +177,107 @@ def _pool_fractions(rates: np.ndarray, pool_ids: np.ndarray, n_pools: int,
     return t / sums[pool_ids]
 
 
-def schedule(model: SystemModel, rx_w: np.ndarray, active_bs: np.ndarray,
-             params: SchedulerParams) -> SchedulingSolution:
-    """Associate, classify, and allocate optimal time fractions for all users.
+@dataclass(frozen=True, eq=False)
+class Association:
+    """Pattern stage: max-SINR association under one set of active sectors.
 
-    Users whose link rate is zero (SINR below the MCS floor) are flagged as
-    outage, excluded from every pool, and receive lambda = 0.
+    It depends on neither the CoMP configuration, gamma_d nor alpha, so one
+    association serves every scheduling point of a sleep pattern.
     """
-    n_users = rx_w.shape[0]
-    act_sec = np.asarray(active_bs, dtype=bool)[model.sector_bs]
-    if not act_sec.any():
+
+    active_sector: np.ndarray  # (S,) bool
+    total_w: np.ndarray        # (U,) power received from all active sectors
+    sector: np.ndarray         # (U,) 0-based serving sector
+    sinr: np.ndarray           # (U,) serving SINR, linear
+
+
+@dataclass(frozen=True, eq=False)
+class ClusterLinks:
+    """Configuration stage: each user's serving virtual cluster and the joint
+    SINR its active members would give; shared by every gamma_d and alpha."""
+
+    vc: np.ndarray             # (U,) 0-based serving virtual cluster
+    capable: np.ndarray        # (U,) bool: serving cluster has several sectors
+    joint_sinr: np.ndarray     # (U,) linear; 0 where not capable
+
+
+@dataclass(frozen=True, eq=False)
+class LinkRates:
+    """Threshold stage: CoMP split and link rates for one gamma_d."""
+
+    comp: np.ndarray           # (U,) bool CoMP flags (z)
+    sinr: np.ndarray           # (U,) effective SINR: joint for CoMP users
+    rate: np.ndarray           # (U,) link rate, bits/s
+    outage: np.ndarray         # (U,) bool: zero link rate
+    pool: np.ndarray           # (U,) sector pool, or S + cluster for CoMP users
+
+
+def associate(rx_w: np.ndarray, active_sector: np.ndarray, noise_w: float) -> Association:
+    """Serve every user from its strongest active sector.
+
+    With uniform transmit power the max-SINR sector is the max received
+    power sector; ties resolve to the lowest sector index.
+    """
+    act = np.asarray(active_sector, dtype=bool)
+    if not act.any():
         raise ValueError("at least one BS must be active")
+    total = rx_w[:, act].sum(axis=1)
+    # Strongest sector of the field; re-pick among active ones where it sleeps.
+    assoc = rx_w.argmax(axis=1)
+    asleep = ~act[assoc]
+    if asleep.any():
+        assoc[asleep] = np.where(act, rx_w[asleep], -np.inf).argmax(axis=1)
+    w_serv = rx_w[np.arange(rx_w.shape[0]), assoc]
+    return Association(active_sector=act, total_w=total, sector=assoc,
+                       sinr=w_serv / (total - w_serv + noise_w))
 
-    total = rx_w[:, act_sec].sum(axis=1)
-    masked = np.where(act_sec[None, :], rx_w, -np.inf)
-    assoc = masked.argmax(axis=1)
-    u_idx = np.arange(n_users)
-    w_serv = rx_w[u_idx, assoc]
-    g_serv = w_serv / (total - w_serv + model.noise_w)
 
-    vc_user = model.vc_of_sector[assoc]
-    comp = (model.vc_sizes[vc_user] > 1) & (g_serv <= from_db(params.gamma_d_db))
-
-    # Joint SINR of every multi-sector cluster (active members only).
-    n_multi = model.multi_vc_ids.shape[0]
-    g_comp_user = np.zeros(n_users)
-    if n_multi and comp.any():
-        member = np.zeros((model.n_sectors, n_multi))
-        for j, vc in enumerate(model.multi_vc_ids):
-            member[:, j] = (model.vc_of_sector == vc) & act_sec
+def cluster_links(model: SystemModel, rx_w: np.ndarray,
+                  assoc: Association) -> ClusterLinks:
+    """Joint SINR of each user's serving multi-sector cluster (active members)."""
+    vc_user = model.vc_of_sector[assoc.sector]
+    capable = model.vc_sizes[vc_user] > 1
+    joint = np.zeros(rx_w.shape[0])
+    if capable.any():
+        member = ((model.vc_of_sector[:, None] == model.multi_vc_ids[None, :])
+                  & assoc.active_sector[:, None]).astype(float)
         p_joint = rx_w @ member                              # (U, n_multi)
-        g_joint = p_joint / (total[:, None] - p_joint + model.noise_w)
-        col = np.searchsorted(model.multi_vc_ids, vc_user[comp])
-        g_comp_user[comp] = g_joint[comp, col]
+        g_joint = p_joint / (assoc.total_w[:, None] - p_joint + model.noise_w)
+        col = np.searchsorted(model.multi_vc_ids, vc_user[capable])
+        joint[capable] = g_joint[capable, col]
+    return ClusterLinks(vc=vc_user, capable=capable, joint_sinr=joint)
 
-    sinr_eff = np.where(comp, g_comp_user, g_serv)
+
+def link_rates(model: SystemModel, assoc: Association, links: ClusterLinks,
+               gamma_d_db: float) -> LinkRates:
+    """CoMP flags from the threshold, then MCS link rates of every user.
+
+    Users whose link rate is zero (SINR below the MCS floor) are in outage.
+    """
+    comp = links.capable & (assoc.sinr <= from_db(gamma_d_db))
+    sinr_eff = np.where(comp, links.joint_sinr, assoc.sinr)
     with np.errstate(divide="ignore"):
         eta = model.mcs.efficiency(to_db(sinr_eff))
     r_user = eta * model.rate_per_bits_symbol
-    outage = r_user <= 0.0
+    return LinkRates(comp=comp, sinr=sinr_eff, rate=r_user, outage=r_user <= 0.0,
+                     pool=np.where(comp, model.n_sectors + links.vc, assoc.sector))
+
+
+def allocate(model: SystemModel, assoc: Association, links: ClusterLinks,
+             rates: LinkRates, alpha: float) -> SchedulingSolution:
+    """Fairness stage: optimal time fractions, shares and user rates.
+
+    Users in outage are excluded from every pool and receive lambda = 0.
+    """
+    n_users = rates.rate.shape[0]
+    comp, r_user, outage, vc_user = rates.comp, rates.rate, rates.outage, links.vc
     sched = ~outage
 
     # Pools: one per sector for non-CoMP users, one per cluster for CoMP users.
     n_pools = model.n_sectors + model.n_vclusters
-    pool = np.where(comp, model.n_sectors + vc_user, assoc)
     beta = np.zeros(n_users)
     if sched.any():
-        beta[sched] = _pool_fractions(r_user[sched], pool[sched], n_pools, params.alpha)
+        beta[sched] = _pool_fractions(r_user[sched], rates.pool[sched], n_pools, alpha)
 
     # Joint-transmission share per cluster from the scheduled products.
     n_vc = model.n_vclusters
@@ -231,18 +285,18 @@ def schedule(model: SystemModel, rx_w: np.ndarray, active_bs: np.ndarray,
     prod = r_user * beta
     c_s = comp & sched
     nc_s = ~comp & sched
-    if params.alpha == 1.0:
+    if alpha == 1.0:
         n_c = np.bincount(vc_user[c_s], minlength=n_vc).astype(float)
         n_nc = np.bincount(vc_user[nc_s], minlength=n_vc).astype(float)
         both = (n_c > 0) & (n_nc > 0)
         theta[both] = n_c[both] / (n_c[both] + n_nc[both])
         theta[(n_c > 0) & (n_nc == 0)] = 1.0
     else:
-        e = 1.0 - params.alpha
+        e = 1.0 - alpha
         a_c = np.bincount(vc_user[c_s], weights=prod[c_s] ** e, minlength=n_vc)
         a_nc = np.bincount(vc_user[nc_s], weights=prod[nc_s] ** e, minlength=n_vc)
         both = (a_c > 0) & (a_nc > 0)
-        delta = (a_c[both] / a_nc[both]) ** (1.0 / params.alpha)
+        delta = (a_c[both] / a_nc[both]) ** (1.0 / alpha)
         theta[both] = delta / (1.0 + delta)
         theta[(a_c > 0) & (a_nc == 0)] = 1.0
     if model.multi_vc_ids.size:
@@ -255,16 +309,30 @@ def schedule(model: SystemModel, rx_w: np.ndarray, active_bs: np.ndarray,
     lam[outage] = 0.0
 
     return SchedulingSolution(
-        assoc_sector=assoc,
+        assoc_sector=assoc.sector,
         comp=comp,
         beta=beta,
         theta=theta,
         lam=lam,
         outage=outage,
-        coverage_sinr=np.where(comp, g_comp_user, g_serv),
+        coverage_sinr=rates.sinr,
         n_comp=np.bincount(vc_user[comp], minlength=n_vc),
         n_noncomp=np.bincount(vc_user[~comp], minlength=n_vc),
     )
+
+
+def schedule(model: SystemModel, rx_w: np.ndarray, active_bs: np.ndarray,
+             params: SchedulerParams) -> SchedulingSolution:
+    """Associate, classify, and allocate optimal time fractions for all users.
+
+    Runs the four stages in order; a sweep that holds the earlier stages'
+    inputs fixed calls them once and reuses their results.
+    """
+    assoc = associate(rx_w, np.asarray(active_bs, dtype=bool)[model.sector_bs],
+                      model.noise_w)
+    links = cluster_links(model, rx_w, assoc)
+    return allocate(model, assoc, links, link_rates(model, assoc, links, params.gamma_d_db),
+                    params.alpha)
 
 
 def center_cluster_users(model: SystemModel, rx_w: np.ndarray,

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from compbss.bss import default_pattern_list, patterns_to_file
 from compbss.campaign import (CampaignConfig, ConfigError, MissingAxisError,
                               RESULT_COLUMNS, TRAFFIC_COLUMNS, emit_figure_data,
                               run_campaign, run_traffic_profile, write_rows_csv)
@@ -36,6 +37,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="gamma_d"):
             tiny_config(gamma_ds_db=[50.0])
         tiny_config(gamma_ds_db=[50.0], gamma_d_range_db=(-10, 60))
+
+    @pytest.mark.parametrize("key, value, shown", [
+        ("alphas", ["2"], "'2'"), ("gamma_ds_db", [None], "None"),
+        ("densities_per_km2", [True], "True"),
+        ("rate_thresholds_bps", [float("nan")], "nan"),
+        ("traffic_profile", [20, "40"], "'40'"), ("alphas", 2.0, "2.0"),
+        ("n_drops", 2.5, "2.5"), ("n_fading", "3", "'3'"), ("master_seed", 1.5, "1.5"),
+        ("alphas", [1.0, 0.0], "0.0"),
+    ])
+    def test_rejects_bad_sweep_values(self, key, value, shown):
+        with pytest.raises(ConfigError) as info:
+            CampaignConfig.from_dict({key: value}, source="test.yaml")
+        assert key in str(info.value) and shown in str(info.value)
+
+    def test_rejects_densities_sharing_a_seed(self):
+        with pytest.raises(ConfigError, match=r"60\.0001 and 60\.0002"):
+            tiny_config(densities_per_km2=[60.0001, 60.0002])
+        tiny_config(densities_per_km2=[60.0, 60.001])
 
     def test_from_file(self, tmp_path):
         p = tmp_path / "c.yaml"
@@ -76,13 +95,33 @@ class TestRun:
         r2 = run_campaign(tiny_config(master_seed=2))
         assert r1.rows[0]["t_alpha_mean_bps"] != r2.rows[0]["t_alpha_mean_bps"]
 
-    def test_sweep_point_independence(self):
-        full = run_campaign(tiny_config(gamma_ds_db=[-4.0, 0.0]))
-        part = run_campaign(tiny_config(gamma_ds_db=[-4.0]))
-        full_at = {(r["pattern"], r["gamma_d_db"]): r for r in full.rows}
-        for r in part.rows:
-            ref = full_at[(r["pattern"], r["gamma_d_db"])]
-            assert r == ref
+    def test_sweep_point_independence(self, tmp_path):
+        """Splitting any sweep axis into separate runs gives the same rows, so
+        no stage result leaks from one sweep point into another."""
+        chain = default_pattern_list()
+        pattern_files = []
+        for i, subset in enumerate(([chain[0], chain[-1]], chain[1:])):
+            pattern_files.append(str(tmp_path / f"patterns{i}.csv"))
+            patterns_to_file(subset, pattern_files[-1])
+        splits = {
+            "gamma_ds_db": [[-4.0], [0.0]],
+            "comp_configs": [["C1"], ["C3"]],
+            "alphas": [[1.0], [2.0]],
+            "pattern_file": pattern_files,
+        }
+        base = dict(n_fading=2, gamma_ds_db=[-4.0, 0.0], comp_configs=["C1", "C3"],
+                    alphas=[1.0, 2.0])
+
+        def keyed(rows):
+            return {(r["config"], r["pattern"], r["gamma_d_db"], r["alpha"]): r
+                    for r in rows}
+
+        full = keyed(run_campaign(tiny_config(**base)).rows)
+        assert len(full) == 2 * 5 * 2 * 2
+        for axis, parts in splits.items():
+            for part in parts:
+                rows = keyed(run_campaign(tiny_config(**{**base, axis: part})).rows)
+                assert rows and all(full[k] == r for k, r in rows.items()), axis
 
     def test_parallel_matches_serial(self):
         cfg = tiny_config(n_drops=3)
@@ -201,6 +240,12 @@ class TestCli:
         p = tmp_path / "c.yaml"
         p.write_text("whatever: 2\n")
         assert cli_main(["--config", str(p)]) == 1
+
+    def test_string_sweep_value_is_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "c.yaml"
+        p.write_text('alphas: ["2"]\n')
+        assert cli_main(["--config", str(p)]) == 1
+        assert "alphas entry '2'" in capsys.readouterr().err
 
     def test_unwritable_output_is_exit_1(self):
         assert cli_main(["--drops", "1", "--fading", "1",
