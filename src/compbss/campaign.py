@@ -41,9 +41,9 @@ from .channel import (ChannelParams, McsTable, build_gain_matrix, draw_gain_matr
 from .clusters import resolve_comp_config
 from .geometry import LayoutConfig, build_layout, drop_users
 from .metrics import aggregate
-from .scheduler import (DEFAULT_GAMMA_D_RANGE_DB, SchedulerParams, allocate, associate,
-                        build_system_model, center_cluster_users, cluster_links,
-                        link_rates)
+from .scheduler import (DEFAULT_GAMMA_D_RANGE_DB, SchedulerParams, allocate,
+                        alpha_range_error, associate, build_system_model,
+                        center_cluster_users, cluster_links, link_rates)
 
 
 class ConfigError(ValueError):
@@ -89,8 +89,11 @@ class CampaignConfig:
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ConfigError(f"{name}={value!r} must be an integer")
         for alpha in self.alphas:
-            if alpha <= 0:
-                raise ConfigError(f"alphas entry {alpha!r} must be > 0")
+            problem = alpha_range_error(alpha)
+            if problem:
+                raise ConfigError(f"alphas entry: {problem}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed={self.master_seed!r} must be >= 0")
         seeded = {}
         for mu in self.densities_per_km2:
             other = seeded.setdefault(_mu_key(mu), mu)
@@ -313,14 +316,18 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
             "n_users_mean": summ["n_users"].mean,
             "n_outage_mean": summ["n_outage"].mean,
         })
-    manifest = {
+    return CampaignResult(rows=rows, manifest=_manifest(cfg, rows, n_skipped))
+
+
+def _manifest(cfg: CampaignConfig, rows: list, n_skipped: int, **extra) -> dict:
+    return {
         "config": asdict(cfg),
         "master_seed": cfg.master_seed,
         "versions": {"compbss": __version__, "numpy": np.__version__},
         "n_rows": len(rows),
         "n_realizations_skipped": n_skipped,
+        **extra,
     }
-    return CampaignResult(rows=rows, manifest=manifest)
 
 
 def _combo_order(ctx: _Context):
@@ -349,16 +356,19 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
     config_name = str(cfg.comp_configs[0])
     model, multi_ids = ctx.models[config_name]
     rows = []
+    n_skipped = 0   # steps whose drop or metric set is empty
     for t, mu in enumerate(cfg.traffic_profile):
         drop = drop_users(ctx.layout, float(mu),
                           _seed_key(cfg.master_seed, 2, _mu_key(float(mu)), t))
         if drop.is_empty:
+            n_skipped += 1
             continue
         gains = build_gain_matrix(ctx.layout, drop, ctx.params,
                                   _seed_key(cfg.master_seed, 3, _mu_key(float(mu)), t))
         rx_w = received_power_w(gains, ctx.params)
         vq = center_cluster_users(model, rx_w, ctx.center_sector_idx)
         if not vq.any():
+            n_skipped += 1
             continue
         res = heuristic_select(model, rx_w, vq, ctx.cluster_bs_idx, ctx.patterns,
                                params, r_thr)
@@ -370,14 +380,8 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
             "t_alpha_bps": stats.t_alpha_bps, "min_rate_bps": res.min_rate_bps,
             "feasible": int(res.feasible),
         })
-    manifest = {
-        "config": asdict(cfg),
-        "master_seed": cfg.master_seed,
-        "versions": {"compbss": __version__, "numpy": np.__version__},
-        "n_rows": len(rows),
-        "mode": "traffic_profile",
-    }
-    return CampaignResult(rows=rows, manifest=manifest)
+    return CampaignResult(rows=rows, manifest=_manifest(cfg, rows, n_skipped,
+                                                        mode="traffic_profile"))
 
 
 FIGURE_LAYOUTS = {

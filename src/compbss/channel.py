@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NetworkLayout, UserDrop, link_geometry, wrap_angle_deg
+from .geometry import NetworkLayout, UserDrop, wrap_angle_deg
 
 
 @dataclass(frozen=True)
@@ -170,11 +170,12 @@ def drop_link_budget(layout: NetworkLayout, drop: UserDrop,
     """Drop-level stage: the (U, S) link budget in dB of every link.
 
     Distance, bearing, path loss and antenna gain do not depend on fading, so
-    one budget serves every fading draw of the drop.
+    one budget serves every fading draw of the drop.  Distance and bearing
+    come from the drop itself, which kept them from its image search.
     """
-    dist, az = link_geometry(layout, drop.positions)      # (N, B)
-    pl = path_loss_db(dist, params.pl_intercept_db, params.pl_slope_db)
-    offsets = wrap_angle_deg(az[:, layout.sector_bs] - layout.sector_boresight_deg[None, :])
+    pl = path_loss_db(drop.link_dist_m, params.pl_intercept_db, params.pl_slope_db)
+    offsets = wrap_angle_deg(drop.link_az_deg[:, layout.sector_bs]
+                             - layout.sector_boresight_deg[None, :])
     return link_budget_db(pl[:, layout.sector_bs], directivity_gain_db(offsets),
                           params.user_antenna_gain_dbi, params.penetration_loss_db)
 

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -66,9 +67,8 @@ def _resolve_config(args) -> CampaignConfig:
         cfg.pattern_file = args.patterns
     if args.comp is not None:
         cfg.comp_configs = [args.comp]
-    if cfg.n_drops < 1 or cfg.n_fading < 1:
-        raise ConfigError("n_drops and n_fading must be >= 1")
-    return cfg
+    # a copy re-runs every config check on the overridden values
+    return dataclasses.replace(cfg)
 
 
 def _check_writable(path: Path) -> None:

@@ -4,6 +4,10 @@ The network is a centre cluster of 7 tri-sector base stations surrounded by
 6 translated clusters (49 BSs, 147 sectors).  The whole field wraps around:
 every user-to-site link is evaluated on the minimum-distance image among the
 identity placement and the 6 wrap translations.
+
+One image search per user drop serves both the region test that accepts
+candidate positions and the link geometry (distance and bearing) of the
+accepted users, which :class:`UserDrop` keeps for the link budget.
 """
 
 from __future__ import annotations
@@ -159,24 +163,45 @@ def build_layout(config: LayoutConfig | None = None) -> NetworkLayout:
     )
 
 
+def _site_images(layout: NetworkLayout) -> np.ndarray:
+    """Every BS at the identity placement (image 0) and the 6 wraps, (7, B, 2)."""
+    shifts = np.vstack([np.zeros(2), layout.wrap_shifts])
+    return layout.bs_xy[None, :, :] + shifts[:, None, :]
+
+
+def _image_d2(images: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Squared distance from every point to every BS image, (N, 7, B)."""
+    dx = pts[:, 0, None, None] - images[None, :, :, 0]
+    dy = pts[:, 1, None, None] - images[None, :, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
+def _best_image(images: np.ndarray, pts: np.ndarray, d2: np.ndarray):
+    """Distance and bearing from the nearest image of every BS to the points.
+
+    ``d2`` is :func:`_image_d2` of ``pts``.  Returns (dist, az_deg, shift_idx),
+    each (N, B); shift_idx 0 denotes the identity image and ties prefer it.
+    """
+    shift_idx = d2.argmin(axis=1)                                  # (N, B)
+    n_idx = np.arange(pts.shape[0])[:, None]
+    b_idx = np.arange(images.shape[1])[None, :]
+    dist = np.sqrt(d2[n_idx, shift_idx, b_idx])
+    diff = pts[:, None, :] - images[shift_idx, b_idx]              # (N, B, 2)
+    az = np.degrees(np.arctan2(diff[..., 1], diff[..., 0]))
+    return dist, az, shift_idx
+
+
 def _image_geometry(layout: NetworkLayout, points: np.ndarray):
     """Distance and bearing from every BS (best wraparound image) to points.
 
-    Returns (dist, az_deg, shift_idx), each (N, B).  shift_idx 0 denotes the
-    identity image; ties prefer the identity.
+    Returns (dist, az_deg, shift_idx), each (N, B).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    shifts = np.vstack([np.zeros(2), layout.wrap_shifts])          # (7, 2)
-    images = layout.bs_xy[None, :, :] + shifts[:, None, :]         # (7, B, 2)
-    diff = pts[:, None, None, :] - images[None, :, :, :]           # (N, 7, B, 2)
-    d2 = np.einsum("nkbc,nkbc->nkb", diff, diff)
-    shift_idx = d2.argmin(axis=1)                                  # (N, B)
-    n_idx = np.arange(pts.shape[0])[:, None]
-    b_idx = np.arange(layout.n_bs)[None, :]
-    best = diff[n_idx, shift_idx, b_idx]                           # (N, B, 2)
-    dist = np.sqrt(d2[n_idx, shift_idx, b_idx])
-    az = np.degrees(np.arctan2(best[..., 1], best[..., 0]))
-    return dist, az, shift_idx
+    images = _site_images(layout)
+    return _best_image(images, pts, _image_d2(images, pts))
 
 
 def wrap_angle_deg(angle):
@@ -216,13 +241,19 @@ def link_geometry(layout: NetworkLayout, points: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class UserDrop:
-    """One uniform user realization over the drop region."""
+    """One uniform user realization over the drop region.
+
+    ``link_dist_m`` and ``link_az_deg`` are :func:`link_geometry` of the
+    positions, kept from the image search that accepted them.
+    """
 
     positions: np.ndarray          # (N, 2) metres
     density_per_km2: float
     seed: object
     nearest_bs_idx: np.ndarray     # (N,) 0-based candidacy tag
     nearest_cluster_id: np.ndarray  # (N,) 1-based
+    link_dist_m: np.ndarray        # (N, B) best-image distance, clamped to >= 1 m
+    link_az_deg: np.ndarray        # (N, B) bearing from the best BS image
 
     @property
     def n_users(self) -> int:
@@ -234,21 +265,15 @@ class UserDrop:
         return not bool(np.any(self.nearest_cluster_id == 1))
 
 
-def _region_membership(layout: NetworkLayout, pts: np.ndarray):
+def _region_membership(n_bs: int, d2: np.ndarray):
     """Accept points whose nearest site image is an un-shifted BS.
 
+    ``d2`` is :func:`_image_d2` of the points; ties prefer the identity image.
     The union of the 49 hexagonal cells is a fundamental domain of the wrap
     lattice, so accepted points are uniform on the torus.
     """
-    shifts = np.vstack([np.zeros(2), layout.wrap_shifts])
-    images = layout.bs_xy[None, :, :] + shifts[:, None, :]
-    diff = pts[:, None, None, :] - images[None, :, :, :]
-    d2 = np.einsum("nkbc,nkbc->nkb", diff, diff)
-    flat = d2.reshape(pts.shape[0], -1)
-    best = flat.argmin(axis=1)
-    shift_of_best = best // layout.n_bs
-    bs_of_best = best % layout.n_bs
-    return shift_of_best == 0, bs_of_best
+    best = d2.reshape(d2.shape[0], -1).argmin(axis=1)
+    return best // n_bs == 0, best % n_bs
 
 
 def drop_users(layout: NetworkLayout, density_per_km2: float, seed) -> UserDrop:
@@ -256,7 +281,8 @@ def drop_users(layout: NetworkLayout, density_per_km2: float, seed) -> UserDrop:
 
     Deterministic for a given seed.  Each user is tagged with its nearest BS
     (serving-cluster candidacy); callers skip realizations whose centre
-    cluster ends up empty.
+    cluster ends up empty.  The image search of the region test also gives
+    the link geometry of the accepted users.
     """
     if density_per_km2 <= 0:
         raise ValueError("density must be > 0")
@@ -267,30 +293,33 @@ def drop_users(layout: NetworkLayout, density_per_km2: float, seed) -> UserDrop:
     pad = layout.hex_circumradius_m
     lo = layout.bs_xy.min(axis=0) - pad
     hi = layout.bs_xy.max(axis=0) + pad
+    images = _site_images(layout)
 
-    accepted = []
-    nearest = []
+    accepted, nearest = [np.empty((0, 2))], [np.empty(0, dtype=int)]
+    dists, azs = [np.empty((0, layout.n_bs))], [np.empty((0, layout.n_bs))]
     n_have = 0
     batch = max(256, 2 * count)
     while n_have < count:
         cand = rng.uniform(lo, hi, size=(batch, 2))
-        ok, bs_idx = _region_membership(layout, cand)
-        accepted.append(cand[ok])
-        nearest.append(bs_idx[ok])
-        n_have += int(ok.sum())
-    if count:
-        positions = np.vstack(accepted)[:count]
-        nearest_bs = np.concatenate(nearest)[:count]
-    else:
-        positions = np.empty((0, 2))
-        nearest_bs = np.empty(0, dtype=int)
-
+        d2 = _image_d2(images, cand)
+        ok, bs_idx = _region_membership(layout.n_bs, d2)
+        # the drop keeps only the first ``count`` accepted candidates
+        keep = np.flatnonzero(ok)[:count - n_have]
+        dist, az, _ = _best_image(images, cand[keep], d2[keep])
+        accepted.append(cand[keep])
+        nearest.append(bs_idx[keep])
+        dists.append(dist)
+        azs.append(az)
+        n_have += keep.size
+    nearest_bs = np.concatenate(nearest)
     return UserDrop(
-        positions=positions,
+        positions=np.vstack(accepted),
         density_per_km2=density_per_km2,
         seed=seed,
         nearest_bs_idx=nearest_bs,
-        nearest_cluster_id=layout.cluster_id[nearest_bs] if count else np.empty(0, dtype=int),
+        nearest_cluster_id=layout.cluster_id[nearest_bs],
+        link_dist_m=np.maximum(np.vstack(dists), 1.0),
+        link_az_deg=np.vstack(azs),
     )
 
 

@@ -21,6 +21,19 @@ from .clusters import CompConfiguration, sector_vclusters
 from .geometry import NetworkLayout
 
 DEFAULT_GAMMA_D_RANGE_DB = (-6.5, 10.0)
+# Supported fairness values, with margin on both sides: a small alpha
+# overflows r**((1-alpha)/alpha) (from about 0.02 at the top MCS rate), and a
+# large one underflows (r*beta)**(1-alpha) to 0 (seen at 50), which zeroes
+# theta and turns served CoMP users into outage.
+ALPHA_RANGE = (0.1, 10.0)
+
+
+def alpha_range_error(alpha) -> str | None:
+    """Why ``alpha`` is refused, or None when it lies in ALPHA_RANGE."""
+    lo, hi = ALPHA_RANGE
+    if lo <= alpha <= hi:
+        return None
+    return f"alpha={alpha!r} outside the supported range [{lo:g}, {hi:g}]"
 
 
 @dataclass(frozen=True)
@@ -32,8 +45,9 @@ class SchedulerParams:
     gamma_d_range_db: tuple[float, float] = DEFAULT_GAMMA_D_RANGE_DB
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
+        problem = alpha_range_error(self.alpha)
+        if problem:
+            raise ValueError(problem)
         lo, hi = self.gamma_d_range_db
         if not lo <= self.gamma_d_db <= hi:
             raise ValueError(

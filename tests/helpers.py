@@ -81,3 +81,15 @@ def numeric_theta(nc_prod, c_prod, alpha):
         bounds=(1e-9, 1.0 - 1e-9), method="bounded",
         options={"xatol": 1e-10})
     return float(res.x)
+
+
+def einsum_region_membership(layout, pts):
+    """Region test of a user drop, written on the full (N, 7, B, 2) offset
+    tensor: accept points whose nearest BS image over all 7 placements is an
+    un-shifted one (flat argmin, so ties prefer the identity image)."""
+    shifts = np.vstack([np.zeros(2), layout.wrap_shifts])
+    images = layout.bs_xy[None, :, :] + shifts[:, None, :]
+    diff = pts[:, None, None, :] - images[None, :, :, :]
+    d2 = np.einsum("nkbc,nkbc->nkb", diff, diff)
+    best = d2.reshape(pts.shape[0], -1).argmin(axis=1)
+    return best // layout.n_bs == 0, best % layout.n_bs

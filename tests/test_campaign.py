@@ -44,7 +44,8 @@ class TestConfig:
         ("rate_thresholds_bps", [float("nan")], "nan"),
         ("traffic_profile", [20, "40"], "'40'"), ("alphas", 2.0, "2.0"),
         ("n_drops", 2.5, "2.5"), ("n_fading", "3", "'3'"), ("master_seed", 1.5, "1.5"),
-        ("alphas", [1.0, 0.0], "0.0"),
+        ("alphas", [1.0, 0.0], "0.0"), ("alphas", [1.0, 50.0], "50.0"),
+        ("alphas", [0.01], "0.01"), ("master_seed", -1, "-1"),
     ])
     def test_rejects_bad_sweep_values(self, key, value, shown):
         with pytest.raises(ConfigError) as info:
@@ -153,6 +154,15 @@ class TestTraffic:
         # heuristic sleeps more at low load
         assert res.rows[0]["a1"] >= res.rows[1]["a1"]
 
+    def test_manifest_counts_skipped_steps(self):
+        # 1e-3 users per km^2 drops nobody at this seed, so step 1 is skipped
+        profile = [60.0, 1e-3, 60.0]
+        res = run_traffic_profile(tiny_config(traffic_profile=profile))
+        skipped = res.manifest["n_realizations_skipped"]
+        assert skipped == 1
+        assert [r["t"] for r in res.rows] == [0, 2]
+        assert len(res.rows) + skipped == len(profile)
+
     def test_requires_profile(self):
         with pytest.raises(ConfigError):
             run_traffic_profile(tiny_config())
@@ -246,6 +256,15 @@ class TestCli:
         p.write_text('alphas: ["2"]\n')
         assert cli_main(["--config", str(p)]) == 1
         assert "alphas entry '2'" in capsys.readouterr().err
+
+    def test_negative_seed_is_exit_1(self, tmp_path, capsys):
+        assert cli_main(["--drops", "1", "--fading", "1", "--seed", "-1",
+                         "--out", str(tmp_path / "r.csv")]) == 1
+        assert "master_seed=-1" in capsys.readouterr().err
+        p = tmp_path / "c.yaml"
+        p.write_text("master_seed: -1\n")
+        assert cli_main(["--config", str(p)]) == 1
+        assert "master_seed=-1" in capsys.readouterr().err
 
     def test_unwritable_output_is_exit_1(self):
         assert cli_main(["--drops", "1", "--fading", "1",

@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compbss as cb
+from compbss.channel import drop_link_budget
 from compbss.geometry import (LayoutConfig, LayoutError, bs_distance, drop_users,
                               layout_from_file, link_geometry, user_sector_geometry,
                               wrap_angle_deg)
+
+from helpers import einsum_region_membership
 
 ISD = 500.0
 
@@ -167,6 +170,44 @@ def test_drop_candidacy_tags(layout):
     frac_center = float(np.mean(drop.nearest_cluster_id == 1))
     assert 0.05 < frac_center < 0.25   # about 1/7 of users
     assert not drop.is_empty
+
+
+@pytest.mark.parametrize("density", [20.0, 60.0, 160.0])
+def test_drop_keeps_link_geometry_bit_for_bit(layout, density):
+    for seed in range(4):
+        drop = drop_users(layout, density, seed)
+        dist, az = link_geometry(layout, drop.positions)
+        assert drop.link_dist_m.shape == (drop.n_users, layout.n_bs)
+        assert np.array_equal(drop.link_dist_m, dist)
+        assert np.array_equal(drop.link_az_deg, az)
+
+
+@pytest.mark.parametrize("density", [20.0, 160.0])
+def test_drop_accepts_what_the_einsum_oracle_accepts(layout, density):
+    """Replay the drop's random stream through the offset-tensor region test."""
+    pad = layout.hex_circumradius_m
+    lo = layout.bs_xy.min(axis=0) - pad
+    hi = layout.bs_xy.max(axis=0) + pad
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        count = int(rng.poisson(density * layout.region_area_m2 / 1e6))
+        pts, nearest = [], []
+        while sum(p.shape[0] for p in pts) < count:
+            cand = rng.uniform(lo, hi, size=(max(256, 2 * count), 2))
+            ok, bs_idx = einsum_region_membership(layout, cand)
+            pts.append(cand[ok])
+            nearest.append(bs_idx[ok])
+        drop = drop_users(layout, density, seed)
+        assert np.array_equal(drop.positions, np.vstack(pts)[:count])
+        assert np.array_equal(drop.nearest_bs_idx, np.concatenate(nearest)[:count])
+
+
+def test_empty_drop_has_empty_link_geometry(layout, params):
+    drop = drop_users(layout, 1e-4, 0)
+    assert drop.n_users == 0 and drop.is_empty
+    assert drop.link_dist_m.shape == (0, layout.n_bs)
+    assert drop.link_az_deg.shape == (0, layout.n_bs)
+    assert drop_link_budget(layout, drop, params).shape == (0, layout.n_sectors)
 
 
 def test_positions_csv_roundtrip(layout, tmp_path):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,15 +8,23 @@ from hypothesis.extra.numpy import arrays
 
 import compbss as cb
 from compbss.channel import sinr_matrix
-from compbss.scheduler import (SchedulerParams, SystemModel, alpha_fair_utility,
-                               associate_max_sinr, classify_comp, optimal_comp_share,
-                               optimal_time_fractions, schedule)
+from compbss.scheduler import (ALPHA_RANGE, SchedulerParams, SystemModel,
+                               alpha_fair_utility, associate_max_sinr, classify_comp,
+                               optimal_comp_share, optimal_time_fractions, schedule)
+
+from conftest import make_realization
 
 from helpers import (closed_form_lambdas, make_instance, numeric_theta,
                      random_feasible_utilities, utility_oracle)
 
 positive_rates = arrays(np.float64, st.integers(1, 8),
                         elements=st.floats(1e3, 1e9, allow_nan=False))
+
+
+@functools.lru_cache(maxsize=None)
+def _realization_rx(layout, params, density, seed):
+    _, gains = make_realization(layout, params, density=density, seed=seed)
+    return cb.received_power_w(gains, params)
 
 
 class TestTimeFractions:
@@ -323,7 +333,40 @@ class TestSchedulePipeline:
         assert sol.theta[0] == pytest.approx(theta0, rel=1e-12)
         assert sol.lam == pytest.approx(np.array(lam), rel=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(*ALPHA_RANGE), seed=st.integers(0, 7),
+           density=st.sampled_from([20.0, 160.0]),
+           gamma_d_db=st.floats(-6.5, 10.0),
+           config=st.sampled_from(["C1", "C2", "C3"]))
+    def test_alpha_range_gives_sound_allocations(self, layout, params, models, alpha,
+                                                 seed, density, gamma_d_db, config):
+        rx = _realization_rx(layout, params, density, seed)
+        model = models[config]
+        with np.errstate(over="raise", invalid="raise"):
+            sol = schedule(model, rx, np.ones(49, bool),
+                           SchedulerParams(alpha=alpha, gamma_d_db=gamma_d_db))
+            live = sol.lam > 0
+            if live.any():
+                assert np.isfinite(cb.alpha_fair_throughput(sol.lam[live], alpha))
+        for arr in (sol.beta, sol.theta, sol.lam):
+            assert np.all(np.isfinite(arr))
+        assert np.all((sol.theta >= 0) & (sol.theta <= 1))
+        sched = ~sol.outage
+        pool = np.where(sol.comp, model.n_sectors + model.vc_of_sector[sol.assoc_sector],
+                        sol.assoc_sector)[sched]
+        sums = np.bincount(pool, weights=sol.beta[sched])
+        assert sums[np.bincount(pool) > 0] == pytest.approx(1.0, abs=1e-12)
+        # every scheduled user keeps a positive rate: nothing underflows to outage
+        assert np.all(sol.lam[sched] > 0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.0999, 10.01, 50.0])
+    def test_alpha_outside_range_rejected(self, alpha):
+        with pytest.raises(ValueError, match=f"alpha={alpha!r}"):
+            SchedulerParams(alpha=alpha, gamma_d_db=0.0)
+
     def test_scheduler_params_validation(self):
+        for alpha in ALPHA_RANGE:
+            SchedulerParams(alpha=alpha, gamma_d_db=0.0)
         with pytest.raises(ValueError):
             SchedulerParams(alpha=0.0, gamma_d_db=0.0)
         with pytest.raises(ValueError):
