@@ -16,7 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .metrics import RealizationStats, alpha_fair_throughput, rate_coverage, sinr_coverage
+from .metrics import (STAT_FIELDS, RealizationStats, alpha_fair_throughputs,
+                      rate_coverage, sinr_coverage)
 from .scheduler import SchedulerParams, SchedulingSolution, SystemModel, schedule
 
 MAX_ORACLE_BS = 10
@@ -166,12 +167,19 @@ def active_bs_mask(n_bs_total: int, cluster_bs_idx: np.ndarray,
 
 def pattern_evaluation(pattern: BssPattern, solution: SchedulingSolution,
                        vq_mask: np.ndarray, rate_threshold_bps: float) -> PatternEvaluation:
-    """Check a scheduled pattern's metric-set rates against the threshold."""
-    rates = solution.lam[vq_mask]
-    min_rate = float(rates.min())
+    """Check a scheduled pattern's metric-set rates against the threshold.
+
+    For a batch of scheduling points the rates, minima and flags have one
+    row per point.
+    """
+    rates = solution.lam[..., vq_mask]
+    min_rate = rates.min(axis=-1)
+    feasible = min_rate >= rate_threshold_bps
+    if rates.ndim == 1:
+        min_rate, feasible = float(min_rate), bool(feasible)
     return PatternEvaluation(
         pattern=pattern, rates_bps=rates, min_rate_bps=min_rate,
-        feasible=bool(min_rate >= rate_threshold_bps), solution=solution,
+        feasible=feasible, solution=solution,
     )
 
 
@@ -241,24 +249,66 @@ def exhaustive_oracle(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
     )
 
 
+def _runs(keys, same):
+    """(start, stop) of every run of consecutive keys that ``same`` pairs up."""
+    start = 0
+    for stop in range(1, len(keys) + 1):
+        if stop == len(keys) or not same(keys[stop], keys[start]):
+            yield start, stop
+            start = stop
+
+
 def realization_stats(ev: PatternEvaluation | HeuristicResult, vq_mask: np.ndarray,
-                      multi_vc_ids, rate_threshold_bps: float,
-                      alpha: float) -> RealizationStats:
-    """Cluster metrics of one scheduled realization under one pattern."""
+                      multi_vc_ids, rate_threshold_bps, alpha) -> RealizationStats:
+    """Cluster metrics of scheduled realizations under one pattern.
+
+    The metric-set rates are ``ev.rates_bps``.  The solution holds R
+    scheduling points (``allocate`` rows; a single point is one row):
+    ``alpha`` and ``multi_vc_ids`` list each row's fairness and multi-sector
+    cluster ids (a scalar alpha serves every row), and ``rate_threshold_bps``
+    is one threshold or a list of T.  Every field is an (R,) or (R, T) float
+    array.
+    """
     vq = np.asarray(vq_mask, dtype=bool)
     sol = ev.solution
-    lam = sol.lam[vq]
+    lam = np.atleast_2d(ev.rates_bps)                        # (R, n)
+    n_rows, n = lam.shape
+    alphas = np.broadcast_to(np.asarray(alpha, dtype=float), (n_rows,)).tolist()
+
     covered = lam > 0
-    t_alpha = alpha_fair_throughput(lam[covered], alpha) if covered.any() else 0.0
-    return RealizationStats(
-        t_alpha_bps=t_alpha,
-        sinr_coverage=sinr_coverage(sol.coverage_sinr[vq]),
-        rate_coverage=rate_coverage(lam, rate_threshold_bps),
-        energy_saving_pct=ev.pattern.energy_saving_pct,
-        n_users=int(vq.sum()),
-        n_outage=int(np.sum(~covered)),
-        theta_mean=sol.theta_mean(multi_vc_ids),
-    )
+    n_covered = np.count_nonzero(covered, axis=1)
+    t_alpha = np.zeros(n_rows)
+    for start, stop in _runs(alphas, float.__eq__):
+        rows = np.arange(start, stop)[n_covered[start:stop] > 0]
+        if rows.size:
+            t_alpha[rows] = alpha_fair_throughputs(
+                lam[rows][covered[rows]], n_covered[rows], alphas[start])
+
+    theta = np.atleast_2d(sol.theta)
+    theta_mean = np.zeros(n_rows)
+    for start, stop in _runs(multi_vc_ids, lambda a, b: a is b):
+        ids = np.asarray(multi_vc_ids[start], dtype=int)
+        if ids.size:
+            # take() keeps the rows C-contiguous, so each row mean sums as the
+            # 1-D mean of one point does (a fancy index would lay them out by column)
+            theta_mean[start:stop] = theta[start:stop].take(ids, axis=1).mean(axis=1)
+
+    thr = np.asarray(rate_threshold_bps, dtype=float)
+    per_thr = (n_rows,) + (1,) * thr.ndim
+    coverage_sinr = np.atleast_2d(sol.coverage_sinr)[:, vq]
+    values = {
+        "t_alpha_bps": t_alpha.reshape(per_thr),
+        "sinr_coverage": sinr_coverage(coverage_sinr).reshape(per_thr),
+        "rate_coverage": rate_coverage(lam.reshape(per_thr + (n,)), thr[..., None]),
+        "energy_saving_pct": ev.pattern.energy_saving_pct,
+        "theta_mean": theta_mean.reshape(per_thr),
+        "n_users": n,
+        "n_outage": (n - n_covered).reshape(per_thr),
+    }
+    out = np.empty((n_rows,) + thr.shape + (len(STAT_FIELDS),))
+    for i, name in enumerate(STAT_FIELDS):
+        out[..., i] = values[name]
+    return RealizationStats(**{name: out[..., i] for i, name in enumerate(STAT_FIELDS)})
 
 
 def result_to_json(result: HeuristicResult) -> str:

@@ -6,17 +6,27 @@ fading draws.  Each quantity is computed once, at the outermost loop level
 it depends on:
 
 - drop: user positions and the link budget (geometry, path loss, antenna);
-- fading: shadowing, received powers and the centre-cluster metric set;
+- fading: shadowing, received powers, each user's strongest sector and the
+  centre-cluster metric set;
 - pattern: active sectors, max-SINR association and serving SINR, shared
   by every CoMP configuration;
-- config: each user's joint SINR within its serving virtual cluster;
-- gamma_d: CoMP flags, link rates and outage;
-- alpha: time fractions, joint-transmission shares and user rates.
+- config x pattern: each user's joint SINR within its serving virtual
+  cluster (the cluster-member matrices are built once per campaign);
+- point: every (config, gamma_d, alpha, rate threshold) point of a pattern
+  is one row of a batched pass.  ``link_rates`` sets the CoMP flags, link
+  rates and outage of all (config, gamma_d) rows at once, ``allocate`` adds
+  the alpha rows with one pass per alpha (so every power keeps a scalar
+  exponent), and ``realization_stats`` reduces all rows and thresholds.
+
+Patterns are not batched: summing the active sectors' received power of
+several patterns in one pass would change its summation order, and with it
+the last bits of every SINR.  ``aggregate`` then summarises every sweep
+point of a density in one row reduction over the realizations.
 
 ``build_gain_matrix``, ``schedule`` and ``evaluate_pattern`` run the same
-stages for a single point.  Substreams are derived from the master seed with
-counter-based spawn keys, so results do not depend on execution order and
-identical (config, seed) pairs reproduce the output byte for byte.
+stages for a single point (one row).  Substreams are derived from the master
+seed with counter-based spawn keys, so results do not depend on execution
+order and identical (config, seed) pairs reproduce the output byte for byte.
 """
 
 from __future__ import annotations
@@ -40,10 +50,11 @@ from .channel import (ChannelParams, McsTable, build_gain_matrix, draw_gain_matr
                       drop_link_budget, received_power_w)
 from .clusters import resolve_comp_config
 from .geometry import LayoutConfig, build_layout, drop_users
-from .metrics import aggregate
+from .metrics import STAT_FIELDS, aggregate
 from .scheduler import (DEFAULT_GAMMA_D_RANGE_DB, SchedulerParams, allocate,
                         alpha_range_error, associate, build_system_model,
-                        center_cluster_users, cluster_links, link_rates)
+                        center_cluster_users, cluster_links, cluster_members,
+                        link_rates)
 
 
 class ConfigError(ValueError):
@@ -84,6 +95,11 @@ class CampaignConfig:
             for value in getattr(self, name) or ():
                 if not _is_finite_number(value):
                     raise ConfigError(f"{name} entry {value!r} is not a finite number")
+        for name in sweeps:
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                # a repeated value would fold two copies of its records into one row
+                raise ConfigError(f"sweep list {name} repeats a value: {values!r}")
         for name in ("n_drops", "n_fading", "master_seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
@@ -177,6 +193,7 @@ class _Context:
     patterns: list
     active_sectors: list    # per pattern: (S,) bool sector on/off mask
     models: dict            # config name -> (SystemModel, multi_vc_ids)
+    members: list           # per pattern, per config: cluster_members matrix
     center_sector_idx: np.ndarray
     cluster_bs_idx: np.ndarray
 
@@ -201,53 +218,64 @@ def build_context(cfg: CampaignConfig) -> _Context:
     active_sectors = [
         layout.sector_active_mask(active_bs_mask(layout.n_bs, cluster_bs_idx, p))
         for p in patterns]
+    members = [[cluster_members(model, act) for model, _ in models.values()]
+               for act in active_sectors]
     return _Context(cfg=cfg, layout=layout, params=params, mcs=mcs,
                     patterns=patterns, active_sectors=active_sectors, models=models,
-                    center_sector_idx=center_sector_idx,
+                    members=members, center_sector_idx=center_sector_idx,
                     cluster_bs_idx=cluster_bs_idx)
 
 
 def _drop_records(ctx: _Context, mu: float, d: int):
-    """All (combo key -> RealizationStats) records of one user drop.
+    """Metrics of every sweep point of one user drop.
 
-    Returns (records, n_skipped).  Each stage runs once at the loop level it
-    depends on: link budget per drop, gains per fading draw, association per
-    pattern, joint SINR per configuration, link rates per gamma_d and the
-    time fractions per alpha.  Records of one key stay in fading order, which
-    keeps aggregation order deterministic.
+    Returns (values, n_skipped).  ``values`` is an (n, P, A, C, G, T, 7)
+    array: the STAT_FIELDS of each (pattern, alpha, configuration, gamma_d,
+    rate threshold) point for each of the n non-skipped fading draws, in
+    fading order.  Each stage runs once at the loop level it depends on;
+    within a pattern, every (alpha, configuration, gamma_d) point is one row
+    of a batched pass.
     """
     cfg = ctx.cfg
+    models = [model for model, _ in ctx.models.values()]
+    # The rows of a pattern run over alpha (allocate), then configuration and
+    # gamma_d (link_rates); realization_stats adds the rate thresholds.
+    row_alphas = np.repeat(np.asarray(cfg.alphas, dtype=float),
+                           len(models) * len(cfg.gamma_ds_db))
+    row_multi_ids = [m.multi_vc_ids for _ in cfg.alphas for m in models
+                     for _ in cfg.gamma_ds_db]
+    points = (len(ctx.patterns), len(cfg.alphas), len(models), len(cfg.gamma_ds_db),
+              len(cfg.rate_thresholds_bps), len(STAT_FIELDS))
     drop = drop_users(ctx.layout, mu, _seed_key(cfg.master_seed, 0, _mu_key(mu), d))
-    records = []
+    blocks = []
     skipped = 0
     if drop.is_empty:
-        return records, cfg.n_fading
+        return np.empty((0,) + points), cfg.n_fading
     budget_db = drop_link_budget(ctx.layout, drop, ctx.params)
-    first_model = next(iter(ctx.models.values()))[0]
     for f_idx in range(cfg.n_fading):
         gains = draw_gain_matrix(budget_db, ctx.params,
                                  _seed_key(cfg.master_seed, 1, _mu_key(mu), d, f_idx))
         rx_w = received_power_w(gains, ctx.params)
-        vq = center_cluster_users(first_model, rx_w, ctx.center_sector_idx)
+        strongest = rx_w.argmax(axis=1)
+        vq = center_cluster_users(models[0], strongest, ctx.center_sector_idx)
         if not vq.any():
             skipped += 1
             continue
-        for pattern, active_sector in zip(ctx.patterns, ctx.active_sectors):
-            assoc = associate(rx_w, active_sector, ctx.params.noise_w)
-            bs_off = "+".join(map(str, pattern.off_bs_ids))
-            for config_name, (model, multi_ids) in ctx.models.items():
-                links = cluster_links(model, rx_w, assoc)
-                for gamma_d in cfg.gamma_ds_db:
-                    rates = link_rates(model, assoc, links, gamma_d)
-                    for alpha in cfg.alphas:
-                        ev = pattern_evaluation(
-                            pattern, allocate(model, assoc, links, rates, alpha), vq, 0.0)
-                        for r_thr in cfg.rate_thresholds_bps:
-                            key = (config_name, pattern.label, bs_off,
-                                   mu, gamma_d, alpha, r_thr)
-                            records.append((key, realization_stats(
-                                ev, vq, multi_ids, r_thr, alpha)))
-    return records, skipped
+        block = []
+        # Patterns stay a loop: stacking rx_w[:, act].sum(axis=1) over them
+        # would change the summation order of the total received power.
+        for pattern, active_sector, members in zip(ctx.patterns, ctx.active_sectors,
+                                                   ctx.members):
+            assoc = associate(rx_w, active_sector, ctx.params.noise_w, strongest)
+            links = [cluster_links(model, rx_w, assoc, member)
+                     for model, member in zip(models, members)]
+            sol = allocate(assoc, link_rates(models[0], assoc, links, cfg.gamma_ds_db),
+                           cfg.alphas)
+            stats = realization_stats(pattern_evaluation(pattern, sol, vq, 0.0), vq,
+                                      row_multi_ids, cfg.rate_thresholds_bps, row_alphas)
+            block.append(np.stack([getattr(stats, f) for f in STAT_FIELDS], axis=-1))
+        blocks.append(block)
+    return np.reshape(blocks, (len(blocks),) + points), skipped
 
 
 def _worker(args):
@@ -276,47 +304,51 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
     """
     ctx = build_context(cfg)
     tasks = [(mu, d) for mu in cfg.densities_per_km2 for d in range(cfg.n_drops)]
-    per_combo: dict[tuple, list] = {}
-    n_skipped = 0
     if jobs > 1:
         cfg_json = json.dumps(asdict(cfg), sort_keys=True)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_worker, [(cfg_json, mu, d) for mu, d in tasks]))
     else:
         results = [_drop_records(ctx, mu, d) for mu, d in tasks]
-    for records, skipped in results:
-        n_skipped += skipped
-        for key, stats in records:
-            per_combo.setdefault(key, []).append(stats)
+    n_skipped = sum(skipped for _, skipped in results)
+
+    # One reduction per density summarises all of its sweep points.
+    summaries = {}
+    for mu in cfg.densities_per_km2:
+        values = np.concatenate([v for (m, _), (v, _) in zip(tasks, results) if m == mu])
+        if values.shape[0]:
+            summ = aggregate(np.moveaxis(values, 0, -1))
+            summaries[mu] = {name: (s.mean, s.std, s.ci95)
+                             for name, s in summ.items()}, values.shape[0]
 
     rows = []
-    for key in _combo_order(ctx):
-        stats = per_combo.get(key)
-        if not stats:
-            continue
-        summ = aggregate(stats)
+    for key, point in _combo_order(ctx):
         config_name, label, bs_off, mu, gamma_d, alpha, r_thr = key
-        rows.append({
-            "config": config_name, "pattern": label, "bs_off": bs_off,
-            "mu_per_km2": mu, "gamma_d_db": gamma_d, "alpha": alpha,
-            "rate_threshold_bps": r_thr, "n_realizations": summ["t_alpha_bps"].n,
-            "t_alpha_mean_bps": summ["t_alpha_bps"].mean,
-            "t_alpha_std_bps": summ["t_alpha_bps"].std,
-            "t_alpha_ci95_bps": summ["t_alpha_bps"].ci95,
-            "sinr_coverage_mean": summ["sinr_coverage"].mean,
-            "sinr_coverage_std": summ["sinr_coverage"].std,
-            "sinr_coverage_ci95": summ["sinr_coverage"].ci95,
-            "rate_coverage_mean": summ["rate_coverage"].mean,
-            "rate_coverage_std": summ["rate_coverage"].std,
-            "rate_coverage_ci95": summ["rate_coverage"].ci95,
-            "theta_mean": summ["theta_mean"].mean,
-            "theta_std": summ["theta_mean"].std,
-            "theta_ci95": summ["theta_mean"].ci95,
-            "energy_saving_pct": summ["energy_saving_pct"].mean,
-            "n_users_mean": summ["n_users"].mean,
-            "n_outage_mean": summ["n_outage"].mean,
-        })
+        if mu not in summaries:
+            continue
+        summ, n = summaries[mu]
+        row = {"config": config_name, "pattern": label, "bs_off": bs_off,
+               "mu_per_km2": mu, "gamma_d_db": gamma_d, "alpha": alpha,
+               "rate_threshold_bps": r_thr, "n_realizations": n}
+        for column, (name, part) in _RESULT_SOURCES.items():
+            row[column] = float(summ[name][part][point])
+        rows.append(row)
     return CampaignResult(rows=rows, manifest=_manifest(cfg, rows, n_skipped))
+
+
+# Result column -> (metric, 0 mean / 1 std / 2 ci95)
+_RESULT_SOURCES = {
+    "t_alpha_mean_bps": ("t_alpha_bps", 0), "t_alpha_std_bps": ("t_alpha_bps", 1),
+    "t_alpha_ci95_bps": ("t_alpha_bps", 2),
+    "sinr_coverage_mean": ("sinr_coverage", 0), "sinr_coverage_std": ("sinr_coverage", 1),
+    "sinr_coverage_ci95": ("sinr_coverage", 2),
+    "rate_coverage_mean": ("rate_coverage", 0), "rate_coverage_std": ("rate_coverage", 1),
+    "rate_coverage_ci95": ("rate_coverage", 2),
+    "theta_mean": ("theta_mean", 0), "theta_std": ("theta_mean", 1),
+    "theta_ci95": ("theta_mean", 2),
+    "energy_saving_pct": ("energy_saving_pct", 0), "n_users_mean": ("n_users", 0),
+    "n_outage_mean": ("n_outage", 0),
+}
 
 
 def _manifest(cfg: CampaignConfig, rows: list, n_skipped: int, **extra) -> dict:
@@ -331,22 +363,29 @@ def _manifest(cfg: CampaignConfig, rows: list, n_skipped: int, **extra) -> dict:
 
 
 def _combo_order(ctx: _Context):
+    """Result rows in output order: (key, (pattern, alpha, configuration,
+    gamma_d, rate threshold) index of the point in _drop_records' values)."""
     cfg = ctx.cfg
-    for config_name in ctx.models:
-        for pattern in ctx.patterns:
+    for c, config_name in enumerate(ctx.models):
+        for p, pattern in enumerate(ctx.patterns):
             for mu in cfg.densities_per_km2:
-                for gamma_d in cfg.gamma_ds_db:
-                    for alpha in cfg.alphas:
-                        for r_thr in cfg.rate_thresholds_bps:
+                for g, gamma_d in enumerate(cfg.gamma_ds_db):
+                    for a, alpha in enumerate(cfg.alphas):
+                        for t, r_thr in enumerate(cfg.rate_thresholds_bps):
                             yield (config_name, pattern.label,
                                    "+".join(map(str, pattern.off_bs_ids)),
-                                   mu, gamma_d, alpha, r_thr)
+                                   mu, gamma_d, alpha, r_thr), (p, a, c, g, t)
 
 
 def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
     """Per-time-step heuristic selection over a density profile (fig11)."""
     if not cfg.traffic_profile:
         raise ConfigError("traffic_profile is required for the fig11 campaign")
+    for name in ("alphas", "gamma_ds_db", "rate_thresholds_bps", "comp_configs"):
+        values = getattr(cfg, name)
+        if len(values) != 1:
+            raise ConfigError(f"the traffic-profile campaign takes one {name} value, "
+                              f"got {list(values)!r}")
     ctx = build_context(cfg)
     alpha = cfg.alphas[0]
     gamma_d = cfg.gamma_ds_db[0]
@@ -366,18 +405,18 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
         gains = build_gain_matrix(ctx.layout, drop, ctx.params,
                                   _seed_key(cfg.master_seed, 3, _mu_key(float(mu)), t))
         rx_w = received_power_w(gains, ctx.params)
-        vq = center_cluster_users(model, rx_w, ctx.center_sector_idx)
+        vq = center_cluster_users(model, rx_w.argmax(axis=1), ctx.center_sector_idx)
         if not vq.any():
             n_skipped += 1
             continue
         res = heuristic_select(model, rx_w, vq, ctx.cluster_bs_idx, ctx.patterns,
                                params, r_thr)
-        stats = realization_stats(res, vq, multi_ids, r_thr, alpha)
+        stats = realization_stats(res, vq, [multi_ids], r_thr, alpha)
         rows.append({
             "t": t, "mu_per_km2": float(mu), "pattern": res.pattern.label,
             "bs_off": "+".join(map(str, res.pattern.off_bs_ids)),
             "a1": res.pattern.a1, "energy_pct": res.pattern.energy_saving_pct,
-            "t_alpha_bps": stats.t_alpha_bps, "min_rate_bps": res.min_rate_bps,
+            "t_alpha_bps": float(stats.t_alpha_bps[0]), "min_rate_bps": res.min_rate_bps,
             "feasible": int(res.feasible),
         })
     return CampaignResult(rows=rows, manifest=_manifest(cfg, rows, n_skipped,

@@ -206,7 +206,17 @@ def _image_geometry(layout: NetworkLayout, points: np.ndarray):
 
 def wrap_angle_deg(angle):
     """Wrap angles to [-180, 180) (antipodal bearings map to -180)."""
-    return (np.asarray(angle, dtype=float) + 180.0) % 360.0 - 180.0
+    y = np.asarray(angle, dtype=float) + 180.0
+    if np.ndim(y) and y.size and y.min() >= -360.0 and y.max() < 720.0:
+        # One turn either way: a compare-and-add gives the bits of y % 360
+        # (fmod is exact there and % adds 360 to the same negative y).  Both
+        # masks come from y before it is shifted in place.
+        below, above = y < 0.0, y >= 360.0
+        np.add(y, 360.0, out=y, where=below)
+        np.subtract(y, 360.0, out=y, where=above)
+        y -= 180.0
+        return y
+    return y % 360.0 - 180.0
 
 
 def bs_distance(layout: NetworkLayout, a_id: int, b_id: int) -> float:
@@ -276,6 +286,14 @@ def _region_membership(n_bs: int, d2: np.ndarray):
     return best // n_bs == 0, best % n_bs
 
 
+def drop_batch_size(n_missing: int, accept_rate: float) -> int:
+    """Candidates to draw for ``n_missing`` more users at the region's
+    acceptance rate: the mean number needed plus three standard deviations
+    (and a few spare), so a second batch is rarely drawn."""
+    sd = math.sqrt(n_missing * (1.0 - accept_rate)) / accept_rate
+    return int(math.ceil(n_missing / accept_rate + 3.0 * sd)) + 8
+
+
 def drop_users(layout: NetworkLayout, density_per_km2: float, seed) -> UserDrop:
     """Drop a Poisson number of users uniformly over the 49-cell region.
 
@@ -294,13 +312,15 @@ def drop_users(layout: NetworkLayout, density_per_km2: float, seed) -> UserDrop:
     lo = layout.bs_xy.min(axis=0) - pad
     hi = layout.bs_xy.max(axis=0) + pad
     images = _site_images(layout)
+    accept_rate = layout.region_area_m2 / float(np.prod(hi - lo))
 
     accepted, nearest = [np.empty((0, 2))], [np.empty(0, dtype=int)]
     dists, azs = [np.empty((0, layout.n_bs))], [np.empty((0, layout.n_bs))]
     n_have = 0
-    batch = max(256, 2 * count)
     while n_have < count:
-        cand = rng.uniform(lo, hi, size=(batch, 2))
+        # The uniform stream does not depend on how it is split into batches,
+        # so the batch size changes only how many draws are wasted.
+        cand = rng.uniform(lo, hi, size=(drop_batch_size(count - n_have, accept_rate), 2))
         d2 = _image_d2(images, cand)
         ok, bs_idx = _region_membership(layout.n_bs, d2)
         # the drop keeps only the first ``count`` accepted candidates

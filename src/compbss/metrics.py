@@ -12,26 +12,37 @@ from .channel import from_db
 SINR_COVERAGE_THRESHOLD_DB = -6.5   # lowest MCS threshold
 
 
+STAT_FIELDS = ("t_alpha_bps", "sinr_coverage", "rate_coverage",
+               "energy_saving_pct", "theta_mean", "n_users", "n_outage")
+
+
 @dataclass(frozen=True)
 class RealizationStats:
-    """Per-realization cluster metrics; probabilities in [0, 1]."""
+    """Per-realization cluster metrics; probabilities in [0, 1].
 
-    t_alpha_bps: float
-    sinr_coverage: float
-    rate_coverage: float
-    energy_saving_pct: float
-    n_users: int
-    n_outage: int
-    theta_mean: float = 0.0
+    Every field is a float array of one shape, one entry per sweep point
+    (see ``bss.realization_stats``).
+    """
+
+    t_alpha_bps: np.ndarray
+    sinr_coverage: np.ndarray
+    rate_coverage: np.ndarray
+    energy_saving_pct: np.ndarray
+    n_users: np.ndarray
+    n_outage: np.ndarray
+    theta_mean: np.ndarray
 
 
 @dataclass(frozen=True)
 class MetricSummary:
-    """Sample mean with a normal-approximation 95% confidence interval."""
+    """Sample mean with a normal-approximation 95% confidence interval.
 
-    mean: float
-    std: float
-    ci95: float
+    Arrays of one shape when a batch of sweep points is summarised at once.
+    """
+
+    mean: float | np.ndarray
+    std: float | np.ndarray
+    ci95: float | np.ndarray
     n: int
 
     @property
@@ -40,37 +51,75 @@ class MetricSummary:
         return self.n < 2
 
 
+def alpha_fair_throughputs(rates: np.ndarray, counts, alpha: float) -> np.ndarray:
+    """Alpha-fair throughput of consecutive positive rate sets.
+
+    ``rates`` concatenates the sets and ``counts`` gives their sizes (each at
+    least 1).  Each set is summed over its own slice, so its pairwise
+    summation, and hence every bit of the result, matches a lone set.
+    """
+    x = np.log(rates) if alpha == 1.0 else rates ** (1.0 - alpha)
+    counts = np.asarray(counts)
+    ends = np.cumsum(counts).tolist()
+    means = np.array([np.add.reduce(x[e - c:e]) for c, e in zip(counts.tolist(), ends)])
+    means /= counts
+    if alpha == 1.0:
+        return np.exp(means)
+    # numpy scalars take the libm power; an array power may use a SIMD kernel
+    # whose last bit differs.
+    e = 1.0 / (1.0 - alpha)
+    return np.array([m ** e for m in means])
+
+
 def alpha_fair_throughput(lams, alpha: float) -> float:
     """Alpha-fair throughput of a positive rate set (geometric mean at 1).
 
     Callers exclude zero-rate users first and report them as outage.
     """
-    lam = np.asarray(lams, dtype=float)
+    lam = np.asarray(lams, dtype=float).ravel()
     if lam.size == 0:
         raise ValueError("throughput of an empty rate set is undefined")
     if np.any(lam <= 0):
         raise ValueError("throughput requires strictly positive rates")
-    if alpha == 1.0:
-        return float(np.exp(np.mean(np.log(lam))))
-    return float(np.mean(lam ** (1.0 - alpha)) ** (1.0 / (1.0 - alpha)))
+    return float(alpha_fair_throughputs(lam, [lam.size], alpha)[0])
 
 
-def sinr_coverage(gamma_lin, threshold_db: float = SINR_COVERAGE_THRESHOLD_DB) -> float:
-    """Fraction of users whose best (or joint, for CoMP) SINR clears the floor."""
-    g = np.asarray(gamma_lin, dtype=float)
-    if g.size == 0:
-        return 0.0
-    return float(np.mean(g >= from_db(threshold_db)))
+def _fraction(hits: np.ndarray):
+    """Share of True along the last axis (0 for an empty set); a float for
+    one set of users."""
+    n = hits.shape[-1]
+    share = np.count_nonzero(hits, axis=-1) / n if n else np.zeros(hits.shape[:-1])
+    return float(share) if hits.ndim == 1 else share
 
 
-def rate_coverage(lams, rate_threshold_bps: float) -> float:
-    """Fraction of users whose scheduled rate reaches the operator threshold."""
-    if rate_threshold_bps < 0:
+def sinr_coverage(gamma_lin, threshold_db: float = SINR_COVERAGE_THRESHOLD_DB):
+    """Fraction of users whose best (or joint, for CoMP) SINR clears the floor.
+
+    Users run along the last axis; leading axes are separate user sets.
+    """
+    return _fraction(np.asarray(gamma_lin, dtype=float) >= from_db(threshold_db))
+
+
+def rate_coverage(lams, rate_threshold_bps):
+    """Fraction of users whose scheduled rate reaches the operator threshold.
+
+    Users run along the last axis; thresholds broadcast against the rates.
+    """
+    if np.any(np.asarray(rate_threshold_bps) < 0):
         raise ValueError("rate threshold must be >= 0")
-    lam = np.asarray(lams, dtype=float)
-    if lam.size == 0:
-        return 0.0
-    return float(np.mean(lam >= rate_threshold_bps))
+    return _fraction(np.asarray(lams, dtype=float) >= rate_threshold_bps)
+
+
+def _summary_rows(values: np.ndarray):
+    """Mean, sample stddev and 95% CI half-width of each row of a C-contiguous
+    (M, n) array; a row reduction sums exactly as the 1-D reduction does."""
+    n = values.shape[1]
+    mean = values.mean(axis=1)
+    if n < 2:
+        zero = np.zeros_like(mean)
+        return mean, zero, zero
+    std = values.std(axis=1, ddof=1)
+    return mean, std, 1.96 * std / math.sqrt(n)
 
 
 def summarize(values) -> MetricSummary:
@@ -78,15 +127,23 @@ def summarize(values) -> MetricSummary:
     v = np.asarray(list(values), dtype=float)
     if v.size == 0:
         raise ValueError("at least one realization required")
-    mean = float(v.mean())
-    if v.size < 2:
-        return MetricSummary(mean=mean, std=0.0, ci95=0.0, n=1)
-    std = float(v.std(ddof=1))
-    return MetricSummary(mean=mean, std=std, ci95=1.96 * std / math.sqrt(v.size), n=v.size)
+    mean, std, ci95 = (float(x[0]) for x in _summary_rows(v[None, :]))
+    return MetricSummary(mean=mean, std=std, ci95=ci95, n=v.size)
 
 
-def aggregate(stats: list[RealizationStats]) -> dict[str, MetricSummary]:
-    """Aggregate every metric of a realization batch."""
-    fields = ("t_alpha_bps", "sinr_coverage", "rate_coverage",
-              "energy_saving_pct", "theta_mean", "n_users", "n_outage")
-    return {name: summarize(getattr(s, name) for s in stats) for name in fields}
+def aggregate(values: np.ndarray) -> dict[str, MetricSummary]:
+    """Aggregate every metric of a realization batch in one reduction.
+
+    ``values`` is an array (..., 7, n) of :class:`RealizationStats` fields in
+    STAT_FIELDS order with the n realizations last; its leading axes are
+    sweep points that are summarised at once.
+    """
+    n = values.shape[-1]
+    if n == 0:
+        raise ValueError("at least one realization required")
+    lead = values.shape[:-2]
+    rows = _summary_rows(np.ascontiguousarray(values.reshape(-1, n)))
+    mean, std, ci95 = (x.reshape(lead + (len(STAT_FIELDS),)) for x in rows)
+    return {name: MetricSummary(mean=mean[..., i][()], std=std[..., i][()],
+                                ci95=ci95[..., i][()], n=n)
+            for i, name in enumerate(STAT_FIELDS)}

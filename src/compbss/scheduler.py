@@ -89,7 +89,12 @@ def build_system_model(layout: NetworkLayout, config: CompConfiguration,
 
 @dataclass(frozen=True, eq=False)
 class SchedulingSolution:
-    """Association, CoMP split, optimal time fractions, and user rates."""
+    """Association, CoMP split, optimal time fractions, and user rates.
+
+    One scheduling point has (U,) user arrays and (K,) cluster arrays; a
+    batch of R points (see :func:`allocate`) has (R, U) and (R, K) arrays
+    that share one association.
+    """
 
     assoc_sector: np.ndarray   # (U,) 0-based serving sector (x)
     comp: np.ndarray           # (U,) bool CoMP flags (z)
@@ -98,12 +103,34 @@ class SchedulingSolution:
     lam: np.ndarray            # (U,) scheduled rate, bits/s
     outage: np.ndarray         # (U,) bool: zero link rate, excluded from pools
     coverage_sinr: np.ndarray  # (U,) linear; joint SINR for CoMP users
-    n_comp: np.ndarray         # (K,) CoMP head-count per cluster
-    n_noncomp: np.ndarray      # (K,) non-CoMP head-count per cluster
+    vc: np.ndarray             # (U,) 0-based serving virtual cluster
 
     @property
     def n_users(self) -> int:
-        return self.lam.shape[0]
+        return self.lam.shape[-1]
+
+    @property
+    def n_comp(self) -> np.ndarray:
+        """(K,) CoMP head-count per cluster."""
+        return self._per_cluster(self.comp)
+
+    @property
+    def n_noncomp(self) -> np.ndarray:
+        """(K,) non-CoMP head-count per cluster."""
+        return self._per_cluster(~self.comp)
+
+    def _per_cluster(self, users: np.ndarray) -> np.ndarray:
+        n_rows = self.theta.size // self.theta.shape[-1]
+        ids = _row_ids(self.vc.reshape(n_rows, -1), self.theta.shape[-1])
+        return np.bincount(ids[users.reshape(n_rows, -1)],
+                           minlength=self.theta.size).reshape(self.theta.shape)
+
+    def row(self, i: int) -> "SchedulingSolution":
+        """Scheduling point ``i`` of a batch."""
+        return SchedulingSolution(
+            assoc_sector=self.assoc_sector, comp=self.comp[i], beta=self.beta[i],
+            theta=self.theta[i], lam=self.lam[i], outage=self.outage[i],
+            coverage_sinr=self.coverage_sinr[i], vc=self.vc[i])
 
     def theta_mean(self, multi_vc_ids) -> float:
         """Average joint-transmission share over the CoMP-capable clusters."""
@@ -191,6 +218,15 @@ def _pool_fractions(rates: np.ndarray, pool_ids: np.ndarray, n_pools: int,
     return t / sums[pool_ids]
 
 
+def _row_ids(ids: np.ndarray, stride: int) -> np.ndarray:
+    """Offset the per-user ids of row r by r * stride.
+
+    One bincount over the offset ids then sums each row's bins over the same
+    users in the same order as a bincount of that row alone.
+    """
+    return ids + stride * np.arange(ids.shape[0])[:, None]
+
+
 @dataclass(frozen=True, eq=False)
 class Association:
     """Pattern stage: max-SINR association under one set of active sectors.
@@ -213,31 +249,38 @@ class ClusterLinks:
     vc: np.ndarray             # (U,) 0-based serving virtual cluster
     capable: np.ndarray        # (U,) bool: serving cluster has several sectors
     joint_sinr: np.ndarray     # (U,) linear; 0 where not capable
+    n_vclusters: int           # cluster ids of the configuration
 
 
 @dataclass(frozen=True, eq=False)
 class LinkRates:
-    """Threshold stage: CoMP split and link rates for one gamma_d."""
+    """Threshold stage: CoMP split and link rates, one row per
+    (configuration, gamma_d) point."""
 
-    comp: np.ndarray           # (U,) bool CoMP flags (z)
-    sinr: np.ndarray           # (U,) effective SINR: joint for CoMP users
-    rate: np.ndarray           # (U,) link rate, bits/s
-    outage: np.ndarray         # (U,) bool: zero link rate
-    pool: np.ndarray           # (U,) sector pool, or S + cluster for CoMP users
+    comp: np.ndarray           # (R, U) bool CoMP flags (z)
+    sinr: np.ndarray           # (R, U) effective SINR: joint for CoMP users
+    rate: np.ndarray           # (R, U) link rate, bits/s
+    outage: np.ndarray         # (R, U) bool: zero link rate
+    vc: np.ndarray             # (R, U) 0-based serving virtual cluster
+    pool: np.ndarray           # (R, U) sector pool, or S + cluster for CoMP users
+    n_vclusters: int           # cluster ids per row (the largest configuration's)
+    n_pools: int               # pool ids per row: sectors + clusters
 
 
-def associate(rx_w: np.ndarray, active_sector: np.ndarray, noise_w: float) -> Association:
+def associate(rx_w: np.ndarray, active_sector: np.ndarray, noise_w: float,
+              strongest: np.ndarray) -> Association:
     """Serve every user from its strongest active sector.
 
     With uniform transmit power the max-SINR sector is the max received
-    power sector; ties resolve to the lowest sector index.
+    power sector; ties resolve to the lowest sector index.  ``strongest`` is
+    ``rx_w.argmax(axis=1)``, which every pattern of a fading draw shares.
     """
     act = np.asarray(active_sector, dtype=bool)
     if not act.any():
         raise ValueError("at least one BS must be active")
     total = rx_w[:, act].sum(axis=1)
     # Strongest sector of the field; re-pick among active ones where it sleeps.
-    assoc = rx_w.argmax(axis=1)
+    assoc = strongest.copy()
     asleep = ~act[assoc]
     if asleep.any():
         assoc[asleep] = np.where(act, rx_w[asleep], -np.inf).argmax(axis=1)
@@ -246,117 +289,143 @@ def associate(rx_w: np.ndarray, active_sector: np.ndarray, noise_w: float) -> As
                        sinr=w_serv / (total - w_serv + noise_w))
 
 
-def cluster_links(model: SystemModel, rx_w: np.ndarray,
-                  assoc: Association) -> ClusterLinks:
-    """Joint SINR of each user's serving multi-sector cluster (active members)."""
+def cluster_members(model: SystemModel, active_sector: np.ndarray) -> np.ndarray:
+    """(S, n_multi) 0/1 matrix of the active sectors of each multi-sector cluster."""
+    return ((model.vc_of_sector[:, None] == model.multi_vc_ids[None, :])
+            & np.asarray(active_sector, dtype=bool)[:, None]).astype(float)
+
+
+def cluster_links(model: SystemModel, rx_w: np.ndarray, assoc: Association,
+                  member: np.ndarray) -> ClusterLinks:
+    """Joint SINR of each user's serving multi-sector cluster (active members).
+
+    ``member`` is :func:`cluster_members` of the association's active sectors.
+    """
     vc_user = model.vc_of_sector[assoc.sector]
     capable = model.vc_sizes[vc_user] > 1
     joint = np.zeros(rx_w.shape[0])
     if capable.any():
-        member = ((model.vc_of_sector[:, None] == model.multi_vc_ids[None, :])
-                  & assoc.active_sector[:, None]).astype(float)
         p_joint = rx_w @ member                              # (U, n_multi)
         g_joint = p_joint / (assoc.total_w[:, None] - p_joint + model.noise_w)
         col = np.searchsorted(model.multi_vc_ids, vc_user[capable])
         joint[capable] = g_joint[capable, col]
-    return ClusterLinks(vc=vc_user, capable=capable, joint_sinr=joint)
+    return ClusterLinks(vc=vc_user, capable=capable, joint_sinr=joint,
+                        n_vclusters=model.n_vclusters)
 
 
-def link_rates(model: SystemModel, assoc: Association, links: ClusterLinks,
-               gamma_d_db: float) -> LinkRates:
-    """CoMP flags from the threshold, then MCS link rates of every user.
+def link_rates(model: SystemModel, assoc: Association, links, gamma_ds_db) -> LinkRates:
+    """CoMP flags from each threshold, then MCS link rates of every user.
 
+    ``links`` lists one :class:`ClusterLinks` per configuration; the rows of
+    the result run over them (outer) and ``gamma_ds_db`` (inner).  ``model``
+    gives the sector count and the PHY, which every configuration shares.
     Users whose link rate is zero (SINR below the MCS floor) are in outage.
     """
-    comp = links.capable & (assoc.sinr <= from_db(gamma_d_db))
-    sinr_eff = np.where(comp, links.joint_sinr, assoc.sinr)
+    capable = np.array([l.capable for l in links])[:, None, :]      # (C, 1, U)
+    joint = np.array([l.joint_sinr for l in links])[:, None, :]
+    vc = np.array([l.vc for l in links])[:, None, :]
+    # one scalar from_db per threshold: the same value a single point compares
+    thr = np.array([from_db(g) for g in gamma_ds_db])[:, None]      # (G, 1)
+    comp = capable & (assoc.sinr <= thr)                            # (C, G, U)
+    sinr_eff = np.where(comp, joint, assoc.sinr)
     with np.errstate(divide="ignore"):
-        eta = model.mcs.efficiency(to_db(sinr_eff))
-    r_user = eta * model.rate_per_bits_symbol
-    return LinkRates(comp=comp, sinr=sinr_eff, rate=r_user, outage=r_user <= 0.0,
-                     pool=np.where(comp, model.n_sectors + links.vc, assoc.sector))
+        r_user = model.mcs.efficiency(to_db(sinr_eff)) * model.rate_per_bits_symbol
+    shape = (comp.shape[0] * comp.shape[1], comp.shape[2])
+    n_vc = max(l.n_vclusters for l in links)
+    return LinkRates(
+        comp=comp.reshape(shape), sinr=sinr_eff.reshape(shape), rate=r_user.reshape(shape),
+        outage=(r_user <= 0.0).reshape(shape),
+        vc=np.broadcast_to(vc, comp.shape).reshape(shape),
+        pool=np.where(comp, model.n_sectors + vc, assoc.sector).reshape(shape),
+        n_vclusters=n_vc, n_pools=model.n_sectors + n_vc)
 
 
-def allocate(model: SystemModel, assoc: Association, links: ClusterLinks,
-             rates: LinkRates, alpha: float) -> SchedulingSolution:
+def allocate(assoc: Association, rates: LinkRates, alpha) -> SchedulingSolution:
     """Fairness stage: optimal time fractions, shares and user rates.
 
-    Users in outage are excluded from every pool and receive lambda = 0.
+    ``alpha`` is one value or a list; the rows of the solution run over it
+    (outer) and the rows of ``rates`` (inner).  Each alpha is one pass over
+    all rows, so every power keeps a scalar exponent.  Users in outage are
+    excluded from every pool and receive lambda = 0.
     """
-    n_users = rates.rate.shape[0]
-    comp, r_user, outage, vc_user = rates.comp, rates.rate, rates.outage, links.vc
+    alphas = np.atleast_1d(alpha).tolist()
+    n_rows, n_users = rates.rate.shape
+    n_vc = rates.n_vclusters
+    comp, r_user, outage = rates.comp, rates.rate, rates.outage
     sched = ~outage
-
-    # Pools: one per sector for non-CoMP users, one per cluster for CoMP users.
-    n_pools = model.n_sectors + model.n_vclusters
-    beta = np.zeros(n_users)
-    if sched.any():
-        beta[sched] = _pool_fractions(r_user[sched], rates.pool[sched], n_pools, alpha)
-
-    # Joint-transmission share per cluster from the scheduled products.
-    n_vc = model.n_vclusters
-    theta = np.zeros(n_vc)
-    prod = r_user * beta
+    r_sched = r_user[sched]
+    pool_ids = _row_ids(rates.pool, rates.n_pools)[sched]
+    vc_ids = _row_ids(rates.vc, n_vc)
     c_s = comp & sched
     nc_s = ~comp & sched
-    if alpha == 1.0:
-        n_c = np.bincount(vc_user[c_s], minlength=n_vc).astype(float)
-        n_nc = np.bincount(vc_user[nc_s], minlength=n_vc).astype(float)
-        both = (n_c > 0) & (n_nc > 0)
-        theta[both] = n_c[both] / (n_c[both] + n_nc[both])
-        theta[(n_c > 0) & (n_nc == 0)] = 1.0
-    else:
-        e = 1.0 - alpha
-        a_c = np.bincount(vc_user[c_s], weights=prod[c_s] ** e, minlength=n_vc)
-        a_nc = np.bincount(vc_user[nc_s], weights=prod[nc_s] ** e, minlength=n_vc)
-        both = (a_c > 0) & (a_nc > 0)
-        delta = (a_c[both] / a_nc[both]) ** (1.0 / alpha)
-        theta[both] = delta / (1.0 + delta)
-        theta[(a_c > 0) & (a_nc == 0)] = 1.0
-    if model.multi_vc_ids.size:
-        keep = np.zeros(n_vc, dtype=bool)
-        keep[model.multi_vc_ids] = True
-        theta[~keep] = 0.0  # singleton clusters never run joint transmission
+    vc_c, vc_nc = vc_ids[c_s], vc_ids[nc_s]
+    n_bins = n_rows * n_vc
 
-    th_user = theta[vc_user]
-    lam = np.where(comp, th_user, 1.0 - th_user) * beta * r_user
-    lam[outage] = 0.0
+    beta = np.zeros((len(alphas), n_rows, n_users))
+    theta = np.zeros((len(alphas), n_bins))
+    lam = np.empty((len(alphas), n_rows, n_users))
+    for a, alpha in enumerate(alphas):
+        # Pools: one per sector for non-CoMP users, one per cluster for CoMP users.
+        b = beta[a]
+        if r_sched.size:
+            b[sched] = _pool_fractions(r_sched, pool_ids, n_rows * rates.n_pools, alpha)
 
+        # Joint-transmission share per cluster from the scheduled products.
+        th = theta[a]
+        if alpha == 1.0:
+            n_c = np.bincount(vc_c, minlength=n_bins).astype(float)
+            n_nc = np.bincount(vc_nc, minlength=n_bins).astype(float)
+            both = (n_c > 0) & (n_nc > 0)
+            th[both] = n_c[both] / (n_c[both] + n_nc[both])
+            th[(n_c > 0) & (n_nc == 0)] = 1.0
+        else:
+            prod = r_user * b
+            e = 1.0 - alpha
+            a_c = np.bincount(vc_c, weights=prod[c_s] ** e, minlength=n_bins)
+            a_nc = np.bincount(vc_nc, weights=prod[nc_s] ** e, minlength=n_bins)
+            both = (a_c > 0) & (a_nc > 0)
+            delta = (a_c[both] / a_nc[both]) ** (1.0 / alpha)
+            th[both] = delta / (1.0 + delta)
+            th[(a_c > 0) & (a_nc == 0)] = 1.0
+        # Singleton clusters have no CoMP users, so their theta stays 0.
+
+        th_user = th[vc_ids]
+        np.multiply(np.where(comp, th_user, 1.0 - th_user) * b, r_user, out=lam[a])
+        lam[a][outage] = 0.0
+
+    def rows(x):
+        return np.tile(x, (len(alphas), 1)) if len(alphas) > 1 else x
+
+    shape = (len(alphas) * n_rows, -1)
     return SchedulingSolution(
-        assoc_sector=assoc.sector,
-        comp=comp,
-        beta=beta,
-        theta=theta,
-        lam=lam,
-        outage=outage,
-        coverage_sinr=rates.sinr,
-        n_comp=np.bincount(vc_user[comp], minlength=n_vc),
-        n_noncomp=np.bincount(vc_user[~comp], minlength=n_vc),
-    )
+        assoc_sector=assoc.sector, comp=rows(comp), beta=beta.reshape(shape),
+        theta=theta.reshape(shape), lam=lam.reshape(shape), outage=rows(outage),
+        coverage_sinr=rows(rates.sinr), vc=rows(rates.vc))
 
 
 def schedule(model: SystemModel, rx_w: np.ndarray, active_bs: np.ndarray,
              params: SchedulerParams) -> SchedulingSolution:
     """Associate, classify, and allocate optimal time fractions for all users.
 
-    Runs the four stages in order; a sweep that holds the earlier stages'
-    inputs fixed calls them once and reuses their results.
+    Runs the four stages for one scheduling point (one row of each batched
+    stage); a sweep that holds the earlier stages' inputs fixed calls them
+    once and batches the later ones.
     """
-    assoc = associate(rx_w, np.asarray(active_bs, dtype=bool)[model.sector_bs],
-                      model.noise_w)
-    links = cluster_links(model, rx_w, assoc)
-    return allocate(model, assoc, links, link_rates(model, assoc, links, params.gamma_d_db),
-                    params.alpha)
+    act = np.asarray(active_bs, dtype=bool)[model.sector_bs]
+    assoc = associate(rx_w, act, model.noise_w, rx_w.argmax(axis=1))
+    links = cluster_links(model, rx_w, assoc, cluster_members(model, act))
+    rates = link_rates(model, assoc, [links], [params.gamma_d_db])
+    return allocate(assoc, rates, params.alpha).row(0)
 
 
-def center_cluster_users(model: SystemModel, rx_w: np.ndarray,
+def center_cluster_users(model: SystemModel, strongest: np.ndarray,
                          center_sector_idx: np.ndarray) -> np.ndarray:
     """Metric set V_q: users whose all-on max-SINR sector is in the cluster.
 
     With uniform transmit power the max-SINR sector equals the max received
-    power sector, so the benchmark association needs no mask.
+    power sector, so the benchmark association needs no mask: ``strongest``
+    is ``rx_w.argmax(axis=1)``.
     """
-    best = rx_w.argmax(axis=1)
     in_cluster = np.zeros(model.n_sectors, dtype=bool)
     in_cluster[np.asarray(center_sector_idx, dtype=int)] = True
-    return in_cluster[best]
+    return in_cluster[strongest]

@@ -1,5 +1,8 @@
 """Shared test oracles, independent of the library code paths they check."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 from scipy.optimize import minimize_scalar
 
@@ -93,3 +96,102 @@ def einsum_region_membership(layout, pts):
     d2 = np.einsum("nkbc,nkbc->nkb", diff, diff)
     best = d2.reshape(pts.shape[0], -1).argmin(axis=1)
     return best // layout.n_bs == 0, best % layout.n_bs
+
+
+# Per-point scheduling and statistics, one sweep point at a time: oracles for
+# the row-batched library stages, compared bit for bit.
+
+def point_link_rates(model, assoc, links, gamma_d_db):
+    """CoMP flags, effective SINR, MCS rates, outage and pools of one point."""
+    comp = links.capable & (assoc.sinr <= cb.channel.from_db(gamma_d_db))
+    sinr_eff = np.where(comp, links.joint_sinr, assoc.sinr)
+    with np.errstate(divide="ignore"):
+        eta = model.mcs.efficiency(cb.channel.to_db(sinr_eff))
+    r_user = eta * model.rate_per_bits_symbol
+    return SimpleNamespace(comp=comp, sinr=sinr_eff, rate=r_user, outage=r_user <= 0.0,
+                           pool=np.where(comp, model.n_sectors + links.vc, assoc.sector))
+
+
+def _point_pool_fractions(rates, pool_ids, n_pools, alpha):
+    if alpha == 1.0:
+        counts = np.bincount(pool_ids, minlength=n_pools).astype(float)
+        return 1.0 / counts[pool_ids]
+    t = rates ** ((1.0 - alpha) / alpha)
+    sums = np.bincount(pool_ids, weights=t, minlength=n_pools)
+    return t / sums[pool_ids]
+
+
+def point_allocate(model, links, rates, alpha):
+    """Time fractions, joint-transmission shares and user rates of one point."""
+    n_users = rates.rate.shape[0]
+    comp, r_user, outage, vc_user = rates.comp, rates.rate, rates.outage, links.vc
+    sched = ~outage
+    n_pools = model.n_sectors + model.n_vclusters
+    beta = np.zeros(n_users)
+    if sched.any():
+        beta[sched] = _point_pool_fractions(r_user[sched], rates.pool[sched], n_pools,
+                                            alpha)
+    n_vc = model.n_vclusters
+    theta = np.zeros(n_vc)
+    prod = r_user * beta
+    c_s = comp & sched
+    nc_s = ~comp & sched
+    if alpha == 1.0:
+        n_c = np.bincount(vc_user[c_s], minlength=n_vc).astype(float)
+        n_nc = np.bincount(vc_user[nc_s], minlength=n_vc).astype(float)
+        both = (n_c > 0) & (n_nc > 0)
+        theta[both] = n_c[both] / (n_c[both] + n_nc[both])
+        theta[(n_c > 0) & (n_nc == 0)] = 1.0
+    else:
+        e = 1.0 - alpha
+        a_c = np.bincount(vc_user[c_s], weights=prod[c_s] ** e, minlength=n_vc)
+        a_nc = np.bincount(vc_user[nc_s], weights=prod[nc_s] ** e, minlength=n_vc)
+        both = (a_c > 0) & (a_nc > 0)
+        delta = (a_c[both] / a_nc[both]) ** (1.0 / alpha)
+        theta[both] = delta / (1.0 + delta)
+        theta[(a_c > 0) & (a_nc == 0)] = 1.0
+    if model.multi_vc_ids.size:
+        keep = np.zeros(n_vc, dtype=bool)
+        keep[model.multi_vc_ids] = True
+        theta[~keep] = 0.0
+    th_user = theta[vc_user]
+    lam = np.where(comp, th_user, 1.0 - th_user) * beta * r_user
+    lam[outage] = 0.0
+    return SimpleNamespace(comp=comp, beta=beta, theta=theta, lam=lam, outage=outage,
+                           coverage_sinr=rates.sinr,
+                           n_comp=np.bincount(vc_user[comp], minlength=n_vc),
+                           n_noncomp=np.bincount(vc_user[~comp], minlength=n_vc))
+
+
+def point_realization_stats(sol, vq, multi_vc_ids, rate_threshold_bps, alpha,
+                            energy_saving_pct):
+    """Cluster metrics of one scheduled point, as 1-D means of its users."""
+    lam = sol.lam[vq]
+    covered = lam > 0
+    if covered.any():
+        live = lam[covered]
+        if alpha == 1.0:
+            t_alpha = float(np.exp(np.mean(np.log(live))))
+        else:
+            t_alpha = float(np.mean(live ** (1.0 - alpha)) ** (1.0 / (1.0 - alpha)))
+    else:
+        t_alpha = 0.0
+    ids = np.asarray(multi_vc_ids, dtype=int)
+    return dict(
+        t_alpha_bps=t_alpha,
+        sinr_coverage=float(np.mean(sol.coverage_sinr[vq] >= cb.channel.from_db(-6.5))),
+        rate_coverage=float(np.mean(lam >= rate_threshold_bps)),
+        energy_saving_pct=energy_saving_pct,
+        theta_mean=float(sol.theta[ids].mean()) if ids.size else 0.0,
+        n_users=int(vq.sum()),
+        n_outage=int(np.sum(~covered)),
+    )
+
+
+def point_summary(values):
+    """Mean, sample stddev and 95% CI half-width of one metric, 1-D."""
+    v = np.asarray(values, dtype=float)
+    if v.size < 2:
+        return float(v.mean()), 0.0, 0.0
+    std = float(v.std(ddof=1))
+    return float(v.mean()), std, 1.96 * std / math.sqrt(v.size)

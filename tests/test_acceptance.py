@@ -62,7 +62,7 @@ def ordering_matrix(layout, params, models):
     n_used = 0
     for d in range(300):
         drop, rx = _realization(layout, params, 60.0, 20250 + d, tag=7)
-        vq = cb.center_cluster_users(models["none"], rx, center_idx)
+        vq = cb.center_cluster_users(models["none"], rx.argmax(axis=1), center_idx)
         if not vq.any():
             continue
         n_used += 1
@@ -176,7 +176,7 @@ def test_c05_heuristic_equals_oracle(layout, params, models):
     n_feasible = 0
     for d in range(200):
         drop, rx = _realization(layout, params, 60.0, 31000 + d, tag=5)
-        vq = cb.center_cluster_users(model, rx, center_idx)
+        vq = cb.center_cluster_users(model, rx.argmax(axis=1), center_idx)
         if not vq.any():
             continue
         h = heuristic_select(model, rx, vq, cb_idx, full, sp, rate_threshold)
@@ -209,7 +209,7 @@ def test_c06_theta_trend(layout, params, models):
     sums = {(g, a): [] for g in gammas for a in alphas}
     for d in range(50):
         drop, rx = _realization(layout, params, 60.0, 40000 + d, tag=6)
-        vq = cb.center_cluster_users(model, rx, center_idx)
+        vq = cb.center_cluster_users(model, rx.argmax(axis=1), center_idx)
         if not vq.any():
             continue
         for g in gammas:

@@ -18,7 +18,8 @@ def c3_setup(layout, params, mcs, models):
                                  np.random.SeedSequence(0, spawn_key=(1,)))
     rx = cb.received_power_w(gains, params)
     model = models["C3"]
-    vq = cb.center_cluster_users(model, rx, layout.center_cluster_sector_ids - 1)
+    vq = cb.center_cluster_users(model, rx.argmax(axis=1),
+                                 layout.center_cluster_sector_ids - 1)
     return model, rx, vq, layout.center_cluster_bs_ids - 1
 
 
@@ -174,7 +175,7 @@ class TestHeuristic:
             gains = cb.build_gain_matrix(layout, drop, params,
                                          np.random.SeedSequence(seed, spawn_key=(1,)))
             rx = cb.received_power_w(gains, params)
-            vq = cb.center_cluster_users(model, rx, center_idx)
+            vq = cb.center_cluster_users(model, rx.argmax(axis=1), center_idx)
             if not vq.any():
                 continue
             h = heuristic_select(model, rx, vq, cb_idx, full, SP, 0.15e6)
@@ -219,9 +220,10 @@ class TestResultExport:
     def test_realization_stats_fields(self, c3_setup):
         model, rx, vq, cb_idx = c3_setup
         ev = evaluate_pattern(model, rx, vq, cb_idx, default_pattern_list()[-1], SP, 0.0)
-        st = realization_stats(ev, vq, model.multi_vc_ids, 0.2e6, 1.0)
-        assert st.n_users == int(vq.sum())
-        assert 0.0 <= st.sinr_coverage <= 1.0
-        assert 0.0 <= st.rate_coverage <= 1.0
-        assert st.energy_saving_pct == 0.0
-        assert st.t_alpha_bps > 0
+        st = realization_stats(ev, vq, [model.multi_vc_ids], 0.2e6, 1.0)
+        assert st.t_alpha_bps.shape == (1,)
+        assert st.n_users[0] == int(vq.sum())
+        assert 0.0 <= st.sinr_coverage[0] <= 1.0
+        assert 0.0 <= st.rate_coverage[0] <= 1.0
+        assert st.energy_saving_pct[0] == 0.0
+        assert st.t_alpha_bps[0] > 0

@@ -46,6 +46,9 @@ class TestConfig:
         ("n_drops", 2.5, "2.5"), ("n_fading", "3", "'3'"), ("master_seed", 1.5, "1.5"),
         ("alphas", [1.0, 0.0], "0.0"), ("alphas", [1.0, 50.0], "50.0"),
         ("alphas", [0.01], "0.01"), ("master_seed", -1, "-1"),
+        ("alphas", [1, 2.0, 1.0], "repeats"), ("gamma_ds_db", [0.0, 0.0], "repeats"),
+        ("densities_per_km2", [60.0, 60], "repeats"),
+        ("rate_thresholds_bps", [2e5, 2e5], "repeats"),
     ])
     def test_rejects_bad_sweep_values(self, key, value, shown):
         with pytest.raises(ConfigError) as info:
@@ -167,6 +170,16 @@ class TestTraffic:
         with pytest.raises(ConfigError):
             run_traffic_profile(tiny_config())
 
+    @pytest.mark.parametrize("key, values", [
+        ("alphas", [1.0, 2.0]), ("gamma_ds_db", [-1.0, 0.0]),
+        ("rate_thresholds_bps", [1e5, 2e5]), ("comp_configs", ["C3", "C1"]),
+    ])
+    def test_refuses_extra_sweep_values(self, key, values):
+        """The profile runs one point; extra values would be dropped silently."""
+        cfg = tiny_config(traffic_profile=[60.0], **{key: values})
+        with pytest.raises(ConfigError, match=key):
+            run_traffic_profile(cfg)
+
 
 @pytest.fixture(scope="module")
 def sweep_rows():
@@ -256,6 +269,14 @@ class TestCli:
         p.write_text('alphas: ["2"]\n')
         assert cli_main(["--config", str(p)]) == 1
         assert "alphas entry '2'" in capsys.readouterr().err
+
+    def test_traffic_profile_extra_alpha_is_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "c.yaml"
+        p.write_text("traffic_profile: [60]\nalphas: [1, 2]\n"
+                     "rate_thresholds_bps: [100000, 200000]\ncomp_configs: [C1, C3]\n")
+        assert cli_main(["--config", str(p), "--out", str(tmp_path / "t.csv")]) == 1
+        assert "alphas" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_negative_seed_is_exit_1(self, tmp_path, capsys):
         assert cli_main(["--drops", "1", "--fading", "1", "--seed", "-1",

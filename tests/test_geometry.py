@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import compbss as cb
 from compbss.channel import drop_link_budget
-from compbss.geometry import (LayoutConfig, LayoutError, bs_distance, drop_users,
-                              layout_from_file, link_geometry, user_sector_geometry,
-                              wrap_angle_deg)
+from compbss.geometry import (LayoutConfig, LayoutError, bs_distance, drop_batch_size,
+                              drop_users, layout_from_file, link_geometry,
+                              user_sector_geometry, wrap_angle_deg)
 
 from helpers import einsum_region_membership
 
@@ -182,24 +182,55 @@ def test_drop_keeps_link_geometry_bit_for_bit(layout, density):
         assert np.array_equal(drop.link_az_deg, az)
 
 
-@pytest.mark.parametrize("density", [20.0, 160.0])
-def test_drop_accepts_what_the_einsum_oracle_accepts(layout, density):
-    """Replay the drop's random stream through the offset-tensor region test."""
+def _replay_drop(layout, density, seed, batch_size):
+    """The drop's random stream, read in batches of ``batch_size(count)``
+    candidates through the offset-tensor region test: (count, accepted
+    positions, their nearest BS, accepted candidates of the first batch)."""
     pad = layout.hex_circumradius_m
     lo = layout.bs_xy.min(axis=0) - pad
     hi = layout.bs_xy.max(axis=0) + pad
+    rng = np.random.default_rng(seed)
+    count = int(rng.poisson(density * layout.region_area_m2 / 1e6))
+    pts, nearest = [], []
+    while sum(p.shape[0] for p in pts) < count:
+        cand = rng.uniform(lo, hi, size=(batch_size(count), 2))
+        ok, bs_idx = einsum_region_membership(layout, cand)
+        pts.append(cand[ok])
+        nearest.append(bs_idx[ok])
+    return count, np.vstack(pts)[:count], np.concatenate(nearest)[:count], pts[0].shape[0]
+
+
+@pytest.mark.parametrize("density", [20.0, 160.0])
+def test_drop_accepts_what_the_einsum_oracle_accepts(layout, density):
+    """Replay the drop's random stream through the offset-tensor region test.
+
+    The drop sizes its batches from the acceptance rate; replays at other
+    batch sizes (the former max(256, 2 * count) and one draw of 4 * count)
+    must keep the same users, since the uniform stream does not depend on how
+    it is split.
+    """
     for seed in range(3):
-        rng = np.random.default_rng(seed)
-        count = int(rng.poisson(density * layout.region_area_m2 / 1e6))
-        pts, nearest = [], []
-        while sum(p.shape[0] for p in pts) < count:
-            cand = rng.uniform(lo, hi, size=(max(256, 2 * count), 2))
-            ok, bs_idx = einsum_region_membership(layout, cand)
-            pts.append(cand[ok])
-            nearest.append(bs_idx[ok])
         drop = drop_users(layout, density, seed)
-        assert np.array_equal(drop.positions, np.vstack(pts)[:count])
-        assert np.array_equal(drop.nearest_bs_idx, np.concatenate(nearest)[:count])
+        for batch_size in (lambda count: max(256, 2 * count), lambda count: 4 * count):
+            count, pts, nearest, _ = _replay_drop(layout, density, seed, batch_size)
+            assert drop.n_users == count
+            assert np.array_equal(drop.positions, pts)
+            assert np.array_equal(drop.nearest_bs_idx, nearest)
+
+
+def test_drop_tops_up_a_short_first_batch(layout):
+    """At seed 151 the first acceptance-sized batch keeps too few users, so
+    the drop draws a second batch; the users still match a one-batch replay."""
+    pad = layout.hex_circumradius_m
+    box = np.prod(layout.bs_xy.max(axis=0) - layout.bs_xy.min(axis=0) + 2 * pad)
+    rate = layout.region_area_m2 / box
+    count, _, _, first = _replay_drop(layout, 60.0, 151,
+                                      lambda n: drop_batch_size(n, rate))
+    assert first < count
+    _, pts, nearest, _ = _replay_drop(layout, 60.0, 151, lambda n: 4 * n)
+    drop = drop_users(layout, 60.0, 151)
+    assert np.array_equal(drop.positions, pts)
+    assert np.array_equal(drop.nearest_bs_idx, nearest)
 
 
 def test_empty_drop_has_empty_link_geometry(layout, params):
@@ -247,3 +278,19 @@ def test_wrap_angle_range(angle):
     w = float(wrap_angle_deg(angle))
     assert -180.0 <= w < 180.0
     assert abs((w - angle) % 360.0) < 1e-6 or abs((w - angle) % 360.0 - 360.0) < 1e-6
+
+
+def test_wrap_angle_matches_remainder_bitwise():
+    """The compare-and-add wrap gives the bits of (x + 180) % 360 - 180 on the
+    link-budget offsets [-420, 180], edges and their neighbours included."""
+    edges = np.array([-420.0, -180.0, 0.0, 180.0, -0.0, -360.0, 360.0 - 180.0])
+    edges = np.concatenate([edges, np.nextafter(edges, np.inf),
+                            np.nextafter(edges, -np.inf), [-180.0 - 1e-300, -180.0 + 1e-300]])
+    x = np.concatenate([edges, np.linspace(-420.0, 180.0, 600_001),
+                        np.random.default_rng(0).uniform(-420.0, 180.0, 400_000)])
+    want = (x + 180.0) % 360.0 - 180.0
+    got = wrap_angle_deg(x)
+    assert got.tobytes() == want.tobytes()
+    for v in edges:
+        assert np.asarray(wrap_angle_deg(v)).tobytes() == np.asarray(
+            (v + 180.0) % 360.0 - 180.0).tobytes()

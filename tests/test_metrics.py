@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 import compbss  # noqa: F401  (fixtures)
 
-from compbss.metrics import (MetricSummary, RealizationStats, aggregate,
+from compbss.metrics import (STAT_FIELDS, MetricSummary, RealizationStats, aggregate,
                              alpha_fair_throughput, rate_coverage, sinr_coverage,
                              summarize)
 
@@ -58,6 +58,14 @@ class TestCoverage:
 
     def test_rate_coverage_infinite_threshold(self):
         assert rate_coverage(np.array([1e6, 1e9]), 1e15) == 0.0
+
+    def test_empty_user_sets_cover_nothing(self):
+        assert sinr_coverage(np.empty(0)) == 0.0
+        assert np.array_equal(sinr_coverage(np.empty((3, 0))), np.zeros(3))
+        assert np.array_equal(rate_coverage(np.empty((3, 0)), 1e5), np.zeros(3))
+        thresholds = np.array([1e5, 2e5])[:, None]
+        assert np.array_equal(rate_coverage(np.empty((3, 1, 0)), thresholds),
+                              np.zeros((3, 2)))
 
     @settings(max_examples=60, deadline=None)
     @given(lams=rate_sets, a=st.floats(0, 1e9), b=st.floats(0, 1e9))
@@ -111,7 +119,8 @@ class TestAggregate:
                              energy_saving_pct=0.0, n_users=60, n_outage=0,
                              theta_mean=0.4),
         ]
-        summ = aggregate(stats)
+        summ = aggregate(np.array([[getattr(s, name) for s in stats]
+                                   for name in STAT_FIELDS]))
         assert summ["t_alpha_bps"].mean == pytest.approx(1.5e6)
         assert summ["sinr_coverage"].mean == pytest.approx(0.95)
         assert summ["theta_mean"].mean == pytest.approx(0.3)
