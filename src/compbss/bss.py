@@ -18,7 +18,8 @@ import numpy as np
 
 from .metrics import (STAT_FIELDS, RealizationStats, alpha_fair_throughputs,
                       rate_coverage, sinr_coverage)
-from .scheduler import SchedulerParams, SchedulingSolution, SystemModel, schedule
+from .scheduler import (SchedulerParams, SchedulingSolution, SystemModel,
+                        schedule_patterns)
 
 MAX_ORACLE_BS = 10
 
@@ -136,24 +137,30 @@ def patterns_to_file(patterns, path) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class PatternEvaluation:
-    """Outcome of scheduling the cluster users under one pattern."""
-
-    pattern: BssPattern
-    rates_bps: np.ndarray      # per user of the metric set
-    min_rate_bps: float
-    feasible: bool
-    solution: SchedulingSolution
-
-
-@dataclass(frozen=True, eq=False)
 class HeuristicResult:
-    pattern: BssPattern
+    """Scheduled sleep pattern(s) checked against the operator rate threshold.
+
+    A selection (``evaluate_pattern``, ``heuristic_select``,
+    ``exhaustive_oracle``) is one scheduling point: ``pattern`` is one
+    pattern, ``rates_bps`` the (n,) rates of the metric set and the minimum
+    and feasibility are scalars.  A batch of R solution rows (see
+    :func:`pattern_evaluation`) has a tuple of each row's pattern and a
+    leading (R,) axis on the other fields; ``row`` picks one point.
+    """
+
+    pattern: BssPattern | tuple
     rates_bps: np.ndarray
-    min_rate_bps: float
-    feasible: bool
-    patterns_evaluated: int
+    min_rate_bps: float | np.ndarray
+    feasible: bool | np.ndarray
     solution: SchedulingSolution
+    patterns_evaluated: int = 1
+
+    def row(self, i: int, patterns_evaluated: int = 1) -> "HeuristicResult":
+        """Scheduling point ``i`` of a batch."""
+        return HeuristicResult(
+            pattern=self.pattern[i], rates_bps=self.rates_bps[i],
+            min_rate_bps=float(self.min_rate_bps[i]), feasible=bool(self.feasible[i]),
+            solution=self.solution.row(i), patterns_evaluated=patterns_evaluated)
 
 
 def active_bs_mask(n_bs_total: int, cluster_bs_idx: np.ndarray,
@@ -165,38 +172,47 @@ def active_bs_mask(n_bs_total: int, cluster_bs_idx: np.ndarray,
     return active
 
 
-def pattern_evaluation(pattern: BssPattern, solution: SchedulingSolution,
-                       vq_mask: np.ndarray, rate_threshold_bps: float) -> PatternEvaluation:
-    """Check a scheduled pattern's metric-set rates against the threshold.
+def pattern_evaluation(patterns: tuple, solution: SchedulingSolution,
+                       vq_mask: np.ndarray, rate_threshold_bps: float) -> HeuristicResult:
+    """Check each scheduled row's metric-set rates against the threshold.
 
-    For a batch of scheduling points the rates, minima and flags have one
-    row per point.
+    ``patterns`` lists the sleep pattern of each row of ``solution``.
     """
-    rates = solution.lam[..., vq_mask]
-    min_rate = rates.min(axis=-1)
-    feasible = min_rate >= rate_threshold_bps
-    if rates.ndim == 1:
-        min_rate, feasible = float(min_rate), bool(feasible)
-    return PatternEvaluation(
-        pattern=pattern, rates_bps=rates, min_rate_bps=min_rate,
-        feasible=feasible, solution=solution,
-    )
+    rates = solution.lam[:, vq_mask]
+    min_rate = rates.min(axis=1)
+    return HeuristicResult(pattern=patterns, rates_bps=rates, min_rate_bps=min_rate,
+                           feasible=min_rate >= rate_threshold_bps, solution=solution)
+
+
+def _evaluate_patterns(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
+                       cluster_bs_idx: np.ndarray, patterns, params: SchedulerParams,
+                       rate_threshold_bps: float) -> HeuristicResult:
+    """Schedule every pattern of the list in one batched pass, one row each."""
+    vq = np.asarray(vq_mask, dtype=bool)
+    if not vq.any():
+        raise ValueError("empty metric set: no centre-cluster users in this realization")
+    n_bs = int(model.sector_bs.max()) + 1
+    active = np.array([active_bs_mask(n_bs, cluster_bs_idx, p) for p in patterns])
+    sol = schedule_patterns(model, rx_w, active[:, model.sector_bs], params)
+    return pattern_evaluation(tuple(patterns), sol, vq, rate_threshold_bps)
+
+
+def _first_feasible(batch: HeuristicResult) -> int:
+    """Row of the first feasible pattern, or the last row when none is."""
+    feasible = batch.feasible
+    return int(feasible.argmax()) if feasible.any() else feasible.size - 1
 
 
 def evaluate_pattern(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
                      cluster_bs_idx: np.ndarray, pattern: BssPattern,
                      params: SchedulerParams,
-                     rate_threshold_bps: float) -> PatternEvaluation:
+                     rate_threshold_bps: float) -> HeuristicResult:
     """Re-associate, re-classify, schedule, and check the rate constraint.
 
     Feasible when every user of the metric set reaches the threshold.
     """
-    vq = np.asarray(vq_mask, dtype=bool)
-    if not vq.any():
-        raise ValueError("empty metric set: no centre-cluster users in this realization")
-    active = active_bs_mask(int(model.sector_bs.max()) + 1, cluster_bs_idx, pattern)
-    return pattern_evaluation(pattern, schedule(model, rx_w, active, params), vq,
-                              rate_threshold_bps)
+    return _evaluate_patterns(model, rx_w, vq_mask, cluster_bs_idx, [pattern], params,
+                              rate_threshold_bps).row(0)
 
 
 def heuristic_select(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
@@ -206,19 +222,15 @@ def heuristic_select(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
     """First feasible pattern of the energy-sorted list; all-on as fallback.
 
     If even the final pattern misses the threshold it is returned flagged
-    infeasible (fail-safe toward coverage).
+    infeasible (fail-safe toward coverage).  The whole list is scheduled in
+    one pass; ``patterns_evaluated`` counts the patterns a walk down the list
+    would have evaluated.
     """
     validate_pattern_list(patterns)
-    ev = None
-    for n_eval, pattern in enumerate(patterns, start=1):
-        ev = evaluate_pattern(model, rx_w, vq_mask, cluster_bs_idx, pattern,
-                              params, rate_threshold_bps)
-        if ev.feasible:
-            break
-    return HeuristicResult(
-        pattern=ev.pattern, rates_bps=ev.rates_bps, min_rate_bps=ev.min_rate_bps,
-        feasible=ev.feasible, patterns_evaluated=n_eval, solution=ev.solution,
-    )
+    batch = _evaluate_patterns(model, rx_w, vq_mask, cluster_bs_idx, patterns, params,
+                               rate_threshold_bps)
+    k = _first_feasible(batch)
+    return batch.row(k, patterns_evaluated=k + 1)
 
 
 def exhaustive_oracle(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
@@ -230,68 +242,56 @@ def exhaustive_oracle(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
     n_bs = len(cluster_bs_idx)
     if n_bs > MAX_ORACLE_BS:
         raise ValueError(f"exhaustive enumeration limited to {MAX_ORACLE_BS} BSs")
-    best = None
-    n_eval = 0
-    fallback = None
-    for pattern in all_patterns(n_bs):
-        ev = evaluate_pattern(model, rx_w, vq_mask, cluster_bs_idx, pattern,
-                              params, rate_threshold_bps)
-        n_eval += 1
-        if pattern.a1 == 0:
-            fallback = ev
-        if ev.feasible and (best is None or (-ev.pattern.a1, ev.pattern.bit_value)
-                            < (-best.pattern.a1, best.pattern.bit_value)):
-            best = ev
-    ev = best if best is not None else fallback
-    return HeuristicResult(
-        pattern=ev.pattern, rates_bps=ev.rates_bps, min_rate_bps=ev.min_rate_bps,
-        feasible=ev.feasible, patterns_evaluated=n_eval, solution=ev.solution,
-    )
+    patterns = all_patterns(n_bs)   # most BSs off first, then by bit value; all-on last
+    batch = _evaluate_patterns(model, rx_w, vq_mask, cluster_bs_idx, patterns, params,
+                               rate_threshold_bps)
+    return batch.row(_first_feasible(batch), patterns_evaluated=len(patterns))
 
 
-def _runs(keys, same):
-    """(start, stop) of every run of consecutive keys that ``same`` pairs up."""
+def _runs(keys):
+    """(start, stop) of every run of consecutive keys that are one object."""
     start = 0
     for stop in range(1, len(keys) + 1):
-        if stop == len(keys) or not same(keys[stop], keys[start]):
+        if stop == len(keys) or keys[stop] is not keys[start]:
             yield start, stop
             start = stop
 
 
-def realization_stats(ev: PatternEvaluation | HeuristicResult, vq_mask: np.ndarray,
-                      multi_vc_ids, rate_threshold_bps, alpha) -> RealizationStats:
-    """Cluster metrics of scheduled realizations under one pattern.
+def realization_stats(ev: HeuristicResult, vq_mask: np.ndarray,
+                      multi_vc_ids, rate_threshold_bps, alpha: float) -> RealizationStats:
+    """Cluster metrics of scheduled realizations.
 
     The metric-set rates are ``ev.rates_bps``.  The solution holds R
-    scheduling points (``allocate`` rows; a single point is one row):
-    ``alpha`` and ``multi_vc_ids`` list each row's fairness and multi-sector
-    cluster ids (a scalar alpha serves every row), and ``rate_threshold_bps``
-    is one threshold or a list of T.  Every field is an (R,) or (R, T) float
-    array.
+    scheduling points (``allocate`` rows for one ``alpha``; a single point is
+    one row), and each row's energy saving is that of its pattern.
+    ``multi_vc_ids`` lists each row's multi-sector cluster ids, and
+    ``rate_threshold_bps`` is one threshold or a list of T.  Every field is
+    an (R,) or (R, T) float array.
     """
     vq = np.asarray(vq_mask, dtype=bool)
     sol = ev.solution
     lam = np.atleast_2d(ev.rates_bps)                        # (R, n)
     n_rows, n = lam.shape
-    alphas = np.broadcast_to(np.asarray(alpha, dtype=float), (n_rows,)).tolist()
 
     covered = lam > 0
     n_covered = np.count_nonzero(covered, axis=1)
     t_alpha = np.zeros(n_rows)
-    for start, stop in _runs(alphas, float.__eq__):
-        rows = np.arange(start, stop)[n_covered[start:stop] > 0]
-        if rows.size:
-            t_alpha[rows] = alpha_fair_throughputs(
-                lam[rows][covered[rows]], n_covered[rows], alphas[start])
+    rows = np.flatnonzero(n_covered)
+    if rows.size:
+        t_alpha[rows] = alpha_fair_throughputs(lam[rows][covered[rows]], n_covered[rows],
+                                               alpha)
 
     theta = np.atleast_2d(sol.theta)
     theta_mean = np.zeros(n_rows)
-    for start, stop in _runs(multi_vc_ids, lambda a, b: a is b):
+    for start, stop in _runs(multi_vc_ids):
         ids = np.asarray(multi_vc_ids[start], dtype=int)
         if ids.size:
             # take() keeps the rows C-contiguous, so each row mean sums as the
             # 1-D mean of one point does (a fancy index would lay them out by column)
             theta_mean[start:stop] = theta[start:stop].take(ids, axis=1).mean(axis=1)
+
+    patterns = ev.pattern if isinstance(ev.pattern, tuple) else (ev.pattern,) * n_rows
+    energy = np.array([p.energy_saving_pct for p in patterns])
 
     thr = np.asarray(rate_threshold_bps, dtype=float)
     per_thr = (n_rows,) + (1,) * thr.ndim
@@ -300,7 +300,7 @@ def realization_stats(ev: PatternEvaluation | HeuristicResult, vq_mask: np.ndarr
         "t_alpha_bps": t_alpha.reshape(per_thr),
         "sinr_coverage": sinr_coverage(coverage_sinr).reshape(per_thr),
         "rate_coverage": rate_coverage(lam.reshape(per_thr + (n,)), thr[..., None]),
-        "energy_saving_pct": ev.pattern.energy_saving_pct,
+        "energy_saving_pct": energy.reshape(per_thr),
         "theta_mean": theta_mean.reshape(per_thr),
         "n_users": n,
         "n_outage": (n - n_covered).reshape(per_thr),

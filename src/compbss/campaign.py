@@ -8,20 +8,24 @@ it depends on:
 - drop: user positions and the link budget (geometry, path loss, antenna);
 - fading: shadowing, received powers, each user's strongest sector and the
   centre-cluster metric set;
-- pattern: active sectors, max-SINR association and serving SINR, shared
-  by every CoMP configuration;
+- pattern: active sectors, max-SINR association and serving SINR of every
+  sleep pattern in one pass, shared by every CoMP configuration;
 - config x pattern: each user's joint SINR within its serving virtual
   cluster (the cluster-member matrices are built once per campaign);
-- point: every (config, gamma_d, alpha, rate threshold) point of a pattern
-  is one row of a batched pass.  ``link_rates`` sets the CoMP flags, link
-  rates and outage of all (config, gamma_d) rows at once, ``allocate`` adds
-  the alpha rows with one pass per alpha (so every power keeps a scalar
-  exponent), and ``realization_stats`` reduces all rows and thresholds.
+- point: every (pattern, config, gamma_d, rate threshold) point of a fading
+  draw is one row of a batched pass.  ``link_rates`` sets the CoMP flags,
+  link rates and outage of all (pattern, config, gamma_d) rows at once;
+  ``allocate`` and ``realization_stats`` then make one pass over all rows
+  per alpha (so every power keeps a scalar exponent), the latter reducing
+  every rate threshold too.
 
-Patterns are not batched: summing the active sectors' received power of
-several patterns in one pass would change its summation order, and with it
-the last bits of every SINR.  ``aggregate`` then summarises every sweep
-point of a density in one row reduction over the realizations.
+The pattern pass keeps every bit of the one-pattern path: the total received
+power of a pattern is the row sum of ``rx_w[:, active]``, a boolean copy laid
+out by column, so it adds the active sectors left to right; ``associate``
+sums a row gather of ``rx_w.T`` over the same rows in the same order.  The
+joint power stays one matrix product per (config, pattern).  ``aggregate``
+then summarises every sweep point of a density in one row reduction over the
+realizations.
 
 ``build_gain_matrix``, ``schedule`` and ``evaluate_pattern`` run the same
 stages for a single point (one row).  Substreams are derived from the master
@@ -191,9 +195,9 @@ class _Context:
     params: ChannelParams
     mcs: McsTable
     patterns: list
-    active_sectors: list    # per pattern: (S,) bool sector on/off mask
+    active_sectors: np.ndarray  # (P, S) bool sector on/off mask of each pattern
     models: dict            # config name -> (SystemModel, multi_vc_ids)
-    members: list           # per pattern, per config: cluster_members matrix
+    members: list           # per config: (P, S, n_multi) cluster_members matrices
     center_sector_idx: np.ndarray
     cluster_bs_idx: np.ndarray
 
@@ -215,11 +219,10 @@ def build_context(cfg: CampaignConfig) -> _Context:
         models[str(choice)] = (model, model.multi_vc_ids)
     center_sector_idx = layout.center_cluster_sector_ids - 1
     cluster_bs_idx = layout.center_cluster_bs_ids - 1
-    active_sectors = [
+    active_sectors = np.array([
         layout.sector_active_mask(active_bs_mask(layout.n_bs, cluster_bs_idx, p))
-        for p in patterns]
-    members = [[cluster_members(model, act) for model, _ in models.values()]
-               for act in active_sectors]
+        for p in patterns])
+    members = [cluster_members(model, active_sectors) for model, _ in models.values()]
     return _Context(cfg=cfg, layout=layout, params=params, mcs=mcs,
                     patterns=patterns, active_sectors=active_sectors, models=models,
                     members=members, center_sector_idx=center_sector_idx,
@@ -233,24 +236,24 @@ def _drop_records(ctx: _Context, mu: float, d: int):
     array: the STAT_FIELDS of each (pattern, alpha, configuration, gamma_d,
     rate threshold) point for each of the n non-skipped fading draws, in
     fading order.  Each stage runs once at the loop level it depends on;
-    within a pattern, every (alpha, configuration, gamma_d) point is one row
-    of a batched pass.
+    within a fading draw, every (pattern, configuration, gamma_d) point is
+    one row of a batched pass, one pass per alpha.
     """
     cfg = ctx.cfg
     models = [model for model, _ in ctx.models.values()]
-    # The rows of a pattern run over alpha (allocate), then configuration and
-    # gamma_d (link_rates); realization_stats adds the rate thresholds.
-    row_alphas = np.repeat(np.asarray(cfg.alphas, dtype=float),
-                           len(models) * len(cfg.gamma_ds_db))
-    row_multi_ids = [m.multi_vc_ids for _ in cfg.alphas for m in models
-                     for _ in cfg.gamma_ds_db]
-    points = (len(ctx.patterns), len(cfg.alphas), len(models), len(cfg.gamma_ds_db),
+    # The rows of a pass run over pattern, configuration and gamma_d
+    # (link_rates); realization_stats adds the rate thresholds.
+    rows = [(pattern, model) for pattern in ctx.patterns for model in models
+            for _ in cfg.gamma_ds_db]
+    row_patterns = tuple(pattern for pattern, _ in rows)
+    row_multi_ids = [model.multi_vc_ids for _, model in rows]
+    points = (len(cfg.alphas), len(ctx.patterns), len(models), len(cfg.gamma_ds_db),
               len(cfg.rate_thresholds_bps), len(STAT_FIELDS))
     drop = drop_users(ctx.layout, mu, _seed_key(cfg.master_seed, 0, _mu_key(mu), d))
     blocks = []
     skipped = 0
     if drop.is_empty:
-        return np.empty((0,) + points), cfg.n_fading
+        return np.empty((0,) + points).swapaxes(1, 2), cfg.n_fading
     budget_db = drop_link_budget(ctx.layout, drop, ctx.params)
     for f_idx in range(cfg.n_fading):
         gains = draw_gain_matrix(budget_db, ctx.params,
@@ -261,21 +264,16 @@ def _drop_records(ctx: _Context, mu: float, d: int):
         if not vq.any():
             skipped += 1
             continue
-        block = []
-        # Patterns stay a loop: stacking rx_w[:, act].sum(axis=1) over them
-        # would change the summation order of the total received power.
-        for pattern, active_sector, members in zip(ctx.patterns, ctx.active_sectors,
-                                                   ctx.members):
-            assoc = associate(rx_w, active_sector, ctx.params.noise_w, strongest)
-            links = [cluster_links(model, rx_w, assoc, member)
-                     for model, member in zip(models, members)]
-            sol = allocate(assoc, link_rates(models[0], assoc, links, cfg.gamma_ds_db),
-                           cfg.alphas)
-            stats = realization_stats(pattern_evaluation(pattern, sol, vq, 0.0), vq,
-                                      row_multi_ids, cfg.rate_thresholds_bps, row_alphas)
-            block.append(np.stack([getattr(stats, f) for f in STAT_FIELDS], axis=-1))
-        blocks.append(block)
-    return np.reshape(blocks, (len(blocks),) + points), skipped
+        assoc = associate(rx_w, ctx.active_sectors, ctx.params.noise_w, strongest)
+        links = [cluster_links(model, rx_w, assoc, member)
+                 for model, member in zip(models, ctx.members)]
+        rates = link_rates(models[0], assoc, links, cfg.gamma_ds_db)
+        for alpha in cfg.alphas:
+            ev = pattern_evaluation(row_patterns, allocate(rates, alpha), vq, 0.0)
+            stats = realization_stats(ev, vq, row_multi_ids, cfg.rate_thresholds_bps, alpha)
+            blocks.append(np.stack([getattr(stats, f) for f in STAT_FIELDS], axis=-1))
+    # (n, A, P, ...) -> (n, P, A, ...)
+    return np.reshape(blocks, (-1,) + points).swapaxes(1, 2), skipped
 
 
 def _worker(args):
@@ -396,6 +394,7 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
     model, multi_ids = ctx.models[config_name]
     rows = []
     n_skipped = 0   # steps whose drop or metric set is empty
+    n_evaluated = {}    # patterns a walk down the list evaluates -> steps
     for t, mu in enumerate(cfg.traffic_profile):
         drop = drop_users(ctx.layout, float(mu),
                           _seed_key(cfg.master_seed, 2, _mu_key(float(mu)), t))
@@ -412,6 +411,7 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
         res = heuristic_select(model, rx_w, vq, ctx.cluster_bs_idx, ctx.patterns,
                                params, r_thr)
         stats = realization_stats(res, vq, [multi_ids], r_thr, alpha)
+        n_evaluated[res.patterns_evaluated] = n_evaluated.get(res.patterns_evaluated, 0) + 1
         rows.append({
             "t": t, "mu_per_km2": float(mu), "pattern": res.pattern.label,
             "bs_off": "+".join(map(str, res.pattern.off_bs_ids)),
@@ -419,8 +419,11 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
             "t_alpha_bps": float(stats.t_alpha_bps[0]), "min_rate_bps": res.min_rate_bps,
             "feasible": int(res.feasible),
         })
-    return CampaignResult(rows=rows, manifest=_manifest(cfg, rows, n_skipped,
-                                                        mode="traffic_profile"))
+    manifest = _manifest(
+        cfg, rows, n_skipped, mode="traffic_profile",
+        patterns_evaluated={str(n): n_evaluated[n] for n in sorted(n_evaluated)},
+        n_infeasible=sum(not row["feasible"] for row in rows))
+    return CampaignResult(rows=rows, manifest=manifest)
 
 
 FIGURE_LAYOUTS = {

@@ -214,9 +214,12 @@ def wrap_angle_deg(angle):
         below, above = y < 0.0, y >= 360.0
         np.add(y, 360.0, out=y, where=below)
         np.subtract(y, 360.0, out=y, where=above)
-        y -= 180.0
-        return y
-    return y % 360.0 - 180.0
+    else:
+        y = np.asarray(y % 360.0)
+    y -= 180.0
+    # A y just below 0 rounds to 360.0 on either path: that angle is -180.
+    y[y == 180.0] = -180.0
+    return y[()]
 
 
 def bs_distance(layout: NetworkLayout, a_id: int, b_id: int) -> float:

@@ -92,8 +92,7 @@ class SchedulingSolution:
     """Association, CoMP split, optimal time fractions, and user rates.
 
     One scheduling point has (U,) user arrays and (K,) cluster arrays; a
-    batch of R points (see :func:`allocate`) has (R, U) and (R, K) arrays
-    that share one association.
+    batch of R points (see :func:`allocate`) has (R, U) and (R, K) arrays.
     """
 
     assoc_sector: np.ndarray   # (U,) 0-based serving sector (x)
@@ -128,7 +127,7 @@ class SchedulingSolution:
     def row(self, i: int) -> "SchedulingSolution":
         """Scheduling point ``i`` of a batch."""
         return SchedulingSolution(
-            assoc_sector=self.assoc_sector, comp=self.comp[i], beta=self.beta[i],
+            assoc_sector=self.assoc_sector[i], comp=self.comp[i], beta=self.beta[i],
             theta=self.theta[i], lam=self.lam[i], outage=self.outage[i],
             coverage_sinr=self.coverage_sinr[i], vc=self.vc[i])
 
@@ -211,11 +210,11 @@ def _pool_fractions(rates: np.ndarray, pool_ids: np.ndarray, n_pools: int,
                     alpha: float) -> np.ndarray:
     """Vectorised optimal_time_fractions across many pools at once."""
     if alpha == 1.0:
-        counts = np.bincount(pool_ids, minlength=n_pools).astype(float)
-        return 1.0 / counts[pool_ids]
+        share = np.bincount(pool_ids, minlength=n_pools).astype(float)[pool_ids]
+        return np.divide(1.0, share, out=share)
     t = rates ** ((1.0 - alpha) / alpha)
     sums = np.bincount(pool_ids, weights=t, minlength=n_pools)
-    return t / sums[pool_ids]
+    return np.divide(t, sums[pool_ids], out=t)
 
 
 def _row_ids(ids: np.ndarray, stride: int) -> np.ndarray:
@@ -229,70 +228,84 @@ def _row_ids(ids: np.ndarray, stride: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Association:
-    """Pattern stage: max-SINR association under one set of active sectors.
+    """Pattern stage: max-SINR association under each of P sets of active
+    sectors (one per sleep pattern), one row per set.
 
     It depends on neither the CoMP configuration, gamma_d nor alpha, so one
     association serves every scheduling point of a sleep pattern.
     """
 
-    active_sector: np.ndarray  # (S,) bool
-    total_w: np.ndarray        # (U,) power received from all active sectors
-    sector: np.ndarray         # (U,) 0-based serving sector
-    sinr: np.ndarray           # (U,) serving SINR, linear
+    active_sector: np.ndarray  # (P, S) bool
+    total_w: np.ndarray        # (P, U) power received from all active sectors
+    sector: np.ndarray         # (P, U) 0-based serving sector
+    sinr: np.ndarray           # (P, U) serving SINR, linear
 
 
 @dataclass(frozen=True, eq=False)
 class ClusterLinks:
     """Configuration stage: each user's serving virtual cluster and the joint
-    SINR its active members would give; shared by every gamma_d and alpha."""
+    SINR its active members would give, one row per pattern of the
+    association; shared by every gamma_d and alpha."""
 
-    vc: np.ndarray             # (U,) 0-based serving virtual cluster
-    capable: np.ndarray        # (U,) bool: serving cluster has several sectors
-    joint_sinr: np.ndarray     # (U,) linear; 0 where not capable
+    vc: np.ndarray             # (P, U) 0-based serving virtual cluster
+    capable: np.ndarray        # (P, U) bool: serving cluster has several sectors
+    joint_sinr: np.ndarray     # (P, U) linear; 0 where not capable
     n_vclusters: int           # cluster ids of the configuration
 
 
 @dataclass(frozen=True, eq=False)
 class LinkRates:
     """Threshold stage: CoMP split and link rates, one row per
-    (configuration, gamma_d) point."""
+    (pattern, configuration, gamma_d) point."""
 
     comp: np.ndarray           # (R, U) bool CoMP flags (z)
     sinr: np.ndarray           # (R, U) effective SINR: joint for CoMP users
     rate: np.ndarray           # (R, U) link rate, bits/s
     outage: np.ndarray         # (R, U) bool: zero link rate
+    sector: np.ndarray         # (R, U) 0-based serving sector
     vc: np.ndarray             # (R, U) 0-based serving virtual cluster
     pool: np.ndarray           # (R, U) sector pool, or S + cluster for CoMP users
     n_vclusters: int           # cluster ids per row (the largest configuration's)
     n_pools: int               # pool ids per row: sectors + clusters
 
 
-def associate(rx_w: np.ndarray, active_sector: np.ndarray, noise_w: float,
+def associate(rx_w: np.ndarray, active_sectors: np.ndarray, noise_w: float,
               strongest: np.ndarray) -> Association:
-    """Serve every user from its strongest active sector.
+    """Serve every user from its strongest active sector, for each row of
+    the (P, S) active-sector masks.
 
     With uniform transmit power the max-SINR sector is the max received
     power sector; ties resolve to the lowest sector index.  ``strongest`` is
     ``rx_w.argmax(axis=1)``, which every pattern of a fading draw shares.
     """
-    act = np.asarray(active_sector, dtype=bool)
-    if not act.any():
+    act = np.asarray(active_sectors, dtype=bool)
+    if not act.any(axis=1).all():
         raise ValueError("at least one BS must be active")
-    total = rx_w[:, act].sum(axis=1)
-    # Strongest sector of the field; re-pick among active ones where it sleeps.
-    assoc = strongest.copy()
-    asleep = ~act[assoc]
-    if asleep.any():
-        assoc[asleep] = np.where(act, rx_w[asleep], -np.inf).argmax(axis=1)
+    # rx_w[:, a].sum(axis=1) adds the active columns one after another, left
+    # to right: the boolean copy is laid out by column.  A row gather of the
+    # transposed draw sums in that same order, so the totals keep their bits.
+    rx_t = np.ascontiguousarray(rx_w.T)
+    total = np.empty((act.shape[0], rx_w.shape[0]))
+    for a, out in zip(act, total):
+        np.sum(rx_t[a], axis=0, out=out)
+    # Strongest sector of the field; re-pick among active ones where it sleeps,
+    # one row per sleeping (pattern, user) pair.
+    assoc = np.tile(strongest, (act.shape[0], 1))
+    p_asleep, u_asleep = np.nonzero(~act[:, strongest])
+    if p_asleep.size:
+        cand = rx_w[u_asleep]
+        cand[~act[p_asleep]] = -np.inf
+        assoc[p_asleep, u_asleep] = cand.argmax(axis=1)
     w_serv = rx_w[np.arange(rx_w.shape[0]), assoc]
     return Association(active_sector=act, total_w=total, sector=assoc,
                        sinr=w_serv / (total - w_serv + noise_w))
 
 
-def cluster_members(model: SystemModel, active_sector: np.ndarray) -> np.ndarray:
-    """(S, n_multi) 0/1 matrix of the active sectors of each multi-sector cluster."""
+def cluster_members(model: SystemModel, active_sectors: np.ndarray) -> np.ndarray:
+    """(P, S, n_multi) 0/1 matrices of the active sectors of each multi-sector
+    cluster, one per row of the (P, S) active-sector masks."""
     return ((model.vc_of_sector[:, None] == model.multi_vc_ids[None, :])
-            & np.asarray(active_sector, dtype=bool)[:, None]).astype(float)
+            & np.asarray(active_sectors, dtype=bool)[..., None]).astype(float)
 
 
 def cluster_links(model: SystemModel, rx_w: np.ndarray, assoc: Association,
@@ -300,16 +313,18 @@ def cluster_links(model: SystemModel, rx_w: np.ndarray, assoc: Association,
     """Joint SINR of each user's serving multi-sector cluster (active members).
 
     ``member`` is :func:`cluster_members` of the association's active sectors.
+    The joint power stays one ``rx_w @ member`` product per pattern: a product
+    over several patterns' members at once sums in another order.
     """
     vc_user = model.vc_of_sector[assoc.sector]
     capable = model.vc_sizes[vc_user] > 1
-    joint = np.zeros(rx_w.shape[0])
-    if capable.any():
-        p_joint = rx_w @ member                              # (U, n_multi)
-        g_joint = p_joint / (assoc.total_w[:, None] - p_joint + model.noise_w)
-        col = np.searchsorted(model.multi_vc_ids, vc_user[capable])
-        joint[capable] = g_joint[capable, col]
-    return ClusterLinks(vc=vc_user, capable=capable, joint_sinr=joint,
+    p_joint = np.zeros(vc_user.shape)
+    for p in np.flatnonzero(capable.any(axis=1)):
+        users = np.flatnonzero(capable[p])
+        col = np.searchsorted(model.multi_vc_ids, vc_user[p, users])
+        p_joint[p, users] = (rx_w @ member[p])[users, col]
+    return ClusterLinks(vc=vc_user, capable=capable,
+                        joint_sinr=p_joint / (assoc.total_w - p_joint + model.noise_w),
                         n_vclusters=model.n_vclusters)
 
 
@@ -317,105 +332,110 @@ def link_rates(model: SystemModel, assoc: Association, links, gamma_ds_db) -> Li
     """CoMP flags from each threshold, then MCS link rates of every user.
 
     ``links`` lists one :class:`ClusterLinks` per configuration; the rows of
-    the result run over them (outer) and ``gamma_ds_db`` (inner).  ``model``
-    gives the sector count and the PHY, which every configuration shares.
-    Users whose link rate is zero (SINR below the MCS floor) are in outage.
+    the result run over the association's patterns (outer), the
+    configurations and ``gamma_ds_db`` (inner).  ``model`` gives the sector
+    count and the PHY, which every configuration shares.  Users whose link
+    rate is zero (SINR below the MCS floor) are in outage.
     """
-    capable = np.array([l.capable for l in links])[:, None, :]      # (C, 1, U)
-    joint = np.array([l.joint_sinr for l in links])[:, None, :]
-    vc = np.array([l.vc for l in links])[:, None, :]
+    capable = np.stack([l.capable for l in links], axis=1)[:, :, None]   # (P, C, 1, U)
+    joint = np.stack([l.joint_sinr for l in links], axis=1)[:, :, None]
+    vc = np.stack([l.vc for l in links], axis=1)[:, :, None]
     # one scalar from_db per threshold: the same value a single point compares
-    thr = np.array([from_db(g) for g in gamma_ds_db])[:, None]      # (G, 1)
-    comp = capable & (assoc.sinr <= thr)                            # (C, G, U)
-    sinr_eff = np.where(comp, joint, assoc.sinr)
+    thr = np.array([from_db(g) for g in gamma_ds_db])[:, None]          # (G, 1)
+    sinr = assoc.sinr[:, None, None]                                    # (P, 1, 1, U)
+    comp = capable & (sinr <= thr)                                      # (P, C, G, U)
+    sinr_eff = np.where(comp, joint, sinr)
+    # Each user's rate is its joint link's (CoMP-capable users only) or its
+    # serving link's, each looked up once for every gamma_d.
+    r_joint = np.zeros(joint.shape)
     with np.errstate(divide="ignore"):
-        r_user = model.mcs.efficiency(to_db(sinr_eff)) * model.rate_per_bits_symbol
-    shape = (comp.shape[0] * comp.shape[1], comp.shape[2])
+        r_joint[capable] = (model.mcs.efficiency(to_db(joint[capable]))
+                            * model.rate_per_bits_symbol)
+        r_serv = model.mcs.efficiency(to_db(sinr)) * model.rate_per_bits_symbol
+    r_user = np.where(comp, r_joint, r_serv)
+    sector = np.broadcast_to(assoc.sector[:, None, None], comp.shape)
+    vc = np.broadcast_to(vc, comp.shape)
+    pool = vc + model.n_sectors
+    np.copyto(pool, sector, where=~comp)
+    shape = (-1, comp.shape[-1])
     n_vc = max(l.n_vclusters for l in links)
     return LinkRates(
         comp=comp.reshape(shape), sinr=sinr_eff.reshape(shape), rate=r_user.reshape(shape),
-        outage=(r_user <= 0.0).reshape(shape),
-        vc=np.broadcast_to(vc, comp.shape).reshape(shape),
-        pool=np.where(comp, model.n_sectors + vc, assoc.sector).reshape(shape),
+        outage=(r_user <= 0.0).reshape(shape), sector=sector.reshape(shape),
+        vc=vc.reshape(shape), pool=pool.reshape(shape),
         n_vclusters=n_vc, n_pools=model.n_sectors + n_vc)
 
 
-def allocate(assoc: Association, rates: LinkRates, alpha) -> SchedulingSolution:
+def allocate(rates: LinkRates, alpha: float) -> SchedulingSolution:
     """Fairness stage: optimal time fractions, shares and user rates.
 
-    ``alpha`` is one value or a list; the rows of the solution run over it
-    (outer) and the rows of ``rates`` (inner).  Each alpha is one pass over
-    all rows, so every power keeps a scalar exponent.  Users in outage are
+    One pass over all rows of ``rates`` for one alpha, so every power keeps a
+    scalar exponent; the solution has the same rows.  Users in outage are
     excluded from every pool and receive lambda = 0.
     """
-    alphas = np.atleast_1d(alpha).tolist()
     n_rows, n_users = rates.rate.shape
     n_vc = rates.n_vclusters
     comp, r_user, outage = rates.comp, rates.rate, rates.outage
     sched = ~outage
-    r_sched = r_user[sched]
-    pool_ids = _row_ids(rates.pool, rates.n_pools)[sched]
     vc_ids = _row_ids(rates.vc, n_vc)
-    c_s = comp & sched
-    nc_s = ~comp & sched
-    vc_c, vc_nc = vc_ids[c_s], vc_ids[nc_s]
     n_bins = n_rows * n_vc
 
-    beta = np.zeros((len(alphas), n_rows, n_users))
-    theta = np.zeros((len(alphas), n_bins))
-    lam = np.empty((len(alphas), n_rows, n_users))
-    for a, alpha in enumerate(alphas):
-        # Pools: one per sector for non-CoMP users, one per cluster for CoMP users.
-        b = beta[a]
-        if r_sched.size:
-            b[sched] = _pool_fractions(r_sched, pool_ids, n_rows * rates.n_pools, alpha)
+    # Pools: one per sector for non-CoMP users, one per cluster for CoMP users.
+    beta = np.zeros((n_rows, n_users))
+    if sched.any():
+        beta[sched] = _pool_fractions(r_user[sched], _row_ids(rates.pool, rates.n_pools)[sched],
+                                      n_rows * rates.n_pools, alpha)
 
-        # Joint-transmission share per cluster from the scheduled products.
-        th = theta[a]
-        if alpha == 1.0:
-            n_c = np.bincount(vc_c, minlength=n_bins).astype(float)
-            n_nc = np.bincount(vc_nc, minlength=n_bins).astype(float)
-            both = (n_c > 0) & (n_nc > 0)
-            th[both] = n_c[both] / (n_c[both] + n_nc[both])
-            th[(n_c > 0) & (n_nc == 0)] = 1.0
-        else:
-            prod = r_user * b
-            e = 1.0 - alpha
-            a_c = np.bincount(vc_c, weights=prod[c_s] ** e, minlength=n_bins)
-            a_nc = np.bincount(vc_nc, weights=prod[nc_s] ** e, minlength=n_bins)
-            both = (a_c > 0) & (a_nc > 0)
-            delta = (a_c[both] / a_nc[both]) ** (1.0 / alpha)
-            th[both] = delta / (1.0 + delta)
-            th[(a_c > 0) & (a_nc == 0)] = 1.0
-        # Singleton clusters have no CoMP users, so their theta stays 0.
+    # Joint-transmission share per cluster from the scheduled products.
+    c_s = comp & sched
+    nc_s = ~comp & sched
+    theta = np.zeros(n_bins)
+    if alpha == 1.0:
+        n_c = np.bincount(vc_ids[c_s], minlength=n_bins).astype(float)
+        n_nc = np.bincount(vc_ids[nc_s], minlength=n_bins).astype(float)
+        both = (n_c > 0) & (n_nc > 0)
+        theta[both] = n_c[both] / (n_c[both] + n_nc[both])
+        theta[(n_c > 0) & (n_nc == 0)] = 1.0
+    else:
+        prod = r_user * beta
+        e = 1.0 - alpha
+        a_c = np.bincount(vc_ids[c_s], weights=prod[c_s] ** e, minlength=n_bins)
+        a_nc = np.bincount(vc_ids[nc_s], weights=prod[nc_s] ** e, minlength=n_bins)
+        both = (a_c > 0) & (a_nc > 0)
+        delta = (a_c[both] / a_nc[both]) ** (1.0 / alpha)
+        theta[both] = delta / (1.0 + delta)
+        theta[(a_c > 0) & (a_nc == 0)] = 1.0
+    # Singleton clusters have no CoMP users, so their theta stays 0.
 
-        th_user = th[vc_ids]
-        np.multiply(np.where(comp, th_user, 1.0 - th_user) * b, r_user, out=lam[a])
-        lam[a][outage] = 0.0
-
-    def rows(x):
-        return np.tile(x, (len(alphas), 1)) if len(alphas) > 1 else x
-
-    shape = (len(alphas) * n_rows, -1)
+    # lambda = theta * beta * r for CoMP users, (1 - theta) * beta * r otherwise
+    lam = theta[vc_ids]
+    np.subtract(1.0, lam, out=lam, where=~comp)
+    lam *= beta
+    lam *= r_user
+    lam[outage] = 0.0
     return SchedulingSolution(
-        assoc_sector=assoc.sector, comp=rows(comp), beta=beta.reshape(shape),
-        theta=theta.reshape(shape), lam=lam.reshape(shape), outage=rows(outage),
-        coverage_sinr=rows(rates.sinr), vc=rows(rates.vc))
+        assoc_sector=rates.sector, comp=comp, beta=beta, theta=theta.reshape(n_rows, n_vc),
+        lam=lam, outage=outage, coverage_sinr=rates.sinr, vc=rates.vc)
+
+
+def schedule_patterns(model: SystemModel, rx_w: np.ndarray, active_sectors: np.ndarray,
+                      params: SchedulerParams) -> SchedulingSolution:
+    """Schedule one (gamma_d, alpha) point under each row of the (P, S)
+    active-sector masks in one batched pass: one solution row per mask."""
+    assoc = associate(rx_w, active_sectors, model.noise_w, rx_w.argmax(axis=1))
+    links = cluster_links(model, rx_w, assoc, cluster_members(model, assoc.active_sector))
+    return allocate(link_rates(model, assoc, [links], [params.gamma_d_db]), params.alpha)
 
 
 def schedule(model: SystemModel, rx_w: np.ndarray, active_bs: np.ndarray,
              params: SchedulerParams) -> SchedulingSolution:
     """Associate, classify, and allocate optimal time fractions for all users.
 
-    Runs the four stages for one scheduling point (one row of each batched
-    stage); a sweep that holds the earlier stages' inputs fixed calls them
-    once and batches the later ones.
+    The one-pattern case of :func:`schedule_patterns`; a sweep that holds the
+    earlier stages' inputs fixed calls them once and batches the later ones.
     """
     act = np.asarray(active_bs, dtype=bool)[model.sector_bs]
-    assoc = associate(rx_w, act, model.noise_w, rx_w.argmax(axis=1))
-    links = cluster_links(model, rx_w, assoc, cluster_members(model, act))
-    rates = link_rates(model, assoc, [links], [params.gamma_d_db])
-    return allocate(assoc, rates, params.alpha).row(0)
+    return schedule_patterns(model, rx_w, act[None], params).row(0)
 
 
 def center_cluster_users(model: SystemModel, strongest: np.ndarray,

@@ -1,5 +1,6 @@
 """Shared test oracles, independent of the library code paths they check."""
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -101,6 +102,34 @@ def einsum_region_membership(layout, pts):
 # Per-point scheduling and statistics, one sweep point at a time: oracles for
 # the row-batched library stages, compared bit for bit.
 
+def point_associate(rx_w, active_sector, noise_w, strongest):
+    """Max-SINR association under one (S,) set of active sectors."""
+    act = np.asarray(active_sector, dtype=bool)
+    total = rx_w[:, act].sum(axis=1)
+    assoc = strongest.copy()
+    asleep = ~act[assoc]
+    if asleep.any():
+        assoc[asleep] = np.where(act, rx_w[asleep], -np.inf).argmax(axis=1)
+    w_serv = rx_w[np.arange(rx_w.shape[0]), assoc]
+    return SimpleNamespace(active_sector=act, total_w=total, sector=assoc,
+                           sinr=w_serv / (total - w_serv + noise_w))
+
+
+def point_cluster_links(model, rx_w, assoc, active_sector):
+    """Serving cluster and joint SINR of every user under one pattern."""
+    member = ((model.vc_of_sector[:, None] == model.multi_vc_ids[None, :])
+              & np.asarray(active_sector, dtype=bool)[:, None]).astype(float)
+    vc_user = model.vc_of_sector[assoc.sector]
+    capable = model.vc_sizes[vc_user] > 1
+    joint = np.zeros(rx_w.shape[0])
+    if capable.any():
+        p_joint = rx_w @ member                              # (U, n_multi)
+        g_joint = p_joint / (assoc.total_w[:, None] - p_joint + model.noise_w)
+        col = np.searchsorted(model.multi_vc_ids, vc_user[capable])
+        joint[capable] = g_joint[capable, col]
+    return SimpleNamespace(vc=vc_user, capable=capable, joint_sinr=joint)
+
+
 def point_link_rates(model, assoc, links, gamma_d_db):
     """CoMP flags, effective SINR, MCS rates, outage and pools of one point."""
     comp = links.capable & (assoc.sinr <= cb.channel.from_db(gamma_d_db))
@@ -195,3 +224,45 @@ def point_summary(values):
         return float(v.mean()), 0.0, 0.0
     std = float(v.std(ddof=1))
     return float(v.mean()), std, 1.96 * std / math.sqrt(v.size)
+
+
+def point_evaluate(model, rx_w, vq, cluster_bs_idx, pattern, params):
+    """Minimum metric-set rate of one pattern through every per-point stage."""
+    act = cb.bss.active_bs_mask(int(model.sector_bs.max()) + 1, cluster_bs_idx,
+                                pattern)[model.sector_bs]
+    assoc = point_associate(rx_w, act, model.noise_w, rx_w.argmax(axis=1))
+    links = point_cluster_links(model, rx_w, assoc, act)
+    sol = point_allocate(model, links, point_link_rates(model, assoc, links,
+                                                        params.gamma_d_db), params.alpha)
+    return float(sol.lam[vq].min())
+
+
+def walk_heuristic(model, rx_w, vq, cluster_bs_idx, patterns, params, rate_threshold_bps):
+    """Walk the list one pattern at a time and stop at the first feasible one
+    (or the last): (pattern, minimum rate, feasible, patterns evaluated)."""
+    for n_eval, pattern in enumerate(patterns, start=1):
+        min_rate = point_evaluate(model, rx_w, vq, cluster_bs_idx, pattern, params)
+        if min_rate >= rate_threshold_bps:
+            break
+    return pattern, min_rate, min_rate >= rate_threshold_bps, n_eval
+
+
+def walk_oracle(model, rx_w, vq, cluster_bs_idx, params, rate_threshold_bps):
+    """Evaluate every admissible pattern one at a time; keep the feasible one
+    with the most BSs off (ties: lowest bit value), else all-on infeasible:
+    (pattern, minimum rate, feasible, patterns evaluated)."""
+    n_bs = len(cluster_bs_idx)
+    best = fallback = None
+    n_eval = 0
+    for a1 in range(n_bs):
+        for off in itertools.combinations(range(1, n_bs + 1), a1):
+            pattern = cb.BssPattern.from_off_ids(off, n_bs=n_bs)
+            min_rate = point_evaluate(model, rx_w, vq, cluster_bs_idx, pattern, params)
+            n_eval += 1
+            if a1 == 0:
+                fallback = (pattern, min_rate)
+            key = (-pattern.a1, pattern.bit_value)
+            if min_rate >= rate_threshold_bps and (best is None or key < best[0]):
+                best = (key, pattern, min_rate)
+    pattern, min_rate = best[1:] if best else fallback
+    return pattern, min_rate, best is not None, n_eval

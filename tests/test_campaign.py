@@ -166,6 +166,26 @@ class TestTraffic:
         assert [r["t"] for r in res.rows] == [0, 2]
         assert len(res.rows) + skipped == len(profile)
 
+    @pytest.mark.parametrize("r_thr", [2e5, 1e12])
+    def test_manifest_counts_evaluated_patterns_and_infeasible_steps(self, r_thr):
+        profile = [20.0, 160.0, 1e-3, 60.0]
+        res = run_traffic_profile(tiny_config(traffic_profile=profile,
+                                              rate_thresholds_bps=[r_thr]))
+        labels = [p.label for p in default_pattern_list()]
+        walked = {}
+        for row in res.rows:
+            # a walk down the energy-sorted list stops at the chosen pattern
+            n = labels.index(row["pattern"]) + 1
+            walked[str(n)] = walked.get(str(n), 0) + 1
+        assert res.manifest["patterns_evaluated"] == dict(sorted(walked.items()))
+        assert sum(walked.values()) == len(res.rows) == len(profile) - 1
+        n_infeasible = res.manifest["n_infeasible"]
+        assert n_infeasible == sum(1 for r in res.rows if not r["feasible"])
+        if r_thr == 1e12:
+            assert n_infeasible == len(res.rows)
+            assert res.manifest["patterns_evaluated"] == {str(len(labels)): len(res.rows)}
+        assert set(res.rows[0]) == set(TRAFFIC_COLUMNS)
+
     def test_requires_profile(self):
         with pytest.raises(ConfigError):
             run_traffic_profile(tiny_config())

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import compbss as cb
@@ -274,23 +274,32 @@ def test_layout_from_file_rejects_unknown_keys(tmp_path):
 
 @settings(max_examples=50, deadline=None)
 @given(angle=st.floats(min_value=-1000, max_value=1000, allow_nan=False))
+@example(np.nextafter(-180.0, -np.inf))
 def test_wrap_angle_range(angle):
     w = float(wrap_angle_deg(angle))
     assert -180.0 <= w < 180.0
     assert abs((w - angle) % 360.0) < 1e-6 or abs((w - angle) % 360.0 - 360.0) < 1e-6
 
 
+def _remainder_wrap(x):
+    """(x + 180) % 360 - 180, with the 180.0 it rounds to just below -180 mapped
+    to -180."""
+    w = np.asarray((x + 180.0) % 360.0 - 180.0)
+    w[w == 180.0] = -180.0
+    return w
+
+
 def test_wrap_angle_matches_remainder_bitwise():
     """The compare-and-add wrap gives the bits of (x + 180) % 360 - 180 on the
-    link-budget offsets [-420, 180], edges and their neighbours included."""
+    link-budget offsets [-420, 180], edges and their neighbours included, except
+    that it never returns 180."""
     edges = np.array([-420.0, -180.0, 0.0, 180.0, -0.0, -360.0, 360.0 - 180.0])
     edges = np.concatenate([edges, np.nextafter(edges, np.inf),
                             np.nextafter(edges, -np.inf), [-180.0 - 1e-300, -180.0 + 1e-300]])
     x = np.concatenate([edges, np.linspace(-420.0, 180.0, 600_001),
                         np.random.default_rng(0).uniform(-420.0, 180.0, 400_000)])
-    want = (x + 180.0) % 360.0 - 180.0
+    want = _remainder_wrap(x)
     got = wrap_angle_deg(x)
     assert got.tobytes() == want.tobytes()
     for v in edges:
-        assert np.asarray(wrap_angle_deg(v)).tobytes() == np.asarray(
-            (v + 180.0) % 360.0 - 180.0).tobytes()
+        assert np.asarray(wrap_angle_deg(v)).tobytes() == _remainder_wrap(v).tobytes()
