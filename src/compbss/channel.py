@@ -153,7 +153,6 @@ class GainMatrix:
     """Per-realization linear channel gains h[user, sector]."""
 
     h: np.ndarray           # (U, S) linear
-    shadow_db: np.ndarray   # (U, S)
     seed: object
 
     @property
@@ -188,7 +187,7 @@ def draw_gain_matrix(budget_db: np.ndarray, params: ChannelParams, seed) -> Gain
     """
     rng = np.random.default_rng(seed)
     shadow = rng.normal(0.0, params.shadowing_stddev_db, size=budget_db.shape)
-    return GainMatrix(h=shadowed_gain(budget_db, shadow), shadow_db=shadow, seed=seed)
+    return GainMatrix(h=shadowed_gain(budget_db, shadow), seed=seed)
 
 
 def build_gain_matrix(layout: NetworkLayout, drop: UserDrop,

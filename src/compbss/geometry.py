@@ -8,6 +8,25 @@ identity placement and the 6 wrap translations.
 One image search per user drop serves both the region test that accepts
 candidate positions and the link geometry (distance and bearing) of the
 accepted users, which :class:`UserDrop` keeps for the link budget.
+
+The search is certified by two radii that the layout derives from its own
+343 image sites (:class:`ImageTables`), each shrunk by a relative 1e-9 so
+float rounding cannot flip a decision:
+
+- ``r_site``, half the smallest distance between two image sites.  A point
+  closer than that to an image site has it as its unique nearest site image,
+  so the region test accepts a candidate near an un-shifted site, and
+  rejects one near a site of the wrap image named by its nearest shift
+  vector, from (N, 49) distances alone.
+- ``rho``, half the smallest distance between two images of one BS.  A
+  (user, BS) pair closer than that to the image that the per-site table
+  names for the user's nearest site keeps that image.
+
+Candidates and pairs that neither bound decides (about 10 % and 14 % of
+them at the preset) take the dense search over all 7 images, with the same
+first-minimum tie rule, so ties still go to the identity image.  Distance
+and bearing are computed by the same expressions on either path, so the
+result has the bits of a dense search over all 343 images.
 """
 
 from __future__ import annotations
@@ -59,6 +78,64 @@ class LayoutConfig:
             )
 
 
+# Relative shrink of the certified radii: far above the float rounding of the
+# squared distances they are compared with (a few 1e-16), far below any gap a
+# layout has between its sites.
+_RADIUS_SAFETY = 1.0 - 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class ImageTables:
+    """Bounds and tables of the certified image search, derived from a layout.
+
+    ``x``/``y`` place every BS at the identity placement (image 0) and the 6
+    wraps, as (7, B); ``bs_x``/``bs_y`` hold the same as (B, 7).
+    ``site_r2`` and ``image_rho2`` are the squared certified radii (see the
+    module docstring).  ``guess_k[j, b]`` is the image of BS b nearest to
+    identity site j, at ``guess_x[j, b]``, ``guess_y[j, b]``.
+    """
+
+    x: np.ndarray           # (7, B)
+    y: np.ndarray           # (7, B)
+    bs_x: np.ndarray        # (B, 7)
+    bs_y: np.ndarray        # (B, 7)
+    shifts: np.ndarray      # (7, 2), row 0 is the identity
+    site_r2: float
+    image_rho2: float
+    guess_k: np.ndarray     # (B, B) image index
+    guess_x: np.ndarray     # (B, B)
+    guess_y: np.ndarray     # (B, B)
+
+    @classmethod
+    def build(cls, bs_xy: np.ndarray, wrap_shifts: np.ndarray) -> "ImageTables":
+        """Derive the tables from the site positions and the 6 wrap shifts."""
+        shifts = np.vstack([np.zeros(2), wrap_shifts])
+        xy = bs_xy[None, :, :] + shifts[:, None, :]
+        n = bs_xy.shape[0]
+        x, y = np.ascontiguousarray(xy[..., 0]), np.ascontiguousarray(xy[..., 1])
+        # r_site: every pair of the 343 image sites, image k against images k..6
+        gap2 = np.inf
+        for k in range(7):
+            gx = x[k][:, None] - x[k:].ravel()
+            gy = y[k][:, None] - y[k:].ravel()
+            g2 = gx * gx + gy * gy
+            g2[np.arange(n), np.arange(n)] = np.inf
+            gap2 = min(gap2, g2.min())
+        # rho: every pair of the 7 images of one BS
+        ix = x.T[:, :, None] - x.T[:, None, :]
+        iy = y.T[:, :, None] - y.T[:, None, :]
+        img2 = ix * ix + iy * iy
+        img2[:, np.arange(7), np.arange(7)] = np.inf
+        site_r = 0.5 * math.sqrt(gap2) * _RADIUS_SAFETY
+        image_rho = 0.5 * math.sqrt(img2.min()) * _RADIUS_SAFETY
+        guess_k = _image_d2(x, y, bs_xy).argmin(axis=1)
+        cols = np.arange(n)[None, :]
+        return cls(x=x, y=y, bs_x=np.ascontiguousarray(x.T),
+                   bs_y=np.ascontiguousarray(y.T), shifts=shifts,
+                   site_r2=site_r * site_r, image_rho2=image_rho * image_rho,
+                   guess_k=guess_k, guess_x=x[guess_k, cols], guess_y=y[guess_k, cols])
+
+
 @dataclass(frozen=True, eq=False)
 class NetworkLayout:
     """Immutable site geometry shared read-only by all workers.
@@ -74,6 +151,7 @@ class NetworkLayout:
     inter_site_distance_m: float
     sector_bs: np.ndarray = field(init=False)            # (S,) 0-based BS index
     sector_boresight_deg: np.ndarray = field(init=False)  # (S,)
+    images: ImageTables = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.bs_xy.shape[0]
@@ -82,6 +160,7 @@ class NetworkLayout:
             self, "sector_boresight_deg",
             np.tile(np.asarray(self.boresights_deg, dtype=float), n),
         )
+        object.__setattr__(self, "images", ImageTables.build(self.bs_xy, self.wrap_shifts))
 
     @property
     def n_bs(self) -> int:
@@ -163,35 +242,84 @@ def build_layout(config: LayoutConfig | None = None) -> NetworkLayout:
     )
 
 
-def _site_images(layout: NetworkLayout) -> np.ndarray:
-    """Every BS at the identity placement (image 0) and the 6 wraps, (7, B, 2)."""
-    shifts = np.vstack([np.zeros(2), layout.wrap_shifts])
-    return layout.bs_xy[None, :, :] + shifts[:, None, :]
-
-
-def _image_d2(images: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Squared distance from every point to every BS image, (N, 7, B)."""
-    dx = pts[:, 0, None, None] - images[None, :, :, 0]
-    dy = pts[:, 1, None, None] - images[None, :, :, 1]
+def _image_d2(x: np.ndarray, y: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Squared distance from every point to every BS image at the (7, B)
+    ``x``, ``y``, (N, 7, B): the dense search, run on the points the certified
+    bounds leave open."""
+    dx = pts[:, 0, None, None] - x
+    dy = pts[:, 1, None, None] - y
     dx *= dx
     dy *= dy
     dx += dy
     return dx
 
 
-def _best_image(images: np.ndarray, pts: np.ndarray, d2: np.ndarray):
+def _sq_dist(pts: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared distance from every point to the sites at ``x``, ``y``: (N, B)
+    for one row of sites or one row per point."""
+    dx = pts[:, 0, None] - x
+    dy = pts[:, 1, None] - y
+    return dx * dx + dy * dy
+
+
+def _region_test(layout: NetworkLayout, pts: np.ndarray):
+    """Accept points whose nearest site image is an un-shifted BS.
+
+    Returns (accept, nearest), each (N,): nearest is the BS of the nearest
+    site image, as the flat argmin over all 343 images gives it (ties prefer
+    the identity image).  The union of the 49 hexagonal cells is a
+    fundamental domain of the wrap lattice, so accepted points are uniform on
+    the torus.
+    """
+    t = layout.images
+    rows = np.arange(pts.shape[0])
+    d2 = _sq_dist(pts, t.x[0], t.y[0])
+    nearest = d2.argmin(axis=1)
+    accept = d2[rows, nearest] < t.site_r2
+    # Not near an un-shifted site: try the sites of the wrap image named by
+    # the nearest of the 6 wrap shift vectors.
+    open_ = np.flatnonzero(~accept)
+    p = pts[open_]
+    k = 1 + _sq_dist(p, t.shifts[1:, 0], t.shifts[1:, 1]).argmin(axis=1)
+    d2 = _sq_dist(p, t.x[k], t.y[k])
+    site = d2.argmin(axis=1)
+    reject = d2[rows[:open_.size], site] < t.site_r2
+    nearest[open_[reject]] = site[reject]
+    dense = open_[~reject]
+    if dense.size:
+        best = _image_d2(t.x, t.y, pts[dense]).reshape(dense.size, -1).argmin(axis=1)
+        accept[dense] = best < layout.n_bs
+        nearest[dense] = best % layout.n_bs
+    return accept, nearest
+
+
+def _best_image(layout: NetworkLayout, pts: np.ndarray, nearest: np.ndarray):
     """Distance and bearing from the nearest image of every BS to the points.
 
-    ``d2`` is :func:`_image_d2` of ``pts``.  Returns (dist, az_deg, shift_idx),
-    each (N, B); shift_idx 0 denotes the identity image and ties prefer it.
+    ``nearest`` is each point's nearest un-shifted site, whose table row
+    guesses the images.  Returns (dist, az_deg, shift_idx), each (N, B);
+    shift_idx 0 denotes the identity image and ties prefer it.
     """
-    shift_idx = d2.argmin(axis=1)                                  # (N, B)
-    n_idx = np.arange(pts.shape[0])[:, None]
-    b_idx = np.arange(images.shape[1])[None, :]
-    dist = np.sqrt(d2[n_idx, shift_idx, b_idx])
-    diff = pts[:, None, :] - images[shift_idx, b_idx]              # (N, B, 2)
-    az = np.degrees(np.arctan2(diff[..., 1], diff[..., 0]))
-    return dist, az, shift_idx
+    t = layout.images
+    px, py = pts[:, 0, None], pts[:, 1, None]
+    dx = px - t.guess_x[nearest]
+    dy = py - t.guess_y[nearest]
+    d2 = dx * dx + dy * dy
+    shift_idx = t.guess_k[nearest]
+    pair = np.flatnonzero(~(d2 < t.image_rho2))
+    if pair.size:
+        # the pairs the bound leaves open: all 7 images of the BS, as rows
+        u, b = np.divmod(pair, layout.n_bs)
+        ex = px[u] - t.bs_x[b]
+        ey = py[u] - t.bs_y[b]
+        e2 = ex * ex + ey * ey
+        k = e2.argmin(axis=1)
+        rows = np.arange(pair.size)
+        dx.reshape(-1)[pair] = ex[rows, k]
+        dy.reshape(-1)[pair] = ey[rows, k]
+        d2.reshape(-1)[pair] = e2[rows, k]
+        shift_idx.reshape(-1)[pair] = k
+    return np.sqrt(d2), np.degrees(np.arctan2(dy, dx)), shift_idx
 
 
 def _image_geometry(layout: NetworkLayout, points: np.ndarray):
@@ -200,8 +328,8 @@ def _image_geometry(layout: NetworkLayout, points: np.ndarray):
     Returns (dist, az_deg, shift_idx), each (N, B).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    images = _site_images(layout)
-    return _best_image(images, pts, _image_d2(images, pts))
+    nearest = _sq_dist(pts, layout.images.x[0], layout.images.y[0]).argmin(axis=1)
+    return _best_image(layout, pts, nearest)
 
 
 def wrap_angle_deg(angle):
@@ -224,6 +352,9 @@ def wrap_angle_deg(angle):
 
 def bs_distance(layout: NetworkLayout, a_id: int, b_id: int) -> float:
     """Wraparound (minimum-image) distance between two BSs, 1-based ids."""
+    for bs_id in (a_id, b_id):
+        if not 1 <= bs_id <= layout.n_bs:
+            raise LayoutError(f"invalid BS id {bs_id}")
     dist, _, _ = _image_geometry(layout, layout.bs_xy[a_id - 1])
     return float(dist[0, b_id - 1])
 
@@ -257,7 +388,13 @@ class UserDrop:
     """One uniform user realization over the drop region.
 
     ``link_dist_m`` and ``link_az_deg`` are :func:`link_geometry` of the
-    positions, kept from the image search that accepted them.
+    positions, kept from the image search that accepted them.  That search
+    is certified (see the module docstring): a candidate within ``r_site`` of
+    an un-shifted site is accepted with it, and a (user, BS) pair within
+    ``rho`` of the image that the nearest site's table row names keeps that
+    image.  The rest, about 10 % of candidates and 14 % of pairs, take the
+    dense 7-image search, so every field has the bits of a dense search over
+    all 343 images.
     """
 
     positions: np.ndarray          # (N, 2) metres
@@ -278,17 +415,6 @@ class UserDrop:
         return not bool(np.any(self.nearest_cluster_id == 1))
 
 
-def _region_membership(n_bs: int, d2: np.ndarray):
-    """Accept points whose nearest site image is an un-shifted BS.
-
-    ``d2`` is :func:`_image_d2` of the points; ties prefer the identity image.
-    The union of the 49 hexagonal cells is a fundamental domain of the wrap
-    lattice, so accepted points are uniform on the torus.
-    """
-    best = d2.reshape(d2.shape[0], -1).argmin(axis=1)
-    return best // n_bs == 0, best % n_bs
-
-
 def drop_batch_size(n_missing: int, accept_rate: float) -> int:
     """Candidates to draw for ``n_missing`` more users at the region's
     acceptance rate: the mean number needed plus three standard deviations
@@ -303,7 +429,8 @@ def drop_users(layout: NetworkLayout, density_per_km2: float, seed) -> UserDrop:
     Deterministic for a given seed.  Each user is tagged with its nearest BS
     (serving-cluster candidacy); callers skip realizations whose centre
     cluster ends up empty.  The image search of the region test also gives
-    the link geometry of the accepted users.
+    the nearest site whose table row starts the link geometry search of the
+    accepted users.
     """
     if density_per_km2 <= 0:
         raise ValueError("density must be > 0")
@@ -314,7 +441,6 @@ def drop_users(layout: NetworkLayout, density_per_km2: float, seed) -> UserDrop:
     pad = layout.hex_circumradius_m
     lo = layout.bs_xy.min(axis=0) - pad
     hi = layout.bs_xy.max(axis=0) + pad
-    images = _site_images(layout)
     accept_rate = layout.region_area_m2 / float(np.prod(hi - lo))
 
     accepted, nearest = [np.empty((0, 2))], [np.empty(0, dtype=int)]
@@ -324,11 +450,10 @@ def drop_users(layout: NetworkLayout, density_per_km2: float, seed) -> UserDrop:
         # The uniform stream does not depend on how it is split into batches,
         # so the batch size changes only how many draws are wasted.
         cand = rng.uniform(lo, hi, size=(drop_batch_size(count - n_have, accept_rate), 2))
-        d2 = _image_d2(images, cand)
-        ok, bs_idx = _region_membership(layout.n_bs, d2)
+        ok, bs_idx = _region_test(layout, cand)
         # the drop keeps only the first ``count`` accepted candidates
         keep = np.flatnonzero(ok)[:count - n_have]
-        dist, az, _ = _best_image(images, cand[keep], d2[keep])
+        dist, az, _ = _best_image(layout, cand[keep], bs_idx[keep])
         accepted.append(cand[keep])
         nearest.append(bs_idx[keep])
         dists.append(dist)

@@ -99,6 +99,26 @@ def einsum_region_membership(layout, pts):
     return best // layout.n_bs == 0, best % layout.n_bs
 
 
+def dense_image_search(layout, pts):
+    """The image search over all 343 images, on the (N, 7, B, 2) offset tensor.
+
+    Returns (accept, nearest, dist, az_deg, shift_idx): the region test (flat
+    argmin, ties prefer the identity image) with the BS of each point's
+    nearest site image, and per (point, BS) the nearest of the 7 images (first
+    minimum) with its unclamped distance, bearing and image index.
+    """
+    shifts = np.vstack([np.zeros(2), layout.wrap_shifts])
+    images = layout.bs_xy[None, :, :] + shifts[:, None, :]
+    diff = pts[:, None, None, :] - images[None, :, :, :]
+    d2 = diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]   # (N, 7, B)
+    best = d2.reshape(pts.shape[0], -1).argmin(axis=1)
+    shift = d2.argmin(axis=1)                                          # (N, B)
+    chosen = np.take_along_axis(diff, shift[:, None, :, None], axis=1)[:, 0]
+    dist = np.sqrt(np.take_along_axis(d2, shift[:, None, :], axis=1)[:, 0])
+    az = np.degrees(np.arctan2(chosen[..., 1], chosen[..., 0]))
+    return best < layout.n_bs, best % layout.n_bs, dist, az, shift
+
+
 # Per-point scheduling and statistics, one sweep point at a time: oracles for
 # the row-batched library stages, compared bit for bit.
 

@@ -3,16 +3,18 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import compbss as cb
+from compbss import geometry
 from compbss.channel import drop_link_budget
-from compbss.geometry import (LayoutConfig, LayoutError, bs_distance, drop_batch_size,
-                              drop_users, layout_from_file, link_geometry,
-                              user_sector_geometry, wrap_angle_deg)
+from compbss.geometry import (LayoutConfig, LayoutError, bs_distance, build_layout,
+                              drop_batch_size, drop_users, layout_from_file,
+                              link_geometry, user_sector_geometry, wrap_angle_deg)
 
-from helpers import einsum_region_membership
+from helpers import dense_image_search, einsum_region_membership
 
 ISD = 500.0
 
@@ -76,6 +78,14 @@ def test_wraparound_distance_symmetric(layout):
         a, b = rng.integers(1, 50, size=2)
         assert bs_distance(layout, int(a), int(b)) == pytest.approx(
             bs_distance(layout, int(b), int(a)), rel=1e-12)
+
+
+@pytest.mark.parametrize("bs_id", [0, -1, 50, 1000])
+def test_bs_distance_refuses_unknown_ids(layout, bs_id):
+    with pytest.raises(LayoutError, match=f"BS id {bs_id}"):
+        bs_distance(layout, bs_id, 5)
+    with pytest.raises(LayoutError, match=f"BS id {bs_id}"):
+        bs_distance(layout, 5, bs_id)
 
 
 def test_min_image_not_longer_than_direct(layout):
@@ -174,12 +184,111 @@ def test_drop_candidacy_tags(layout):
 
 @pytest.mark.parametrize("density", [20.0, 60.0, 160.0])
 def test_drop_keeps_link_geometry_bit_for_bit(layout, density):
+    """The drop's users, nearest BSs, distances and bearings have the bits of
+    the dense search over all 343 images."""
     for seed in range(4):
         drop = drop_users(layout, density, seed)
-        dist, az = link_geometry(layout, drop.positions)
+        accept, nearest, dist, az, _ = dense_image_search(layout, drop.positions)
         assert drop.link_dist_m.shape == (drop.n_users, layout.n_bs)
-        assert np.array_equal(drop.link_dist_m, dist)
+        assert accept.all()
+        assert np.array_equal(drop.nearest_bs_idx, nearest)
+        assert np.array_equal(drop.link_dist_m, np.maximum(dist, 1.0))
         assert np.array_equal(drop.link_az_deg, az)
+
+
+def _rotated_preset(tmp_path, deg=10.0):
+    """The preset with its positions and wrap shifts rotated by ``deg``,
+    loaded as a custom layout file."""
+    preset = build_layout()
+    a = math.radians(deg)
+    rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+    path = tmp_path / "rotated.yaml"
+    path.write_text(yaml.safe_dump({
+        "bs_positions": (preset.bs_xy @ rot.T).tolist(),
+        "cluster_membership": preset.cluster_id.tolist(),
+        "wrap_shift_vectors": (preset.wrap_shifts @ rot.T).tolist(),
+    }))
+    return layout_from_file(path)
+
+
+def _ring(centres, radius, n_dirs=6):
+    """Points at ``radius`` from every centre, in ``n_dirs`` directions."""
+    ang = np.radians(np.arange(n_dirs) * 360.0 / n_dirs + 0.5)
+    ring = radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    return (centres[:, None, :] + ring[None, :, :]).reshape(-1, 2)
+
+
+def _adversarial_points(layout, rng):
+    """Inputs that sit on or next to every decision the search makes."""
+    isd = layout.inter_site_distance_m
+    shifts = np.vstack([np.zeros(2), layout.wrap_shifts])
+    sites = (layout.bs_xy[None, :, :] + shifts[:, None, :]).reshape(-1, 2)
+    # hex vertices (3-way ties) and edge midpoints (2-way ties) of every cell
+    ang = np.radians(60.0 * np.arange(6))
+    preset = build_layout().wrap_shifts[0]
+    rot = math.atan2(layout.wrap_shifts[0, 1], layout.wrap_shifts[0, 0]) \
+        - math.atan2(preset[1], preset[0])
+    vert = isd / math.sqrt(3.0) * np.stack([np.cos(ang + rot + math.pi / 6),
+                                            np.sin(ang + rot + math.pi / 6)], axis=1)
+    edge = isd / 2.0 * np.stack([np.cos(ang + rot), np.sin(ang + rot)], axis=1)
+    ties = (sites[:, None, :] + np.vstack([vert, edge])[None, :, :]).reshape(-1, 2)
+    # midpoints between two images of one BS (ties between its images)
+    k, m = np.triu_indices(7, 1)
+    per_bs = layout.bs_xy[:, None, :] + shifts[None, :, :]
+    ties = np.vstack([ties, (0.5 * (per_bs[:, k] + per_bs[:, m])).reshape(-1, 2)])
+    ties = np.vstack([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)])
+    # one ulp either side of each certified radius
+    r_site = math.sqrt(layout.images.site_r2)
+    rho = math.sqrt(layout.images.image_rho2)
+    radii = [np.nextafter(r, -np.inf) for r in (r_site, rho)] + [r_site, rho] \
+        + [np.nextafter(r, np.inf) for r in (r_site, rho)]
+    rings = np.vstack([_ring(sites, r) for r in radii])
+    # the drop box, its corners and random points in and around it
+    pad = layout.hex_circumradius_m
+    lo = layout.bs_xy.min(axis=0) - pad
+    hi = layout.bs_xy.max(axis=0) + pad
+    corners = np.array([lo, hi, [lo[0], hi[1]], [hi[0], lo[1]]])
+    uniform = rng.uniform(lo - 7 * isd, hi + 7 * isd, size=(2000, 2))
+    return np.vstack([sites, ties, rings, corners, uniform])
+
+
+@pytest.mark.parametrize("make_layout", [
+    lambda tmp_path: build_layout(),
+    lambda tmp_path: build_layout(LayoutConfig(inter_site_distance_m=250.0)),
+    lambda tmp_path: build_layout(LayoutConfig(inter_site_distance_m=1732.05)),
+    _rotated_preset,
+], ids=["isd500", "isd250", "isd1732", "rotated-file"])
+def test_image_search_matches_dense_oracle(make_layout, tmp_path, monkeypatch):
+    """The certified search gives the dense search's accept flag, nearest BS,
+    distance, bearing and image index, bit for bit, on sites, ties, points one
+    ulp either side of each certified radius and random points, and both its
+    bounded and its dense paths run."""
+    layout = make_layout(tmp_path)
+    pts = _adversarial_points(layout, np.random.default_rng(5))
+    dense_rows = []
+    dense = geometry._image_d2
+
+    def counted(x, y, p):
+        dense_rows.append(p.shape[0])
+        return dense(x, y, p)
+
+    monkeypatch.setattr(geometry, "_image_d2", counted)
+    got, want = [], []
+    for chunk in np.array_split(pts, 8):    # bounds the oracle's (N, 7, B, 2) tensor
+        got.append(geometry._region_test(layout, chunk)
+                   + geometry._image_geometry(layout, chunk))
+        want.append(dense_image_search(layout, chunk))
+    got = [np.concatenate(f) for f in zip(*got)]
+    want = [np.concatenate(f) for f in zip(*want)]
+    for name, g, w in zip(("accept", "nearest", "dist", "az", "shift"), got, want):
+        assert np.array_equal(g, w), name
+    accept, nearest, _, _, shift = got
+    # the region test decided some candidates from its bounds alone ...
+    assert 0 < sum(dense_rows) < pts.shape[0]
+    # ... and some accepted (point, BS) pairs left the image their nearest
+    # site's table row guessed, which only the 7-image rows can do
+    guess = layout.images.guess_k[nearest[accept]]
+    assert np.any(shift[accept] != guess) and np.any(shift[accept] == guess)
 
 
 def _replay_drop(layout, density, seed, batch_size):
