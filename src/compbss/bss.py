@@ -18,8 +18,9 @@ import numpy as np
 
 from .metrics import (STAT_FIELDS, RealizationStats, alpha_fair_throughputs,
                       rate_coverage, sinr_coverage)
-from .scheduler import (SchedulerParams, SchedulingSolution, SystemModel,
-                        schedule_patterns)
+from .scheduler import (SchedulerParams, SchedulingSolution, SystemModel, allocate,
+                        associate, cluster_links, cluster_members, link_rates,
+                        pool_users)
 
 MAX_ORACLE_BS = 10
 
@@ -146,6 +147,11 @@ class HeuristicResult:
     and feasibility are scalars.  A batch of R solution rows (see
     :func:`pattern_evaluation`) has a tuple of each row's pattern and a
     leading (R,) axis on the other fields; ``row`` picks one point.
+
+    The solution covers the users in ``users``, sorted rows of the draw
+    (:func:`~compbss.scheduler.pool_users`), so ``vq[users]`` marks the
+    metric set of a draw-wide ``vq`` mask among them.  None means the
+    solution covers the whole draw.
     """
 
     pattern: BssPattern | tuple
@@ -154,13 +160,15 @@ class HeuristicResult:
     feasible: bool | np.ndarray
     solution: SchedulingSolution
     patterns_evaluated: int = 1
+    users: np.ndarray | None = None
 
     def row(self, i: int, patterns_evaluated: int = 1) -> "HeuristicResult":
         """Scheduling point ``i`` of a batch."""
         return HeuristicResult(
             pattern=self.pattern[i], rates_bps=self.rates_bps[i],
             min_rate_bps=float(self.min_rate_bps[i]), feasible=bool(self.feasible[i]),
-            solution=self.solution.row(i), patterns_evaluated=patterns_evaluated)
+            solution=self.solution.row(i), patterns_evaluated=patterns_evaluated,
+            users=self.users)
 
 
 def active_bs_mask(n_bs_total: int, cluster_bs_idx: np.ndarray,
@@ -173,28 +181,39 @@ def active_bs_mask(n_bs_total: int, cluster_bs_idx: np.ndarray,
 
 
 def pattern_evaluation(patterns: tuple, solution: SchedulingSolution,
-                       vq_mask: np.ndarray, rate_threshold_bps: float) -> HeuristicResult:
+                       vq_mask: np.ndarray, rate_threshold_bps: float,
+                       users: np.ndarray | None = None) -> HeuristicResult:
     """Check each scheduled row's metric-set rates against the threshold.
 
-    ``patterns`` lists the sleep pattern of each row of ``solution``.
+    ``patterns`` lists the sleep pattern of each row of ``solution``, whose
+    users are the rows ``users`` of the draw (None: all of them), and
+    ``vq_mask`` marks the metric set of the draw.
     """
-    rates = solution.lam[:, vq_mask]
+    vq = np.asarray(vq_mask, dtype=bool)
+    rates = solution.lam[:, vq if users is None else vq[users]]
     min_rate = rates.min(axis=1)
     return HeuristicResult(pattern=patterns, rates_bps=rates, min_rate_bps=min_rate,
-                           feasible=min_rate >= rate_threshold_bps, solution=solution)
+                           feasible=min_rate >= rate_threshold_bps, solution=solution,
+                           users=users)
 
 
 def _evaluate_patterns(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
                        cluster_bs_idx: np.ndarray, patterns, params: SchedulerParams,
                        rate_threshold_bps: float) -> HeuristicResult:
-    """Schedule every pattern of the list in one batched pass, one row each."""
+    """Schedule every pattern of the list in one batched pass, one row each,
+    over the pool users of the metric set."""
     vq = np.asarray(vq_mask, dtype=bool)
     if not vq.any():
         raise ValueError("empty metric set: no centre-cluster users in this realization")
     n_bs = int(model.sector_bs.max()) + 1
-    active = np.array([active_bs_mask(n_bs, cluster_bs_idx, p) for p in patterns])
-    sol = schedule_patterns(model, rx_w, active[:, model.sector_bs], params)
-    return pattern_evaluation(tuple(patterns), sol, vq, rate_threshold_bps)
+    active = np.array([active_bs_mask(n_bs, cluster_bs_idx, p)
+                       for p in patterns])[:, model.sector_bs]
+    strongest = rx_w.argmax(axis=1)
+    users = pool_users(rx_w, strongest, vq, active, [model])
+    assoc = associate(rx_w[users], active, model.noise_w, strongest[users])
+    links = cluster_links(model, rx_w, assoc, cluster_members(model, active), users)
+    sol = allocate(link_rates(model, assoc, [links], [params.gamma_d_db]), params.alpha)
+    return pattern_evaluation(tuple(patterns), sol, vq, rate_threshold_bps, users)
 
 
 def _first_feasible(batch: HeuristicResult) -> int:
@@ -248,15 +267,6 @@ def exhaustive_oracle(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
     return batch.row(_first_feasible(batch), patterns_evaluated=len(patterns))
 
 
-def _runs(keys):
-    """(start, stop) of every run of consecutive keys that are one object."""
-    start = 0
-    for stop in range(1, len(keys) + 1):
-        if stop == len(keys) or keys[stop] is not keys[start]:
-            yield start, stop
-            start = stop
-
-
 def realization_stats(ev: HeuristicResult, vq_mask: np.ndarray,
                       multi_vc_ids, rate_threshold_bps, alpha: float) -> RealizationStats:
     """Cluster metrics of scheduled realizations.
@@ -264,11 +274,14 @@ def realization_stats(ev: HeuristicResult, vq_mask: np.ndarray,
     The metric-set rates are ``ev.rates_bps``.  The solution holds R
     scheduling points (``allocate`` rows for one ``alpha``; a single point is
     one row), and each row's energy saving is that of its pattern.
-    ``multi_vc_ids`` lists each row's multi-sector cluster ids, and
-    ``rate_threshold_bps`` is one threshold or a list of T.  Every field is
-    an (R,) or (R, T) float array.
+    ``vq_mask`` marks the metric set of the draw, read at ``ev.users``.
+    ``multi_vc_ids`` lists each row's multi-sector cluster ids (the rows of
+    one configuration share one object), and ``rate_threshold_bps`` is one
+    threshold or a list of T.  Every field is an (R,) or (R, T) float array.
     """
     vq = np.asarray(vq_mask, dtype=bool)
+    if ev.users is not None:
+        vq = vq[ev.users]
     sol = ev.solution
     lam = np.atleast_2d(ev.rates_bps)                        # (R, n)
     n_rows, n = lam.shape
@@ -283,12 +296,16 @@ def realization_stats(ev: HeuristicResult, vq_mask: np.ndarray,
 
     theta = np.atleast_2d(sol.theta)
     theta_mean = np.zeros(n_rows)
-    for start, stop in _runs(multi_vc_ids):
-        ids = np.asarray(multi_vc_ids[start], dtype=int)
+    rows_of = {}    # one entry per distinct multi_vc_ids object
+    for r, ids in enumerate(multi_vc_ids):
+        rows_of.setdefault(id(ids), (ids, []))[1].append(r)
+    for ids, at in rows_of.values():
+        ids = np.asarray(ids, dtype=int)
         if ids.size:
-            # take() keeps the rows C-contiguous, so each row mean sums as the
-            # 1-D mean of one point does (a fancy index would lay them out by column)
-            theta_mean[start:stop] = theta[start:stop].take(ids, axis=1).mean(axis=1)
+            # A row gather and take() keep the rows C-contiguous, so each row
+            # mean sums as the 1-D mean of one point does (a fancy index on
+            # both axes would lay them out by column)
+            theta_mean[at] = theta[at].take(ids, axis=1).mean(axis=1)
 
     patterns = ev.pattern if isinstance(ev.pattern, tuple) else (ev.pattern,) * n_rows
     energy = np.array([p.energy_saving_pct for p in patterns])

@@ -6,8 +6,8 @@ fading draws.  Each quantity is computed once, at the outermost loop level
 it depends on:
 
 - drop: user positions and the link budget (geometry, path loss, antenna);
-- fading: shadowing, received powers, each user's strongest sector and the
-  centre-cluster metric set;
+- fading: shadowing, received powers, each user's strongest sector, the
+  centre-cluster metric set and its pool users (below);
 - pattern: active sectors, max-SINR association and serving SINR of every
   sleep pattern in one pass, shared by every CoMP configuration;
 - config x pattern: each user's joint SINR within its serving virtual
@@ -23,9 +23,22 @@ The pattern pass keeps every bit of the one-pattern path: the total received
 power of a pattern is the row sum of ``rx_w[:, active]``, a boolean copy laid
 out by column, so it adds the active sectors left to right; ``associate``
 sums a row gather of ``rx_w.T`` over the same rows in the same order.  The
-joint power stays one matrix product per (config, pattern).  ``aggregate``
-then summarises every sweep point of a density in one row reduction over the
-realizations.
+joint power stays one matrix product of the whole draw per (config,
+pattern).  ``aggregate`` then summarises every sweep point of a density in
+one row reduction over the realizations.
+
+Every stage after the gain matrix runs on the pool users only
+(``scheduler.pool_users``): T is the set of sectors that serve a metric-set
+user under some pattern, plus every sector of a multi-sector cluster of any
+configuration, and the pool users are the users that some pattern serves
+from a sector of T.  Nothing else can change a metric-set rate, a coverage
+or the theta of a multi-sector cluster (about a quarter of the field at
+60 users per km^2 with the shipped patterns).  Every pool that holds a pool
+user is complete, and the kept users stay in field order, so each bincount
+pool sum adds the same users in the same order and keeps its bits.  The
+joint power is still a product over every row of the draw, read at the pool
+users afterwards: the BLAS kernels sum a row in an order that depends on its
+position in the operand, so a product over the kept rows alone changes bits.
 
 ``build_gain_matrix``, ``schedule`` and ``evaluate_pattern`` run the same
 stages for a single point (one row).  Substreams are derived from the master
@@ -58,7 +71,7 @@ from .metrics import STAT_FIELDS, aggregate
 from .scheduler import (DEFAULT_GAMMA_D_RANGE_DB, SchedulerParams, allocate,
                         alpha_range_error, associate, build_system_model,
                         center_cluster_users, cluster_links, cluster_members,
-                        link_rates)
+                        link_rates, pool_users)
 
 
 class ConfigError(ValueError):
@@ -237,7 +250,9 @@ def _drop_records(ctx: _Context, mu: float, d: int):
     rate threshold) point for each of the n non-skipped fading draws, in
     fading order.  Each stage runs once at the loop level it depends on;
     within a fading draw, every (pattern, configuration, gamma_d) point is
-    one row of a batched pass, one pass per alpha.
+    one row of a batched pass over the pool users, one pass per alpha.
+    Also returns the pool users and the dropped users, each summed over the
+    non-skipped draws.
     """
     cfg = ctx.cfg
     models = [model for model, _ in ctx.models.values()]
@@ -251,9 +266,9 @@ def _drop_records(ctx: _Context, mu: float, d: int):
               len(cfg.rate_thresholds_bps), len(STAT_FIELDS))
     drop = drop_users(ctx.layout, mu, _seed_key(cfg.master_seed, 0, _mu_key(mu), d))
     blocks = []
-    skipped = 0
+    skipped = n_scheduled = n_dropped = 0
     if drop.is_empty:
-        return np.empty((0,) + points).swapaxes(1, 2), cfg.n_fading
+        return np.empty((0,) + points).swapaxes(1, 2), cfg.n_fading, 0, 0
     budget_db = drop_link_budget(ctx.layout, drop, ctx.params)
     for f_idx in range(cfg.n_fading):
         gains = draw_gain_matrix(budget_db, ctx.params,
@@ -264,16 +279,21 @@ def _drop_records(ctx: _Context, mu: float, d: int):
         if not vq.any():
             skipped += 1
             continue
-        assoc = associate(rx_w, ctx.active_sectors, ctx.params.noise_w, strongest)
-        links = [cluster_links(model, rx_w, assoc, member)
+        users = pool_users(rx_w, strongest, vq, ctx.active_sectors, models)
+        n_scheduled += users.size
+        n_dropped += rx_w.shape[0]
+        assoc = associate(rx_w[users], ctx.active_sectors, ctx.params.noise_w,
+                          strongest[users])
+        links = [cluster_links(model, rx_w, assoc, member, users)
                  for model, member in zip(models, ctx.members)]
         rates = link_rates(models[0], assoc, links, cfg.gamma_ds_db)
         for alpha in cfg.alphas:
-            ev = pattern_evaluation(row_patterns, allocate(rates, alpha), vq, 0.0)
+            ev = pattern_evaluation(row_patterns, allocate(rates, alpha), vq, 0.0, users)
             stats = realization_stats(ev, vq, row_multi_ids, cfg.rate_thresholds_bps, alpha)
             blocks.append(np.stack([getattr(stats, f) for f in STAT_FIELDS], axis=-1))
     # (n, A, P, ...) -> (n, P, A, ...)
-    return np.reshape(blocks, (-1,) + points).swapaxes(1, 2), skipped
+    values = np.reshape(blocks, (-1,) + points).swapaxes(1, 2)
+    return values, skipped, n_scheduled, n_dropped
 
 
 def _worker(args):
@@ -308,12 +328,12 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
             results = list(pool.map(_worker, [(cfg_json, mu, d) for mu, d in tasks]))
     else:
         results = [_drop_records(ctx, mu, d) for mu, d in tasks]
-    n_skipped = sum(skipped for _, skipped in results)
+    n_skipped, n_scheduled, n_dropped = map(sum, zip(*(res[1:] for res in results)))
 
     # One reduction per density summarises all of its sweep points.
     summaries = {}
     for mu in cfg.densities_per_km2:
-        values = np.concatenate([v for (m, _), (v, _) in zip(tasks, results) if m == mu])
+        values = np.concatenate([res[0] for (m, _), res in zip(tasks, results) if m == mu])
         if values.shape[0]:
             summ = aggregate(np.moveaxis(values, 0, -1))
             summaries[mu] = {name: (s.mean, s.std, s.ci95)
@@ -331,7 +351,9 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
         for column, (name, part) in _RESULT_SOURCES.items():
             row[column] = float(summ[name][part][point])
         rows.append(row)
-    return CampaignResult(rows=rows, manifest=_manifest(cfg, rows, n_skipped))
+    return CampaignResult(rows=rows, manifest=_manifest(
+        cfg, rows, n_skipped,
+        scheduled_user_frac=_scheduled_user_frac(n_scheduled, n_dropped)))
 
 
 # Result column -> (metric, 0 mean / 1 std / 2 ci95)
@@ -358,6 +380,12 @@ def _manifest(cfg: CampaignConfig, rows: list, n_skipped: int, **extra) -> dict:
         "n_realizations_skipped": n_skipped,
         **extra,
     }
+
+
+def _scheduled_user_frac(n_scheduled: int, n_dropped: int):
+    """Pool users over dropped users, summed over the scheduled realizations
+    (None when none was scheduled)."""
+    return n_scheduled / n_dropped if n_dropped else None
 
 
 def _combo_order(ctx: _Context):
@@ -395,6 +423,7 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
     rows = []
     n_skipped = 0   # steps whose drop or metric set is empty
     n_evaluated = {}    # patterns a walk down the list evaluates -> steps
+    n_scheduled = n_dropped = 0
     for t, mu in enumerate(cfg.traffic_profile):
         drop = drop_users(ctx.layout, float(mu),
                           _seed_key(cfg.master_seed, 2, _mu_key(float(mu)), t))
@@ -411,6 +440,8 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
         res = heuristic_select(model, rx_w, vq, ctx.cluster_bs_idx, ctx.patterns,
                                params, r_thr)
         stats = realization_stats(res, vq, [multi_ids], r_thr, alpha)
+        n_scheduled += res.users.size
+        n_dropped += rx_w.shape[0]
         n_evaluated[res.patterns_evaluated] = n_evaluated.get(res.patterns_evaluated, 0) + 1
         rows.append({
             "t": t, "mu_per_km2": float(mu), "pattern": res.pattern.label,
@@ -422,7 +453,8 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
     manifest = _manifest(
         cfg, rows, n_skipped, mode="traffic_profile",
         patterns_evaluated={str(n): n_evaluated[n] for n in sorted(n_evaluated)},
-        n_infeasible=sum(not row["feasible"] for row in rows))
+        n_infeasible=sum(not row["feasible"] for row in rows),
+        scheduled_user_frac=_scheduled_user_frac(n_scheduled, n_dropped))
     return CampaignResult(rows=rows, manifest=manifest)
 
 

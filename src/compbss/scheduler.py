@@ -8,6 +8,17 @@ theta = delta / (1 + delta) with
 delta = [sum_c (r*beta)^(1-alpha) / sum_nc (r*beta)^(1-alpha)]^(1/alpha).
 The scheduling pipeline here applies those forms to a whole field of
 sectors at once; it is independent of the site topology.
+
+Only the users that share a pool with the metric set V_q can change its
+rates, its coverage or the theta of a multi-sector cluster.  T holds the
+sectors that serve a V_q user under some sleep pattern and every sector of a
+multi-sector cluster; the pool users (:func:`pool_users`) are the users that
+some pattern serves from a sector of T.  Each sector pool, CoMP pool and
+cluster theta that an output reads then sums over pool users only, in field
+order, so the stages after association may run on the pool users alone and
+keep every bit.  The joint power is the exception: :func:`cluster_links`
+multiplies the whole draw, because the BLAS kernels sum a row of a product in
+an order that depends on the row's position in the operand.
 """
 
 from __future__ import annotations
@@ -269,6 +280,19 @@ class LinkRates:
     n_pools: int               # pool ids per row: sectors + clusters
 
 
+def _serving_sectors(rx_w: np.ndarray, act: np.ndarray, strongest: np.ndarray) -> np.ndarray:
+    """(P, U) strongest active sector of each user under each row of the
+    (P, S) masks: the strongest sector of the field, re-picked among the
+    active ones for each sleeping (pattern, user) pair."""
+    assoc = np.tile(strongest, (act.shape[0], 1))
+    p_asleep, u_asleep = np.nonzero(~act[:, strongest])
+    if p_asleep.size:
+        cand = rx_w[u_asleep]
+        cand[~act[p_asleep]] = -np.inf
+        assoc[p_asleep, u_asleep] = cand.argmax(axis=1)
+    return assoc
+
+
 def associate(rx_w: np.ndarray, active_sectors: np.ndarray, noise_w: float,
               strongest: np.ndarray) -> Association:
     """Serve every user from its strongest active sector, for each row of
@@ -277,6 +301,9 @@ def associate(rx_w: np.ndarray, active_sectors: np.ndarray, noise_w: float,
     With uniform transmit power the max-SINR sector is the max received
     power sector; ties resolve to the lowest sector index.  ``strongest`` is
     ``rx_w.argmax(axis=1)``, which every pattern of a fading draw shares.
+    The rows of ``rx_w`` may be any subset of a draw's users (see
+    :func:`pool_users`) of at least two users: every value is computed per
+    user, and the totals below only sum along the sector axis.
     """
     act = np.asarray(active_sectors, dtype=bool)
     if not act.any(axis=1).all():
@@ -288,17 +315,40 @@ def associate(rx_w: np.ndarray, active_sectors: np.ndarray, noise_w: float,
     total = np.empty((act.shape[0], rx_w.shape[0]))
     for a, out in zip(act, total):
         np.sum(rx_t[a], axis=0, out=out)
-    # Strongest sector of the field; re-pick among active ones where it sleeps,
-    # one row per sleeping (pattern, user) pair.
-    assoc = np.tile(strongest, (act.shape[0], 1))
-    p_asleep, u_asleep = np.nonzero(~act[:, strongest])
-    if p_asleep.size:
-        cand = rx_w[u_asleep]
-        cand[~act[p_asleep]] = -np.inf
-        assoc[p_asleep, u_asleep] = cand.argmax(axis=1)
+    assoc = _serving_sectors(rx_w, act, strongest)
     w_serv = rx_w[np.arange(rx_w.shape[0]), assoc]
     return Association(active_sector=act, total_w=total, sector=assoc,
                        sinr=w_serv / (total - w_serv + noise_w))
+
+
+def pool_users(rx_w: np.ndarray, strongest: np.ndarray, vq: np.ndarray,
+               active_sectors: np.ndarray, models) -> np.ndarray:
+    """Sorted rows of the users that can change a metric-set output.
+
+    T holds the sectors that serve a metric-set (``vq``) user under some row
+    of the (P, S) masks, plus every sector of a multi-sector cluster of any
+    of ``models``.  The pool users are the users that some row serves from a
+    sector of T.  Under each row, a metric-set user's sector pool, its
+    cluster's CoMP pool and theta, and the theta of every multi-sector
+    cluster sum over users served from sectors of T only, and all of those
+    are pool users.  Scheduling the pool users alone thus fills every pool
+    that an output reads with the same members in the same order, and its
+    bincount sums keep their bits.
+
+    At least two rows are kept when the draw has two users: the sector sums
+    of :func:`associate` over a single user's column would run along the
+    contiguous axis, which numpy sums pairwise, not left to right.
+    """
+    act = np.asarray(active_sectors, dtype=bool)
+    serving = _serving_sectors(rx_w, act, strongest)
+    in_t = np.zeros(act.shape[1], dtype=bool)
+    in_t[serving[:, vq]] = True
+    for model in models:
+        in_t[model.vc_sizes[model.vc_of_sector] > 1] = True
+    keep = in_t[serving].any(axis=0)
+    if np.count_nonzero(keep) == 1 and keep.size > 1:
+        keep[1 if keep[0] else 0] = True
+    return np.flatnonzero(keep)
 
 
 def cluster_members(model: SystemModel, active_sectors: np.ndarray) -> np.ndarray:
@@ -309,20 +359,24 @@ def cluster_members(model: SystemModel, active_sectors: np.ndarray) -> np.ndarra
 
 
 def cluster_links(model: SystemModel, rx_w: np.ndarray, assoc: Association,
-                  member: np.ndarray) -> ClusterLinks:
+                  member: np.ndarray, users=None) -> ClusterLinks:
     """Joint SINR of each user's serving multi-sector cluster (active members).
 
-    ``member`` is :func:`cluster_members` of the association's active sectors.
-    The joint power stays one ``rx_w @ member`` product per pattern: a product
-    over several patterns' members at once sums in another order.
+    ``member`` is :func:`cluster_members` of the association's active sectors,
+    and ``users`` lists the rows of the draw ``rx_w`` that the association
+    covers (default: all).  The joint power is one ``np.matmul`` of the whole
+    draw with the (P, S, n_multi) member stack, which multiplies pattern by
+    pattern, and is read at those rows afterwards: a product over a subset of
+    rows, or over several patterns' members at once, sums in another order.
     """
     vc_user = model.vc_of_sector[assoc.sector]
     capable = model.vc_sizes[vc_user] > 1
     p_joint = np.zeros(vc_user.shape)
-    for p in np.flatnonzero(capable.any(axis=1)):
-        users = np.flatnonzero(capable[p])
-        col = np.searchsorted(model.multi_vc_ids, vc_user[p, users])
-        p_joint[p, users] = (rx_w @ member[p])[users, col]
+    p_cap, u_cap = np.nonzero(capable)
+    if p_cap.size:
+        rows = u_cap if users is None else np.asarray(users)[u_cap]
+        col = np.searchsorted(model.multi_vc_ids, vc_user[p_cap, u_cap])
+        p_joint[p_cap, u_cap] = np.matmul(rx_w, member)[p_cap, rows, col]
     return ClusterLinks(vc=vc_user, capable=capable,
                         joint_sinr=p_joint / (assoc.total_w - p_joint + model.noise_w),
                         n_vclusters=model.n_vclusters)
@@ -418,24 +472,19 @@ def allocate(rates: LinkRates, alpha: float) -> SchedulingSolution:
         lam=lam, outage=outage, coverage_sinr=rates.sinr, vc=rates.vc)
 
 
-def schedule_patterns(model: SystemModel, rx_w: np.ndarray, active_sectors: np.ndarray,
-                      params: SchedulerParams) -> SchedulingSolution:
-    """Schedule one (gamma_d, alpha) point under each row of the (P, S)
-    active-sector masks in one batched pass: one solution row per mask."""
-    assoc = associate(rx_w, active_sectors, model.noise_w, rx_w.argmax(axis=1))
-    links = cluster_links(model, rx_w, assoc, cluster_members(model, assoc.active_sector))
-    return allocate(link_rates(model, assoc, [links], [params.gamma_d_db]), params.alpha)
-
-
 def schedule(model: SystemModel, rx_w: np.ndarray, active_bs: np.ndarray,
              params: SchedulerParams) -> SchedulingSolution:
     """Associate, classify, and allocate optimal time fractions for all users.
 
-    The one-pattern case of :func:`schedule_patterns`; a sweep that holds the
-    earlier stages' inputs fixed calls them once and batches the later ones.
+    One scheduling point over every user of the draw; a sweep that holds the
+    earlier stages' inputs fixed calls the stages once and batches the later
+    ones.
     """
-    act = np.asarray(active_bs, dtype=bool)[model.sector_bs]
-    return schedule_patterns(model, rx_w, act[None], params).row(0)
+    act = np.asarray(active_bs, dtype=bool)[model.sector_bs][None]
+    assoc = associate(rx_w, act, model.noise_w, rx_w.argmax(axis=1))
+    links = cluster_links(model, rx_w, assoc, cluster_members(model, act))
+    return allocate(link_rates(model, assoc, [links], [params.gamma_d_db]),
+                    params.alpha).row(0)
 
 
 def center_cluster_users(model: SystemModel, strongest: np.ndarray,

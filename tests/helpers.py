@@ -286,3 +286,74 @@ def walk_oracle(model, rx_w, vq, cluster_bs_idx, params, rate_threshold_bps):
                 best = (key, pattern, min_rate)
     pattern, min_rate = best[1:] if best else fallback
     return pattern, min_rate, best is not None, n_eval
+
+
+# Full-field oracles of the pool-user pipeline: every stage on every user of
+# the draw, and the joint power as one ``rx_w @ member[p]`` product per pattern.
+
+def full_field_links(model, rx_w, assoc, member):
+    """Serving cluster and joint SINR of every user under every pattern."""
+    vc_user = model.vc_of_sector[assoc.sector]
+    capable = model.vc_sizes[vc_user] > 1
+    p_joint = np.zeros(vc_user.shape)
+    for p in np.flatnonzero(capable.any(axis=1)):
+        users = np.flatnonzero(capable[p])
+        col = np.searchsorted(model.multi_vc_ids, vc_user[p, users])
+        p_joint[p, users] = (rx_w @ member[p])[users, col]
+    return cb.scheduler.ClusterLinks(
+        vc=vc_user, capable=capable,
+        joint_sinr=p_joint / (assoc.total_w - p_joint + model.noise_w),
+        n_vclusters=model.n_vclusters)
+
+
+def full_field_drop_records(ctx, mu, d):
+    """``campaign._drop_records`` values and skip count, scheduling every
+    user of each draw."""
+    from compbss.campaign import _mu_key, _seed_key
+    from compbss.metrics import STAT_FIELDS
+    cfg = ctx.cfg
+    models = [model for model, _ in ctx.models.values()]
+    rows = [(pattern, model) for pattern in ctx.patterns for model in models
+            for _ in cfg.gamma_ds_db]
+    points = (len(cfg.alphas), len(ctx.patterns), len(models), len(cfg.gamma_ds_db),
+              len(cfg.rate_thresholds_bps), len(STAT_FIELDS))
+    drop = cb.drop_users(ctx.layout, mu, _seed_key(cfg.master_seed, 0, _mu_key(mu), d))
+    if drop.is_empty:
+        return np.empty((0,) + points).swapaxes(1, 2), cfg.n_fading
+    budget_db = cb.channel.drop_link_budget(ctx.layout, drop, ctx.params)
+    blocks, skipped = [], 0
+    for f_idx in range(cfg.n_fading):
+        gains = cb.channel.draw_gain_matrix(
+            budget_db, ctx.params, _seed_key(cfg.master_seed, 1, _mu_key(mu), d, f_idx))
+        rx_w = cb.received_power_w(gains, ctx.params)
+        strongest = rx_w.argmax(axis=1)
+        vq = cb.center_cluster_users(models[0], strongest, ctx.center_sector_idx)
+        if not vq.any():
+            skipped += 1
+            continue
+        assoc = cb.scheduler.associate(rx_w, ctx.active_sectors, ctx.params.noise_w,
+                                       strongest)
+        links = [full_field_links(model, rx_w, assoc, member)
+                 for model, member in zip(models, ctx.members)]
+        rates = cb.scheduler.link_rates(models[0], assoc, links, cfg.gamma_ds_db)
+        for alpha in cfg.alphas:
+            ev = cb.bss.pattern_evaluation(tuple(p for p, _ in rows),
+                                           cb.scheduler.allocate(rates, alpha), vq, 0.0)
+            stats = cb.bss.realization_stats(ev, vq, [m.multi_vc_ids for _, m in rows],
+                                             cfg.rate_thresholds_bps, alpha)
+            blocks.append(np.stack([getattr(stats, f) for f in STAT_FIELDS], axis=-1))
+    return np.reshape(blocks, (-1,) + points).swapaxes(1, 2), skipped
+
+
+def full_field_patterns(model, rx_w, vq, cluster_bs_idx, patterns, params,
+                        rate_threshold_bps):
+    """Every pattern of the list scheduled over every user of the draw, one
+    row each (a batch ``HeuristicResult`` without ``users``)."""
+    n_bs = int(model.sector_bs.max()) + 1
+    active = np.array([cb.bss.active_bs_mask(n_bs, cluster_bs_idx, p)
+                       for p in patterns])[:, model.sector_bs]
+    assoc = cb.scheduler.associate(rx_w, active, model.noise_w, rx_w.argmax(axis=1))
+    links = full_field_links(model, rx_w, assoc, cb.scheduler.cluster_members(model, active))
+    sol = cb.scheduler.allocate(
+        cb.scheduler.link_rates(model, assoc, [links], [params.gamma_d_db]), params.alpha)
+    return cb.bss.pattern_evaluation(tuple(patterns), sol, vq, rate_threshold_bps)

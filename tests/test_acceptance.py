@@ -69,12 +69,13 @@ def ordering_matrix(layout, params, models):
         for cname, model in models.items():
             for p in patterns:
                 ev = evaluate_pattern(model, rx, vq, cb_idx, p, sp, 0.0)
-                lam = ev.solution.lam[vq]
+                vq_ev = vq[ev.users]    # the solution covers the pool users
+                lam = ev.solution.lam[vq_ev]
                 covered = lam > 0
                 acc[(cname, p.label)]["t"].append(
                     cb.alpha_fair_throughput(lam[covered], 1.0) if covered.any() else 0.0)
                 acc[(cname, p.label)]["cov"].append(
-                    cb.sinr_coverage(ev.solution.coverage_sinr[vq]))
+                    cb.sinr_coverage(ev.solution.coverage_sinr[vq_ev]))
                 acc[(cname, p.label)]["rcov"].append(
                     [cb.rate_coverage(lam, r) for r in R_GRID])
     out = {k: {m: np.asarray(v[m]) for m in v} for k, v in acc.items()}

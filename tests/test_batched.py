@@ -153,7 +153,7 @@ def test_single_point_schedule_equals_oracle(layout, params, models):
                     assert np.array_equal(getattr(sol, field), getattr(ref, field)), field
                 ev = cb.evaluate_pattern(model, rx, vq, layout.center_cluster_bs_ids - 1,
                                          pattern, sp, 0.0)
-                assert np.array_equal(ev.solution.lam, sol.lam)
+                assert np.array_equal(ev.solution.lam, sol.lam[ev.users])
                 stats = realization_stats(ev, vq, [model.multi_vc_ids], 2e5, alpha)
                 want = point_realization_stats(ref, vq, model.multi_vc_ids, 2e5, alpha,
                                                pattern.energy_saving_pct)

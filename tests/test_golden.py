@@ -7,11 +7,13 @@ new values in CHANGES.md.
 
 import hashlib
 
+from compbss.bss import all_patterns, patterns_to_file
 from compbss.campaign import (CampaignConfig, RESULT_COLUMNS, TRAFFIC_COLUMNS,
                               run_campaign, run_traffic_profile, write_rows_csv)
 
 CAMPAIGN_SHA256 = "31100517b4e5a7706b9985466d0f4301acb867df70cf07701bf1b1d0bdbeff5f"
 TRAFFIC_SHA256 = "ec0a66fa865d1100339143710c352e1c0fb169f7f6ce31157e8d5c02b593565a"
+ALL_PATTERNS_SHA256 = "6544a4825cc68da1703e2600a7a31566a2955530b1ca9cb94d9b2a3c8eda4994"
 
 
 def _csv_sha256(rows, columns, path) -> str:
@@ -38,3 +40,19 @@ def test_traffic_profile_csv_is_pinned(tmp_path):
                          master_seed=7)
     res = run_traffic_profile(cfg)
     assert _csv_sha256(res.rows, TRAFFIC_COLUMNS, tmp_path / "t.csv") == TRAFFIC_SHA256
+
+
+def test_all_patterns_campaign_csv_is_pinned(tmp_path):
+    """Every sleep pattern at a sparse and a dense drop, with alpha != 1 pools.
+
+    Deep patterns move users into the sectors of neighbour sites, and
+    alpha 0.5 and 3 take the power forms of the pool fractions and theta.
+    """
+    patterns_to_file(all_patterns(7), tmp_path / "all.csv")
+    cfg = CampaignConfig(densities_per_km2=[20.0, 160.0], n_drops=2, n_fading=2,
+                         alphas=[0.5, 3.0], gamma_ds_db=[-6.0, 4.0],
+                         rate_thresholds_bps=[2e5], comp_configs=["C2", "C3"],
+                         pattern_file=str(tmp_path / "all.csv"), master_seed=7)
+    res = run_campaign(cfg)
+    assert len(res.rows) == 2 * 127 * 2 * 2 * 2
+    assert _csv_sha256(res.rows, RESULT_COLUMNS, tmp_path / "a.csv") == ALL_PATTERNS_SHA256
