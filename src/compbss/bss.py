@@ -209,8 +209,8 @@ def _evaluate_patterns(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray
     active = np.array([active_bs_mask(n_bs, cluster_bs_idx, p)
                        for p in patterns])[:, model.sector_bs]
     strongest = rx_w.argmax(axis=1)
-    users = pool_users(rx_w, strongest, vq, active, [model])
-    assoc = associate(rx_w[users], active, model.noise_w, strongest[users])
+    users, serving = pool_users(rx_w, strongest, vq, active, [model])
+    assoc = associate(rx_w[users], active, model.noise_w, serving)
     links = cluster_links(model, rx_w, assoc, cluster_members(model, active), users)
     sol = allocate(link_rates(model, assoc, [links], [params.gamma_d_db]), params.alpha)
     return pattern_evaluation(tuple(patterns), sol, vq, rate_threshold_bps, users)

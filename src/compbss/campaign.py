@@ -273,17 +273,16 @@ def _drop_records(ctx: _Context, mu: float, d: int):
     for f_idx in range(cfg.n_fading):
         gains = draw_gain_matrix(budget_db, ctx.params,
                                  _seed_key(cfg.master_seed, 1, _mu_key(mu), d, f_idx))
-        rx_w = received_power_w(gains, ctx.params)
+        rx_w = received_power_w(gains, ctx.params, out=gains.h)
         strongest = rx_w.argmax(axis=1)
         vq = center_cluster_users(models[0], strongest, ctx.center_sector_idx)
         if not vq.any():
             skipped += 1
             continue
-        users = pool_users(rx_w, strongest, vq, ctx.active_sectors, models)
+        users, serving = pool_users(rx_w, strongest, vq, ctx.active_sectors, models)
         n_scheduled += users.size
         n_dropped += rx_w.shape[0]
-        assoc = associate(rx_w[users], ctx.active_sectors, ctx.params.noise_w,
-                          strongest[users])
+        assoc = associate(rx_w[users], ctx.active_sectors, ctx.params.noise_w, serving)
         links = [cluster_links(model, rx_w, assoc, member, users)
                  for model, member in zip(models, ctx.members)]
         rates = link_rates(models[0], assoc, links, cfg.gamma_ds_db)
@@ -432,7 +431,7 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
             continue
         gains = build_gain_matrix(ctx.layout, drop, ctx.params,
                                   _seed_key(cfg.master_seed, 3, _mu_key(float(mu)), t))
-        rx_w = received_power_w(gains, ctx.params)
+        rx_w = received_power_w(gains, ctx.params, out=gains.h)
         vq = center_cluster_users(model, rx_w.argmax(axis=1), ctx.center_sector_idx)
         if not vq.any():
             n_skipped += 1

@@ -3,6 +3,19 @@
 All SINR math is done in linear units; dB appears only at the interfaces.
 Channels are frequency flat: one gain per (user, sector) link serves every
 subchannel.
+
+The drop stage (:func:`drop_link_budget`) and the fading stage
+(:func:`draw_gain_matrix`) write each of their (U, S) arrays once and run
+every later step in place.  The drop gathers the bearings into one array,
+which becomes the antenna gain, and the path losses into a second, which
+serves the angle wrap as scratch first and becomes the budget.  A fading
+draw fills one buffer with the standard normal draw, which becomes the gain
+and then, scaled by P_s in the campaign, the received power.  Each step is
+the operation of the expression it replaces, in the same order, so every
+bit is kept; the public single-formula functions copy their input and call
+the same in-place kernels.  A helper thread that prefetched the next draw
+was tried and dropped: a campaign gets one core's worth of throughput, and
+the hand-offs of the interpreter lock made the fig4 sweep about 20 % slower.
 """
 
 from __future__ import annotations
@@ -12,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NetworkLayout, UserDrop, wrap_angle_deg
+from .geometry import NetworkLayout, UserDrop, _wrap_angle_in_place
 
 
 @dataclass(frozen=True)
@@ -47,13 +60,43 @@ class ChannelParams:
 
 def path_loss_db(d_m, intercept_db: float = 136.8245, slope_db: float = 39.086):
     """Distance-to-path-loss in dB; valid for d >= 1 m (clamp upstream)."""
-    return intercept_db + slope_db * (np.log10(d_m) - 3.0)
+    pl = np.log10(d_m)
+    pl -= 3.0
+    pl *= slope_db
+    pl += intercept_db
+    return pl
+
+
+def _float_copy(x, *others):
+    """A fresh float64 array of ``x`` broadcast against ``others``, for the
+    in-place kernels below to write into."""
+    shape = np.broadcast_shapes(np.shape(x), *(np.shape(o) for o in others))
+    return np.array(np.broadcast_to(np.asarray(x, dtype=float), shape))
+
+
+def _directivity_gain_in_place(phi):
+    """Sector antenna gain 25 - min{12*(phi/70)^2, 20} dB, written over the
+    offsets ``phi``."""
+    phi /= 70.0
+    np.square(phi, out=phi)
+    phi *= 12.0
+    np.minimum(phi, 20.0, out=phi)
+    return np.subtract(25.0, phi, out=phi)
 
 
 def directivity_gain_db(offset_deg):
     """Sector antenna gain: 25 - min{12*(phi/70)^2, 20} dB."""
-    phi = np.asarray(offset_deg, dtype=float)
-    return 25.0 - np.minimum(12.0 * (phi / 70.0) ** 2, 20.0)
+    return _directivity_gain_in_place(_float_copy(offset_deg))[()]
+
+
+def _link_budget_in_place(budget, sector_gain_db, user_gain_dbi, penetration_db):
+    """-PL + G_s + G_u - penetration in dB, written over the path loss in
+    ``budget``; the terms are added left to right."""
+    np.negative(budget, out=budget)
+    budget += sector_gain_db
+    budget += user_gain_dbi
+    budget -= penetration_db
+    return budget
 
 
 def link_budget_db(pl_db, sector_gain_db, user_gain_dbi, penetration_db):
@@ -63,13 +106,21 @@ def link_budget_db(pl_db, sector_gain_db, user_gain_dbi, penetration_db):
     budget computed once per drop gives the same gains, bit for bit, as the
     whole sum taken per fading draw.
     """
-    return (-np.asarray(pl_db, dtype=float) + sector_gain_db + user_gain_dbi
-            - penetration_db)
+    budget = _float_copy(pl_db, sector_gain_db, user_gain_dbi, penetration_db)
+    return _link_budget_in_place(budget, sector_gain_db, user_gain_dbi,
+                                 penetration_db)[()]
+
+
+def _shadowed_gain_in_place(budget_db, shadow):
+    """Linear gain 10^((budget - shadow)/10), written over ``shadow``."""
+    np.subtract(budget_db, shadow, out=shadow)
+    shadow /= 10.0
+    return np.power(10.0, shadow, out=shadow)
 
 
 def shadowed_gain(budget_db, shadow_db):
     """Linear gain 10^((budget - shadow)/10) of a link budget under shadowing."""
-    return 10.0 ** ((budget_db - shadow_db) / 10.0)
+    return _shadowed_gain_in_place(budget_db, _float_copy(shadow_db, budget_db))[()]
 
 
 def channel_gain(pl_db, sector_gain_db, user_gain_dbi, penetration_db, shadow_db):
@@ -170,24 +221,33 @@ def drop_link_budget(layout: NetworkLayout, drop: UserDrop,
 
     Distance, bearing, path loss and antenna gain do not depend on fading, so
     one budget serves every fading draw of the drop.  Distance and bearing
-    come from the drop itself, which kept them from its image search.
+    come from the drop itself, which kept them from its image search.  The
+    stage allocates two (U, S) arrays and the (U, B) path loss.
     """
+    gain_db = np.take(drop.link_az_deg, layout.sector_bs, axis=1)
+    gain_db -= layout.sector_boresight_deg
+    budget = np.empty_like(gain_db)     # the wrap's scratch, then the path loss
+    _directivity_gain_in_place(_wrap_angle_in_place(gain_db, budget))
     pl = path_loss_db(drop.link_dist_m, params.pl_intercept_db, params.pl_slope_db)
-    offsets = wrap_angle_deg(drop.link_az_deg[:, layout.sector_bs]
-                             - layout.sector_boresight_deg[None, :])
-    return link_budget_db(pl[:, layout.sector_bs], directivity_gain_db(offsets),
-                          params.user_antenna_gain_dbi, params.penetration_loss_db)
+    # mode="clip" (the indices are in range) writes straight into out;
+    # mode="raise" would buffer a copy.
+    np.take(pl, layout.sector_bs, axis=1, out=budget, mode="clip")
+    del pl
+    return _link_budget_in_place(budget, gain_db, params.user_antenna_gain_dbi,
+                                 params.penetration_loss_db)
 
 
 def draw_gain_matrix(budget_db: np.ndarray, params: ChannelParams, seed) -> GainMatrix:
     """Fading-level stage: draw shadowing on top of a drop's link budget.
 
     Shadowing is an i.i.d. lognormal term per link, redrawn per realization;
-    the same seed reproduces the matrix exactly.
+    the same seed reproduces the matrix exactly.  The standard normal draw
+    is scaled by sigma (the bits of ``normal(0, sigma)``) and turned into
+    the gain in place, so the draw allocates one (U, S) array.
     """
-    rng = np.random.default_rng(seed)
-    shadow = rng.normal(0.0, params.shadowing_stddev_db, size=budget_db.shape)
-    return GainMatrix(h=shadowed_gain(budget_db, shadow), seed=seed)
+    shadow = np.random.default_rng(seed).standard_normal(size=budget_db.shape)
+    shadow *= params.shadowing_stddev_db
+    return GainMatrix(h=_shadowed_gain_in_place(budget_db, shadow), seed=seed)
 
 
 def build_gain_matrix(layout: NetworkLayout, drop: UserDrop,
@@ -196,9 +256,13 @@ def build_gain_matrix(layout: NetworkLayout, drop: UserDrop,
     return draw_gain_matrix(drop_link_budget(layout, drop, params), params, seed)
 
 
-def received_power_w(gains: GainMatrix, params: ChannelParams) -> np.ndarray:
-    """Per-subchannel received power P_s * h for every link, in watts."""
-    return per_subchannel_power_w(params) * gains.h
+def received_power_w(gains: GainMatrix, params: ChannelParams, out=None) -> np.ndarray:
+    """Per-subchannel received power P_s * h for every link, in watts.
+
+    ``out=gains.h`` scales the gains in place, for a caller that reads the
+    gain matrix no further.
+    """
+    return np.multiply(per_subchannel_power_w(params), gains.h, out=out)
 
 
 def sinr_matrix(rx_w: np.ndarray, active_sector: np.ndarray, noise_w: float) -> np.ndarray:

@@ -332,22 +332,34 @@ def _image_geometry(layout: NetworkLayout, points: np.ndarray):
     return _best_image(layout, pts, nearest)
 
 
-def wrap_angle_deg(angle):
-    """Wrap angles to [-180, 180) (antipodal bearings map to -180)."""
-    y = np.asarray(angle, dtype=float) + 180.0
-    if np.ndim(y) and y.size and y.min() >= -360.0 and y.max() < 720.0:
-        # One turn either way: a compare-and-add gives the bits of y % 360
-        # (fmod is exact there and % adds 360 to the same negative y).  Both
-        # masks come from y before it is shifted in place.
-        below, above = y < 0.0, y >= 360.0
-        np.add(y, 360.0, out=y, where=below)
-        np.subtract(y, 360.0, out=y, where=above)
+def _wrap_angle_in_place(y, scratch):
+    """Wrap the float angles in ``y`` to [-180, 180), in place; ``scratch``
+    is a float array of y's shape that the wrap may overwrite."""
+    y += 180.0
+    if np.ndim(y) and y.size and y.min() >= -360.0 and (top := y.max()) < 720.0:
+        # One turn either way: adding 360 * ([y < 0] - [y >= 360]) gives the
+        # bits of y % 360 (fmod is exact there and % adds 360 to the same
+        # negative y; adding 0.0 can only turn -0.0 into 0.0, which -180
+        # maps to the same value).  Both terms come from y before it is
+        # shifted.  A float shift, not a masked add: np.add(where=) over a
+        # mask that is a third true costs five times as much.
+        np.less(y, 0.0, out=scratch)
+        if top >= 360.0:
+            scratch -= y >= 360.0
+        scratch *= 360.0
+        y += scratch
     else:
-        y = np.asarray(y % 360.0)
+        np.remainder(y, 360.0, out=y)
     y -= 180.0
     # A y just below 0 rounds to 360.0 on either path: that angle is -180.
     y[y == 180.0] = -180.0
-    return y[()]
+    return y
+
+
+def wrap_angle_deg(angle):
+    """Wrap angles to [-180, 180) (antipodal bearings map to -180)."""
+    y = np.array(angle, dtype=float)
+    return _wrap_angle_in_place(y, np.empty_like(y))[()]
 
 
 def bs_distance(layout: NetworkLayout, a_id: int, b_id: int) -> float:

@@ -280,7 +280,7 @@ class LinkRates:
     n_pools: int               # pool ids per row: sectors + clusters
 
 
-def _serving_sectors(rx_w: np.ndarray, act: np.ndarray, strongest: np.ndarray) -> np.ndarray:
+def serving_sectors(rx_w: np.ndarray, act: np.ndarray, strongest: np.ndarray) -> np.ndarray:
     """(P, U) strongest active sector of each user under each row of the
     (P, S) masks: the strongest sector of the field, re-picked among the
     active ones for each sleeping (pattern, user) pair."""
@@ -294,16 +294,17 @@ def _serving_sectors(rx_w: np.ndarray, act: np.ndarray, strongest: np.ndarray) -
 
 
 def associate(rx_w: np.ndarray, active_sectors: np.ndarray, noise_w: float,
-              strongest: np.ndarray) -> Association:
+              serving: np.ndarray) -> Association:
     """Serve every user from its strongest active sector, for each row of
     the (P, S) active-sector masks.
 
     With uniform transmit power the max-SINR sector is the max received
-    power sector; ties resolve to the lowest sector index.  ``strongest`` is
-    ``rx_w.argmax(axis=1)``, which every pattern of a fading draw shares.
-    The rows of ``rx_w`` may be any subset of a draw's users (see
-    :func:`pool_users`) of at least two users: every value is computed per
-    user, and the totals below only sum along the sector axis.
+    power sector; ties resolve to the lowest sector index.  ``serving`` is
+    the (P, U) :func:`serving_sectors` of the rows of ``rx_w``, which
+    :func:`pool_users` returns for the users it keeps.  The rows of
+    ``rx_w`` may be any subset of a draw's users (see :func:`pool_users`)
+    of at least two users: every value is computed per user, and the totals
+    below only sum along the sector axis.
     """
     act = np.asarray(active_sectors, dtype=bool)
     if not act.any(axis=1).all():
@@ -315,15 +316,15 @@ def associate(rx_w: np.ndarray, active_sectors: np.ndarray, noise_w: float,
     total = np.empty((act.shape[0], rx_w.shape[0]))
     for a, out in zip(act, total):
         np.sum(rx_t[a], axis=0, out=out)
-    assoc = _serving_sectors(rx_w, act, strongest)
-    w_serv = rx_w[np.arange(rx_w.shape[0]), assoc]
-    return Association(active_sector=act, total_w=total, sector=assoc,
+    w_serv = rx_w[np.arange(rx_w.shape[0]), serving]
+    return Association(active_sector=act, total_w=total, sector=serving,
                        sinr=w_serv / (total - w_serv + noise_w))
 
 
 def pool_users(rx_w: np.ndarray, strongest: np.ndarray, vq: np.ndarray,
-               active_sectors: np.ndarray, models) -> np.ndarray:
-    """Sorted rows of the users that can change a metric-set output.
+               active_sectors: np.ndarray, models) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted rows of the users that can change a metric-set output, and
+    their (P, n) serving sectors for :func:`associate`.
 
     T holds the sectors that serve a metric-set (``vq``) user under some row
     of the (P, S) masks, plus every sector of a multi-sector cluster of any
@@ -340,7 +341,7 @@ def pool_users(rx_w: np.ndarray, strongest: np.ndarray, vq: np.ndarray,
     contiguous axis, which numpy sums pairwise, not left to right.
     """
     act = np.asarray(active_sectors, dtype=bool)
-    serving = _serving_sectors(rx_w, act, strongest)
+    serving = serving_sectors(rx_w, act, strongest)
     in_t = np.zeros(act.shape[1], dtype=bool)
     in_t[serving[:, vq]] = True
     for model in models:
@@ -348,7 +349,8 @@ def pool_users(rx_w: np.ndarray, strongest: np.ndarray, vq: np.ndarray,
     keep = in_t[serving].any(axis=0)
     if np.count_nonzero(keep) == 1 and keep.size > 1:
         keep[1 if keep[0] else 0] = True
-    return np.flatnonzero(keep)
+    users = np.flatnonzero(keep)
+    return users, serving[:, users]
 
 
 def cluster_members(model: SystemModel, active_sectors: np.ndarray) -> np.ndarray:
@@ -481,7 +483,8 @@ def schedule(model: SystemModel, rx_w: np.ndarray, active_bs: np.ndarray,
     ones.
     """
     act = np.asarray(active_bs, dtype=bool)[model.sector_bs][None]
-    assoc = associate(rx_w, act, model.noise_w, rx_w.argmax(axis=1))
+    serving = serving_sectors(rx_w, act, rx_w.argmax(axis=1))
+    assoc = associate(rx_w, act, model.noise_w, serving)
     links = cluster_links(model, rx_w, assoc, cluster_members(model, act))
     return allocate(link_rates(model, assoc, [links], [params.gamma_d_db]),
                     params.alpha).row(0)

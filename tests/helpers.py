@@ -119,6 +119,29 @@ def dense_image_search(layout, pts):
     return best < layout.n_bs, best % layout.n_bs, dist, az, shift
 
 
+# The link budget and gain matrix as chains of numpy expressions, one fresh
+# array per step: oracles for the in-place drop and fading stages.
+
+def expression_link_budget(layout, drop, params):
+    """``channel.drop_link_budget`` as expressions, with the bearing offsets
+    wrapped by (x + 180) % 360 - 180 (180.0 mapped to -180)."""
+    pl = params.pl_intercept_db + params.pl_slope_db * (np.log10(drop.link_dist_m) - 3.0)
+    offsets = (drop.link_az_deg[:, layout.sector_bs]
+               - layout.sector_boresight_deg[None, :] + 180.0) % 360.0 - 180.0
+    offsets[offsets == 180.0] = -180.0
+    gain = 25.0 - np.minimum(12.0 * (offsets / 70.0) ** 2, 20.0)
+    return (-pl[:, layout.sector_bs] + gain + params.user_antenna_gain_dbi
+            - params.penetration_loss_db)
+
+
+def expression_gain_matrix(budget_db, params, seed):
+    """``channel.draw_gain_matrix(...).h`` as expressions, with the shadowing
+    drawn by ``normal(0, sigma)``."""
+    rng = np.random.default_rng(seed)
+    shadow = rng.normal(0.0, params.shadowing_stddev_db, size=budget_db.shape)
+    return 10.0 ** ((budget_db - shadow) / 10.0)
+
+
 # Per-point scheduling and statistics, one sweep point at a time: oracles for
 # the row-batched library stages, compared bit for bit.
 
@@ -331,8 +354,9 @@ def full_field_drop_records(ctx, mu, d):
         if not vq.any():
             skipped += 1
             continue
-        assoc = cb.scheduler.associate(rx_w, ctx.active_sectors, ctx.params.noise_w,
-                                       strongest)
+        assoc = cb.scheduler.associate(
+            rx_w, ctx.active_sectors, ctx.params.noise_w,
+            cb.scheduler.serving_sectors(rx_w, ctx.active_sectors, strongest))
         links = [full_field_links(model, rx_w, assoc, member)
                  for model, member in zip(models, ctx.members)]
         rates = cb.scheduler.link_rates(models[0], assoc, links, cfg.gamma_ds_db)
@@ -352,7 +376,9 @@ def full_field_patterns(model, rx_w, vq, cluster_bs_idx, patterns, params,
     n_bs = int(model.sector_bs.max()) + 1
     active = np.array([cb.bss.active_bs_mask(n_bs, cluster_bs_idx, p)
                        for p in patterns])[:, model.sector_bs]
-    assoc = cb.scheduler.associate(rx_w, active, model.noise_w, rx_w.argmax(axis=1))
+    assoc = cb.scheduler.associate(
+        rx_w, active, model.noise_w,
+        cb.scheduler.serving_sectors(rx_w, active, rx_w.argmax(axis=1)))
     links = full_field_links(model, rx_w, assoc, cb.scheduler.cluster_members(model, active))
     sol = cb.scheduler.allocate(
         cb.scheduler.link_rates(model, assoc, [links], [params.gamma_d_db]), params.alpha)

@@ -16,7 +16,7 @@ from compbss.bss import (active_bs_mask, all_patterns, exhaustive_oracle, heuris
 from compbss.metrics import STAT_FIELDS, aggregate
 from compbss.scheduler import (Association, ClusterLinks, allocate, associate,
                                center_cluster_users, cluster_links, cluster_members,
-                               link_rates)
+                               link_rates, serving_sectors)
 
 from conftest import make_realization
 from helpers import (point_allocate, point_associate, point_cluster_links,
@@ -52,7 +52,7 @@ def test_batched_associate_equals_point_oracle(layout, params, models):
     n_asleep = 0
     for density, seed, rx, _ in _setups(layout, params, models["C3"]):
         strongest = rx.argmax(axis=1)
-        assoc = associate(rx, act, params.noise_w, strongest)
+        assoc = associate(rx, act, params.noise_w, serving_sectors(rx, act, strongest))
         assert assoc.total_w.shape == assoc.sector.shape == (len(act), rx.shape[0])
         n_asleep += np.count_nonzero(~act[:, strongest])
         for p, a in enumerate(act):
@@ -66,7 +66,8 @@ def test_batched_associate_equals_point_oracle(layout, params, models):
 def test_batched_cluster_links_equal_point_oracle(layout, params, models):
     act = _active_sectors(layout, all_patterns(7))
     for density, seed, rx, _ in _setups(layout, params, models["C3"], seeds=range(2)):
-        assoc = associate(rx, act, params.noise_w, rx.argmax(axis=1))
+        assoc = associate(rx, act, params.noise_w,
+                          serving_sectors(rx, act, rx.argmax(axis=1)))
         for name in CONFIGS:
             model = models[name]
             links = cluster_links(model, rx, assoc, cluster_members(model, act))
@@ -95,7 +96,7 @@ def test_batched_rows_equal_point_oracles(layout, params, models, pattern):
     n_checked = 0
     for density, seed, rx, vq in _setups(layout, params, models["C3"]):
         strongest = rx.argmax(axis=1)
-        assoc = associate(rx, act, params.noise_w, strongest)
+        assoc = associate(rx, act, params.noise_w, serving_sectors(rx, act, strongest))
         links = [cluster_links(m, rx, assoc, cluster_members(m, act)) for m in model_list]
         rates = link_rates(model_list[0], assoc, links, GAMMAS)
         point_assoc = point_associate(rx, act[p], params.noise_w, strongest)

@@ -14,7 +14,7 @@ import pytest
 import compbss as cb
 from compbss.bss import all_patterns, exhaustive_oracle, heuristic_select, patterns_to_file
 from compbss.campaign import CampaignConfig, _drop_records, build_context
-from compbss.scheduler import SystemModel, cluster_members, pool_users
+from compbss.scheduler import SystemModel, cluster_members, pool_users, serving_sectors
 
 from conftest import make_realization
 from helpers import full_field_drop_records, full_field_patterns
@@ -157,8 +157,9 @@ def test_pool_users_are_sorted_and_hold_the_metric_set(layout, params, models):
     shares = []
     for _, _, rx, vq in _draws(layout, params, models["C1"]):
         strongest = rx.argmax(axis=1)
-        users = pool_users(rx, strongest, vq, act, list(models.values()))
+        users, serving = pool_users(rx, strongest, vq, act, list(models.values()))
         assert np.array_equal(users, np.unique(users))
+        assert np.array_equal(serving, serving_sectors(rx, act, strongest)[:, users])
         assert vq[users].sum() == vq.sum()
         shares.append(users.size / rx.shape[0])
     assert 0.0 < min(shares) and max(shares) < 1.0
@@ -173,8 +174,8 @@ def test_single_pool_user_keeps_a_second_row(models, params):
         rx = 10.0 ** rng.normal(-12.0, 1.5, size=(3, model.n_sectors))
         rx[np.arange(3), [0, 60, 90]] = 1e-6    # strongest: centre, then two outer
         vq = np.array([True, False, False])
-        users = pool_users(rx, rx.argmax(axis=1), vq, np.ones((1, model.n_sectors), bool),
-                           [model])
+        users, _ = pool_users(rx, rx.argmax(axis=1), vq,
+                              np.ones((1, model.n_sectors), bool), [model])
         assert users.tolist() == [0, 1]
         sp = cb.SchedulerParams()
         pattern = cb.default_pattern_list()[-1:]
