@@ -1,9 +1,12 @@
 """Downlink cellular simulator for base-station switching with CoMP.
 
-Builds the 49-site wraparound network, computes SINRs and link rates,
-applies the closed-form alpha-fair scheduler to CoMP virtual clusters,
-selects sleep patterns under a rate constraint, and drives Monte-Carlo
-trade-off campaigns.
+Builds the 49-site wraparound network and runs one realization as a chain
+of stages: user drop and link budget, shadowing and received power,
+max-SINR association under every sleep pattern, joint SINR per CoMP
+configuration, CoMP flags and MCS link rates, and the closed-form
+alpha-fair time fractions and CoMP share (``scheduler.allocate``).  On top
+of the stages it selects sleep patterns under a rate constraint and drives
+Monte-Carlo trade-off campaigns (``compbss --config ... --figure ...``).
 """
 
 __version__ = "0.1.0"
@@ -11,32 +14,24 @@ __version__ = "0.1.0"
 from .bss import (BssPattern, HeuristicResult, all_patterns, default_pattern_list,
                   evaluate_pattern, exhaustive_oracle, heuristic_select)
 from .channel import (ChannelParams, GainMatrix, McsTable, build_gain_matrix,
-                      channel_gain, directivity_gain_db, link_rate_bps,
-                      mcs_efficiency, path_loss_db, per_subchannel_power_w,
-                      received_power_w, sinr_comp, sinr_matrix, sinr_single)
+                      directivity_gain_db, path_loss_db, per_subchannel_power_w,
+                      received_power_w)
 from .clusters import CompConfiguration, comp_config_from_file, preset, resolve_comp_config
 from .geometry import (LayoutConfig, NetworkLayout, UserDrop, build_layout, drop_users,
-                       export_positions_csv, layout_from_file, user_sector_geometry)
-from .metrics import (RealizationStats, aggregate, alpha_fair_throughput,
-                      rate_coverage, sinr_coverage, summarize)
+                       export_positions_csv, layout_from_file)
+from .metrics import RealizationStats, aggregate, rate_coverage, sinr_coverage
 from .scheduler import (SchedulerParams, SchedulingSolution, SystemModel,
-                        alpha_fair_utility, associate_max_sinr, build_system_model,
-                        center_cluster_users, classify_comp, optimal_comp_share,
-                        optimal_time_fractions, schedule)
+                        build_system_model, center_cluster_users, schedule)
 
 __all__ = [
     "BssPattern", "ChannelParams", "CompConfiguration", "GainMatrix",
     "HeuristicResult", "LayoutConfig", "McsTable", "NetworkLayout",
     "RealizationStats", "SchedulerParams", "SchedulingSolution", "SystemModel",
-    "UserDrop", "aggregate", "all_patterns", "alpha_fair_throughput",
-    "alpha_fair_utility", "associate_max_sinr", "build_gain_matrix",
-    "build_layout", "build_system_model", "center_cluster_users", "channel_gain",
-    "classify_comp", "comp_config_from_file", "default_pattern_list",
-    "directivity_gain_db", "drop_users", "evaluate_pattern", "exhaustive_oracle",
-    "export_positions_csv", "heuristic_select", "layout_from_file",
-    "link_rate_bps", "mcs_efficiency", "optimal_comp_share",
-    "optimal_time_fractions", "path_loss_db", "per_subchannel_power_w", "preset",
+    "UserDrop", "aggregate", "all_patterns", "build_gain_matrix", "build_layout",
+    "build_system_model", "center_cluster_users", "comp_config_from_file",
+    "default_pattern_list", "directivity_gain_db", "drop_users", "evaluate_pattern",
+    "exhaustive_oracle", "export_positions_csv", "heuristic_select",
+    "layout_from_file", "path_loss_db", "per_subchannel_power_w", "preset",
     "rate_coverage", "received_power_w", "resolve_comp_config", "schedule",
-    "sinr_comp", "sinr_coverage", "sinr_matrix", "sinr_single", "summarize",
-    "user_sector_geometry",
+    "sinr_coverage",
 ]

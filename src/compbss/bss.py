@@ -10,7 +10,6 @@ operator rate threshold.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -70,10 +69,6 @@ class BssPattern:
         for b in off_ids:
             flags[b - 1] = 1
         return cls(off_flags=tuple(flags), label=label)
-
-
-def energy_saving_pct(pattern: BssPattern) -> float:
-    return pattern.energy_saving_pct
 
 
 def sort_patterns(patterns) -> list[BssPattern]:
@@ -327,14 +322,3 @@ def realization_stats(ev: HeuristicResult, vq_mask: np.ndarray,
         out[..., i] = values[name]
     return RealizationStats(**{name: out[..., i] for i, name in enumerate(STAT_FIELDS)})
 
-
-def result_to_json(result: HeuristicResult) -> str:
-    """Export a selection outcome as the documented JSON record."""
-    return json.dumps({
-        "pattern": list(result.pattern.off_flags),
-        "label": result.pattern.label,
-        "energy_saving_pct": result.pattern.energy_saving_pct,
-        "min_rate_bps": result.min_rate_bps,
-        "feasible": result.feasible,
-        "per_user_rates": [float(r) for r in result.rates_bps],
-    }, indent=2)

@@ -1,8 +1,8 @@
-"""Path loss, antenna pattern, shadowing, SINR, MCS lookup, and link rates.
+"""Path loss, antenna pattern, shadowing, received power and the MCS lookup.
 
-All SINR math is done in linear units; dB appears only at the interfaces.
-Channels are frequency flat: one gain per (user, sector) link serves every
-subchannel.
+SINRs and link rates are computed by the scheduler stages, in linear units;
+dB appears only at the interfaces.  Channels are frequency flat: one gain
+per (user, sector) link serves every subchannel.
 
 The drop stage (:func:`drop_link_budget`) and the fading stage
 (:func:`draw_gain_matrix`) write each of their (U, S) arrays once and run
@@ -123,21 +123,10 @@ def shadowed_gain(budget_db, shadow_db):
     return _shadowed_gain_in_place(budget_db, _float_copy(shadow_db, budget_db))[()]
 
 
-def channel_gain(pl_db, sector_gain_db, user_gain_dbi, penetration_db, shadow_db):
-    """Linear channel gain 10^((-PL + G_s + G_u - penetration - shadow)/10)."""
-    return shadowed_gain(link_budget_db(pl_db, sector_gain_db, user_gain_dbi,
-                                        penetration_db), shadow_db)
-
-
 def per_subchannel_power_w(params: ChannelParams) -> float:
     """Transmit power per sector per subchannel: P_BS / (3 M), in watts."""
     p_bs_w = 10.0 ** ((params.p_bs_dbm - 30.0) / 10.0)
     return p_bs_w / (3.0 * params.num_subchannels)
-
-
-def link_rate_bps(bits_per_symbol, params: ChannelParams):
-    """Rate over all M subchannels from the MCS efficiency."""
-    return np.asarray(bits_per_symbol, dtype=float) * params.rate_per_bits_symbol
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,15 +178,6 @@ class McsTable:
         out = np.where(idx >= 0, self.bits_per_symbol[np.maximum(idx, 0)], 0.0)
         return out if snr.ndim else float(out)
 
-    @property
-    def outage_threshold_db(self) -> float:
-        return float(self.thresholds_db[0])
-
-
-def mcs_efficiency(snr_db, table: McsTable | None = None):
-    table = table or McsTable.default()
-    return table.efficiency(snr_db)
-
 
 @dataclass(frozen=True, eq=False)
 class GainMatrix:
@@ -205,14 +185,6 @@ class GainMatrix:
 
     h: np.ndarray           # (U, S) linear
     seed: object
-
-    @property
-    def n_users(self) -> int:
-        return self.h.shape[0]
-
-    @property
-    def n_sectors(self) -> int:
-        return self.h.shape[1]
 
 
 def drop_link_budget(layout: NetworkLayout, drop: UserDrop,
@@ -263,48 +235,6 @@ def received_power_w(gains: GainMatrix, params: ChannelParams, out=None) -> np.n
     gain matrix no further.
     """
     return np.multiply(per_subchannel_power_w(params), gains.h, out=out)
-
-
-def sinr_matrix(rx_w: np.ndarray, active_sector: np.ndarray, noise_w: float) -> np.ndarray:
-    """Linear SINR of every (user, sector) link under an on/off sector mask.
-
-    Interference sums over all other active sectors in the field.  Columns of
-    inactive sectors are set to -inf so that they never win an argmax.
-    """
-    act = np.asarray(active_sector, dtype=bool)
-    total = rx_w[:, act].sum(axis=1)
-    denom = total[:, None] - rx_w + noise_w
-    gamma = rx_w / denom
-    gamma = np.where(act[None, :], gamma, -np.inf)
-    return gamma
-
-
-def sinr_single(rx_w: np.ndarray, active_sector: np.ndarray, noise_w: float,
-                user: int, sector_idx: int) -> float:
-    """Single-sector linear SINR; raises if the sector is switched off."""
-    act = np.asarray(active_sector, dtype=bool)
-    if not act[sector_idx]:
-        raise ValueError(f"sector index {sector_idx} is switched off")
-    total = float(rx_w[user, act].sum())
-    w = float(rx_w[user, sector_idx])
-    return w / (total - w + noise_w)
-
-
-def sinr_comp(rx_w: np.ndarray, active_sector: np.ndarray, noise_w: float,
-              user: int, member_idx) -> float:
-    """Joint-transmission linear SINR from a virtual cluster's active members.
-
-    Received powers of the active member sectors add; interference comes from
-    every active sector outside the virtual cluster.
-    """
-    act = np.asarray(active_sector, dtype=bool)
-    members = np.asarray(member_idx, dtype=int)
-    live = members[act[members]]
-    if live.size == 0:
-        raise ValueError("all sectors of the virtual cluster are switched off")
-    total = float(rx_w[user, act].sum())
-    num = float(rx_w[user, live].sum())
-    return num / (total - num + noise_w)
 
 
 def to_db(linear):

@@ -85,6 +85,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
+        traffic_mode = bool(cfg.traffic_profile)
+        if args.figure and (args.figure == "fig11") != traffic_mode:
+            raise ConfigError(
+                f"figure {args.figure} needs a config "
+                f"{'with' if args.figure == 'fig11' else 'without'} traffic_profile")
         out = Path(cfg.output)
         _check_writable(out)
     except ConfigError as exc:
@@ -92,7 +97,6 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        traffic_mode = args.figure == "fig11" or (cfg.traffic_profile and not args.figure)
         if traffic_mode:
             result = run_traffic_profile(cfg)
             columns = TRAFFIC_COLUMNS

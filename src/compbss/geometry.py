@@ -42,7 +42,6 @@ import yaml
 # are chosen so that the shipped CoMP sector groups are mutually facing
 # sectors; the cluster centre is local id 4.
 _RING_LOCAL_IDS = (3, 6, 7, 5, 2, 1)
-_CENTER_LOCAL_ID = 4
 
 
 class LayoutError(ValueError):
@@ -360,30 +359,6 @@ def wrap_angle_deg(angle):
     """Wrap angles to [-180, 180) (antipodal bearings map to -180)."""
     y = np.array(angle, dtype=float)
     return _wrap_angle_in_place(y, np.empty_like(y))[()]
-
-
-def bs_distance(layout: NetworkLayout, a_id: int, b_id: int) -> float:
-    """Wraparound (minimum-image) distance between two BSs, 1-based ids."""
-    for bs_id in (a_id, b_id):
-        if not 1 <= bs_id <= layout.n_bs:
-            raise LayoutError(f"invalid BS id {bs_id}")
-    dist, _, _ = _image_geometry(layout, layout.bs_xy[a_id - 1])
-    return float(dist[0, b_id - 1])
-
-
-def user_sector_geometry(layout: NetworkLayout, point, sector_id: int):
-    """Distance (clamped to >= 1 m) and boresight offset angle for one link.
-
-    The offset is the angle in [-180, 180) between the user bearing, taken
-    from the minimum-distance image of the sector's BS, and the sector
-    boresight.
-    """
-    if not 1 <= sector_id <= layout.n_sectors:
-        raise LayoutError(f"invalid sector id {sector_id}")
-    b = layout.bs_of_sector(sector_id) - 1
-    dist, az, _ = _image_geometry(layout, point)
-    bore = layout.sector_boresight_deg[sector_id - 1]
-    return max(float(dist[0, b]), 1.0), float(wrap_angle_deg(az[0, b] - bore))
 
 
 def link_geometry(layout: NetworkLayout, points: np.ndarray):

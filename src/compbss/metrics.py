@@ -45,11 +45,6 @@ class MetricSummary:
     ci95: float | np.ndarray
     n: int
 
-    @property
-    def degenerate(self) -> bool:
-        """Single-realization summaries carry a zero-width interval."""
-        return self.n < 2
-
 
 def alpha_fair_throughputs(rates: np.ndarray, counts, alpha: float) -> np.ndarray:
     """Alpha-fair throughput of consecutive positive rate sets.
@@ -69,19 +64,6 @@ def alpha_fair_throughputs(rates: np.ndarray, counts, alpha: float) -> np.ndarra
     # whose last bit differs.
     e = 1.0 / (1.0 - alpha)
     return np.array([m ** e for m in means])
-
-
-def alpha_fair_throughput(lams, alpha: float) -> float:
-    """Alpha-fair throughput of a positive rate set (geometric mean at 1).
-
-    Callers exclude zero-rate users first and report them as outage.
-    """
-    lam = np.asarray(lams, dtype=float).ravel()
-    if lam.size == 0:
-        raise ValueError("throughput of an empty rate set is undefined")
-    if np.any(lam <= 0):
-        raise ValueError("throughput requires strictly positive rates")
-    return float(alpha_fair_throughputs(lam, [lam.size], alpha)[0])
 
 
 def _fraction(hits: np.ndarray):
@@ -120,15 +102,6 @@ def _summary_rows(values: np.ndarray):
         return mean, zero, zero
     std = values.std(axis=1, ddof=1)
     return mean, std, 1.96 * std / math.sqrt(n)
-
-
-def summarize(values) -> MetricSummary:
-    """Mean, sample stddev, and 95% CI half-width of one metric."""
-    v = np.asarray(list(values), dtype=float)
-    if v.size == 0:
-        raise ValueError("at least one realization required")
-    mean, std, ci95 = (float(x[0]) for x in _summary_rows(v[None, :]))
-    return MetricSummary(mean=mean, std=std, ci95=ci95, n=v.size)
 
 
 def aggregate(values: np.ndarray) -> dict[str, MetricSummary]:

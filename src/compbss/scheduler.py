@@ -115,26 +115,6 @@ class SchedulingSolution:
     coverage_sinr: np.ndarray  # (U,) linear; joint SINR for CoMP users
     vc: np.ndarray             # (U,) 0-based serving virtual cluster
 
-    @property
-    def n_users(self) -> int:
-        return self.lam.shape[-1]
-
-    @property
-    def n_comp(self) -> np.ndarray:
-        """(K,) CoMP head-count per cluster."""
-        return self._per_cluster(self.comp)
-
-    @property
-    def n_noncomp(self) -> np.ndarray:
-        """(K,) non-CoMP head-count per cluster."""
-        return self._per_cluster(~self.comp)
-
-    def _per_cluster(self, users: np.ndarray) -> np.ndarray:
-        n_rows = self.theta.size // self.theta.shape[-1]
-        ids = _row_ids(self.vc.reshape(n_rows, -1), self.theta.shape[-1])
-        return np.bincount(ids[users.reshape(n_rows, -1)],
-                           minlength=self.theta.size).reshape(self.theta.shape)
-
     def row(self, i: int) -> "SchedulingSolution":
         """Scheduling point ``i`` of a batch."""
         return SchedulingSolution(
@@ -142,84 +122,11 @@ class SchedulingSolution:
             theta=self.theta[i], lam=self.lam[i], outage=self.outage[i],
             coverage_sinr=self.coverage_sinr[i], vc=self.vc[i])
 
-    def theta_mean(self, multi_vc_ids) -> float:
-        """Average joint-transmission share over the CoMP-capable clusters."""
-        ids = np.asarray(multi_vc_ids, dtype=int)
-        if ids.size == 0:
-            return 0.0
-        return float(self.theta[ids].mean())
-
-
-def associate_max_sinr(sinr: np.ndarray) -> np.ndarray:
-    """Serving sector per user: argmax SINR over active sectors.
-
-    Inactive sectors must be -inf columns.  Ties resolve to the lowest
-    sector index.
-    """
-    if sinr.shape[1] == 0 or not np.isfinite(sinr.max(axis=1)).all():
-        raise ValueError("no active sector available for association")
-    return sinr.argmax(axis=1)
-
-
-def classify_comp(sinr: np.ndarray, assoc: np.ndarray, vc_of_sector: np.ndarray,
-                  vc_sizes: np.ndarray, gamma_d_db: float) -> np.ndarray:
-    """CoMP flags: serving SINR at or below the threshold, in a CoMP group."""
-    g_serv = sinr[np.arange(sinr.shape[0]), assoc]
-    in_comp_group = vc_sizes[vc_of_sector[assoc]] > 1
-    return in_comp_group & (g_serv <= from_db(gamma_d_db))
-
-
-def optimal_time_fractions(rates, alpha: float) -> np.ndarray:
-    """Closed-form alpha-fair split of one pool's unit time budget.
-
-    Works for both pools of the scheduler: the non-CoMP users of one sector
-    and the CoMP users of one virtual cluster.
-    """
-    r = np.asarray(rates, dtype=float)
-    if r.size == 0:
-        return r.copy()
-    if np.any(r <= 0):
-        raise ValueError("time fractions require strictly positive rates")
-    if alpha == 1.0:
-        return np.full(r.shape, 1.0 / r.size)
-    t = r ** ((1.0 - alpha) / alpha)
-    return t / t.sum()
-
-
-def optimal_comp_share(noncomp_scheduled, comp_scheduled, alpha: float) -> float:
-    """Optimal joint-transmission time share theta for one virtual cluster.
-
-    Arguments are the r*beta products of the cluster's scheduled non-CoMP
-    and CoMP users.  Empty CoMP pool gives 0; empty non-CoMP pool gives 1.
-    """
-    nc = np.asarray(noncomp_scheduled, dtype=float)
-    c = np.asarray(comp_scheduled, dtype=float)
-    if c.size == 0 and nc.size == 0:
-        return 0.0
-    if c.size == 0:
-        return 0.0
-    if nc.size == 0:
-        return 1.0
-    if alpha == 1.0:
-        return c.size / (c.size + nc.size)
-    delta = float((np.sum(c ** (1.0 - alpha)) / np.sum(nc ** (1.0 - alpha)))
-                  ** (1.0 / alpha))
-    return delta / (1.0 + delta)
-
-
-def alpha_fair_utility(lams, alpha: float) -> float:
-    """Sum of per-user alpha-fair utilities; rates must be positive."""
-    lam = np.asarray(lams, dtype=float)
-    if np.any(lam <= 0):
-        raise ValueError("utility requires strictly positive rates")
-    if alpha == 1.0:
-        return float(np.sum(np.log(lam)))
-    return float(np.sum(lam ** (1.0 - alpha)) / (1.0 - alpha))
-
 
 def _pool_fractions(rates: np.ndarray, pool_ids: np.ndarray, n_pools: int,
                     alpha: float) -> np.ndarray:
-    """Vectorised optimal_time_fractions across many pools at once."""
+    """Closed-form alpha-fair split of each pool's unit time budget:
+    t_u / sum(t_v) with t = r^((1-alpha)/alpha), an equal split at 1."""
     if alpha == 1.0:
         share = np.bincount(pool_ids, minlength=n_pools).astype(float)[pool_ids]
         return np.divide(1.0, share, out=share)
@@ -478,9 +385,10 @@ def schedule(model: SystemModel, rx_w: np.ndarray, active_bs: np.ndarray,
              params: SchedulerParams) -> SchedulingSolution:
     """Associate, classify, and allocate optimal time fractions for all users.
 
-    One scheduling point over every user of the draw; a sweep that holds the
-    earlier stages' inputs fixed calls the stages once and batches the later
-    ones.
+    One scheduling point over every user of the draw.  The campaign and the
+    pattern selection call the stages directly, once per level; this
+    composition serves single-point callers, and the traced benchmark
+    (``bench/spans.py``) wraps it by name.
     """
     act = np.asarray(active_bs, dtype=bool)[model.sector_bs][None]
     serving = serving_sectors(rx_w, act, rx_w.argmax(axis=1))

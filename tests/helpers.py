@@ -1,4 +1,6 @@
-"""Shared test oracles, independent of the library code paths they check."""
+"""Shared test oracles, independent of the library code paths they check, and
+the random closed-form instances that the optimality checks run through
+``scheduler.allocate``."""
 
 import itertools
 import math
@@ -27,17 +29,31 @@ def make_instance(rng, max_sectors=3, max_users=6, require_both=False):
         return nc_rates, c_rates
 
 
+def instance_rates(nc_rates, c_rates):
+    """One-row ``LinkRates`` of an instance: a pool per sector for its non-CoMP
+    users and one CoMP cluster (id 0) over all of them.  Users run sector by
+    sector, CoMP users last; a zero rate is an outage, as ``link_rates``
+    marks it."""
+    sector = np.concatenate([np.full(r.size, s) for s, r in enumerate(nc_rates)]
+                            + [np.zeros(c_rates.size)]).astype(int)
+    comp = np.arange(sector.size) >= sector.size - c_rates.size
+    rate = np.concatenate(list(nc_rates) + [c_rates]).astype(float)
+    n = rate.size
+    return cb.scheduler.LinkRates(
+        comp=comp[None], sinr=np.zeros((1, n)), rate=rate[None],
+        outage=(rate <= 0.0)[None], sector=sector[None], vc=np.zeros((1, n), int),
+        pool=np.where(comp, len(nc_rates), sector)[None], n_vclusters=1,
+        n_pools=len(nc_rates) + 1)
+
+
 def closed_form_lambdas(nc_rates, c_rates, alpha):
-    """Scheduled rates from the library's closed forms."""
-    betas_nc = [cb.optimal_time_fractions(r, alpha) for r in nc_rates if r.size]
-    nc_prod = np.concatenate([r * b for r, b in zip(
-        [r for r in nc_rates if r.size], betas_nc)]) if any(r.size for r in nc_rates) \
-        else np.empty(0)
-    beta_c = cb.optimal_time_fractions(c_rates, alpha) if c_rates.size else np.empty(0)
-    c_prod = c_rates * beta_c
-    theta = cb.optimal_comp_share(nc_prod, c_prod, alpha)
-    lams = np.concatenate([(1.0 - theta) * nc_prod, theta * c_prod])
-    return lams, theta, nc_prod, c_prod
+    """Scheduled rates, theta and the r*beta products of the non-CoMP and
+    CoMP users, from ``scheduler.allocate`` on the instance's one row."""
+    rates = instance_rates(nc_rates, c_rates)
+    sol = cb.scheduler.allocate(rates, alpha)
+    prod = rates.rate[0] * sol.beta[0]
+    comp = rates.comp[0]
+    return sol.lam[0], float(sol.theta[0, 0]), prod[~comp], prod[comp]
 
 
 def utility_oracle(lams, alpha):
@@ -230,9 +246,7 @@ def point_allocate(model, links, rates, alpha):
     lam = np.where(comp, th_user, 1.0 - th_user) * beta * r_user
     lam[outage] = 0.0
     return SimpleNamespace(comp=comp, beta=beta, theta=theta, lam=lam, outage=outage,
-                           coverage_sinr=rates.sinr,
-                           n_comp=np.bincount(vc_user[comp], minlength=n_vc),
-                           n_noncomp=np.bincount(vc_user[~comp], minlength=n_vc))
+                           coverage_sinr=rates.sinr)
 
 
 def point_realization_stats(sol, vq, multi_vc_ids, rate_threshold_bps, alpha,

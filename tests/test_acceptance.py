@@ -16,11 +16,11 @@ from compbss.bss import all_patterns, default_pattern_list, evaluate_pattern, \
 from compbss.campaign import CampaignConfig, RESULT_COLUMNS, run_campaign, \
     write_rows_csv
 from compbss.channel import McsTable, path_loss_db, directivity_gain_db, \
-    link_rate_bps, per_subchannel_power_w
-from compbss.scheduler import SchedulerParams, optimal_comp_share, \
-    optimal_time_fractions, schedule
+    per_subchannel_power_w
+from compbss.metrics import alpha_fair_throughputs
+from compbss.scheduler import SchedulerParams, allocate, schedule
 
-from helpers import (closed_form_lambdas, make_instance, numeric_theta,
+from helpers import (closed_form_lambdas, instance_rates, make_instance, numeric_theta,
                      random_feasible_utilities, utility_oracle)
 
 
@@ -73,7 +73,8 @@ def ordering_matrix(layout, params, models):
                 lam = ev.solution.lam[vq_ev]
                 covered = lam > 0
                 acc[(cname, p.label)]["t"].append(
-                    cb.alpha_fair_throughput(lam[covered], 1.0) if covered.any() else 0.0)
+                    alpha_fair_throughputs(lam[covered], [covered.sum()], 1.0)[0]
+                    if covered.any() else 0.0)
                 acc[(cname, p.label)]["cov"].append(
                     cb.sinr_coverage(ev.solution.coverage_sinr[vq_ev]))
                 acc[(cname, p.label)]["rcov"].append(
@@ -85,8 +86,9 @@ def ordering_matrix(layout, params, models):
 
 
 def test_c01_closed_form_optimality():
-    """Prop 1-2 closed forms dominate random feasible allocations and match a
-    numeric 1-D maximisation of the share objective."""
+    """Prop 1-2 closed forms, as ``allocate`` schedules them, dominate random
+    feasible allocations and match a numeric 1-D maximisation of the share
+    objective."""
     rng = np.random.default_rng(42)
     alphas = (0.5, 1.0, 2.0, 3.0)
     t0 = time.time()
@@ -112,20 +114,19 @@ def test_c01_closed_form_optimality():
 
 
 def test_c02_alpha1_exactness():
-    """Proportional-fair limits are exact for every (N_c, N_nc) in [0,20]^2."""
+    """Proportional-fair limits of ``allocate`` are exact for every
+    (N_c, N_nc) in [0,20]^2: one sector pool, one CoMP pool."""
     rng = np.random.default_rng(1)
     ok = True
     for n_c in range(21):
         for n_nc in range(21):
-            if n_nc:
-                beta = optimal_time_fractions(10 ** rng.uniform(5, 8, n_nc), 1.0)
-                ok &= np.all(beta == 1.0 / n_nc)
-            if n_c:
-                beta = optimal_time_fractions(10 ** rng.uniform(5, 8, n_c), 1.0)
-                ok &= np.all(beta == 1.0 / n_c)
-            nc_prod = 10 ** rng.uniform(5, 8, n_nc)
-            c_prod = 10 ** rng.uniform(5, 8, n_c)
-            theta = optimal_comp_share(nc_prod, c_prod, 1.0)
+            rates = instance_rates([10 ** rng.uniform(5, 8, n_nc)],
+                                   10 ** rng.uniform(5, 8, n_c))
+            sol = allocate(rates, 1.0)
+            beta = sol.beta[0]
+            ok &= np.all(beta[:n_nc] == 1.0 / max(n_nc, 1))
+            ok &= np.all(beta[n_nc:] == 1.0 / max(n_c, 1))
+            theta = sol.theta[0, 0]
             if n_c == 0:
                 ok &= theta == 0.0
             elif n_nc == 0:
@@ -152,7 +153,7 @@ def test_c04_deterministic_spot_checks(params):
         ("directivity(0)", directivity_gain_db(0.0), 25.0),
         ("directivity(180)", directivity_gain_db(180.0), 5.0),
         ("per-subchannel power", per_subchannel_power_w(params), 10 ** 1.6 / 297.0),
-        ("link_rate(eta=1)", link_rate_bps(1.0, params), 16.632e6),
+        ("link_rate(eta=1)", 1.0 * params.rate_per_bits_symbol, 16.632e6),
         ("energy saving Z3/7", cb.BssPattern.from_off_ids((1, 2, 4)).energy_saving_pct,
          300.0 / 7.0),
     ]
@@ -217,7 +218,7 @@ def test_c06_theta_trend(layout, params, models):
             for a in alphas:
                 sol = schedule(model, rx, np.ones(layout.n_bs, bool),
                                SchedulerParams(alpha=a, gamma_d_db=g))
-                sums[(g, a)].append(sol.theta_mean(model.multi_vc_ids))
+                sums[(g, a)].append(sol.theta[model.multi_vc_ids].mean())
     mean = {k: float(np.mean(v)) for k, v in sums.items()}
     ok = True
     detail = []

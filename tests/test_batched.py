@@ -116,13 +116,12 @@ def test_batched_rows_equal_point_oracles(layout, params, models, pattern):
                 row = sol.row(r)
                 where = f"mu={density} seed={seed} {CONFIGS[c]} gamma_d={gamma_d} alpha={alpha}"
                 assert np.array_equal(row.assoc_sector, point_assoc.sector), where
+                assert np.array_equal(row.vc, p_links.vc), where
                 for name in ("comp", "outage", "beta", "lam", "coverage_sinr"):
                     assert np.array_equal(getattr(row, name), getattr(ref, name)), (name, where)
                 k = model.n_vclusters
                 assert np.array_equal(row.theta[:k], ref.theta), where
                 assert not row.theta[k:].any(), where
-                assert np.array_equal(row.n_comp[:k], ref.n_comp), where
-                assert np.array_equal(row.n_noncomp[:k], ref.n_noncomp), where
                 for t, r_thr in enumerate(THRESHOLDS):
                     want = point_realization_stats(ref, vq, model.multi_vc_ids, r_thr, alpha,
                                                    pattern.energy_saving_pct)
@@ -149,8 +148,8 @@ def test_single_point_schedule_equals_oracle(layout, params, models):
                 ref = point_allocate(model, links,
                                      point_link_rates(model, assoc, links, gamma_d), alpha)
                 assert np.array_equal(sol.assoc_sector, assoc.sector)
-                for field in ("comp", "outage", "beta", "theta", "lam", "coverage_sinr",
-                              "n_comp", "n_noncomp"):
+                assert np.array_equal(sol.vc, links.vc)
+                for field in ("comp", "outage", "beta", "theta", "lam", "coverage_sinr"):
                     assert np.array_equal(getattr(sol, field), getattr(ref, field)), field
                 ev = cb.evaluate_pattern(model, rx, vq, layout.center_cluster_bs_ids - 1,
                                          pattern, sp, 0.0)

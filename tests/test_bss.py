@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ import compbss as cb
 from compbss.bss import (BssPattern, all_patterns, default_pattern_list,
                          evaluate_pattern, exhaustive_oracle, heuristic_select,
                          patterns_from_file, patterns_to_file, realization_stats,
-                         result_to_json, sort_patterns, validate_pattern_list)
+                         sort_patterns, validate_pattern_list)
 from compbss.scheduler import SchedulerParams
 
 
@@ -208,15 +206,6 @@ class TestOracle:
 
 
 class TestResultExport:
-    def test_json_record_fields(self, c3_setup):
-        model, rx, vq, cb_idx = c3_setup
-        res = heuristic_select(model, rx, vq, cb_idx, default_pattern_list(), SP, 0.0)
-        rec = json.loads(result_to_json(res))
-        assert set(rec) == {"pattern", "label", "energy_saving_pct", "min_rate_bps",
-                            "feasible", "per_user_rates"}
-        assert len(rec["pattern"]) == 7
-        assert len(rec["per_user_rates"]) == int(vq.sum())
-
     def test_realization_stats_fields(self, c3_setup):
         model, rx, vq, cb_idx = c3_setup
         ev = evaluate_pattern(model, rx, vq, cb_idx, default_pattern_list()[-1], SP, 0.0)

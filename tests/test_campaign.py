@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,11 @@ from compbss.campaign import (CampaignConfig, ConfigError, MissingAxisError,
                               run_campaign, run_traffic_profile, write_rows_csv)
 from compbss.cli import main as cli_main
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# The figure each shipped campaign config feeds; every other configs/*.yaml
+# is a CoMP membership file.
+CONFIG_FIGURES = {"campaign_desk": "fig8", "fig4_theta_sweep": "fig4",
+                  "fig8_tradeoffs": "fig8", "traffic_day": "fig11"}
 
 def tiny_config(**kw):
     base = dict(
@@ -331,3 +337,37 @@ class TestCli:
         assert rc == 0
         body = out.read_text()
         assert "Zcustom" in body and "Zall" in body
+
+    @pytest.mark.parametrize("figure", ["fig4", "fig8"])
+    def test_traffic_config_refuses_sweep_figure(self, tmp_path, capsys, figure):
+        out = tmp_path / "t.csv"
+        rc = cli_main(["--config", str(CONFIGS / "traffic_day.yaml"), "--figure", figure,
+                       "--drops", "1", "--fading", "1", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "traffic_profile" in err and figure in err
+        assert not out.exists()
+
+    def test_sweep_config_refuses_fig11(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        rc = cli_main(["--config", str(CONFIGS / "fig4_theta_sweep.yaml"),
+                       "--figure", "fig11", "--drops", "1", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "traffic_profile" in err and "fig11" in err
+        assert not out.exists()
+
+    def test_every_campaign_config_is_listed(self):
+        for path in CONFIGS.glob("*.yaml"):
+            if path.stem not in CONFIG_FIGURES:
+                assert "groups:" in path.read_text(), path.name
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_FIGURES))
+    def test_shipped_config_runs(self, tmp_path, name):
+        figure = CONFIG_FIGURES[name]
+        out = tmp_path / f"{name}.csv"
+        rc = cli_main(["--config", str(CONFIGS / f"{name}.yaml"), "--figure", figure,
+                       "--drops", "1", "--fading", "1", "--out", str(out)])
+        assert rc == 0
+        fig = (tmp_path / f"{name}_{figure}.csv").read_text().splitlines()
+        assert len(fig) > 1

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 import compbss as cb
 from compbss.channel import (ChannelParams, McsTable, build_gain_matrix,
-                             channel_gain, directivity_gain_db, link_rate_bps,
-                             path_loss_db, per_subchannel_power_w,
-                             sinr_comp, sinr_matrix, sinr_single)
+                             directivity_gain_db, link_budget_db, path_loss_db,
+                             per_subchannel_power_w, shadowed_gain)
+from compbss.scheduler import (SystemModel, associate, cluster_links, cluster_members,
+                               link_rates, serving_sectors)
 
 MCS_THRESHOLDS = [-6.5, -4.0, -2.6, -1.0, 1.0, 3.0, 6.6, 10.0,
                   11.4, 11.8, 13.0, 13.8, 15.6, 16.8, 17.6]
@@ -43,10 +44,10 @@ class TestDirectivity:
 
 class TestChannelGain:
     def test_identity(self):
-        assert channel_gain(0.0, 0.0, 0.0, 0.0, 0.0) == pytest.approx(1.0)
+        assert shadowed_gain(link_budget_db(0.0, 0.0, 0.0, 0.0), 0.0) == pytest.approx(1.0)
 
     def test_hand_value(self):
-        g = channel_gain(100.0, 25.0, 0.0, 20.0, 0.0)
+        g = shadowed_gain(link_budget_db(100.0, 25.0, 0.0, 20.0), 0.0)
         assert g == pytest.approx(10 ** (-9.5), rel=1e-12)
 
     def test_shadow_determinism(self, layout, params):
@@ -85,69 +86,89 @@ class TestPower:
         assert total == pytest.approx(10 ** ((params.p_bs_dbm - 30) / 10), rel=1e-9)
 
 
-class TestSinr:
-    def test_unit_snr(self):
-        rx = np.array([[2.5e-15]])
-        g = sinr_single(rx, np.array([True]), 2.5e-15, 0, 0)
-        assert g == pytest.approx(1.0)
+def _associate(rx, active, noise_w):
+    """``associate`` of every user under each row of the (P, S) masks."""
+    act = np.atleast_2d(active)
+    return associate(rx, act, noise_w, serving_sectors(rx, act, rx.argmax(axis=1)))
 
-    def test_off_sector_raises(self):
-        rx = np.ones((1, 2))
-        with pytest.raises(ValueError):
-            sinr_single(rx, np.array([True, False]), 1e-15, 0, 1)
+
+def _model(vc_of_sector, noise_w, rate_per_bits_symbol=1.0):
+    """A field of one sector per BS, grouped into virtual clusters by
+    ``vc_of_sector``."""
+    sizes = np.bincount(vc_of_sector)
+    return SystemModel(sector_bs=np.arange(vc_of_sector.size), vc_of_sector=vc_of_sector,
+                       vc_sizes=sizes, multi_vc_ids=np.flatnonzero(sizes > 1),
+                       noise_w=noise_w, mcs=McsTable.default(),
+                       rate_per_bits_symbol=rate_per_bits_symbol)
+
+
+def _stages(rx, active, model):
+    """``associate`` and ``cluster_links`` of every user under the masks."""
+    assoc = _associate(rx, active, model.noise_w)
+    return assoc, cluster_links(model, rx, assoc,
+                                cluster_members(model, assoc.active_sector))
+
+
+class TestSinr:
+    """Serving SINR of ``associate`` and joint SINR of ``cluster_links``."""
+
+    def test_unit_snr(self):
+        rx = np.array([[2.5e-15], [2.5e-15]])
+        assert _associate(rx, [True], 2.5e-15).sinr[0] == pytest.approx(1.0)
 
     def test_switching_interferer_off_increases_sinr(self):
-        rx = np.array([[1.0, 0.5, 0.2]])
-        g_all = sinr_single(rx, np.array([True, True, True]), 1e-3, 0, 0)
-        g_two = sinr_single(rx, np.array([True, False, True]), 1e-3, 0, 0)
-        assert g_two > g_all
+        rx = np.array([[1.0, 0.5, 0.2], [0.1, 0.2, 0.4]])
+        g = _associate(rx, [[True, True, True], [True, False, True]], 1e-3).sinr
+        assert g[1, 0] > g[0, 0]
 
     def test_matrix_matches_bruteforce_resummation(self, realization, params, layout):
-        """Oracle: direct interference sum with plain loops."""
+        """Oracle: direct interference sum with plain loops, all sectors on and
+        with the centre cluster's sectors 10-12 asleep."""
         _, _, rx = realization
         sub = rx[:5]
-        gam = sinr_matrix(sub, np.ones(layout.n_sectors, bool), params.noise_w)
-        for u in range(5):
-            for s in [0, 10, 73, 146]:
-                interf = sum(sub[u, t] for t in range(layout.n_sectors) if t != s)
+        act = np.ones((2, layout.n_sectors), bool)
+        act[1, 9:12] = False
+        assoc = _associate(sub, act, params.noise_w)
+        for p in range(2):
+            for u in range(5):
+                s = assoc.sector[p, u]
+                assert act[p, s]
+                interf = sum(sub[u, t] for t in range(layout.n_sectors)
+                             if t != s and act[p, t])
                 expect = sub[u, s] / (interf + params.noise_w)
-                assert gam[u, s] == pytest.approx(expect, rel=1e-9)
+                assert assoc.sinr[p, u] == pytest.approx(expect, rel=1e-9)
 
     def test_matrix_masks_inactive(self):
-        rx = np.array([[1.0, 2.0, 3.0]])
-        gam = sinr_matrix(rx, np.array([True, False, True]), 1e-3)
-        assert gam[0, 1] == -np.inf
-        assert np.isfinite(gam[0, 0])
+        rx = np.array([[1.0, 3.0, 2.0], [1.0, 1.0, 2.0]])
+        assoc = _associate(rx, [True, False, True], 1e-3)
+        assert assoc.sector[0, 0] == 2
+        assert assoc.sinr[0, 0] == pytest.approx(2.0 / (1.0 + 1e-3))
 
     def test_comp_power_superposition(self):
         # two equal links at 0 dB SNR, no interference: joint SINR 3.01 dB
         noise = 1e-15
-        rx = np.array([[noise, noise]])
-        g = sinr_comp(rx, np.array([True, True]), noise, 0, [0, 1])
-        assert 10 * np.log10(g) == pytest.approx(3.0103, abs=1e-3)
+        rx = np.full((2, 2), noise)
+        _, links = _stages(rx, [True, True], _model(np.array([0, 0]), noise))
+        assert 10 * np.log10(links.joint_sinr[0, 0]) == pytest.approx(3.0103, abs=1e-3)
 
-    def test_comp_singleton_equals_single(self, realization, params, layout):
+    def test_comp_singleton_equals_single(self, realization, params):
+        """A cluster with its serving sector as the only active member gives
+        the serving SINR."""
         _, _, rx = realization
-        act = np.ones(layout.n_sectors, bool)
-        for u, s in [(0, 3), (1, 50), (2, 140)]:
-            assert sinr_comp(rx, act, params.noise_w, u, [s]) == pytest.approx(
-                sinr_single(rx, act, params.noise_w, u, s), rel=1e-12)
-
-    def test_comp_all_members_off_raises(self):
-        rx = np.ones((1, 3))
-        with pytest.raises(ValueError):
-            sinr_comp(rx, np.array([False, False, True]), 1e-3, 0, [0, 1])
+        sub = rx[:, :6]
+        model = _model(np.array([0, 0, 1, 2, 3, 4]), params.noise_w)
+        assoc, links = _stages(sub, [True, False, True, True, True, True], model)
+        served = assoc.sector[0] == 0
+        assert served.any()
+        assert np.array_equal(links.joint_sinr[0, served], assoc.sinr[0, served])
 
     def test_comp_beats_single_when_joining_dominant_interferers(self, realization,
-                                                                 params, layout):
+                                                                 models):
         _, _, rx = realization
-        act = np.ones(layout.n_sectors, bool)
-        gam = sinr_matrix(rx, act, params.noise_w)
-        for u in range(20):
-            order = np.argsort(rx[u])[::-1]
-            serving, second = int(order[0]), int(order[1])
-            joint = sinr_comp(rx, act, params.noise_w, u, [serving, second])
-            assert joint >= gam[u, serving] - 1e-15
+        assoc, links = _stages(rx, np.ones(rx.shape[1], bool), models["C1"])
+        cap = links.capable
+        assert cap.any()
+        assert np.all(links.joint_sinr[cap] >= assoc.sinr[cap] - 1e-15)
 
 
 class TestMcs:
@@ -186,14 +207,25 @@ class TestMcs:
 
 
 class TestLinkRate:
+    """Link rate = MCS efficiency x ``rate_per_bits_symbol``, as ``link_rates``
+    computes it."""
+
     def test_unit_efficiency(self, params):
-        assert link_rate_bps(1.0, params) == pytest.approx(16.632e6, rel=1e-9)
+        assert 1.0 * params.rate_per_bits_symbol == pytest.approx(16.632e6, rel=1e-9)
 
     def test_lowest_mcs(self, params):
-        assert link_rate_bps(0.15, params) == pytest.approx(2.4948e6, rel=1e-9)
+        assert 0.15 * params.rate_per_bits_symbol == pytest.approx(2.4948e6, rel=1e-9)
 
     def test_zero(self, params):
-        assert link_rate_bps(0.0, params) == 0.0
+        """Below the MCS floor ``link_rates`` gives rate 0 and outage."""
+        noise = 1e-15
+        rx = np.array([[1e-20, 1e-21], [1e-12, 1e-21]])
+        model = _model(np.array([0, 1]), noise, params.rate_per_bits_symbol)
+        assoc, links = _stages(rx, [True, True], model)
+        rates = link_rates(model, assoc, [links], [-1.0])
+        assert rates.rate[0, 0] == 0.0 and rates.outage[0, 0]
+        assert rates.rate[0, 1] == 5.55 * params.rate_per_bits_symbol
+        assert not rates.outage[0, 1]
 
 
 def test_received_power_shape(realization, params):

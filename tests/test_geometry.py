@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 import compbss as cb
 from compbss import geometry
 from compbss.channel import drop_link_budget
-from compbss.geometry import (LayoutConfig, LayoutError, bs_distance, build_layout,
-                              drop_batch_size, drop_users, layout_from_file,
-                              link_geometry, user_sector_geometry, wrap_angle_deg)
+from compbss.geometry import (LayoutConfig, LayoutError, build_layout, drop_batch_size,
+                              drop_users, layout_from_file, link_geometry, wrap_angle_deg)
 
 from helpers import dense_image_search, einsum_region_membership
 
@@ -73,25 +72,16 @@ def test_bs_pairs_have_unique_min_image(layout):
 
 
 def test_wraparound_distance_symmetric(layout):
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        a, b = rng.integers(1, 50, size=2)
-        assert bs_distance(layout, int(a), int(b)) == pytest.approx(
-            bs_distance(layout, int(b), int(a)), rel=1e-12)
-
-
-@pytest.mark.parametrize("bs_id", [0, -1, 50, 1000])
-def test_bs_distance_refuses_unknown_ids(layout, bs_id):
-    with pytest.raises(LayoutError, match=f"BS id {bs_id}"):
-        bs_distance(layout, bs_id, 5)
-    with pytest.raises(LayoutError, match=f"BS id {bs_id}"):
-        bs_distance(layout, 5, bs_id)
+    dist, _ = link_geometry(layout, layout.bs_xy)     # BS to BS, min image
+    assert dist == pytest.approx(dist.T, rel=1e-12)
+    assert np.all(np.diag(dist) == 1.0)               # clamped from 0
 
 
 def test_min_image_not_longer_than_direct(layout):
+    dist, _ = link_geometry(layout, layout.bs_xy)
     for a, b in [(1, 49), (2, 45), (10, 30)]:
         direct = float(np.linalg.norm(layout.bs_xy[a - 1] - layout.bs_xy[b - 1]))
-        assert bs_distance(layout, a, b) <= direct + 1e-9
+        assert dist[a - 1, b - 1] <= direct + 1e-9
 
 
 def test_min_image_matches_bruteforce_shift_scan(layout):
@@ -106,34 +96,36 @@ def test_min_image_matches_bruteforce_shift_scan(layout):
             assert dist[i, b] == pytest.approx(max(best, 1.0), rel=1e-9)
 
 
+def _sector_link(layout, point, sector_id):
+    """Distance and boresight offset of one link, from ``link_geometry``."""
+    dist, az = link_geometry(layout, np.array([point], dtype=float))
+    b = layout.bs_of_sector(sector_id) - 1
+    return dist[0, b], wrap_angle_deg(az[0, b] - layout.sector_boresight_deg[sector_id - 1])
+
+
 def test_user_on_boresight_has_zero_offset(layout):
     # sector 10: centre BS, boresight 0 degrees
-    d, phi = user_sector_geometry(layout, (200.0, 0.0), 10)
+    d, phi = _sector_link(layout, (200.0, 0.0), 10)
     assert d == pytest.approx(200.0)
     assert phi == pytest.approx(0.0, abs=1e-9)
 
 
 def test_user_at_antipodal_bearing(layout):
-    d, phi = user_sector_geometry(layout, (-150.0, 0.0), 10)
+    d, phi = _sector_link(layout, (-150.0, 0.0), 10)
     assert abs(phi) == pytest.approx(180.0)
 
 
 def test_far_user_snaps_to_wraparound_image(layout):
     # beyond half the wrap distance the image is closer than the direct path
     p = (3000.0, 0.0)
-    d, _ = user_sector_geometry(layout, p, 10)
+    d, _ = _sector_link(layout, p, 10)
     direct = float(np.linalg.norm(p))
     assert d < direct
 
 
 def test_distance_clamped_to_one_meter(layout):
-    d, _ = user_sector_geometry(layout, (0.0, 0.0), 10)
+    d, _ = _sector_link(layout, (0.0, 0.0), 10)
     assert d == 1.0
-
-
-def test_invalid_sector_rejected(layout):
-    with pytest.raises(LayoutError):
-        user_sector_geometry(layout, (0.0, 0.0), 148)
 
 
 def test_layout_config_validation():

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import compbss as cb
-from compbss.channel import sinr_matrix
-from compbss.scheduler import (ALPHA_RANGE, SchedulerParams, SystemModel,
-                               alpha_fair_utility, associate_max_sinr, classify_comp,
-                               optimal_comp_share, optimal_time_fractions, schedule)
+from compbss.metrics import alpha_fair_throughputs
+from compbss.scheduler import (ALPHA_RANGE, SchedulerParams, SystemModel, allocate,
+                               associate, cluster_links, cluster_members, link_rates,
+                               schedule, serving_sectors)
 
 from conftest import make_realization
 
-from helpers import (closed_form_lambdas, make_instance, numeric_theta,
+from helpers import (closed_form_lambdas, instance_rates, make_instance, numeric_theta,
                      random_feasible_utilities, utility_oracle)
 
 positive_rates = arrays(np.float64, st.integers(1, 8),
@@ -27,31 +27,53 @@ def _realization_rx(layout, params, density, seed):
     return cb.received_power_w(gains, params)
 
 
+def allocated_fractions(rates, alpha):
+    """Time fractions that ``allocate`` gives the users of one sector pool."""
+    return allocate(instance_rates([np.asarray(rates, dtype=float)], np.empty(0)),
+                    alpha).beta[0]
+
+
+def allocated_theta(nc_rates, c_rates, alpha):
+    """Theta that ``allocate`` gives a cluster of one non-CoMP pool and one
+    CoMP pool."""
+    return closed_form_lambdas([np.asarray(nc_rates, dtype=float)],
+                               np.asarray(c_rates, dtype=float), alpha)[1]
+
+
+def _all_on_stages(rx, noise_w, model):
+    """Association and cluster links of every user with every sector on."""
+    act = np.ones((1, rx.shape[1]), bool)
+    assoc = associate(rx, act, noise_w, serving_sectors(rx, act, rx.argmax(axis=1)))
+    return assoc, cluster_links(model, rx, assoc, cluster_members(model, act))
+
+
 class TestTimeFractions:
     def test_proportional_fair_equal_split(self):
-        beta = optimal_time_fractions(np.array([5e6, 1e6, 3e6, 9e6]), alpha=1.0)
+        beta = allocated_fractions(np.array([5e6, 1e6, 3e6, 9e6]), alpha=1.0)
         assert np.array_equal(beta, np.full(4, 0.25))
 
     def test_alpha2_hand_value(self):
-        beta = optimal_time_fractions(np.array([4.0, 1.0]), alpha=2.0)
+        beta = allocated_fractions(np.array([4.0, 1.0]), alpha=2.0)
         assert beta == pytest.approx([1 / 3, 2 / 3], rel=1e-12)
 
     def test_alpha2_comp_hand_value(self):
-        beta = optimal_time_fractions(np.array([9.0, 1.0]), alpha=2.0)
+        beta = allocated_fractions(np.array([9.0, 1.0]), alpha=2.0)
         assert beta == pytest.approx([1 / 4, 3 / 4], rel=1e-12)
 
     def test_single_user_gets_everything(self):
         for alpha in (0.5, 1.0, 2.0, 3.0):
-            assert optimal_time_fractions(np.array([7e6]), alpha) == pytest.approx([1.0])
+            assert allocated_fractions(np.array([7e6]), alpha) == pytest.approx([1.0])
 
-    def test_rejects_zero_rate(self):
-        with pytest.raises(ValueError):
-            optimal_time_fractions(np.array([1.0, 0.0]), 2.0)
+    def test_zero_rate_user_leaves_the_pool(self):
+        beta = allocated_fractions(np.array([1.0, 0.0, 3.0]), 2.0)
+        assert beta[1] == 0.0
+        assert beta[[0, 2]] == pytest.approx([3 ** 0.5 / (1 + 3 ** 0.5),
+                                              1 / (1 + 3 ** 0.5)], rel=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(rates=positive_rates, alpha=st.sampled_from([0.5, 1.0, 2.0, 3.0]))
     def test_normalization_exact(self, rates, alpha):
-        beta = optimal_time_fractions(rates, alpha)
+        beta = allocated_fractions(rates, alpha)
         assert np.all(beta >= 0)
         assert abs(beta.sum() - 1.0) < 1e-12
 
@@ -59,24 +81,24 @@ class TestTimeFractions:
     @given(rates=positive_rates, alpha=st.sampled_from([0.5, 2.0, 3.0]))
     def test_equal_rates_equal_fractions(self, rates, alpha):
         r = np.full(rates.size, float(rates[0]))
-        beta = optimal_time_fractions(r, alpha)
+        beta = allocated_fractions(r, alpha)
         assert beta == pytest.approx(np.full(r.size, 1.0 / r.size), rel=1e-12)
 
 
 class TestCompShare:
     def test_proportional_fair_counts(self):
-        nc = np.ones(7)
-        c = np.ones(3)
-        assert optimal_comp_share(nc, c, alpha=1.0) == 0.3
+        nc = np.full(7, 1e6)
+        c = np.full(3, 1e6)
+        assert allocated_theta(nc, c, alpha=1.0) == 0.3
 
     def test_alpha2_symmetric(self):
-        assert optimal_comp_share(np.array([5e6]), np.array([5e6]), 2.0) == pytest.approx(0.5)
+        assert allocated_theta(np.array([5e6]), np.array([5e6]), 2.0) == pytest.approx(0.5)
 
     def test_empty_comp_pool(self):
-        assert optimal_comp_share(np.array([1e6]), np.empty(0), 2.0) == 0.0
+        assert allocated_theta(np.array([1e6]), np.empty(0), 2.0) == 0.0
 
     def test_empty_noncomp_pool(self):
-        assert optimal_comp_share(np.empty(0), np.array([1e6]), 2.0) == 1.0
+        assert allocated_theta(np.empty(0), np.array([1e6]), 2.0) == 1.0
 
     def test_matches_numeric_maximum(self):
         rng = np.random.default_rng(17)
@@ -102,7 +124,7 @@ class TestCompShare:
         rng = np.random.default_rng(29)
         for alpha in (0.5, 2.0, 3.0):
             rates = 10 ** rng.uniform(5, 8, size=6)
-            beta = optimal_time_fractions(rates, alpha)
+            beta = allocated_fractions(rates, alpha)
             marginal = rates ** (1 - alpha) * beta ** (-alpha)
             spread = (marginal.max() - marginal.min()) / marginal.max()
             assert spread < 1e-9
@@ -119,29 +141,29 @@ class TestCompShare:
 
 
 class TestUtility:
+    """The utility oracle that the optimality checks compare against."""
+
     def test_log_of_ones(self):
-        assert alpha_fair_utility(np.array([1.0, 1.0]), 1.0) == 0.0
+        assert utility_oracle(np.array([1.0, 1.0]), 1.0) == 0.0
 
     def test_alpha2_hand_value(self):
-        assert alpha_fair_utility(np.array([1.0, 2.0]), 2.0) == pytest.approx(-1.5)
-
-    def test_rejects_zero_rate(self):
-        with pytest.raises(ValueError):
-            alpha_fair_utility(np.array([0.0, 1.0]), 1.0)
+        assert utility_oracle(np.array([1.0, 2.0]), 2.0) == pytest.approx(-1.5)
 
 
 class TestAssociation:
-    def test_argmax_matches_exhaustive_scan(self, realization, params, layout):
-        """Oracle: plain scan over all 147 sectors."""
+    def test_argmax_matches_exhaustive_scan(self, realization, params, layout, models):
+        """Oracle: plain scan of the SINR over all 147 sectors."""
         _, _, rx = realization
-        gam = sinr_matrix(rx, np.ones(layout.n_sectors, bool), params.noise_w)
-        assoc = associate_max_sinr(gam)
+        assoc, _ = _all_on_stages(rx, params.noise_w, models["none"])
         for u in range(min(40, rx.shape[0])):
+            total = sum(rx[u])
             best, best_g = 0, -np.inf
             for s in range(layout.n_sectors):
-                if gam[u, s] > best_g:
-                    best, best_g = s, gam[u, s]
-            assert assoc[u] == best
+                g = rx[u, s] / (total - rx[u, s] + params.noise_w)
+                if g > best_g:
+                    best, best_g = s, g
+            assert assoc.sector[0, u] == best
+            assert assoc.sinr[0, u] == pytest.approx(best_g, rel=1e-9)
 
     def test_association_moves_when_serving_bs_off(self, realization, params,
                                                    layout, models):
@@ -159,52 +181,56 @@ class TestAssociation:
         assert np.all(model.sector_bs[sol_off.assoc_sector[was_b4]] != 3)
 
     def test_ties_break_to_lowest_index(self):
-        gam = np.array([[2.0, 3.0, 3.0]])
-        assert associate_max_sinr(gam)[0] == 1
+        """A user whose strongest sector sleeps is re-served among the active
+        ones; equal powers go to the lowest index."""
+        rx = np.array([[2.0, 3.0, 3.0, 9.0]])
+        act = np.array([[True, True, True, False]])
+        assert serving_sectors(rx, act, rx.argmax(axis=1))[0, 0] == 1
 
     def test_no_active_sector_raises(self):
-        gam = np.full((2, 3), -np.inf)
-        with pytest.raises(ValueError):
-            associate_max_sinr(gam)
+        rx = np.ones((2, 3))
+        with pytest.raises(ValueError, match="active"):
+            associate(rx, np.zeros((1, 3), bool), 1e-3, np.zeros((1, 2), int))
 
 
 class TestClassification:
-    def test_threshold_below_all_sinrs(self, realization, params, models, layout):
+    """CoMP flags of ``link_rates``: capable users at or below gamma_d."""
+
+    def test_threshold_below_all_sinrs(self, realization, params, models):
         _, _, rx = realization
         model = models["C1"]
-        gam = sinr_matrix(rx, np.ones(49, bool)[model.sector_bs], params.noise_w)
-        assoc = associate_max_sinr(gam)
-        z = classify_comp(gam, assoc, model.vc_of_sector, model.vc_sizes,
-                          gamma_d_db=-200.0)
-        assert not z.any()
+        assoc, links = _all_on_stages(rx, params.noise_w, model)
+        assert not link_rates(model, assoc, [links], [-200.0]).comp.any()
 
     def test_threshold_above_all_sinrs_comps_everyone_in_c1(self, realization,
                                                             params, models):
         _, _, rx = realization
         model = models["C1"]
-        gam = sinr_matrix(rx, np.ones(49, bool)[model.sector_bs], params.noise_w)
-        assoc = associate_max_sinr(gam)
-        z = classify_comp(gam, assoc, model.vc_of_sector, model.vc_sizes,
-                          gamma_d_db=200.0)
-        in_multi = model.vc_sizes[model.vc_of_sector[assoc]] > 1
+        assoc, links = _all_on_stages(rx, params.noise_w, model)
+        z = link_rates(model, assoc, [links], [200.0]).comp[0]
+        in_multi = model.vc_sizes[model.vc_of_sector[assoc.sector[0]]] > 1
+        assert in_multi.any()
         assert np.array_equal(z, in_multi)
 
     def test_singletons_never_comp(self, realization, params, models):
         _, _, rx = realization
         model = models["none"]
-        gam = sinr_matrix(rx, np.ones(49, bool)[model.sector_bs], params.noise_w)
-        assoc = associate_max_sinr(gam)
-        z = classify_comp(gam, assoc, model.vc_of_sector, model.vc_sizes, 200.0)
-        assert not z.any()
+        assoc, links = _all_on_stages(rx, params.noise_w, model)
+        assert not link_rates(model, assoc, [links], [200.0]).comp.any()
 
     def test_partition_counts(self, realization, params, models):
+        """Each user joins one pool: its sector's, or its cluster's when CoMP."""
         _, _, rx = realization
         model = models["C3"]
-        sol = schedule(model, rx, np.ones(49, bool),
-                       SchedulerParams(alpha=1.0, gamma_d_db=0.0))
-        per_vc_users = np.bincount(model.vc_of_sector[sol.assoc_sector],
-                                   minlength=model.n_vclusters)
-        assert np.array_equal(sol.n_comp + sol.n_noncomp, per_vc_users)
+        assoc, links = _all_on_stages(rx, params.noise_w, model)
+        rates = link_rates(model, assoc, [links], [0.0])
+        comp, pool = rates.comp[0], rates.pool[0]
+        assert comp.any() and not comp.all()
+        n_per_pool = np.bincount(pool, minlength=rates.n_pools)
+        assert np.array_equal(n_per_pool[:model.n_sectors],
+                              np.bincount(assoc.sector[0][~comp], minlength=model.n_sectors))
+        assert np.array_equal(n_per_pool[model.n_sectors:],
+                              np.bincount(links.vc[0][comp], minlength=model.n_vclusters))
 
 
 class TestSchedulePipeline:
@@ -347,7 +373,8 @@ class TestSchedulePipeline:
                            SchedulerParams(alpha=alpha, gamma_d_db=gamma_d_db))
             live = sol.lam > 0
             if live.any():
-                assert np.isfinite(cb.alpha_fair_throughput(sol.lam[live], alpha))
+                assert np.isfinite(alpha_fair_throughputs(sol.lam[live], [live.sum()],
+                                                          alpha)).all()
         for arr in (sol.beta, sol.theta, sol.lam):
             assert np.all(np.isfinite(arr))
         assert np.all((sol.theta >= 0) & (sol.theta <= 1))
