@@ -15,11 +15,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .metrics import (STAT_FIELDS, RealizationStats, alpha_fair_throughputs,
-                      rate_coverage, sinr_coverage)
+from .metrics import STAT_FIELDS, alpha_fair_throughputs, rate_coverage, sinr_coverage
 from .scheduler import (SchedulerParams, SchedulingSolution, SystemModel, allocate,
-                        associate, cluster_links, cluster_members, link_rates,
-                        pool_users)
+                        cluster_members, draw_rates)
 
 MAX_ORACLE_BS = 10
 
@@ -134,36 +132,21 @@ def patterns_to_file(patterns, path) -> None:
 
 @dataclass(frozen=True, eq=False)
 class HeuristicResult:
-    """Scheduled sleep pattern(s) checked against the operator rate threshold.
+    """One scheduled sleep pattern checked against the operator rate threshold.
 
-    A selection (``evaluate_pattern``, ``heuristic_select``,
-    ``exhaustive_oracle``) is one scheduling point: ``pattern`` is one
-    pattern, ``rates_bps`` the (n,) rates of the metric set and the minimum
-    and feasibility are scalars.  A batch of R solution rows (see
-    :func:`pattern_evaluation`) has a tuple of each row's pattern and a
-    leading (R,) axis on the other fields; ``row`` picks one point.
-
-    The solution covers the users in ``users``, sorted rows of the draw
-    (:func:`~compbss.scheduler.pool_users`), so ``vq[users]`` marks the
-    metric set of a draw-wide ``vq`` mask among them.  None means the
-    solution covers the whole draw.
+    ``rates_bps`` are the scheduled rates of the metric set, and the
+    solution covers the users in ``users``, sorted rows of the draw
+    (:func:`~compbss.scheduler.draw_rates`), so ``vq[users]`` marks the
+    metric set of a draw-wide ``vq`` mask among them.
     """
 
-    pattern: BssPattern | tuple
+    pattern: BssPattern
     rates_bps: np.ndarray
-    min_rate_bps: float | np.ndarray
-    feasible: bool | np.ndarray
+    min_rate_bps: float
+    feasible: bool
     solution: SchedulingSolution
-    patterns_evaluated: int = 1
-    users: np.ndarray | None = None
-
-    def row(self, i: int, patterns_evaluated: int = 1) -> "HeuristicResult":
-        """Scheduling point ``i`` of a batch."""
-        return HeuristicResult(
-            pattern=self.pattern[i], rates_bps=self.rates_bps[i],
-            min_rate_bps=float(self.min_rate_bps[i]), feasible=bool(self.feasible[i]),
-            solution=self.solution.row(i), patterns_evaluated=patterns_evaluated,
-            users=self.users)
+    patterns_evaluated: int
+    users: np.ndarray
 
 
 def active_bs_mask(n_bs_total: int, cluster_bs_idx: np.ndarray,
@@ -175,46 +158,34 @@ def active_bs_mask(n_bs_total: int, cluster_bs_idx: np.ndarray,
     return active
 
 
-def pattern_evaluation(patterns: tuple, solution: SchedulingSolution,
-                       vq_mask: np.ndarray, rate_threshold_bps: float,
-                       users: np.ndarray | None = None) -> HeuristicResult:
-    """Check each scheduled row's metric-set rates against the threshold.
-
-    ``patterns`` lists the sleep pattern of each row of ``solution``, whose
-    users are the rows ``users`` of the draw (None: all of them), and
-    ``vq_mask`` marks the metric set of the draw.
-    """
-    vq = np.asarray(vq_mask, dtype=bool)
-    rates = solution.lam[:, vq if users is None else vq[users]]
-    min_rate = rates.min(axis=1)
-    return HeuristicResult(pattern=patterns, rates_bps=rates, min_rate_bps=min_rate,
-                           feasible=min_rate >= rate_threshold_bps, solution=solution,
-                           users=users)
-
-
-def _evaluate_patterns(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
-                       cluster_bs_idx: np.ndarray, patterns, params: SchedulerParams,
-                       rate_threshold_bps: float) -> HeuristicResult:
+def _select(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
+            cluster_bs_idx: np.ndarray, patterns, params: SchedulerParams,
+            rate_threshold_bps: float, walk: bool = True) -> HeuristicResult:
     """Schedule every pattern of the list in one batched pass, one row each,
-    over the pool users of the metric set."""
+    over the pool users of the metric set, and keep the first pattern whose
+    worst metric-set rate clears the threshold (the last when none does).
+
+    ``patterns_evaluated`` counts the patterns a walk down the list would
+    have evaluated, or the whole list when ``walk`` is False.
+    """
     vq = np.asarray(vq_mask, dtype=bool)
     if not vq.any():
         raise ValueError("empty metric set: no centre-cluster users in this realization")
     n_bs = int(model.sector_bs.max()) + 1
     active = np.array([active_bs_mask(n_bs, cluster_bs_idx, p)
                        for p in patterns])[:, model.sector_bs]
-    strongest = rx_w.argmax(axis=1)
-    users, serving = pool_users(rx_w, strongest, vq, active, [model])
-    assoc = associate(rx_w[users], active, model.noise_w, serving)
-    links = cluster_links(model, rx_w, assoc, cluster_members(model, active), users)
-    sol = allocate(link_rates(model, assoc, [links], [params.gamma_d_db]), params.alpha)
-    return pattern_evaluation(tuple(patterns), sol, vq, rate_threshold_bps, users)
-
-
-def _first_feasible(batch: HeuristicResult) -> int:
-    """Row of the first feasible pattern, or the last row when none is."""
-    feasible = batch.feasible
-    return int(feasible.argmax()) if feasible.any() else feasible.size - 1
+    users, rates = draw_rates([model], [cluster_members(model, active)], rx_w,
+                              rx_w.argmax(axis=1), vq, active, [params.gamma_d_db])
+    sol = allocate(rates, params.alpha)
+    lam = sol.lam[:, vq[users]]
+    min_rate = lam.min(axis=1)
+    feasible = min_rate >= rate_threshold_bps
+    k = int(feasible.argmax()) if feasible.any() else len(patterns) - 1
+    return HeuristicResult(pattern=patterns[k], rates_bps=lam[k],
+                           min_rate_bps=float(min_rate[k]), feasible=bool(feasible[k]),
+                           solution=sol.row(k),
+                           patterns_evaluated=k + 1 if walk else len(patterns),
+                           users=users)
 
 
 def evaluate_pattern(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
@@ -225,8 +196,8 @@ def evaluate_pattern(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
 
     Feasible when every user of the metric set reaches the threshold.
     """
-    return _evaluate_patterns(model, rx_w, vq_mask, cluster_bs_idx, [pattern], params,
-                              rate_threshold_bps).row(0)
+    return _select(model, rx_w, vq_mask, cluster_bs_idx, [pattern], params,
+                   rate_threshold_bps)
 
 
 def heuristic_select(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
@@ -241,10 +212,8 @@ def heuristic_select(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
     would have evaluated.
     """
     validate_pattern_list(patterns)
-    batch = _evaluate_patterns(model, rx_w, vq_mask, cluster_bs_idx, patterns, params,
-                               rate_threshold_bps)
-    k = _first_feasible(batch)
-    return batch.row(k, patterns_evaluated=k + 1)
+    return _select(model, rx_w, vq_mask, cluster_bs_idx, patterns, params,
+                   rate_threshold_bps)
 
 
 def exhaustive_oracle(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
@@ -256,29 +225,25 @@ def exhaustive_oracle(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
     n_bs = len(cluster_bs_idx)
     if n_bs > MAX_ORACLE_BS:
         raise ValueError(f"exhaustive enumeration limited to {MAX_ORACLE_BS} BSs")
-    patterns = all_patterns(n_bs)   # most BSs off first, then by bit value; all-on last
-    batch = _evaluate_patterns(model, rx_w, vq_mask, cluster_bs_idx, patterns, params,
-                               rate_threshold_bps)
-    return batch.row(_first_feasible(batch), patterns_evaluated=len(patterns))
+    # most BSs off first, then by bit value; all-on last
+    return _select(model, rx_w, vq_mask, cluster_bs_idx, all_patterns(n_bs), params,
+                   rate_threshold_bps, walk=False)
 
 
-def realization_stats(ev: HeuristicResult, vq_mask: np.ndarray,
-                      multi_vc_ids, rate_threshold_bps, alpha: float) -> RealizationStats:
-    """Cluster metrics of scheduled realizations.
+def realization_stats(solution: SchedulingSolution, vq: np.ndarray, energy_pct,
+                      multi_vc_ids, rate_threshold_bps, alpha: float) -> np.ndarray:
+    """Cluster metrics of scheduled realizations, in STAT_FIELDS order.
 
-    The metric-set rates are ``ev.rates_bps``.  The solution holds R
-    scheduling points (``allocate`` rows for one ``alpha``; a single point is
-    one row), and each row's energy saving is that of its pattern.
-    ``vq_mask`` marks the metric set of the draw, read at ``ev.users``.
-    ``multi_vc_ids`` lists each row's multi-sector cluster ids (the rows of
-    one configuration share one object), and ``rate_threshold_bps`` is one
-    threshold or a list of T.  Every field is an (R,) or (R, T) float array.
+    ``solution`` holds R scheduling points (``allocate`` rows for one
+    ``alpha``; a single point is one row) over some users of a draw, and
+    ``vq`` marks the metric set among those users.  ``energy_pct`` and
+    ``multi_vc_ids`` give each row's energy saving and multi-sector cluster
+    ids (the rows of one configuration share one ids object), and
+    ``rate_threshold_bps`` is one threshold or a list of T.  Returns an
+    (R, 7) or (R, T, 7) float array.
     """
-    vq = np.asarray(vq_mask, dtype=bool)
-    if ev.users is not None:
-        vq = vq[ev.users]
-    sol = ev.solution
-    lam = np.atleast_2d(ev.rates_bps)                        # (R, n)
+    vq = np.asarray(vq, dtype=bool)
+    lam = np.atleast_2d(solution.lam)[:, vq]                 # (R, n)
     n_rows, n = lam.shape
 
     covered = lam > 0
@@ -289,7 +254,7 @@ def realization_stats(ev: HeuristicResult, vq_mask: np.ndarray,
         t_alpha[rows] = alpha_fair_throughputs(lam[rows][covered[rows]], n_covered[rows],
                                                alpha)
 
-    theta = np.atleast_2d(sol.theta)
+    theta = np.atleast_2d(solution.theta)
     theta_mean = np.zeros(n_rows)
     rows_of = {}    # one entry per distinct multi_vc_ids object
     for r, ids in enumerate(multi_vc_ids):
@@ -302,17 +267,14 @@ def realization_stats(ev: HeuristicResult, vq_mask: np.ndarray,
             # both axes would lay them out by column)
             theta_mean[at] = theta[at].take(ids, axis=1).mean(axis=1)
 
-    patterns = ev.pattern if isinstance(ev.pattern, tuple) else (ev.pattern,) * n_rows
-    energy = np.array([p.energy_saving_pct for p in patterns])
-
     thr = np.asarray(rate_threshold_bps, dtype=float)
     per_thr = (n_rows,) + (1,) * thr.ndim
-    coverage_sinr = np.atleast_2d(sol.coverage_sinr)[:, vq]
+    coverage_sinr = np.atleast_2d(solution.coverage_sinr)[:, vq]
     values = {
         "t_alpha_bps": t_alpha.reshape(per_thr),
         "sinr_coverage": sinr_coverage(coverage_sinr).reshape(per_thr),
         "rate_coverage": rate_coverage(lam.reshape(per_thr + (n,)), thr[..., None]),
-        "energy_saving_pct": energy.reshape(per_thr),
+        "energy_saving_pct": np.asarray(energy_pct, dtype=float).reshape(per_thr),
         "theta_mean": theta_mean.reshape(per_thr),
         "n_users": n,
         "n_outage": (n - n_covered).reshape(per_thr),
@@ -320,5 +282,4 @@ def realization_stats(ev: HeuristicResult, vq_mask: np.ndarray,
     out = np.empty((n_rows,) + thr.shape + (len(STAT_FIELDS),))
     for i, name in enumerate(STAT_FIELDS):
         out[..., i] = values[name]
-    return RealizationStats(**{name: out[..., i] for i, name in enumerate(STAT_FIELDS)})
-
+    return out

@@ -6,53 +6,36 @@ fading draws.  Each quantity is computed once, at the outermost loop level
 it depends on:
 
 - drop: user positions and the link budget (geometry, path loss, antenna);
-- fading: shadowing, received powers, each user's strongest sector, the
-  centre-cluster metric set and its pool users (below);
-- pattern: active sectors, max-SINR association and serving SINR of every
-  sleep pattern in one pass, shared by every CoMP configuration;
-- config x pattern: each user's joint SINR within its serving virtual
-  cluster (the cluster-member matrices are built once per campaign);
-- point: every (pattern, config, gamma_d, rate threshold) point of a fading
-  draw is one row of a batched pass.  ``link_rates`` sets the CoMP flags,
-  link rates and outage of all (pattern, config, gamma_d) rows at once;
-  ``allocate`` and ``realization_stats`` then make one pass over all rows
+- fading: shadowing, received powers, each user's strongest sector and the
+  centre-cluster metric set; then ``scheduler.draw_rates`` runs the draw's
+  scheduling chain once: the pool users of the metric set, their max-SINR
+  association under every sleep pattern (shared by every CoMP
+  configuration), their joint SINR per (configuration, pattern), and the
+  CoMP flags and link rates of every (pattern, configuration, gamma_d) row
+  of a batched pass (the cluster-member matrices are built once per
+  campaign);
+- alpha: ``allocate`` and ``realization_stats`` make one pass over all rows
   per alpha (so every power keeps a scalar exponent), the latter reducing
   every rate threshold too.
 
-The pattern pass keeps every bit of the one-pattern path: the total received
-power of a pattern is the row sum of ``rx_w[:, active]``, a boolean copy laid
-out by column, so it adds the active sectors left to right; ``associate``
-sums a row gather of ``rx_w.T`` over the same rows in the same order.  The
-joint power stays one matrix product of the whole draw per (config,
-pattern).  ``aggregate`` then summarises every sweep point of a density in
-one row reduction over the realizations.
-
-Every stage after the gain matrix runs on the pool users only
-(``scheduler.pool_users``): T is the set of sectors that serve a metric-set
-user under some pattern, plus every sector of a multi-sector cluster of any
-configuration, and the pool users are the users that some pattern serves
-from a sector of T.  Nothing else can change a metric-set rate, a coverage
-or the theta of a multi-sector cluster (about a quarter of the field at
-60 users per km^2 with the shipped patterns).  Every pool that holds a pool
-user is complete, and the kept users stay in field order, so each bincount
-pool sum adds the same users in the same order and keeps its bits.  The
-joint power is still a product over every row of the draw, read at the pool
-users afterwards: the BLAS kernels sum a row in an order that depends on its
-position in the operand, so a product over the kept rows alone changes bits.
-
-``build_gain_matrix``, ``schedule`` and ``evaluate_pattern`` run the same
-stages for a single point (one row).  Substreams are derived from the master
-seed with counter-based spawn keys, so results do not depend on execution
-order and identical (config, seed) pairs reproduce the output byte for byte.
+``scheduler.draw_rates`` states why scheduling the pool users alone keeps
+every bit of the full field.  ``aggregate`` then summarises every sweep
+point of a density in one row reduction over the realizations.  The pattern
+selection of the traffic campaign (``bss.heuristic_select``) runs the same
+chain.  Substreams are derived from the master seed with counter-based spawn
+keys, so results do not depend on execution order and identical (config,
+seed) pairs reproduce the output byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -61,17 +44,15 @@ import yaml
 
 from . import __version__
 from .bss import (active_bs_mask, default_pattern_list, heuristic_select,
-                  pattern_evaluation, patterns_from_file, realization_stats,
-                  validate_pattern_list)
+                  patterns_from_file, realization_stats, validate_pattern_list)
 from .channel import (ChannelParams, McsTable, build_gain_matrix, draw_gain_matrix,
                       drop_link_budget, received_power_w)
 from .clusters import resolve_comp_config
 from .geometry import LayoutConfig, build_layout, drop_users
 from .metrics import STAT_FIELDS, aggregate
 from .scheduler import (DEFAULT_GAMMA_D_RANGE_DB, SchedulerParams, allocate,
-                        alpha_range_error, associate, build_system_model,
-                        center_cluster_users, cluster_links, cluster_members,
-                        link_rates, pool_users)
+                        alpha_range_error, build_system_model, center_cluster_users,
+                        cluster_members, draw_rates)
 
 
 class ConfigError(ValueError):
@@ -112,6 +93,13 @@ class CampaignConfig:
             for value in getattr(self, name) or ():
                 if not _is_finite_number(value):
                     raise ConfigError(f"{name} entry {value!r} is not a finite number")
+        for name in ("densities_per_km2", "traffic_profile"):
+            for value in getattr(self, name) or ():
+                if value <= 0:
+                    raise ConfigError(f"{name} entry {value!r} must be > 0")
+        for value in self.rate_thresholds_bps:
+            if value < 0:
+                raise ConfigError(f"rate_thresholds_bps entry {value!r} must be >= 0")
         for name in sweeps:
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -127,6 +115,15 @@ class CampaignConfig:
                 raise ConfigError(f"alphas entry: {problem}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed={self.master_seed!r} must be >= 0")
+        isd = self.inter_site_distance_m
+        if not _is_finite_number(isd) or isd <= 0:
+            raise ConfigError(f"inter_site_distance_m={isd!r} must be a finite number > 0")
+        for name in ("output", "pattern_file", "mcs_file"):
+            value = getattr(self, name)
+            if value is None and name != "output":
+                continue    # no pattern or MCS file: the shipped defaults
+            if not isinstance(value, str) or not value:
+                raise ConfigError(f"{name}={value!r} must be a file path")
         seeded = {}
         for mu in self.densities_per_km2:
             other = seeded.setdefault(_mu_key(mu), mu)
@@ -206,37 +203,46 @@ class _Context:
     cfg: CampaignConfig
     layout: object
     params: ChannelParams
-    mcs: McsTable
     patterns: list
     active_sectors: np.ndarray  # (P, S) bool sector on/off mask of each pattern
-    models: dict            # config name -> (SystemModel, multi_vc_ids)
+    models: dict            # config name -> SystemModel
     members: list           # per config: (P, S, n_multi) cluster_members matrices
     center_sector_idx: np.ndarray
     cluster_bs_idx: np.ndarray
 
 
+@contextmanager
+def _config_file(what: str):
+    """Report a file named by the config that cannot be read or parsed as a
+    ConfigError that names ``what``."""
+    try:
+        yield
+    except (OSError, ValueError, TypeError, csv.Error, yaml.YAMLError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 def build_context(cfg: CampaignConfig) -> _Context:
     layout = build_layout(LayoutConfig(inter_site_distance_m=cfg.inter_site_distance_m))
     params = ChannelParams()
-    mcs = McsTable.from_csv(cfg.mcs_file) if cfg.mcs_file else McsTable.default()
-    if cfg.pattern_file:
-        patterns = patterns_from_file(cfg.pattern_file)
-    else:
-        patterns = default_pattern_list()
-    validate_pattern_list(patterns)
+    with _config_file(f"mcs_file {cfg.mcs_file!r}"):
+        mcs = McsTable.from_csv(cfg.mcs_file) if cfg.mcs_file else McsTable.default()
+    with _config_file(f"pattern_file {cfg.pattern_file!r}"):
+        patterns = (patterns_from_file(cfg.pattern_file) if cfg.pattern_file
+                    else default_pattern_list())
+        validate_pattern_list(patterns)
     models = {}
     for choice in cfg.comp_configs:
-        comp = resolve_comp_config(str(choice), layout)
-        model = build_system_model(layout, comp, params.noise_w, mcs,
-                                   params.rate_per_bits_symbol)
-        models[str(choice)] = (model, model.multi_vc_ids)
+        with _config_file(f"comp_configs entry {choice!r} (a preset or a file)"):
+            comp = resolve_comp_config(str(choice), layout)
+        models[str(choice)] = build_system_model(layout, comp, params.noise_w, mcs,
+                                                 params.rate_per_bits_symbol)
     center_sector_idx = layout.center_cluster_sector_ids - 1
     cluster_bs_idx = layout.center_cluster_bs_ids - 1
     active_sectors = np.array([
         layout.sector_active_mask(active_bs_mask(layout.n_bs, cluster_bs_idx, p))
         for p in patterns])
-    members = [cluster_members(model, active_sectors) for model, _ in models.values()]
-    return _Context(cfg=cfg, layout=layout, params=params, mcs=mcs,
+    members = [cluster_members(model, active_sectors) for model in models.values()]
+    return _Context(cfg=cfg, layout=layout, params=params,
                     patterns=patterns, active_sectors=active_sectors, models=models,
                     members=members, center_sector_idx=center_sector_idx,
                     cluster_bs_idx=cluster_bs_idx)
@@ -245,53 +251,47 @@ def build_context(cfg: CampaignConfig) -> _Context:
 def _drop_records(ctx: _Context, mu: float, d: int):
     """Metrics of every sweep point of one user drop.
 
-    Returns (values, n_skipped).  ``values`` is an (n, P, A, C, G, T, 7)
-    array: the STAT_FIELDS of each (pattern, alpha, configuration, gamma_d,
-    rate threshold) point for each of the n non-skipped fading draws, in
-    fading order.  Each stage runs once at the loop level it depends on;
-    within a fading draw, every (pattern, configuration, gamma_d) point is
-    one row of a batched pass over the pool users, one pass per alpha.
-    Also returns the pool users and the dropped users, each summed over the
-    non-skipped draws.
+    Returns (values, n_skipped, n_scheduled, n_dropped).  ``values`` is an
+    (n, C, P, G, A, T, 7) array in output axis order: the STAT_FIELDS of each
+    (configuration, pattern, gamma_d, alpha, rate threshold) point for each
+    of the n non-skipped fading draws, in fading order (an empty drop has no
+    metric set and skips every draw).  Within a fading draw, every (pattern,
+    configuration, gamma_d) point is one row of a batched pass over the pool
+    users, one pass per alpha.  n_scheduled and n_dropped count the pool
+    users and the dropped users, each summed over the non-skipped draws.
     """
     cfg = ctx.cfg
-    models = [model for model, _ in ctx.models.values()]
+    models = list(ctx.models.values())
     # The rows of a pass run over pattern, configuration and gamma_d
-    # (link_rates); realization_stats adds the rate thresholds.
+    # (draw_rates); realization_stats adds the rate thresholds.
     rows = [(pattern, model) for pattern in ctx.patterns for model in models
             for _ in cfg.gamma_ds_db]
-    row_patterns = tuple(pattern for pattern, _ in rows)
+    row_energy = [pattern.energy_saving_pct for pattern, _ in rows]
     row_multi_ids = [model.multi_vc_ids for _, model in rows]
     points = (len(cfg.alphas), len(ctx.patterns), len(models), len(cfg.gamma_ds_db),
               len(cfg.rate_thresholds_bps), len(STAT_FIELDS))
     drop = drop_users(ctx.layout, mu, _seed_key(cfg.master_seed, 0, _mu_key(mu), d))
     blocks = []
     skipped = n_scheduled = n_dropped = 0
-    if drop.is_empty:
-        return np.empty((0,) + points).swapaxes(1, 2), cfg.n_fading, 0, 0
     budget_db = drop_link_budget(ctx.layout, drop, ctx.params)
     for f_idx in range(cfg.n_fading):
         gains = draw_gain_matrix(budget_db, ctx.params,
                                  _seed_key(cfg.master_seed, 1, _mu_key(mu), d, f_idx))
-        rx_w = received_power_w(gains, ctx.params, out=gains.h)
+        rx_w = received_power_w(gains, ctx.params, out=gains)
         strongest = rx_w.argmax(axis=1)
         vq = center_cluster_users(models[0], strongest, ctx.center_sector_idx)
         if not vq.any():
             skipped += 1
             continue
-        users, serving = pool_users(rx_w, strongest, vq, ctx.active_sectors, models)
+        users, rates = draw_rates(models, ctx.members, rx_w, strongest, vq,
+                                  ctx.active_sectors, cfg.gamma_ds_db)
         n_scheduled += users.size
         n_dropped += rx_w.shape[0]
-        assoc = associate(rx_w[users], ctx.active_sectors, ctx.params.noise_w, serving)
-        links = [cluster_links(model, rx_w, assoc, member, users)
-                 for model, member in zip(models, ctx.members)]
-        rates = link_rates(models[0], assoc, links, cfg.gamma_ds_db)
         for alpha in cfg.alphas:
-            ev = pattern_evaluation(row_patterns, allocate(rates, alpha), vq, 0.0, users)
-            stats = realization_stats(ev, vq, row_multi_ids, cfg.rate_thresholds_bps, alpha)
-            blocks.append(np.stack([getattr(stats, f) for f in STAT_FIELDS], axis=-1))
-    # (n, A, P, ...) -> (n, P, A, ...)
-    values = np.reshape(blocks, (-1,) + points).swapaxes(1, 2)
+            blocks.append(realization_stats(allocate(rates, alpha), vq[users], row_energy,
+                                            row_multi_ids, cfg.rate_thresholds_bps, alpha))
+    # (n, A, P, C, G, T, 7) -> (n, C, P, G, A, T, 7), the output axis order
+    values = np.reshape(blocks, (-1,) + points).transpose(0, 3, 2, 4, 1, 5, 6)
     return values, skipped, n_scheduled, n_dropped
 
 
@@ -334,45 +334,49 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
     for mu in cfg.densities_per_km2:
         values = np.concatenate([res[0] for (m, _), res in zip(tasks, results) if m == mu])
         if values.shape[0]:
-            summ = aggregate(np.moveaxis(values, 0, -1))
-            summaries[mu] = {name: (s.mean, s.std, s.ci95)
-                             for name, s in summ.items()}, values.shape[0]
+            summaries[mu] = aggregate(np.moveaxis(values, 0, -1)), values.shape[0]
 
     rows = []
-    for key, point in _combo_order(ctx):
-        config_name, label, bs_off, mu, gamma_d, alpha, r_thr = key
+    for (c, config_name), (p, pattern), mu, (g, gamma_d), (a, alpha), (t, r_thr) in (
+            itertools.product(enumerate(ctx.models), enumerate(ctx.patterns),
+                              cfg.densities_per_km2, enumerate(cfg.gamma_ds_db),
+                              enumerate(cfg.alphas), enumerate(cfg.rate_thresholds_bps))):
         if mu not in summaries:
             continue
         summ, n = summaries[mu]
-        row = {"config": config_name, "pattern": label, "bs_off": bs_off,
-               "mu_per_km2": mu, "gamma_d_db": gamma_d, "alpha": alpha,
-               "rate_threshold_bps": r_thr, "n_realizations": n}
-        for column, (name, part) in _RESULT_SOURCES.items():
-            row[column] = float(summ[name][part][point])
+        row = {"config": config_name, "pattern": pattern.label,
+               "bs_off": "+".join(map(str, pattern.off_bs_ids)), "mu_per_km2": mu,
+               "gamma_d_db": gamma_d, "alpha": alpha, "rate_threshold_bps": r_thr,
+               "n_realizations": n}
+        point = summ[:, c, p, g, a, t]      # (mean / std / ci95, STAT_FIELDS)
+        for i, name in enumerate(STAT_FIELDS):
+            for part, column in enumerate(_RESULT_COLUMNS_OF[name]):
+                row[column] = float(point[part, i])
         rows.append(row)
     return CampaignResult(rows=rows, manifest=_manifest(
         cfg, rows, n_skipped,
         scheduled_user_frac=_scheduled_user_frac(n_scheduled, n_dropped)))
 
 
-# Result column -> (metric, 0 mean / 1 std / 2 ci95)
-_RESULT_SOURCES = {
-    "t_alpha_mean_bps": ("t_alpha_bps", 0), "t_alpha_std_bps": ("t_alpha_bps", 1),
-    "t_alpha_ci95_bps": ("t_alpha_bps", 2),
-    "sinr_coverage_mean": ("sinr_coverage", 0), "sinr_coverage_std": ("sinr_coverage", 1),
-    "sinr_coverage_ci95": ("sinr_coverage", 2),
-    "rate_coverage_mean": ("rate_coverage", 0), "rate_coverage_std": ("rate_coverage", 1),
-    "rate_coverage_ci95": ("rate_coverage", 2),
-    "theta_mean": ("theta_mean", 0), "theta_std": ("theta_mean", 1),
-    "theta_ci95": ("theta_mean", 2),
-    "energy_saving_pct": ("energy_saving_pct", 0), "n_users_mean": ("n_users", 0),
-    "n_outage_mean": ("n_outage", 0),
+# The result columns of each metric: its mean, std and ci95, or its mean alone
+_RESULT_COLUMNS_OF = {
+    "t_alpha_bps": ("t_alpha_mean_bps", "t_alpha_std_bps", "t_alpha_ci95_bps"),
+    "sinr_coverage": ("sinr_coverage_mean", "sinr_coverage_std", "sinr_coverage_ci95"),
+    "rate_coverage": ("rate_coverage_mean", "rate_coverage_std", "rate_coverage_ci95"),
+    "energy_saving_pct": ("energy_saving_pct",),
+    "theta_mean": ("theta_mean", "theta_std", "theta_ci95"),
+    "n_users": ("n_users_mean",),
+    "n_outage": ("n_outage_mean",),
 }
 
 
 def _manifest(cfg: CampaignConfig, rows: list, n_skipped: int, **extra) -> dict:
+    config = asdict(cfg)
+    if cfg.traffic_profile:
+        # each profile step draws one drop and one fading draw
+        del config["n_drops"], config["n_fading"]
     return {
-        "config": asdict(cfg),
+        "config": config,
         "master_seed": cfg.master_seed,
         "versions": {"compbss": __version__, "numpy": np.__version__},
         "n_rows": len(rows),
@@ -385,21 +389,6 @@ def _scheduled_user_frac(n_scheduled: int, n_dropped: int):
     """Pool users over dropped users, summed over the scheduled realizations
     (None when none was scheduled)."""
     return n_scheduled / n_dropped if n_dropped else None
-
-
-def _combo_order(ctx: _Context):
-    """Result rows in output order: (key, (pattern, alpha, configuration,
-    gamma_d, rate threshold) index of the point in _drop_records' values)."""
-    cfg = ctx.cfg
-    for c, config_name in enumerate(ctx.models):
-        for p, pattern in enumerate(ctx.patterns):
-            for mu in cfg.densities_per_km2:
-                for g, gamma_d in enumerate(cfg.gamma_ds_db):
-                    for a, alpha in enumerate(cfg.alphas):
-                        for t, r_thr in enumerate(cfg.rate_thresholds_bps):
-                            yield (config_name, pattern.label,
-                                   "+".join(map(str, pattern.off_bs_ids)),
-                                   mu, gamma_d, alpha, r_thr), (p, a, c, g, t)
 
 
 def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
@@ -417,8 +406,7 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
     r_thr = cfg.rate_thresholds_bps[0]
     params = SchedulerParams(alpha=alpha, gamma_d_db=gamma_d,
                              gamma_d_range_db=tuple(cfg.gamma_d_range_db))
-    config_name = str(cfg.comp_configs[0])
-    model, multi_ids = ctx.models[config_name]
+    model = ctx.models[str(cfg.comp_configs[0])]
     rows = []
     n_skipped = 0   # steps whose drop or metric set is empty
     n_evaluated = {}    # patterns a walk down the list evaluates -> steps
@@ -431,14 +419,15 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
             continue
         gains = build_gain_matrix(ctx.layout, drop, ctx.params,
                                   _seed_key(cfg.master_seed, 3, _mu_key(float(mu)), t))
-        rx_w = received_power_w(gains, ctx.params, out=gains.h)
+        rx_w = received_power_w(gains, ctx.params, out=gains)
         vq = center_cluster_users(model, rx_w.argmax(axis=1), ctx.center_sector_idx)
         if not vq.any():
             n_skipped += 1
             continue
         res = heuristic_select(model, rx_w, vq, ctx.cluster_bs_idx, ctx.patterns,
                                params, r_thr)
-        stats = realization_stats(res, vq, [multi_ids], r_thr, alpha)
+        stats = realization_stats(res.solution, vq[res.users], [res.pattern.energy_saving_pct],
+                                  [model.multi_vc_ids], r_thr, alpha)[0]
         n_scheduled += res.users.size
         n_dropped += rx_w.shape[0]
         n_evaluated[res.patterns_evaluated] = n_evaluated.get(res.patterns_evaluated, 0) + 1
@@ -446,8 +435,8 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
             "t": t, "mu_per_km2": float(mu), "pattern": res.pattern.label,
             "bs_off": "+".join(map(str, res.pattern.off_bs_ids)),
             "a1": res.pattern.a1, "energy_pct": res.pattern.energy_saving_pct,
-            "t_alpha_bps": float(stats.t_alpha_bps[0]), "min_rate_bps": res.min_rate_bps,
-            "feasible": int(res.feasible),
+            "t_alpha_bps": float(stats[STAT_FIELDS.index("t_alpha_bps")]),
+            "min_rate_bps": res.min_rate_bps, "feasible": int(res.feasible),
         })
     manifest = _manifest(
         cfg, rows, n_skipped, mode="traffic_profile",

@@ -179,14 +179,6 @@ class McsTable:
         return out if snr.ndim else float(out)
 
 
-@dataclass(frozen=True, eq=False)
-class GainMatrix:
-    """Per-realization linear channel gains h[user, sector]."""
-
-    h: np.ndarray           # (U, S) linear
-    seed: object
-
-
 def drop_link_budget(layout: NetworkLayout, drop: UserDrop,
                      params: ChannelParams) -> np.ndarray:
     """Drop-level stage: the (U, S) link budget in dB of every link.
@@ -209,8 +201,9 @@ def drop_link_budget(layout: NetworkLayout, drop: UserDrop,
                                  params.penetration_loss_db)
 
 
-def draw_gain_matrix(budget_db: np.ndarray, params: ChannelParams, seed) -> GainMatrix:
-    """Fading-level stage: draw shadowing on top of a drop's link budget.
+def draw_gain_matrix(budget_db: np.ndarray, params: ChannelParams, seed) -> np.ndarray:
+    """Fading-level stage: the (U, S) linear gains h[user, sector] of a
+    drop's link budget under shadowing.
 
     Shadowing is an i.i.d. lognormal term per link, redrawn per realization;
     the same seed reproduces the matrix exactly.  The standard normal draw
@@ -219,22 +212,22 @@ def draw_gain_matrix(budget_db: np.ndarray, params: ChannelParams, seed) -> Gain
     """
     shadow = np.random.default_rng(seed).standard_normal(size=budget_db.shape)
     shadow *= params.shadowing_stddev_db
-    return GainMatrix(h=_shadowed_gain_in_place(budget_db, shadow), seed=seed)
+    return _shadowed_gain_in_place(budget_db, shadow)
 
 
 def build_gain_matrix(layout: NetworkLayout, drop: UserDrop,
-                      params: ChannelParams, seed) -> GainMatrix:
+                      params: ChannelParams, seed) -> np.ndarray:
     """Linear gains of every (user, sector) link: both stages in one call."""
     return draw_gain_matrix(drop_link_budget(layout, drop, params), params, seed)
 
 
-def received_power_w(gains: GainMatrix, params: ChannelParams, out=None) -> np.ndarray:
+def received_power_w(gains: np.ndarray, params: ChannelParams, out=None) -> np.ndarray:
     """Per-subchannel received power P_s * h for every link, in watts.
 
-    ``out=gains.h`` scales the gains in place, for a caller that reads the
+    ``out=gains`` scales the gains in place, for a caller that reads the
     gain matrix no further.
     """
-    return np.multiply(per_subchannel_power_w(params), gains.h, out=out)
+    return np.multiply(per_subchannel_power_w(params), gains, out=out)
 
 
 def to_db(linear):

@@ -90,6 +90,14 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"figure {args.figure} needs a config "
                 f"{'with' if args.figure == 'fig11' else 'without'} traffic_profile")
+        if traffic_mode:
+            for flag, given in (("--drops", args.drops is not None),
+                                ("--fading", args.fading is not None),
+                                ("--full-scale", args.full_scale)):
+                if given:
+                    raise ConfigError(f"{flag} does not apply to a config with "
+                                      f"traffic_profile: each profile step draws one "
+                                      f"drop and one fading draw")
         out = Path(cfg.output)
         _check_writable(out)
     except ConfigError as exc:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,38 +11,10 @@ from .channel import from_db
 SINR_COVERAGE_THRESHOLD_DB = -6.5   # lowest MCS threshold
 
 
+# The metrics of one realization (see ``bss.realization_stats``), in the order
+# of their last axis; probabilities are in [0, 1].
 STAT_FIELDS = ("t_alpha_bps", "sinr_coverage", "rate_coverage",
                "energy_saving_pct", "theta_mean", "n_users", "n_outage")
-
-
-@dataclass(frozen=True)
-class RealizationStats:
-    """Per-realization cluster metrics; probabilities in [0, 1].
-
-    Every field is a float array of one shape, one entry per sweep point
-    (see ``bss.realization_stats``).
-    """
-
-    t_alpha_bps: np.ndarray
-    sinr_coverage: np.ndarray
-    rate_coverage: np.ndarray
-    energy_saving_pct: np.ndarray
-    n_users: np.ndarray
-    n_outage: np.ndarray
-    theta_mean: np.ndarray
-
-
-@dataclass(frozen=True)
-class MetricSummary:
-    """Sample mean with a normal-approximation 95% confidence interval.
-
-    Arrays of one shape when a batch of sweep points is summarised at once.
-    """
-
-    mean: float | np.ndarray
-    std: float | np.ndarray
-    ci95: float | np.ndarray
-    n: int
 
 
 def alpha_fair_throughputs(rates: np.ndarray, counts, alpha: float) -> np.ndarray:
@@ -104,19 +75,16 @@ def _summary_rows(values: np.ndarray):
     return mean, std, 1.96 * std / math.sqrt(n)
 
 
-def aggregate(values: np.ndarray) -> dict[str, MetricSummary]:
+def aggregate(values: np.ndarray) -> np.ndarray:
     """Aggregate every metric of a realization batch in one reduction.
 
-    ``values`` is an array (..., 7, n) of :class:`RealizationStats` fields in
+    ``values`` is an array (..., 7, n) of ``realization_stats`` values in
     STAT_FIELDS order with the n realizations last; its leading axes are
-    sweep points that are summarised at once.
+    sweep points that are summarised at once.  Returns the (3, ..., 7)
+    array of the mean, the sample stddev and the 95% CI half-width.
     """
     n = values.shape[-1]
     if n == 0:
         raise ValueError("at least one realization required")
-    lead = values.shape[:-2]
     rows = _summary_rows(np.ascontiguousarray(values.reshape(-1, n)))
-    mean, std, ci95 = (x.reshape(lead + (len(STAT_FIELDS),)) for x in rows)
-    return {name: MetricSummary(mean=mean[..., i][()], std=std[..., i][()],
-                                ci95=ci95[..., i][()], n=n)
-            for i, name in enumerate(STAT_FIELDS)}
+    return np.stack(rows).reshape((3,) + values.shape[:-1])

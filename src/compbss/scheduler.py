@@ -7,18 +7,10 @@ share of time a virtual cluster devotes to joint transmission is
 theta = delta / (1 + delta) with
 delta = [sum_c (r*beta)^(1-alpha) / sum_nc (r*beta)^(1-alpha)]^(1/alpha).
 The scheduling pipeline here applies those forms to a whole field of
-sectors at once; it is independent of the site topology.
-
-Only the users that share a pool with the metric set V_q can change its
-rates, its coverage or the theta of a multi-sector cluster.  T holds the
-sectors that serve a V_q user under some sleep pattern and every sector of a
-multi-sector cluster; the pool users (:func:`pool_users`) are the users that
-some pattern serves from a sector of T.  Each sector pool, CoMP pool and
-cluster theta that an output reads then sums over pool users only, in field
-order, so the stages after association may run on the pool users alone and
-keep every bit.  The joint power is the exception: :func:`cluster_links`
-multiplies the whole draw, because the BLAS kernels sum a row of a product in
-an order that depends on the row's position in the operand.
+sectors at once; it is independent of the site topology.  One fading draw
+runs :func:`draw_rates` (pool users, association, cluster links, link
+rates) and then :func:`allocate` once per alpha; :func:`draw_rates` states
+the rules that let it schedule part of the field and keep every bit.
 """
 
 from __future__ import annotations
@@ -230,22 +222,16 @@ def associate(rx_w: np.ndarray, active_sectors: np.ndarray, noise_w: float,
 
 def pool_users(rx_w: np.ndarray, strongest: np.ndarray, vq: np.ndarray,
                active_sectors: np.ndarray, models) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted rows of the users that can change a metric-set output, and
-    their (P, n) serving sectors for :func:`associate`.
+    """Sorted rows of the pool users of the metric set ``vq`` (see
+    :func:`draw_rates`), and their (P, n) serving sectors for
+    :func:`associate`.
 
-    T holds the sectors that serve a metric-set (``vq``) user under some row
-    of the (P, S) masks, plus every sector of a multi-sector cluster of any
-    of ``models``.  The pool users are the users that some row serves from a
-    sector of T.  Under each row, a metric-set user's sector pool, its
-    cluster's CoMP pool and theta, and the theta of every multi-sector
-    cluster sum over users served from sectors of T only, and all of those
-    are pool users.  Scheduling the pool users alone thus fills every pool
-    that an output reads with the same members in the same order, and its
-    bincount sums keep their bits.
-
-    At least two rows are kept when the draw has two users: the sector sums
-    of :func:`associate` over a single user's column would run along the
-    contiguous axis, which numpy sums pairwise, not left to right.
+    T holds the sectors that serve a ``vq`` user under some row of the
+    (P, S) masks, plus every sector of a multi-sector cluster of any of
+    ``models``; the pool users are the users that some row serves from a
+    sector of T.  At least two rows are kept when the draw has two users: the
+    sector sums of :func:`associate` over a single user's column would run
+    along the contiguous axis, which numpy sums pairwise, not left to right.
     """
     act = np.asarray(active_sectors, dtype=bool)
     serving = serving_sectors(rx_w, act, strongest)
@@ -273,10 +259,8 @@ def cluster_links(model: SystemModel, rx_w: np.ndarray, assoc: Association,
 
     ``member`` is :func:`cluster_members` of the association's active sectors,
     and ``users`` lists the rows of the draw ``rx_w`` that the association
-    covers (default: all).  The joint power is one ``np.matmul`` of the whole
-    draw with the (P, S, n_multi) member stack, which multiplies pattern by
-    pattern, and is read at those rows afterwards: a product over a subset of
-    rows, or over several patterns' members at once, sums in another order.
+    covers (default: all).  The joint power is one product of the whole draw
+    with the member stack, read at those rows (see :func:`draw_rates`).
     """
     vc_user = model.vc_of_sector[assoc.sector]
     capable = model.vc_sizes[vc_user] > 1
@@ -327,6 +311,37 @@ def link_rates(model: SystemModel, assoc: Association, links, gamma_ds_db) -> Li
         outage=(r_user <= 0.0).reshape(shape), sector=sector.reshape(shape),
         vc=vc.reshape(shape), pool=pool.reshape(shape),
         n_vclusters=n_vc, n_pools=model.n_sectors + n_vc)
+
+
+def draw_rates(models, members, rx_w: np.ndarray, strongest: np.ndarray, vq: np.ndarray,
+               active_sectors: np.ndarray, gamma_ds_db) -> tuple[np.ndarray, LinkRates]:
+    """One fading draw from received power to link rates, for every row of
+    the (P, S) active-sector masks, every configuration of ``models`` (with
+    its :func:`cluster_members` in ``members``) and every gamma_d.
+
+    Returns the sorted rows of the draw that it scheduled and their
+    :func:`link_rates`.  Only the users that share a pool with the metric
+    set ``vq`` can change its rates, its coverage or the theta of a
+    multi-sector cluster, and :func:`pool_users` keeps exactly those: the
+    users served from a sector that serves a ``vq`` user under some row or
+    that belongs to a multi-sector cluster.  Each sector pool, CoMP pool and
+    cluster theta that an output reads then sums over pool users only, in
+    field order, so every bincount of :func:`allocate` adds the same users in
+    the same order as over the whole field and keeps its bits.  With every
+    user in ``vq`` the whole field is scheduled.
+
+    The joint power is the exception: :func:`cluster_links` multiplies the
+    whole draw by the (P, S, n_multi) member stack, pattern by pattern, and
+    reads the product at the pool users.  The BLAS kernels sum a row of a
+    product in an order that depends on the row's position in the operand,
+    so a product over the kept rows alone, or over several patterns' members
+    at once, changes bits.  ``strongest`` is ``rx_w.argmax(axis=1)``.
+    """
+    users, serving = pool_users(rx_w, strongest, vq, active_sectors, models)
+    assoc = associate(rx_w[users], active_sectors, models[0].noise_w, serving)
+    links = [cluster_links(model, rx_w, assoc, member, users)
+             for model, member in zip(models, members)]
+    return users, link_rates(models[0], assoc, links, gamma_ds_db)
 
 
 def allocate(rates: LinkRates, alpha: float) -> SchedulingSolution:
@@ -385,17 +400,14 @@ def schedule(model: SystemModel, rx_w: np.ndarray, active_bs: np.ndarray,
              params: SchedulerParams) -> SchedulingSolution:
     """Associate, classify, and allocate optimal time fractions for all users.
 
-    One scheduling point over every user of the draw.  The campaign and the
-    pattern selection call the stages directly, once per level; this
-    composition serves single-point callers, and the traced benchmark
+    One scheduling point over every user of the draw: :func:`draw_rates`
+    with every user in the metric set.  The traced benchmark
     (``bench/spans.py``) wraps it by name.
     """
     act = np.asarray(active_bs, dtype=bool)[model.sector_bs][None]
-    serving = serving_sectors(rx_w, act, rx_w.argmax(axis=1))
-    assoc = associate(rx_w, act, model.noise_w, serving)
-    links = cluster_links(model, rx_w, assoc, cluster_members(model, act))
-    return allocate(link_rates(model, assoc, [links], [params.gamma_d_db]),
-                    params.alpha).row(0)
+    _, rates = draw_rates([model], [cluster_members(model, act)], rx_w, rx_w.argmax(axis=1),
+                          np.ones(rx_w.shape[0], dtype=bool), act, [params.gamma_d_db])
+    return allocate(rates, params.alpha).row(0)
 
 
 def center_cluster_users(model: SystemModel, strongest: np.ndarray,

@@ -151,7 +151,7 @@ def expression_link_budget(layout, drop, params):
 
 
 def expression_gain_matrix(budget_db, params, seed):
-    """``channel.draw_gain_matrix(...).h`` as expressions, with the shadowing
+    """``channel.draw_gain_matrix`` as expressions, with the shadowing
     drawn by ``normal(0, sigma)``."""
     rng = np.random.default_rng(seed)
     shadow = rng.normal(0.0, params.shadowing_stddev_db, size=budget_db.shape)
@@ -347,16 +347,14 @@ def full_field_drop_records(ctx, mu, d):
     """``campaign._drop_records`` values and skip count, scheduling every
     user of each draw."""
     from compbss.campaign import _mu_key, _seed_key
-    from compbss.metrics import STAT_FIELDS
     cfg = ctx.cfg
-    models = [model for model, _ in ctx.models.values()]
+    models = list(ctx.models.values())
     rows = [(pattern, model) for pattern in ctx.patterns for model in models
             for _ in cfg.gamma_ds_db]
     points = (len(cfg.alphas), len(ctx.patterns), len(models), len(cfg.gamma_ds_db),
-              len(cfg.rate_thresholds_bps), len(STAT_FIELDS))
+              len(cfg.rate_thresholds_bps), len(cb.STAT_FIELDS))
+    order = (0, 3, 2, 4, 1, 5, 6)   # (n, A, P, C, G, T, 7) -> (n, C, P, G, A, T, 7)
     drop = cb.drop_users(ctx.layout, mu, _seed_key(cfg.master_seed, 0, _mu_key(mu), d))
-    if drop.is_empty:
-        return np.empty((0,) + points).swapaxes(1, 2), cfg.n_fading
     budget_db = cb.channel.drop_link_budget(ctx.layout, drop, ctx.params)
     blocks, skipped = [], 0
     for f_idx in range(cfg.n_fading):
@@ -375,18 +373,16 @@ def full_field_drop_records(ctx, mu, d):
                  for model, member in zip(models, ctx.members)]
         rates = cb.scheduler.link_rates(models[0], assoc, links, cfg.gamma_ds_db)
         for alpha in cfg.alphas:
-            ev = cb.bss.pattern_evaluation(tuple(p for p, _ in rows),
-                                           cb.scheduler.allocate(rates, alpha), vq, 0.0)
-            stats = cb.bss.realization_stats(ev, vq, [m.multi_vc_ids for _, m in rows],
-                                             cfg.rate_thresholds_bps, alpha)
-            blocks.append(np.stack([getattr(stats, f) for f in STAT_FIELDS], axis=-1))
-    return np.reshape(blocks, (-1,) + points).swapaxes(1, 2), skipped
+            blocks.append(cb.bss.realization_stats(
+                cb.scheduler.allocate(rates, alpha), vq,
+                [p.energy_saving_pct for p, _ in rows], [m.multi_vc_ids for _, m in rows],
+                cfg.rate_thresholds_bps, alpha))
+    return np.reshape(blocks, (-1,) + points).transpose(order), skipped
 
 
-def full_field_patterns(model, rx_w, vq, cluster_bs_idx, patterns, params,
-                        rate_threshold_bps):
-    """Every pattern of the list scheduled over every user of the draw, one
-    row each (a batch ``HeuristicResult`` without ``users``)."""
+def full_field_patterns(model, rx_w, cluster_bs_idx, patterns, params):
+    """Every pattern of the list scheduled over every user of the draw: the
+    ``allocate`` solution with one row per pattern."""
     n_bs = int(model.sector_bs.max()) + 1
     active = np.array([cb.bss.active_bs_mask(n_bs, cluster_bs_idx, p)
                        for p in patterns])[:, model.sector_bs]
@@ -394,6 +390,5 @@ def full_field_patterns(model, rx_w, vq, cluster_bs_idx, patterns, params,
         rx_w, active, model.noise_w,
         cb.scheduler.serving_sectors(rx_w, active, rx_w.argmax(axis=1)))
     links = full_field_links(model, rx_w, assoc, cb.scheduler.cluster_members(model, active))
-    sol = cb.scheduler.allocate(
+    return cb.scheduler.allocate(
         cb.scheduler.link_rates(model, assoc, [links], [params.gamma_d_db]), params.alpha)
-    return cb.bss.pattern_evaluation(tuple(patterns), sol, vq, rate_threshold_bps)

@@ -12,7 +12,7 @@ import pytest
 
 import compbss as cb
 from compbss.bss import (active_bs_mask, all_patterns, exhaustive_oracle, heuristic_select,
-                         pattern_evaluation, realization_stats)
+                         realization_stats)
 from compbss.metrics import STAT_FIELDS, aggregate
 from compbss.scheduler import (Association, ClusterLinks, allocate, associate,
                                center_cluster_users, cluster_links, cluster_members,
@@ -91,7 +91,7 @@ def test_batched_rows_equal_point_oracles(layout, params, models, pattern):
     act = _active_sectors(layout, patterns)
     row_points = [(q, c, g) for q in range(len(patterns)) for c in range(len(CONFIGS))
                   for g in GAMMAS]
-    row_patterns = tuple(patterns[q] for q, _, _ in row_points)
+    row_energy = [patterns[q].energy_saving_pct for q, _, _ in row_points]
     row_multi = [model_list[c].multi_vc_ids for _, c, _ in row_points]
     n_checked = 0
     for density, seed, rx, vq in _setups(layout, params, models["C3"]):
@@ -102,8 +102,7 @@ def test_batched_rows_equal_point_oracles(layout, params, models, pattern):
         point_assoc = point_associate(rx, act[p], params.noise_w, strongest)
         for alpha in ALPHAS:
             sol = allocate(rates, alpha)
-            ev = pattern_evaluation(row_patterns, sol, vq, 0.0)
-            stats = realization_stats(ev, vq, row_multi, THRESHOLDS, alpha)
+            stats = realization_stats(sol, vq, row_energy, row_multi, THRESHOLDS, alpha)
             assert sol.lam.shape == (len(row_points), rx.shape[0])
             for r, (q, c, gamma_d) in enumerate(row_points):
                 if q != p:
@@ -125,9 +124,8 @@ def test_batched_rows_equal_point_oracles(layout, params, models, pattern):
                 for t, r_thr in enumerate(THRESHOLDS):
                     want = point_realization_stats(ref, vq, model.multi_vc_ids, r_thr, alpha,
                                                    pattern.energy_saving_pct)
-                    for name in STAT_FIELDS:
-                        got = getattr(stats, name)[r, t]
-                        assert np.array_equal(got, want[name]), (name, r_thr, where)
+                    for i, name in enumerate(STAT_FIELDS):
+                        assert np.array_equal(stats[r, t, i], want[name]), (name, r_thr, where)
         n_checked += 1
     assert n_checked >= 4
 
@@ -154,12 +152,13 @@ def test_single_point_schedule_equals_oracle(layout, params, models):
                 ev = cb.evaluate_pattern(model, rx, vq, layout.center_cluster_bs_ids - 1,
                                          pattern, sp, 0.0)
                 assert np.array_equal(ev.solution.lam, sol.lam[ev.users])
-                stats = realization_stats(ev, vq, [model.multi_vc_ids], 2e5, alpha)
+                stats = realization_stats(ev.solution, vq[ev.users], [pattern.energy_saving_pct],
+                                          [model.multi_vc_ids], 2e5, alpha)
                 want = point_realization_stats(ref, vq, model.multi_vc_ids, 2e5, alpha,
                                                pattern.energy_saving_pct)
-                for field in STAT_FIELDS:
-                    got = getattr(stats, field)
-                    assert got.shape == (1,) and np.array_equal(got[0], want[field]), field
+                assert stats.shape == (1, len(STAT_FIELDS))
+                for i, field in enumerate(STAT_FIELDS):
+                    assert np.array_equal(stats[0, i], want[field]), field
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1e5, 2e5, 4e5, 1e12])
@@ -217,10 +216,9 @@ def test_batched_aggregate_equals_per_key_summaries(n):
     values = rng.lognormal(0.0, 3.0, size=(n_keys, len(STAT_FIELDS), n))
     values[:, STAT_FIELDS.index("n_users")] = rng.integers(1, 400, size=(n_keys, n))
     summ = aggregate(values)
+    assert summ.shape == (3, n_keys, len(STAT_FIELDS))
     for k in range(n_keys):
         for i, name in enumerate(STAT_FIELDS):
-            mean, std, ci95 = point_summary(values[k, i])
-            assert summ[name].n == n
-            assert np.array_equal(summ[name].mean[k], mean), (k, name)
-            assert np.array_equal(summ[name].std[k], std), (k, name)
-            assert np.array_equal(summ[name].ci95[k], ci95), (k, name)
+            want = point_summary(values[k, i])
+            for part in range(3):
+                assert np.array_equal(summ[part, k, i], want[part]), (k, name, part)

@@ -6,6 +6,7 @@ from compbss.bss import (BssPattern, all_patterns, default_pattern_list,
                          evaluate_pattern, exhaustive_oracle, heuristic_select,
                          patterns_from_file, patterns_to_file, realization_stats,
                          sort_patterns, validate_pattern_list)
+from compbss.metrics import STAT_FIELDS
 from compbss.scheduler import SchedulerParams
 
 
@@ -209,10 +210,11 @@ class TestResultExport:
     def test_realization_stats_fields(self, c3_setup):
         model, rx, vq, cb_idx = c3_setup
         ev = evaluate_pattern(model, rx, vq, cb_idx, default_pattern_list()[-1], SP, 0.0)
-        st = realization_stats(ev, vq, [model.multi_vc_ids], 0.2e6, 1.0)
-        assert st.t_alpha_bps.shape == (1,)
-        assert st.n_users[0] == int(vq.sum())
-        assert 0.0 <= st.sinr_coverage[0] <= 1.0
-        assert 0.0 <= st.rate_coverage[0] <= 1.0
-        assert st.energy_saving_pct[0] == 0.0
-        assert st.t_alpha_bps[0] > 0
+        st = dict(zip(STAT_FIELDS, realization_stats(
+            ev.solution, vq[ev.users], [ev.pattern.energy_saving_pct],
+            [model.multi_vc_ids], 0.2e6, 1.0)[0]))
+        assert st["n_users"] == int(vq.sum())
+        assert 0.0 <= st["sinr_coverage"] <= 1.0
+        assert 0.0 <= st["rate_coverage"] <= 1.0
+        assert st["energy_saving_pct"] == 0.0
+        assert st["t_alpha_bps"] > 0

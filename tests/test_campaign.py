@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,6 +58,11 @@ class TestConfig:
         ("alphas", [1, 2.0, 1.0], "repeats"), ("gamma_ds_db", [0.0, 0.0], "repeats"),
         ("densities_per_km2", [60.0, 60], "repeats"),
         ("rate_thresholds_bps", [2e5, 2e5], "repeats"),
+        ("densities_per_km2", [-5], "-5"), ("densities_per_km2", [60.0, 0], "0"),
+        ("traffic_profile", [-20], "-20"), ("traffic_profile", [20, 0], "0"),
+        ("rate_thresholds_bps", [-1], "-1"), ("inter_site_distance_m", 0, "0"),
+        ("inter_site_distance_m", float("inf"), "inf"), ("output", 5, "5"),
+        ("output", "", "''"), ("pattern_file", 3, "3"),
     ])
     def test_rejects_bad_sweep_values(self, key, value, shown):
         with pytest.raises(ConfigError) as info:
@@ -192,6 +200,11 @@ class TestTraffic:
             assert res.manifest["patterns_evaluated"] == {str(len(labels)): len(res.rows)}
         assert set(res.rows[0]) == set(TRAFFIC_COLUMNS)
 
+    def test_manifest_echoes_no_drop_counts(self):
+        echo = run_traffic_profile(tiny_config(traffic_profile=[20.0])).manifest["config"]
+        assert echo["traffic_profile"] == [20.0]
+        assert "n_drops" not in echo and "n_fading" not in echo
+
     def test_requires_profile(self):
         with pytest.raises(ConfigError):
             run_traffic_profile(tiny_config())
@@ -296,6 +309,36 @@ class TestCli:
         assert cli_main(["--config", str(p)]) == 1
         assert "alphas entry '2'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, shown", [
+        ("densities_per_km2: [0]", "densities_per_km2"), ("output: 5", "output"),
+        ("rate_thresholds_bps: [-1]", "rate_thresholds_bps"),
+        ("inter_site_distance_m: 0", "inter_site_distance_m"),
+        ("comp_configs: [C9]", "comp_configs entry 'C9'"),
+        ("comp_configs: [configs/traffic_day.yaml]", "comp_configs entry"),
+        ("pattern_file: nope.csv", "pattern_file 'nope.csv'"),
+        ("pattern_file: configs/traffic_day.yaml", "pattern_file"),
+        ("mcs_file: configs/traffic_day.yaml", "mcs_file"),
+    ])
+    def test_bad_config_value_is_exit_1(self, tmp_path, capsys, monkeypatch, line, shown):
+        """Values that used to fail at run time are configuration errors."""
+        monkeypatch.chdir(CONFIGS.parent)
+        p = tmp_path / "c.yaml"
+        p.write_text(f"n_drops: 1\nn_fading: 1\noutput: {tmp_path / 'r.csv'}\n{line}\n")
+        assert cli_main(["--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and shown in err and "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--drops", "2"], ["--fading", "3"], ["--full-scale"]])
+    def test_traffic_config_refuses_scale_flags(self, tmp_path, capsys, flags):
+        out = tmp_path / "t.csv"
+        rc = cli_main(["--config", str(CONFIGS / "traffic_day.yaml"), "--figure", "fig11",
+                       "--out", str(out)] + flags)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert flags[0] in err and "traffic_profile" in err
+        assert not out.exists()
+
     def test_traffic_profile_extra_alpha_is_exit_1(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"
         p.write_text("traffic_profile: [60]\nalphas: [1, 2]\n"
@@ -366,8 +409,19 @@ class TestCli:
     def test_shipped_config_runs(self, tmp_path, name):
         figure = CONFIG_FIGURES[name]
         out = tmp_path / f"{name}.csv"
+        # a traffic profile draws one drop per step and takes no scale flags
+        scale = [] if figure == "fig11" else ["--drops", "1", "--fading", "1"]
         rc = cli_main(["--config", str(CONFIGS / f"{name}.yaml"), "--figure", figure,
-                       "--drops", "1", "--fading", "1", "--out", str(out)])
+                       "--out", str(out)] + scale)
         assert rc == 0
         fig = (tmp_path / f"{name}_{figure}.csv").read_text().splitlines()
         assert len(fig) > 1
+
+
+def test_rate_coverage_script_writes_its_csvs(tmp_path):
+    out = tmp_path / "rate_coverage.csv"
+    subprocess.run([sys.executable, str(CONFIGS.parent / "scripts" / "run_rate_coverage.py"),
+                    "--drops", "1", "--out", str(out)], check=True, capture_output=True,
+                   env={**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")}, timeout=120)
+    for name in ("rate_coverage.csv", "rate_coverage_fig9.csv", "rate_coverage_fig10.csv"):
+        assert len((tmp_path / name).read_text().splitlines()) > 1, name

@@ -54,16 +54,16 @@ class TestChannelGain:
         drop = cb.drop_users(layout, 20.0, 5)
         g1 = build_gain_matrix(layout, drop, params, 99)
         g2 = build_gain_matrix(layout, drop, params, 99)
-        assert np.array_equal(g1.h, g2.h)
+        assert np.array_equal(g1, g2)
         g3 = build_gain_matrix(layout, drop, params, 100)
-        assert not np.array_equal(g1.h, g3.h)
+        assert not np.array_equal(g1, g3)
 
     def test_gains_positive_finite(self, layout, params):
         drop = cb.drop_users(layout, 20.0, 6)
         g = build_gain_matrix(layout, drop, params, 1)
-        assert np.all(g.h > 0)
-        assert np.all(np.isfinite(g.h))
-        assert g.h.shape == (drop.n_users, layout.n_sectors)
+        assert np.all(g > 0)
+        assert np.all(np.isfinite(g))
+        assert g.shape == (drop.n_users, layout.n_sectors)
 
 
 class TestPower:
@@ -230,5 +230,5 @@ class TestLinkRate:
 
 def test_received_power_shape(realization, params):
     drop, gains, rx = realization
-    assert rx.shape == gains.h.shape
-    assert np.allclose(rx, per_subchannel_power_w(params) * gains.h)
+    assert rx.shape == gains.shape
+    assert np.allclose(rx, per_subchannel_power_w(params) * gains)

@@ -6,8 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 import compbss  # noqa: F401  (fixtures)
 
-from compbss.metrics import (STAT_FIELDS, MetricSummary, RealizationStats, aggregate,
-                             alpha_fair_throughputs, rate_coverage, sinr_coverage)
+from compbss.metrics import (STAT_FIELDS, aggregate, alpha_fair_throughputs, rate_coverage,
+                             sinr_coverage)
 
 rate_sets = arrays(np.float64, st.integers(1, 12),
                    elements=st.floats(1e3, 1e9, allow_nan=False))
@@ -19,9 +19,9 @@ def throughput_of(lams, alpha):
 
 
 def summary_of(values):
-    """``aggregate`` of one metric over the realizations ``values``."""
-    return aggregate(np.tile(np.asarray(values, dtype=float),
-                             (len(STAT_FIELDS), 1)))["t_alpha_bps"]
+    """``aggregate`` of one metric over the realizations ``values``: its
+    mean, std and ci95."""
+    return aggregate(np.tile(np.asarray(values, dtype=float), (len(STAT_FIELDS), 1)))[:, 0]
 
 
 class TestThroughput:
@@ -93,37 +93,32 @@ class TestCoverageSuperposition:
 
 class TestAggregate:
     def test_single_realization_degenerate_ci(self):
-        s = summary_of([0.4])
-        assert s.mean == 0.4
-        assert s.ci95 == 0.0
-        assert s.n == 1
+        mean, std, ci95 = summary_of([0.4])
+        assert mean == 0.4
+        assert std == ci95 == 0.0
 
     def test_identical_realizations_zero_variance(self):
-        s = summary_of([2.0, 2.0, 2.0])
-        assert s.std == 0.0
-        assert s.ci95 == 0.0
+        _, std, ci95 = summary_of([2.0, 2.0, 2.0])
+        assert std == 0.0
+        assert ci95 == 0.0
 
     def test_mean_of_two(self):
-        s = summary_of([0.2, 0.4])
-        assert s.mean == pytest.approx(0.3)
-        assert s.n == 2
+        mean, std, _ = summary_of([0.2, 0.4])
+        assert mean == pytest.approx(0.3)
+        assert std == pytest.approx(0.02 ** 0.5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summary_of([])
 
     def test_aggregate_all_fields(self):
-        stats = [
-            RealizationStats(t_alpha_bps=1e6, sinr_coverage=0.9, rate_coverage=0.8,
-                             energy_saving_pct=0.0, n_users=50, n_outage=1,
-                             theta_mean=0.2),
-            RealizationStats(t_alpha_bps=2e6, sinr_coverage=1.0, rate_coverage=0.9,
-                             energy_saving_pct=0.0, n_users=60, n_outage=0,
-                             theta_mean=0.4),
-        ]
-        summ = aggregate(np.array([[getattr(s, name) for s in stats]
-                                   for name in STAT_FIELDS]))
-        assert summ["t_alpha_bps"].mean == pytest.approx(1.5e6)
-        assert summ["sinr_coverage"].mean == pytest.approx(0.95)
-        assert summ["theta_mean"].mean == pytest.approx(0.3)
-        assert isinstance(summ["n_users"], MetricSummary)
+        # two realizations, one row per metric in STAT_FIELDS order
+        values = np.array([[1e6, 2e6], [0.9, 1.0], [0.8, 0.9], [0.0, 0.0], [0.2, 0.4],
+                           [50, 60], [1, 0]])
+        summ = aggregate(values)
+        assert summ.shape == (3, len(STAT_FIELDS))
+        mean = dict(zip(STAT_FIELDS, summ[0]))
+        assert mean["t_alpha_bps"] == pytest.approx(1.5e6)
+        assert mean["sinr_coverage"] == pytest.approx(0.95)
+        assert mean["theta_mean"] == pytest.approx(0.3)
+        assert mean["n_users"] == 55.0

@@ -14,7 +14,8 @@ import pytest
 import compbss as cb
 from compbss.bss import all_patterns, exhaustive_oracle, heuristic_select, patterns_to_file
 from compbss.campaign import CampaignConfig, _drop_records, build_context
-from compbss.scheduler import SystemModel, cluster_members, pool_users, serving_sectors
+from compbss.scheduler import (SystemModel, allocate, cluster_members, draw_rates, pool_users,
+                               serving_sectors)
 
 from conftest import make_realization
 from helpers import full_field_drop_records, full_field_patterns
@@ -88,7 +89,7 @@ def test_off_centre_cluster_keeps_its_theta(tmp_path, layout, params, mcs, patte
     ctx = _context(tmp_path, pattern_set, ["none", "C3"], gamma_ds_db=[4.0])
     model = _off_centre_model(layout, params, mcs)
     ctx = dataclasses.replace(
-        ctx, models={"none": ctx.models["none"], "C3": (model, model.multi_vc_ids)},
+        ctx, models={"none": ctx.models["none"], "C3": model},
         members=[ctx.members[0], cluster_members(model, ctx.active_sectors)])
     for mu in DENSITIES:
         for d in range(ctx.cfg.n_drops):
@@ -106,18 +107,19 @@ def _draws(layout, params, model, seeds=range(2)):
                 yield density, seed, rx, vq
 
 
-def _check_pick(got, batch, k, feasible, n_eval, where):
-    assert got.pattern == batch.pattern[k], where
+def _check_pick(got, patterns, want_rates, k, feasible, n_eval, where):
+    assert got.pattern == patterns[k], where
     assert got.feasible is feasible, where
-    assert np.array_equal(got.min_rate_bps, batch.min_rate_bps[k]), where
-    assert np.array_equal(got.rates_bps, batch.rates_bps[k]), where
+    assert np.array_equal(got.min_rate_bps, want_rates[k].min()), where
+    assert np.array_equal(got.rates_bps, want_rates[k]), where
     assert got.patterns_evaluated == n_eval, where
 
 
 @pytest.mark.parametrize("config", ["none", "C1", "C2", "C3"])
 def test_selections_equal_full_field_oracle(layout, params, models, config):
-    """Heuristic picks on 5 and 127 patterns and the exhaustive oracle's pick,
-    with every row's minimum rate, coverage SINR and cluster theta."""
+    """The pattern-list pass of ``draw_rates`` on 5 and 127 patterns, with
+    every row's rates, coverage SINR and cluster theta, and the heuristic and
+    exhaustive oracle picks."""
     model = models[config]
     cb_idx = layout.center_cluster_bs_ids - 1
     n_checked = 0
@@ -125,26 +127,30 @@ def test_selections_equal_full_field_oracle(layout, params, models, config):
         for alpha, gamma_d in ((1.0, -1.0), (3.0, 4.0)):
             sp = cb.SchedulerParams(alpha=alpha, gamma_d_db=gamma_d)
             for patterns in (cb.default_pattern_list(), all_patterns(7)):
-                batch = full_field_patterns(model, rx, vq, cb_idx, patterns, sp, 0.0)
-                got = cb.bss._evaluate_patterns(model, rx, vq, cb_idx, patterns, sp, 0.0)
+                want = full_field_patterns(model, rx, cb_idx, patterns, sp)
+                want_rates = want.lam[:, vq]
+                active = np.array([cb.bss.active_bs_mask(layout.n_bs, cb_idx, p)
+                                   for p in patterns])[:, model.sector_bs]
+                users, rates = draw_rates([model], [cluster_members(model, active)], rx,
+                                          rx.argmax(axis=1), vq, active, [gamma_d])
+                got = allocate(rates, alpha)
                 where = (config, density, seed, alpha, len(patterns))
-                assert np.array_equal(got.min_rate_bps, batch.min_rate_bps), where
-                assert np.array_equal(got.rates_bps, batch.rates_bps), where
-                assert np.array_equal(got.solution.coverage_sinr[:, vq[got.users]],
-                                      batch.solution.coverage_sinr[:, vq]), where
+                assert np.array_equal(got.lam[:, vq[users]], want_rates), where
+                assert np.array_equal(got.coverage_sinr[:, vq[users]],
+                                      want.coverage_sinr[:, vq]), where
                 ids = model.multi_vc_ids
-                assert np.array_equal(got.solution.theta[:, ids],
-                                      batch.solution.theta[:, ids]), where
+                assert np.array_equal(got.theta[:, ids], want.theta[:, ids]), where
                 # thresholds at the row minima make the picks differ
-                minima = np.unique(batch.min_rate_bps)
+                minima = np.unique(want_rates.min(axis=1))
                 for thr in (minima[0], minima[minima.size // 2], 1e12):
-                    feasible = batch.min_rate_bps >= thr
+                    feasible = want_rates.min(axis=1) >= thr
                     k = int(feasible.argmax()) if feasible.any() else len(patterns) - 1
                     pick = heuristic_select(model, rx, vq, cb_idx, patterns, sp, thr)
-                    _check_pick(pick, batch, k, bool(feasible[k]), k + 1, where + (thr,))
+                    _check_pick(pick, patterns, want_rates, k, bool(feasible[k]), k + 1,
+                                where + (thr,))
                     if len(patterns) == 127:
                         pick = exhaustive_oracle(model, rx, vq, cb_idx, sp, thr)
-                        _check_pick(pick, batch, k, bool(feasible[k]), 127,
+                        _check_pick(pick, patterns, want_rates, k, bool(feasible[k]), 127,
                                     where + (thr, "oracle"))
                     n_checked += 1
     assert n_checked >= 30
@@ -178,12 +184,12 @@ def test_single_pool_user_keeps_a_second_row(models, params):
                               np.ones((1, model.n_sectors), bool), [model])
         assert users.tolist() == [0, 1]
         sp = cb.SchedulerParams()
-        pattern = cb.default_pattern_list()[-1:]
-        got = cb.bss._evaluate_patterns(model, rx, vq, np.arange(7), pattern, sp, 0.0)
-        want = full_field_patterns(model, rx, vq, np.arange(7), pattern, sp, 0.0)
-        assert np.array_equal(got.solution.coverage_sinr[:, :1],
-                              want.solution.coverage_sinr[:, :1]), seed
-        assert np.array_equal(got.rates_bps, want.rates_bps), seed
+        pattern = cb.default_pattern_list()[-1]
+        got = cb.evaluate_pattern(model, rx, vq, np.arange(7), pattern, sp, 0.0)
+        want = full_field_patterns(model, rx, np.arange(7), [pattern], sp)
+        assert np.array_equal(got.solution.coverage_sinr[:1],
+                              want.coverage_sinr[0, :1]), seed
+        assert np.array_equal(got.rates_bps, want.lam[0, vq]), seed
 
 
 def test_manifest_counts_pool_users_for_any_worker_count():
