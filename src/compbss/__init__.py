@@ -16,24 +16,21 @@ __version__ = "0.1.0"
 
 from .bss import (BssPattern, HeuristicResult, all_patterns, default_pattern_list,
                   evaluate_pattern, exhaustive_oracle, heuristic_select)
-from .channel import (ChannelParams, McsTable, build_gain_matrix,
-                      directivity_gain_db, path_loss_db, per_subchannel_power_w,
-                      received_power_w)
+from .channel import (ChannelParams, McsTable, build_gain_matrix, path_loss_db,
+                      per_subchannel_power_w, received_power_w)
 from .clusters import CompConfiguration, comp_config_from_file, preset, resolve_comp_config
-from .geometry import (LayoutConfig, NetworkLayout, UserDrop, build_layout, drop_users,
-                       export_positions_csv, layout_from_file)
+from .geometry import NetworkLayout, UserDrop, build_layout, drop_users
 from .metrics import STAT_FIELDS, aggregate, rate_coverage, sinr_coverage
 from .scheduler import (SchedulerParams, SchedulingSolution, SystemModel,
                         build_system_model, center_cluster_users, schedule)
 
 __all__ = [
-    "BssPattern", "ChannelParams", "CompConfiguration", "HeuristicResult",
-    "LayoutConfig", "McsTable", "NetworkLayout", "STAT_FIELDS", "SchedulerParams",
-    "SchedulingSolution", "SystemModel", "UserDrop", "aggregate", "all_patterns",
-    "build_gain_matrix", "build_layout", "build_system_model", "center_cluster_users",
-    "comp_config_from_file", "default_pattern_list", "directivity_gain_db", "drop_users",
-    "evaluate_pattern", "exhaustive_oracle", "export_positions_csv", "heuristic_select",
-    "layout_from_file", "path_loss_db", "per_subchannel_power_w", "preset",
+    "BssPattern", "ChannelParams", "CompConfiguration", "HeuristicResult", "McsTable",
+    "NetworkLayout", "STAT_FIELDS", "SchedulerParams", "SchedulingSolution",
+    "SystemModel", "UserDrop", "aggregate", "all_patterns", "build_gain_matrix",
+    "build_layout", "build_system_model", "center_cluster_users", "comp_config_from_file",
+    "default_pattern_list", "drop_users", "evaluate_pattern", "exhaustive_oracle",
+    "heuristic_select", "path_loss_db", "per_subchannel_power_w", "preset",
     "rate_coverage", "received_power_w", "resolve_comp_config", "schedule",
     "sinr_coverage",
 ]

@@ -123,13 +123,6 @@ def patterns_from_file(path) -> list[BssPattern]:
     return out
 
 
-def patterns_to_file(patterns, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        for p in patterns:
-            w.writerow(list(p.off_flags) + [p.label])
-
-
 @dataclass(frozen=True, eq=False)
 class HeuristicResult:
     """One scheduled sleep pattern checked against the operator rate threshold.

@@ -34,6 +34,7 @@ import itertools
 import json
 import math
 import numbers
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -48,7 +49,7 @@ from .bss import (active_bs_mask, default_pattern_list, heuristic_select,
 from .channel import (ChannelParams, McsTable, build_gain_matrix, draw_gain_matrix,
                       drop_link_budget, received_power_w)
 from .clusters import resolve_comp_config
-from .geometry import LayoutConfig, build_layout, drop_users
+from .geometry import build_layout, drop_users
 from .metrics import STAT_FIELDS, aggregate
 from .scheduler import (DEFAULT_GAMMA_D_RANGE_DB, SchedulerParams, allocate,
                         alpha_range_error, build_system_model, center_cluster_users,
@@ -135,7 +136,12 @@ class CampaignConfig:
             raise ConfigError("n_drops and n_fading must be >= 1")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
-        lo, hi = self.gamma_d_range_db
+        bounds = self.gamma_d_range_db
+        if (not isinstance(bounds, (list, tuple)) or len(bounds) != 2
+                or not all(map(_is_finite_number, bounds)) or bounds[0] > bounds[1]):
+            raise ConfigError(f"gamma_d_range_db={bounds!r} must be a pair [low, high] of "
+                              f"finite numbers with low <= high")
+        lo, hi = bounds
         for g in self.gamma_ds_db:
             if not lo <= g <= hi:
                 raise ConfigError(
@@ -222,7 +228,7 @@ def _config_file(what: str):
 
 
 def build_context(cfg: CampaignConfig) -> _Context:
-    layout = build_layout(LayoutConfig(inter_site_distance_m=cfg.inter_site_distance_m))
+    layout = build_layout(cfg.inter_site_distance_m)
     params = ChannelParams()
     with _config_file(f"mcs_file {cfg.mcs_file!r}"):
         mcs = McsTable.from_csv(cfg.mcs_file) if cfg.mcs_file else McsTable.default()
@@ -335,6 +341,9 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
         values = np.concatenate([res[0] for (m, _), res in zip(tasks, results) if m == mu])
         if values.shape[0]:
             summaries[mu] = aggregate(np.moveaxis(values, 0, -1)), values.shape[0]
+    if not summaries:
+        raise _all_skipped("densities_per_km2", dict.fromkeys(
+            cfg.densities_per_km2, cfg.n_drops * cfg.n_fading))
 
     rows = []
     for (c, config_name), (p, pattern), mu, (g, gamma_d), (a, alpha), (t, r_thr) in (
@@ -383,6 +392,14 @@ def _manifest(cfg: CampaignConfig, rows: list, n_skipped: int, **extra) -> dict:
         "n_realizations_skipped": n_skipped,
         **extra,
     }
+
+
+def _all_skipped(key: str, counts: dict) -> RuntimeError:
+    """The error of a run that skipped every realization; ``counts`` maps each
+    density of ``key`` to its number of realizations."""
+    listed = ", ".join(f"{mu!r} skipped {n} of {n}" for mu, n in counts.items())
+    return RuntimeError(f"every realization was skipped for want of a centre-cluster "
+                        f"user ({key}: {listed})")
 
 
 def _scheduled_user_frac(n_scheduled: int, n_dropped: int):
@@ -438,6 +455,8 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
             "t_alpha_bps": float(stats[STAT_FIELDS.index("t_alpha_bps")]),
             "min_rate_bps": res.min_rate_bps, "feasible": int(res.feasible),
         })
+    if not rows:
+        raise _all_skipped("traffic_profile", Counter(cfg.traffic_profile))
     manifest = _manifest(
         cfg, rows, n_skipped, mode="traffic_profile",
         patterns_evaluated={str(n): n_evaluated[n] for n in sorted(n_evaluated)},

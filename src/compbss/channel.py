@@ -12,10 +12,9 @@ serves the angle wrap as scratch first and becomes the budget.  A fading
 draw fills one buffer with the standard normal draw, which becomes the gain
 and then, scaled by P_s in the campaign, the received power.  Each step is
 the operation of the expression it replaces, in the same order, so every
-bit is kept; the public single-formula functions copy their input and call
-the same in-place kernels.  A helper thread that prefetched the next draw
-was tried and dropped: a campaign gets one core's worth of throughput, and
-the hand-offs of the interpreter lock made the fig4 sweep about 20 % slower.
+bit is kept.  A helper thread that prefetched the next draw was tried and
+dropped: a campaign gets one core's worth of throughput, and the hand-offs
+of the interpreter lock made the fig4 sweep about 20 % slower.
 """
 
 from __future__ import annotations
@@ -67,13 +66,6 @@ def path_loss_db(d_m, intercept_db: float = 136.8245, slope_db: float = 39.086):
     return pl
 
 
-def _float_copy(x, *others):
-    """A fresh float64 array of ``x`` broadcast against ``others``, for the
-    in-place kernels below to write into."""
-    shape = np.broadcast_shapes(np.shape(x), *(np.shape(o) for o in others))
-    return np.array(np.broadcast_to(np.asarray(x, dtype=float), shape))
-
-
 def _directivity_gain_in_place(phi):
     """Sector antenna gain 25 - min{12*(phi/70)^2, 20} dB, written over the
     offsets ``phi``."""
@@ -84,14 +76,10 @@ def _directivity_gain_in_place(phi):
     return np.subtract(25.0, phi, out=phi)
 
 
-def directivity_gain_db(offset_deg):
-    """Sector antenna gain: 25 - min{12*(phi/70)^2, 20} dB."""
-    return _directivity_gain_in_place(_float_copy(offset_deg))[()]
-
-
 def _link_budget_in_place(budget, sector_gain_db, user_gain_dbi, penetration_db):
     """-PL + G_s + G_u - penetration in dB, written over the path loss in
-    ``budget``; the terms are added left to right."""
+    ``budget``.  The terms are added left to right and the shadowing comes
+    off last, so one budget per drop gives each draw the bits of the sum."""
     np.negative(budget, out=budget)
     budget += sector_gain_db
     budget += user_gain_dbi
@@ -99,28 +87,11 @@ def _link_budget_in_place(budget, sector_gain_db, user_gain_dbi, penetration_db)
     return budget
 
 
-def link_budget_db(pl_db, sector_gain_db, user_gain_dbi, penetration_db):
-    """Fading-free link budget -PL + G_s + G_u - penetration, in dB.
-
-    Terms are summed left to right and shadowing is subtracted last, so a
-    budget computed once per drop gives the same gains, bit for bit, as the
-    whole sum taken per fading draw.
-    """
-    budget = _float_copy(pl_db, sector_gain_db, user_gain_dbi, penetration_db)
-    return _link_budget_in_place(budget, sector_gain_db, user_gain_dbi,
-                                 penetration_db)[()]
-
-
 def _shadowed_gain_in_place(budget_db, shadow):
     """Linear gain 10^((budget - shadow)/10), written over ``shadow``."""
     np.subtract(budget_db, shadow, out=shadow)
     shadow /= 10.0
     return np.power(10.0, shadow, out=shadow)
-
-
-def shadowed_gain(budget_db, shadow_db):
-    """Linear gain 10^((budget - shadow)/10) of a link budget under shadowing."""
-    return _shadowed_gain_in_place(budget_db, _float_copy(shadow_db, budget_db))[()]
 
 
 def per_subchannel_power_w(params: ChannelParams) -> float:

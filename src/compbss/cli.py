@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from .campaign import (CampaignConfig, ConfigError, FIGURE_LAYOUTS, MissingAxisError,
@@ -72,13 +73,20 @@ def _resolve_config(args) -> CampaignConfig:
 
 
 def _check_writable(path: Path) -> None:
-    parent = path.parent if path.parent != Path("") else Path(".")
+    """Refuse an output path whose directory cannot be written or made.
+    Nothing is made here: the writers make the directory after the run."""
     try:
-        parent.mkdir(parents=True, exist_ok=True)
+        parent = path.absolute().parent
+        if not parent.is_dir():
+            # os.access passes root even where nothing can be made, as in
+            # /proc, so a file is tried in the nearest existing ancestor
+            while not parent.exists():
+                parent = parent.parent
+            tempfile.TemporaryFile(dir=parent).close()
+        elif not os.access(parent, os.W_OK):
+            raise PermissionError("no write permission")
     except OSError as exc:
         raise ConfigError(f"output location {path} is not writable: {exc}") from exc
-    if not os.access(parent, os.W_OK):
-        raise ConfigError(f"output location {path} is not writable")
 
 
 def main(argv=None) -> int:

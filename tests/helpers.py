@@ -2,6 +2,7 @@
 the random closed-form instances that the optimality checks run through
 ``scheduler.allocate``."""
 
+import csv
 import itertools
 import math
 from types import SimpleNamespace
@@ -10,6 +11,20 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 import compbss as cb
+
+
+def same_bits(a, b):
+    """Equal shapes, float64 both, and the same bits in every element."""
+    return (a.shape == b.shape and a.dtype == b.dtype == np.float64
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+def patterns_to_file(patterns, path) -> None:
+    """Write a pattern list in the format ``bss.patterns_from_file`` reads."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        for p in patterns:
+            w.writerow(list(p.off_flags) + [p.label])
 
 
 def make_instance(rng, max_sectors=3, max_users=6, require_both=False):

@@ -15,7 +15,7 @@ from compbss.bss import all_patterns, default_pattern_list, evaluate_pattern, \
     exhaustive_oracle, heuristic_select
 from compbss.campaign import CampaignConfig, RESULT_COLUMNS, run_campaign, \
     write_rows_csv
-from compbss.channel import McsTable, path_loss_db, directivity_gain_db, \
+from compbss.channel import McsTable, _directivity_gain_in_place, path_loss_db, \
     per_subchannel_power_w
 from compbss.metrics import alpha_fair_throughputs
 from compbss.scheduler import SchedulerParams, allocate, schedule
@@ -150,8 +150,8 @@ def test_c03_mcs_bit_exact():
 def test_c04_deterministic_spot_checks(params):
     checks = [
         ("path_loss(1000m)", path_loss_db(1000.0), 136.8245),
-        ("directivity(0)", directivity_gain_db(0.0), 25.0),
-        ("directivity(180)", directivity_gain_db(180.0), 5.0),
+        ("directivity(0)", _directivity_gain_in_place(np.array(0.0)), 25.0),
+        ("directivity(180)", _directivity_gain_in_place(np.array(180.0)), 5.0),
         ("per-subchannel power", per_subchannel_power_w(params), 10 ** 1.6 / 297.0),
         ("link_rate(eta=1)", 1.0 * params.rate_per_bits_symbol, 16.632e6),
         ("energy saving Z3/7", cb.BssPattern.from_off_ids((1, 2, 4)).energy_saving_pct,

@@ -4,10 +4,12 @@ import pytest
 import compbss as cb
 from compbss.bss import (BssPattern, all_patterns, default_pattern_list,
                          evaluate_pattern, exhaustive_oracle, heuristic_select,
-                         patterns_from_file, patterns_to_file, realization_stats,
-                         sort_patterns, validate_pattern_list)
+                         patterns_from_file, realization_stats, sort_patterns,
+                         validate_pattern_list)
 from compbss.metrics import STAT_FIELDS
 from compbss.scheduler import SchedulerParams
+
+from helpers import patterns_to_file
 
 
 @pytest.fixture(scope="module")

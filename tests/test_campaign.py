@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from compbss.bss import default_pattern_list, patterns_to_file
+from compbss.bss import default_pattern_list
 from compbss.campaign import (CampaignConfig, ConfigError, MissingAxisError,
                               RESULT_COLUMNS, TRAFFIC_COLUMNS, emit_figure_data,
                               run_campaign, run_traffic_profile, write_rows_csv)
 from compbss.cli import main as cli_main
+
+from helpers import patterns_to_file
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # The figure each shipped campaign config feeds; every other configs/*.yaml
@@ -63,6 +65,10 @@ class TestConfig:
         ("rate_thresholds_bps", [-1], "-1"), ("inter_site_distance_m", 0, "0"),
         ("inter_site_distance_m", float("inf"), "inf"), ("output", 5, "5"),
         ("output", "", "''"), ("pattern_file", 3, "3"),
+        ("gamma_d_range_db", 5, "5"), ("gamma_d_range_db", ["a", 1], "['a', 1]"),
+        ("gamma_d_range_db", [10, -6.5], "[10, -6.5]"),
+        ("gamma_d_range_db", [1, 2, 3], "[1, 2, 3]"),
+        ("gamma_d_range_db", [float("nan"), 1], "[nan, 1]"),
     ])
     def test_rejects_bad_sweep_values(self, key, value, shown):
         with pytest.raises(ConfigError) as info:
@@ -320,14 +326,32 @@ class TestCli:
         ("mcs_file: configs/traffic_day.yaml", "mcs_file"),
     ])
     def test_bad_config_value_is_exit_1(self, tmp_path, capsys, monkeypatch, line, shown):
-        """Values that used to fail at run time are configuration errors."""
+        """Values that used to fail at run time are configuration errors, and
+        a refusal leaves no output directory behind."""
         monkeypatch.chdir(CONFIGS.parent)
         p = tmp_path / "c.yaml"
-        p.write_text(f"n_drops: 1\nn_fading: 1\noutput: {tmp_path / 'r.csv'}\n{line}\n")
+        p.write_text(f"n_drops: 1\nn_fading: 1\noutput: {tmp_path / 'new' / 'r.csv'}\n"
+                     f"{line}\n")
         assert cli_main(["--config", str(p)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and shown in err and "Traceback" not in err
-        assert not (tmp_path / "r.csv").exists()
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("line, shown", [
+        ("densities_per_km2: [0.001]\nn_drops: 2\nn_fading: 3",
+         "densities_per_km2: 0.001 skipped 6 of 6"),
+        ("densities_per_km2: [0.001, 0.002]\nn_drops: 2\nn_fading: 1",
+         "densities_per_km2: 0.001 skipped 2 of 2, 0.002 skipped 2 of 2"),
+        ("traffic_profile: [0.001, 0.002, 0.001]",
+         "traffic_profile: 0.001 skipped 2 of 2, 0.002 skipped 1 of 1"),
+    ])
+    def test_run_that_skips_every_realization_is_exit_2(self, tmp_path, capsys, line, shown):
+        p = tmp_path / "c.yaml"
+        p.write_text(f"{line}\noutput: {tmp_path / 'out' / 'r.csv'}\n")
+        assert cli_main(["--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: every realization was skipped") and shown in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags", [["--drops", "2"], ["--fading", "3"], ["--full-scale"]])
     def test_traffic_config_refuses_scale_flags(self, tmp_path, capsys, flags):

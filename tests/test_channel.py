@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compbss as cb
-from compbss.channel import (ChannelParams, McsTable, build_gain_matrix,
-                             directivity_gain_db, link_budget_db, path_loss_db,
-                             per_subchannel_power_w, shadowed_gain)
+from compbss.channel import (ChannelParams, McsTable, _directivity_gain_in_place,
+                             _link_budget_in_place, _shadowed_gain_in_place,
+                             build_gain_matrix, path_loss_db, per_subchannel_power_w)
 from compbss.scheduler import (SystemModel, associate, cluster_links, cluster_members,
                                link_rates, serving_sectors)
+
+from helpers import same_bits
 
 MCS_THRESHOLDS = [-6.5, -4.0, -2.6, -1.0, 1.0, 3.0, 6.6, 10.0,
                   11.4, 11.8, 13.0, 13.8, 15.6, 16.8, 17.6]
@@ -29,26 +31,55 @@ class TestPathLoss:
         assert path_loss_db(100.0) == pytest.approx(97.7385, rel=1e-9)
 
 
+def _floats(x):
+    """A fresh float64 array of ``x`` for an in-place kernel to write over."""
+    return np.array(x, dtype=float)
+
+
+def _directivity(offset_deg):
+    return _directivity_gain_in_place(_floats(offset_deg))
+
+
+def _gain(pl_db, sector_gain_db, user_gain_dbi, penetration_db, shadow_db):
+    """The drop stage's link budget and the fading stage's shadowed gain."""
+    budget = _link_budget_in_place(_floats(pl_db), sector_gain_db, user_gain_dbi,
+                                   penetration_db)
+    return _shadowed_gain_in_place(budget, _floats(shadow_db))
+
+
 class TestDirectivity:
     def test_boresight(self):
-        assert directivity_gain_db(0.0) == pytest.approx(25.0)
+        assert _directivity(0.0) == pytest.approx(25.0)
 
     def test_half_power_angle(self):
-        assert directivity_gain_db(70.0) == pytest.approx(13.0)
-        assert directivity_gain_db(-70.0) == pytest.approx(13.0)
+        assert _directivity(70.0) == pytest.approx(13.0)
+        assert _directivity(-70.0) == pytest.approx(13.0)
 
     def test_back_lobe_clamped(self):
-        assert directivity_gain_db(180.0) == pytest.approx(5.0)
-        assert directivity_gain_db(-180.0) == pytest.approx(5.0)
+        assert _directivity(180.0) == pytest.approx(5.0)
+        assert _directivity(-180.0) == pytest.approx(5.0)
+
+    def test_kernel_has_the_bits_of_the_expression(self):
+        x = np.random.default_rng(2).uniform(-180.0, 180.0, size=(50, 30))
+        assert same_bits(_directivity(x), 25.0 - np.minimum(12.0 * (x / 70.0) ** 2, 20.0))
 
 
 class TestChannelGain:
     def test_identity(self):
-        assert shadowed_gain(link_budget_db(0.0, 0.0, 0.0, 0.0), 0.0) == pytest.approx(1.0)
+        assert _gain(0.0, 0.0, 0.0, 0.0, 0.0) == pytest.approx(1.0)
 
     def test_hand_value(self):
-        g = shadowed_gain(link_budget_db(100.0, 25.0, 0.0, 20.0), 0.0)
+        g = _gain(100.0, 25.0, 0.0, 20.0, 0.0)
         assert g == pytest.approx(10 ** (-9.5), rel=1e-12)
+
+    def test_kernels_have_the_bits_of_the_expressions(self):
+        rng = np.random.default_rng(2)
+        pl, shadow = rng.uniform(60.0, 160.0, size=(2, 50, 30))
+        gain = rng.uniform(5.0, 25.0, size=30)
+        budget = _link_budget_in_place(pl.copy(), gain, 1.5, 20.0)
+        assert same_bits(budget, -pl + gain + 1.5 - 20.0)
+        assert same_bits(_shadowed_gain_in_place(budget, shadow.copy()),
+                          10.0 ** ((budget - shadow) / 10.0))
 
     def test_shadow_determinism(self, layout, params):
         drop = cb.drop_users(layout, 20.0, 5)

@@ -1,17 +1,16 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
-import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import compbss as cb
 from compbss import geometry
 from compbss.channel import drop_link_budget
-from compbss.geometry import (LayoutConfig, LayoutError, build_layout, drop_batch_size,
-                              drop_users, layout_from_file, link_geometry, wrap_angle_deg)
+from compbss.geometry import (NetworkLayout, _wrap_angle_in_place, build_layout,
+                              drop_batch_size, drop_users, link_geometry)
 
 from helpers import dense_image_search, einsum_region_membership
 
@@ -42,9 +41,10 @@ def test_cluster_pairwise_distances(layout):
 
 def test_sector_bs_bijection(layout):
     for s in range(1, 148):
-        assert layout.bs_of_sector(s) == math.ceil(s / 3)
+        assert layout.sector_bs[s - 1] + 1 == math.ceil(s / 3)
     for b in range(1, 50):
-        assert layout.sectors_of_bs(b) == (3 * b - 2, 3 * b - 1, 3 * b)
+        sectors = np.flatnonzero(layout.sector_bs == b - 1) + 1
+        assert sectors.tolist() == [3 * b - 2, 3 * b - 1, 3 * b]
 
 
 def test_wrap_shifts_magnitude(layout):
@@ -96,11 +96,17 @@ def test_min_image_matches_bruteforce_shift_scan(layout):
             assert dist[i, b] == pytest.approx(max(best, 1.0), rel=1e-9)
 
 
+def _wrap(angle):
+    """``_wrap_angle_in_place`` on a copy of ``angle``, as a 1-d array."""
+    y = np.array(angle, dtype=float, ndmin=1)
+    return _wrap_angle_in_place(y, np.empty_like(y))
+
+
 def _sector_link(layout, point, sector_id):
     """Distance and boresight offset of one link, from ``link_geometry``."""
     dist, az = link_geometry(layout, np.array([point], dtype=float))
-    b = layout.bs_of_sector(sector_id) - 1
-    return dist[0, b], wrap_angle_deg(az[0, b] - layout.sector_boresight_deg[sector_id - 1])
+    b = layout.sector_bs[sector_id - 1]
+    return dist[0, b], _wrap(az[0, b] - layout.sector_boresight_deg[sector_id - 1])[0]
 
 
 def test_user_on_boresight_has_zero_offset(layout):
@@ -129,12 +135,9 @@ def test_distance_clamped_to_one_meter(layout):
 
 
 def test_layout_config_validation():
-    with pytest.raises(LayoutError):
-        LayoutConfig(inter_site_distance_m=-1)
-    with pytest.raises(LayoutError):
-        LayoutConfig(boresights_deg=(0.0, 90.0, 240.0))
-    with pytest.raises(LayoutError):
-        LayoutConfig(cluster_size=5, num_clusters=3)
+    for isd in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=re.escape(f"inter_site_distance_m={isd!r}")):
+            build_layout(isd)
 
 
 def test_drop_deterministic(layout):
@@ -188,19 +191,15 @@ def test_drop_keeps_link_geometry_bit_for_bit(layout, density):
         assert np.array_equal(drop.link_az_deg, az)
 
 
-def _rotated_preset(tmp_path, deg=10.0):
-    """The preset with its positions and wrap shifts rotated by ``deg``,
-    loaded as a custom layout file."""
+def _rotated_preset(deg=10.0):
+    """The preset with its positions and wrap shifts rotated by ``deg``: a
+    layout whose sites and shifts the preset's axes do not line up with."""
     preset = build_layout()
     a = math.radians(deg)
     rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-    path = tmp_path / "rotated.yaml"
-    path.write_text(yaml.safe_dump({
-        "bs_positions": (preset.bs_xy @ rot.T).tolist(),
-        "cluster_membership": preset.cluster_id.tolist(),
-        "wrap_shift_vectors": (preset.wrap_shifts @ rot.T).tolist(),
-    }))
-    return layout_from_file(path)
+    return NetworkLayout(bs_xy=preset.bs_xy @ rot.T, cluster_id=preset.cluster_id,
+                         wrap_shifts=preset.wrap_shifts @ rot.T,
+                         inter_site_distance_m=preset.inter_site_distance_m)
 
 
 def _ring(centres, radius, n_dirs=6):
@@ -245,17 +244,17 @@ def _adversarial_points(layout, rng):
 
 
 @pytest.mark.parametrize("make_layout", [
-    lambda tmp_path: build_layout(),
-    lambda tmp_path: build_layout(LayoutConfig(inter_site_distance_m=250.0)),
-    lambda tmp_path: build_layout(LayoutConfig(inter_site_distance_m=1732.05)),
+    build_layout,
+    lambda: build_layout(250.0),
+    lambda: build_layout(1732.05),
     _rotated_preset,
 ], ids=["isd500", "isd250", "isd1732", "rotated-file"])
-def test_image_search_matches_dense_oracle(make_layout, tmp_path, monkeypatch):
+def test_image_search_matches_dense_oracle(make_layout, monkeypatch):
     """The certified search gives the dense search's accept flag, nearest BS,
     distance, bearing and image index, bit for bit, on sites, ties, points one
     ulp either side of each certified radius and random points, and both its
     bounded and its dense paths run."""
-    layout = make_layout(tmp_path)
+    layout = make_layout()
     pts = _adversarial_points(layout, np.random.default_rng(5))
     dense_rows = []
     dense = geometry._image_d2
@@ -342,42 +341,13 @@ def test_empty_drop_has_empty_link_geometry(layout, params):
     assert drop_link_budget(layout, drop, params).shape == (0, layout.n_sectors)
 
 
-def test_positions_csv_roundtrip(layout, tmp_path):
-    path = tmp_path / "positions.csv"
-    cb.export_positions_csv(layout, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "bs_id,x_m,y_m,cluster_id"
-    assert len(rows) == 50
-    first = rows[1].split(",")
-    assert first[0] == "1" and first[3] == "1"
-
-
-def test_layout_from_file_custom_positions(tmp_path, layout):
-    path = tmp_path / "layout.yaml"
-    path.write_text(
-        "inter_site_distance_m: 500\n"
-        "bs_positions: [[0, 0], [500, 0]]\n"
-        "cluster_membership: [1, 1]\n"
-        "wrap_shift_vectors: [[3500, 0], [1750, 3031], [-1750, 3031],"
-        " [-3500, 0], [-1750, -3031], [1750, -3031]]\n"
-    )
-    lay = layout_from_file(path)
-    assert lay.n_bs == 2
-    assert lay.n_sectors == 6
-
-
-def test_layout_from_file_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "layout.yaml"
-    path.write_text("inter_site_distance_m: 500\nbogus: 1\n")
-    with pytest.raises(LayoutError, match="bogus"):
-        layout_from_file(path)
-
-
 @settings(max_examples=50, deadline=None)
-@given(angle=st.floats(min_value=-1000, max_value=1000, allow_nan=False))
+@given(angle=st.floats(min_value=-540, max_value=540, exclude_max=True, allow_nan=False))
 @example(np.nextafter(-180.0, -np.inf))
+@example(-540.0)
+@example(np.nextafter(540.0, 0.0))
 def test_wrap_angle_range(angle):
-    w = float(wrap_angle_deg(angle))
+    w = float(_wrap(angle)[0])
     assert -180.0 <= w < 180.0
     assert abs((w - angle) % 360.0) < 1e-6 or abs((w - angle) % 360.0 - 360.0) < 1e-6
 
@@ -391,16 +361,15 @@ def _remainder_wrap(x):
 
 
 def test_wrap_angle_matches_remainder_bitwise():
-    """The compare-and-add wrap gives the bits of (x + 180) % 360 - 180 on the
-    link-budget offsets [-420, 180], edges and their neighbours included, except
-    that it never returns 180."""
-    edges = np.array([-420.0, -180.0, 0.0, 180.0, -0.0, -360.0, 360.0 - 180.0])
+    """The compare-and-add wrap gives the bits of (x + 180) % 360 - 180 on its
+    domain [-540, 540), edges and their neighbours included, except that it
+    never returns 180."""
+    edges = np.array([-540.0, -420.0, -180.0, 0.0, 180.0, -0.0, -360.0, 360.0, 540.0])
     edges = np.concatenate([edges, np.nextafter(edges, np.inf),
                             np.nextafter(edges, -np.inf), [-180.0 - 1e-300, -180.0 + 1e-300]])
-    x = np.concatenate([edges, np.linspace(-420.0, 180.0, 600_001),
-                        np.random.default_rng(0).uniform(-420.0, 180.0, 400_000)])
-    want = _remainder_wrap(x)
-    got = wrap_angle_deg(x)
-    assert got.tobytes() == want.tobytes()
+    edges = edges[(edges >= -540.0) & (edges < 540.0)]
+    x = np.concatenate([edges, np.linspace(-540.0, 540.0, 600_001)[:-1],
+                        np.random.default_rng(0).uniform(-540.0, 540.0, 400_000)])
+    assert _wrap(x).tobytes() == _remainder_wrap(x).tobytes()
     for v in edges:
-        assert np.asarray(wrap_angle_deg(v)).tobytes() == _remainder_wrap(v).tobytes()
+        assert _wrap(v).tobytes() == _remainder_wrap(np.array([v])).tobytes()

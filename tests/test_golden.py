@@ -7,9 +7,11 @@ new values in CHANGES.md.
 
 import hashlib
 
-from compbss.bss import all_patterns, patterns_to_file
+from compbss.bss import all_patterns
 from compbss.campaign import (CampaignConfig, RESULT_COLUMNS, TRAFFIC_COLUMNS,
                               run_campaign, run_traffic_profile, write_rows_csv)
+
+from helpers import patterns_to_file
 
 CAMPAIGN_SHA256 = "31100517b4e5a7706b9985466d0f4301acb867df70cf07701bf1b1d0bdbeff5f"
 TRAFFIC_SHA256 = "ec0a66fa865d1100339143710c352e1c0fb169f7f6ce31157e8d5c02b593565a"

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 import compbss as cb
-from compbss.bss import all_patterns, exhaustive_oracle, heuristic_select, patterns_to_file
+from compbss.bss import all_patterns, exhaustive_oracle, heuristic_select
 from compbss.campaign import CampaignConfig, _drop_records, build_context
 from compbss.scheduler import (SystemModel, allocate, cluster_members, draw_rates, pool_users,
                                serving_sectors)
 
 from conftest import make_realization
-from helpers import full_field_drop_records, full_field_patterns
+from helpers import full_field_drop_records, full_field_patterns, patterns_to_file
 
 DENSITIES = (20.0, 60.0, 160.0)
 PATTERN_SETS = ("default", "all")

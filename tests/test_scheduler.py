@@ -425,7 +425,7 @@ class TestPresets:
         singles = {g[0] for g in cfg.groups if len(g) == 1}
         assert singles == {1, 15, 17}
         for a, b in cfg.multi_groups:
-            assert layout.bs_of_sector(a) != layout.bs_of_sector(b)
+            assert layout.sector_bs[a - 1] != layout.sector_bs[b - 1]
 
     def test_c3_published_triples(self, layout):
         cfg = cb.preset("C3", layout)
