@@ -22,7 +22,8 @@ from .clusters import CompConfiguration, comp_config_from_file, preset, resolve_
 from .geometry import NetworkLayout, UserDrop, build_layout, drop_users
 from .metrics import STAT_FIELDS, aggregate, rate_coverage, sinr_coverage
 from .scheduler import (SchedulerParams, SchedulingSolution, SystemModel,
-                        build_system_model, center_cluster_users, schedule)
+                        build_system_model, center_cluster_users, schedule,
+                        strongest_sectors)
 
 __all__ = [
     "BssPattern", "ChannelParams", "CompConfiguration", "HeuristicResult", "McsTable",
@@ -32,5 +33,5 @@ __all__ = [
     "default_pattern_list", "drop_users", "evaluate_pattern", "exhaustive_oracle",
     "heuristic_select", "path_loss_db", "per_subchannel_power_w", "preset",
     "rate_coverage", "received_power_w", "resolve_comp_config", "schedule",
-    "sinr_coverage",
+    "sinr_coverage", "strongest_sectors",
 ]

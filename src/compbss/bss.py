@@ -17,7 +17,7 @@ import numpy as np
 
 from .metrics import STAT_FIELDS, alpha_fair_throughputs, rate_coverage, sinr_coverage
 from .scheduler import (SchedulerParams, SchedulingSolution, SystemModel, allocate,
-                        cluster_members, draw_rates)
+                        cluster_members, draw_rates, strongest_sectors)
 
 MAX_ORACLE_BS = 10
 
@@ -151,12 +151,13 @@ def active_bs_mask(n_bs_total: int, cluster_bs_idx: np.ndarray,
     return active
 
 
-def _select(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
+def _select(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
             cluster_bs_idx: np.ndarray, patterns, params: SchedulerParams,
             rate_threshold_bps: float, walk: bool = True) -> HeuristicResult:
     """Schedule every pattern of the list in one batched pass, one row each,
-    over the pool users of the metric set, and keep the first pattern whose
-    worst metric-set rate clears the threshold (the last when none does).
+    over the pool users of the metric set in the dB draw ``gain_db``, and
+    keep the first pattern whose worst metric-set rate clears the threshold
+    (the last when none does).
 
     ``patterns_evaluated`` counts the patterns a walk down the list would
     have evaluated, or the whole list when ``walk`` is False.
@@ -167,8 +168,9 @@ def _select(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
     n_bs = int(model.sector_bs.max()) + 1
     active = np.array([active_bs_mask(n_bs, cluster_bs_idx, p)
                        for p in patterns])[:, model.sector_bs]
-    users, rates = draw_rates([model], [cluster_members(model, active)], rx_w,
-                              rx_w.argmax(axis=1), vq, active, [params.gamma_d_db])
+    users, rates = draw_rates([model], [cluster_members(model, active)], gain_db,
+                              strongest_sectors(gain_db, model.channel), vq, active,
+                              [params.gamma_d_db])
     sol = allocate(rates, params.alpha)
     lam = sol.lam[:, vq[users]]
     min_rate = lam.min(axis=1)
@@ -181,7 +183,7 @@ def _select(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
                            users=users)
 
 
-def evaluate_pattern(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
+def evaluate_pattern(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
                      cluster_bs_idx: np.ndarray, pattern: BssPattern,
                      params: SchedulerParams,
                      rate_threshold_bps: float) -> HeuristicResult:
@@ -189,11 +191,11 @@ def evaluate_pattern(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
 
     Feasible when every user of the metric set reaches the threshold.
     """
-    return _select(model, rx_w, vq_mask, cluster_bs_idx, [pattern], params,
+    return _select(model, gain_db, vq_mask, cluster_bs_idx, [pattern], params,
                    rate_threshold_bps)
 
 
-def heuristic_select(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
+def heuristic_select(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
                      cluster_bs_idx: np.ndarray, patterns: list[BssPattern],
                      params: SchedulerParams,
                      rate_threshold_bps: float) -> HeuristicResult:
@@ -205,11 +207,11 @@ def heuristic_select(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
     would have evaluated.
     """
     validate_pattern_list(patterns)
-    return _select(model, rx_w, vq_mask, cluster_bs_idx, patterns, params,
+    return _select(model, gain_db, vq_mask, cluster_bs_idx, patterns, params,
                    rate_threshold_bps)
 
 
-def exhaustive_oracle(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
+def exhaustive_oracle(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
                       cluster_bs_idx: np.ndarray, params: SchedulerParams,
                       rate_threshold_bps: float) -> HeuristicResult:
     """Evaluate every admissible pattern; keep the feasible one switching the
@@ -219,7 +221,7 @@ def exhaustive_oracle(model: SystemModel, rx_w: np.ndarray, vq_mask: np.ndarray,
     if n_bs > MAX_ORACLE_BS:
         raise ValueError(f"exhaustive enumeration limited to {MAX_ORACLE_BS} BSs")
     # most BSs off first, then by bit value; all-on last
-    return _select(model, rx_w, vq_mask, cluster_bs_idx, all_patterns(n_bs), params,
+    return _select(model, gain_db, vq_mask, cluster_bs_idx, all_patterns(n_bs), params,
                    rate_threshold_bps, walk=False)
 
 

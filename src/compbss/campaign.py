@@ -6,13 +6,14 @@ fading draws.  Each quantity is computed once, at the outermost loop level
 it depends on:
 
 - drop: user positions and the link budget (geometry, path loss, antenna);
-- fading: shadowing, received powers, each user's strongest sector and the
+- fading: the shadowed gains in dB, each user's strongest sector and the
   centre-cluster metric set; then ``scheduler.draw_rates`` runs the draw's
-  scheduling chain once: the pool users of the metric set, their max-SINR
+  scheduling chain once: the pool users of the metric set, their received
+  powers in watts (only these rows are converted), their max-SINR
   association under every sleep pattern (shared by every CoMP
   configuration), their joint SINR per (configuration, pattern), and the
   CoMP flags and link rates of every (pattern, configuration, gamma_d) row
-  of a batched pass (the cluster-member matrices are built once per
+  of a batched pass (the cluster-member tables are built once per
   campaign);
 - alpha: ``allocate`` and ``realization_stats`` make one pass over all rows
   per alpha (so every power keeps a scalar exponent), the latter reducing
@@ -47,17 +48,25 @@ from . import __version__
 from .bss import (active_bs_mask, default_pattern_list, heuristic_select,
                   patterns_from_file, realization_stats, validate_pattern_list)
 from .channel import (ChannelParams, McsTable, build_gain_matrix, draw_gain_matrix,
-                      drop_link_budget, received_power_w)
+                      drop_link_budget)
 from .clusters import resolve_comp_config
-from .geometry import build_layout, drop_users
+from .geometry import build_layout, drop_region_area_m2, drop_users
 from .metrics import STAT_FIELDS, aggregate
 from .scheduler import (DEFAULT_GAMMA_D_RANGE_DB, SchedulerParams, allocate,
                         alpha_range_error, build_system_model, center_cluster_users,
-                        cluster_members, draw_rates)
+                        cluster_members, draw_rates, gamma_d_range_error,
+                        strongest_sectors)
 
 
 class ConfigError(ValueError):
     """Invalid campaign configuration (CLI exit code 1)."""
+
+
+# Expected users per drop (density x drop-region area) that a config may ask
+# for: about six times the densest shipped step (160 per km^2 at the 500 m
+# ISD, some 1,700 users).  A drop's arrays grow with the count: one drop of
+# the desk config at this count peaks near 80 MB (tracemalloc).
+MAX_USERS_PER_DROP = 10_000
 
 
 @dataclass
@@ -119,6 +128,15 @@ class CampaignConfig:
         isd = self.inter_site_distance_m
         if not _is_finite_number(isd) or isd <= 0:
             raise ConfigError(f"inter_site_distance_m={isd!r} must be a finite number > 0")
+        area_km2 = drop_region_area_m2(isd) / 1e6
+        for name in ("densities_per_km2", "traffic_profile"):
+            for value in getattr(self, name) or ():
+                users = value * area_km2
+                if users > MAX_USERS_PER_DROP:
+                    raise ConfigError(
+                        f"{name} entry {value!r} at inter_site_distance_m={isd!r} expects "
+                        f"{users:.4g} users per drop, above the limit of "
+                        f"{MAX_USERS_PER_DROP:,}")
         for name in ("output", "pattern_file", "mcs_file"):
             value = getattr(self, name)
             if value is None and name != "output":
@@ -136,12 +154,10 @@ class CampaignConfig:
             raise ConfigError("n_drops and n_fading must be >= 1")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
-        bounds = self.gamma_d_range_db
-        if (not isinstance(bounds, (list, tuple)) or len(bounds) != 2
-                or not all(map(_is_finite_number, bounds)) or bounds[0] > bounds[1]):
-            raise ConfigError(f"gamma_d_range_db={bounds!r} must be a pair [low, high] of "
-                              f"finite numbers with low <= high")
-        lo, hi = bounds
+        problem = gamma_d_range_error(self.gamma_d_range_db)
+        if problem:
+            raise ConfigError(problem)
+        lo, hi = self.gamma_d_range_db
         for g in self.gamma_ds_db:
             if not lo <= g <= hi:
                 raise ConfigError(
@@ -212,7 +228,7 @@ class _Context:
     patterns: list
     active_sectors: np.ndarray  # (P, S) bool sector on/off mask of each pattern
     models: dict            # config name -> SystemModel
-    members: list           # per config: (P, S, n_multi) cluster_members matrices
+    members: list           # per config: (P, n_multi, k) cluster_members tables
     center_sector_idx: np.ndarray
     cluster_bs_idx: np.ndarray
 
@@ -240,8 +256,7 @@ def build_context(cfg: CampaignConfig) -> _Context:
     for choice in cfg.comp_configs:
         with _config_file(f"comp_configs entry {choice!r} (a preset or a file)"):
             comp = resolve_comp_config(str(choice), layout)
-        models[str(choice)] = build_system_model(layout, comp, params.noise_w, mcs,
-                                                 params.rate_per_bits_symbol)
+        models[str(choice)] = build_system_model(layout, comp, params, mcs)
     center_sector_idx = layout.center_cluster_sector_ids - 1
     cluster_bs_idx = layout.center_cluster_bs_ids - 1
     active_sectors = np.array([
@@ -281,18 +296,17 @@ def _drop_records(ctx: _Context, mu: float, d: int):
     skipped = n_scheduled = n_dropped = 0
     budget_db = drop_link_budget(ctx.layout, drop, ctx.params)
     for f_idx in range(cfg.n_fading):
-        gains = draw_gain_matrix(budget_db, ctx.params,
-                                 _seed_key(cfg.master_seed, 1, _mu_key(mu), d, f_idx))
-        rx_w = received_power_w(gains, ctx.params, out=gains)
-        strongest = rx_w.argmax(axis=1)
+        gain_db = draw_gain_matrix(budget_db, ctx.params,
+                                   _seed_key(cfg.master_seed, 1, _mu_key(mu), d, f_idx))
+        strongest = strongest_sectors(gain_db, ctx.params)
         vq = center_cluster_users(models[0], strongest, ctx.center_sector_idx)
         if not vq.any():
             skipped += 1
             continue
-        users, rates = draw_rates(models, ctx.members, rx_w, strongest, vq,
+        users, rates = draw_rates(models, ctx.members, gain_db, strongest, vq,
                                   ctx.active_sectors, cfg.gamma_ds_db)
         n_scheduled += users.size
-        n_dropped += rx_w.shape[0]
+        n_dropped += gain_db.shape[0]
         for alpha in cfg.alphas:
             blocks.append(realization_stats(allocate(rates, alpha), vq[users], row_energy,
                                             row_multi_ids, cfg.rate_thresholds_bps, alpha))
@@ -317,6 +331,7 @@ _worker_cache: dict = {}
 class CampaignResult:
     rows: list          # list of dicts, one per sweep point
     manifest: dict
+    notes: list = field(default_factory=list)   # lines for stderr, never in the rows
 
 
 def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
@@ -337,13 +352,16 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
 
     # One reduction per density summarises all of its sweep points.
     summaries = {}
+    skipped_of = dict.fromkeys(cfg.densities_per_km2, 0)
+    for (mu, _), res in zip(tasks, results):
+        skipped_of[mu] += res[1]
     for mu in cfg.densities_per_km2:
         values = np.concatenate([res[0] for (m, _), res in zip(tasks, results) if m == mu])
         if values.shape[0]:
             summaries[mu] = aggregate(np.moveaxis(values, 0, -1)), values.shape[0]
+    empty = {mu: n for mu, n in skipped_of.items() if mu not in summaries}
     if not summaries:
-        raise _all_skipped("densities_per_km2", dict.fromkeys(
-            cfg.densities_per_km2, cfg.n_drops * cfg.n_fading))
+        raise _all_skipped("densities_per_km2", empty)
 
     rows = []
     for (c, config_name), (p, pattern), mu, (g, gamma_d), (a, alpha), (t, r_thr) in (
@@ -362,8 +380,11 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
             for part, column in enumerate(_RESULT_COLUMNS_OF[name]):
                 row[column] = float(point[part, i])
         rows.append(row)
-    return CampaignResult(rows=rows, manifest=_manifest(
+    notes = [f"no rows for {_skip_listing('densities_per_km2', empty)}: no draw had a "
+             f"centre-cluster user"] if empty else []
+    return CampaignResult(rows=rows, notes=notes, manifest=_manifest(
         cfg, rows, n_skipped,
+        n_realizations_skipped_per_density={str(mu): n for mu, n in skipped_of.items()},
         scheduled_user_frac=_scheduled_user_frac(n_scheduled, n_dropped)))
 
 
@@ -394,12 +415,17 @@ def _manifest(cfg: CampaignConfig, rows: list, n_skipped: int, **extra) -> dict:
     }
 
 
+def _skip_listing(key: str, counts: dict) -> str:
+    """Each density of ``key`` with its ``counts[mu]`` realizations, all of
+    them skipped."""
+    return f"{key}: " + ", ".join(f"{mu!r} skipped {n} of {n}" for mu, n in counts.items())
+
+
 def _all_skipped(key: str, counts: dict) -> RuntimeError:
     """The error of a run that skipped every realization; ``counts`` maps each
     density of ``key`` to its number of realizations."""
-    listed = ", ".join(f"{mu!r} skipped {n} of {n}" for mu, n in counts.items())
     return RuntimeError(f"every realization was skipped for want of a centre-cluster "
-                        f"user ({key}: {listed})")
+                        f"user ({_skip_listing(key, counts)})")
 
 
 def _scheduled_user_frac(n_scheduled: int, n_dropped: int):
@@ -434,19 +460,19 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
         if drop.is_empty:
             n_skipped += 1
             continue
-        gains = build_gain_matrix(ctx.layout, drop, ctx.params,
-                                  _seed_key(cfg.master_seed, 3, _mu_key(float(mu)), t))
-        rx_w = received_power_w(gains, ctx.params, out=gains)
-        vq = center_cluster_users(model, rx_w.argmax(axis=1), ctx.center_sector_idx)
+        gain_db = build_gain_matrix(ctx.layout, drop, ctx.params,
+                                    _seed_key(cfg.master_seed, 3, _mu_key(float(mu)), t))
+        vq = center_cluster_users(model, strongest_sectors(gain_db, ctx.params),
+                                  ctx.center_sector_idx)
         if not vq.any():
             n_skipped += 1
             continue
-        res = heuristic_select(model, rx_w, vq, ctx.cluster_bs_idx, ctx.patterns,
+        res = heuristic_select(model, gain_db, vq, ctx.cluster_bs_idx, ctx.patterns,
                                params, r_thr)
         stats = realization_stats(res.solution, vq[res.users], [res.pattern.energy_saving_pct],
                                   [model.multi_vc_ids], r_thr, alpha)[0]
         n_scheduled += res.users.size
-        n_dropped += rx_w.shape[0]
+        n_dropped += gain_db.shape[0]
         n_evaluated[res.patterns_evaluated] = n_evaluated.get(res.patterns_evaluated, 0) + 1
         rows.append({
             "t": t, "mu_per_km2": float(mu), "pattern": res.pattern.label,

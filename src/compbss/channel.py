@@ -1,20 +1,26 @@
 """Path loss, antenna pattern, shadowing, received power and the MCS lookup.
 
-SINRs and link rates are computed by the scheduler stages, in linear units;
-dB appears only at the interfaces.  Channels are frequency flat: one gain
-per (user, sector) link serves every subchannel.
+The channel stages end in dB: a fading draw is the shadowed link budget
+``budget - sigma * n`` of every (user, sector) link.  SINRs and link rates
+are computed by the scheduler stages, in linear units, on the rows that
+:func:`received_power_w` converts, and dB appears otherwise only at the
+interfaces.  Channels are frequency flat: one gain per (user, sector) link
+serves every subchannel.
 
 The drop stage (:func:`drop_link_budget`) and the fading stage
 (:func:`draw_gain_matrix`) write each of their (U, S) arrays once and run
 every later step in place.  The drop gathers the bearings into one array,
 which becomes the antenna gain, and the path losses into a second, which
 serves the angle wrap as scratch first and becomes the budget.  A fading
-draw fills one buffer with the standard normal draw, which becomes the gain
-and then, scaled by P_s in the campaign, the received power.  Each step is
-the operation of the expression it replaces, in the same order, so every
-bit is kept.  A helper thread that prefetched the next draw was tried and
-dropped: a campaign gets one core's worth of throughput, and the hand-offs
-of the interpreter lock made the fig4 sweep about 20 % slower.
+draw fills one buffer with the standard normal draw, which becomes the
+shadowed budget.  :func:`received_power_w` then turns the rows the
+scheduler reads into watts: ``/10``, ``10**`` and ``x P_s``, in that order.
+Each step is the operation of the expression it replaces, in the same
+order, so every bit is kept, and a converted row has the bits it has in a
+conversion of the whole draw.  A helper thread that prefetched the next
+draw was tried and dropped: a campaign gets one core's worth of
+throughput, and the hand-offs of the interpreter lock made the fig4 sweep
+about 20 % slower.
 """
 
 from __future__ import annotations
@@ -85,13 +91,6 @@ def _link_budget_in_place(budget, sector_gain_db, user_gain_dbi, penetration_db)
     budget += user_gain_dbi
     budget -= penetration_db
     return budget
-
-
-def _shadowed_gain_in_place(budget_db, shadow):
-    """Linear gain 10^((budget - shadow)/10), written over ``shadow``."""
-    np.subtract(budget_db, shadow, out=shadow)
-    shadow /= 10.0
-    return np.power(10.0, shadow, out=shadow)
 
 
 def per_subchannel_power_w(params: ChannelParams) -> float:
@@ -173,32 +172,37 @@ def drop_link_budget(layout: NetworkLayout, drop: UserDrop,
 
 
 def draw_gain_matrix(budget_db: np.ndarray, params: ChannelParams, seed) -> np.ndarray:
-    """Fading-level stage: the (U, S) linear gains h[user, sector] of a
-    drop's link budget under shadowing.
+    """Fading-level stage: the (U, S) gains in dB of a drop's link budget
+    under shadowing, ``budget - sigma * n``.
 
     Shadowing is an i.i.d. lognormal term per link, redrawn per realization;
     the same seed reproduces the matrix exactly.  The standard normal draw
-    is scaled by sigma (the bits of ``normal(0, sigma)``) and turned into
-    the gain in place, so the draw allocates one (U, S) array.
+    is scaled by sigma (the bits of ``normal(0, sigma)``) and subtracted
+    from the budget in place, so the draw allocates one (U, S) array.
     """
     shadow = np.random.default_rng(seed).standard_normal(size=budget_db.shape)
     shadow *= params.shadowing_stddev_db
-    return _shadowed_gain_in_place(budget_db, shadow)
+    return np.subtract(budget_db, shadow, out=shadow)
 
 
 def build_gain_matrix(layout: NetworkLayout, drop: UserDrop,
                       params: ChannelParams, seed) -> np.ndarray:
-    """Linear gains of every (user, sector) link: both stages in one call."""
+    """Gains in dB of every (user, sector) link: both stages in one call."""
     return draw_gain_matrix(drop_link_budget(layout, drop, params), params, seed)
 
 
-def received_power_w(gains: np.ndarray, params: ChannelParams, out=None) -> np.ndarray:
-    """Per-subchannel received power P_s * h for every link, in watts.
+def received_power_w(gain_db: np.ndarray, params: ChannelParams, rows=None) -> np.ndarray:
+    """Per-subchannel received power P_s * 10^(g/10) in watts, of every link
+    or of the draw rows in the index array ``rows``.
 
-    ``out=gains`` scales the gains in place, for a caller that reads the
-    gain matrix no further.
+    The gains are divided by 10, raised and scaled in that order, in one new
+    array, so each row has the same bits whichever rows are converted.
     """
-    return np.multiply(per_subchannel_power_w(params), gains, out=out)
+    power = gain_db.copy() if rows is None else np.take(gain_db, rows, axis=0)
+    power /= 10.0
+    np.power(10.0, power, out=power)
+    power *= per_subchannel_power_w(params)
+    return power
 
 
 def to_db(linear):

@@ -125,6 +125,8 @@ def main(argv=None) -> int:
             write_rows_csv(result.rows, columns, out)
         write_manifest(result.manifest, out.with_name(out.stem + "_manifest.json"))
         print(f"wrote {len(result.rows)} rows to {out}")
+        for note in result.notes:
+            print(f"warning: {note}", file=sys.stderr)
         if args.figure:
             fig_cols, fig_rows = emit_figure_data(result.rows, args.figure)
             fig_path = out.with_name(f"{out.stem}_{args.figure}.csv")

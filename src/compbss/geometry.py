@@ -44,6 +44,9 @@ _RING_LOCAL_IDS = (3, 6, 7, 5, 2, 1)
 # Boresights of the 3 sectors of every BS.
 BORESIGHTS_DEG = (0.0, 120.0, 240.0)
 
+# 7 clusters of 7 sites.
+N_SITES = 49
+
 
 # Relative shrink of the certified radii: far above the float rounding of the
 # squared distances they are compared with (a few 1e-16), far below any gap a
@@ -151,7 +154,7 @@ class NetworkLayout:
     @property
     def region_area_m2(self) -> float:
         """Area of the drop region: one hexagonal cell per BS."""
-        return self.n_bs * (math.sqrt(3.0) / 2.0) * self.inter_site_distance_m ** 2
+        return drop_region_area_m2(self.inter_site_distance_m)
 
     def sector_active_mask(self, bs_on: np.ndarray) -> np.ndarray:
         """Expand a per-BS on/off mask to the 3 sectors of each BS."""
@@ -162,6 +165,12 @@ def _rotate(vec: np.ndarray, deg: float) -> np.ndarray:
     a = math.radians(deg)
     c, s = math.cos(a), math.sin(a)
     return np.array([c * vec[0] - s * vec[1], s * vec[0] + c * vec[1]])
+
+
+def drop_region_area_m2(inter_site_distance_m: float) -> float:
+    """Area of the drop region of the layout at this ISD: one hexagonal cell
+    per BS."""
+    return N_SITES * (math.sqrt(3.0) / 2.0) * inter_site_distance_m ** 2
 
 
 def build_layout(inter_site_distance_m: float = 500.0) -> NetworkLayout:

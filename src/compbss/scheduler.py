@@ -10,16 +10,20 @@ The scheduling pipeline here applies those forms to a whole field of
 sectors at once; it is independent of the site topology.  One fading draw
 runs :func:`draw_rates` (pool users, association, cluster links, link
 rates) and then :func:`allocate` once per alpha; :func:`draw_rates` states
-the rules that let it schedule part of the field and keep every bit.
+the rules that let it schedule part of the field and keep every bit.  A
+draw arrives in dB (``channel.draw_gain_matrix``): the strongest sectors are
+picked on the dB values, and only the pool users' rows become watts.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import McsTable, from_db, to_db
+from .channel import ChannelParams, McsTable, from_db, received_power_w, to_db
 from .clusters import CompConfiguration, sector_vclusters
 from .geometry import NetworkLayout
 
@@ -29,6 +33,10 @@ DEFAULT_GAMMA_D_RANGE_DB = (-6.5, 10.0)
 # large one underflows (r*beta)**(1-alpha) to 0 (seen at 50), which zeroes
 # theta and turns served CoMP users into outage.
 ALPHA_RANGE = (0.1, 10.0)
+# Two dB candidates further apart than this have the order of their linear
+# powers: /10, 10** and x P_s are monotone up to a few ulps, some 1e-14 dB at
+# these gains.  Closer candidates are compared on their linear rows.
+TIE_MARGIN_DB = 1e-9
 
 
 def alpha_range_error(alpha) -> str | None:
@@ -37,6 +45,18 @@ def alpha_range_error(alpha) -> str | None:
     if lo <= alpha <= hi:
         return None
     return f"alpha={alpha!r} outside the supported range [{lo:g}, {hi:g}]"
+
+
+def gamma_d_range_error(bounds) -> str | None:
+    """Why ``bounds`` is refused as a gamma_d range, or None for a pair
+    [low, high] of finite numbers with low <= high."""
+    if (isinstance(bounds, (list, tuple)) and len(bounds) == 2
+            and all(isinstance(b, numbers.Real) and not isinstance(b, bool)
+                    and math.isfinite(b) for b in bounds)
+            and bounds[0] <= bounds[1]):
+        return None
+    return (f"gamma_d_range_db={bounds!r} must be a pair [low, high] of finite numbers "
+            f"with low <= high")
 
 
 @dataclass(frozen=True)
@@ -49,6 +69,9 @@ class SchedulerParams:
 
     def __post_init__(self):
         problem = alpha_range_error(self.alpha)
+        if problem:
+            raise ValueError(problem)
+        problem = gamma_d_range_error(self.gamma_d_range_db)
         if problem:
             raise ValueError(problem)
         lo, hi = self.gamma_d_range_db
@@ -66,9 +89,16 @@ class SystemModel:
     vc_of_sector: np.ndarray     # (S,) 0-based virtual-cluster id
     vc_sizes: np.ndarray         # (K,) configured sizes (CoMP only if > 1)
     multi_vc_ids: np.ndarray     # ids of the multi-sector clusters
-    noise_w: float
+    channel: ChannelParams       # transmit power, noise and rate scale
     mcs: McsTable
-    rate_per_bits_symbol: float
+
+    @property
+    def noise_w(self) -> float:
+        return self.channel.noise_w
+
+    @property
+    def rate_per_bits_symbol(self) -> float:
+        return self.channel.rate_per_bits_symbol
 
     @property
     def n_sectors(self) -> int:
@@ -80,14 +110,10 @@ class SystemModel:
 
 
 def build_system_model(layout: NetworkLayout, config: CompConfiguration,
-                       noise_w: float, mcs: McsTable,
-                       rate_per_bits_symbol: float) -> SystemModel:
+                       channel: ChannelParams, mcs: McsTable) -> SystemModel:
     vc_of_sector, vc_sizes, multi_ids = sector_vclusters(config, layout)
-    return SystemModel(
-        sector_bs=layout.sector_bs, vc_of_sector=vc_of_sector, vc_sizes=vc_sizes,
-        multi_vc_ids=multi_ids, noise_w=noise_w, mcs=mcs,
-        rate_per_bits_symbol=rate_per_bits_symbol,
-    )
+    return SystemModel(sector_bs=layout.sector_bs, vc_of_sector=vc_of_sector,
+                       vc_sizes=vc_sizes, multi_vc_ids=multi_ids, channel=channel, mcs=mcs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,16 +205,47 @@ class LinkRates:
     n_pools: int               # pool ids per row: sectors + clusters
 
 
-def serving_sectors(rx_w: np.ndarray, act: np.ndarray, strongest: np.ndarray) -> np.ndarray:
+def strongest_sectors(gain_db: np.ndarray, channel: ChannelParams, users=None,
+                      active=None) -> np.ndarray:
+    """Sector of the largest received power in each row of the dB draw, or
+    of the rows ``users``, among the sectors of ``active`` (one mask row per
+    row; default all): the argmax of the rows in watts, ties to the lowest
+    index.
+
+    The argmax runs on the dB values.  A row whose runner-up lies within
+    TIE_MARGIN_DB of its largest redoes it on its row in watts, so rounding
+    in the conversion cannot move the pick.  The runner-up is the argmax
+    with each row's largest entry set to -inf for the moment; the draw is
+    left as it was.
+    """
+    cand = gain_db if users is None else gain_db[users]
+    if active is not None:
+        cand = np.where(active, cand, -np.inf)
+    rows = np.arange(cand.shape[0])
+    best = cand.argmax(axis=1)
+    top = cand[rows, best]
+    cand[rows, best] = -np.inf
+    second = cand[rows, cand.argmax(axis=1)]
+    cand[rows, best] = top
+    near = np.flatnonzero(second >= top - TIE_MARGIN_DB)
+    if near.size:
+        power = received_power_w(gain_db, channel, near if users is None else users[near])
+        if active is not None:
+            power[~active[near]] = -np.inf
+        best[near] = power.argmax(axis=1)
+    return best
+
+
+def serving_sectors(gain_db: np.ndarray, act: np.ndarray, strongest: np.ndarray,
+                    channel: ChannelParams) -> np.ndarray:
     """(P, U) strongest active sector of each user under each row of the
     (P, S) masks: the strongest sector of the field, re-picked among the
     active ones for each sleeping (pattern, user) pair."""
     assoc = np.tile(strongest, (act.shape[0], 1))
     p_asleep, u_asleep = np.nonzero(~act[:, strongest])
     if p_asleep.size:
-        cand = rx_w[u_asleep]
-        cand[~act[p_asleep]] = -np.inf
-        assoc[p_asleep, u_asleep] = cand.argmax(axis=1)
+        assoc[p_asleep, u_asleep] = strongest_sectors(gain_db, channel, u_asleep,
+                                                      act[p_asleep])
     return assoc
 
 
@@ -198,9 +255,10 @@ def associate(rx_w: np.ndarray, active_sectors: np.ndarray, noise_w: float,
     the (P, S) active-sector masks.
 
     With uniform transmit power the max-SINR sector is the max received
-    power sector; ties resolve to the lowest sector index.  ``serving`` is
-    the (P, U) :func:`serving_sectors` of the rows of ``rx_w``, which
-    :func:`pool_users` returns for the users it keeps.  The rows of
+    power sector; ties resolve to the lowest sector index.  ``rx_w`` holds
+    received powers in watts, and ``serving`` is the (P, U)
+    :func:`serving_sectors` of its users, which :func:`pool_users` returns
+    for the users it keeps.  The rows of
     ``rx_w`` may be any subset of a draw's users (see :func:`pool_users`)
     of at least two users: every value is computed per user, and the totals
     below only sum along the sector axis.
@@ -220,10 +278,10 @@ def associate(rx_w: np.ndarray, active_sectors: np.ndarray, noise_w: float,
                        sinr=w_serv / (total - w_serv + noise_w))
 
 
-def pool_users(rx_w: np.ndarray, strongest: np.ndarray, vq: np.ndarray,
+def pool_users(gain_db: np.ndarray, strongest: np.ndarray, vq: np.ndarray,
                active_sectors: np.ndarray, models) -> tuple[np.ndarray, np.ndarray]:
     """Sorted rows of the pool users of the metric set ``vq`` (see
-    :func:`draw_rates`), and their (P, n) serving sectors for
+    :func:`draw_rates`) in the dB draw, and their (P, n) serving sectors for
     :func:`associate`.
 
     T holds the sectors that serve a ``vq`` user under some row of the
@@ -234,7 +292,7 @@ def pool_users(rx_w: np.ndarray, strongest: np.ndarray, vq: np.ndarray,
     along the contiguous axis, which numpy sums pairwise, not left to right.
     """
     act = np.asarray(active_sectors, dtype=bool)
-    serving = serving_sectors(rx_w, act, strongest)
+    serving = serving_sectors(gain_db, act, strongest, models[0].channel)
     in_t = np.zeros(act.shape[1], dtype=bool)
     in_t[serving[:, vq]] = True
     for model in models:
@@ -247,29 +305,37 @@ def pool_users(rx_w: np.ndarray, strongest: np.ndarray, vq: np.ndarray,
 
 
 def cluster_members(model: SystemModel, active_sectors: np.ndarray) -> np.ndarray:
-    """(P, S, n_multi) 0/1 matrices of the active sectors of each multi-sector
-    cluster, one per row of the (P, S) active-sector masks."""
-    return ((model.vc_of_sector[:, None] == model.multi_vc_ids[None, :])
-            & np.asarray(active_sectors, dtype=bool)[..., None]).astype(float)
+    """(P, n_multi, k) table of the active sectors of each multi-sector
+    cluster under each row of the (P, S) active-sector masks, ascending and
+    padded with -1 to k, the largest cluster size."""
+    on = ((model.multi_vc_ids[:, None] == model.vc_of_sector[None, :])
+          & np.asarray(active_sectors, dtype=bool)[:, None, :])        # (P, n_multi, S)
+    # a stable sort of the flags puts each cluster's active sectors first, in order
+    sectors = np.argsort(~on, axis=-1, kind="stable")[..., :int(model.vc_sizes.max())]
+    return np.where(np.take_along_axis(on, sectors, axis=-1), sectors, -1)
 
 
 def cluster_links(model: SystemModel, rx_w: np.ndarray, assoc: Association,
-                  member: np.ndarray, users=None) -> ClusterLinks:
+                  member: np.ndarray) -> ClusterLinks:
     """Joint SINR of each user's serving multi-sector cluster (active members).
 
-    ``member`` is :func:`cluster_members` of the association's active sectors,
-    and ``users`` lists the rows of the draw ``rx_w`` that the association
-    covers (default: all).  The joint power is one product of the whole draw
-    with the member stack, read at those rows (see :func:`draw_rates`).
+    ``rx_w`` holds the received powers of the association's users, and
+    ``member`` is :func:`cluster_members` of its active sectors.  The joint
+    power adds the active members' powers one after another, ascending.
     """
     vc_user = model.vc_of_sector[assoc.sector]
     capable = model.vc_sizes[vc_user] > 1
     p_joint = np.zeros(vc_user.shape)
     p_cap, u_cap = np.nonzero(capable)
     if p_cap.size:
-        rows = u_cap if users is None else np.asarray(users)[u_cap]
         col = np.searchsorted(model.multi_vc_ids, vc_user[p_cap, u_cap])
-        p_joint[p_cap, u_cap] = np.matmul(rx_w, member)[p_cap, rows, col]
+        sectors = member[p_cap, col]                        # (n, k), -1 after the members
+        power = rx_w[u_cap[:, None], sectors]               # a -1 reads the last sector
+        power[sectors < 0] = 0.0
+        joint = np.zeros(p_cap.size)
+        for column in power.T:
+            joint += column
+        p_joint[p_cap, u_cap] = joint
     return ClusterLinks(vc=vc_user, capable=capable,
                         joint_sinr=p_joint / (assoc.total_w - p_joint + model.noise_w),
                         n_vclusters=model.n_vclusters)
@@ -313,11 +379,11 @@ def link_rates(model: SystemModel, assoc: Association, links, gamma_ds_db) -> Li
         n_vclusters=n_vc, n_pools=model.n_sectors + n_vc)
 
 
-def draw_rates(models, members, rx_w: np.ndarray, strongest: np.ndarray, vq: np.ndarray,
+def draw_rates(models, members, gain_db: np.ndarray, strongest: np.ndarray, vq: np.ndarray,
                active_sectors: np.ndarray, gamma_ds_db) -> tuple[np.ndarray, LinkRates]:
-    """One fading draw from received power to link rates, for every row of
-    the (P, S) active-sector masks, every configuration of ``models`` (with
-    its :func:`cluster_members` in ``members``) and every gamma_d.
+    """One fading draw from its dB gains to link rates, for every row of the
+    (P, S) active-sector masks, every configuration of ``models`` (with its
+    :func:`cluster_members` in ``members``) and every gamma_d.
 
     Returns the sorted rows of the draw that it scheduled and their
     :func:`link_rates`.  Only the users that share a pool with the metric
@@ -330,16 +396,15 @@ def draw_rates(models, members, rx_w: np.ndarray, strongest: np.ndarray, vq: np.
     the same order as over the whole field and keeps its bits.  With every
     user in ``vq`` the whole field is scheduled.
 
-    The joint power is the exception: :func:`cluster_links` multiplies the
-    whole draw by the (P, S, n_multi) member stack, pattern by pattern, and
-    reads the product at the pool users.  The BLAS kernels sum a row of a
-    product in an order that depends on the row's position in the operand,
-    so a product over the kept rows alone, or over several patterns' members
-    at once, changes bits.  ``strongest`` is ``rx_w.argmax(axis=1)``.
+    Only the pool users' rows are turned into watts (``received_power_w``),
+    each with the bits it has in the whole draw; the strongest sectors are
+    picked on the dB values (:func:`strongest_sectors`), and ``strongest``
+    is ``strongest_sectors(gain_db, channel)``.
     """
-    users, serving = pool_users(rx_w, strongest, vq, active_sectors, models)
-    assoc = associate(rx_w[users], active_sectors, models[0].noise_w, serving)
-    links = [cluster_links(model, rx_w, assoc, member, users)
+    users, serving = pool_users(gain_db, strongest, vq, active_sectors, models)
+    rx_w = received_power_w(gain_db, models[0].channel, rows=users)
+    assoc = associate(rx_w, active_sectors, models[0].noise_w, serving)
+    links = [cluster_links(model, rx_w, assoc, member)
              for model, member in zip(models, members)]
     return users, link_rates(models[0], assoc, links, gamma_ds_db)
 
@@ -400,14 +465,15 @@ def schedule(model: SystemModel, rx_w: np.ndarray, active_bs: np.ndarray,
              params: SchedulerParams) -> SchedulingSolution:
     """Associate, classify, and allocate optimal time fractions for all users.
 
-    One scheduling point over every user of the draw: :func:`draw_rates`
-    with every user in the metric set.  The traced benchmark
-    (``bench/spans.py``) wraps it by name.
+    One scheduling point over every user of the received powers ``rx_w``:
+    the stages of :func:`draw_rates` over the whole field.  The traced
+    benchmark (``bench/spans.py``) wraps it by name.
     """
     act = np.asarray(active_bs, dtype=bool)[model.sector_bs][None]
-    _, rates = draw_rates([model], [cluster_members(model, act)], rx_w, rx_w.argmax(axis=1),
-                          np.ones(rx_w.shape[0], dtype=bool), act, [params.gamma_d_db])
-    return allocate(rates, params.alpha).row(0)
+    serving = np.where(act, rx_w, -np.inf).argmax(axis=1)[None]
+    assoc = associate(rx_w, act, model.noise_w, serving)
+    links = cluster_links(model, rx_w, assoc, cluster_members(model, act))
+    return allocate(link_rates(model, assoc, [links], [params.gamma_d_db]), params.alpha).row(0)
 
 
 def center_cluster_users(model: SystemModel, strongest: np.ndarray,
@@ -416,7 +482,7 @@ def center_cluster_users(model: SystemModel, strongest: np.ndarray,
 
     With uniform transmit power the max-SINR sector equals the max received
     power sector, so the benchmark association needs no mask: ``strongest``
-    is ``rx_w.argmax(axis=1)``.
+    is :func:`strongest_sectors` of the draw.
     """
     in_cluster = np.zeros(model.n_sectors, dtype=bool)
     in_cluster[np.asarray(center_sector_idx, dtype=int)] = True

@@ -23,9 +23,7 @@ def mcs():
 def models(layout, params, mcs):
     """System models for the four shipped CoMP configurations."""
     return {
-        name: cb.build_system_model(
-            layout, cb.preset(name, layout), params.noise_w, mcs,
-            params.rate_per_bits_symbol)
+        name: cb.build_system_model(layout, cb.preset(name, layout), params, mcs)
         for name in ("none", "C1", "C2", "C3")
     }
 

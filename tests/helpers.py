@@ -166,11 +166,15 @@ def expression_link_budget(layout, drop, params):
 
 
 def expression_gain_matrix(budget_db, params, seed):
-    """``channel.draw_gain_matrix`` as expressions, with the shadowing
+    """``channel.draw_gain_matrix`` as an expression, with the shadowing
     drawn by ``normal(0, sigma)``."""
     rng = np.random.default_rng(seed)
-    shadow = rng.normal(0.0, params.shadowing_stddev_db, size=budget_db.shape)
-    return 10.0 ** ((budget_db - shadow) / 10.0)
+    return budget_db - rng.normal(0.0, params.shadowing_stddev_db, size=budget_db.shape)
+
+
+def expression_received_power(gain_db, params):
+    """``channel.received_power_w`` of the whole draw as an expression."""
+    return cb.channel.per_subchannel_power_w(params) * 10.0 ** (gain_db / 10.0)
 
 
 # Per-point scheduling and statistics, one sweep point at a time: oracles for
@@ -189,15 +193,31 @@ def point_associate(rx_w, active_sector, noise_w, strongest):
                            sinr=w_serv / (total - w_serv + noise_w))
 
 
+def linear_serving(rx_w, active_sectors):
+    """(P, U) strongest active sector of every user under each row of the
+    (P, S) masks, over the received powers in watts."""
+    act = np.atleast_2d(np.asarray(active_sectors, dtype=bool))
+    return np.array([np.where(a, rx_w, -np.inf).argmax(axis=1) for a in act])
+
+
+def ascending_member_power(model, rx_w, active_sector):
+    """(U, n_multi) received power of each multi-sector cluster's active
+    members, added one sector after another in ascending order."""
+    act = np.asarray(active_sector, dtype=bool)
+    power = np.zeros((rx_w.shape[0], model.multi_vc_ids.size))
+    for j, vc in enumerate(model.multi_vc_ids):
+        for s in np.flatnonzero((model.vc_of_sector == vc) & act):
+            power[:, j] += rx_w[:, s]
+    return power
+
+
 def point_cluster_links(model, rx_w, assoc, active_sector):
     """Serving cluster and joint SINR of every user under one pattern."""
-    member = ((model.vc_of_sector[:, None] == model.multi_vc_ids[None, :])
-              & np.asarray(active_sector, dtype=bool)[:, None]).astype(float)
     vc_user = model.vc_of_sector[assoc.sector]
     capable = model.vc_sizes[vc_user] > 1
     joint = np.zeros(rx_w.shape[0])
     if capable.any():
-        p_joint = rx_w @ member                              # (U, n_multi)
+        p_joint = ascending_member_power(model, rx_w, active_sector)
         g_joint = p_joint / (assoc.total_w[:, None] - p_joint + model.noise_w)
         col = np.searchsorted(model.multi_vc_ids, vc_user[capable])
         joint[capable] = g_joint[capable, col]
@@ -341,9 +361,10 @@ def walk_oracle(model, rx_w, vq, cluster_bs_idx, params, rate_threshold_bps):
 
 
 # Full-field oracles of the pool-user pipeline: every stage on every user of
-# the draw, and the joint power as one ``rx_w @ member[p]`` product per pattern.
+# the draw in watts, the strongest sectors as argmaxes over watts, and the
+# joint power as the ascending member sum of each pattern.
 
-def full_field_links(model, rx_w, assoc, member):
+def full_field_links(model, rx_w, assoc):
     """Serving cluster and joint SINR of every user under every pattern."""
     vc_user = model.vc_of_sector[assoc.sector]
     capable = model.vc_sizes[vc_user] > 1
@@ -351,7 +372,8 @@ def full_field_links(model, rx_w, assoc, member):
     for p in np.flatnonzero(capable.any(axis=1)):
         users = np.flatnonzero(capable[p])
         col = np.searchsorted(model.multi_vc_ids, vc_user[p, users])
-        p_joint[p, users] = (rx_w @ member[p])[users, col]
+        p_joint[p, users] = ascending_member_power(
+            model, rx_w, assoc.active_sector[p])[users, col]
     return cb.scheduler.ClusterLinks(
         vc=vc_user, capable=capable,
         joint_sinr=p_joint / (assoc.total_w - p_joint + model.noise_w),
@@ -373,19 +395,16 @@ def full_field_drop_records(ctx, mu, d):
     budget_db = cb.channel.drop_link_budget(ctx.layout, drop, ctx.params)
     blocks, skipped = [], 0
     for f_idx in range(cfg.n_fading):
-        gains = cb.channel.draw_gain_matrix(
+        gain_db = cb.channel.draw_gain_matrix(
             budget_db, ctx.params, _seed_key(cfg.master_seed, 1, _mu_key(mu), d, f_idx))
-        rx_w = cb.received_power_w(gains, ctx.params)
-        strongest = rx_w.argmax(axis=1)
-        vq = cb.center_cluster_users(models[0], strongest, ctx.center_sector_idx)
+        rx_w = expression_received_power(gain_db, ctx.params)
+        vq = cb.center_cluster_users(models[0], rx_w.argmax(axis=1), ctx.center_sector_idx)
         if not vq.any():
             skipped += 1
             continue
-        assoc = cb.scheduler.associate(
-            rx_w, ctx.active_sectors, ctx.params.noise_w,
-            cb.scheduler.serving_sectors(rx_w, ctx.active_sectors, strongest))
-        links = [full_field_links(model, rx_w, assoc, member)
-                 for model, member in zip(models, ctx.members)]
+        assoc = cb.scheduler.associate(rx_w, ctx.active_sectors, ctx.params.noise_w,
+                                       linear_serving(rx_w, ctx.active_sectors))
+        links = [full_field_links(model, rx_w, assoc) for model in models]
         rates = cb.scheduler.link_rates(models[0], assoc, links, cfg.gamma_ds_db)
         for alpha in cfg.alphas:
             blocks.append(cb.bss.realization_stats(
@@ -401,9 +420,7 @@ def full_field_patterns(model, rx_w, cluster_bs_idx, patterns, params):
     n_bs = int(model.sector_bs.max()) + 1
     active = np.array([cb.bss.active_bs_mask(n_bs, cluster_bs_idx, p)
                        for p in patterns])[:, model.sector_bs]
-    assoc = cb.scheduler.associate(
-        rx_w, active, model.noise_w,
-        cb.scheduler.serving_sectors(rx_w, active, rx_w.argmax(axis=1)))
-    links = full_field_links(model, rx_w, assoc, cb.scheduler.cluster_members(model, active))
+    assoc = cb.scheduler.associate(rx_w, active, model.noise_w, linear_serving(rx_w, active))
+    links = full_field_links(model, rx_w, assoc)
     return cb.scheduler.allocate(
         cb.scheduler.link_rates(model, assoc, [links], [params.gamma_d_db]), params.alpha)

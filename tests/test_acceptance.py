@@ -18,7 +18,7 @@ from compbss.campaign import CampaignConfig, RESULT_COLUMNS, run_campaign, \
 from compbss.channel import McsTable, _directivity_gain_in_place, path_loss_db, \
     per_subchannel_power_w
 from compbss.metrics import alpha_fair_throughputs
-from compbss.scheduler import SchedulerParams, allocate, schedule
+from compbss.scheduler import SchedulerParams, allocate, schedule, strongest_sectors
 
 from helpers import (closed_form_lambdas, instance_rates, make_instance, numeric_theta,
                      random_feasible_utilities, utility_oracle)
@@ -42,9 +42,8 @@ def _boot_q(diff, q, n_boot=3000, seed=0):
 def _realization(layout, params, density, seed, tag):
     drop = cb.drop_users(layout, density,
                          np.random.SeedSequence(seed, spawn_key=(tag, 0)))
-    gains = cb.build_gain_matrix(layout, drop, params,
-                                 np.random.SeedSequence(seed, spawn_key=(tag, 1)))
-    return drop, cb.received_power_w(gains, params)
+    return drop, cb.build_gain_matrix(layout, drop, params,
+                                      np.random.SeedSequence(seed, spawn_key=(tag, 1)))
 
 
 R_GRID = np.array([0.0, 0.05e6, 0.1e6, 0.2e6, 0.5e6, 1e6, 2e6, 5e6])
@@ -61,14 +60,15 @@ def ordering_matrix(layout, params, models):
            for c in models for p in patterns}
     n_used = 0
     for d in range(300):
-        drop, rx = _realization(layout, params, 60.0, 20250 + d, tag=7)
-        vq = cb.center_cluster_users(models["none"], rx.argmax(axis=1), center_idx)
+        drop, gain_db = _realization(layout, params, 60.0, 20250 + d, tag=7)
+        vq = cb.center_cluster_users(models["none"], strongest_sectors(gain_db, params),
+                                     center_idx)
         if not vq.any():
             continue
         n_used += 1
         for cname, model in models.items():
             for p in patterns:
-                ev = evaluate_pattern(model, rx, vq, cb_idx, p, sp, 0.0)
+                ev = evaluate_pattern(model, gain_db, vq, cb_idx, p, sp, 0.0)
                 vq_ev = vq[ev.users]    # the solution covers the pool users
                 lam = ev.solution.lam[vq_ev]
                 covered = lam > 0
@@ -177,12 +177,12 @@ def test_c05_heuristic_equals_oracle(layout, params, models):
     n_checked = 0
     n_feasible = 0
     for d in range(200):
-        drop, rx = _realization(layout, params, 60.0, 31000 + d, tag=5)
-        vq = cb.center_cluster_users(model, rx.argmax(axis=1), center_idx)
+        drop, gain_db = _realization(layout, params, 60.0, 31000 + d, tag=5)
+        vq = cb.center_cluster_users(model, strongest_sectors(gain_db, params), center_idx)
         if not vq.any():
             continue
-        h = heuristic_select(model, rx, vq, cb_idx, full, sp, rate_threshold)
-        o = exhaustive_oracle(model, rx, vq, cb_idx, sp, rate_threshold)
+        h = heuristic_select(model, gain_db, vq, cb_idx, full, sp, rate_threshold)
+        o = exhaustive_oracle(model, gain_db, vq, cb_idx, sp, rate_threshold)
         n_checked += 1
         n_feasible += int(h.feasible)
         if h.pattern.off_flags != o.pattern.off_flags or h.feasible != o.feasible:
@@ -210,7 +210,8 @@ def test_c06_theta_trend(layout, params, models):
     alphas = [1.0, 2.0, 3.0]
     sums = {(g, a): [] for g in gammas for a in alphas}
     for d in range(50):
-        drop, rx = _realization(layout, params, 60.0, 40000 + d, tag=6)
+        drop, gain_db = _realization(layout, params, 60.0, 40000 + d, tag=6)
+        rx = cb.received_power_w(gain_db, params)
         vq = cb.center_cluster_users(model, rx.argmax(axis=1), center_idx)
         if not vq.any():
             continue

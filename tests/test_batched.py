@@ -16,7 +16,7 @@ from compbss.bss import (active_bs_mask, all_patterns, exhaustive_oracle, heuris
 from compbss.metrics import STAT_FIELDS, aggregate
 from compbss.scheduler import (Association, ClusterLinks, allocate, associate,
                                center_cluster_users, cluster_links, cluster_members,
-                               link_rates, serving_sectors)
+                               link_rates, serving_sectors, strongest_sectors)
 
 from conftest import make_realization
 from helpers import (point_allocate, point_associate, point_cluster_links,
@@ -32,12 +32,17 @@ THRESHOLDS = (1e5, 5e5)
 def _setups(layout, params, model, densities=(20.0, 160.0), seeds=range(3)):
     for density in densities:
         for seed in seeds:
-            _, gains = make_realization(layout, params, density=density, seed=seed)
-            rx = cb.received_power_w(gains, params)
+            _, gain_db = make_realization(layout, params, density=density, seed=seed)
+            rx = cb.received_power_w(gain_db, params)
             vq = center_cluster_users(model, rx.argmax(axis=1),
                                       layout.center_cluster_sector_ids - 1)
             if vq.any():
-                yield density, seed, rx, vq
+                yield density, seed, gain_db, rx, vq
+
+
+def _serving(gain_db, act, params):
+    """Library serving sectors of the dB draw, strongest sector first."""
+    return serving_sectors(gain_db, act, strongest_sectors(gain_db, params), params)
 
 
 def _active_sectors(layout, patterns):
@@ -50,9 +55,9 @@ def test_batched_associate_equals_point_oracle(layout, params, models):
     """All 127 patterns in one pass, including users whose strongest sector sleeps."""
     act = _active_sectors(layout, all_patterns(7))
     n_asleep = 0
-    for density, seed, rx, _ in _setups(layout, params, models["C3"]):
+    for density, seed, gain_db, rx, _ in _setups(layout, params, models["C3"]):
         strongest = rx.argmax(axis=1)
-        assoc = associate(rx, act, params.noise_w, serving_sectors(rx, act, strongest))
+        assoc = associate(rx, act, params.noise_w, _serving(gain_db, act, params))
         assert assoc.total_w.shape == assoc.sector.shape == (len(act), rx.shape[0])
         n_asleep += np.count_nonzero(~act[:, strongest])
         for p, a in enumerate(act):
@@ -65,9 +70,9 @@ def test_batched_associate_equals_point_oracle(layout, params, models):
 
 def test_batched_cluster_links_equal_point_oracle(layout, params, models):
     act = _active_sectors(layout, all_patterns(7))
-    for density, seed, rx, _ in _setups(layout, params, models["C3"], seeds=range(2)):
-        assoc = associate(rx, act, params.noise_w,
-                          serving_sectors(rx, act, rx.argmax(axis=1)))
+    for density, seed, gain_db, rx, _ in _setups(layout, params, models["C3"],
+                                                 seeds=range(2)):
+        assoc = associate(rx, act, params.noise_w, _serving(gain_db, act, params))
         for name in CONFIGS:
             model = models[name]
             links = cluster_links(model, rx, assoc, cluster_members(model, act))
@@ -94,9 +99,9 @@ def test_batched_rows_equal_point_oracles(layout, params, models, pattern):
     row_energy = [patterns[q].energy_saving_pct for q, _, _ in row_points]
     row_multi = [model_list[c].multi_vc_ids for _, c, _ in row_points]
     n_checked = 0
-    for density, seed, rx, vq in _setups(layout, params, models["C3"]):
+    for density, seed, gain_db, rx, vq in _setups(layout, params, models["C3"]):
         strongest = rx.argmax(axis=1)
-        assoc = associate(rx, act, params.noise_w, serving_sectors(rx, act, strongest))
+        assoc = associate(rx, act, params.noise_w, _serving(gain_db, act, params))
         links = [cluster_links(m, rx, assoc, cluster_members(m, act)) for m in model_list]
         rates = link_rates(model_list[0], assoc, links, GAMMAS)
         point_assoc = point_associate(rx, act[p], params.noise_w, strongest)
@@ -135,7 +140,7 @@ def test_single_point_schedule_equals_oracle(layout, params, models):
     pattern = cb.default_pattern_list()[1]
     active_bs = active_bs_mask(layout.n_bs, layout.center_cluster_bs_ids - 1, pattern)
     act = layout.sector_active_mask(active_bs)
-    for density, seed, rx, vq in _setups(layout, params, models["C3"]):
+    for density, seed, gain_db, rx, vq in _setups(layout, params, models["C3"]):
         assoc = point_associate(rx, act, params.noise_w, rx.argmax(axis=1))
         for name in CONFIGS:
             model = models[name]
@@ -149,7 +154,7 @@ def test_single_point_schedule_equals_oracle(layout, params, models):
                 assert np.array_equal(sol.vc, links.vc)
                 for field in ("comp", "outage", "beta", "theta", "lam", "coverage_sinr"):
                     assert np.array_equal(getattr(sol, field), getattr(ref, field)), field
-                ev = cb.evaluate_pattern(model, rx, vq, layout.center_cluster_bs_ids - 1,
+                ev = cb.evaluate_pattern(model, gain_db, vq, layout.center_cluster_bs_ids - 1,
                                          pattern, sp, 0.0)
                 assert np.array_equal(ev.solution.lam, sol.lam[ev.users])
                 stats = realization_stats(ev.solution, vq[ev.users], [pattern.energy_saving_pct],
@@ -167,16 +172,16 @@ def test_one_pass_selection_equals_sequential_walk(layout, params, models, thres
     down the list picks, with the same minimum rate and evaluation count."""
     cb_idx = layout.center_cluster_bs_ids - 1
     full = all_patterns(7)
-    for density, seed, rx, vq in _setups(layout, params, models["C3"],
-                                         densities=(60.0,), seeds=range(2)):
+    for density, seed, gain_db, rx, vq in _setups(layout, params, models["C3"],
+                                                  densities=(60.0,), seeds=range(2)):
         for name, alpha in (("C3", 1.0), ("C1", 2.0)):
             model = models[name]
             sp = cb.SchedulerParams(alpha=alpha, gamma_d_db=-1.0)
             for patterns in (cb.default_pattern_list(), full):
-                got = heuristic_select(model, rx, vq, cb_idx, patterns, sp, threshold)
+                got = heuristic_select(model, gain_db, vq, cb_idx, patterns, sp, threshold)
                 want = walk_heuristic(model, rx, vq, cb_idx, patterns, sp, threshold)
                 _check_selection(got, want, (name, seed, len(patterns)))
-            got = exhaustive_oracle(model, rx, vq, cb_idx, sp, threshold)
+            got = exhaustive_oracle(model, gain_db, vq, cb_idx, sp, threshold)
             want = walk_oracle(model, rx, vq, cb_idx, sp, threshold)
             _check_selection(got, want, (name, seed, "oracle"))
 

@@ -7,7 +7,7 @@ from compbss.bss import (BssPattern, all_patterns, default_pattern_list,
                          patterns_from_file, realization_stats, sort_patterns,
                          validate_pattern_list)
 from compbss.metrics import STAT_FIELDS
-from compbss.scheduler import SchedulerParams
+from compbss.scheduler import SchedulerParams, strongest_sectors
 
 from helpers import patterns_to_file
 
@@ -15,13 +15,12 @@ from helpers import patterns_to_file
 @pytest.fixture(scope="module")
 def c3_setup(layout, params, mcs, models):
     drop = cb.drop_users(layout, 60.0, np.random.SeedSequence(0, spawn_key=(0,)))
-    gains = cb.build_gain_matrix(layout, drop, params,
-                                 np.random.SeedSequence(0, spawn_key=(1,)))
-    rx = cb.received_power_w(gains, params)
+    gain_db = cb.build_gain_matrix(layout, drop, params,
+                                   np.random.SeedSequence(0, spawn_key=(1,)))
     model = models["C3"]
-    vq = cb.center_cluster_users(model, rx.argmax(axis=1),
+    vq = cb.center_cluster_users(model, strongest_sectors(gain_db, params),
                                  layout.center_cluster_sector_ids - 1)
-    return model, rx, vq, layout.center_cluster_bs_ids - 1
+    return model, gain_db, vq, layout.center_cluster_bs_ids - 1
 
 
 SP = SchedulerParams(alpha=1.0, gamma_d_db=0.0)
@@ -93,27 +92,28 @@ class TestPattern:
 
 class TestEvaluate:
     def test_zero_threshold_always_feasible(self, c3_setup):
-        model, rx, vq, cb_idx = c3_setup
+        model, gain_db, vq, cb_idx = c3_setup
         for pattern in default_pattern_list():
-            ev = evaluate_pattern(model, rx, vq, cb_idx, pattern, SP, 0.0)
+            ev = evaluate_pattern(model, gain_db, vq, cb_idx, pattern, SP, 0.0)
             assert ev.feasible
 
     def test_unreachable_threshold_infeasible(self, c3_setup):
-        model, rx, vq, cb_idx = c3_setup
+        model, gain_db, vq, cb_idx = c3_setup
         for pattern in default_pattern_list():
-            ev = evaluate_pattern(model, rx, vq, cb_idx, pattern, SP, 1e12)
+            ev = evaluate_pattern(model, gain_db, vq, cb_idx, pattern, SP, 1e12)
             assert not ev.feasible
 
     def test_feasibility_monotone_in_threshold(self, c3_setup):
-        model, rx, vq, cb_idx = c3_setup
+        model, gain_db, vq, cb_idx = c3_setup
         pattern = default_pattern_list()[2]
-        ev = evaluate_pattern(model, rx, vq, cb_idx, pattern, SP, 0.0)
-        feas = [evaluate_pattern(model, rx, vq, cb_idx, pattern, SP, r).feasible
+        ev = evaluate_pattern(model, gain_db, vq, cb_idx, pattern, SP, 0.0)
+        feas = [evaluate_pattern(model, gain_db, vq, cb_idx, pattern, SP, r).feasible
                 for r in [0.0, ev.min_rate_bps, ev.min_rate_bps + 1.0, 1e12]]
         assert feas == sorted(feas, reverse=True)
 
     def test_interference_never_grows_when_bs_sleeps(self, c3_setup, params):
-        model, rx, vq, cb_idx = c3_setup
+        model, gain_db, vq, cb_idx = c3_setup
+        rx = cb.received_power_w(gain_db, params)
         act1 = np.ones(49, bool)
         act1[cb_idx[0]] = False
         act2 = act1.copy()
@@ -127,43 +127,43 @@ class TestEvaluate:
             assert np.all(interf_more[live] <= interf_few[live] + 1e-20)
 
     def test_empty_metric_set_propagates(self, c3_setup):
-        model, rx, _, cb_idx = c3_setup
+        model, gain_db, _, cb_idx = c3_setup
         with pytest.raises(ValueError):
-            evaluate_pattern(model, rx, np.zeros(rx.shape[0], bool), cb_idx,
+            evaluate_pattern(model, gain_db, np.zeros(gain_db.shape[0], bool), cb_idx,
                              default_pattern_list()[0], SP, 0.0)
 
 
 class TestHeuristic:
     def test_early_exit_on_first_feasible(self, c3_setup):
-        model, rx, vq, cb_idx = c3_setup
-        res = heuristic_select(model, rx, vq, cb_idx, default_pattern_list(), SP, 0.0)
+        model, gain_db, vq, cb_idx = c3_setup
+        res = heuristic_select(model, gain_db, vq, cb_idx, default_pattern_list(), SP, 0.0)
         assert res.patterns_evaluated == 1
         assert res.pattern.a1 == 4
         assert res.feasible
 
     def test_only_all_on_feasible(self, c3_setup):
         """Cell-edge user forces every sleep pattern out; all-on just clears R."""
-        model, rx, vq, cb_idx = c3_setup
+        model, gain_db, vq, cb_idx = c3_setup
         pats = default_pattern_list()
-        mins = [evaluate_pattern(model, rx, vq, cb_idx, p, SP, 0.0).min_rate_bps
+        mins = [evaluate_pattern(model, gain_db, vq, cb_idx, p, SP, 0.0).min_rate_bps
                 for p in pats]
         assert mins[-1] > 0 and max(mins[:-1]) < mins[-1]
         r_mid = (max(mins[:-1]) + mins[-1]) / 2
-        res = heuristic_select(model, rx, vq, cb_idx, pats, SP, r_mid)
+        res = heuristic_select(model, gain_db, vq, cb_idx, pats, SP, r_mid)
         assert res.pattern.a1 == 0
         assert res.feasible
         assert res.patterns_evaluated == len(pats)
 
     def test_infeasible_fallback_flagged(self, c3_setup):
-        model, rx, vq, cb_idx = c3_setup
-        res = heuristic_select(model, rx, vq, cb_idx, default_pattern_list(), SP, 1e12)
+        model, gain_db, vq, cb_idx = c3_setup
+        res = heuristic_select(model, gain_db, vq, cb_idx, default_pattern_list(), SP, 1e12)
         assert res.pattern.a1 == 0
         assert not res.feasible
 
     def test_empty_pattern_list_rejected(self, c3_setup):
-        model, rx, vq, cb_idx = c3_setup
+        model, gain_db, vq, cb_idx = c3_setup
         with pytest.raises(ValueError):
-            heuristic_select(model, rx, vq, cb_idx, [], SP, 0.0)
+            heuristic_select(model, gain_db, vq, cb_idx, [], SP, 0.0)
 
     def test_matches_oracle_on_random_drops(self, layout, params, models):
         model = models["C3"]
@@ -173,14 +173,13 @@ class TestHeuristic:
         checked = 0
         for seed in range(8):
             drop = cb.drop_users(layout, 60.0, np.random.SeedSequence(seed, spawn_key=(0,)))
-            gains = cb.build_gain_matrix(layout, drop, params,
-                                         np.random.SeedSequence(seed, spawn_key=(1,)))
-            rx = cb.received_power_w(gains, params)
-            vq = cb.center_cluster_users(model, rx.argmax(axis=1), center_idx)
+            gain_db = cb.build_gain_matrix(layout, drop, params,
+                                           np.random.SeedSequence(seed, spawn_key=(1,)))
+            vq = cb.center_cluster_users(model, strongest_sectors(gain_db, params), center_idx)
             if not vq.any():
                 continue
-            h = heuristic_select(model, rx, vq, cb_idx, full, SP, 0.15e6)
-            o = exhaustive_oracle(model, rx, vq, cb_idx, SP, 0.15e6)
+            h = heuristic_select(model, gain_db, vq, cb_idx, full, SP, 0.15e6)
+            o = exhaustive_oracle(model, gain_db, vq, cb_idx, SP, 0.15e6)
             assert h.pattern.off_flags == o.pattern.off_flags
             assert h.feasible == o.feasible
             checked += 1
@@ -189,29 +188,29 @@ class TestHeuristic:
 
 class TestOracle:
     def test_zero_threshold_max_switch_off(self, c3_setup):
-        model, rx, vq, cb_idx = c3_setup
-        res = exhaustive_oracle(model, rx, vq, cb_idx, SP, 0.0)
+        model, gain_db, vq, cb_idx = c3_setup
+        res = exhaustive_oracle(model, gain_db, vq, cb_idx, SP, 0.0)
         assert res.pattern.a1 == 6
         assert res.feasible
 
     def test_enumeration_bound(self, c3_setup):
-        model, rx, vq, _ = c3_setup
+        model, gain_db, vq, _ = c3_setup
         with pytest.raises(ValueError):
-            exhaustive_oracle(model, rx, vq, np.arange(11), SP, 0.0)
+            exhaustive_oracle(model, gain_db, vq, np.arange(11), SP, 0.0)
 
     def test_oracle_at_least_as_aggressive_as_restricted_heuristic(self, c3_setup):
-        model, rx, vq, cb_idx = c3_setup
+        model, gain_db, vq, cb_idx = c3_setup
         r = 0.1e6
-        h = heuristic_select(model, rx, vq, cb_idx, default_pattern_list(), SP, r)
-        o = exhaustive_oracle(model, rx, vq, cb_idx, SP, r)
+        h = heuristic_select(model, gain_db, vq, cb_idx, default_pattern_list(), SP, r)
+        o = exhaustive_oracle(model, gain_db, vq, cb_idx, SP, r)
         if h.feasible:
             assert o.pattern.a1 >= h.pattern.a1
 
 
 class TestResultExport:
     def test_realization_stats_fields(self, c3_setup):
-        model, rx, vq, cb_idx = c3_setup
-        ev = evaluate_pattern(model, rx, vq, cb_idx, default_pattern_list()[-1], SP, 0.0)
+        model, gain_db, vq, cb_idx = c3_setup
+        ev = evaluate_pattern(model, gain_db, vq, cb_idx, default_pattern_list()[-1], SP, 0.0)
         st = dict(zip(STAT_FIELDS, realization_stats(
             ev.solution, vq[ev.users], [ev.pattern.energy_saving_pct],
             [model.multi_vc_ids], 0.2e6, 1.0)[0]))

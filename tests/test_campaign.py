@@ -80,6 +80,30 @@ class TestConfig:
             tiny_config(densities_per_km2=[60.0001, 60.0002])
         tiny_config(densities_per_km2=[60.0, 60.001])
 
+    @pytest.mark.parametrize("raw, shown", [
+        ({"inter_site_distance_m": 1.0e7}, "densities_per_km2 entry 60.0 at "
+                                           "inter_site_distance_m=10000000.0 expects 2.546e+11"),
+        ({"densities_per_km2": [60.0, 1000.0]}, "densities_per_km2 entry 1000.0 at "
+                                                "inter_site_distance_m=500.0 expects 1.061e+04"),
+        ({"traffic_profile": [20.0, 160.0], "inter_site_distance_m": 1732.05},
+         "traffic_profile entry 160.0 at inter_site_distance_m=1732.05 expects 2.037e+04"),
+    ])
+    def test_rejects_absurd_drop_sizes(self, raw, shown):
+        """Density x drop-region area above the stated count is refused at
+        load time; the config is only loaded, nothing is allocated."""
+        with pytest.raises(ConfigError, match="above the limit of 10,000") as info:
+            CampaignConfig.from_dict(raw, source="test.yaml")
+        assert shown in str(info.value)
+
+    def test_accepts_drop_sizes_up_to_the_limit(self):
+        from compbss.campaign import MAX_USERS_PER_DROP
+        from compbss.geometry import drop_region_area_m2
+        densest = MAX_USERS_PER_DROP / (drop_region_area_m2(500.0) / 1e6)
+        tiny_config(densities_per_km2=[densest * (1 - 1e-12)],
+                    traffic_profile=[20.0, densest * (1 - 1e-12)])
+        with pytest.raises(ConfigError):
+            tiny_config(densities_per_km2=[densest * (1 + 1e-12)])
+
     def test_from_file(self, tmp_path):
         p = tmp_path / "c.yaml"
         p.write_text("n_drops: 3\nn_fading: 2\ncomp_configs: [C1]\n")
@@ -352,6 +376,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("runtime error: every realization was skipped") and shown in err
         assert not (tmp_path / "out").exists()
+
+    def test_density_without_rows_is_named(self, tmp_path, capsys):
+        """A density whose every draw is skipped writes no rows beside one
+        that has rows: stderr names it and the manifest counts its skips."""
+        p = tmp_path / "c.yaml"
+        out = tmp_path / "r.csv"
+        p.write_text(f"densities_per_km2: [0.001, 60]\nn_drops: 2\nn_fading: 1\n"
+                     f"output: {out}\n")
+        assert cli_main(["--config", str(p)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: no rows for densities_per_km2: 0.001 skipped 2 of 2")
+        assert len(err.strip().splitlines()) == 1
+        manifest = json.loads((tmp_path / "r_manifest.json").read_text())
+        assert manifest["n_realizations_skipped_per_density"] == {"0.001": 2, "60": 0}
+        assert manifest["n_realizations_skipped"] == 2
+        assert {line.split(",")[3] for line in out.read_text().splitlines()[1:]} == {"60"}
 
     @pytest.mark.parametrize("flags", [["--drops", "2"], ["--fading", "3"], ["--full-scale"]])
     def test_traffic_config_refuses_scale_flags(self, tmp_path, capsys, flags):

@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 import compbss as cb
 from compbss.channel import (ChannelParams, McsTable, _directivity_gain_in_place,
-                             _link_budget_in_place, _shadowed_gain_in_place,
-                             build_gain_matrix, path_loss_db, per_subchannel_power_w)
+                             _link_budget_in_place, build_gain_matrix, path_loss_db,
+                             per_subchannel_power_w, received_power_w)
 from compbss.scheduler import (SystemModel, associate, cluster_links, cluster_members,
-                               link_rates, serving_sectors)
+                               link_rates)
 
-from helpers import same_bits
+from helpers import linear_serving, same_bits
 
 MCS_THRESHOLDS = [-6.5, -4.0, -2.6, -1.0, 1.0, 3.0, 6.6, 10.0,
                   11.4, 11.8, 13.0, 13.8, 15.6, 16.8, 17.6]
@@ -41,10 +41,13 @@ def _directivity(offset_deg):
 
 
 def _gain(pl_db, sector_gain_db, user_gain_dbi, penetration_db, shadow_db):
-    """The drop stage's link budget and the fading stage's shadowed gain."""
+    """The drop stage's link budget, shadowed as a fading draw shadows it and
+    turned into a linear gain: the received power over P_s."""
     budget = _link_budget_in_place(_floats(pl_db), sector_gain_db, user_gain_dbi,
                                    penetration_db)
-    return _shadowed_gain_in_place(budget, _floats(shadow_db))
+    params = ChannelParams()
+    return (received_power_w(_floats(budget - _floats(shadow_db)), params)
+            / per_subchannel_power_w(params))
 
 
 class TestDirectivity:
@@ -78,8 +81,9 @@ class TestChannelGain:
         gain = rng.uniform(5.0, 25.0, size=30)
         budget = _link_budget_in_place(pl.copy(), gain, 1.5, 20.0)
         assert same_bits(budget, -pl + gain + 1.5 - 20.0)
-        assert same_bits(_shadowed_gain_in_place(budget, shadow.copy()),
-                          10.0 ** ((budget - shadow) / 10.0))
+        params = ChannelParams()
+        assert same_bits(received_power_w(budget - shadow, params),
+                         per_subchannel_power_w(params) * 10.0 ** ((budget - shadow) / 10.0))
 
     def test_shadow_determinism(self, layout, params):
         drop = cb.drop_users(layout, 20.0, 5)
@@ -90,11 +94,14 @@ class TestChannelGain:
         assert not np.array_equal(g1, g3)
 
     def test_gains_positive_finite(self, layout, params):
+        """Finite gains in dB, and positive, finite linear powers."""
         drop = cb.drop_users(layout, 20.0, 6)
         g = build_gain_matrix(layout, drop, params, 1)
-        assert np.all(g > 0)
         assert np.all(np.isfinite(g))
         assert g.shape == (drop.n_users, layout.n_sectors)
+        rx = received_power_w(g, params)
+        assert np.all(rx > 0)
+        assert np.all(np.isfinite(rx))
 
 
 class TestPower:
@@ -120,17 +127,16 @@ class TestPower:
 def _associate(rx, active, noise_w):
     """``associate`` of every user under each row of the (P, S) masks."""
     act = np.atleast_2d(active)
-    return associate(rx, act, noise_w, serving_sectors(rx, act, rx.argmax(axis=1)))
+    return associate(rx, act, noise_w, linear_serving(rx, act))
 
 
-def _model(vc_of_sector, noise_w, rate_per_bits_symbol=1.0):
+def _model(vc_of_sector, noise_w):
     """A field of one sector per BS, grouped into virtual clusters by
     ``vc_of_sector``."""
     sizes = np.bincount(vc_of_sector)
     return SystemModel(sector_bs=np.arange(vc_of_sector.size), vc_of_sector=vc_of_sector,
                        vc_sizes=sizes, multi_vc_ids=np.flatnonzero(sizes > 1),
-                       noise_w=noise_w, mcs=McsTable.default(),
-                       rate_per_bits_symbol=rate_per_bits_symbol)
+                       channel=ChannelParams(noise_w=noise_w), mcs=McsTable.default())
 
 
 def _stages(rx, active, model):
@@ -251,7 +257,7 @@ class TestLinkRate:
         """Below the MCS floor ``link_rates`` gives rate 0 and outage."""
         noise = 1e-15
         rx = np.array([[1e-20, 1e-21], [1e-12, 1e-21]])
-        model = _model(np.array([0, 1]), noise, params.rate_per_bits_symbol)
+        model = _model(np.array([0, 1]), noise)
         assoc, links = _stages(rx, [True, True], model)
         rates = link_rates(model, assoc, [links], [-1.0])
         assert rates.rate[0, 0] == 0.0 and rates.outage[0, 0]
@@ -260,6 +266,8 @@ class TestLinkRate:
 
 
 def test_received_power_shape(realization, params):
-    drop, gains, rx = realization
-    assert rx.shape == gains.shape
-    assert np.allclose(rx, per_subchannel_power_w(params) * gains)
+    drop, gain_db, rx = realization
+    assert rx.shape == gain_db.shape
+    assert np.allclose(rx, per_subchannel_power_w(params) * 10.0 ** (gain_db / 10.0))
+    rows = np.array([5, 0, 5])
+    assert same_bits(received_power_w(gain_db, params, rows=rows), rx[rows])

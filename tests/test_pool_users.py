@@ -15,10 +15,11 @@ import compbss as cb
 from compbss.bss import all_patterns, exhaustive_oracle, heuristic_select
 from compbss.campaign import CampaignConfig, _drop_records, build_context
 from compbss.scheduler import (SystemModel, allocate, cluster_members, draw_rates, pool_users,
-                               serving_sectors)
+                               strongest_sectors)
 
 from conftest import make_realization
-from helpers import full_field_drop_records, full_field_patterns, patterns_to_file
+from helpers import (full_field_drop_records, full_field_patterns, linear_serving,
+                     patterns_to_file)
 
 DENSITIES = (20.0, 60.0, 160.0)
 PATTERN_SETS = ("default", "all")
@@ -69,16 +70,14 @@ def test_drop_records_with_every_preset_in_one_pass(tmp_path):
 def _off_centre_model(layout, params, mcs):
     """C3 plus one multi-sector cluster of the three sectors of BS 8, which
     serve no metric-set user unless a sleeping sector hands one over."""
-    base = cb.build_system_model(layout, cb.preset("C3", layout), params.noise_w, mcs,
-                                 params.rate_per_bits_symbol)
+    base = cb.build_system_model(layout, cb.preset("C3", layout), params, mcs)
     vc = base.vc_of_sector.copy()
     outer = np.flatnonzero(layout.sector_bs == 7)
     vc[outer] = vc[outer[0]]
     _, vc = np.unique(vc, return_inverse=True)
     sizes = np.bincount(vc)
     return SystemModel(sector_bs=base.sector_bs, vc_of_sector=vc, vc_sizes=sizes,
-                       multi_vc_ids=np.flatnonzero(sizes > 1), noise_w=params.noise_w,
-                       mcs=mcs, rate_per_bits_symbol=params.rate_per_bits_symbol)
+                       multi_vc_ids=np.flatnonzero(sizes > 1), channel=params, mcs=mcs)
 
 
 @pytest.mark.parametrize("pattern_set", PATTERN_SETS)
@@ -100,11 +99,11 @@ def _draws(layout, params, model, seeds=range(2)):
     center_idx = layout.center_cluster_sector_ids - 1
     for density in DENSITIES:
         for seed in seeds:
-            _, gains = make_realization(layout, params, density=density, seed=seed)
-            rx = cb.received_power_w(gains, params)
+            _, gain_db = make_realization(layout, params, density=density, seed=seed)
+            rx = cb.received_power_w(gain_db, params)
             vq = cb.center_cluster_users(model, rx.argmax(axis=1), center_idx)
             if vq.any():
-                yield density, seed, rx, vq
+                yield density, seed, gain_db, rx, vq
 
 
 def _check_pick(got, patterns, want_rates, k, feasible, n_eval, where):
@@ -123,7 +122,7 @@ def test_selections_equal_full_field_oracle(layout, params, models, config):
     model = models[config]
     cb_idx = layout.center_cluster_bs_ids - 1
     n_checked = 0
-    for density, seed, rx, vq in _draws(layout, params, model, seeds=range(1)):
+    for density, seed, gain_db, rx, vq in _draws(layout, params, model, seeds=range(1)):
         for alpha, gamma_d in ((1.0, -1.0), (3.0, 4.0)):
             sp = cb.SchedulerParams(alpha=alpha, gamma_d_db=gamma_d)
             for patterns in (cb.default_pattern_list(), all_patterns(7)):
@@ -131,8 +130,9 @@ def test_selections_equal_full_field_oracle(layout, params, models, config):
                 want_rates = want.lam[:, vq]
                 active = np.array([cb.bss.active_bs_mask(layout.n_bs, cb_idx, p)
                                    for p in patterns])[:, model.sector_bs]
-                users, rates = draw_rates([model], [cluster_members(model, active)], rx,
-                                          rx.argmax(axis=1), vq, active, [gamma_d])
+                users, rates = draw_rates([model], [cluster_members(model, active)], gain_db,
+                                          strongest_sectors(gain_db, params), vq, active,
+                                          [gamma_d])
                 got = allocate(rates, alpha)
                 where = (config, density, seed, alpha, len(patterns))
                 assert np.array_equal(got.lam[:, vq[users]], want_rates), where
@@ -145,11 +145,11 @@ def test_selections_equal_full_field_oracle(layout, params, models, config):
                 for thr in (minima[0], minima[minima.size // 2], 1e12):
                     feasible = want_rates.min(axis=1) >= thr
                     k = int(feasible.argmax()) if feasible.any() else len(patterns) - 1
-                    pick = heuristic_select(model, rx, vq, cb_idx, patterns, sp, thr)
+                    pick = heuristic_select(model, gain_db, vq, cb_idx, patterns, sp, thr)
                     _check_pick(pick, patterns, want_rates, k, bool(feasible[k]), k + 1,
                                 where + (thr,))
                     if len(patterns) == 127:
-                        pick = exhaustive_oracle(model, rx, vq, cb_idx, sp, thr)
+                        pick = exhaustive_oracle(model, gain_db, vq, cb_idx, sp, thr)
                         _check_pick(pick, patterns, want_rates, k, bool(feasible[k]), 127,
                                     where + (thr, "oracle"))
                     n_checked += 1
@@ -161,11 +161,12 @@ def test_pool_users_are_sorted_and_hold_the_metric_set(layout, params, models):
         cb.bss.active_bs_mask(layout.n_bs, layout.center_cluster_bs_ids - 1, p))
         for p in all_patterns(7)])
     shares = []
-    for _, _, rx, vq in _draws(layout, params, models["C1"]):
-        strongest = rx.argmax(axis=1)
-        users, serving = pool_users(rx, strongest, vq, act, list(models.values()))
+    for _, _, gain_db, rx, vq in _draws(layout, params, models["C1"]):
+        strongest = strongest_sectors(gain_db, params)
+        assert np.array_equal(strongest, rx.argmax(axis=1))
+        users, serving = pool_users(gain_db, strongest, vq, act, list(models.values()))
         assert np.array_equal(users, np.unique(users))
-        assert np.array_equal(serving, serving_sectors(rx, act, strongest)[:, users])
+        assert np.array_equal(serving, linear_serving(rx, act)[:, users])
         assert vq[users].sum() == vq.sum()
         shares.append(users.size / rx.shape[0])
     assert 0.0 < min(shares) and max(shares) < 1.0
@@ -177,15 +178,16 @@ def test_single_pool_user_keeps_a_second_row(models, params):
     model = models["none"]
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        rx = 10.0 ** rng.normal(-12.0, 1.5, size=(3, model.n_sectors))
-        rx[np.arange(3), [0, 60, 90]] = 1e-6    # strongest: centre, then two outer
+        gain_db = rng.normal(-120.0, 15.0, size=(3, model.n_sectors))
+        gain_db[np.arange(3), [0, 60, 90]] = -60.0    # strongest: centre, then two outer
+        rx = cb.received_power_w(gain_db, params)
         vq = np.array([True, False, False])
-        users, _ = pool_users(rx, rx.argmax(axis=1), vq,
+        users, _ = pool_users(gain_db, strongest_sectors(gain_db, params), vq,
                               np.ones((1, model.n_sectors), bool), [model])
         assert users.tolist() == [0, 1]
         sp = cb.SchedulerParams()
         pattern = cb.default_pattern_list()[-1]
-        got = cb.evaluate_pattern(model, rx, vq, np.arange(7), pattern, sp, 0.0)
+        got = cb.evaluate_pattern(model, gain_db, vq, np.arange(7), pattern, sp, 0.0)
         want = full_field_patterns(model, rx, np.arange(7), [pattern], sp)
         assert np.array_equal(got.solution.coverage_sinr[:1],
                               want.coverage_sinr[0, :1]), seed

@@ -8,14 +8,14 @@ from hypothesis.extra.numpy import arrays
 
 import compbss as cb
 from compbss.metrics import alpha_fair_throughputs
-from compbss.scheduler import (ALPHA_RANGE, SchedulerParams, SystemModel, allocate,
-                               associate, cluster_links, cluster_members, link_rates,
-                               schedule, serving_sectors)
+from compbss.scheduler import (ALPHA_RANGE, TIE_MARGIN_DB, SchedulerParams, SystemModel,
+                               allocate, associate, cluster_links, cluster_members,
+                               link_rates, schedule, serving_sectors, strongest_sectors)
 
 from conftest import make_realization
 
-from helpers import (closed_form_lambdas, instance_rates, make_instance, numeric_theta,
-                     random_feasible_utilities, utility_oracle)
+from helpers import (closed_form_lambdas, instance_rates, linear_serving, make_instance,
+                     numeric_theta, random_feasible_utilities, same_bits, utility_oracle)
 
 positive_rates = arrays(np.float64, st.integers(1, 8),
                         elements=st.floats(1e3, 1e9, allow_nan=False))
@@ -23,8 +23,8 @@ positive_rates = arrays(np.float64, st.integers(1, 8),
 
 @functools.lru_cache(maxsize=None)
 def _realization_rx(layout, params, density, seed):
-    _, gains = make_realization(layout, params, density=density, seed=seed)
-    return cb.received_power_w(gains, params)
+    _, gain_db = make_realization(layout, params, density=density, seed=seed)
+    return cb.received_power_w(gain_db, params)
 
 
 def allocated_fractions(rates, alpha):
@@ -43,7 +43,7 @@ def allocated_theta(nc_rates, c_rates, alpha):
 def _all_on_stages(rx, noise_w, model):
     """Association and cluster links of every user with every sector on."""
     act = np.ones((1, rx.shape[1]), bool)
-    assoc = associate(rx, act, noise_w, serving_sectors(rx, act, rx.argmax(axis=1)))
+    assoc = associate(rx, act, noise_w, linear_serving(rx, act))
     return assoc, cluster_links(model, rx, assoc, cluster_members(model, act))
 
 
@@ -183,14 +183,83 @@ class TestAssociation:
     def test_ties_break_to_lowest_index(self):
         """A user whose strongest sector sleeps is re-served among the active
         ones; equal powers go to the lowest index."""
-        rx = np.array([[2.0, 3.0, 3.0, 9.0]])
+        gain_db = np.array([[2.0, 3.0, 3.0, 9.0]])
         act = np.array([[True, True, True, False]])
-        assert serving_sectors(rx, act, rx.argmax(axis=1))[0, 0] == 1
+        params = cb.ChannelParams()
+        strongest = strongest_sectors(gain_db, params)
+        assert serving_sectors(gain_db, act, strongest, params)[0, 0] == 1
 
     def test_no_active_sector_raises(self):
         rx = np.ones((2, 3))
         with pytest.raises(ValueError, match="active"):
             associate(rx, np.zeros((1, 3), bool), 1e-3, np.zeros((1, 2), int))
+
+
+def _collapsing_pairs(params, n=8):
+    """dB gains g < h one ulp apart, at link-budget levels, whose received
+    powers in watts are equal: over watts the lower index wins their tie."""
+    g = np.random.default_rng(0).uniform(-128.0, -80.0, size=4000)
+    h = np.nextafter(g, np.inf)
+    same = cb.received_power_w(g[:, None], params) == cb.received_power_w(h[:, None], params)
+    g, h = g[same[:, 0]], h[same[:, 0]]
+    assert g.size >= n
+    return g[:n], h[:n]
+
+
+def _near_tie_rows(params, n_sectors=12):
+    """Rows of a dB draw whose two largest entries, at sectors 3 and 8 (in
+    either order), are equal, one ulp apart with equal watts, within
+    TIE_MARGIN_DB, or just outside it."""
+    g, h = _collapsing_pairs(params)
+    pairs = [(g, g), (g, h), (h, g), (g, g + 0.5 * TIE_MARGIN_DB),
+             (g + 0.5 * TIE_MARGIN_DB, g), (g, g + 2.0 * TIE_MARGIN_DB)]
+    rows = []
+    for lo_idx, hi_idx in pairs:
+        block = np.random.default_rng(1).uniform(-220.0, -150.0, size=(g.size, n_sectors))
+        block[:, 3], block[:, 8] = lo_idx, hi_idx
+        rows.append(block)
+    return np.concatenate(rows)
+
+
+class TestCertifiedArgmax:
+    """The strongest sector is taken on dB values and equals the argmax of
+    the row in watts, ties to the lowest index, however close the two
+    largest candidates lie."""
+
+    def test_strongest_sector_equals_linear_argmax(self, params):
+        gain_db = _near_tie_rows(params)
+        drawn = gain_db.copy()
+        rx = cb.received_power_w(gain_db, params)
+        want = rx.argmax(axis=1)
+        got = strongest_sectors(gain_db, params)
+        assert same_bits(gain_db, drawn)
+        assert np.array_equal(got, want)
+        assert same_bits(rx[np.arange(rx.shape[0]), got], rx.max(axis=1))
+        # the dB argmax alone picks sector 8 where watts tie at sector 3
+        assert np.any(gain_db.argmax(axis=1) != want)
+
+    def test_sleeping_repick_equals_linear_argmax(self, params):
+        """Sector 0 is the strongest and sleeps; the re-pick among the active
+        sectors meets the same near ties."""
+        gain_db = _near_tie_rows(params)
+        gain_db[:, 0] = -60.0
+        act = np.ones((2, gain_db.shape[1]), bool)
+        act[:, 0] = False
+        act[1, 5] = False
+        strongest = strongest_sectors(gain_db, params)
+        assert not strongest.any()
+        rx = cb.received_power_w(gain_db, params)
+        want = linear_serving(rx, act)
+        assert np.array_equal(serving_sectors(gain_db, act, strongest, params), want)
+        masked = np.where(act[0], gain_db, -np.inf)
+        assert np.any(masked.argmax(axis=1) != want[0])
+
+    def test_draws_of_the_campaign(self, layout, params):
+        for density in (20.0, 160.0):
+            for seed in range(3):
+                _, gain_db = make_realization(layout, params, density=density, seed=seed)
+                rx = cb.received_power_w(gain_db, params)
+                assert np.array_equal(strongest_sectors(gain_db, params), rx.argmax(axis=1))
 
 
 class TestClassification:
@@ -295,7 +364,8 @@ class TestSchedulePipeline:
         vc_sizes = np.array([2, 1, 1, 1, 1])
         model = SystemModel(sector_bs=sector_bs, vc_of_sector=vc_of_sector,
                             vc_sizes=vc_sizes, multi_vc_ids=np.array([0]),
-                            noise_w=noise, mcs=mcs, rate_per_bits_symbol=rate_scale)
+                            channel=cb.ChannelParams(noise_w=noise), mcs=mcs)
+        assert model.rate_per_bits_symbol == rate_scale
         rx = np.array([
             [5.0e-15, 1.0e-15, 0.2e-15, 4.0e-15, 0.1e-15, 0.1e-15],
             [9.0e-15, 0.5e-15, 0.1e-15, 0.4e-15, 0.2e-15, 0.1e-15],
@@ -399,6 +469,13 @@ class TestSchedulePipeline:
         with pytest.raises(ValueError):
             SchedulerParams(alpha=1.0, gamma_d_db=99.0)
         SchedulerParams(alpha=1.0, gamma_d_db=99.0, gamma_d_range_db=(-10, 100))
+
+    @pytest.mark.parametrize("bounds", [5, ("a", 1), (10, -6.5), (0.0, float("nan")),
+                                        (-6.5,), (True, 10.0)])
+    def test_malformed_gamma_d_range_is_named(self, bounds):
+        with pytest.raises(ValueError, match=r"gamma_d_range_db=.* must be a pair") as err:
+            SchedulerParams(gamma_d_range_db=bounds)
+        assert repr(bounds) in str(err.value)
 
 
 class TestPresets:

@@ -1,5 +1,6 @@
-"""The drop and fading stages run in place: bit identity with the expression
-forms they replace, and a bound on the memory each stage allocates."""
+"""The drop and fading stages run in place, and the conversion to watts
+allocates its rows once: bit identity with the expression forms they replace,
+and a bound on the memory each stage allocates."""
 
 import tracemalloc
 
@@ -10,27 +11,31 @@ import compbss as cb
 from compbss.channel import draw_gain_matrix, drop_link_budget, received_power_w
 from compbss.geometry import build_layout
 
-from helpers import expression_gain_matrix, expression_link_budget, same_bits
+from helpers import (expression_gain_matrix, expression_link_budget,
+                     expression_received_power, same_bits)
 
 ISDS = [500.0, 250.0, 1732.05]
 DENSITIES = [20.0, 60.0, 160.0]
 
 
 def _check_stages(layout, params, drop, seeds):
-    """Both stages and the in-place power scaling equal their oracles bit for
-    bit, and leave their inputs untouched."""
+    """Both stages and the received power of the whole draw and of some of
+    its rows equal their oracles bit for bit, and leave their inputs
+    untouched."""
     dist, az = drop.link_dist_m.copy(), drop.link_az_deg.copy()
     budget = drop_link_budget(layout, drop, params)
     assert same_bits(budget, expression_link_budget(layout, drop, params))
     assert same_bits(drop.link_dist_m, dist) and same_bits(drop.link_az_deg, az)
     kept = budget.copy()
     for seed in seeds:
-        gains = draw_gain_matrix(budget, params, seed)
-        want = expression_gain_matrix(budget, params, seed)
-        assert same_bits(gains, want)
-        rx = received_power_w(gains, params, out=gains)
-        assert rx is gains
-        assert same_bits(rx, cb.channel.per_subchannel_power_w(params) * want)
+        gain_db = draw_gain_matrix(budget, params, seed)
+        assert same_bits(gain_db, expression_gain_matrix(budget, params, seed))
+        drawn = gain_db.copy()
+        want = expression_received_power(gain_db, params)
+        assert same_bits(received_power_w(gain_db, params), want)
+        for rows in (np.arange(0, gain_db.shape[0], 3), np.arange(gain_db.shape[0])[::-2]):
+            assert same_bits(received_power_w(gain_db, params, rows=rows), want[rows])
+        assert same_bits(gain_db, drawn)
     assert same_bits(budget, kept)
 
 
@@ -98,6 +103,15 @@ def test_fading_stage_allocates_one_array(layout, params, density):
     drop, us, _ = _sizes(layout, density)
     budget = drop_link_budget(layout, drop, params)
     assert _traced_peak(draw_gain_matrix, budget, params, 9) <= us + SLACK
+
+
+@pytest.mark.parametrize("density", [60.0, 160.0])
+def test_power_of_some_rows_allocates_those_rows(layout, params, density):
+    drop, us, _ = _sizes(layout, density)
+    gain_db = draw_gain_matrix(drop_link_budget(layout, drop, params), params, 9)
+    rows = np.arange(0, drop.n_users, 4)
+    row_bytes = rows.size * layout.n_sectors * 8
+    assert _traced_peak(received_power_w, gain_db, params, rows) <= row_bytes + SLACK
 
 
 @pytest.mark.parametrize("density", [60.0, 160.0])
