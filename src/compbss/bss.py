@@ -153,14 +153,16 @@ def active_bs_mask(n_bs_total: int, cluster_bs_idx: np.ndarray,
 
 def _select(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
             cluster_bs_idx: np.ndarray, patterns, params: SchedulerParams,
-            rate_threshold_bps: float, walk: bool = True) -> HeuristicResult:
+            rate_threshold_bps: float, walk: bool = True,
+            strongest: np.ndarray | None = None) -> HeuristicResult:
     """Schedule every pattern of the list in one batched pass, one row each,
     over the pool users of the metric set in the dB draw ``gain_db``, and
     keep the first pattern whose worst metric-set rate clears the threshold
     (the last when none does).
 
     ``patterns_evaluated`` counts the patterns a walk down the list would
-    have evaluated, or the whole list when ``walk`` is False.
+    have evaluated, or the whole list when ``walk`` is False.  ``strongest``
+    is ``strongest_sectors`` of the draw, taken here when not given.
     """
     vq = np.asarray(vq_mask, dtype=bool)
     if not vq.any():
@@ -168,9 +170,10 @@ def _select(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
     n_bs = int(model.sector_bs.max()) + 1
     active = np.array([active_bs_mask(n_bs, cluster_bs_idx, p)
                        for p in patterns])[:, model.sector_bs]
+    if strongest is None:
+        strongest = strongest_sectors(gain_db, model.channel)
     users, rates = draw_rates([model], [cluster_members(model, active)], gain_db,
-                              strongest_sectors(gain_db, model.channel), vq, active,
-                              [params.gamma_d_db])
+                              strongest, vq, active, [params.gamma_d_db])
     sol = allocate(rates, params.alpha)
     lam = sol.lam[:, vq[users]]
     min_rate = lam.min(axis=1)
@@ -197,18 +200,19 @@ def evaluate_pattern(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarra
 
 def heuristic_select(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
                      cluster_bs_idx: np.ndarray, patterns: list[BssPattern],
-                     params: SchedulerParams,
-                     rate_threshold_bps: float) -> HeuristicResult:
+                     params: SchedulerParams, rate_threshold_bps: float, *,
+                     strongest: np.ndarray | None = None) -> HeuristicResult:
     """First feasible pattern of the energy-sorted list; all-on as fallback.
 
     If even the final pattern misses the threshold it is returned flagged
     infeasible (fail-safe toward coverage).  The whole list is scheduled in
     one pass; ``patterns_evaluated`` counts the patterns a walk down the list
-    would have evaluated.
+    would have evaluated.  A caller that has taken the draw's
+    ``strongest_sectors`` already passes them as ``strongest``.
     """
     validate_pattern_list(patterns)
     return _select(model, gain_db, vq_mask, cluster_bs_idx, patterns, params,
-                   rate_threshold_bps)
+                   rate_threshold_bps, strongest=strongest)
 
 
 def exhaustive_oracle(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,

@@ -36,7 +36,6 @@ import json
 import math
 import numbers
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -50,7 +49,7 @@ from .bss import (active_bs_mask, default_pattern_list, heuristic_select,
 from .channel import (ChannelParams, McsTable, build_gain_matrix, draw_gain_matrix,
                       drop_link_budget)
 from .clusters import resolve_comp_config
-from .geometry import build_layout, drop_region_area_m2, drop_users
+from .geometry import DropScratch, build_layout, drop_region_area_m2, drop_users
 from .metrics import STAT_FIELDS, aggregate
 from .scheduler import (DEFAULT_GAMMA_D_RANGE_DB, SchedulerParams, allocate,
                         alpha_range_error, build_system_model, center_cluster_users,
@@ -220,7 +219,8 @@ def _is_finite_number(value) -> bool:
 
 @dataclass(eq=False)
 class _Context:
-    """Derived immutable campaign state, rebuilt once per worker process."""
+    """Derived immutable campaign state, rebuilt once per worker process, and
+    the drop stages' scratch, which the first drop makes."""
 
     cfg: CampaignConfig
     layout: object
@@ -231,6 +231,15 @@ class _Context:
     members: list           # per config: (P, n_multi, k) cluster_members tables
     center_sector_idx: np.ndarray
     cluster_bs_idx: np.ndarray
+    scratch: DropScratch | None = None
+
+    def drop_scratch(self, densities) -> DropScratch:
+        """The scratch of every drop of the campaign, sized at its first drop
+        for the largest of ``densities``; a drop's arrays in it stay valid
+        until the next drop."""
+        if self.scratch is None:
+            self.scratch = DropScratch.for_density(self.layout, max(densities))
+        return self.scratch
 
 
 @contextmanager
@@ -291,13 +300,15 @@ def _drop_records(ctx: _Context, mu: float, d: int):
     row_multi_ids = [model.multi_vc_ids for _, model in rows]
     points = (len(cfg.alphas), len(ctx.patterns), len(models), len(cfg.gamma_ds_db),
               len(cfg.rate_thresholds_bps), len(STAT_FIELDS))
-    drop = drop_users(ctx.layout, mu, _seed_key(cfg.master_seed, 0, _mu_key(mu), d))
+    scratch = ctx.drop_scratch(cfg.densities_per_km2)
+    drop = drop_users(ctx.layout, mu, _seed_key(cfg.master_seed, 0, _mu_key(mu), d), scratch)
     blocks = []
     skipped = n_scheduled = n_dropped = 0
-    budget_db = drop_link_budget(ctx.layout, drop, ctx.params)
+    budget_db = drop_link_budget(ctx.layout, drop, ctx.params, scratch)
     for f_idx in range(cfg.n_fading):
         gain_db = draw_gain_matrix(budget_db, ctx.params,
-                                   _seed_key(cfg.master_seed, 1, _mu_key(mu), d, f_idx))
+                                   _seed_key(cfg.master_seed, 1, _mu_key(mu), d, f_idx),
+                                   scratch)
         strongest = strongest_sectors(gain_db, ctx.params)
         vq = center_cluster_users(models[0], strongest, ctx.center_sector_idx)
         if not vq.any():
@@ -343,6 +354,9 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
     ctx = build_context(cfg)
     tasks = [(mu, d) for mu in cfg.densities_per_km2 for d in range(cfg.n_drops)]
     if jobs > 1:
+        # only a parallel run pays for importing the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         cfg_json = json.dumps(asdict(cfg), sort_keys=True)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_worker, [(cfg_json, mu, d) for mu, d in tasks]))
@@ -454,21 +468,23 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
     n_skipped = 0   # steps whose drop or metric set is empty
     n_evaluated = {}    # patterns a walk down the list evaluates -> steps
     n_scheduled = n_dropped = 0
+    scratch = ctx.drop_scratch(cfg.traffic_profile)
     for t, mu in enumerate(cfg.traffic_profile):
         drop = drop_users(ctx.layout, float(mu),
-                          _seed_key(cfg.master_seed, 2, _mu_key(float(mu)), t))
+                          _seed_key(cfg.master_seed, 2, _mu_key(float(mu)), t), scratch)
         if drop.is_empty:
             n_skipped += 1
             continue
         gain_db = build_gain_matrix(ctx.layout, drop, ctx.params,
-                                    _seed_key(cfg.master_seed, 3, _mu_key(float(mu)), t))
-        vq = center_cluster_users(model, strongest_sectors(gain_db, ctx.params),
-                                  ctx.center_sector_idx)
+                                    _seed_key(cfg.master_seed, 3, _mu_key(float(mu)), t),
+                                    scratch)
+        strongest = strongest_sectors(gain_db, ctx.params)
+        vq = center_cluster_users(model, strongest, ctx.center_sector_idx)
         if not vq.any():
             n_skipped += 1
             continue
         res = heuristic_select(model, gain_db, vq, ctx.cluster_bs_idx, ctx.patterns,
-                               params, r_thr)
+                               params, r_thr, strongest=strongest)
         stats = realization_stats(res.solution, vq[res.users], [res.pattern.energy_saving_pct],
                                   [model.multi_vc_ids], r_thr, alpha)[0]
         n_scheduled += res.users.size

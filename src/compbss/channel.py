@@ -21,6 +21,17 @@ conversion of the whole draw.  A helper thread that prefetched the next
 draw was tried and dropped: a campaign gets one core's worth of
 throughput, and the hand-offs of the interpreter lock made the fig4 sweep
 about 20 % slower.
+
+Given the campaign's :class:`~compbss.geometry.DropScratch`, both stages
+write into it instead of allocating (its roles are laid out in
+:mod:`compbss.geometry`): the budget follows the drop's bearings, the
+antenna gain's table becomes the buffer of every fading draw, and the path
+loss takes the table after it.  The budget stays valid until the next drop
+on the scratch, and a draw until the next draw or drop.  Without a scratch
+each call returns fresh arrays, with the same bits.  In the fig4 benchmark
+grid the link budget's fresh arrays took 1.6k-2.3k minor page faults per
+CLI campaign whenever glibc returned its heap pages, and about 6 in the
+scratch (2-core Xeon, means of 30 in-process campaigns).
 """
 
 from __future__ import annotations
@@ -30,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NetworkLayout, UserDrop, _wrap_angle_in_place
+from .geometry import (_BUDGET, _DRAW, _PATH_LOSS, DropScratch, NetworkLayout, UserDrop,
+                       _array, _wrap_angle_in_place)
 
 
 @dataclass(frozen=True)
@@ -63,9 +75,10 @@ class ChannelParams:
                 * self.num_subchannels / self.subframe_s)
 
 
-def path_loss_db(d_m, intercept_db: float = 136.8245, slope_db: float = 39.086):
-    """Distance-to-path-loss in dB; valid for d >= 1 m (clamp upstream)."""
-    pl = np.log10(d_m)
+def path_loss_db(d_m, intercept_db: float = 136.8245, slope_db: float = 39.086, out=None):
+    """Distance-to-path-loss in dB; valid for d >= 1 m (clamp upstream).
+    Written into ``out`` when given."""
+    pl = np.log10(d_m, out=out)
     pl -= 3.0
     pl *= slope_db
     pl += intercept_db
@@ -149,46 +162,58 @@ class McsTable:
         return out if snr.ndim else float(out)
 
 
-def drop_link_budget(layout: NetworkLayout, drop: UserDrop,
-                     params: ChannelParams) -> np.ndarray:
+def drop_link_budget(layout: NetworkLayout, drop: UserDrop, params: ChannelParams,
+                     scratch: DropScratch | None = None) -> np.ndarray:
     """Drop-level stage: the (U, S) link budget in dB of every link.
 
     Distance, bearing, path loss and antenna gain do not depend on fading, so
     one budget serves every fading draw of the drop.  Distance and bearing
     come from the drop itself, which kept them from its image search.  The
-    stage allocates two (U, S) arrays and the (U, B) path loss.
+    stage takes two (U, S) arrays and the (U, B) path loss: fresh ones, or
+    the drop's ``scratch``, where the budget stays valid until its next drop.
     """
-    gain_db = np.take(drop.link_az_deg, layout.sector_bs, axis=1)
-    gain_db -= layout.sector_boresight_deg
-    budget = np.empty_like(gain_db)     # the wrap's scratch, then the path loss
-    _directivity_gain_in_place(_wrap_angle_in_place(gain_db, budget))
-    pl = path_loss_db(drop.link_dist_m, params.pl_intercept_db, params.pl_slope_db)
+    table = drop.link_dist_m.size
+    shape = (drop.n_users, layout.n_sectors)
     # mode="clip" (the indices are in range) writes straight into out;
     # mode="raise" would buffer a copy.
+    gain_db = np.take(drop.link_az_deg, layout.sector_bs, axis=1, mode="clip",
+                      out=_array(scratch, _DRAW * table, shape))
+    gain_db -= layout.sector_boresight_deg
+    budget = _array(scratch, _BUDGET * table, shape)  # the wrap's scratch, then the path loss
+    _directivity_gain_in_place(_wrap_angle_in_place(gain_db, budget))
+    pl = path_loss_db(drop.link_dist_m, params.pl_intercept_db, params.pl_slope_db,
+                      out=_array(scratch, _PATH_LOSS * table, drop.link_dist_m.shape))
     np.take(pl, layout.sector_bs, axis=1, out=budget, mode="clip")
     del pl
     return _link_budget_in_place(budget, gain_db, params.user_antenna_gain_dbi,
                                  params.penetration_loss_db)
 
 
-def draw_gain_matrix(budget_db: np.ndarray, params: ChannelParams, seed) -> np.ndarray:
+def draw_gain_matrix(budget_db: np.ndarray, params: ChannelParams, seed,
+                     scratch: DropScratch | None = None) -> np.ndarray:
     """Fading-level stage: the (U, S) gains in dB of a drop's link budget
     under shadowing, ``budget - sigma * n``.
 
     Shadowing is an i.i.d. lognormal term per link, redrawn per realization;
     the same seed reproduces the matrix exactly.  The standard normal draw
     is scaled by sigma (the bits of ``normal(0, sigma)``) and subtracted
-    from the budget in place, so the draw allocates one (U, S) array.
+    from the budget in place, in one (U, S) array: a fresh one, or the
+    table of the budget's ``scratch`` that held the antenna gain, where the
+    draw stays valid until the next draw or drop on it.
     """
-    shadow = np.random.default_rng(seed).standard_normal(size=budget_db.shape)
+    table = budget_db.size // 3     # one (U, B) table: S = 3 B
+    shadow = np.random.default_rng(seed).standard_normal(
+        out=_array(scratch, _DRAW * table, budget_db.shape))
     shadow *= params.shadowing_stddev_db
     return np.subtract(budget_db, shadow, out=shadow)
 
 
-def build_gain_matrix(layout: NetworkLayout, drop: UserDrop,
-                      params: ChannelParams, seed) -> np.ndarray:
-    """Gains in dB of every (user, sector) link: both stages in one call."""
-    return draw_gain_matrix(drop_link_budget(layout, drop, params), params, seed)
+def build_gain_matrix(layout: NetworkLayout, drop: UserDrop, params: ChannelParams, seed,
+                      scratch: DropScratch | None = None) -> np.ndarray:
+    """Gains in dB of every (user, sector) link: both stages in one call, in
+    the drop's ``scratch`` when given."""
+    return draw_gain_matrix(drop_link_budget(layout, drop, params, scratch), params, seed,
+                            scratch)
 
 
 def received_power_w(gain_db: np.ndarray, params: ChannelParams, rows=None) -> np.ndarray:

@@ -27,6 +27,23 @@ them at the preset) take the dense search over all 7 images, with the same
 first-minimum tie rule, so ties still go to the identity image.  Distance
 and bearing are computed by the same expressions on either path, so the
 result has the bits of a dense search over all 343 images.
+
+A campaign passes one grow-only :class:`DropScratch` to every drop, and the
+drop and fading stages (here and in :mod:`compbss.channel`) write their
+large arrays into it with ``out=`` instead of allocating fresh ones.  Its
+buffers are shared by role, in units of one (users, BSs) float table: the
+drop's distances and bearings come first, and the link budget, the antenna
+gain that becomes the fading draw, and the path loss follow.  Until the
+link budget is built, everything after the bearings is free, so the region
+test's tables and the image search's offsets and (pairs, 7) rows take it.
+The same ufuncs run on the same operands in the same order, so every bit is
+kept.  A drop's arrays, and the budget and draws built on it, stay valid
+until the next drop on the same scratch; a call without a scratch returns
+fresh arrays.  On a 2-core Xeon the fig4 benchmark grid (10 drops of one
+draw) took 5k-12k minor page faults per CLI campaign with fresh arrays
+whenever glibc returned its heap pages (most of them in this module, the
+rest in the link budget), and under 10 with the scratch (medians of 30
+in-process campaigns).
 """
 
 from __future__ import annotations
@@ -204,38 +221,106 @@ def build_layout(inter_site_distance_m: float = 500.0) -> NetworkLayout:
                          inter_site_distance_m=isd)
 
 
-def _image_d2(x: np.ndarray, y: np.ndarray, pts: np.ndarray) -> np.ndarray:
+# Where each role of a DropScratch starts, for a drop of n users on B sites,
+# in units of one (n, B) float table; a (user, sector) array spans three.
+# The drop's own temporaries start at _BUDGET, which is free until the link
+# budget is built, and run as far as they need.
+_DIST, _AZ, _BUDGET, _DRAW, _PATH_LOSS, _END = 0, 1, 2, 5, 8, 9
+
+
+class DropScratch:
+    """Grow-only float64 workspace of the drop and fading stages of one
+    campaign (see the module docstring for its roles and lifetime).
+
+    A drop that needs more than the buffer holds grows it first (it is
+    never shrunk); arrays handed out before keep the old buffer alive.  A
+    temporary that still does not fit, such as an unusually large dense
+    search, gets a fresh array.
+    """
+
+    def __init__(self, n_floats: int = 0):
+        self._buf = np.empty(n_floats)
+
+    @classmethod
+    def for_density(cls, layout: NetworkLayout, density_per_km2: float) -> "DropScratch":
+        """A scratch that holds a drop of the mean user count at this density
+        plus four Poisson standard deviations, so that drops of that density
+        and below rarely grow it."""
+        mean = density_per_km2 * layout.region_area_m2 / 1e6
+        return cls(_drop_floats(layout, math.ceil(mean + 4.0 * math.sqrt(mean))))
+
+    def reserve(self, n_floats: int) -> None:
+        """Grow the buffer to at least ``n_floats``."""
+        if n_floats > self._buf.size:
+            self._buf = np.empty(n_floats)
+
+    def array(self, start: int, shape, dtype=np.float64) -> np.ndarray:
+        """A C-ordered ``shape`` array over the buffer from float ``start``,
+        or a fresh one past its end."""
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        stop = start + -(-nbytes // 8)
+        if stop > self._buf.size:
+            return np.empty(shape, dtype)
+        return self._buf[start:stop].view(np.uint8)[:nbytes].view(dtype).reshape(shape)
+
+
+def _drop_floats(layout: NetworkLayout, n_users: int) -> int:
+    """Floats that the roles of a drop of ``n_users`` take, and the region
+    test of its first batch of candidates."""
+    tables = _BUDGET * n_users + 2 * drop_batch_size(n_users, _drop_box(layout)[2])
+    return max(_END * n_users, tables) * layout.n_bs
+
+
+def _array(scratch: DropScratch | None, start: int, shape, dtype=np.float64) -> np.ndarray:
+    """``scratch.array(start, shape, dtype)``, or a fresh array without a
+    scratch."""
+    if scratch is None:
+        return np.empty(shape, dtype)
+    return scratch.array(start, shape, dtype)
+
+
+def _image_d2(x: np.ndarray, y: np.ndarray, pts: np.ndarray, dx=None, dy=None) -> np.ndarray:
     """Squared distance from every point to every BS image at the (7, B)
     ``x``, ``y``, (N, 7, B): the dense search, run on the points the certified
-    bounds leave open."""
-    dx = pts[:, 0, None, None] - x
-    dy = pts[:, 1, None, None] - y
+    bounds leave open.  Written over ``dx``, with ``dy`` as its second table,
+    when given."""
+    dx = np.subtract(pts[:, 0, None, None], x, out=dx)
+    dy = np.subtract(pts[:, 1, None, None], y, out=dy)
     dx *= dx
     dy *= dy
     dx += dy
     return dx
 
 
-def _sq_dist(pts: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _sq_dist(pts: np.ndarray, x: np.ndarray, y: np.ndarray, dx=None, dy=None) -> np.ndarray:
     """Squared distance from every point to the sites at ``x``, ``y``: (N, B)
-    for one row of sites or one row per point."""
-    dx = pts[:, 0, None] - x
-    dy = pts[:, 1, None] - y
-    return dx * dx + dy * dy
+    for one row of sites or one row per point.  Written over ``dx``, with
+    ``dy`` as its second table, when given; ``x`` and ``y`` may be them."""
+    dx = np.subtract(pts[:, 0, None], x, out=dx)
+    dy = np.subtract(pts[:, 1, None], y, out=dy)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
 
 
-def _region_test(layout: NetworkLayout, pts: np.ndarray):
+def _region_test(layout: NetworkLayout, pts: np.ndarray, scratch=None, start: int = 0):
     """Accept points whose nearest site image is an un-shifted BS.
 
     Returns (accept, nearest), each (N,): nearest is the BS of the nearest
     site image, as the flat argmin over all 343 images gives it (ties prefer
     the identity image).  The union of the 49 hexagonal cells is a
     fundamental domain of the wrap lattice, so accepted points are uniform on
-    the torus.
+    the torus.  The distance tables go to ``scratch`` from float ``start``.
     """
     t = layout.images
+
+    def tables(*shape):
+        return (_array(scratch, start, shape),
+                _array(scratch, start + math.prod(shape), shape))
+
     rows = np.arange(pts.shape[0])
-    d2 = _sq_dist(pts, t.x[0], t.y[0])
+    d2 = _sq_dist(pts, t.x[0], t.y[0], *tables(pts.shape[0], layout.n_bs))
     nearest = d2.argmin(axis=1)
     accept = d2[rows, nearest] < t.site_r2
     # Not near an un-shifted site: try the sites of the wrap image named by
@@ -243,55 +328,82 @@ def _region_test(layout: NetworkLayout, pts: np.ndarray):
     open_ = np.flatnonzero(~accept)
     p = pts[open_]
     k = 1 + _sq_dist(p, t.shifts[1:, 0], t.shifts[1:, 1]).argmin(axis=1)
-    d2 = _sq_dist(p, t.x[k], t.y[k])
+    # mode="clip" (the indices are in range) writes straight into out
+    x, y = tables(open_.size, layout.n_bs)
+    d2 = _sq_dist(p, np.take(t.x, k, axis=0, out=x, mode="clip"),
+                  np.take(t.y, k, axis=0, out=y, mode="clip"), x, y)
     site = d2.argmin(axis=1)
     reject = d2[rows[:open_.size], site] < t.site_r2
     nearest[open_[reject]] = site[reject]
     dense = open_[~reject]
     if dense.size:
-        best = _image_d2(t.x, t.y, pts[dense]).reshape(dense.size, -1).argmin(axis=1)
+        d2 = _image_d2(t.x, t.y, pts[dense], *tables(dense.size, 7, layout.n_bs))
+        best = d2.reshape(dense.size, -1).argmin(axis=1)
         accept[dense] = best < layout.n_bs
         nearest[dense] = best % layout.n_bs
     return accept, nearest
 
 
-def _best_image(layout: NetworkLayout, pts: np.ndarray, nearest: np.ndarray):
-    """Distance and bearing from the nearest image of every BS to the points.
+def _best_image(layout: NetworkLayout, pts: np.ndarray, nearest: np.ndarray,
+                dist: np.ndarray, az: np.ndarray, scratch=None, start: int = 0):
+    """Distance and bearing from the nearest image of every BS to the points,
+    written into the (N, B) ``dist`` and ``az``.
 
     ``nearest`` is each point's nearest un-shifted site, whose table row
-    guesses the images.  Returns (dist, az_deg, shift_idx), each (N, B);
-    shift_idx 0 denotes the identity image and ties prefer it.
+    guesses the images.  The offsets go to ``scratch`` from float ``start``.
+    Returns (pair, k): the flat (point, BS) indices that the dense 7-image
+    search decided and the image it picked for each (0 denotes the identity
+    image, and ties prefer it).
     """
     t = layout.images
+    table = dist.size
     px, py = pts[:, 0, None], pts[:, 1, None]
-    dx = px - t.guess_x[nearest]
-    dy = py - t.guess_y[nearest]
-    d2 = dx * dx + dy * dy
-    shift_idx = t.guess_k[nearest]
-    pair = np.flatnonzero(~(d2 < t.image_rho2))
-    if pair.size:
-        # the pairs the bound leaves open: all 7 images of the BS, as rows
-        u, b = np.divmod(pair, layout.n_bs)
-        ex = px[u] - t.bs_x[b]
-        ey = py[u] - t.bs_y[b]
-        e2 = ex * ex + ey * ey
-        k = e2.argmin(axis=1)
-        rows = np.arange(pair.size)
-        dx.reshape(-1)[pair] = ex[rows, k]
-        dy.reshape(-1)[pair] = ey[rows, k]
-        d2.reshape(-1)[pair] = e2[rows, k]
-        shift_idx.reshape(-1)[pair] = k
-    return np.sqrt(d2), np.degrees(np.arctan2(dy, dx)), shift_idx
+    dx = np.take(t.guess_x, nearest, axis=0, out=_array(scratch, start, dist.shape),
+                 mode="clip")
+    dy = np.take(t.guess_y, nearest, axis=0, out=_array(scratch, start + table, dist.shape),
+                 mode="clip")
+    np.subtract(px, dx, out=dx)
+    np.subtract(py, dy, out=dy)
+    free = start + 2 * table    # past dx and dy
+    d2 = np.multiply(dx, dx, out=dist)
+    d2 += np.multiply(dy, dy, out=_array(scratch, free, dist.shape))
+    shut = np.less(d2, t.image_rho2, out=_array(scratch, free, dist.shape, bool))
+    pair = np.flatnonzero(np.logical_not(shut, out=shut))
+    # the pairs the bound leaves open: all 7 images of the BS, as rows
+    u, b = np.divmod(pair, dist.shape[1])
+    rows7 = [_array(scratch, free + 7 * i * pair.size, (pair.size, 7)) for i in range(4)]
+    ex = np.take(t.bs_x, b, axis=0, out=rows7[0], mode="clip")
+    ey = np.take(t.bs_y, b, axis=0, out=rows7[1], mode="clip")
+    np.subtract(px[u], ex, out=ex)
+    np.subtract(py[u], ey, out=ey)
+    del u, b
+    e2 = np.multiply(ex, ex, out=rows7[2])
+    e2 += np.multiply(ey, ey, out=rows7[3])
+    k = e2.argmin(axis=1)
+    at = np.arange(0, 7 * pair.size, 7)
+    at += k     # the picked image of each row, as a flat index
+    dx.reshape(-1)[pair] = ex.take(at)
+    dy.reshape(-1)[pair] = ey.take(at)
+    d2.reshape(-1)[pair] = e2.take(at)
+    np.sqrt(d2, out=d2)
+    np.degrees(np.arctan2(dy, dx, out=az), out=az)
+    return pair, k
 
 
 def _image_geometry(layout: NetworkLayout, points: np.ndarray):
     """Distance and bearing from every BS (best wraparound image) to points.
 
-    Returns (dist, az_deg, shift_idx), each (N, B).
+    Returns (dist, az_deg, shift_idx), each (N, B); shift_idx 0 denotes the
+    identity image and ties prefer it.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    nearest = _sq_dist(pts, layout.images.x[0], layout.images.y[0]).argmin(axis=1)
-    return _best_image(layout, pts, nearest)
+    t = layout.images
+    nearest = _sq_dist(pts, t.x[0], t.y[0]).argmin(axis=1)
+    dist, az = np.empty((pts.shape[0], layout.n_bs)), np.empty((pts.shape[0], layout.n_bs))
+    pair, k = _best_image(layout, pts, nearest, dist, az)
+    shift_idx = t.guess_k[nearest]
+    shift_idx.reshape(-1)[pair] = k
+    return dist, az, shift_idx
 
 
 def _wrap_angle_in_place(y, scratch):
@@ -317,8 +429,10 @@ def _wrap_angle_in_place(y, scratch):
     scratch *= 360.0
     y += scratch
     y -= 180.0
-    # A y just below 0 rounds to 360.0: that angle is -180.
-    y[y == 180.0] = -180.0
+    # A y just below 0 rounds to 360.0: that angle is -180.  The mask of
+    # those goes into the scratch, which is free again.
+    at_180 = scratch.reshape(-1).view(np.uint8)[:y.size].view(bool).reshape(y.shape)
+    y[np.equal(y, 180.0, out=at_180)] = -180.0
     return y
 
 
@@ -369,47 +483,58 @@ def drop_batch_size(n_missing: int, accept_rate: float) -> int:
     return int(math.ceil(n_missing / accept_rate + 3.0 * sd)) + 8
 
 
-def drop_users(layout: NetworkLayout, density_per_km2: float, seed) -> UserDrop:
+def _drop_box(layout: NetworkLayout):
+    """(lo, hi, accept_rate): the box that drop candidates are drawn from and
+    the share of it that the drop region covers."""
+    pad = layout.hex_circumradius_m
+    lo = layout.bs_xy.min(axis=0) - pad
+    hi = layout.bs_xy.max(axis=0) + pad
+    return lo, hi, layout.region_area_m2 / float(np.prod(hi - lo))
+
+
+def drop_users(layout: NetworkLayout, density_per_km2: float, seed,
+               scratch: DropScratch | None = None) -> UserDrop:
     """Drop a Poisson number of users uniformly over the 49-cell region.
 
     Deterministic for a given seed.  Each user is tagged with its nearest BS
     (serving-cluster candidacy); callers skip realizations whose centre
     cluster ends up empty.  The image search of the region test also gives
     the nearest site whose table row starts the link geometry search of the
-    accepted users.
+    accepted users.  With a ``scratch``, the link distances and bearings live
+    in it and stay valid until the next drop on it.
     """
     if density_per_km2 <= 0:
         raise ValueError("density must be > 0")
     rng = np.random.default_rng(seed)
     area_km2 = layout.region_area_m2 / 1e6
     count = int(rng.poisson(density_per_km2 * area_km2))
+    lo, hi, accept_rate = _drop_box(layout)
 
-    pad = layout.hex_circumradius_m
-    lo = layout.bs_xy.min(axis=0) - pad
-    hi = layout.bs_xy.max(axis=0) + pad
-    accept_rate = layout.region_area_m2 / float(np.prod(hi - lo))
-
+    if scratch is not None:
+        scratch.reserve(_drop_floats(layout, count))
+    table = count * layout.n_bs
+    dist = _array(scratch, _DIST * table, (count, layout.n_bs))
+    az = _array(scratch, _AZ * table, (count, layout.n_bs))
     accepted, nearest = [np.empty((0, 2))], [np.empty(0, dtype=int)]
-    dists, azs = [np.empty((0, layout.n_bs))], [np.empty((0, layout.n_bs))]
     n_have = 0
     while n_have < count:
         # The uniform stream does not depend on how it is split into batches,
         # so the batch size changes only how many draws are wasted.
         cand = rng.uniform(lo, hi, size=(drop_batch_size(count - n_have, accept_rate), 2))
-        ok, bs_idx = _region_test(layout, cand)
+        ok, bs_idx = _region_test(layout, cand, scratch, _BUDGET * table)
         # the drop keeps only the first ``count`` accepted candidates
         keep = np.flatnonzero(ok)[:count - n_have]
-        dist, az, _ = _best_image(layout, cand[keep], bs_idx[keep])
+        rows = slice(n_have, n_have + keep.size)
+        _best_image(layout, cand[keep], bs_idx[keep], dist[rows], az[rows], scratch,
+                    _BUDGET * table)
         accepted.append(cand[keep])
         nearest.append(bs_idx[keep])
-        dists.append(dist)
-        azs.append(az)
         n_have += keep.size
     nearest_bs = np.concatenate(nearest)
     return UserDrop(
         positions=np.vstack(accepted),
         nearest_bs_idx=nearest_bs,
         nearest_cluster_id=layout.cluster_id[nearest_bs],
-        link_dist_m=np.maximum(np.vstack(dists), 1.0),
-        link_az_deg=np.vstack(azs),
+        link_dist_m=np.maximum(dist, 1.0, out=dist),
+        link_az_deg=az,
     )

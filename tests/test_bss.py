@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,17 @@ def c3_setup(layout, params, mcs, models):
 
 
 SP = SchedulerParams(alpha=1.0, gamma_d_db=0.0)
+
+
+def _same_fields(a, b) -> bool:
+    """Equal dataclasses, field by field; arrays must match in shape, dtype
+    and every bit."""
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same_fields(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    return a == b
 
 
 class TestPattern:
@@ -164,6 +177,17 @@ class TestHeuristic:
         model, gain_db, vq, cb_idx = c3_setup
         with pytest.raises(ValueError):
             heuristic_select(model, gain_db, vq, cb_idx, [], SP, 0.0)
+
+    @pytest.mark.parametrize("threshold", [0.0, 2e5, 1e12])
+    def test_given_strongest_sectors_keep_the_result(self, c3_setup, params, threshold):
+        """The draw's strongest sectors passed in give the result that taking
+        them inside gives, bit for bit."""
+        model, gain_db, vq, cb_idx = c3_setup
+        pats = default_pattern_list()
+        want = heuristic_select(model, gain_db, vq, cb_idx, pats, SP, threshold)
+        got = heuristic_select(model, gain_db, vq, cb_idx, pats, SP, threshold,
+                               strongest=strongest_sectors(gain_db, params))
+        assert _same_fields(got, want)
 
     def test_matches_oracle_on_random_drops(self, layout, params, models):
         model = models["C3"]

@@ -489,3 +489,15 @@ def test_rate_coverage_script_writes_its_csvs(tmp_path):
                    env={**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")}, timeout=120)
     for name in ("rate_coverage.csv", "rate_coverage_fig9.csv", "rate_coverage_fig10.csv"):
         assert len((tmp_path / name).read_text().splitlines()) > 1, name
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    """Only a parallel run imports the process pool: every CLI call's set-up
+    would pay for ``multiprocessing`` otherwise."""
+    code = ("import sys, compbss.cli\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")})
+    assert proc.stdout.strip() == "[]"

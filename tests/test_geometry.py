@@ -259,9 +259,9 @@ def test_image_search_matches_dense_oracle(make_layout, monkeypatch):
     dense_rows = []
     dense = geometry._image_d2
 
-    def counted(x, y, p):
+    def counted(x, y, p, *tables):
         dense_rows.append(p.shape[0])
-        return dense(x, y, p)
+        return dense(x, y, p, *tables)
 
     monkeypatch.setattr(geometry, "_image_d2", counted)
     got, want = [], []

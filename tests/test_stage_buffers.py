@@ -1,15 +1,18 @@
 """The drop and fading stages run in place, and the conversion to watts
 allocates its rows once: bit identity with the expression forms they replace,
-and a bound on the memory each stage allocates."""
+and a bound on the memory each stage allocates.  With a campaign's scratch
+the stages write into it, and keep every bit."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import compbss as cb
-from compbss.channel import draw_gain_matrix, drop_link_budget, received_power_w
-from compbss.geometry import build_layout
+from compbss.channel import (build_gain_matrix, draw_gain_matrix, drop_link_budget,
+                             received_power_w)
+from compbss.geometry import DropScratch, build_layout
 
 from helpers import (expression_gain_matrix, expression_link_budget,
                      expression_received_power, same_bits)
@@ -118,3 +121,87 @@ def test_power_of_some_rows_allocates_those_rows(layout, params, density):
 def test_drop_stage_allocates_two_arrays_and_the_path_loss(layout, params, density):
     drop, us, ub = _sizes(layout, density)
     assert _traced_peak(drop_link_budget, layout, drop, params) <= 2 * us + ub + SLACK
+
+
+DROP_FIELDS = ("positions", "nearest_bs_idx", "nearest_cluster_id", "link_dist_m",
+               "link_az_deg")
+
+# (ISD, density) of drops that grow, shrink and empty one scratch in turn
+SCRATCH_DROPS = [(500.0, 160.0), (500.0, 20.0), (500.0, 60.0), (500.0, 1e-4),
+                 (250.0, 160.0), (250.0, 20.0), (500.0, 60.0)]
+
+
+def _same_drop(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) and
+               getattr(a, f).dtype == getattr(b, f).dtype for f in DROP_FIELDS) and \
+        same_bits(a.link_dist_m, b.link_dist_m) and same_bits(a.link_az_deg, b.link_az_deg)
+
+
+def test_scratch_reuse_keeps_every_bit(layouts, params):
+    """One scratch through drops that grow and shrink it, an empty one and
+    two ISDs: each drop, its budget and two draws equal the calls without a
+    scratch bit for bit, and the drop and its budget still do after both
+    draws."""
+    scratch = DropScratch.for_density(layouts[500.0], 20.0)   # the first drop grows it
+    for i, (isd, density) in enumerate(SCRATCH_DROPS):
+        layout = layouts[isd]
+        seed = np.random.SeedSequence(i, spawn_key=(11,))
+        want = cb.drop_users(layout, density, seed)
+        drop = cb.drop_users(layout, density, seed, scratch)
+        assert _same_drop(drop, want)
+        want_budget = drop_link_budget(layout, want, params)
+        budget = drop_link_budget(layout, drop, params, scratch)
+        assert same_bits(budget, want_budget)
+        for f in range(2):
+            gain_db = draw_gain_matrix(budget, params, (i, f), scratch)
+            assert same_bits(gain_db, draw_gain_matrix(want_budget, params, (i, f)))
+        assert _same_drop(drop, want) and same_bits(budget, want_budget)
+        if drop.n_users:
+            for arr in (drop.link_dist_m, drop.link_az_deg, budget, gain_db):
+                assert np.shares_memory(arr, scratch._buf)
+    # both stages in one call, as the traffic campaign makes them
+    gain_db = build_gain_matrix(layout, drop, params, 3, scratch)
+    assert same_bits(gain_db, build_gain_matrix(layout, want, params, 3))
+
+
+def test_calls_without_a_scratch_share_no_memory(layout, params):
+    arrays = []
+    for seed in (1, 2):
+        drop = cb.drop_users(layout, 60.0, seed)
+        budget = drop_link_budget(layout, drop, params)
+        arrays += [getattr(drop, f) for f in DROP_FIELDS]
+        arrays += [budget, draw_gain_matrix(budget, params, seed),
+                   draw_gain_matrix(budget, params, seed + 10),
+                   build_gain_matrix(layout, drop, params, seed)]
+    for a, b in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(a, b)
+
+
+def test_scratch_sized_for_the_largest_density_keeps_its_buffer(layout, params):
+    """A profile that ramps up to the density the scratch was sized for does
+    not grow it."""
+    scratch = DropScratch.for_density(layout, 160.0)
+    buf = scratch._buf
+    for t, density in enumerate([20.0, 60.0, 160.0, 160.0, 100.0, 20.0]):
+        drop = cb.drop_users(layout, density, t, scratch)
+        draw_gain_matrix(drop_link_budget(layout, drop, params, scratch), params, t, scratch)
+    assert scratch._buf is buf
+
+
+@pytest.mark.parametrize("density", [60.0, 160.0])
+def test_warm_scratch_drop_allocates_less_than_a_table(layout, params, density):
+    """On a warm scratch a second drop, its budget and one draw allocate less
+    than one (U, B) float table: the candidate positions and the index arrays
+    of the region test and the image search, none of the stages' tables."""
+    scratch = DropScratch.for_density(layout, density)
+    seeds = iter(range(5, 7))
+
+    def stages():
+        drop = cb.drop_users(layout, density, next(seeds), scratch)
+        return draw_gain_matrix(drop_link_budget(layout, drop, params, scratch), params, 9,
+                                scratch)
+
+    _, _, ub = _sizes(layout, density)
+    n_users = cb.drop_users(layout, density, 6).n_users
+    assert _traced_peak(stages) <= n_users * layout.n_bs * 8 + SLACK
+    assert n_users * layout.n_bs * 8 <= 1.2 * ub    # the drops have about one size
