@@ -142,13 +142,14 @@ class HeuristicResult:
     users: np.ndarray
 
 
-def active_bs_mask(n_bs_total: int, cluster_bs_idx: np.ndarray,
-                   pattern: BssPattern) -> np.ndarray:
-    """Per-BS on/off mask of the whole field under a sleep pattern."""
-    active = np.ones(n_bs_total, dtype=bool)
-    off = np.asarray(pattern.off_flags, dtype=bool)
-    active[cluster_bs_idx] = ~off
-    return active
+def sector_masks(sector_bs: np.ndarray, cluster_bs_idx: np.ndarray,
+                 patterns) -> np.ndarray:
+    """(P, S) on/off mask of every sector of the field under each sleep
+    pattern: a sector sleeps with its BS, ``sector_bs`` names each sector's
+    BS, and the patterns flag the BSs of ``cluster_bs_idx``."""
+    active = np.ones((len(patterns), int(sector_bs.max()) + 1), dtype=bool)
+    active[:, cluster_bs_idx] = ~np.array([p.off_flags for p in patterns], dtype=bool)
+    return active[:, sector_bs]
 
 
 def _select(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
@@ -167,9 +168,7 @@ def _select(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
     vq = np.asarray(vq_mask, dtype=bool)
     if not vq.any():
         raise ValueError("empty metric set: no centre-cluster users in this realization")
-    n_bs = int(model.sector_bs.max()) + 1
-    active = np.array([active_bs_mask(n_bs, cluster_bs_idx, p)
-                       for p in patterns])[:, model.sector_bs]
+    active = sector_masks(model.sector_bs, cluster_bs_idx, patterns)
     if strongest is None:
         strongest = strongest_sectors(gain_db, model.channel)
     users, rates = draw_rates([model], [cluster_members(model, active)], gain_db,

@@ -7,7 +7,8 @@ it depends on:
 
 - drop: user positions and the link budget (geometry, path loss, antenna);
 - fading: the shadowed gains in dB, each user's strongest sector and the
-  centre-cluster metric set; then ``scheduler.draw_rates`` runs the draw's
+  centre-cluster metric set V_q; a draw whose metric set is empty is skipped
+  (the one skip rule); then ``scheduler.draw_rates`` runs the draw's
   scheduling chain once: the pool users of the metric set, their received
   powers in watts (only these rows are converted), their max-SINR
   association under every sleep pattern (shared by every CoMP
@@ -23,8 +24,12 @@ it depends on:
 every bit of the full field.  ``aggregate`` then summarises every sweep
 point of a density in one row reduction over the realizations.  The pattern
 selection of the traffic campaign (``bss.heuristic_select``) runs the same
-chain.  Substreams are derived from the master seed with counter-based spawn
-keys, so results do not depend on execution order and identical (config,
+chain.  Both campaigns draw their realizations through one prologue,
+``_draws`` (drop, link budget, fading draw, strongest sectors and metric
+set), and skip a draw by the same test.  Substreams are derived from the
+master seed with counter-based spawn keys, (0, mu, drop) and (1, mu, drop,
+fading) for the sweep and (2, mu, step) and (3, mu, step) for the traffic
+profile, so results do not depend on execution order and identical (config,
 seed) pairs reproduce the output byte for byte.
 """
 
@@ -44,16 +49,14 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .bss import (active_bs_mask, default_pattern_list, heuristic_select,
-                  patterns_from_file, realization_stats, validate_pattern_list)
-from .channel import (ChannelParams, McsTable, build_gain_matrix, draw_gain_matrix,
-                      drop_link_budget)
+from .bss import (default_pattern_list, heuristic_select, patterns_from_file,
+                  realization_stats, sector_masks, validate_pattern_list)
+from .channel import ChannelParams, McsTable, draw_gain_matrix, drop_link_budget
 from .clusters import resolve_comp_config
 from .geometry import DropScratch, build_layout, drop_region_area_m2, drop_users
 from .metrics import STAT_FIELDS, aggregate
-from .scheduler import (DEFAULT_GAMMA_D_RANGE_DB, SchedulerParams, allocate,
-                        alpha_range_error, build_system_model, center_cluster_users,
-                        cluster_members, draw_rates, gamma_d_range_error,
+from .scheduler import (SchedulerParams, allocate, alpha_range_error, build_system_model,
+                        center_cluster_users, cluster_members, draw_rates, gamma_d_error,
                         strongest_sectors)
 
 
@@ -81,7 +84,6 @@ class CampaignConfig:
     comp_configs: list = field(default_factory=lambda: ["C3"])
     pattern_file: str | None = None
     master_seed: int = 1
-    gamma_d_range_db: tuple = DEFAULT_GAMMA_D_RANGE_DB
     inter_site_distance_m: float = 500.0
     mcs_file: str | None = None
     traffic_profile: list | None = None
@@ -90,22 +92,22 @@ class CampaignConfig:
 
     def __post_init__(self):
         sweeps = ("densities_per_km2", "alphas", "gamma_ds_db", "rate_thresholds_bps")
+        if not isinstance(self.traffic_profile, (list, tuple, type(None))):
+            raise ConfigError(
+                f"traffic_profile must be a list, got {self.traffic_profile!r}")
         for name in sweeps + ("comp_configs",):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigError(f"sweep list {name} must be a non-empty list, "
                                   f"got {values!r}")
-        if not isinstance(self.traffic_profile, (list, tuple, type(None))):
-            raise ConfigError(
-                f"traffic_profile must be a list, got {self.traffic_profile!r}")
+            if self.traffic_profile and name != "densities_per_km2" and len(values) != 1:
+                # the profile runs one sweep point; more values would be dropped
+                raise ConfigError(f"the traffic-profile campaign takes one {name} value, "
+                                  f"got {list(values)!r}")
         for name in sweeps + ("traffic_profile",):
             for value in getattr(self, name) or ():
                 if not _is_finite_number(value):
                     raise ConfigError(f"{name} entry {value!r} is not a finite number")
-        for name in ("densities_per_km2", "traffic_profile"):
-            for value in getattr(self, name) or ():
-                if value <= 0:
-                    raise ConfigError(f"{name} entry {value!r} must be > 0")
         for value in self.rate_thresholds_bps:
             if value < 0:
                 raise ConfigError(f"rate_thresholds_bps entry {value!r} must be >= 0")
@@ -118,10 +120,12 @@ class CampaignConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ConfigError(f"{name}={value!r} must be an integer")
-        for alpha in self.alphas:
-            problem = alpha_range_error(alpha)
-            if problem:
-                raise ConfigError(f"alphas entry: {problem}")
+        for name, values, error in (("alphas", self.alphas, alpha_range_error),
+                                    ("gamma_ds_db", self.gamma_ds_db, gamma_d_error)):
+            for value in values:
+                problem = error(value)
+                if problem:
+                    raise ConfigError(f"{name} entry: {problem}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed={self.master_seed!r} must be >= 0")
         isd = self.inter_site_distance_m
@@ -130,6 +134,8 @@ class CampaignConfig:
         area_km2 = drop_region_area_m2(isd) / 1e6
         for name in ("densities_per_km2", "traffic_profile"):
             for value in getattr(self, name) or ():
+                if value <= 0:
+                    raise ConfigError(f"{name} entry {value!r} must be > 0")
                 users = value * area_km2
                 if users > MAX_USERS_PER_DROP:
                     raise ConfigError(
@@ -153,14 +159,6 @@ class CampaignConfig:
             raise ConfigError("n_drops and n_fading must be >= 1")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
-        problem = gamma_d_range_error(self.gamma_d_range_db)
-        if problem:
-            raise ConfigError(problem)
-        lo, hi = self.gamma_d_range_db
-        for g in self.gamma_ds_db:
-            if not lo <= g <= hi:
-                raise ConfigError(
-                    f"gamma_d_db={g} outside the permitted range [{lo}, {hi}]")
 
     @classmethod
     def from_dict(cls, raw: dict, source: str = "<config>") -> "CampaignConfig":
@@ -172,8 +170,6 @@ class CampaignConfig:
             cfg = cls(**raw)
         except (TypeError, ConfigError) as exc:
             raise ConfigError(f"{source}: {exc}") from exc
-        if isinstance(cfg.gamma_d_range_db, list):
-            cfg.gamma_d_range_db = tuple(cfg.gamma_d_range_db)
         return cfg
 
     @classmethod
@@ -233,11 +229,12 @@ class _Context:
     cluster_bs_idx: np.ndarray
     scratch: DropScratch | None = None
 
-    def drop_scratch(self, densities) -> DropScratch:
+    def drop_scratch(self) -> DropScratch:
         """The scratch of every drop of the campaign, sized at its first drop
-        for the largest of ``densities``; a drop's arrays in it stay valid
-        until the next drop."""
+        for the largest traffic-profile step or, without a profile, density;
+        a drop's arrays in it stay valid until the next drop."""
         if self.scratch is None:
+            densities = self.cfg.traffic_profile or self.cfg.densities_per_km2
             self.scratch = DropScratch.for_density(self.layout, max(densities))
         return self.scratch
 
@@ -268,14 +265,34 @@ def build_context(cfg: CampaignConfig) -> _Context:
         models[str(choice)] = build_system_model(layout, comp, params, mcs)
     center_sector_idx = layout.center_cluster_sector_ids - 1
     cluster_bs_idx = layout.center_cluster_bs_ids - 1
-    active_sectors = np.array([
-        layout.sector_active_mask(active_bs_mask(layout.n_bs, cluster_bs_idx, p))
-        for p in patterns])
+    active_sectors = sector_masks(layout.sector_bs, cluster_bs_idx, patterns)
     members = [cluster_members(model, active_sectors) for model in models.values()]
     return _Context(cfg=cfg, layout=layout, params=params,
                     patterns=patterns, active_sectors=active_sectors, models=models,
                     members=members, center_sector_idx=center_sector_idx,
                     cluster_bs_idx=cluster_bs_idx)
+
+
+def _draws(ctx: _Context, mu: float, drop_key, draw_keys):
+    """The realization prologue of both campaigns.
+
+    Drops the users of density ``mu`` into the context's scratch and builds
+    their link budget, both under the seed of ``drop_key``, then yields
+    ``(gain_db, strongest, vq)`` for the fading draw of each of
+    ``draw_keys``: the gains in dB, each user's strongest sector and the
+    metric set V_q.  Each key is the spawn key of a substream of the master
+    seed.  A draw stays valid until the next one; the caller skips a draw
+    whose ``vq`` is empty (an empty drop skips every draw).
+    """
+    seed = ctx.cfg.master_seed
+    scratch = ctx.drop_scratch()
+    drop = drop_users(ctx.layout, mu, _seed_key(seed, *drop_key), scratch)
+    budget_db = drop_link_budget(ctx.layout, drop, ctx.params, scratch)
+    model = next(iter(ctx.models.values()))    # every configuration has the same sectors
+    for key in draw_keys:
+        gain_db = draw_gain_matrix(budget_db, ctx.params, _seed_key(seed, *key), scratch)
+        strongest = strongest_sectors(gain_db, ctx.params)
+        yield gain_db, strongest, center_cluster_users(model, strongest, ctx.center_sector_idx)
 
 
 def _drop_records(ctx: _Context, mu: float, d: int):
@@ -300,17 +317,11 @@ def _drop_records(ctx: _Context, mu: float, d: int):
     row_multi_ids = [model.multi_vc_ids for _, model in rows]
     points = (len(cfg.alphas), len(ctx.patterns), len(models), len(cfg.gamma_ds_db),
               len(cfg.rate_thresholds_bps), len(STAT_FIELDS))
-    scratch = ctx.drop_scratch(cfg.densities_per_km2)
-    drop = drop_users(ctx.layout, mu, _seed_key(cfg.master_seed, 0, _mu_key(mu), d), scratch)
     blocks = []
     skipped = n_scheduled = n_dropped = 0
-    budget_db = drop_link_budget(ctx.layout, drop, ctx.params, scratch)
-    for f_idx in range(cfg.n_fading):
-        gain_db = draw_gain_matrix(budget_db, ctx.params,
-                                   _seed_key(cfg.master_seed, 1, _mu_key(mu), d, f_idx),
-                                   scratch)
-        strongest = strongest_sectors(gain_db, ctx.params)
-        vq = center_cluster_users(models[0], strongest, ctx.center_sector_idx)
+    key = (_mu_key(mu), d)
+    for gain_db, strongest, vq in _draws(ctx, mu, (0,) + key,
+                                         [(1,) + key + (f,) for f in range(cfg.n_fading)]):
         if not vq.any():
             skipped += 1
             continue
@@ -452,34 +463,17 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
     """Per-time-step heuristic selection over a density profile (fig11)."""
     if not cfg.traffic_profile:
         raise ConfigError("traffic_profile is required for the fig11 campaign")
-    for name in ("alphas", "gamma_ds_db", "rate_thresholds_bps", "comp_configs"):
-        values = getattr(cfg, name)
-        if len(values) != 1:
-            raise ConfigError(f"the traffic-profile campaign takes one {name} value, "
-                              f"got {list(values)!r}")
     ctx = build_context(cfg)
-    alpha = cfg.alphas[0]
-    gamma_d = cfg.gamma_ds_db[0]
-    r_thr = cfg.rate_thresholds_bps[0]
-    params = SchedulerParams(alpha=alpha, gamma_d_db=gamma_d,
-                             gamma_d_range_db=tuple(cfg.gamma_d_range_db))
+    alpha, r_thr = cfg.alphas[0], cfg.rate_thresholds_bps[0]
+    params = SchedulerParams(alpha=alpha, gamma_d_db=cfg.gamma_ds_db[0])
     model = ctx.models[str(cfg.comp_configs[0])]
     rows = []
-    n_skipped = 0   # steps whose drop or metric set is empty
+    n_skipped = 0   # steps whose metric set is empty
     n_evaluated = {}    # patterns a walk down the list evaluates -> steps
     n_scheduled = n_dropped = 0
-    scratch = ctx.drop_scratch(cfg.traffic_profile)
-    for t, mu in enumerate(cfg.traffic_profile):
-        drop = drop_users(ctx.layout, float(mu),
-                          _seed_key(cfg.master_seed, 2, _mu_key(float(mu)), t), scratch)
-        if drop.is_empty:
-            n_skipped += 1
-            continue
-        gain_db = build_gain_matrix(ctx.layout, drop, ctx.params,
-                                    _seed_key(cfg.master_seed, 3, _mu_key(float(mu)), t),
-                                    scratch)
-        strongest = strongest_sectors(gain_db, ctx.params)
-        vq = center_cluster_users(model, strongest, ctx.center_sector_idx)
+    for t, mu in enumerate(map(float, cfg.traffic_profile)):
+        key = (_mu_key(mu), t)
+        gain_db, strongest, vq = next(_draws(ctx, mu, (2,) + key, [(3,) + key]))
         if not vq.any():
             n_skipped += 1
             continue
@@ -491,7 +485,7 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
         n_dropped += gain_db.shape[0]
         n_evaluated[res.patterns_evaluated] = n_evaluated.get(res.patterns_evaluated, 0) + 1
         rows.append({
-            "t": t, "mu_per_km2": float(mu), "pattern": res.pattern.label,
+            "t": t, "mu_per_km2": mu, "pattern": res.pattern.label,
             "bs_off": "+".join(map(str, res.pattern.off_bs_ids)),
             "a1": res.pattern.a1, "energy_pct": res.pattern.energy_saving_pct,
             "t_alpha_bps": float(stats[STAT_FIELDS.index("t_alpha_bps")]),
@@ -595,17 +589,18 @@ def write_rows_csv(rows: list, columns, path) -> None:
             w.writerow([_fmt(r[c]) for c in columns])
 
 
-def write_rows_json(rows: list, path) -> None:
+def _write_json(obj, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
-        json.dump(rows, f, indent=2, sort_keys=True)
+        json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+# bench/spans.py wraps each writer by name, so the writers call none of the others
+def write_rows_json(rows: list, path) -> None:
+    _write_json(rows, path)
 
 
 def write_manifest(manifest: dict, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(manifest, path)

@@ -101,11 +101,12 @@ def main(argv=None) -> int:
         if traffic_mode:
             for flag, given in (("--drops", args.drops is not None),
                                 ("--fading", args.fading is not None),
-                                ("--full-scale", args.full_scale)):
+                                ("--full-scale", args.full_scale),
+                                ("--jobs", args.jobs != 1)):
                 if given:
                     raise ConfigError(f"{flag} does not apply to a config with "
-                                      f"traffic_profile: each profile step draws one "
-                                      f"drop and one fading draw")
+                                      f"traffic_profile: its steps run in order in one "
+                                      f"process, one drop and one fading draw each")
         out = Path(cfg.output)
         _check_writable(out)
     except ConfigError as exc:

@@ -173,10 +173,6 @@ class NetworkLayout:
         """Area of the drop region: one hexagonal cell per BS."""
         return drop_region_area_m2(self.inter_site_distance_m)
 
-    def sector_active_mask(self, bs_on: np.ndarray) -> np.ndarray:
-        """Expand a per-BS on/off mask to the 3 sectors of each BS."""
-        return np.asarray(bs_on, dtype=bool)[self.sector_bs]
-
 
 def _rotate(vec: np.ndarray, deg: float) -> np.ndarray:
     a = math.radians(deg)
@@ -447,7 +443,8 @@ def link_geometry(layout: NetworkLayout, points: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class UserDrop:
-    """One uniform user realization over the drop region.
+    """One uniform user realization over the drop region: the positions and
+    the link geometry of the link budget.
 
     ``link_dist_m`` and ``link_az_deg`` are :func:`link_geometry` of the
     positions, kept from the image search that accepted them.  That search
@@ -456,23 +453,17 @@ class UserDrop:
     ``rho`` of the image that the nearest site's table row names keeps that
     image.  The rest, about 10 % of candidates and 14 % of pairs, take the
     dense 7-image search, so every field has the bits of a dense search over
-    all 343 images.
+    all 343 images.  A drop holds no metric set: that depends on each fading
+    draw (``scheduler.center_cluster_users``).
     """
 
     positions: np.ndarray          # (N, 2) metres
-    nearest_bs_idx: np.ndarray     # (N,) 0-based candidacy tag
-    nearest_cluster_id: np.ndarray  # (N,) 1-based
     link_dist_m: np.ndarray        # (N, B) best-image distance, clamped to >= 1 m
     link_az_deg: np.ndarray        # (N, B) bearing from the best BS image
 
     @property
     def n_users(self) -> int:
         return self.positions.shape[0]
-
-    @property
-    def is_empty(self) -> bool:
-        """True when no user is a centre-cluster candidate."""
-        return not bool(np.any(self.nearest_cluster_id == 1))
 
 
 def drop_batch_size(n_missing: int, accept_rate: float) -> int:
@@ -496,12 +487,10 @@ def drop_users(layout: NetworkLayout, density_per_km2: float, seed,
                scratch: DropScratch | None = None) -> UserDrop:
     """Drop a Poisson number of users uniformly over the 49-cell region.
 
-    Deterministic for a given seed.  Each user is tagged with its nearest BS
-    (serving-cluster candidacy); callers skip realizations whose centre
-    cluster ends up empty.  The image search of the region test also gives
-    the nearest site whose table row starts the link geometry search of the
-    accepted users.  With a ``scratch``, the link distances and bearings live
-    in it and stay valid until the next drop on it.
+    Deterministic for a given seed.  The image search of the region test
+    also gives the nearest site whose table row starts the link geometry
+    search of the accepted users.  With a ``scratch``, the link distances and
+    bearings live in it and stay valid until the next drop on it.
     """
     if density_per_km2 <= 0:
         raise ValueError("density must be > 0")
@@ -515,7 +504,7 @@ def drop_users(layout: NetworkLayout, density_per_km2: float, seed,
     table = count * layout.n_bs
     dist = _array(scratch, _DIST * table, (count, layout.n_bs))
     az = _array(scratch, _AZ * table, (count, layout.n_bs))
-    accepted, nearest = [np.empty((0, 2))], [np.empty(0, dtype=int)]
+    accepted = [np.empty((0, 2))]
     n_have = 0
     while n_have < count:
         # The uniform stream does not depend on how it is split into batches,
@@ -528,13 +517,9 @@ def drop_users(layout: NetworkLayout, density_per_km2: float, seed,
         _best_image(layout, cand[keep], bs_idx[keep], dist[rows], az[rows], scratch,
                     _BUDGET * table)
         accepted.append(cand[keep])
-        nearest.append(bs_idx[keep])
         n_have += keep.size
-    nearest_bs = np.concatenate(nearest)
     return UserDrop(
         positions=np.vstack(accepted),
-        nearest_bs_idx=nearest_bs,
-        nearest_cluster_id=layout.cluster_id[nearest_bs],
         link_dist_m=np.maximum(dist, 1.0, out=dist),
         link_az_deg=az,
     )

@@ -17,8 +17,6 @@ picked on the dB values, and only the pool users' rows become watts.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +25,8 @@ from .channel import ChannelParams, McsTable, from_db, received_power_w, to_db
 from .clusters import CompConfiguration, sector_vclusters
 from .geometry import NetworkLayout
 
+# The CoMP SINR thresholds gamma_d (dB) that SchedulerParams and a campaign
+# config accept.
 DEFAULT_GAMMA_D_RANGE_DB = (-6.5, 10.0)
 # Supported fairness values, with margin on both sides: a small alpha
 # overflows r**((1-alpha)/alpha) (from about 0.02 at the top MCS rate), and a
@@ -47,16 +47,13 @@ def alpha_range_error(alpha) -> str | None:
     return f"alpha={alpha!r} outside the supported range [{lo:g}, {hi:g}]"
 
 
-def gamma_d_range_error(bounds) -> str | None:
-    """Why ``bounds`` is refused as a gamma_d range, or None for a pair
-    [low, high] of finite numbers with low <= high."""
-    if (isinstance(bounds, (list, tuple)) and len(bounds) == 2
-            and all(isinstance(b, numbers.Real) and not isinstance(b, bool)
-                    and math.isfinite(b) for b in bounds)
-            and bounds[0] <= bounds[1]):
+def gamma_d_error(gamma_d_db) -> str | None:
+    """Why ``gamma_d_db`` is refused, or None when it lies in
+    DEFAULT_GAMMA_D_RANGE_DB."""
+    lo, hi = DEFAULT_GAMMA_D_RANGE_DB
+    if lo <= gamma_d_db <= hi:
         return None
-    return (f"gamma_d_range_db={bounds!r} must be a pair [low, high] of finite numbers "
-            f"with low <= high")
+    return f"gamma_d_db={gamma_d_db} outside the permitted range [{lo}, {hi}]"
 
 
 @dataclass(frozen=True)
@@ -65,20 +62,11 @@ class SchedulerParams:
 
     alpha: float = 1.0
     gamma_d_db: float = -1.0
-    gamma_d_range_db: tuple[float, float] = DEFAULT_GAMMA_D_RANGE_DB
 
     def __post_init__(self):
-        problem = alpha_range_error(self.alpha)
+        problem = alpha_range_error(self.alpha) or gamma_d_error(self.gamma_d_db)
         if problem:
             raise ValueError(problem)
-        problem = gamma_d_range_error(self.gamma_d_range_db)
-        if problem:
-            raise ValueError(problem)
-        lo, hi = self.gamma_d_range_db
-        if not lo <= self.gamma_d_db <= hi:
-            raise ValueError(
-                f"gamma_d_db={self.gamma_d_db} outside the permitted range [{lo}, {hi}]"
-            )
 
 
 @dataclass(frozen=True, eq=False)

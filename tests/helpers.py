@@ -19,6 +19,22 @@ def same_bits(a, b):
             and np.array_equal(a.view(np.int64), b.view(np.int64)))
 
 
+def pattern_bs_mask(n_bs, cluster_bs_idx, pattern):
+    """Per-BS on/off mask of the whole field under one sleep pattern: the
+    per-pattern oracle of ``bss.sector_masks``."""
+    active = np.ones(n_bs, dtype=bool)
+    active[cluster_bs_idx] = ~np.asarray(pattern.off_flags, dtype=bool)
+    return active
+
+
+def pattern_sector_masks(layout, patterns):
+    """(P, S) sector on/off masks of the layout under the patterns, one
+    pattern at a time."""
+    cb_idx = layout.center_cluster_bs_ids - 1
+    return np.array([pattern_bs_mask(layout.n_bs, cb_idx, p)[layout.sector_bs]
+                     for p in patterns])
+
+
 def patterns_to_file(patterns, path) -> None:
     """Write a pattern list in the format ``bss.patterns_from_file`` reads."""
     with open(path, "w", newline="") as f:
@@ -320,8 +336,8 @@ def point_summary(values):
 
 def point_evaluate(model, rx_w, vq, cluster_bs_idx, pattern, params):
     """Minimum metric-set rate of one pattern through every per-point stage."""
-    act = cb.bss.active_bs_mask(int(model.sector_bs.max()) + 1, cluster_bs_idx,
-                                pattern)[model.sector_bs]
+    act = pattern_bs_mask(int(model.sector_bs.max()) + 1, cluster_bs_idx,
+                          pattern)[model.sector_bs]
     assoc = point_associate(rx_w, act, model.noise_w, rx_w.argmax(axis=1))
     links = point_cluster_links(model, rx_w, assoc, act)
     sol = point_allocate(model, links, point_link_rates(model, assoc, links,
@@ -418,7 +434,7 @@ def full_field_patterns(model, rx_w, cluster_bs_idx, patterns, params):
     """Every pattern of the list scheduled over every user of the draw: the
     ``allocate`` solution with one row per pattern."""
     n_bs = int(model.sector_bs.max()) + 1
-    active = np.array([cb.bss.active_bs_mask(n_bs, cluster_bs_idx, p)
+    active = np.array([pattern_bs_mask(n_bs, cluster_bs_idx, p)
                        for p in patterns])[:, model.sector_bs]
     assoc = cb.scheduler.associate(rx_w, active, model.noise_w, linear_serving(rx_w, active))
     links = full_field_links(model, rx_w, assoc)

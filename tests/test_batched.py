@@ -11,17 +11,16 @@ import numpy as np
 import pytest
 
 import compbss as cb
-from compbss.bss import (active_bs_mask, all_patterns, exhaustive_oracle, heuristic_select,
-                         realization_stats)
+from compbss.bss import all_patterns, exhaustive_oracle, heuristic_select, realization_stats
 from compbss.metrics import STAT_FIELDS, aggregate
 from compbss.scheduler import (Association, ClusterLinks, allocate, associate,
                                center_cluster_users, cluster_links, cluster_members,
                                link_rates, serving_sectors, strongest_sectors)
 
 from conftest import make_realization
-from helpers import (point_allocate, point_associate, point_cluster_links,
-                     point_link_rates, point_realization_stats, point_summary,
-                     walk_heuristic, walk_oracle)
+from helpers import (pattern_bs_mask, pattern_sector_masks, point_allocate, point_associate,
+                     point_cluster_links, point_link_rates, point_realization_stats,
+                     point_summary, walk_heuristic, walk_oracle)
 
 CONFIGS = ("none", "C1", "C2", "C3")
 GAMMAS = (-6.0, -1.0, 4.0)
@@ -45,15 +44,9 @@ def _serving(gain_db, act, params):
     return serving_sectors(gain_db, act, strongest_sectors(gain_db, params), params)
 
 
-def _active_sectors(layout, patterns):
-    cb_idx = layout.center_cluster_bs_ids - 1
-    return np.array([layout.sector_active_mask(active_bs_mask(layout.n_bs, cb_idx, p))
-                     for p in patterns])
-
-
 def test_batched_associate_equals_point_oracle(layout, params, models):
     """All 127 patterns in one pass, including users whose strongest sector sleeps."""
-    act = _active_sectors(layout, all_patterns(7))
+    act = pattern_sector_masks(layout, all_patterns(7))
     n_asleep = 0
     for density, seed, gain_db, rx, _ in _setups(layout, params, models["C3"]):
         strongest = rx.argmax(axis=1)
@@ -69,7 +62,7 @@ def test_batched_associate_equals_point_oracle(layout, params, models):
 
 
 def test_batched_cluster_links_equal_point_oracle(layout, params, models):
-    act = _active_sectors(layout, all_patterns(7))
+    act = pattern_sector_masks(layout, all_patterns(7))
     for density, seed, gain_db, rx, _ in _setups(layout, params, models["C3"],
                                                  seeds=range(2)):
         assoc = associate(rx, act, params.noise_w, _serving(gain_db, act, params))
@@ -93,7 +86,7 @@ def test_batched_rows_equal_point_oracles(layout, params, models, pattern):
     patterns = cb.default_pattern_list()
     p = patterns.index(pattern)
     model_list = [models[c] for c in CONFIGS]
-    act = _active_sectors(layout, patterns)
+    act = pattern_sector_masks(layout, patterns)
     row_points = [(q, c, g) for q in range(len(patterns)) for c in range(len(CONFIGS))
                   for g in GAMMAS]
     row_energy = [patterns[q].energy_saving_pct for q, _, _ in row_points]
@@ -138,8 +131,8 @@ def test_batched_rows_equal_point_oracles(layout, params, models, pattern):
 def test_single_point_schedule_equals_oracle(layout, params, models):
     """``schedule`` and ``realization_stats`` with one row, as a selection uses them."""
     pattern = cb.default_pattern_list()[1]
-    active_bs = active_bs_mask(layout.n_bs, layout.center_cluster_bs_ids - 1, pattern)
-    act = layout.sector_active_mask(active_bs)
+    active_bs = pattern_bs_mask(layout.n_bs, layout.center_cluster_bs_ids - 1, pattern)
+    act = active_bs[layout.sector_bs]
     for density, seed, gain_db, rx, vq in _setups(layout, params, models["C3"]):
         assoc = point_associate(rx, act, params.noise_w, rx.argmax(axis=1))
         for name in CONFIGS:

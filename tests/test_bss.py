@@ -6,12 +6,12 @@ import pytest
 import compbss as cb
 from compbss.bss import (BssPattern, all_patterns, default_pattern_list,
                          evaluate_pattern, exhaustive_oracle, heuristic_select,
-                         patterns_from_file, realization_stats, sort_patterns,
-                         validate_pattern_list)
+                         patterns_from_file, realization_stats, sector_masks,
+                         sort_patterns, validate_pattern_list)
 from compbss.metrics import STAT_FIELDS
 from compbss.scheduler import SchedulerParams, strongest_sectors
 
-from helpers import patterns_to_file
+from helpers import pattern_sector_masks, patterns_to_file
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +93,13 @@ class TestPattern:
         for a, b in zip(pats, pats[1:]):
             if a.a1 == b.a1:
                 assert a.bit_value < b.bit_value
+
+    @pytest.mark.parametrize("patterns", [default_pattern_list(), all_patterns(7)],
+                             ids=["shipped", "all"])
+    def test_sector_masks_equal_the_per_pattern_oracle(self, layout, patterns):
+        got = sector_masks(layout.sector_bs, layout.center_cluster_bs_ids - 1, patterns)
+        assert got.shape == (len(patterns), layout.n_sectors) and got.dtype == bool
+        assert np.array_equal(got, pattern_sector_masks(layout, patterns))
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "patterns.csv"

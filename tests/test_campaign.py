@@ -5,12 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from compbss import drop_users
 from compbss.bss import default_pattern_list
 from compbss.campaign import (CampaignConfig, ConfigError, MissingAxisError,
-                              RESULT_COLUMNS, TRAFFIC_COLUMNS, emit_figure_data,
-                              run_campaign, run_traffic_profile, write_rows_csv)
+                              RESULT_COLUMNS, TRAFFIC_COLUMNS, _mu_key, _seed_key,
+                              emit_figure_data, run_campaign, run_traffic_profile,
+                              write_rows_csv)
 from compbss.cli import main as cli_main
 
 from helpers import patterns_to_file
@@ -45,9 +48,10 @@ class TestConfig:
             tiny_config(n_drops=0)
 
     def test_rejects_gamma_outside_range(self):
-        with pytest.raises(ConfigError, match="gamma_d"):
+        with pytest.raises(ConfigError, match=r"gamma_ds_db entry: gamma_d_db=50.0 outside "
+                                              r"the permitted range \[-6.5, 10.0\]"):
             tiny_config(gamma_ds_db=[50.0])
-        tiny_config(gamma_ds_db=[50.0], gamma_d_range_db=(-10, 60))
+        tiny_config(gamma_ds_db=[-6.5, 10.0])
 
     @pytest.mark.parametrize("key, value, shown", [
         ("alphas", ["2"], "'2'"), ("gamma_ds_db", [None], "None"),
@@ -65,10 +69,6 @@ class TestConfig:
         ("rate_thresholds_bps", [-1], "-1"), ("inter_site_distance_m", 0, "0"),
         ("inter_site_distance_m", float("inf"), "inf"), ("output", 5, "5"),
         ("output", "", "''"), ("pattern_file", 3, "3"),
-        ("gamma_d_range_db", 5, "5"), ("gamma_d_range_db", ["a", 1], "['a', 1]"),
-        ("gamma_d_range_db", [10, -6.5], "[10, -6.5]"),
-        ("gamma_d_range_db", [1, 2, 3], "[1, 2, 3]"),
-        ("gamma_d_range_db", [float("nan"), 1], "[nan, 1]"),
     ])
     def test_rejects_bad_sweep_values(self, key, value, shown):
         with pytest.raises(ConfigError) as info:
@@ -244,10 +244,23 @@ class TestTraffic:
         ("rate_thresholds_bps", [1e5, 2e5]), ("comp_configs", ["C3", "C1"]),
     ])
     def test_refuses_extra_sweep_values(self, key, values):
-        """The profile runs one point; extra values would be dropped silently."""
-        cfg = tiny_config(traffic_profile=[60.0], **{key: values})
-        with pytest.raises(ConfigError, match=key):
-            run_traffic_profile(cfg)
+        """The profile runs one point; extra values would be dropped silently,
+        so the config refuses them when it is made."""
+        with pytest.raises(ConfigError, match=f"takes one {key} value"):
+            tiny_config(traffic_profile=[60.0], **{key: values})
+        tiny_config(**{key: values})    # a sweep takes them
+
+    def test_step_without_candidate_but_with_metric_set_gets_a_row(self, layout):
+        """At this seed the drop of step 28 holds 5 users and none of them lies
+        in a centre-cluster cell, yet its fading draw puts one of them in the
+        metric set: the step is scheduled like any draw with a metric set."""
+        res = run_traffic_profile(tiny_config(traffic_profile=[0.5] * 40, master_seed=1))
+        drop = drop_users(layout, 0.5, _seed_key(1, 2, _mu_key(0.5), 28))
+        nearest_bs = drop.link_dist_m.argmin(axis=1)
+        assert drop.n_users == 5 and not np.any(layout.cluster_id[nearest_bs] == 1)
+        (row,) = [r for r in res.rows if r["t"] == 28]
+        assert row["mu_per_km2"] == 0.5 and row["pattern"] == "Z4/7" and row["feasible"] == 1
+        assert len(res.rows) == 18 and res.manifest["n_realizations_skipped"] == 22
 
 
 @pytest.fixture(scope="module")
@@ -393,15 +406,25 @@ class TestCli:
         assert manifest["n_realizations_skipped"] == 2
         assert {line.split(",")[3] for line in out.read_text().splitlines()[1:]} == {"60"}
 
-    @pytest.mark.parametrize("flags", [["--drops", "2"], ["--fading", "3"], ["--full-scale"]])
+    @pytest.mark.parametrize("flags", [["--drops", "2"], ["--fading", "3"], ["--full-scale"],
+                                       ["--jobs", "4"]])
     def test_traffic_config_refuses_scale_flags(self, tmp_path, capsys, flags):
         out = tmp_path / "t.csv"
         rc = cli_main(["--config", str(CONFIGS / "traffic_day.yaml"), "--figure", "fig11",
                        "--out", str(out)] + flags)
         assert rc == 1
         err = capsys.readouterr().err
-        assert flags[0] in err and "traffic_profile" in err
+        assert err.startswith(f"config error: {flags[0]} does not apply to a config with "
+                              f"traffic_profile")
         assert not out.exists()
+
+    def test_gamma_d_range_is_no_config_key(self, tmp_path, capsys):
+        """The gamma_d range is the constant DEFAULT_GAMMA_D_RANGE_DB."""
+        p = tmp_path / "c.yaml"
+        p.write_text(f"gamma_d_range_db: [-6.5, 10]\noutput: {tmp_path / 'r.csv'}\n")
+        assert cli_main(["--config", str(p)]) == 1
+        assert "unknown config keys ['gamma_d_range_db']" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_traffic_profile_extra_alpha_is_exit_1(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"

@@ -144,7 +144,8 @@ def test_drop_deterministic(layout):
     d1 = drop_users(layout, 60.0, 12345)
     d2 = drop_users(layout, 60.0, 12345)
     assert np.array_equal(d1.positions, d2.positions)
-    assert np.array_equal(d1.nearest_bs_idx, d2.nearest_bs_idx)
+    assert np.array_equal(d1.link_dist_m, d2.link_dist_m)
+    assert np.array_equal(d1.link_az_deg, d2.link_az_deg)
 
 
 def test_drop_density_scaling(layout):
@@ -169,24 +170,17 @@ def test_drop_positions_inside_region(layout):
     assert np.all(nearest <= layout.hex_circumradius_m + 1e-9)
 
 
-def test_drop_candidacy_tags(layout):
-    drop = drop_users(layout, 60.0, 21)
-    assert drop.nearest_cluster_id.shape == (drop.n_users,)
-    frac_center = float(np.mean(drop.nearest_cluster_id == 1))
-    assert 0.05 < frac_center < 0.25   # about 1/7 of users
-    assert not drop.is_empty
-
-
 @pytest.mark.parametrize("density", [20.0, 60.0, 160.0])
 def test_drop_keeps_link_geometry_bit_for_bit(layout, density):
-    """The drop's users, nearest BSs, distances and bearings have the bits of
-    the dense search over all 343 images."""
+    """The drop's users, distances and bearings have the bits of the dense
+    search over all 343 images, and each user's nearest BS (the least link
+    distance) is the dense search's nearest site."""
     for seed in range(4):
         drop = drop_users(layout, density, seed)
         accept, nearest, dist, az, _ = dense_image_search(layout, drop.positions)
         assert drop.link_dist_m.shape == (drop.n_users, layout.n_bs)
         assert accept.all()
-        assert np.array_equal(drop.nearest_bs_idx, nearest)
+        assert np.array_equal(drop.link_dist_m.argmin(axis=1), nearest)
         assert np.array_equal(drop.link_dist_m, np.maximum(dist, 1.0))
         assert np.array_equal(drop.link_az_deg, az)
 
@@ -315,7 +309,7 @@ def test_drop_accepts_what_the_einsum_oracle_accepts(layout, density):
             count, pts, nearest, _ = _replay_drop(layout, density, seed, batch_size)
             assert drop.n_users == count
             assert np.array_equal(drop.positions, pts)
-            assert np.array_equal(drop.nearest_bs_idx, nearest)
+            assert np.array_equal(drop.link_dist_m.argmin(axis=1), nearest)
 
 
 def test_drop_tops_up_a_short_first_batch(layout):
@@ -330,12 +324,12 @@ def test_drop_tops_up_a_short_first_batch(layout):
     _, pts, nearest, _ = _replay_drop(layout, 60.0, 151, lambda n: 4 * n)
     drop = drop_users(layout, 60.0, 151)
     assert np.array_equal(drop.positions, pts)
-    assert np.array_equal(drop.nearest_bs_idx, nearest)
+    assert np.array_equal(drop.link_dist_m.argmin(axis=1), nearest)
 
 
 def test_empty_drop_has_empty_link_geometry(layout, params):
     drop = drop_users(layout, 1e-4, 0)
-    assert drop.n_users == 0 and drop.is_empty
+    assert drop.n_users == 0
     assert drop.link_dist_m.shape == (0, layout.n_bs)
     assert drop.link_az_deg.shape == (0, layout.n_bs)
     assert drop_link_budget(layout, drop, params).shape == (0, layout.n_sectors)

@@ -19,7 +19,7 @@ from compbss.scheduler import (SystemModel, allocate, cluster_members, draw_rate
 
 from conftest import make_realization
 from helpers import (full_field_drop_records, full_field_patterns, linear_serving,
-                     patterns_to_file)
+                     pattern_bs_mask, pattern_sector_masks, patterns_to_file)
 
 DENSITIES = (20.0, 60.0, 160.0)
 PATTERN_SETS = ("default", "all")
@@ -128,7 +128,7 @@ def test_selections_equal_full_field_oracle(layout, params, models, config):
             for patterns in (cb.default_pattern_list(), all_patterns(7)):
                 want = full_field_patterns(model, rx, cb_idx, patterns, sp)
                 want_rates = want.lam[:, vq]
-                active = np.array([cb.bss.active_bs_mask(layout.n_bs, cb_idx, p)
+                active = np.array([pattern_bs_mask(layout.n_bs, cb_idx, p)
                                    for p in patterns])[:, model.sector_bs]
                 users, rates = draw_rates([model], [cluster_members(model, active)], gain_db,
                                           strongest_sectors(gain_db, params), vq, active,
@@ -157,9 +157,7 @@ def test_selections_equal_full_field_oracle(layout, params, models, config):
 
 
 def test_pool_users_are_sorted_and_hold_the_metric_set(layout, params, models):
-    act = np.array([layout.sector_active_mask(
-        cb.bss.active_bs_mask(layout.n_bs, layout.center_cluster_bs_ids - 1, p))
-        for p in all_patterns(7)])
+    act = pattern_sector_masks(layout, all_patterns(7))
     shares = []
     for _, _, gain_db, rx, vq in _draws(layout, params, models["C1"]):
         strongest = strongest_sectors(gain_db, params)

@@ -8,9 +8,10 @@ from hypothesis.extra.numpy import arrays
 
 import compbss as cb
 from compbss.metrics import alpha_fair_throughputs
-from compbss.scheduler import (ALPHA_RANGE, TIE_MARGIN_DB, SchedulerParams, SystemModel,
-                               allocate, associate, cluster_links, cluster_members,
-                               link_rates, schedule, serving_sectors, strongest_sectors)
+from compbss.scheduler import (ALPHA_RANGE, DEFAULT_GAMMA_D_RANGE_DB, TIE_MARGIN_DB,
+                               SchedulerParams, SystemModel, allocate, associate,
+                               cluster_links, cluster_members, link_rates, schedule,
+                               serving_sectors, strongest_sectors)
 
 from conftest import make_realization
 
@@ -466,16 +467,11 @@ class TestSchedulePipeline:
             SchedulerParams(alpha=alpha, gamma_d_db=0.0)
         with pytest.raises(ValueError):
             SchedulerParams(alpha=0.0, gamma_d_db=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"gamma_d_db=99.0 outside the permitted "
+                                             r"range \[-6.5, 10.0\]"):
             SchedulerParams(alpha=1.0, gamma_d_db=99.0)
-        SchedulerParams(alpha=1.0, gamma_d_db=99.0, gamma_d_range_db=(-10, 100))
-
-    @pytest.mark.parametrize("bounds", [5, ("a", 1), (10, -6.5), (0.0, float("nan")),
-                                        (-6.5,), (True, 10.0)])
-    def test_malformed_gamma_d_range_is_named(self, bounds):
-        with pytest.raises(ValueError, match=r"gamma_d_range_db=.* must be a pair") as err:
-            SchedulerParams(gamma_d_range_db=bounds)
-        assert repr(bounds) in str(err.value)
+        for gamma_d in DEFAULT_GAMMA_D_RANGE_DB:
+            SchedulerParams(alpha=1.0, gamma_d_db=gamma_d)
 
 
 class TestPresets:

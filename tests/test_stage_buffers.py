@@ -123,8 +123,7 @@ def test_drop_stage_allocates_two_arrays_and_the_path_loss(layout, params, densi
     assert _traced_peak(drop_link_budget, layout, drop, params) <= 2 * us + ub + SLACK
 
 
-DROP_FIELDS = ("positions", "nearest_bs_idx", "nearest_cluster_id", "link_dist_m",
-               "link_az_deg")
+DROP_FIELDS = ("positions", "link_dist_m", "link_az_deg")
 
 # (ISD, density) of drops that grow, shrink and empty one scratch in turn
 SCRATCH_DROPS = [(500.0, 160.0), (500.0, 20.0), (500.0, 60.0), (500.0, 1e-4),
