@@ -154,25 +154,28 @@ def sector_masks(sector_bs: np.ndarray, cluster_bs_idx: np.ndarray,
 
 def _select(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
             cluster_bs_idx: np.ndarray, patterns, params: SchedulerParams,
-            rate_threshold_bps: float, walk: bool = True,
-            strongest: np.ndarray | None = None) -> HeuristicResult:
+            rate_threshold_bps: float, walk: bool = True, strongest: np.ndarray | None = None,
+            active_sectors: np.ndarray | None = None, members=None) -> HeuristicResult:
     """Schedule every pattern of the list in one batched pass, one row each,
     over the pool users of the metric set in the dB draw ``gain_db``, and
     keep the first pattern whose worst metric-set rate clears the threshold
     (the last when none does).
 
     ``patterns_evaluated`` counts the patterns a walk down the list would
-    have evaluated, or the whole list when ``walk`` is False.  ``strongest``
-    is ``strongest_sectors`` of the draw, taken here when not given.
+    have evaluated, or the whole list when ``walk`` is False.  The keyword
+    tables of :func:`heuristic_select` are computed here when not given.
     """
     vq = np.asarray(vq_mask, dtype=bool)
     if not vq.any():
         raise ValueError("empty metric set: no centre-cluster users in this realization")
-    active = sector_masks(model.sector_bs, cluster_bs_idx, patterns)
+    active = (sector_masks(model.sector_bs, cluster_bs_idx, patterns)
+              if active_sectors is None else active_sectors)
     if strongest is None:
         strongest = strongest_sectors(gain_db, model.channel)
-    users, rates = draw_rates([model], [cluster_members(model, active)], gain_db,
-                              strongest, vq, active, [params.gamma_d_db])
+    if members is None:
+        members = cluster_members(model, active)
+    users, rates = draw_rates([model], [members], gain_db, strongest, vq, active,
+                              [params.gamma_d_db])
     sol = allocate(rates, params.alpha)
     lam = sol.lam[:, vq[users]]
     min_rate = lam.min(axis=1)
@@ -200,18 +203,21 @@ def evaluate_pattern(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarra
 def heuristic_select(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
                      cluster_bs_idx: np.ndarray, patterns: list[BssPattern],
                      params: SchedulerParams, rate_threshold_bps: float, *,
-                     strongest: np.ndarray | None = None) -> HeuristicResult:
+                     strongest: np.ndarray | None = None, active_sectors: np.ndarray | None = None,
+                     members=None) -> HeuristicResult:
     """First feasible pattern of the energy-sorted list; all-on as fallback.
 
     If even the final pattern misses the threshold it is returned flagged
     infeasible (fail-safe toward coverage).  The whole list is scheduled in
     one pass; ``patterns_evaluated`` counts the patterns a walk down the list
-    would have evaluated.  A caller that has taken the draw's
-    ``strongest_sectors`` already passes them as ``strongest``.
+    would have evaluated.  A caller that holds the draw's ``strongest_sectors``,
+    the patterns' ``sector_masks`` or the model's ``cluster_members`` under
+    them passes them as ``strongest``, ``active_sectors`` and ``members``.
     """
     validate_pattern_list(patterns)
     return _select(model, gain_db, vq_mask, cluster_bs_idx, patterns, params,
-                   rate_threshold_bps, strongest=strongest)
+                   rate_threshold_bps, strongest=strongest,
+                   active_sectors=active_sectors, members=members)
 
 
 def exhaustive_oracle(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,

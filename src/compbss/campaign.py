@@ -54,7 +54,7 @@ from .bss import (default_pattern_list, heuristic_select, patterns_from_file,
 from .channel import ChannelParams, McsTable, draw_gain_matrix, drop_link_budget
 from .clusters import resolve_comp_config
 from .geometry import DropScratch, build_layout, drop_region_area_m2, drop_users
-from .metrics import STAT_FIELDS, aggregate
+from .metrics import STAT_FIELDS, aggregate, alpha_fair_throughputs
 from .scheduler import (SchedulerParams, allocate, alpha_range_error, build_system_model,
                         center_cluster_users, cluster_members, draw_rates, gamma_d_error,
                         strongest_sectors)
@@ -111,10 +111,10 @@ class CampaignConfig:
         for value in self.rate_thresholds_bps:
             if value < 0:
                 raise ConfigError(f"rate_thresholds_bps entry {value!r} must be >= 0")
-        for name in sweeps:
+        for name in sweeps + ("comp_configs",):
             values = getattr(self, name)
-            if len(set(values)) != len(values):
-                # a repeated value would fold two copies of its records into one row
+            # a repeat would fold two copies of its records into one row (configs by name)
+            if len(set(map(str, values) if name == "comp_configs" else values)) != len(values):
                 raise ConfigError(f"sweep list {name} repeats a value: {values!r}")
         for name in ("n_drops", "n_fading", "master_seed"):
             value = getattr(self, name)
@@ -176,7 +176,8 @@ class CampaignConfig:
     def from_file(cls, path) -> "CampaignConfig":
         try:
             with open(path) as f:
-                raw = yaml.safe_load(f) or {}
+                # libyaml's safe loader where installed: same resolver, same values
+                raw = yaml.load(f, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader)) or {}
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except yaml.YAMLError as exc:
@@ -478,9 +479,11 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
             n_skipped += 1
             continue
         res = heuristic_select(model, gain_db, vq, ctx.cluster_bs_idx, ctx.patterns,
-                               params, r_thr, strongest=strongest)
-        stats = realization_stats(res.solution, vq[res.users], [res.pattern.energy_saving_pct],
-                                  [model.multi_vc_ids], r_thr, alpha)[0]
+                               params, r_thr, strongest=strongest,
+                               active_sectors=ctx.active_sectors, members=ctx.members[0])
+        # realization_stats' t_alpha of the picked row, without its other fields
+        covered = res.rates_bps[res.rates_bps > 0]
+        t_alpha = alpha_fair_throughputs(covered, [covered.size], alpha)[0] if covered.size else 0
         n_scheduled += res.users.size
         n_dropped += gain_db.shape[0]
         n_evaluated[res.patterns_evaluated] = n_evaluated.get(res.patterns_evaluated, 0) + 1
@@ -488,7 +491,7 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
             "t": t, "mu_per_km2": mu, "pattern": res.pattern.label,
             "bs_off": "+".join(map(str, res.pattern.off_bs_ids)),
             "a1": res.pattern.a1, "energy_pct": res.pattern.energy_saving_pct,
-            "t_alpha_bps": float(stats[STAT_FIELDS.index("t_alpha_bps")]),
+            "t_alpha_bps": float(t_alpha),
             "min_rate_bps": res.min_rate_bps, "feasible": int(res.feasible),
         })
     if not rows:

@@ -93,6 +93,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs {args.jobs} must be >= 1")
         traffic_mode = bool(cfg.traffic_profile)
         if args.figure and (args.figure == "fig11") != traffic_mode:
             raise ConfigError(

@@ -90,7 +90,7 @@ def comp_config_from_file(path, layout: NetworkLayout) -> CompConfiguration:
     ``groups``.  Centre-cluster sectors not listed become singletons.
     """
     with open(path) as f:
-        raw = yaml.safe_load(f)
+        raw = yaml.load(f, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     if isinstance(raw, dict):
         name = str(raw.get("name", "custom"))
         groups = raw.get("groups")

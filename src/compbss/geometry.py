@@ -9,24 +9,23 @@ One image search per user drop serves both the region test that accepts
 candidate positions and the link geometry (distance and bearing) of the
 accepted users, which :class:`UserDrop` keeps for the link budget.
 
-The search is certified by two radii that the layout derives from its own
-343 image sites (:class:`ImageTables`), each shrunk by a relative 1e-9 so
-float rounding cannot flip a decision:
-
-- ``r_site``, half the smallest distance between two image sites.  A point
-  closer than that to an image site has it as its unique nearest site image,
-  so the region test accepts a candidate near an un-shifted site, and
-  rejects one near a site of the wrap image named by its nearest shift
-  vector, from (N, 49) distances alone.
-- ``rho``, half the smallest distance between two images of one BS.  A
-  (user, BS) pair closer than that to the image that the per-site table
-  names for the user's nearest site keeps that image.
-
-Candidates and pairs that neither bound decides (about 10 % and 14 % of
-them at the preset) take the dense search over all 7 images, with the same
-first-minimum tie rule, so ties still go to the identity image.  Distance
-and bearing are computed by the same expressions on either path, so the
-result has the bits of a dense search over all 343 images.
+The search is certified by bounds that the layout derives from its own 343
+image sites (:class:`ImageTables`), each shrunk by a relative 1e-9 so float
+rounding cannot flip a decision.  The image sites lie on one hexagonal
+lattice, spanned by two nearest-neighbour vectors of the identity sites 60
+degrees apart: the region test cube-rounds a candidate to its nearest
+lattice point, looks up the image site there, and takes it as the strict
+nearest when the offset lies inside the site's hexagon, ``|offset . e| <
+ISD / 2`` on each of its three edge normals ``e``.  A (user, BS) pair closer
+than ``rho``, half the smallest distance between two images of one BS, to
+the image that the per-site table names for the user's nearest site keeps
+that image.  The rest take the dense search with the first-minimum tie rule,
+so ties still go to the identity image: candidates outside the hexagon or at
+a lattice point that is no image site (about none in a drop box) over all
+343 images, and pairs beyond ``rho`` (about 14 % at the preset) over the 7
+images of their BS.  Offsets, distances and bearings come from the same
+expressions on either path, so the result has the bits of a dense search
+over all 343 images.
 
 A campaign passes one grow-only :class:`DropScratch` to every drop, and the
 drop and fading stages (here and in :mod:`compbss.channel`) write their
@@ -34,8 +33,8 @@ large arrays into it with ``out=`` instead of allocating fresh ones.  Its
 buffers are shared by role, in units of one (users, BSs) float table: the
 drop's distances and bearings come first, and the link budget, the antenna
 gain that becomes the fading draw, and the path loss follow.  Until the
-link budget is built, everything after the bearings is free, so the region
-test's tables and the image search's offsets and (pairs, 7) rows take it.
+link budget is built, everything after the bearings is free, so the dense
+region search's tables and the image search's offsets and rows take it.
 The same ufuncs run on the same operands in the same order, so every bit is
 kept.  A drop's arrays, and the budget and draws built on it, stay valid
 until the next drop on the same scratch; a call without a scratch returns
@@ -65,29 +64,36 @@ BORESIGHTS_DEG = (0.0, 120.0, 240.0)
 N_SITES = 49
 
 
-# Relative shrink of the certified radii: far above the float rounding of the
+# Relative shrink of the certified bounds: far above the float rounding of the
 # squared distances they are compared with (a few 1e-16), far below any gap a
 # layout has between its sites.
 _RADIUS_SAFETY = 1.0 - 1e-9
 
+_OFF_LATTICE = "the image sites are not distinct points of one hexagonal lattice"
+
 
 @dataclass(frozen=True, eq=False)
 class ImageTables:
-    """Bounds and tables of the certified image search, derived from a layout.
+    """Tables of the certified image search, derived from a layout.
 
     ``x``/``y`` place every BS at the identity placement (image 0) and the 6
-    wraps, as (7, B); ``bs_x``/``bs_y`` hold the same as (B, 7).
-    ``site_r2`` and ``image_rho2`` are the squared certified radii (see the
-    module docstring).  ``guess_k[j, b]`` is the image of BS b nearest to
-    identity site j, at ``guess_x[j, b]``, ``guess_y[j, b]``.
+    wraps, as (7, B); ``bs_x``/``bs_y`` hold the same as (B, 7).  The site
+    lattice (see the module docstring): ``to_ij`` maps a point to lattice
+    coordinates, at which ``site_of`` holds the flat (image, BS) index of
+    the image site or -1; a point inside that site's slabs,
+    ``|offset . normals[m]| < half_width``, has it as strict nearest.
+    ``image_rho2`` is the squared ``rho``.  ``guess_k[j, b]`` is the image of
+    BS b nearest to identity site j, at ``guess_x[j, b]``, ``guess_y[j, b]``.
     """
 
     x: np.ndarray           # (7, B)
     y: np.ndarray           # (7, B)
     bs_x: np.ndarray        # (B, 7)
     bs_y: np.ndarray        # (B, 7)
-    shifts: np.ndarray      # (7, 2), row 0 is the identity
-    site_r2: float
+    to_ij: tuple            # (a, b, c, d, e, f): i = a*x + b*y + c, j = d*x + e*y + f
+    site_of: np.ndarray     # (I, J) flat image index or -1
+    normals: np.ndarray     # (3, 2) unit edge normals of a site's hexagon
+    half_width: float
     image_rho2: float
     guess_k: np.ndarray     # (B, B) image index
     guess_x: np.ndarray     # (B, B)
@@ -100,26 +106,42 @@ class ImageTables:
         xy = bs_xy[None, :, :] + shifts[:, None, :]
         n = bs_xy.shape[0]
         x, y = np.ascontiguousarray(xy[..., 0]), np.ascontiguousarray(xy[..., 1])
-        # r_site: every pair of the 343 image sites, image k against images k..6
-        gap2 = np.inf
-        for k in range(7):
-            gx = x[k][:, None] - x[k:].ravel()
-            gy = y[k][:, None] - y[k:].ravel()
-            g2 = gx * gx + gy * gy
-            g2[np.arange(n), np.arange(n)] = np.inf
-            gap2 = min(gap2, g2.min())
+        # the site lattice: two nearest-neighbour vectors of the identity
+        # sites, 60 degrees apart (of the six, the largest cos + sin from e1)
+        d = (bs_xy[:, None, :] - bs_xy[None, :, :]).reshape(-1, 2)
+        r2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+        nn2 = r2[r2 > 0].min()
+        near = d[abs(r2 - nn2) < 1e-6 * nn2]
+        e1 = near[0]
+        e2 = near[np.argmax((e1[0] - e1[1]) * near[:, 0] + (e1[0] + e1[1]) * near[:, 1])]
+        det = e1[0] * e2[1] - e1[1] * e2[0]
+        if det < 0.8 * nn2:     # nn2 * sin(60 degrees) on a hexagonal lattice
+            raise ValueError(_OFF_LATTICE)
+        inv = np.array([[e2[1], -e2[0]], [-e1[1], e1[0]]]) / det
+        ij = inv[:, 0] * x.reshape(-1, 1) + inv[:, 1] * y.reshape(-1, 1)
+        c = -ij.min(axis=0)
+        ij += c
+        at = np.rint(ij).astype(np.intp)
+        if np.abs(ij - at).max() > 1e-12:
+            raise ValueError(_OFF_LATTICE)
+        site_of = np.full(at.max(axis=0) + 1, -1)
+        site_of[at[:, 0], at[:, 1]] = np.arange(at.shape[0])
+        if np.count_nonzero(site_of >= 0) < at.shape[0]:
+            raise ValueError(_OFF_LATTICE)
+        edges = np.array([e1, e2, e2 - e1])
         # rho: every pair of the 7 images of one BS
         ix = x.T[:, :, None] - x.T[:, None, :]
         iy = y.T[:, :, None] - y.T[:, None, :]
         img2 = ix * ix + iy * iy
         img2[:, np.arange(7), np.arange(7)] = np.inf
-        site_r = 0.5 * math.sqrt(gap2) * _RADIUS_SAFETY
         image_rho = 0.5 * math.sqrt(img2.min()) * _RADIUS_SAFETY
         guess_k = _image_d2(x, y, bs_xy).argmin(axis=1)
         cols = np.arange(n)[None, :]
-        return cls(x=x, y=y, bs_x=np.ascontiguousarray(x.T),
-                   bs_y=np.ascontiguousarray(y.T), shifts=shifts,
-                   site_r2=site_r * site_r, image_rho2=image_rho * image_rho,
+        return cls(x=x, y=y, bs_x=np.ascontiguousarray(x.T), bs_y=np.ascontiguousarray(y.T),
+                   to_ij=(*inv[0], c[0], *inv[1], c[1]), site_of=site_of,
+                   normals=edges / np.sqrt((edges * edges).sum(axis=1))[:, None],
+                   half_width=0.5 * math.sqrt(nn2) * _RADIUS_SAFETY,
+                   image_rho2=image_rho * image_rho,
                    guess_k=guess_k, guess_x=x[guess_k, cols], guess_y=y[guess_k, cols])
 
 
@@ -261,10 +283,8 @@ class DropScratch:
 
 
 def _drop_floats(layout: NetworkLayout, n_users: int) -> int:
-    """Floats that the roles of a drop of ``n_users`` take, and the region
-    test of its first batch of candidates."""
-    tables = _BUDGET * n_users + 2 * drop_batch_size(n_users, _drop_box(layout)[2])
-    return max(_END * n_users, tables) * layout.n_bs
+    """Floats that the roles of a drop of ``n_users`` take."""
+    return _END * n_users * layout.n_bs
 
 
 def _array(scratch: DropScratch | None, start: int, shape, dtype=np.float64) -> np.ndarray:
@@ -288,18 +308,6 @@ def _image_d2(x: np.ndarray, y: np.ndarray, pts: np.ndarray, dx=None, dy=None) -
     return dx
 
 
-def _sq_dist(pts: np.ndarray, x: np.ndarray, y: np.ndarray, dx=None, dy=None) -> np.ndarray:
-    """Squared distance from every point to the sites at ``x``, ``y``: (N, B)
-    for one row of sites or one row per point.  Written over ``dx``, with
-    ``dy`` as its second table, when given; ``x`` and ``y`` may be them."""
-    dx = np.subtract(pts[:, 0, None], x, out=dx)
-    dy = np.subtract(pts[:, 1, None], y, out=dy)
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return dx
-
-
 def _region_test(layout: NetworkLayout, pts: np.ndarray, scratch=None, start: int = 0):
     """Accept points whose nearest site image is an un-shifted BS.
 
@@ -307,33 +315,34 @@ def _region_test(layout: NetworkLayout, pts: np.ndarray, scratch=None, start: in
     site image, as the flat argmin over all 343 images gives it (ties prefer
     the identity image).  The union of the 49 hexagonal cells is a
     fundamental domain of the wrap lattice, so accepted points are uniform on
-    the torus.  The distance tables go to ``scratch`` from float ``start``.
+    the torus.  The dense search's tables go to ``scratch`` from float
+    ``start``.
     """
     t = layout.images
-
-    def tables(*shape):
-        return (_array(scratch, start, shape),
-                _array(scratch, start + math.prod(shape), shape))
-
-    rows = np.arange(pts.shape[0])
-    d2 = _sq_dist(pts, t.x[0], t.y[0], *tables(pts.shape[0], layout.n_bs))
-    nearest = d2.argmin(axis=1)
-    accept = d2[rows, nearest] < t.site_r2
-    # Not near an un-shifted site: try the sites of the wrap image named by
-    # the nearest of the 6 wrap shift vectors.
-    open_ = np.flatnonzero(~accept)
-    p = pts[open_]
-    k = 1 + _sq_dist(p, t.shifts[1:, 0], t.shifts[1:, 1]).argmin(axis=1)
-    # mode="clip" (the indices are in range) writes straight into out
-    x, y = tables(open_.size, layout.n_bs)
-    d2 = _sq_dist(p, np.take(t.x, k, axis=0, out=x, mode="clip"),
-                  np.take(t.y, k, axis=0, out=y, mode="clip"), x, y)
-    site = d2.argmin(axis=1)
-    reject = d2[rows[:open_.size], site] < t.site_r2
-    nearest[open_[reject]] = site[reject]
-    dense = open_[~reject]
+    px, py = pts[:, 0], pts[:, 1]
+    a, b, c, d, e, f = t.to_ij
+    # cube-round the lattice coordinates (i, j, -i - j) to the nearest lattice
+    # point: the one that rounds farthest is set from the other two
+    i, j = a * px + b * py + c, d * px + e * py + f
+    k = -i - j
+    ri, rj, rk = np.rint(i), np.rint(j), np.rint(k)
+    di, dj, dk = np.abs(ri - i), np.abs(rj - j), np.abs(rk - k)
+    ri = np.where((di > dj) & (di > dk), -rj - rk, ri)
+    rj = np.where((dj > di) & (dj > dk), -ri - rk, rj)
+    # its image site is the strict nearest when the offset lies inside the
+    # site's slabs (past the table, the clipped lookup's site fails them)
+    site = t.site_of.take((ri * t.site_of.shape[1] + rj).astype(np.intp), mode="clip")
+    ox, oy = px - t.x.ravel()[site], py - t.y.ravel()[site]
+    ok = site >= 0
+    for nx, ny in t.normals:
+        ok &= np.abs(ox * nx + oy * ny) < t.half_width
+    accept = ok & (site < layout.n_bs)
+    nearest = site % layout.n_bs
+    dense = np.flatnonzero(~ok)
     if dense.size:
-        d2 = _image_d2(t.x, t.y, pts[dense], *tables(dense.size, 7, layout.n_bs))
+        shape = (dense.size, 7, layout.n_bs)
+        d2 = _image_d2(t.x, t.y, pts[dense], _array(scratch, start, shape),
+                       _array(scratch, start + math.prod(shape), shape))
         best = d2.reshape(dense.size, -1).argmin(axis=1)
         accept[dense] = best < layout.n_bs
         nearest[dense] = best % layout.n_bs
@@ -345,8 +354,8 @@ def _best_image(layout: NetworkLayout, pts: np.ndarray, nearest: np.ndarray,
     """Distance and bearing from the nearest image of every BS to the points,
     written into the (N, B) ``dist`` and ``az``.
 
-    ``nearest`` is each point's nearest un-shifted site, whose table row
-    guesses the images.  The offsets go to ``scratch`` from float ``start``.
+    ``nearest`` is the BS of each point's nearest site image, whose table
+    row guesses the images.  The offsets go to ``scratch`` from float ``start``.
     Returns (pair, k): the flat (point, BS) indices that the dense 7-image
     search decided and the image it picked for each (0 denotes the identity
     image, and ties prefer it).
@@ -382,7 +391,7 @@ def _best_image(layout: NetworkLayout, pts: np.ndarray, nearest: np.ndarray,
     dy.reshape(-1)[pair] = ey.take(at)
     d2.reshape(-1)[pair] = e2.take(at)
     np.sqrt(d2, out=d2)
-    np.degrees(np.arctan2(dy, dx, out=az), out=az)
+    np.multiply(np.arctan2(dy, dx, out=az), 180 / np.pi, out=az)
     return pair, k
 
 
@@ -393,11 +402,10 @@ def _image_geometry(layout: NetworkLayout, points: np.ndarray):
     identity image and ties prefer it.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    t = layout.images
-    nearest = _sq_dist(pts, t.x[0], t.y[0]).argmin(axis=1)
+    nearest = _region_test(layout, pts)[1]
     dist, az = np.empty((pts.shape[0], layout.n_bs)), np.empty((pts.shape[0], layout.n_bs))
     pair, k = _best_image(layout, pts, nearest, dist, az)
-    shift_idx = t.guess_k[nearest]
+    shift_idx = layout.images.guess_k[nearest]
     shift_idx.reshape(-1)[pair] = k
     return dist, az, shift_idx
 
@@ -448,13 +456,9 @@ class UserDrop:
 
     ``link_dist_m`` and ``link_az_deg`` are :func:`link_geometry` of the
     positions, kept from the image search that accepted them.  That search
-    is certified (see the module docstring): a candidate within ``r_site`` of
-    an un-shifted site is accepted with it, and a (user, BS) pair within
-    ``rho`` of the image that the nearest site's table row names keeps that
-    image.  The rest, about 10 % of candidates and 14 % of pairs, take the
-    dense 7-image search, so every field has the bits of a dense search over
-    all 343 images.  A drop holds no metric set: that depends on each fading
-    draw (``scheduler.center_cluster_users``).
+    is certified (see the module docstring), so every field has the bits of
+    a dense search over all 343 images.  A drop holds no metric set: that
+    depends on each fading draw (``scheduler.center_cluster_users``).
     """
 
     positions: np.ndarray          # (N, 2) metres

@@ -9,7 +9,7 @@ from compbss.bss import (BssPattern, all_patterns, default_pattern_list,
                          patterns_from_file, realization_stats, sector_masks,
                          sort_patterns, validate_pattern_list)
 from compbss.metrics import STAT_FIELDS
-from compbss.scheduler import SchedulerParams, strongest_sectors
+from compbss.scheduler import SchedulerParams, cluster_members, strongest_sectors
 
 from helpers import pattern_sector_masks, patterns_to_file
 
@@ -187,13 +187,20 @@ class TestHeuristic:
 
     @pytest.mark.parametrize("threshold", [0.0, 2e5, 1e12])
     def test_given_strongest_sectors_keep_the_result(self, c3_setup, params, threshold):
-        """The draw's strongest sectors passed in give the result that taking
-        them inside gives, bit for bit."""
+        """The draw's strongest sectors passed in, alone and with the patterns'
+        sector masks and the model's cluster-member tables, give the result
+        that taking them inside gives, bit for bit."""
         model, gain_db, vq, cb_idx = c3_setup
         pats = default_pattern_list()
         want = heuristic_select(model, gain_db, vq, cb_idx, pats, SP, threshold)
+        strongest = strongest_sectors(gain_db, params)
         got = heuristic_select(model, gain_db, vq, cb_idx, pats, SP, threshold,
-                               strongest=strongest_sectors(gain_db, params))
+                               strongest=strongest)
+        assert _same_fields(got, want)
+        active = sector_masks(model.sector_bs, cb_idx, pats)
+        got = heuristic_select(model, gain_db, vq, cb_idx, pats, SP, threshold,
+                               strongest=strongest, active_sectors=active,
+                               members=cluster_members(model, active))
         assert _same_fields(got, want)
 
     def test_matches_oracle_on_random_drops(self, layout, params, models):

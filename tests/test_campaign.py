@@ -7,13 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from compbss import drop_users
-from compbss.bss import default_pattern_list
+from compbss.bss import default_pattern_list, heuristic_select, realization_stats
 from compbss.campaign import (CampaignConfig, ConfigError, MissingAxisError,
-                              RESULT_COLUMNS, TRAFFIC_COLUMNS, _mu_key, _seed_key,
-                              emit_figure_data, run_campaign, run_traffic_profile,
-                              write_rows_csv)
+                              RESULT_COLUMNS, TRAFFIC_COLUMNS, _draws, _mu_key, _seed_key,
+                              build_context, emit_figure_data, run_campaign,
+                              run_traffic_profile, write_rows_csv)
+from compbss.metrics import STAT_FIELDS
+from compbss.scheduler import SchedulerParams
 from compbss.cli import main as cli_main
 
 from helpers import patterns_to_file
@@ -69,6 +72,7 @@ class TestConfig:
         ("rate_thresholds_bps", [-1], "-1"), ("inter_site_distance_m", 0, "0"),
         ("inter_site_distance_m", float("inf"), "inf"), ("output", 5, "5"),
         ("output", "", "''"), ("pattern_file", 3, "3"),
+        ("comp_configs", ["C3", "C3"], "repeats"),
     ])
     def test_rejects_bad_sweep_values(self, key, value, shown):
         with pytest.raises(ConfigError) as info:
@@ -114,6 +118,24 @@ class TestConfig:
         p = tmp_path / "c.yaml"
         p.write_text("no_such_key: 3\n")
         with pytest.raises(ConfigError, match="c.yaml"):
+            CampaignConfig.from_file(p)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml"))
+                             + [CONFIGS.parent / "bench" / "theta_sweep.yaml"],
+                             ids=lambda path: path.name)
+    def test_libyaml_loader_reads_what_the_python_loader_reads(self, path):
+        """The config loaders take libyaml's safe loader where it is installed;
+        it gives the values that the pure-Python safe loader gives."""
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        with open(path) as f:
+            fast = yaml.load(f, Loader=loader)
+        with open(path) as f:
+            assert fast == yaml.load(f, Loader=yaml.SafeLoader)
+
+    def test_malformed_yaml_names_the_file(self, tmp_path):
+        p = tmp_path / "bad.yaml"
+        p.write_text("alphas: [1, 2\nn_drops: 3\n")
+        with pytest.raises(ConfigError, match=r"bad\.yaml: malformed config"):
             CampaignConfig.from_file(p)
 
 
@@ -229,6 +251,26 @@ class TestTraffic:
             assert n_infeasible == len(res.rows)
             assert res.manifest["patterns_evaluated"] == {str(len(labels)): len(res.rows)}
         assert set(res.rows[0]) == set(TRAFFIC_COLUMNS)
+
+    def test_row_t_alpha_is_the_realization_stats_field(self):
+        """A row's t_alpha is ``realization_stats``' field of the picked
+        pattern, bit for bit, on feasible steps and on infeasible ones, whose
+        fallback pattern leaves some of the metric set in outage."""
+        cfg = tiny_config(traffic_profile=[20.0, 160.0, 60.0, 120.0],
+                          rate_thresholds_bps=[3e5])
+        res = run_traffic_profile(cfg)
+        assert {r["feasible"] for r in res.rows} == {0, 1}
+        ctx = build_context(cfg)
+        model = ctx.models["C3"]
+        params = SchedulerParams(alpha=1.0, gamma_d_db=-1.0)
+        for row in res.rows:
+            key = (_mu_key(row["mu_per_km2"]), row["t"])
+            gain_db, _, vq = next(_draws(ctx, row["mu_per_km2"], (2,) + key, [(3,) + key]))
+            sel = heuristic_select(model, gain_db, vq, ctx.cluster_bs_idx, ctx.patterns,
+                                   params, 3e5)
+            stats = realization_stats(sel.solution, vq[sel.users], [0.0],
+                                      [model.multi_vc_ids], 3e5, 1.0)[0]
+            assert row["t_alpha_bps"] == float(stats[STAT_FIELDS.index("t_alpha_bps")])
 
     def test_manifest_echoes_no_drop_counts(self):
         echo = run_traffic_profile(tiny_config(traffic_profile=[20.0])).manifest["config"]
@@ -442,6 +484,14 @@ class TestCli:
         p.write_text("master_seed: -1\n")
         assert cli_main(["--config", str(p)]) == 1
         assert "master_seed=-1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_exit_1(self, tmp_path, capsys, jobs):
+        out = tmp_path / "r.csv"
+        assert cli_main(["--drops", "1", "--fading", "1", "--jobs", jobs,
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: --jobs {jobs} must be >= 1")
+        assert not out.exists()
 
     def test_unwritable_output_is_exit_1(self):
         assert cli_main(["--drops", "1", "--fading", "1",

@@ -196,6 +196,17 @@ def _rotated_preset(deg=10.0):
                          inter_site_distance_m=preset.inter_site_distance_m)
 
 
+def test_layout_off_the_site_lattice_is_refused():
+    """The region test locates candidates on the site lattice, so a layout
+    whose image sites are not distinct lattice points is refused."""
+    preset = build_layout()
+    moved = preset.bs_xy.copy()
+    moved[5] += 1.0
+    with pytest.raises(ValueError, match="one hexagonal lattice"):
+        NetworkLayout(bs_xy=moved, cluster_id=preset.cluster_id,
+                      wrap_shifts=preset.wrap_shifts, inter_site_distance_m=500.0)
+
+
 def _ring(centres, radius, n_dirs=6):
     """Points at ``radius`` from every centre, in ``n_dirs`` directions."""
     ang = np.radians(np.arange(n_dirs) * 360.0 / n_dirs + 0.5)
@@ -208,33 +219,45 @@ def _adversarial_points(layout, rng):
     isd = layout.inter_site_distance_m
     shifts = np.vstack([np.zeros(2), layout.wrap_shifts])
     sites = (layout.bs_xy[None, :, :] + shifts[:, None, :]).reshape(-1, 2)
-    # hex vertices (3-way ties) and edge midpoints (2-way ties) of every cell
+    # hex vertices (3-way ties) and edge midpoints (2-way ties) of every cell:
+    # the edge normals point at the six neighbours, 30 degrees off the
+    # vertices
     ang = np.radians(60.0 * np.arange(6))
     preset = build_layout().wrap_shifts[0]
     rot = math.atan2(layout.wrap_shifts[0, 1], layout.wrap_shifts[0, 0]) \
         - math.atan2(preset[1], preset[0])
-    vert = isd / math.sqrt(3.0) * np.stack([np.cos(ang + rot + math.pi / 6),
-                                            np.sin(ang + rot + math.pi / 6)], axis=1)
-    edge = isd / 2.0 * np.stack([np.cos(ang + rot), np.sin(ang + rot)], axis=1)
-    ties = (sites[:, None, :] + np.vstack([vert, edge])[None, :, :]).reshape(-1, 2)
+    normal = np.stack([np.cos(ang + rot + math.pi / 6), np.sin(ang + rot + math.pi / 6)], axis=1)
+    vert = isd / math.sqrt(3.0) * np.stack([np.cos(ang + rot), np.sin(ang + rot)], axis=1)
+    ties = (sites[:, None, :] + np.vstack([vert, isd / 2.0 * normal])[None, :, :]).reshape(-1, 2)
     # midpoints between two images of one BS (ties between its images)
     k, m = np.triu_indices(7, 1)
     per_bs = layout.bs_xy[:, None, :] + shifts[None, :, :]
     ties = np.vstack([ties, (0.5 * (per_bs[:, k] + per_bs[:, m])).reshape(-1, 2)])
     ties = np.vstack([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)])
-    # one ulp either side of each certified radius
-    r_site = math.sqrt(layout.images.site_r2)
-    rho = math.sqrt(layout.images.image_rho2)
-    radii = [np.nextafter(r, -np.inf) for r in (r_site, rho)] + [r_site, rho] \
-        + [np.nextafter(r, np.inf) for r in (r_site, rho)]
+    # the slab hexagon of every site image: its vertices and a point on each
+    # edge, and one ulp either side of each
+    t = layout.images
+    along = np.stack([-normal[:, 1], normal[:, 0]], axis=1) * t.half_width / math.sqrt(3.0)
+    slab = np.vstack([t.half_width * normal - along, t.half_width * normal + 0.5 * along])
+    slab = (sites[:, None, :] + slab[None, :, :]).reshape(-1, 2)
+    slab = np.vstack([slab, np.nextafter(slab, np.inf), np.nextafter(slab, -np.inf)])
+    # rings one ulp either side of the slab half-width and the certified radius
+    rho = math.sqrt(t.image_rho2)
+    radii = [np.nextafter(r, -np.inf) for r in (t.half_width, rho)] + [t.half_width, rho] \
+        + [np.nextafter(r, np.inf) for r in (t.half_width, rho)]
     rings = np.vstack([_ring(sites, r) for r in radii])
+    # lattice points that are no image site
+    i, j = (c.reshape(-1, 1) for c in np.meshgrid(np.arange(-25, 26), np.arange(-25, 26)))
+    lattice = layout.bs_xy[0] + isd * (i * normal[0] + j * normal[1])
+    gap = np.linalg.norm(lattice[:, None, :] - sites[None, :, :], axis=-1).min(axis=1)
+    lattice = lattice[gap > 0.5 * isd]
     # the drop box, its corners and random points in and around it
     pad = layout.hex_circumradius_m
     lo = layout.bs_xy.min(axis=0) - pad
     hi = layout.bs_xy.max(axis=0) + pad
     corners = np.array([lo, hi, [lo[0], hi[1]], [hi[0], lo[1]]])
     uniform = rng.uniform(lo - 7 * isd, hi + 7 * isd, size=(2000, 2))
-    return np.vstack([sites, ties, rings, corners, uniform])
+    return np.vstack([sites, ties, slab, rings, lattice, corners, uniform])
 
 
 @pytest.mark.parametrize("make_layout", [
@@ -245,9 +268,10 @@ def _adversarial_points(layout, rng):
 ], ids=["isd500", "isd250", "isd1732", "rotated-file"])
 def test_image_search_matches_dense_oracle(make_layout, monkeypatch):
     """The certified search gives the dense search's accept flag, nearest BS,
-    distance, bearing and image index, bit for bit, on sites, ties, points one
-    ulp either side of each certified radius and random points, and both its
-    bounded and its dense paths run."""
+    distance, bearing and image index, bit for bit, on sites, ties, the site
+    hexagons' slab edges and vertices, points one ulp either side of those and
+    of each certified radius, lattice points that are no image site and random
+    points, and both its certified and its dense paths run."""
     layout = make_layout()
     pts = _adversarial_points(layout, np.random.default_rng(5))
     dense_rows = []
@@ -268,12 +292,24 @@ def test_image_search_matches_dense_oracle(make_layout, monkeypatch):
     for name, g, w in zip(("accept", "nearest", "dist", "az", "shift"), got, want):
         assert np.array_equal(g, w), name
     accept, nearest, _, _, shift = got
-    # the region test decided some candidates from its bounds alone ...
-    assert 0 < sum(dense_rows) < pts.shape[0]
+    # the region test decided some candidates from the lattice alone (each
+    # chunk is located twice, since _image_geometry locates it again) ...
+    assert 0 < sum(dense_rows) < 2 * pts.shape[0]
     # ... and some accepted (point, BS) pairs left the image their nearest
     # site's table row guessed, which only the 7-image rows can do
     guess = layout.images.guess_k[nearest[accept]]
     assert np.any(shift[accept] != guess) and np.any(shift[accept] == guess)
+
+
+def test_lattice_locates_every_drop_box_candidate(layout, monkeypatch):
+    """Inside the drop box, the lattice certifies every candidate: none but
+    those within the slab margin of a hexagon edge, of which a uniform draw
+    has about none, takes the dense search."""
+    calls = []
+    monkeypatch.setattr(geometry, "_image_d2", lambda *args: calls.append(args))
+    lo, hi, _ = geometry._drop_box(layout)
+    geometry._region_test(layout, np.random.default_rng(8).uniform(lo, hi, size=(20_000, 2)))
+    assert calls == []
 
 
 def _replay_drop(layout, density, seed, batch_size):
@@ -367,3 +403,18 @@ def test_wrap_angle_matches_remainder_bitwise():
     assert _wrap(x).tobytes() == _remainder_wrap(x).tobytes()
     for v in edges:
         assert _wrap(v).tobytes() == _remainder_wrap(np.array([v])).tobytes()
+
+
+def test_degrees_by_multiplication_keeps_every_bit():
+    """The bearings are converted as ``np.multiply(x, 180 / np.pi)``: the bits
+    of ``np.degrees`` on ``arctan2`` outputs, signed zeros, +-pi and
+    subnormals included."""
+    tiny = np.array([5e-324, 1e-310, 2.2250738585072014e-308])
+    y = np.concatenate([[0.0, -0.0, 1.0, -1.0], tiny, -tiny,
+                        np.random.default_rng(3).normal(size=200_000)])
+    x = np.concatenate([[-1.0, -1.0, 0.0, 0.0], np.ones(6),
+                        np.random.default_rng(4).normal(size=200_000)])
+    angles = np.concatenate([np.arctan2(y, x), [math.pi, -math.pi, 0.0, -0.0],
+                             np.nextafter(math.pi, 0.0) * np.array([1.0, -1.0]),
+                             tiny, -tiny])
+    assert np.multiply(angles, 180 / np.pi).tobytes() == np.degrees(angles).tobytes()
