@@ -74,10 +74,18 @@ def sort_patterns(patterns) -> list[BssPattern]:
     return sorted(patterns, key=lambda p: (-p.a1, p.bit_value))
 
 
-def validate_pattern_list(patterns: list[BssPattern]) -> None:
+def validate_pattern_list(patterns: list[BssPattern], n_bs: int) -> None:
+    """Refuse a list whose patterns do not flag ``n_bs`` BSs each, or that is
+    not strictly sorted (a repeat included), or that does not end all-on."""
     if not patterns:
         raise ValueError("pattern list is empty")
+    for row, p in enumerate(patterns, start=1):
+        if p.a2 != n_bs:
+            raise ValueError(f"pattern {row} ({p.label}) has {p.a2} off-flags; the "
+                             f"cluster has {n_bs} BSs")
     for a, b in zip(patterns, patterns[1:]):
+        if (-a.a1, a.bit_value) == (-b.a1, b.bit_value):
+            raise ValueError(f"pattern list repeats the pattern {b.describe()}")
         if (-a.a1, a.bit_value) > (-b.a1, b.bit_value):
             raise ValueError("pattern list must be sorted by increasing energy consumption")
     if patterns[-1].a1 != 0:
@@ -214,7 +222,7 @@ def heuristic_select(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarra
     the patterns' ``sector_masks`` or the model's ``cluster_members`` under
     them passes them as ``strongest``, ``active_sectors`` and ``members``.
     """
-    validate_pattern_list(patterns)
+    validate_pattern_list(patterns, len(cluster_bs_idx))
     return _select(model, gain_db, vq_mask, cluster_bs_idx, patterns, params,
                    rate_threshold_bps, strongest=strongest,
                    active_sectors=active_sectors, members=members)

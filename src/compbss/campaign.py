@@ -41,7 +41,6 @@ import json
 import math
 import numbers
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -51,8 +50,8 @@ import yaml
 from . import __version__
 from .bss import (default_pattern_list, heuristic_select, patterns_from_file,
                   realization_stats, sector_masks, validate_pattern_list)
-from .channel import ChannelParams, McsTable, draw_gain_matrix, drop_link_budget
-from .clusters import resolve_comp_config
+from .channel import ChannelParams, draw_gain_matrix, drop_link_budget
+from .clusters import PRESET_NAMES, preset
 from .geometry import DropScratch, build_layout, drop_region_area_m2, drop_users
 from .metrics import STAT_FIELDS, aggregate, alpha_fair_throughputs
 from .scheduler import (SchedulerParams, allocate, alpha_range_error, build_system_model,
@@ -85,7 +84,6 @@ class CampaignConfig:
     pattern_file: str | None = None
     master_seed: int = 1
     inter_site_distance_m: float = 500.0
-    mcs_file: str | None = None
     traffic_profile: list | None = None
     output: str = "results/campaign.csv"
     format: str = "csv"
@@ -107,14 +105,19 @@ class CampaignConfig:
         for name in sweeps + ("traffic_profile",):
             for value in getattr(self, name) or ():
                 if not _is_finite_number(value):
-                    raise ConfigError(f"{name} entry {value!r} is not a finite number")
+                    raise ConfigError(f"{name} entry {value!r} is not a finite number"
+                                      f"{_string_number_hint(value)}")
+        for value in self.comp_configs:
+            if value not in PRESET_NAMES:
+                raise ConfigError(f"comp_configs entry {value!r} is not one of the "
+                                  f"CoMP presets {PRESET_NAMES}")
         for value in self.rate_thresholds_bps:
             if value < 0:
                 raise ConfigError(f"rate_thresholds_bps entry {value!r} must be >= 0")
         for name in sweeps + ("comp_configs",):
             values = getattr(self, name)
             # a repeat would fold two copies of its records into one row (configs by name)
-            if len(set(map(str, values) if name == "comp_configs" else values)) != len(values):
+            if len(set(values)) != len(values):
                 raise ConfigError(f"sweep list {name} repeats a value: {values!r}")
         for name in ("n_drops", "n_fading", "master_seed"):
             value = getattr(self, name)
@@ -142,10 +145,10 @@ class CampaignConfig:
                         f"{name} entry {value!r} at inter_site_distance_m={isd!r} expects "
                         f"{users:.4g} users per drop, above the limit of "
                         f"{MAX_USERS_PER_DROP:,}")
-        for name in ("output", "pattern_file", "mcs_file"):
+        for name in ("output", "pattern_file"):
             value = getattr(self, name)
             if value is None and name != "output":
-                continue    # no pattern or MCS file: the shipped defaults
+                continue    # no pattern file: the shipped list
             if not isinstance(value, str) or not value:
                 raise ConfigError(f"{name}={value!r} must be a file path")
         seeded = {}
@@ -214,6 +217,17 @@ def _is_finite_number(value) -> bool:
             and math.isfinite(value))
 
 
+def _string_number_hint(value) -> str:
+    """A hint for a string that reads as a finite number, such as the ``1e2``
+    that YAML 1.1 takes for a string."""
+    try:
+        finite = isinstance(value, str) and math.isfinite(float(value))
+    except ValueError:
+        finite = False
+    return (": YAML read it as a string; write a float with a point and a signed "
+            "exponent, such as 1.0e+2" if finite else "")
+
+
 @dataclass(eq=False)
 class _Context:
     """Derived immutable campaign state, rebuilt once per worker process, and
@@ -240,32 +254,19 @@ class _Context:
         return self.scratch
 
 
-@contextmanager
-def _config_file(what: str):
-    """Report a file named by the config that cannot be read or parsed as a
-    ConfigError that names ``what``."""
-    try:
-        yield
-    except (OSError, ValueError, TypeError, csv.Error, yaml.YAMLError) as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
-
-
 def build_context(cfg: CampaignConfig) -> _Context:
     layout = build_layout(cfg.inter_site_distance_m)
     params = ChannelParams()
-    with _config_file(f"mcs_file {cfg.mcs_file!r}"):
-        mcs = McsTable.from_csv(cfg.mcs_file) if cfg.mcs_file else McsTable.default()
-    with _config_file(f"pattern_file {cfg.pattern_file!r}"):
+    cluster_bs_idx = layout.center_cluster_bs_ids - 1
+    try:
         patterns = (patterns_from_file(cfg.pattern_file) if cfg.pattern_file
                     else default_pattern_list())
-        validate_pattern_list(patterns)
-    models = {}
-    for choice in cfg.comp_configs:
-        with _config_file(f"comp_configs entry {choice!r} (a preset or a file)"):
-            comp = resolve_comp_config(str(choice), layout)
-        models[str(choice)] = build_system_model(layout, comp, params, mcs)
+        validate_pattern_list(patterns, len(cluster_bs_idx))
+    except (OSError, ValueError, TypeError, csv.Error) as exc:
+        raise ConfigError(f"pattern_file {cfg.pattern_file!r}: {exc}") from exc
+    models = {name: build_system_model(layout, preset(name, layout), params)
+              for name in cfg.comp_configs}
     center_sector_idx = layout.center_cluster_sector_ids - 1
-    cluster_bs_idx = layout.center_cluster_bs_ids - 1
     active_sectors = sector_masks(layout.sector_bs, cluster_bs_idx, patterns)
     members = [cluster_members(model, active_sectors) for model in models.values()]
     return _Context(cfg=cfg, layout=layout, params=params,
@@ -467,7 +468,7 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
     ctx = build_context(cfg)
     alpha, r_thr = cfg.alphas[0], cfg.rate_thresholds_bps[0]
     params = SchedulerParams(alpha=alpha, gamma_d_db=cfg.gamma_ds_db[0])
-    model = ctx.models[str(cfg.comp_configs[0])]
+    model = ctx.models[cfg.comp_configs[0]]
     rows = []
     n_skipped = 0   # steps whose metric set is empty
     n_evaluated = {}    # patterns a walk down the list evaluates -> steps

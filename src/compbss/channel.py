@@ -36,7 +36,6 @@ scratch (2-core Xeon, means of 30 in-process campaigns).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,37 +128,21 @@ class McsTable:
         object.__setattr__(self, "thresholds_db", t)
         object.__setattr__(self, "bits_per_symbol", e)
 
-    @classmethod
-    def default(cls) -> "McsTable":
-        return cls(
-            thresholds_db=np.array([-6.5, -4.0, -2.6, -1.0, 1.0, 3.0, 6.6, 10.0,
-                                    11.4, 11.8, 13.0, 13.8, 15.6, 16.8, 17.6]),
-            bits_per_symbol=np.array([0.15, 0.23, 0.38, 0.60, 0.88, 1.18, 1.48, 1.91,
-                                      2.41, 2.73, 3.32, 3.90, 4.52, 5.12, 5.55]),
-        )
-
-    @classmethod
-    def from_csv(cls, path) -> "McsTable":
-        """Load rows of (threshold_db, bits_per_symbol); header optional."""
-        thr, eff = [], []
-        with open(path, newline="") as f:
-            for row in csv.reader(f):
-                if not row or row[0].strip().startswith("#"):
-                    continue
-                try:
-                    t, e = float(row[0]), float(row[1])
-                except ValueError:
-                    continue  # header line
-                thr.append(t)
-                eff.append(e)
-        return cls(np.asarray(thr), np.asarray(eff))
-
     def efficiency(self, snr_db):
         """bits/symbol for the given SINR(s); 0 below the first threshold."""
         snr = np.asarray(snr_db, dtype=float)
         idx = np.searchsorted(self.thresholds_db, snr, side="right") - 1
         out = np.where(idx >= 0, self.bits_per_symbol[np.maximum(idx, 0)], 0.0)
         return out if snr.ndim else float(out)
+
+
+# The one table of every link rate: its first threshold is also the SINR
+# coverage floor and the lowest CoMP threshold gamma_d.
+MCS_TABLE = McsTable(
+    thresholds_db=np.array([-6.5, -4.0, -2.6, -1.0, 1.0, 3.0, 6.6, 10.0,
+                            11.4, 11.8, 13.0, 13.8, 15.6, 16.8, 17.6]),
+    bits_per_symbol=np.array([0.15, 0.23, 0.38, 0.60, 0.88, 1.18, 1.48, 1.91,
+                              2.41, 2.73, 3.32, 3.90, 4.52, 5.12, 5.55]))
 
 
 def drop_link_budget(layout: NetworkLayout, drop: UserDrop, params: ChannelParams,

@@ -37,8 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", help="output path for the tidy results")
     p.add_argument("--format", choices=("csv", "json"), help="result format")
     p.add_argument("--patterns", metavar="PATH", help="BSS pattern list file")
-    p.add_argument("--comp", metavar="NAME|PATH",
-                   help="CoMP configuration: C1, C2, C3, none, or a file path")
+    p.add_argument("--comp", metavar="NAME",
+                   help="CoMP configuration preset: none, C1, C2 or C3")
     p.add_argument("--full-scale", action="store_true",
                    help=f"use the full campaign scale "
                         f"({FULL_SCALE[0]} drops x {FULL_SCALE[1]} fading)")

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from .geometry import NetworkLayout
 
@@ -26,7 +25,7 @@ _C1_GROUPS = (
 # Pairs join facing sectors of adjacent sites, matched by how often the
 # partner is the dominant second server of the sector's weak users; the
 # three outward-facing edge sectors (1, 15, 17) stay singleton.  Best-effort
-# reading of the published pairing; override via comp_config_from_file.
+# reading of the published pairing, and the one place that holds it.
 _C2_PAIRS = (
     (2, 7), (3, 4), (5, 13), (6, 12), (8, 16),
     (9, 10), (11, 20), (14, 21), (18, 19),
@@ -81,34 +80,6 @@ def preset(name: str, layout: NetworkLayout) -> CompConfiguration:
     if name == "C3":
         return _with_singletons("C3", _C3_TRIPLES, ids)
     raise ValueError(f"unknown CoMP configuration {name!r} (presets: {PRESET_NAMES})")
-
-
-def comp_config_from_file(path, layout: NetworkLayout) -> CompConfiguration:
-    """Load a configuration as a list of sector-id arrays (YAML/JSON).
-
-    Accepts either a bare list of groups or a mapping with keys ``name`` and
-    ``groups``.  Centre-cluster sectors not listed become singletons.
-    """
-    with open(path) as f:
-        raw = yaml.load(f, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    if isinstance(raw, dict):
-        name = str(raw.get("name", "custom"))
-        groups = raw.get("groups")
-    else:
-        name, groups = "custom", raw
-    if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
-        raise ValueError(f"{path}: expected a list of sector-id lists")
-    multi = tuple(tuple(int(s) for s in g) for g in groups)
-    cfg = _with_singletons(name, multi, layout.center_cluster_sector_ids)
-    cfg.validate_against(layout)
-    return cfg
-
-
-def resolve_comp_config(choice: str, layout: NetworkLayout) -> CompConfiguration:
-    """Interpret a CLI/config value as a preset name or a file path."""
-    if choice in PRESET_NAMES:
-        return preset(choice, layout)
-    return comp_config_from_file(choice, layout)
 
 
 def sector_vclusters(config: CompConfiguration, layout: NetworkLayout):

@@ -6,9 +6,9 @@ import math
 
 import numpy as np
 
-from .channel import from_db
+from .channel import MCS_TABLE, from_db
 
-SINR_COVERAGE_THRESHOLD_DB = -6.5   # lowest MCS threshold
+SINR_COVERAGE_THRESHOLD_DB = float(MCS_TABLE.thresholds_db[0])
 
 
 # The metrics of one realization (see ``bss.realization_stats``), in the order
@@ -45,12 +45,13 @@ def _fraction(hits: np.ndarray):
     return float(share) if hits.ndim == 1 else share
 
 
-def sinr_coverage(gamma_lin, threshold_db: float = SINR_COVERAGE_THRESHOLD_DB):
-    """Fraction of users whose best (or joint, for CoMP) SINR clears the floor.
+def sinr_coverage(gamma_lin):
+    """Fraction of users whose best (or joint, for CoMP) SINR clears the MCS floor.
 
     Users run along the last axis; leading axes are separate user sets.
     """
-    return _fraction(np.asarray(gamma_lin, dtype=float) >= from_db(threshold_db))
+    floor = from_db(SINR_COVERAGE_THRESHOLD_DB)
+    return _fraction(np.asarray(gamma_lin, dtype=float) >= floor)
 
 
 def rate_coverage(lams, rate_threshold_bps):

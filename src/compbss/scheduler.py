@@ -21,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, McsTable, from_db, received_power_w, to_db
+from .channel import MCS_TABLE, ChannelParams, from_db, received_power_w, to_db
 from .clusters import CompConfiguration, sector_vclusters
 from .geometry import NetworkLayout
 
 # The CoMP SINR thresholds gamma_d (dB) that SchedulerParams and a campaign
-# config accept.
-DEFAULT_GAMMA_D_RANGE_DB = (-6.5, 10.0)
+# config accept: from the MCS floor, below which no link has a rate.
+DEFAULT_GAMMA_D_RANGE_DB = (float(MCS_TABLE.thresholds_db[0]), 10.0)
 # Supported fairness values, with margin on both sides: a small alpha
 # overflows r**((1-alpha)/alpha) (from about 0.02 at the top MCS rate), and a
 # large one underflows (r*beta)**(1-alpha) to 0 (seen at 50), which zeroes
@@ -78,7 +78,6 @@ class SystemModel:
     vc_sizes: np.ndarray         # (K,) configured sizes (CoMP only if > 1)
     multi_vc_ids: np.ndarray     # ids of the multi-sector clusters
     channel: ChannelParams       # transmit power, noise and rate scale
-    mcs: McsTable
 
     @property
     def noise_w(self) -> float:
@@ -98,10 +97,10 @@ class SystemModel:
 
 
 def build_system_model(layout: NetworkLayout, config: CompConfiguration,
-                       channel: ChannelParams, mcs: McsTable) -> SystemModel:
+                       channel: ChannelParams) -> SystemModel:
     vc_of_sector, vc_sizes, multi_ids = sector_vclusters(config, layout)
     return SystemModel(sector_bs=layout.sector_bs, vc_of_sector=vc_of_sector,
-                       vc_sizes=vc_sizes, multi_vc_ids=multi_ids, channel=channel, mcs=mcs)
+                       vc_sizes=vc_sizes, multi_vc_ids=multi_ids, channel=channel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,9 +349,9 @@ def link_rates(model: SystemModel, assoc: Association, links, gamma_ds_db) -> Li
     # serving link's, each looked up once for every gamma_d.
     r_joint = np.zeros(joint.shape)
     with np.errstate(divide="ignore"):
-        r_joint[capable] = (model.mcs.efficiency(to_db(joint[capable]))
+        r_joint[capable] = (MCS_TABLE.efficiency(to_db(joint[capable]))
                             * model.rate_per_bits_symbol)
-        r_serv = model.mcs.efficiency(to_db(sinr)) * model.rate_per_bits_symbol
+        r_serv = MCS_TABLE.efficiency(to_db(sinr)) * model.rate_per_bits_symbol
     r_user = np.where(comp, r_joint, r_serv)
     sector = np.broadcast_to(assoc.sector[:, None, None], comp.shape)
     vc = np.broadcast_to(vc, comp.shape)

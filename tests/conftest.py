@@ -15,15 +15,10 @@ def params():
 
 
 @pytest.fixture(scope="session")
-def mcs():
-    return cb.McsTable.default()
-
-
-@pytest.fixture(scope="session")
-def models(layout, params, mcs):
+def models(layout, params):
     """System models for the four shipped CoMP configurations."""
     return {
-        name: cb.build_system_model(layout, cb.preset(name, layout), params, mcs)
+        name: cb.build_system_model(layout, cb.preset(name, layout), params)
         for name in ("none", "C1", "C2", "C3")
     }
 

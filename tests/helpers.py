@@ -245,7 +245,7 @@ def point_link_rates(model, assoc, links, gamma_d_db):
     comp = links.capable & (assoc.sinr <= cb.channel.from_db(gamma_d_db))
     sinr_eff = np.where(comp, links.joint_sinr, assoc.sinr)
     with np.errstate(divide="ignore"):
-        eta = model.mcs.efficiency(cb.channel.to_db(sinr_eff))
+        eta = cb.channel.MCS_TABLE.efficiency(cb.channel.to_db(sinr_eff))
     r_user = eta * model.rate_per_bits_symbol
     return SimpleNamespace(comp=comp, sinr=sinr_eff, rate=r_user, outage=r_user <= 0.0,
                            pool=np.where(comp, model.n_sectors + links.vc, assoc.sector))

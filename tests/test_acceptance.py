@@ -15,7 +15,7 @@ from compbss.bss import all_patterns, default_pattern_list, evaluate_pattern, \
     exhaustive_oracle, heuristic_select
 from compbss.campaign import CampaignConfig, RESULT_COLUMNS, run_campaign, \
     write_rows_csv
-from compbss.channel import McsTable, _directivity_gain_in_place, path_loss_db, \
+from compbss.channel import MCS_TABLE, _directivity_gain_in_place, path_loss_db, \
     per_subchannel_power_w
 from compbss.metrics import alpha_fair_throughputs
 from compbss.scheduler import SchedulerParams, allocate, schedule, strongest_sectors
@@ -137,7 +137,7 @@ def test_c02_alpha1_exactness():
 
 
 def test_c03_mcs_bit_exact():
-    table = McsTable.default()
+    table = MCS_TABLE
     thresholds = [-6.5, -4.0, -2.6, -1.0, 1.0, 3.0, 6.6, 10.0,
                   11.4, 11.8, 13.0, 13.8, 15.6, 16.8, 17.6]
     effs = [0.15, 0.23, 0.38, 0.60, 0.88, 1.18, 1.48, 1.91,

@@ -15,7 +15,7 @@ from helpers import pattern_sector_masks, patterns_to_file
 
 
 @pytest.fixture(scope="module")
-def c3_setup(layout, params, mcs, models):
+def c3_setup(layout, params, models):
     drop = cb.drop_users(layout, 60.0, np.random.SeedSequence(0, spawn_key=(0,)))
     gain_db = cb.build_gain_matrix(layout, drop, params,
                                    np.random.SeedSequence(0, spawn_key=(1,)))
@@ -65,16 +65,16 @@ class TestPattern:
                               [(), (1,), (1, 2), (2,), (1, 2, 3)]])
         a1s = [p.a1 for p in pats]
         assert a1s == sorted(a1s, reverse=True)
-        validate_pattern_list(pats)
+        validate_pattern_list(pats, 7)
 
     def test_validate_rejects_unsorted(self):
         pats = [BssPattern.from_off_ids(()), BssPattern.from_off_ids((1,))]
         with pytest.raises(ValueError):
-            validate_pattern_list(pats)
+            validate_pattern_list(pats, 7)
 
     def test_validate_requires_all_on_fallback(self):
         with pytest.raises(ValueError):
-            validate_pattern_list([BssPattern.from_off_ids((1,))])
+            validate_pattern_list([BssPattern.from_off_ids((1,))], 7)
 
     def test_default_list_is_nested_chain(self):
         pats = default_pattern_list()
@@ -82,13 +82,13 @@ class TestPattern:
         offs = [set(p.off_bs_ids) for p in pats]
         for bigger, smaller in zip(offs, offs[1:]):
             assert smaller < bigger
-        validate_pattern_list(pats)
+        validate_pattern_list(pats, 7)
 
     def test_all_patterns_enumeration(self):
         pats = all_patterns(7)
         assert len(pats) == 127
         assert len({p.off_flags for p in pats}) == 127
-        validate_pattern_list(pats)
+        validate_pattern_list(pats, 7)
         # within an energy level the bit value ascends
         for a, b in zip(pats, pats[1:]):
             if a.a1 == b.a1:

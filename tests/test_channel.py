@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compbss as cb
-from compbss.channel import (ChannelParams, McsTable, _directivity_gain_in_place,
-                             _link_budget_in_place, build_gain_matrix, path_loss_db,
-                             per_subchannel_power_w, received_power_w)
+from compbss.channel import (MCS_TABLE, ChannelParams, McsTable,
+                             _directivity_gain_in_place, _link_budget_in_place,
+                             build_gain_matrix, path_loss_db, per_subchannel_power_w,
+                             received_power_w)
 from compbss.scheduler import (SystemModel, associate, cluster_links, cluster_members,
                                link_rates)
 
@@ -136,7 +137,7 @@ def _model(vc_of_sector, noise_w):
     sizes = np.bincount(vc_of_sector)
     return SystemModel(sector_bs=np.arange(vc_of_sector.size), vc_of_sector=vc_of_sector,
                        vc_sizes=sizes, multi_vc_ids=np.flatnonzero(sizes > 1),
-                       channel=ChannelParams(noise_w=noise_w), mcs=McsTable.default())
+                       channel=ChannelParams(noise_w=noise_w))
 
 
 def _stages(rx, active, model):
@@ -209,26 +210,18 @@ class TestSinr:
 
 
 class TestMcs:
-    def test_table_bit_exact(self, mcs):
+    def test_table_bit_exact(self):
         for thr, eff in zip(MCS_THRESHOLDS, MCS_EFFICIENCY):
-            assert mcs.efficiency(thr) == eff
+            assert MCS_TABLE.efficiency(thr) == eff
 
-    def test_outage_below_floor(self, mcs):
-        assert mcs.efficiency(-7.0) == 0.0
-        assert mcs.efficiency(-6.5000001) == 0.0
+    def test_outage_below_floor(self):
+        assert MCS_TABLE.efficiency(-7.0) == 0.0
+        assert MCS_TABLE.efficiency(-6.5000001) == 0.0
 
-    def test_between_thresholds_takes_lower(self, mcs):
-        assert mcs.efficiency(0.0) == 0.60
-        assert mcs.efficiency(17.5999) == 5.12
-        assert mcs.efficiency(50.0) == 5.55
-
-    def test_csv_roundtrip(self, tmp_path, mcs):
-        path = tmp_path / "mcs.csv"
-        path.write_text("threshold_db,bits_per_symbol\n" + "\n".join(
-            f"{t},{e}" for t, e in zip(MCS_THRESHOLDS, MCS_EFFICIENCY)))
-        loaded = McsTable.from_csv(path)
-        assert np.array_equal(loaded.thresholds_db, mcs.thresholds_db)
-        assert np.array_equal(loaded.bits_per_symbol, mcs.bits_per_symbol)
+    def test_between_thresholds_takes_lower(self):
+        assert MCS_TABLE.efficiency(0.0) == 0.60
+        assert MCS_TABLE.efficiency(17.5999) == 5.12
+        assert MCS_TABLE.efficiency(50.0) == 5.55
 
     def test_rejects_nonmonotone(self):
         with pytest.raises(ValueError):
@@ -238,9 +231,8 @@ class TestMcs:
     @settings(max_examples=100, deadline=None)
     @given(a=st.floats(-30, 40), b=st.floats(-30, 40))
     def test_monotone_in_sinr(self, a, b):
-        table = McsTable.default()
         lo, hi = sorted((a, b))
-        assert table.efficiency(lo) <= table.efficiency(hi)
+        assert MCS_TABLE.efficiency(lo) <= MCS_TABLE.efficiency(hi)
 
 
 class TestLinkRate:

@@ -6,8 +6,11 @@ from hypothesis.extra.numpy import arrays
 
 import compbss  # noqa: F401  (fixtures)
 
-from compbss.metrics import (STAT_FIELDS, aggregate, alpha_fair_throughputs, rate_coverage,
-                             sinr_coverage)
+from compbss.campaign import CampaignConfig, _drop_records, build_context
+from compbss.channel import MCS_TABLE
+from compbss.metrics import (SINR_COVERAGE_THRESHOLD_DB, STAT_FIELDS, aggregate,
+                             alpha_fair_throughputs, rate_coverage, sinr_coverage)
+from compbss.scheduler import DEFAULT_GAMMA_D_RANGE_DB
 
 rate_sets = arrays(np.float64, st.integers(1, 12),
                    elements=st.floats(1e3, 1e9, allow_nan=False))
@@ -74,6 +77,26 @@ class TestCoverage:
     def test_rate_coverage_nonincreasing(self, lams, a, b):
         lo, hi = sorted((a, b))
         assert rate_coverage(lams, lo) >= rate_coverage(lams, hi)
+
+    def test_coverage_and_gamma_d_floors_are_the_mcs_floor(self):
+        floor = MCS_TABLE.thresholds_db[0]
+        assert SINR_COVERAGE_THRESHOLD_DB == floor and DEFAULT_GAMMA_D_RANGE_DB[0] == floor
+
+    def test_sinr_coverage_is_the_share_out_of_outage(self):
+        """With one MCS table a user clears the coverage floor exactly when its
+        link rate is positive, so in every realization the SINR coverage is
+        the share of metric-set users that are not in outage."""
+        ctx = build_context(CampaignConfig(
+            densities_per_km2=[20.0, 160.0], n_drops=4, n_fading=5,
+            alphas=[0.5, 1.0, 3.0], gamma_ds_db=[-6.5, -1.0, 10.0],
+            comp_configs=["none", "C1", "C2", "C3"], master_seed=5))
+        values = np.concatenate([_drop_records(ctx, mu, d)[0]
+                                 for mu in ctx.cfg.densities_per_km2
+                                 for d in range(ctx.cfg.n_drops)])
+        coverage, n_users, n_outage = (values[..., STAT_FIELDS.index(name)] for name in
+                                       ("sinr_coverage", "n_users", "n_outage"))
+        assert n_users.size == 7200 and n_outage.any()
+        assert np.array_equal(coverage, (n_users - n_outage) / n_users)
 
 
 class TestCoverageSuperposition:

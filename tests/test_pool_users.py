@@ -67,26 +67,26 @@ def test_drop_records_with_every_preset_in_one_pass(tmp_path):
         _assert_records_equal(ctx, mu, 0)
 
 
-def _off_centre_model(layout, params, mcs):
+def _off_centre_model(layout, params):
     """C3 plus one multi-sector cluster of the three sectors of BS 8, which
     serve no metric-set user unless a sleeping sector hands one over."""
-    base = cb.build_system_model(layout, cb.preset("C3", layout), params, mcs)
+    base = cb.build_system_model(layout, cb.preset("C3", layout), params)
     vc = base.vc_of_sector.copy()
     outer = np.flatnonzero(layout.sector_bs == 7)
     vc[outer] = vc[outer[0]]
     _, vc = np.unique(vc, return_inverse=True)
     sizes = np.bincount(vc)
     return SystemModel(sector_bs=base.sector_bs, vc_of_sector=vc, vc_sizes=sizes,
-                       multi_vc_ids=np.flatnonzero(sizes > 1), channel=params, mcs=mcs)
+                       multi_vc_ids=np.flatnonzero(sizes > 1), channel=params)
 
 
 @pytest.mark.parametrize("pattern_set", PATTERN_SETS)
-def test_off_centre_cluster_keeps_its_theta(tmp_path, layout, params, mcs, pattern_set):
+def test_off_centre_cluster_keeps_its_theta(tmp_path, layout, params, pattern_set):
     """The theta of a multi-sector cluster no metric-set user reaches is read
     by theta_mean, so every user of its sectors is a pool user.  The first
     configuration has no such cluster."""
     ctx = _context(tmp_path, pattern_set, ["none", "C3"], gamma_ds_db=[4.0])
-    model = _off_centre_model(layout, params, mcs)
+    model = _off_centre_model(layout, params)
     ctx = dataclasses.replace(
         ctx, models={"none": ctx.models["none"], "C3": model},
         members=[ctx.members[0], cluster_members(model, ctx.active_sectors)])

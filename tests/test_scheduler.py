@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import compbss as cb
+from compbss.channel import MCS_TABLE
+from compbss.clusters import PRESET_NAMES
 from compbss.metrics import alpha_fair_throughputs
 from compbss.scheduler import (ALPHA_RANGE, DEFAULT_GAMMA_D_RANGE_DB, TIE_MARGIN_DB,
                                SchedulerParams, SystemModel, allocate, associate,
@@ -355,7 +357,7 @@ class TestSchedulePipeline:
         # one CoMP user with beta=1 and theta=0.3 at the unit-efficiency rate
         assert 0.3 * 1.0 * 16.632e6 == pytest.approx(4.9896e6, rel=1e-9)
 
-    def test_schedule_against_straightline_reimplementation(self, mcs):
+    def test_schedule_against_straightline_reimplementation(self):
         """Oracle: independent loop-based scheduler on a 2-BS, 3-user instance."""
         noise = 1e-15
         rate_scale = 16.632e6
@@ -365,7 +367,7 @@ class TestSchedulePipeline:
         vc_sizes = np.array([2, 1, 1, 1, 1])
         model = SystemModel(sector_bs=sector_bs, vc_of_sector=vc_of_sector,
                             vc_sizes=vc_sizes, multi_vc_ids=np.array([0]),
-                            channel=cb.ChannelParams(noise_w=noise), mcs=mcs)
+                            channel=cb.ChannelParams(noise_w=noise))
         assert model.rate_per_bits_symbol == rate_scale
         rx = np.array([
             [5.0e-15, 1.0e-15, 0.2e-15, 4.0e-15, 0.1e-15, 0.1e-15],
@@ -393,7 +395,7 @@ class TestSchedulePipeline:
                 g_eff.append(num / (sum(rx[u]) - num + noise))
             else:
                 g_eff.append(g_serv[u])
-        r = [float(mcs.efficiency(10 * np.log10(g)) * rate_scale) for g in g_eff]
+        r = [float(MCS_TABLE.efficiency(10 * np.log10(g)) * rate_scale) for g in g_eff]
         # pools
         beta = [0.0] * 3
         comp_users = [u for u in users if z[u] and r[u] > 0]
@@ -476,7 +478,7 @@ class TestSchedulePipeline:
 
 class TestPresets:
     def test_every_preset_partitions_cluster(self, layout):
-        for name in ("none", "C1", "C2", "C3"):
+        for name in PRESET_NAMES:
             cfg = cb.preset(name, layout)
             cfg.validate_against(layout)
             sectors = sorted(s for g in cfg.groups for s in g)
@@ -508,15 +510,6 @@ class TestPresets:
         with pytest.raises(ValueError):
             cb.preset("C9", layout)
 
-    def test_config_file_roundtrip(self, layout, tmp_path):
-        path = tmp_path / "comp.yaml"
-        path.write_text("name: pairtest\ngroups:\n- [2, 9]\n- [5, 12]\n")
-        cfg = cb.comp_config_from_file(path, layout)
-        assert (2, 9) in cfg.multi_groups
-        cfg.validate_against(layout)
-
-    def test_config_file_rejects_overlap(self, layout, tmp_path):
-        path = tmp_path / "comp.yaml"
-        path.write_text("- [2, 9]\n- [9, 12]\n")
-        with pytest.raises(ValueError):
-            cb.comp_config_from_file(path, layout)
+    def test_config_file_rejects_overlap(self):
+        with pytest.raises(ValueError, match="more than one virtual cluster"):
+            cb.CompConfiguration(name="overlap", groups=((2, 9), (9, 12)))
