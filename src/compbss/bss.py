@@ -204,6 +204,9 @@ def evaluate_pattern(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarra
 
     Feasible when every user of the metric set reaches the threshold.
     """
+    if pattern.a2 != len(cluster_bs_idx):
+        raise ValueError(f"pattern {pattern.describe()} has {pattern.a2} off-flags; the "
+                         f"cluster has {len(cluster_bs_idx)} BSs")
     return _select(model, gain_db, vq_mask, cluster_bs_idx, [pattern], params,
                    rate_threshold_bps)
 

@@ -7,10 +7,12 @@ it depends on:
 
 - drop: user positions and the link budget (geometry, path loss, antenna);
 - fading: the shadowed gains in dB, each user's strongest sector and the
-  centre-cluster metric set V_q; a draw whose metric set is empty is skipped
-  (the one skip rule); then ``scheduler.draw_rates`` runs the draw's
-  scheduling chain once: the pool users of the metric set, their received
-  powers in watts (only these rows are converted), their max-SINR
+  centre-cluster metric set V_q (a drop of several draws makes each next
+  draw on a helper thread while the current one is scheduled, when a core is
+  free for it); a draw whose metric set is empty is skipped (the one skip
+  rule); then ``scheduler.draw_rates`` runs the draw's scheduling chain
+  once: the pool users of the metric set, their received powers in watts
+  (only these rows are converted), their max-SINR
   association under every sleep pattern (shared by every CoMP
   configuration), their joint SINR per (configuration, pattern), and the
   CoMP flags and link rates of every (pattern, configuration, gamma_d) row
@@ -40,7 +42,9 @@ import itertools
 import json
 import math
 import numbers
+import os
 from collections import Counter
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -243,6 +247,7 @@ class _Context:
     center_sector_idx: np.ndarray
     cluster_bs_idx: np.ndarray
     scratch: DropScratch | None = None
+    draw_helper: bool = True    # a drop of several draws makes each next one on a thread
 
     def drop_scratch(self) -> DropScratch:
         """The scratch of every drop of the campaign, sized at its first drop
@@ -285,16 +290,44 @@ def _draws(ctx: _Context, mu: float, drop_key, draw_keys):
     metric set V_q.  Each key is the spawn key of a substream of the master
     seed.  A draw stays valid until the next one; the caller skips a draw
     whose ``vq`` is empty (an empty drop skips every draw).
+
+    With two or more keys and the context's ``draw_helper``, one helper
+    thread makes draw i + 1, in the other draw slot of the scratch, while the
+    caller schedules draw i: numpy fills the standard normal draw without
+    the interpreter lock.  The helper runs only the seeding and the draw,
+    which ``bench/spans.py`` does not wrap.  Leaving the executor's block,
+    also when the generator is closed or the caller raised, waits for a
+    pending draw, so no thread writes into the scratch after it.  Otherwise
+    each draw is made on the caller's thread.
     """
     seed = ctx.cfg.master_seed
     scratch = ctx.drop_scratch()
     drop = drop_users(ctx.layout, mu, _seed_key(seed, *drop_key), scratch)
     budget_db = drop_link_budget(ctx.layout, drop, ctx.params, scratch)
     model = next(iter(ctx.models.values()))    # every configuration has the same sectors
-    for key in draw_keys:
-        gain_db = draw_gain_matrix(budget_db, ctx.params, _seed_key(seed, *key), scratch)
+
+    def draw(i):
+        return draw_gain_matrix(budget_db, ctx.params, _seed_key(seed, *draw_keys[i]), scratch,
+                                i % 2)
+
+    def with_metric_set(gain_db):
         strongest = strongest_sectors(gain_db, ctx.params)
-        yield gain_db, strongest, center_cluster_users(model, strongest, ctx.center_sector_idx)
+        return gain_db, strongest, center_cluster_users(model, strongest, ctx.center_sector_idx)
+
+    if len(draw_keys) == 1 or not ctx.draw_helper:
+        for i in range(len(draw_keys)):
+            yield with_metric_set(draw(i))
+        return
+    # only a drop of several draws pays for importing the thread pool
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as helper:
+        gain_db = draw(0)
+        for i in range(1, len(draw_keys)):
+            pending = helper.submit(draw, i)
+            yield with_metric_set(gain_db)
+            gain_db = pending.result()
+        yield with_metric_set(gain_db)
 
 
 def _drop_records(ctx: _Context, mu: float, d: int):
@@ -322,33 +355,44 @@ def _drop_records(ctx: _Context, mu: float, d: int):
     blocks = []
     skipped = n_scheduled = n_dropped = 0
     key = (_mu_key(mu), d)
-    for gain_db, strongest, vq in _draws(ctx, mu, (0,) + key,
-                                         [(1,) + key + (f,) for f in range(cfg.n_fading)]):
-        if not vq.any():
-            skipped += 1
-            continue
-        users, rates = draw_rates(models, ctx.members, gain_db, strongest, vq,
-                                  ctx.active_sectors, cfg.gamma_ds_db)
-        n_scheduled += users.size
-        n_dropped += gain_db.shape[0]
-        for alpha in cfg.alphas:
-            blocks.append(realization_stats(allocate(rates, alpha), vq[users], row_energy,
-                                            row_multi_ids, cfg.rate_thresholds_bps, alpha))
+    # closed here, not when a traceback lets go of it: an error ends the helper now
+    with closing(_draws(ctx, mu, (0,) + key,
+                        [(1,) + key + (f,) for f in range(cfg.n_fading)])) as draws:
+        for gain_db, strongest, vq in draws:
+            if not vq.any():
+                skipped += 1
+                continue
+            users, rates = draw_rates(models, ctx.members, gain_db, strongest, vq,
+                                      ctx.active_sectors, cfg.gamma_ds_db)
+            n_scheduled += users.size
+            n_dropped += gain_db.shape[0]
+            for alpha in cfg.alphas:
+                blocks.append(realization_stats(allocate(rates, alpha), vq[users], row_energy,
+                                                row_multi_ids, cfg.rate_thresholds_bps, alpha))
     # (n, A, P, C, G, T, 7) -> (n, C, P, G, A, T, 7), the output axis order
     values = np.reshape(blocks, (-1,) + points).transpose(0, 3, 2, 4, 1, 5, 6)
     return values, skipped, n_scheduled, n_dropped
 
 
 def _worker(args):
-    cfg_json, mu, d = args
+    cfg_json, draw_helper, mu, d = args
     ctx = _worker_cache.get(cfg_json)
     if ctx is None:
         ctx = build_context(CampaignConfig.from_dict(json.loads(cfg_json)))
         _worker_cache[cfg_json] = ctx
+    ctx.draw_helper = draw_helper
     return _drop_records(ctx, mu, d)
 
 
 _worker_cache: dict = {}
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass(eq=False)
@@ -365,6 +409,9 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
     and ordered, so the result is independent of the worker count.
     """
     ctx = build_context(cfg)
+    # A draw helper gains only on a core that no campaign process keeps busy:
+    # at --jobs 2 on two cores the helpers made the campaign 5-6 % slower.
+    ctx.draw_helper = jobs < _usable_cores()
     tasks = [(mu, d) for mu in cfg.densities_per_km2 for d in range(cfg.n_drops)]
     if jobs > 1:
         # only a parallel run pays for importing the process pool
@@ -372,7 +419,8 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
 
         cfg_json = json.dumps(asdict(cfg), sort_keys=True)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_worker, [(cfg_json, mu, d) for mu, d in tasks]))
+            results = list(pool.map(_worker, [(cfg_json, ctx.draw_helper, mu, d)
+                                              for mu, d in tasks]))
     else:
         results = [_drop_records(ctx, mu, d) for mu, d in tasks]
     n_skipped, n_scheduled, n_dropped = map(sum, zip(*(res[1:] for res in results)))

@@ -17,21 +17,29 @@ shadowed budget.  :func:`received_power_w` then turns the rows the
 scheduler reads into watts: ``/10``, ``10**`` and ``x P_s``, in that order.
 Each step is the operation of the expression it replaces, in the same
 order, so every bit is kept, and a converted row has the bits it has in a
-conversion of the whole draw.  A helper thread that prefetched the next
-draw was tried and dropped: a campaign gets one core's worth of
-throughput, and the hand-offs of the interpreter lock made the fig4 sweep
-about 20 % slower.
+conversion of the whole draw.  The draw is the floor of a realization on
+one thread, but ``standard_normal(out=)`` fills its buffer without the
+interpreter lock.  So ``campaign._draws`` makes each next draw of a drop on
+a helper thread, into the other of two draw slots, while the current draw
+is scheduled, when a core is free for it: the ``desk`` benchmark went from
+193 to 247 realizations/s (medians of 10 alternating 30 s pairs on a 2-core
+Xeon, all 10 won).  A drop of one draw, as in the fig4 sweep and every
+traffic step, keeps the serial path: it has no next draw to overlap, and an
+earlier helper that prefetched the next draw made the fig4 sweep about
+20 % slower through the lock's hand-offs.
 
 Given the campaign's :class:`~compbss.geometry.DropScratch`, both stages
 write into it instead of allocating (its roles are laid out in
-:mod:`compbss.geometry`): the budget follows the drop's bearings, the
-antenna gain's table becomes the buffer of every fading draw, and the path
-loss takes the table after it.  The budget stays valid until the next drop
-on the scratch, and a draw until the next draw or drop.  Without a scratch
-each call returns fresh arrays, with the same bits.  In the fig4 benchmark
-grid the link budget's fresh arrays took 1.6k-2.3k minor page faults per
-CLI campaign whenever glibc returned its heap pages, and about 6 in the
-scratch (2-core Xeon, means of 30 in-process campaigns).
+:mod:`compbss.geometry`): the path loss follows the drop's bearings and the
+budget the path loss, and the antenna gain's table becomes the first slot
+of the fading draws.  The drop's distance, bearing and path-loss tables,
+dead once the budget exists, are the second slot.  The budget stays valid
+until the next drop on the scratch, and a draw until the next draw into its
+slot or the next drop.  Without a scratch each call returns fresh arrays,
+with the same bits.  In the fig4 benchmark grid the link budget's fresh
+arrays took 1.6k-2.3k minor page faults per CLI campaign whenever glibc
+returned its heap pages, and about 6 in the scratch (2-core Xeon, means of
+30 in-process campaigns).
 """
 
 from __future__ import annotations
@@ -40,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (_BUDGET, _DRAW, _PATH_LOSS, DropScratch, NetworkLayout, UserDrop,
-                       _array, _wrap_angle_in_place)
+from .geometry import (_BUDGET, _DRAW, _DRAW_SLOTS, _PATH_LOSS, DropScratch, NetworkLayout,
+                       UserDrop, _array, _wrap_angle_in_place)
 
 
 @dataclass(frozen=True)
@@ -173,20 +181,22 @@ def drop_link_budget(layout: NetworkLayout, drop: UserDrop, params: ChannelParam
 
 
 def draw_gain_matrix(budget_db: np.ndarray, params: ChannelParams, seed,
-                     scratch: DropScratch | None = None) -> np.ndarray:
+                     scratch: DropScratch | None = None, slot: int = 0) -> np.ndarray:
     """Fading-level stage: the (U, S) gains in dB of a drop's link budget
     under shadowing, ``budget - sigma * n``.
 
     Shadowing is an i.i.d. lognormal term per link, redrawn per realization;
     the same seed reproduces the matrix exactly.  The standard normal draw
     is scaled by sigma (the bits of ``normal(0, sigma)``) and subtracted
-    from the budget in place, in one (U, S) array: a fresh one, or the
-    table of the budget's ``scratch`` that held the antenna gain, where the
-    draw stays valid until the next draw or drop on it.
+    from the budget in place, in one (U, S) array: a fresh one, or draw
+    ``slot`` 0 or 1 of the budget's ``scratch``, where the draw stays valid
+    until the next draw into that slot or the next drop.  Slot 0 is the
+    table that held the antenna gain; slot 1 overwrites the drop's distances,
+    bearings and path loss.
     """
     table = budget_db.size // 3     # one (U, B) table: S = 3 B
     shadow = np.random.default_rng(seed).standard_normal(
-        out=_array(scratch, _DRAW * table, budget_db.shape))
+        out=_array(scratch, _DRAW_SLOTS[slot] * table, budget_db.shape))
     shadow *= params.shadowing_stddev_db
     return np.subtract(budget_db, shadow, out=shadow)
 

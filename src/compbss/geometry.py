@@ -31,18 +31,23 @@ A campaign passes one grow-only :class:`DropScratch` to every drop, and the
 drop and fading stages (here and in :mod:`compbss.channel`) write their
 large arrays into it with ``out=`` instead of allocating fresh ones.  Its
 buffers are shared by role, in units of one (users, BSs) float table: the
-drop's distances and bearings come first, and the link budget, the antenna
-gain that becomes the fading draw, and the path loss follow.  Until the
+drop's distances and bearings come first, and the path loss, the link
+budget and the antenna gain that becomes the fading draw follow.  Until the
 link budget is built, everything after the bearings is free, so the dense
 region search's tables and the image search's offsets and rows take it.
-The same ufuncs run on the same operands in the same order, so every bit is
-kept.  A drop's arrays, and the budget and draws built on it, stay valid
-until the next drop on the same scratch; a call without a scratch returns
-fresh arrays.  On a 2-core Xeon the fig4 benchmark grid (10 drops of one
-draw) took 5k-12k minor page faults per CLI campaign with fresh arrays
-whenever glibc returned its heap pages (most of them in this module, the
-rest in the link budget), and under 10 with the scratch (medians of 30
-in-process campaigns).
+Once the budget exists, the distances, bearings and path loss are dead, and
+their three tables are a second fading-draw slot: a drop with several draws
+alternates them between the two slots, so that a helper thread can make the
+next draw while the current one is scheduled (``campaign._draws``).  The
+same ufuncs run on the same operands in the same order, so every bit is
+kept.  A drop's arrays stay valid until the next drop on the same scratch
+or the first draw into the second slot, the budget until the next drop, and
+a draw until the next draw into its slot or the next drop; a call without a
+scratch returns fresh arrays.  On a 2-core Xeon the fig4 benchmark grid (10
+drops of one draw) took 5k-12k minor page faults per CLI campaign with
+fresh arrays whenever glibc returned its heap pages (most of them in this
+module, the rest in the link budget), and under 10 with the scratch
+(medians of 30 in-process campaigns).
 """
 
 from __future__ import annotations
@@ -241,9 +246,15 @@ def build_layout(inter_site_distance_m: float = 500.0) -> NetworkLayout:
 
 # Where each role of a DropScratch starts, for a drop of n users on B sites,
 # in units of one (n, B) float table; a (user, sector) array spans three.
-# The drop's own temporaries start at _BUDGET, which is free until the link
-# budget is built, and run as far as they need.
-_DIST, _AZ, _BUDGET, _DRAW, _PATH_LOSS, _END = 0, 1, 2, 5, 8, 9
+# The drop's own temporaries start at _PATH_LOSS, which is free until the
+# link budget is built, and run as far as they need.  Once the budget exists
+# the distances, bearings and path loss are dead: their three tables are the
+# second fading-draw slot, _DRAW_SLOTS[1].  Only a drop of several draws
+# writes it, with every other draw (campaign._draws), while the draw before,
+# in _DRAW, is still read; a draw there lives until the next draw into the
+# slot or the next drop.  A single-draw drop never touches it.
+_DIST, _AZ, _PATH_LOSS, _BUDGET, _DRAW, _END = 0, 1, 2, 3, 6, 9
+_DRAW_SLOTS = (_DRAW, _DIST)
 
 
 class DropScratch:
@@ -494,7 +505,8 @@ def drop_users(layout: NetworkLayout, density_per_km2: float, seed,
     Deterministic for a given seed.  The image search of the region test
     also gives the nearest site whose table row starts the link geometry
     search of the accepted users.  With a ``scratch``, the link distances and
-    bearings live in it and stay valid until the next drop on it.
+    bearings live in it and stay valid until the next drop on it or the
+    first fading draw into its second draw slot.
     """
     if density_per_km2 <= 0:
         raise ValueError("density must be > 0")
@@ -514,12 +526,12 @@ def drop_users(layout: NetworkLayout, density_per_km2: float, seed,
         # The uniform stream does not depend on how it is split into batches,
         # so the batch size changes only how many draws are wasted.
         cand = rng.uniform(lo, hi, size=(drop_batch_size(count - n_have, accept_rate), 2))
-        ok, bs_idx = _region_test(layout, cand, scratch, _BUDGET * table)
+        ok, bs_idx = _region_test(layout, cand, scratch, _PATH_LOSS * table)
         # the drop keeps only the first ``count`` accepted candidates
         keep = np.flatnonzero(ok)[:count - n_have]
         rows = slice(n_have, n_have + keep.size)
         _best_image(layout, cand[keep], bs_idx[keep], dist[rows], az[rows], scratch,
-                    _BUDGET * table)
+                    _PATH_LOSS * table)
         accepted.append(cand[keep])
         n_have += keep.size
     return UserDrop(

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,15 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate_pattern(model, gain_db, np.zeros(gain_db.shape[0], bool), cb_idx,
                              default_pattern_list()[0], SP, 0.0)
+
+    @pytest.mark.parametrize("off_flags", [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 1)])
+    def test_flag_count_other_than_the_cluster_is_refused(self, c3_setup, off_flags):
+        model, gain_db, vq, cb_idx = c3_setup
+        pattern = BssPattern(off_flags=off_flags)
+        shown = (f"pattern {pattern.describe()} has {len(off_flags)} off-flags; "
+                 f"the cluster has 7 BSs")
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            evaluate_pattern(model, gain_db, vq, cb_idx, pattern, SP, 0.0)
 
 
 class TestHeuristic:

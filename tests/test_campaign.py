@@ -1,22 +1,25 @@
+import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from compbss import drop_users
+from compbss import campaign, drop_users
 from compbss.bss import default_pattern_list, heuristic_select, realization_stats
 from compbss.campaign import (CampaignConfig, ConfigError, MissingAxisError,
                               RESULT_COLUMNS, TRAFFIC_COLUMNS, _draws, _mu_key, _seed_key,
                               build_context, emit_figure_data, run_campaign,
                               run_traffic_profile, write_rows_csv)
+from compbss.channel import draw_gain_matrix
 from compbss.metrics import STAT_FIELDS
-from compbss.scheduler import SchedulerParams
+from compbss.scheduler import SchedulerParams, draw_rates
 from compbss.cli import main as cli_main
 
 from helpers import patterns_to_file
@@ -303,6 +306,81 @@ class TestTraffic:
         (row,) = [r for r in res.rows if r["t"] == 28]
         assert row["mu_per_km2"] == 0.5 and row["pattern"] == "Z4/7" and row["feasible"] == 1
         assert len(res.rows) == 18 and res.manifest["n_realizations_skipped"] == 22
+
+
+class TestThreads:
+    """A drop of several fading draws makes the next draw on a helper thread,
+    which ends with the drop, when a core is free for it; a single-draw drop
+    starts none."""
+
+    @pytest.fixture
+    def four_cores(self, monkeypatch):
+        monkeypatch.setattr(campaign, "_usable_cores", lambda: 4)
+
+    @staticmethod
+    def refuse_threads(monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+
+    def test_helper_ends_with_the_campaign(self, monkeypatch, four_cores):
+        baseline = threading.active_count()
+        seen = []
+
+        def draw_and_count(*args):
+            seen.append(threading.active_count())
+            return draw_gain_matrix(*args)
+
+        monkeypatch.setattr(campaign, "draw_gain_matrix", draw_and_count)
+        run_campaign(tiny_config(n_fading=3))
+        assert max(seen) == baseline + 1 and len(seen) == 2 * 3
+        assert threading.active_count() == baseline
+
+    def test_helper_ends_when_scheduling_raises(self, monkeypatch, four_cores):
+        baseline = threading.active_count()
+        calls = []
+
+        def fail_second_draw(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("scheduling failed")
+            return draw_rates(*args)
+
+        monkeypatch.setattr(campaign, "draw_rates", fail_second_draw)
+        with pytest.raises(RuntimeError, match="scheduling failed"):
+            run_campaign(tiny_config(n_fading=3))
+        assert threading.active_count() == baseline
+
+    def test_single_draw_drops_start_no_thread(self, monkeypatch, four_cores):
+        self.refuse_threads(monkeypatch)
+        assert run_campaign(tiny_config(n_fading=1)).rows
+        assert run_traffic_profile(tiny_config(traffic_profile=[20.0, 60.0])).rows
+
+    def test_no_helper_without_a_free_core(self, monkeypatch):
+        """One core runs the campaign serially, and a pool worker told that
+        the pool fills the cores does too, with the pipelined records."""
+        cfg = tiny_config(n_fading=3)
+        pipelined = campaign._drop_records(build_context(cfg), 60.0, 1)
+        monkeypatch.setattr(campaign, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(campaign, "_worker_cache", {})
+        self.refuse_threads(monkeypatch)
+        assert run_campaign(cfg).rows
+        cfg_json = json.dumps(dataclasses.asdict(cfg), sort_keys=True)
+        serial = campaign._worker((cfg_json, False, 60.0, 1))
+        assert serial[0].tobytes() == pipelined[0].tobytes() and serial[1:] == pipelined[1:]
+
+    def test_process_pool_after_pipelined_campaign(self, tmp_path, four_cores):
+        """Forked workers of a process that ran pipelined drops in process
+        run their own helpers, with the serial run's bytes."""
+        assert run_campaign(tiny_config(n_fading=3)).rows
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert cli_main(["--drops", "2", "--fading", "3", "--jobs", jobs,
+                             "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 @pytest.fixture(scope="module")

@@ -1,15 +1,20 @@
 """The drop and fading stages run in place, and the conversion to watts
 allocates its rows once: bit identity with the expression forms they replace,
 and a bound on the memory each stage allocates.  With a campaign's scratch
-the stages write into it, and keep every bit."""
+the stages write into it, and keep every bit, also when a drop's draws are
+made on a helper thread into the scratch's two draw slots in turn."""
 
 import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import compbss as cb
+from compbss import campaign
+from compbss.campaign import CampaignConfig, build_context
 from compbss.channel import (build_gain_matrix, draw_gain_matrix, drop_link_budget,
                              received_power_w)
 from compbss.geometry import DropScratch, build_layout
@@ -204,3 +209,90 @@ def test_warm_scratch_drop_allocates_less_than_a_table(layout, params, density):
     n_users = cb.drop_users(layout, density, 6).n_users
     assert _traced_peak(stages) <= n_users * layout.n_bs * 8 + SLACK
     assert n_users * layout.n_bs * 8 <= 1.2 * ub    # the drops have about one size
+
+
+def _pipelined_context(n_fading, density=60.0):
+    cfg = CampaignConfig(densities_per_km2=[density], n_drops=2, n_fading=n_fading,
+                         comp_configs=["C3"], master_seed=29, output="unused.csv")
+    return build_context(cfg)
+
+
+def _drop_keys(ctx, d):
+    """The drop key and draw keys of sweep drop ``d``, as ``_drop_records``
+    derives them."""
+    key = (campaign._mu_key(ctx.cfg.densities_per_km2[0]), d)
+    return (0,) + key, [(1,) + key + (f,) for f in range(ctx.cfg.n_fading)]
+
+
+def _draws_without_scratch(ctx, d):
+    """The bytes of each fading draw of sweep drop ``d``, each made by
+    itself in fresh arrays."""
+    seed, mu = ctx.cfg.master_seed, ctx.cfg.densities_per_km2[0]
+    drop_key, draw_keys = _drop_keys(ctx, d)
+    drop = cb.drop_users(ctx.layout, mu, campaign._seed_key(seed, *drop_key))
+    budget = drop_link_budget(ctx.layout, drop, ctx.params)
+    return [draw_gain_matrix(budget, ctx.params, campaign._seed_key(seed, *key)).tobytes()
+            for key in draw_keys]
+
+
+@pytest.mark.parametrize("n_fading", [1, 2, 3, 10])
+def test_pipelined_draws_keep_their_bits(monkeypatch, n_fading):
+    """Every draw that the prologue yields, from either slot of a warm or a
+    fresh scratch, has the bits of the draw made without a scratch, and keeps
+    them after the helper has finished the draw that follows."""
+    ctx = _pipelined_context(n_fading)
+    mu = ctx.cfg.densities_per_km2[0]
+    done = threading.Semaphore(0)
+
+    def draw_and_signal(*args):
+        gain_db = draw_gain_matrix(*args)
+        done.release()
+        return gain_db
+
+    monkeypatch.setattr(campaign, "draw_gain_matrix", draw_and_signal)
+    for d in range(2):
+        want = _draws_without_scratch(ctx, d)
+        n_done = 0
+        last = None
+        for i, (gain_db, _, _) in enumerate(campaign._draws(ctx, mu, *_drop_keys(ctx, d))):
+            while n_done < min(i + 2, n_fading):    # the draw after this one is made
+                assert done.acquire(timeout=60)
+                n_done += 1
+            assert gain_db.tobytes() == want[i]
+            assert np.shares_memory(gain_db, ctx.scratch._buf)
+            assert last is None or not np.shares_memory(gain_db, last)
+            last = gain_db
+        assert n_done == n_fading and not done.acquire(blocking=False)
+
+
+@pytest.mark.parametrize("density", [60.0, 160.0])
+def test_warm_scratch_pipelined_drop_allocates_no_draw_array(layout, density):
+    """A drop of 10 draws on a warm scratch allocates less than one (U, B)
+    table: neither slot of the draws is a fresh (U, S) array."""
+    ctx = _pipelined_context(10, density)
+    drops = iter(range(2))
+
+    def prologue():
+        d = next(drops)
+        for _ in campaign._draws(ctx, density, *_drop_keys(ctx, d)):
+            pass
+
+    n_users = cb.drop_users(layout, density, campaign._seed_key(
+        ctx.cfg.master_seed, *_drop_keys(ctx, 1)[0])).n_users
+    assert _traced_peak(prologue) <= n_users * layout.n_bs * 8 + SLACK
+
+
+def test_pipelined_draws_keep_their_bits_under_fast_thread_switches():
+    """With the interpreter switching threads every microsecond and the
+    caller reading each draw at once, every draw still has its bits."""
+    ctx = _pipelined_context(10)
+    want = [_draws_without_scratch(ctx, d) for d in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [[gain_db.tobytes() for gain_db, _, _ in
+                campaign._draws(ctx, ctx.cfg.densities_per_km2[0], *_drop_keys(ctx, d))]
+               for d in range(2)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
