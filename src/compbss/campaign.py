@@ -55,7 +55,7 @@ from . import __version__
 from .bss import (default_pattern_list, heuristic_select, patterns_from_file,
                   realization_stats, sector_masks, validate_pattern_list)
 from .channel import ChannelParams, draw_gain_matrix, drop_link_budget
-from .clusters import PRESET_NAMES, preset
+from .clusters import PRESET_NAMES
 from .geometry import DropScratch, build_layout, drop_region_area_m2, drop_users
 from .metrics import STAT_FIELDS, aggregate, alpha_fair_throughputs
 from .scheduler import (SchedulerParams, allocate, alpha_range_error, build_system_model,
@@ -94,9 +94,10 @@ class CampaignConfig:
 
     def __post_init__(self):
         sweeps = ("densities_per_km2", "alphas", "gamma_ds_db", "rate_thresholds_bps")
-        if not isinstance(self.traffic_profile, (list, tuple, type(None))):
-            raise ConfigError(
-                f"traffic_profile must be a list, got {self.traffic_profile!r}")
+        profile = self.traffic_profile
+        if profile is not None and (not isinstance(profile, (list, tuple)) or not profile):
+            # an empty profile would silently run the sweep instead
+            raise ConfigError(f"traffic_profile must be a non-empty list, got {profile!r}")
         for name in sweeps + ("comp_configs",):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)) or not values:
@@ -269,7 +270,7 @@ def build_context(cfg: CampaignConfig) -> _Context:
         validate_pattern_list(patterns, len(cluster_bs_idx))
     except (OSError, ValueError, TypeError, csv.Error) as exc:
         raise ConfigError(f"pattern_file {cfg.pattern_file!r}: {exc}") from exc
-    models = {name: build_system_model(layout, preset(name, layout), params)
+    models = {name: build_system_model(layout, name, params)
               for name in cfg.comp_configs}
     center_sector_idx = layout.center_cluster_sector_ids - 1
     active_sectors = sector_masks(layout.sector_bs, cluster_bs_idx, patterns)

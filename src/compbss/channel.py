@@ -126,16 +126,6 @@ class McsTable:
     thresholds_db: np.ndarray
     bits_per_symbol: np.ndarray
 
-    def __post_init__(self):
-        t = np.asarray(self.thresholds_db, dtype=float)
-        e = np.asarray(self.bits_per_symbol, dtype=float)
-        if t.shape != e.shape or t.ndim != 1 or t.size == 0:
-            raise ValueError("thresholds and efficiencies must be equal-length vectors")
-        if not (np.all(np.diff(t) > 0) and np.all(np.diff(e) > 0)):
-            raise ValueError("thresholds and efficiencies must be strictly increasing")
-        object.__setattr__(self, "thresholds_db", t)
-        object.__setattr__(self, "bits_per_symbol", e)
-
     def efficiency(self, snr_db):
         """bits/symbol for the given SINR(s); 0 below the first threshold."""
         snr = np.asarray(snr_db, dtype=float)

@@ -73,9 +73,12 @@ def _resolve_config(args) -> CampaignConfig:
 
 
 def _check_writable(path: Path) -> None:
-    """Refuse an output path whose directory cannot be written or made.
-    Nothing is made here: the writers make the directory after the run."""
+    """Refuse an output path that is a directory, or whose directory cannot
+    be written or made.  Nothing is made here: the writers make the
+    directory after the run."""
     try:
+        if path.is_dir():
+            raise IsADirectoryError("it is a directory")
         parent = path.absolute().parent
         if not parent.is_dir():
             # os.access passes root even where nothing can be made, as in

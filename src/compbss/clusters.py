@@ -7,8 +7,6 @@ Sector ids are 1-based everywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import NetworkLayout
@@ -35,73 +33,23 @@ _C2_PAIRS = (
 _C3_TRIPLES = ((2, 9, 10), (5, 12, 13), (11, 18, 19))
 
 
-@dataclass(frozen=True)
-class CompConfiguration:
-    """Partition of the centre-cluster sectors into virtual clusters."""
-
-    name: str
-    groups: tuple[tuple[int, ...], ...]   # full partition, singletons included
-
-    def __post_init__(self):
-        seen = [s for g in self.groups for s in g]
-        if len(seen) != len(set(seen)):
-            raise ValueError("a sector appears in more than one virtual cluster")
-
-    @property
-    def multi_groups(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(g for g in self.groups if len(g) > 1)
-
-    def validate_against(self, layout: NetworkLayout) -> None:
-        want = set(int(s) for s in layout.center_cluster_sector_ids)
-        got = set(s for g in self.groups for s in g)
-        if got != want:
-            raise ValueError(
-                f"configuration {self.name!r} does not partition the centre-cluster "
-                f"sectors (missing {sorted(want - got)}, extra {sorted(got - want)})"
-            )
+# The multi-sector groups of each preset; every other sector is a singleton.
+PRESET_GROUPS = {"none": (), "C1": _C1_GROUPS, "C2": _C2_PAIRS, "C3": _C3_TRIPLES}
 
 
-def _with_singletons(name: str, multi: tuple[tuple[int, ...], ...],
-                     sector_ids) -> CompConfiguration:
-    used = {s for g in multi for s in g}
-    singles = tuple((int(s),) for s in sector_ids if int(s) not in used)
-    return CompConfiguration(name=name, groups=tuple(tuple(g) for g in multi) + singles)
+def sector_vclusters(name: str, layout: NetworkLayout):
+    """Assign a virtual-cluster id to every sector in the field under preset
+    ``name``: its multi-sector groups first, in table order, then every other
+    sector as a singleton, in sector order.
 
-
-def preset(name: str, layout: NetworkLayout) -> CompConfiguration:
-    """Build one of the shipped configurations: none, C1, C2, or C3."""
-    ids = layout.center_cluster_sector_ids
-    if name == "none":
-        return _with_singletons("none", (), ids)
-    if name == "C1":
-        return _with_singletons("C1", _C1_GROUPS, ids)
-    if name == "C2":
-        return _with_singletons("C2", _C2_PAIRS, ids)
-    if name == "C3":
-        return _with_singletons("C3", _C3_TRIPLES, ids)
-    raise ValueError(f"unknown CoMP configuration {name!r} (presets: {PRESET_NAMES})")
-
-
-def sector_vclusters(config: CompConfiguration, layout: NetworkLayout):
-    """Assign a virtual-cluster id to every sector in the field.
-
-    Sectors outside the centre cluster (and unlisted ones) are singletons.
     Returns (vc_of_sector (S,), vc_sizes (K,), multi_vc_ids) with 0-based ids.
     """
-    config.validate_against(layout)
-    n = layout.n_sectors
-    vc_of_sector = np.full(n, -1, dtype=int)
-    sizes = []
-    multi_ids = []
-    for g in config.groups:
-        if len(g) > 1:
-            vc = len(sizes)
-            sizes.append(len(g))
-            multi_ids.append(vc)
-            for s in g:
-                vc_of_sector[s - 1] = vc
-    for s in range(n):
-        if vc_of_sector[s] < 0:
-            vc_of_sector[s] = len(sizes)
-            sizes.append(1)
-    return vc_of_sector, np.asarray(sizes, dtype=int), np.asarray(multi_ids, dtype=int)
+    if name not in PRESET_GROUPS:
+        raise ValueError(f"unknown CoMP configuration {name!r} (presets: {PRESET_NAMES})")
+    groups = PRESET_GROUPS[name]
+    vc_of_sector = np.full(layout.n_sectors, -1, dtype=int)
+    for vc, g in enumerate(groups):
+        vc_of_sector[np.subtract(g, 1)] = vc
+    singles = np.flatnonzero(vc_of_sector < 0)
+    vc_of_sector[singles] = len(groups) + np.arange(singles.size)
+    return vc_of_sector, np.bincount(vc_of_sector), np.arange(len(groups))

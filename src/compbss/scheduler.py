@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MCS_TABLE, ChannelParams, from_db, received_power_w, to_db
-from .clusters import CompConfiguration, sector_vclusters
+from .clusters import sector_vclusters
 from .geometry import NetworkLayout
 
 # The CoMP SINR thresholds gamma_d (dB) that SchedulerParams and a campaign
@@ -96,9 +96,10 @@ class SystemModel:
         return self.vc_sizes.shape[0]
 
 
-def build_system_model(layout: NetworkLayout, config: CompConfiguration,
+def build_system_model(layout: NetworkLayout, name: str,
                        channel: ChannelParams) -> SystemModel:
-    vc_of_sector, vc_sizes, multi_ids = sector_vclusters(config, layout)
+    """The system model of CoMP preset ``name`` (see ``clusters.PRESET_NAMES``)."""
+    vc_of_sector, vc_sizes, multi_ids = sector_vclusters(name, layout)
     return SystemModel(sector_bs=layout.sector_bs, vc_of_sector=vc_of_sector,
                        vc_sizes=vc_sizes, multi_vc_ids=multi_ids, channel=channel)
 

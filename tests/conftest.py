@@ -18,7 +18,7 @@ def params():
 def models(layout, params):
     """System models for the four shipped CoMP configurations."""
     return {
-        name: cb.build_system_model(layout, cb.preset(name, layout), params)
+        name: cb.build_system_model(layout, name, params)
         for name in ("none", "C1", "C2", "C3")
     }
 

@@ -75,7 +75,7 @@ class TestConfig:
         ("rate_thresholds_bps", [-1], "-1"), ("inter_site_distance_m", 0, "0"),
         ("inter_site_distance_m", float("inf"), "inf"), ("output", 5, "5"),
         ("output", "", "''"), ("pattern_file", 3, "3"),
-        ("comp_configs", ["C3", "C3"], "repeats"),
+        ("comp_configs", ["C3", "C3"], "repeats"), ("traffic_profile", [], "[]"),
     ])
     def test_rejects_bad_sweep_values(self, key, value, shown):
         with pytest.raises(ConfigError) as info:
@@ -603,6 +603,24 @@ class TestCli:
     def test_unwritable_output_is_exit_1(self):
         assert cli_main(["--drops", "1", "--fading", "1",
                          "--out", "/proc/nope/x.csv"]) == 1
+
+    def test_directory_output_is_exit_1_before_the_run(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        out.mkdir()
+        (out / "keep.txt").write_text("x")
+        assert cli_main(["--drops", "3", "--fading", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: output location {out} ")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["keep.txt", "results"]
+        assert (out / "keep.txt").read_text() == "x"
+
+    def test_empty_traffic_profile_is_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "c.yaml"
+        out = tmp_path / "t.csv"
+        p.write_text(f"traffic_profile: []\noutput: {out}\n")
+        assert cli_main(["--config", str(p), "--figure", "fig11"]) == 1
+        err = capsys.readouterr().err
+        assert "traffic_profile must be a non-empty list, got []" in err
+        assert sorted(tmp_path.iterdir()) == [p]
 
     def test_figure_flag_writes_companion_csv(self, tmp_path):
         cfgp = tmp_path / "c.yaml"

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compbss as cb
-from compbss.channel import (MCS_TABLE, ChannelParams, McsTable,
-                             _directivity_gain_in_place, _link_budget_in_place,
-                             build_gain_matrix, path_loss_db, per_subchannel_power_w,
-                             received_power_w)
+from compbss.channel import (MCS_TABLE, ChannelParams, _directivity_gain_in_place,
+                             _link_budget_in_place, build_gain_matrix, path_loss_db,
+                             per_subchannel_power_w, received_power_w)
 from compbss.scheduler import (SystemModel, associate, cluster_links, cluster_members,
                                link_rates)
 
@@ -223,10 +222,10 @@ class TestMcs:
         assert MCS_TABLE.efficiency(17.5999) == 5.12
         assert MCS_TABLE.efficiency(50.0) == 5.55
 
-    def test_rejects_nonmonotone(self):
-        with pytest.raises(ValueError):
-            McsTable(thresholds_db=np.array([0.0, -1.0]),
-                     bits_per_symbol=np.array([0.1, 0.2]))
+    def test_table_strictly_increasing(self):
+        for column in (MCS_TABLE.thresholds_db, MCS_TABLE.bits_per_symbol):
+            assert column.dtype == np.float64 and column.shape == (15,)
+            assert np.all(np.diff(column) > 0)
 
     @settings(max_examples=100, deadline=None)
     @given(a=st.floats(-30, 40), b=st.floats(-30, 40))

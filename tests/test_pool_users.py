@@ -70,7 +70,7 @@ def test_drop_records_with_every_preset_in_one_pass(tmp_path):
 def _off_centre_model(layout, params):
     """C3 plus one multi-sector cluster of the three sectors of BS 8, which
     serve no metric-set user unless a sleeping sector hands one over."""
-    base = cb.build_system_model(layout, cb.preset("C3", layout), params)
+    base = cb.build_system_model(layout, "C3", params)
     vc = base.vc_of_sector.copy()
     outer = np.flatnonzero(layout.sector_bs == 7)
     vc[outer] = vc[outer[0]]

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import compbss as cb
 from compbss.channel import MCS_TABLE
-from compbss.clusters import PRESET_NAMES
+from compbss.clusters import PRESET_GROUPS, PRESET_NAMES, sector_vclusters
 from compbss.metrics import alpha_fair_throughputs
 from compbss.scheduler import (ALPHA_RANGE, DEFAULT_GAMMA_D_RANGE_DB, TIE_MARGIN_DB,
                                SchedulerParams, SystemModel, allocate, associate,
@@ -476,17 +476,32 @@ class TestSchedulePipeline:
             SchedulerParams(alpha=1.0, gamma_d_db=gamma_d)
 
 
+# The virtual-cluster id of each centre sector (1-21) under each preset: the
+# multi-sector groups take ids 0.. in table order, the singletons follow in
+# sector order, and every sector outside the centre cluster is a singleton.
+CENTRE_VC_IDS = {
+    "none": list(range(21)),
+    "C1": [0, 1, 2] * 7,
+    "C2": [9, 0, 1, 1, 2, 3, 0, 4, 5, 5, 6, 3, 2, 7, 10, 4, 11, 8, 8, 6, 7],
+    "C3": [3, 0, 4, 5, 1, 6, 7, 8, 0, 0, 2, 1, 1, 9, 10, 11, 12, 2, 2, 13, 14],
+}
+
+
 class TestPresets:
     def test_every_preset_partitions_cluster(self, layout):
-        for name in PRESET_NAMES:
-            cfg = cb.preset(name, layout)
-            cfg.validate_against(layout)
-            sectors = sorted(s for g in cfg.groups for s in g)
-            assert sectors == list(range(1, 22))
+        """Groups are disjoint, lie in the centre sectors, and each joins
+        more than one sector."""
+        assert tuple(PRESET_GROUPS) == PRESET_NAMES
+        centre = set(layout.center_cluster_sector_ids.tolist())
+        assert centre == set(range(1, 22))
+        for name, groups in PRESET_GROUPS.items():
+            sectors = [s for g in groups for s in g]
+            assert len(sectors) == len(set(sectors)), name
+            assert set(sectors) <= centre, name
+            assert all(len(g) > 1 for g in groups), name
 
     def test_c1_groups_share_boresight(self, layout):
-        cfg = cb.preset("C1", layout)
-        multi = cfg.multi_groups
+        multi = PRESET_GROUPS["C1"]
         assert len(multi) == 3
         for g in multi:
             assert len(g) == 7
@@ -494,22 +509,30 @@ class TestPresets:
             assert len(bores) == 1
 
     def test_c2_structure(self, layout):
-        cfg = cb.preset("C2", layout)
-        assert len(cfg.multi_groups) == 9
-        assert all(len(g) == 2 for g in cfg.multi_groups)
-        singles = {g[0] for g in cfg.groups if len(g) == 1}
-        assert singles == {1, 15, 17}
-        for a, b in cfg.multi_groups:
+        pairs = PRESET_GROUPS["C2"]
+        assert len(pairs) == 9
+        assert all(len(g) == 2 for g in pairs)
+        paired = {s for g in pairs for s in g}
+        assert set(range(1, 22)) - paired == {1, 15, 17}
+        for a, b in pairs:
             assert layout.sector_bs[a - 1] != layout.sector_bs[b - 1]
 
     def test_c3_published_triples(self, layout):
-        cfg = cb.preset("C3", layout)
-        assert set(cfg.multi_groups) == {(2, 9, 10), (5, 12, 13), (11, 18, 19)}
+        assert set(PRESET_GROUPS["C3"]) == {(2, 9, 10), (5, 12, 13), (11, 18, 19)}
 
-    def test_unknown_preset(self, layout):
-        with pytest.raises(ValueError):
-            cb.preset("C9", layout)
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_sector_vclusters_ids(self, layout, name):
+        vc_of_sector, sizes, multi = sector_vclusters(name, layout)
+        n_multi = len(PRESET_GROUPS[name])
+        n_centre = max(CENTRE_VC_IDS[name]) + 1
+        want = CENTRE_VC_IDS[name] + list(range(n_centre, n_centre + layout.n_sectors - 21))
+        group_sizes = [len(g) for g in PRESET_GROUPS[name]]
+        for got in (vc_of_sector, sizes, multi):
+            assert got.dtype == np.int64 and got.ndim == 1
+        assert vc_of_sector.tolist() == want
+        assert sizes.tolist() == group_sizes + [1] * (len(set(want)) - n_multi)
+        assert multi.tolist() == list(range(n_multi))
 
-    def test_config_file_rejects_overlap(self):
-        with pytest.raises(ValueError, match="more than one virtual cluster"):
-            cb.CompConfiguration(name="overlap", groups=((2, 9), (9, 12)))
+    def test_unknown_preset(self, layout, params):
+        with pytest.raises(ValueError, match=r"'C9'.*\('none', 'C1', 'C2', 'C3'\)"):
+            cb.build_system_model(layout, "C9", params)
