@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 
 from .bss import (BssPattern, HeuristicResult, all_patterns, default_pattern_list,
                   evaluate_pattern, exhaustive_oracle, heuristic_select)
-from .channel import (ChannelParams, build_gain_matrix, path_loss_db, per_subchannel_power_w,
-                      received_power_w)
+from .channel import build_gain_matrix, path_loss_db, received_power_w
 from .geometry import NetworkLayout, UserDrop, build_layout, drop_users
 from .metrics import STAT_FIELDS, aggregate, rate_coverage, sinr_coverage
 from .scheduler import (SchedulerParams, SchedulingSolution, SystemModel,
@@ -25,10 +24,10 @@ from .scheduler import (SchedulerParams, SchedulingSolution, SystemModel,
                         strongest_sectors)
 
 __all__ = [
-    "BssPattern", "ChannelParams", "HeuristicResult", "NetworkLayout", "STAT_FIELDS",
-    "SchedulerParams", "SchedulingSolution", "SystemModel", "UserDrop", "aggregate",
-    "all_patterns", "build_gain_matrix", "build_layout", "build_system_model",
-    "center_cluster_users", "default_pattern_list", "drop_users", "evaluate_pattern",
-    "exhaustive_oracle", "heuristic_select", "path_loss_db", "per_subchannel_power_w",
-    "rate_coverage", "received_power_w", "schedule", "sinr_coverage", "strongest_sectors",
+    "BssPattern", "HeuristicResult", "NetworkLayout", "STAT_FIELDS", "SchedulerParams",
+    "SchedulingSolution", "SystemModel", "UserDrop", "aggregate", "all_patterns",
+    "build_gain_matrix", "build_layout", "build_system_model", "center_cluster_users",
+    "default_pattern_list", "drop_users", "evaluate_pattern", "exhaustive_oracle",
+    "heuristic_select", "path_loss_db", "rate_coverage", "received_power_w", "schedule",
+    "sinr_coverage", "strongest_sectors",
 ]

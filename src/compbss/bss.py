@@ -179,7 +179,7 @@ def _select(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
     active = (sector_masks(model.sector_bs, cluster_bs_idx, patterns)
               if active_sectors is None else active_sectors)
     if strongest is None:
-        strongest = strongest_sectors(gain_db, model.channel)
+        strongest = strongest_sectors(gain_db)
     if members is None:
         members = cluster_members(model, active)
     users, rates = draw_rates([model], [members], gain_db, strongest, vq, active,

@@ -54,7 +54,7 @@ import yaml
 from . import __version__
 from .bss import (default_pattern_list, heuristic_select, patterns_from_file,
                   realization_stats, sector_masks, validate_pattern_list)
-from .channel import ChannelParams, draw_gain_matrix, drop_link_budget
+from .channel import draw_gain_matrix, drop_link_budget
 from .clusters import PRESET_NAMES
 from .geometry import DropScratch, build_layout, drop_region_area_m2, drop_users
 from .metrics import STAT_FIELDS, aggregate, alpha_fair_throughputs
@@ -240,7 +240,6 @@ class _Context:
 
     cfg: CampaignConfig
     layout: object
-    params: ChannelParams
     patterns: list
     active_sectors: np.ndarray  # (P, S) bool sector on/off mask of each pattern
     models: dict            # config name -> SystemModel
@@ -262,7 +261,6 @@ class _Context:
 
 def build_context(cfg: CampaignConfig) -> _Context:
     layout = build_layout(cfg.inter_site_distance_m)
-    params = ChannelParams()
     cluster_bs_idx = layout.center_cluster_bs_ids - 1
     try:
         patterns = (patterns_from_file(cfg.pattern_file) if cfg.pattern_file
@@ -270,14 +268,12 @@ def build_context(cfg: CampaignConfig) -> _Context:
         validate_pattern_list(patterns, len(cluster_bs_idx))
     except (OSError, ValueError, TypeError, csv.Error) as exc:
         raise ConfigError(f"pattern_file {cfg.pattern_file!r}: {exc}") from exc
-    models = {name: build_system_model(layout, name, params)
-              for name in cfg.comp_configs}
+    models = {name: build_system_model(layout, name) for name in cfg.comp_configs}
     center_sector_idx = layout.center_cluster_sector_ids - 1
     active_sectors = sector_masks(layout.sector_bs, cluster_bs_idx, patterns)
     members = [cluster_members(model, active_sectors) for model in models.values()]
-    return _Context(cfg=cfg, layout=layout, params=params,
-                    patterns=patterns, active_sectors=active_sectors, models=models,
-                    members=members, center_sector_idx=center_sector_idx,
+    return _Context(cfg=cfg, layout=layout, patterns=patterns, active_sectors=active_sectors,
+                    models=models, members=members, center_sector_idx=center_sector_idx,
                     cluster_bs_idx=cluster_bs_idx)
 
 
@@ -304,15 +300,14 @@ def _draws(ctx: _Context, mu: float, drop_key, draw_keys):
     seed = ctx.cfg.master_seed
     scratch = ctx.drop_scratch()
     drop = drop_users(ctx.layout, mu, _seed_key(seed, *drop_key), scratch)
-    budget_db = drop_link_budget(ctx.layout, drop, ctx.params, scratch)
+    budget_db = drop_link_budget(ctx.layout, drop, scratch)
     model = next(iter(ctx.models.values()))    # every configuration has the same sectors
 
     def draw(i):
-        return draw_gain_matrix(budget_db, ctx.params, _seed_key(seed, *draw_keys[i]), scratch,
-                                i % 2)
+        return draw_gain_matrix(budget_db, _seed_key(seed, *draw_keys[i]), scratch, i % 2)
 
     def with_metric_set(gain_db):
-        strongest = strongest_sectors(gain_db, ctx.params)
+        strongest = strongest_sectors(gain_db)
         return gain_db, strongest, center_cluster_users(model, strongest, ctx.center_sector_idx)
 
     if len(draw_keys) == 1 or not ctx.draw_helper:

@@ -1,5 +1,8 @@
 """Path loss, antenna pattern, shadowing, received power and the MCS lookup.
 
+The paper simulates one channel setup, so its parameters are the module
+constants below, which every stage reads instead of taking an argument.
+
 The channel stages end in dB: a fading draw is the shadowed link budget
 ``budget - sigma * n`` of every (user, sector) link.  SINRs and link rates
 are computed by the scheduler stages, in linear units, on the rows that
@@ -52,43 +55,29 @@ from .geometry import (_BUDGET, _DRAW, _DRAW_SLOTS, _PATH_LOSS, DropScratch, Net
                        UserDrop, _array, _wrap_angle_in_place)
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """3GPP-style urban macro parameters (uniform power, reuse factor 1)."""
-
-    p_bs_dbm: float = 46.0
-    num_subchannels: int = 99
-    noise_w: float = 2.2661e-15          # per subchannel
-    penetration_loss_db: float = 20.0
-    user_antenna_gain_dbi: float = 0.0
-    shadowing_stddev_db: float = 8.0
-    pl_intercept_db: float = 136.8245
-    pl_slope_db: float = 39.086
-    sc_per_subchannel: int = 12
-    sym_per_subcarrier: int = 14
-    subframe_s: float = 1e-3
-
-    def __post_init__(self):
-        if self.num_subchannels < 1:
-            raise ValueError("num_subchannels must be >= 1")
-        for name in ("noise_w", "subframe_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-
-    @property
-    def rate_per_bits_symbol(self) -> float:
-        """Link rate in bits/s obtained per bits/symbol of MCS efficiency."""
-        return (self.sc_per_subchannel * self.sym_per_subcarrier
-                * self.num_subchannels / self.subframe_s)
+# 3GPP-style urban macro parameters (uniform power, reuse factor 1).
+P_BS_DBM = 46.0
+NUM_SUBCHANNELS = 99
+NOISE_W = 2.2661e-15                 # per subchannel
+PENETRATION_LOSS_DB = 20.0
+USER_ANTENNA_GAIN_DBI = 0.0
+SHADOWING_STDDEV_DB = 8.0
+PL_INTERCEPT_DB = 136.8245
+PL_SLOPE_DB = 39.086
+# Link rate in bits/s per bits/symbol of MCS efficiency: 12 subcarriers x 14
+# symbols per subchannel in each 1 ms subframe.
+RATE_PER_BITS_SYMBOL = 12 * 14 * NUM_SUBCHANNELS / 1e-3
+# Transmit power per sector per subchannel: P_BS / (3 M), in watts.
+PER_SUBCHANNEL_POWER_W = 10.0 ** ((P_BS_DBM - 30.0) / 10.0) / (3.0 * NUM_SUBCHANNELS)
 
 
-def path_loss_db(d_m, intercept_db: float = 136.8245, slope_db: float = 39.086, out=None):
+def path_loss_db(d_m, out=None):
     """Distance-to-path-loss in dB; valid for d >= 1 m (clamp upstream).
     Written into ``out`` when given."""
     pl = np.log10(d_m, out=out)
     pl -= 3.0
-    pl *= slope_db
-    pl += intercept_db
+    pl *= PL_SLOPE_DB
+    pl += PL_INTERCEPT_DB
     return pl
 
 
@@ -102,21 +91,15 @@ def _directivity_gain_in_place(phi):
     return np.subtract(25.0, phi, out=phi)
 
 
-def _link_budget_in_place(budget, sector_gain_db, user_gain_dbi, penetration_db):
+def _link_budget_in_place(budget, sector_gain_db):
     """-PL + G_s + G_u - penetration in dB, written over the path loss in
     ``budget``.  The terms are added left to right and the shadowing comes
     off last, so one budget per drop gives each draw the bits of the sum."""
     np.negative(budget, out=budget)
     budget += sector_gain_db
-    budget += user_gain_dbi
-    budget -= penetration_db
+    budget += USER_ANTENNA_GAIN_DBI
+    budget -= PENETRATION_LOSS_DB
     return budget
-
-
-def per_subchannel_power_w(params: ChannelParams) -> float:
-    """Transmit power per sector per subchannel: P_BS / (3 M), in watts."""
-    p_bs_w = 10.0 ** ((params.p_bs_dbm - 30.0) / 10.0)
-    return p_bs_w / (3.0 * params.num_subchannels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +126,7 @@ MCS_TABLE = McsTable(
                               2.41, 2.73, 3.32, 3.90, 4.52, 5.12, 5.55]))
 
 
-def drop_link_budget(layout: NetworkLayout, drop: UserDrop, params: ChannelParams,
+def drop_link_budget(layout: NetworkLayout, drop: UserDrop,
                      scratch: DropScratch | None = None) -> np.ndarray:
     """Drop-level stage: the (U, S) link budget in dB of every link.
 
@@ -162,15 +145,14 @@ def drop_link_budget(layout: NetworkLayout, drop: UserDrop, params: ChannelParam
     gain_db -= layout.sector_boresight_deg
     budget = _array(scratch, _BUDGET * table, shape)  # the wrap's scratch, then the path loss
     _directivity_gain_in_place(_wrap_angle_in_place(gain_db, budget))
-    pl = path_loss_db(drop.link_dist_m, params.pl_intercept_db, params.pl_slope_db,
+    pl = path_loss_db(drop.link_dist_m,
                       out=_array(scratch, _PATH_LOSS * table, drop.link_dist_m.shape))
     np.take(pl, layout.sector_bs, axis=1, out=budget, mode="clip")
     del pl
-    return _link_budget_in_place(budget, gain_db, params.user_antenna_gain_dbi,
-                                 params.penetration_loss_db)
+    return _link_budget_in_place(budget, gain_db)
 
 
-def draw_gain_matrix(budget_db: np.ndarray, params: ChannelParams, seed,
+def draw_gain_matrix(budget_db: np.ndarray, seed,
                      scratch: DropScratch | None = None, slot: int = 0) -> np.ndarray:
     """Fading-level stage: the (U, S) gains in dB of a drop's link budget
     under shadowing, ``budget - sigma * n``.
@@ -187,19 +169,18 @@ def draw_gain_matrix(budget_db: np.ndarray, params: ChannelParams, seed,
     table = budget_db.size // 3     # one (U, B) table: S = 3 B
     shadow = np.random.default_rng(seed).standard_normal(
         out=_array(scratch, _DRAW_SLOTS[slot] * table, budget_db.shape))
-    shadow *= params.shadowing_stddev_db
+    shadow *= SHADOWING_STDDEV_DB
     return np.subtract(budget_db, shadow, out=shadow)
 
 
-def build_gain_matrix(layout: NetworkLayout, drop: UserDrop, params: ChannelParams, seed,
+def build_gain_matrix(layout: NetworkLayout, drop: UserDrop, seed,
                       scratch: DropScratch | None = None) -> np.ndarray:
     """Gains in dB of every (user, sector) link: both stages in one call, in
     the drop's ``scratch`` when given."""
-    return draw_gain_matrix(drop_link_budget(layout, drop, params, scratch), params, seed,
-                            scratch)
+    return draw_gain_matrix(drop_link_budget(layout, drop, scratch), seed, scratch)
 
 
-def received_power_w(gain_db: np.ndarray, params: ChannelParams, rows=None) -> np.ndarray:
+def received_power_w(gain_db: np.ndarray, rows=None) -> np.ndarray:
     """Per-subchannel received power P_s * 10^(g/10) in watts, of every link
     or of the draw rows in the index array ``rows``.
 
@@ -209,7 +190,7 @@ def received_power_w(gain_db: np.ndarray, params: ChannelParams, rows=None) -> n
     power = gain_db.copy() if rows is None else np.take(gain_db, rows, axis=0)
     power /= 10.0
     np.power(10.0, power, out=power)
-    power *= per_subchannel_power_w(params)
+    power *= PER_SUBCHANNEL_POWER_W
     return power
 
 

@@ -113,7 +113,10 @@ def main(argv=None) -> int:
                                       f"traffic_profile: its steps run in order in one "
                                       f"process, one drop and one fading draw each")
         out = Path(cfg.output)
-        _check_writable(out)
+        manifest_path = out.with_name(out.stem + "_manifest.json")
+        fig_path = out.with_name(f"{out.stem}_{args.figure}.csv")
+        for path in [out, manifest_path] + ([fig_path] if args.figure else []):
+            _check_writable(path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -129,13 +132,12 @@ def main(argv=None) -> int:
             write_rows_json(result.rows, out)
         else:
             write_rows_csv(result.rows, columns, out)
-        write_manifest(result.manifest, out.with_name(out.stem + "_manifest.json"))
+        write_manifest(result.manifest, manifest_path)
         print(f"wrote {len(result.rows)} rows to {out}")
         for note in result.notes:
             print(f"warning: {note}", file=sys.stderr)
         if args.figure:
             fig_cols, fig_rows = emit_figure_data(result.rows, args.figure)
-            fig_path = out.with_name(f"{out.stem}_{args.figure}.csv")
             write_rows_csv(fig_rows, fig_cols, fig_path)
             print(f"wrote {len(fig_rows)} rows to {fig_path}")
         return 0

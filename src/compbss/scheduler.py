@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MCS_TABLE, ChannelParams, from_db, received_power_w, to_db
+from .channel import MCS_TABLE, NOISE_W, RATE_PER_BITS_SYMBOL, from_db, received_power_w, to_db
 from .clusters import sector_vclusters
 from .geometry import NetworkLayout
 
@@ -71,21 +71,12 @@ class SchedulerParams:
 
 @dataclass(frozen=True, eq=False)
 class SystemModel:
-    """Static scheduling context: sector ownership, virtual clusters, PHY."""
+    """Static scheduling context: sector ownership and virtual clusters."""
 
     sector_bs: np.ndarray        # (S,) 0-based BS index of each sector
     vc_of_sector: np.ndarray     # (S,) 0-based virtual-cluster id
     vc_sizes: np.ndarray         # (K,) configured sizes (CoMP only if > 1)
     multi_vc_ids: np.ndarray     # ids of the multi-sector clusters
-    channel: ChannelParams       # transmit power, noise and rate scale
-
-    @property
-    def noise_w(self) -> float:
-        return self.channel.noise_w
-
-    @property
-    def rate_per_bits_symbol(self) -> float:
-        return self.channel.rate_per_bits_symbol
 
     @property
     def n_sectors(self) -> int:
@@ -96,12 +87,11 @@ class SystemModel:
         return self.vc_sizes.shape[0]
 
 
-def build_system_model(layout: NetworkLayout, name: str,
-                       channel: ChannelParams) -> SystemModel:
+def build_system_model(layout: NetworkLayout, name: str) -> SystemModel:
     """The system model of CoMP preset ``name`` (see ``clusters.PRESET_NAMES``)."""
     vc_of_sector, vc_sizes, multi_ids = sector_vclusters(name, layout)
     return SystemModel(sector_bs=layout.sector_bs, vc_of_sector=vc_of_sector,
-                       vc_sizes=vc_sizes, multi_vc_ids=multi_ids, channel=channel)
+                       vc_sizes=vc_sizes, multi_vc_ids=multi_ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,8 +183,7 @@ class LinkRates:
     n_pools: int               # pool ids per row: sectors + clusters
 
 
-def strongest_sectors(gain_db: np.ndarray, channel: ChannelParams, users=None,
-                      active=None) -> np.ndarray:
+def strongest_sectors(gain_db: np.ndarray, users=None, active=None) -> np.ndarray:
     """Sector of the largest received power in each row of the dB draw, or
     of the rows ``users``, among the sectors of ``active`` (one mask row per
     row; default all): the argmax of the rows in watts, ties to the lowest
@@ -217,28 +206,25 @@ def strongest_sectors(gain_db: np.ndarray, channel: ChannelParams, users=None,
     cand[rows, best] = top
     near = np.flatnonzero(second >= top - TIE_MARGIN_DB)
     if near.size:
-        power = received_power_w(gain_db, channel, near if users is None else users[near])
+        power = received_power_w(gain_db, near if users is None else users[near])
         if active is not None:
             power[~active[near]] = -np.inf
         best[near] = power.argmax(axis=1)
     return best
 
 
-def serving_sectors(gain_db: np.ndarray, act: np.ndarray, strongest: np.ndarray,
-                    channel: ChannelParams) -> np.ndarray:
+def serving_sectors(gain_db: np.ndarray, act: np.ndarray, strongest: np.ndarray) -> np.ndarray:
     """(P, U) strongest active sector of each user under each row of the
     (P, S) masks: the strongest sector of the field, re-picked among the
     active ones for each sleeping (pattern, user) pair."""
     assoc = np.tile(strongest, (act.shape[0], 1))
     p_asleep, u_asleep = np.nonzero(~act[:, strongest])
     if p_asleep.size:
-        assoc[p_asleep, u_asleep] = strongest_sectors(gain_db, channel, u_asleep,
-                                                      act[p_asleep])
+        assoc[p_asleep, u_asleep] = strongest_sectors(gain_db, u_asleep, act[p_asleep])
     return assoc
 
 
-def associate(rx_w: np.ndarray, active_sectors: np.ndarray, noise_w: float,
-              serving: np.ndarray) -> Association:
+def associate(rx_w: np.ndarray, active_sectors: np.ndarray, serving: np.ndarray) -> Association:
     """Serve every user from its strongest active sector, for each row of
     the (P, S) active-sector masks.
 
@@ -263,7 +249,7 @@ def associate(rx_w: np.ndarray, active_sectors: np.ndarray, noise_w: float,
         np.sum(rx_t[a], axis=0, out=out)
     w_serv = rx_w[np.arange(rx_w.shape[0]), serving]
     return Association(active_sector=act, total_w=total, sector=serving,
-                       sinr=w_serv / (total - w_serv + noise_w))
+                       sinr=w_serv / (total - w_serv + NOISE_W))
 
 
 def pool_users(gain_db: np.ndarray, strongest: np.ndarray, vq: np.ndarray,
@@ -280,7 +266,7 @@ def pool_users(gain_db: np.ndarray, strongest: np.ndarray, vq: np.ndarray,
     along the contiguous axis, which numpy sums pairwise, not left to right.
     """
     act = np.asarray(active_sectors, dtype=bool)
-    serving = serving_sectors(gain_db, act, strongest, models[0].channel)
+    serving = serving_sectors(gain_db, act, strongest)
     in_t = np.zeros(act.shape[1], dtype=bool)
     in_t[serving[:, vq]] = True
     for model in models:
@@ -325,7 +311,7 @@ def cluster_links(model: SystemModel, rx_w: np.ndarray, assoc: Association,
             joint += column
         p_joint[p_cap, u_cap] = joint
     return ClusterLinks(vc=vc_user, capable=capable,
-                        joint_sinr=p_joint / (assoc.total_w - p_joint + model.noise_w),
+                        joint_sinr=p_joint / (assoc.total_w - p_joint + NOISE_W),
                         n_vclusters=model.n_vclusters)
 
 
@@ -335,8 +321,8 @@ def link_rates(model: SystemModel, assoc: Association, links, gamma_ds_db) -> Li
     ``links`` lists one :class:`ClusterLinks` per configuration; the rows of
     the result run over the association's patterns (outer), the
     configurations and ``gamma_ds_db`` (inner).  ``model`` gives the sector
-    count and the PHY, which every configuration shares.  Users whose link
-    rate is zero (SINR below the MCS floor) are in outage.
+    count, which every configuration shares.  Users whose link rate is zero
+    (SINR below the MCS floor) are in outage.
     """
     capable = np.stack([l.capable for l in links], axis=1)[:, :, None]   # (P, C, 1, U)
     joint = np.stack([l.joint_sinr for l in links], axis=1)[:, :, None]
@@ -350,9 +336,8 @@ def link_rates(model: SystemModel, assoc: Association, links, gamma_ds_db) -> Li
     # serving link's, each looked up once for every gamma_d.
     r_joint = np.zeros(joint.shape)
     with np.errstate(divide="ignore"):
-        r_joint[capable] = (MCS_TABLE.efficiency(to_db(joint[capable]))
-                            * model.rate_per_bits_symbol)
-        r_serv = MCS_TABLE.efficiency(to_db(sinr)) * model.rate_per_bits_symbol
+        r_joint[capable] = MCS_TABLE.efficiency(to_db(joint[capable])) * RATE_PER_BITS_SYMBOL
+        r_serv = MCS_TABLE.efficiency(to_db(sinr)) * RATE_PER_BITS_SYMBOL
     r_user = np.where(comp, r_joint, r_serv)
     sector = np.broadcast_to(assoc.sector[:, None, None], comp.shape)
     vc = np.broadcast_to(vc, comp.shape)
@@ -387,11 +372,11 @@ def draw_rates(models, members, gain_db: np.ndarray, strongest: np.ndarray, vq: 
     Only the pool users' rows are turned into watts (``received_power_w``),
     each with the bits it has in the whole draw; the strongest sectors are
     picked on the dB values (:func:`strongest_sectors`), and ``strongest``
-    is ``strongest_sectors(gain_db, channel)``.
+    is ``strongest_sectors(gain_db)``.
     """
     users, serving = pool_users(gain_db, strongest, vq, active_sectors, models)
-    rx_w = received_power_w(gain_db, models[0].channel, rows=users)
-    assoc = associate(rx_w, active_sectors, models[0].noise_w, serving)
+    rx_w = received_power_w(gain_db, rows=users)
+    assoc = associate(rx_w, active_sectors, serving)
     links = [cluster_links(model, rx_w, assoc, member)
              for model, member in zip(models, members)]
     return users, link_rates(models[0], assoc, links, gamma_ds_db)
@@ -459,7 +444,7 @@ def schedule(model: SystemModel, rx_w: np.ndarray, active_bs: np.ndarray,
     """
     act = np.asarray(active_bs, dtype=bool)[model.sector_bs][None]
     serving = np.where(act, rx_w, -np.inf).argmax(axis=1)[None]
-    assoc = associate(rx_w, act, model.noise_w, serving)
+    assoc = associate(rx_w, act, serving)
     links = cluster_links(model, rx_w, assoc, cluster_members(model, act))
     return allocate(link_rates(model, assoc, [links], [params.gamma_d_db]), params.alpha).row(0)
 

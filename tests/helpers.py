@@ -11,6 +11,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 import compbss as cb
+from compbss import channel as ch
 
 
 def same_bits(a, b):
@@ -169,34 +170,33 @@ def dense_image_search(layout, pts):
 # The link budget and gain matrix as chains of numpy expressions, one fresh
 # array per step: oracles for the in-place drop and fading stages.
 
-def expression_link_budget(layout, drop, params):
+def expression_link_budget(layout, drop):
     """``channel.drop_link_budget`` as expressions, with the bearing offsets
     wrapped by (x + 180) % 360 - 180 (180.0 mapped to -180)."""
-    pl = params.pl_intercept_db + params.pl_slope_db * (np.log10(drop.link_dist_m) - 3.0)
+    pl = ch.PL_INTERCEPT_DB + ch.PL_SLOPE_DB * (np.log10(drop.link_dist_m) - 3.0)
     offsets = (drop.link_az_deg[:, layout.sector_bs]
                - layout.sector_boresight_deg[None, :] + 180.0) % 360.0 - 180.0
     offsets[offsets == 180.0] = -180.0
     gain = 25.0 - np.minimum(12.0 * (offsets / 70.0) ** 2, 20.0)
-    return (-pl[:, layout.sector_bs] + gain + params.user_antenna_gain_dbi
-            - params.penetration_loss_db)
+    return -pl[:, layout.sector_bs] + gain + ch.USER_ANTENNA_GAIN_DBI - ch.PENETRATION_LOSS_DB
 
 
-def expression_gain_matrix(budget_db, params, seed):
+def expression_gain_matrix(budget_db, seed):
     """``channel.draw_gain_matrix`` as an expression, with the shadowing
     drawn by ``normal(0, sigma)``."""
     rng = np.random.default_rng(seed)
-    return budget_db - rng.normal(0.0, params.shadowing_stddev_db, size=budget_db.shape)
+    return budget_db - rng.normal(0.0, ch.SHADOWING_STDDEV_DB, size=budget_db.shape)
 
 
-def expression_received_power(gain_db, params):
+def expression_received_power(gain_db):
     """``channel.received_power_w`` of the whole draw as an expression."""
-    return cb.channel.per_subchannel_power_w(params) * 10.0 ** (gain_db / 10.0)
+    return ch.PER_SUBCHANNEL_POWER_W * 10.0 ** (gain_db / 10.0)
 
 
 # Per-point scheduling and statistics, one sweep point at a time: oracles for
 # the row-batched library stages, compared bit for bit.
 
-def point_associate(rx_w, active_sector, noise_w, strongest):
+def point_associate(rx_w, active_sector, strongest):
     """Max-SINR association under one (S,) set of active sectors."""
     act = np.asarray(active_sector, dtype=bool)
     total = rx_w[:, act].sum(axis=1)
@@ -206,7 +206,7 @@ def point_associate(rx_w, active_sector, noise_w, strongest):
         assoc[asleep] = np.where(act, rx_w[asleep], -np.inf).argmax(axis=1)
     w_serv = rx_w[np.arange(rx_w.shape[0]), assoc]
     return SimpleNamespace(active_sector=act, total_w=total, sector=assoc,
-                           sinr=w_serv / (total - w_serv + noise_w))
+                           sinr=w_serv / (total - w_serv + ch.NOISE_W))
 
 
 def linear_serving(rx_w, active_sectors):
@@ -234,7 +234,7 @@ def point_cluster_links(model, rx_w, assoc, active_sector):
     joint = np.zeros(rx_w.shape[0])
     if capable.any():
         p_joint = ascending_member_power(model, rx_w, active_sector)
-        g_joint = p_joint / (assoc.total_w[:, None] - p_joint + model.noise_w)
+        g_joint = p_joint / (assoc.total_w[:, None] - p_joint + ch.NOISE_W)
         col = np.searchsorted(model.multi_vc_ids, vc_user[capable])
         joint[capable] = g_joint[capable, col]
     return SimpleNamespace(vc=vc_user, capable=capable, joint_sinr=joint)
@@ -242,11 +242,11 @@ def point_cluster_links(model, rx_w, assoc, active_sector):
 
 def point_link_rates(model, assoc, links, gamma_d_db):
     """CoMP flags, effective SINR, MCS rates, outage and pools of one point."""
-    comp = links.capable & (assoc.sinr <= cb.channel.from_db(gamma_d_db))
+    comp = links.capable & (assoc.sinr <= ch.from_db(gamma_d_db))
     sinr_eff = np.where(comp, links.joint_sinr, assoc.sinr)
     with np.errstate(divide="ignore"):
-        eta = cb.channel.MCS_TABLE.efficiency(cb.channel.to_db(sinr_eff))
-    r_user = eta * model.rate_per_bits_symbol
+        eta = ch.MCS_TABLE.efficiency(ch.to_db(sinr_eff))
+    r_user = eta * ch.RATE_PER_BITS_SYMBOL
     return SimpleNamespace(comp=comp, sinr=sinr_eff, rate=r_user, outage=r_user <= 0.0,
                            pool=np.where(comp, model.n_sectors + links.vc, assoc.sector))
 
@@ -316,7 +316,7 @@ def point_realization_stats(sol, vq, multi_vc_ids, rate_threshold_bps, alpha,
     ids = np.asarray(multi_vc_ids, dtype=int)
     return dict(
         t_alpha_bps=t_alpha,
-        sinr_coverage=float(np.mean(sol.coverage_sinr[vq] >= cb.channel.from_db(-6.5))),
+        sinr_coverage=float(np.mean(sol.coverage_sinr[vq] >= ch.from_db(-6.5))),
         rate_coverage=float(np.mean(lam >= rate_threshold_bps)),
         energy_saving_pct=energy_saving_pct,
         theta_mean=float(sol.theta[ids].mean()) if ids.size else 0.0,
@@ -338,7 +338,7 @@ def point_evaluate(model, rx_w, vq, cluster_bs_idx, pattern, params):
     """Minimum metric-set rate of one pattern through every per-point stage."""
     act = pattern_bs_mask(int(model.sector_bs.max()) + 1, cluster_bs_idx,
                           pattern)[model.sector_bs]
-    assoc = point_associate(rx_w, act, model.noise_w, rx_w.argmax(axis=1))
+    assoc = point_associate(rx_w, act, rx_w.argmax(axis=1))
     links = point_cluster_links(model, rx_w, assoc, act)
     sol = point_allocate(model, links, point_link_rates(model, assoc, links,
                                                         params.gamma_d_db), params.alpha)
@@ -392,7 +392,7 @@ def full_field_links(model, rx_w, assoc):
             model, rx_w, assoc.active_sector[p])[users, col]
     return cb.scheduler.ClusterLinks(
         vc=vc_user, capable=capable,
-        joint_sinr=p_joint / (assoc.total_w - p_joint + model.noise_w),
+        joint_sinr=p_joint / (assoc.total_w - p_joint + ch.NOISE_W),
         n_vclusters=model.n_vclusters)
 
 
@@ -408,17 +408,17 @@ def full_field_drop_records(ctx, mu, d):
               len(cfg.rate_thresholds_bps), len(cb.STAT_FIELDS))
     order = (0, 3, 2, 4, 1, 5, 6)   # (n, A, P, C, G, T, 7) -> (n, C, P, G, A, T, 7)
     drop = cb.drop_users(ctx.layout, mu, _seed_key(cfg.master_seed, 0, _mu_key(mu), d))
-    budget_db = cb.channel.drop_link_budget(ctx.layout, drop, ctx.params)
+    budget_db = ch.drop_link_budget(ctx.layout, drop)
     blocks, skipped = [], 0
     for f_idx in range(cfg.n_fading):
-        gain_db = cb.channel.draw_gain_matrix(
-            budget_db, ctx.params, _seed_key(cfg.master_seed, 1, _mu_key(mu), d, f_idx))
-        rx_w = expression_received_power(gain_db, ctx.params)
+        gain_db = ch.draw_gain_matrix(budget_db,
+                                      _seed_key(cfg.master_seed, 1, _mu_key(mu), d, f_idx))
+        rx_w = expression_received_power(gain_db)
         vq = cb.center_cluster_users(models[0], rx_w.argmax(axis=1), ctx.center_sector_idx)
         if not vq.any():
             skipped += 1
             continue
-        assoc = cb.scheduler.associate(rx_w, ctx.active_sectors, ctx.params.noise_w,
+        assoc = cb.scheduler.associate(rx_w, ctx.active_sectors,
                                        linear_serving(rx_w, ctx.active_sectors))
         links = [full_field_links(model, rx_w, assoc) for model in models]
         rates = cb.scheduler.link_rates(models[0], assoc, links, cfg.gamma_ds_db)
@@ -436,7 +436,7 @@ def full_field_patterns(model, rx_w, cluster_bs_idx, patterns, params):
     n_bs = int(model.sector_bs.max()) + 1
     active = np.array([pattern_bs_mask(n_bs, cluster_bs_idx, p)
                        for p in patterns])[:, model.sector_bs]
-    assoc = cb.scheduler.associate(rx_w, active, model.noise_w, linear_serving(rx_w, active))
+    assoc = cb.scheduler.associate(rx_w, active, linear_serving(rx_w, active))
     links = full_field_links(model, rx_w, assoc)
     return cb.scheduler.allocate(
         cb.scheduler.link_rates(model, assoc, [links], [params.gamma_d_db]), params.alpha)

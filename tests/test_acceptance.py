@@ -15,8 +15,8 @@ from compbss.bss import all_patterns, default_pattern_list, evaluate_pattern, \
     exhaustive_oracle, heuristic_select
 from compbss.campaign import CampaignConfig, RESULT_COLUMNS, run_campaign, \
     write_rows_csv
-from compbss.channel import MCS_TABLE, _directivity_gain_in_place, path_loss_db, \
-    per_subchannel_power_w
+from compbss.channel import MCS_TABLE, PER_SUBCHANNEL_POWER_W, RATE_PER_BITS_SYMBOL, \
+    _directivity_gain_in_place, path_loss_db
 from compbss.metrics import alpha_fair_throughputs
 from compbss.scheduler import SchedulerParams, allocate, schedule, strongest_sectors
 
@@ -39,18 +39,18 @@ def _boot_q(diff, q, n_boot=3000, seed=0):
     return float(np.quantile(means, q))
 
 
-def _realization(layout, params, density, seed, tag):
+def _realization(layout, density, seed, tag):
     drop = cb.drop_users(layout, density,
                          np.random.SeedSequence(seed, spawn_key=(tag, 0)))
-    return drop, cb.build_gain_matrix(layout, drop, params,
-                                      np.random.SeedSequence(seed, spawn_key=(tag, 1)))
+    return drop, cb.build_gain_matrix(
+        layout, drop, np.random.SeedSequence(seed, spawn_key=(tag, 1)))
 
 
 R_GRID = np.array([0.0, 0.05e6, 0.1e6, 0.2e6, 0.5e6, 1e6, 2e6, 5e6])
 
 
 @pytest.fixture(scope="module")
-def ordering_matrix(layout, params, models):
+def ordering_matrix(layout, models):
     """300 drops x 4 configs x 5 patterns at alpha=1, gamma_d=0, mu=60."""
     sp = SchedulerParams(alpha=1.0, gamma_d_db=0.0)
     patterns = default_pattern_list()
@@ -60,8 +60,8 @@ def ordering_matrix(layout, params, models):
            for c in models for p in patterns}
     n_used = 0
     for d in range(300):
-        drop, gain_db = _realization(layout, params, 60.0, 20250 + d, tag=7)
-        vq = cb.center_cluster_users(models["none"], strongest_sectors(gain_db, params),
+        drop, gain_db = _realization(layout, 60.0, 20250 + d, tag=7)
+        vq = cb.center_cluster_users(models["none"], strongest_sectors(gain_db),
                                      center_idx)
         if not vq.any():
             continue
@@ -147,24 +147,24 @@ def test_c03_mcs_bit_exact():
     _report(3, "MCS lookup reproduces all 15 table rows plus outage", bool(ok))
 
 
-def test_c04_deterministic_spot_checks(params):
+def test_c04_deterministic_spot_checks():
     checks = [
         ("path_loss(1000m)", path_loss_db(1000.0), 136.8245),
         ("directivity(0)", _directivity_gain_in_place(np.array(0.0)), 25.0),
         ("directivity(180)", _directivity_gain_in_place(np.array(180.0)), 5.0),
-        ("per-subchannel power", per_subchannel_power_w(params), 10 ** 1.6 / 297.0),
-        ("link_rate(eta=1)", 1.0 * params.rate_per_bits_symbol, 16.632e6),
+        ("per-subchannel power", PER_SUBCHANNEL_POWER_W, 10 ** 1.6 / 297.0),
+        ("link_rate(eta=1)", 1.0 * RATE_PER_BITS_SYMBOL, 16.632e6),
         ("energy saving Z3/7", cb.BssPattern.from_off_ids((1, 2, 4)).energy_saving_pct,
          300.0 / 7.0),
     ]
     ok = all(abs(got - want) <= 1e-6 * abs(want) for _, got, want in checks)
     # the published roundings hold at their printed precision
-    ok &= abs(per_subchannel_power_w(params) - 0.13404) <= 5e-6
+    ok &= abs(PER_SUBCHANNEL_POWER_W - 0.13404) <= 5e-6
     ok &= abs(cb.BssPattern.from_off_ids((1, 2, 4)).energy_saving_pct - 42.857) <= 5e-4
     _report(4, "deterministic math spot-checks at 1e-6 relative", bool(ok))
 
 
-def test_c05_heuristic_equals_oracle(layout, params, models):
+def test_c05_heuristic_equals_oracle(layout, models):
     """Full 127-pattern heuristic matches the exhaustive search on 200 drops."""
     t0 = time.time()
     model = models["C3"]
@@ -177,8 +177,8 @@ def test_c05_heuristic_equals_oracle(layout, params, models):
     n_checked = 0
     n_feasible = 0
     for d in range(200):
-        drop, gain_db = _realization(layout, params, 60.0, 31000 + d, tag=5)
-        vq = cb.center_cluster_users(model, strongest_sectors(gain_db, params), center_idx)
+        drop, gain_db = _realization(layout, 60.0, 31000 + d, tag=5)
+        vq = cb.center_cluster_users(model, strongest_sectors(gain_db), center_idx)
         if not vq.any():
             continue
         h = heuristic_select(model, gain_db, vq, cb_idx, full, sp, rate_threshold)
@@ -201,7 +201,7 @@ def _inversions(seq, tol=0.01):
     return len(real), (max(real) if real else 0.0)
 
 
-def test_c06_theta_trend(layout, params, models):
+def test_c06_theta_trend(layout, models):
     """Mean joint-transmission share grows with the CoMP threshold and with
     the fairness parameter."""
     model = models["C1"]
@@ -210,8 +210,8 @@ def test_c06_theta_trend(layout, params, models):
     alphas = [1.0, 2.0, 3.0]
     sums = {(g, a): [] for g in gammas for a in alphas}
     for d in range(50):
-        drop, gain_db = _realization(layout, params, 60.0, 40000 + d, tag=6)
-        rx = cb.received_power_w(gain_db, params)
+        drop, gain_db = _realization(layout, 60.0, 40000 + d, tag=6)
+        rx = cb.received_power_w(gain_db)
         vq = cb.center_cluster_users(model, rx.argmax(axis=1), center_idx)
         if not vq.any():
             continue

@@ -28,50 +28,50 @@ ALPHAS = (0.5, 1.0, 2.0, 3.0)   # 0.5 takes the exponent-1 and square fast paths
 THRESHOLDS = (1e5, 5e5)
 
 
-def _setups(layout, params, model, densities=(20.0, 160.0), seeds=range(3)):
+def _setups(layout, model, densities=(20.0, 160.0), seeds=range(3)):
     for density in densities:
         for seed in seeds:
-            _, gain_db = make_realization(layout, params, density=density, seed=seed)
-            rx = cb.received_power_w(gain_db, params)
+            _, gain_db = make_realization(layout, density=density, seed=seed)
+            rx = cb.received_power_w(gain_db)
             vq = center_cluster_users(model, rx.argmax(axis=1),
                                       layout.center_cluster_sector_ids - 1)
             if vq.any():
                 yield density, seed, gain_db, rx, vq
 
 
-def _serving(gain_db, act, params):
+def _serving(gain_db, act):
     """Library serving sectors of the dB draw, strongest sector first."""
-    return serving_sectors(gain_db, act, strongest_sectors(gain_db, params), params)
+    return serving_sectors(gain_db, act, strongest_sectors(gain_db))
 
 
-def test_batched_associate_equals_point_oracle(layout, params, models):
+def test_batched_associate_equals_point_oracle(layout, models):
     """All 127 patterns in one pass, including users whose strongest sector sleeps."""
     act = pattern_sector_masks(layout, all_patterns(7))
     n_asleep = 0
-    for density, seed, gain_db, rx, _ in _setups(layout, params, models["C3"]):
+    for density, seed, gain_db, rx, _ in _setups(layout, models["C3"]):
         strongest = rx.argmax(axis=1)
-        assoc = associate(rx, act, params.noise_w, _serving(gain_db, act, params))
+        assoc = associate(rx, act, _serving(gain_db, act))
         assert assoc.total_w.shape == assoc.sector.shape == (len(act), rx.shape[0])
         n_asleep += np.count_nonzero(~act[:, strongest])
         for p, a in enumerate(act):
-            ref = point_associate(rx, a, params.noise_w, strongest)
+            ref = point_associate(rx, a, strongest)
             for name in ("total_w", "sector", "sinr"):
                 assert np.array_equal(getattr(assoc, name)[p], getattr(ref, name)), (
                     name, density, seed, p)
     assert n_asleep > 0
 
 
-def test_batched_cluster_links_equal_point_oracle(layout, params, models):
+def test_batched_cluster_links_equal_point_oracle(layout, models):
     act = pattern_sector_masks(layout, all_patterns(7))
-    for density, seed, gain_db, rx, _ in _setups(layout, params, models["C3"],
+    for density, seed, gain_db, rx, _ in _setups(layout, models["C3"],
                                                  seeds=range(2)):
-        assoc = associate(rx, act, params.noise_w, _serving(gain_db, act, params))
+        assoc = associate(rx, act, _serving(gain_db, act))
         for name in CONFIGS:
             model = models[name]
             links = cluster_links(model, rx, assoc, cluster_members(model, act))
             for p, a in enumerate(act):
                 ref = point_cluster_links(
-                    model, rx, point_associate(rx, a, params.noise_w, rx.argmax(axis=1)), a)
+                    model, rx, point_associate(rx, a, rx.argmax(axis=1)), a)
                 where = (name, density, seed, p)
                 assert np.array_equal(links.joint_sinr[p], ref.joint_sinr), where
                 assert np.array_equal(links.capable[p], ref.capable), where
@@ -80,7 +80,7 @@ def test_batched_cluster_links_equal_point_oracle(layout, params, models):
 
 @pytest.mark.parametrize("pattern", cb.default_pattern_list()[::2],
                          ids=lambda p: p.describe())
-def test_batched_rows_equal_point_oracles(layout, params, models, pattern):
+def test_batched_rows_equal_point_oracles(layout, models, pattern):
     """The rows of ``pattern`` in a pass over all 5 shipped patterns: every
     (config, gamma_d) row, for each alpha."""
     patterns = cb.default_pattern_list()
@@ -92,12 +92,12 @@ def test_batched_rows_equal_point_oracles(layout, params, models, pattern):
     row_energy = [patterns[q].energy_saving_pct for q, _, _ in row_points]
     row_multi = [model_list[c].multi_vc_ids for _, c, _ in row_points]
     n_checked = 0
-    for density, seed, gain_db, rx, vq in _setups(layout, params, models["C3"]):
+    for density, seed, gain_db, rx, vq in _setups(layout, models["C3"]):
         strongest = rx.argmax(axis=1)
-        assoc = associate(rx, act, params.noise_w, _serving(gain_db, act, params))
+        assoc = associate(rx, act, _serving(gain_db, act))
         links = [cluster_links(m, rx, assoc, cluster_members(m, act)) for m in model_list]
         rates = link_rates(model_list[0], assoc, links, GAMMAS)
-        point_assoc = point_associate(rx, act[p], params.noise_w, strongest)
+        point_assoc = point_associate(rx, act[p], strongest)
         for alpha in ALPHAS:
             sol = allocate(rates, alpha)
             stats = realization_stats(sol, vq, row_energy, row_multi, THRESHOLDS, alpha)
@@ -128,13 +128,13 @@ def test_batched_rows_equal_point_oracles(layout, params, models, pattern):
     assert n_checked >= 4
 
 
-def test_single_point_schedule_equals_oracle(layout, params, models):
+def test_single_point_schedule_equals_oracle(layout, models):
     """``schedule`` and ``realization_stats`` with one row, as a selection uses them."""
     pattern = cb.default_pattern_list()[1]
     active_bs = pattern_bs_mask(layout.n_bs, layout.center_cluster_bs_ids - 1, pattern)
     act = active_bs[layout.sector_bs]
-    for density, seed, gain_db, rx, vq in _setups(layout, params, models["C3"]):
-        assoc = point_associate(rx, act, params.noise_w, rx.argmax(axis=1))
+    for density, seed, gain_db, rx, vq in _setups(layout, models["C3"]):
+        assoc = point_associate(rx, act, rx.argmax(axis=1))
         for name in CONFIGS:
             model = models[name]
             links = point_cluster_links(model, rx, assoc, act)
@@ -160,12 +160,12 @@ def test_single_point_schedule_equals_oracle(layout, params, models):
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1e5, 2e5, 4e5, 1e12])
-def test_one_pass_selection_equals_sequential_walk(layout, params, models, threshold):
+def test_one_pass_selection_equals_sequential_walk(layout, models, threshold):
     """The batched heuristic and exhaustive oracle pick the pattern a walk
     down the list picks, with the same minimum rate and evaluation count."""
     cb_idx = layout.center_cluster_bs_ids - 1
     full = all_patterns(7)
-    for density, seed, gain_db, rx, vq in _setups(layout, params, models["C3"],
+    for density, seed, gain_db, rx, vq in _setups(layout, models["C3"],
                                                   densities=(60.0,), seeds=range(2)):
         for name, alpha in (("C3", 1.0), ("C1", 2.0)):
             model = models[name]

@@ -16,12 +16,11 @@ from helpers import pattern_sector_masks, patterns_to_file
 
 
 @pytest.fixture(scope="module")
-def c3_setup(layout, params, models):
+def c3_setup(layout, models):
     drop = cb.drop_users(layout, 60.0, np.random.SeedSequence(0, spawn_key=(0,)))
-    gain_db = cb.build_gain_matrix(layout, drop, params,
-                                   np.random.SeedSequence(0, spawn_key=(1,)))
+    gain_db = cb.build_gain_matrix(layout, drop, np.random.SeedSequence(0, spawn_key=(1,)))
     model = models["C3"]
-    vq = cb.center_cluster_users(model, strongest_sectors(gain_db, params),
+    vq = cb.center_cluster_users(model, strongest_sectors(gain_db),
                                  layout.center_cluster_sector_ids - 1)
     return model, gain_db, vq, layout.center_cluster_bs_ids - 1
 
@@ -132,9 +131,9 @@ class TestEvaluate:
                 for r in [0.0, ev.min_rate_bps, ev.min_rate_bps + 1.0, 1e12]]
         assert feas == sorted(feas, reverse=True)
 
-    def test_interference_never_grows_when_bs_sleeps(self, c3_setup, params):
+    def test_interference_never_grows_when_bs_sleeps(self, c3_setup):
         model, gain_db, vq, cb_idx = c3_setup
-        rx = cb.received_power_w(gain_db, params)
+        rx = cb.received_power_w(gain_db)
         act1 = np.ones(49, bool)
         act1[cb_idx[0]] = False
         act2 = act1.copy()
@@ -196,14 +195,14 @@ class TestHeuristic:
             heuristic_select(model, gain_db, vq, cb_idx, [], SP, 0.0)
 
     @pytest.mark.parametrize("threshold", [0.0, 2e5, 1e12])
-    def test_given_strongest_sectors_keep_the_result(self, c3_setup, params, threshold):
+    def test_given_strongest_sectors_keep_the_result(self, c3_setup, threshold):
         """The draw's strongest sectors passed in, alone and with the patterns'
         sector masks and the model's cluster-member tables, give the result
         that taking them inside gives, bit for bit."""
         model, gain_db, vq, cb_idx = c3_setup
         pats = default_pattern_list()
         want = heuristic_select(model, gain_db, vq, cb_idx, pats, SP, threshold)
-        strongest = strongest_sectors(gain_db, params)
+        strongest = strongest_sectors(gain_db)
         got = heuristic_select(model, gain_db, vq, cb_idx, pats, SP, threshold,
                                strongest=strongest)
         assert _same_fields(got, want)
@@ -213,7 +212,7 @@ class TestHeuristic:
                                members=cluster_members(model, active))
         assert _same_fields(got, want)
 
-    def test_matches_oracle_on_random_drops(self, layout, params, models):
+    def test_matches_oracle_on_random_drops(self, layout, models):
         model = models["C3"]
         center_idx = layout.center_cluster_sector_ids - 1
         cb_idx = layout.center_cluster_bs_ids - 1
@@ -221,9 +220,9 @@ class TestHeuristic:
         checked = 0
         for seed in range(8):
             drop = cb.drop_users(layout, 60.0, np.random.SeedSequence(seed, spawn_key=(0,)))
-            gain_db = cb.build_gain_matrix(layout, drop, params,
+            gain_db = cb.build_gain_matrix(layout, drop,
                                            np.random.SeedSequence(seed, spawn_key=(1,)))
-            vq = cb.center_cluster_users(model, strongest_sectors(gain_db, params), center_idx)
+            vq = cb.center_cluster_users(model, strongest_sectors(gain_db), center_idx)
             if not vq.any():
                 continue
             h = heuristic_select(model, gain_db, vq, cb_idx, full, SP, 0.15e6)

@@ -613,6 +613,19 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["keep.txt", "results"]
         assert (out / "keep.txt").read_text() == "x"
 
+    @pytest.mark.parametrize("blocked, extra", [
+        ("r_manifest.json", ["--fading", "1"]),
+        ("r_fig4.csv", ["--config", str(CONFIGS / "fig4_theta_sweep.yaml"), "--figure", "fig4"]),
+    ], ids=["manifest", "figure"])
+    def test_directory_at_a_companion_path_is_exit_1_before_the_run(self, tmp_path, capsys,
+                                                                    blocked, extra):
+        out = tmp_path / "r.csv"
+        (tmp_path / blocked).mkdir()
+        assert cli_main(["--drops", "1", "--out", str(out), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: output location {tmp_path / blocked} ")
+        assert not out.exists()
+
     def test_empty_traffic_profile_is_exit_1(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"
         out = tmp_path / "t.csv"

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compbss as cb
-from compbss.channel import (MCS_TABLE, ChannelParams, _directivity_gain_in_place,
-                             _link_budget_in_place, build_gain_matrix, path_loss_db,
-                             per_subchannel_power_w, received_power_w)
+from compbss.channel import (MCS_TABLE, NOISE_W, NUM_SUBCHANNELS, P_BS_DBM,
+                             PENETRATION_LOSS_DB, PER_SUBCHANNEL_POWER_W,
+                             RATE_PER_BITS_SYMBOL, USER_ANTENNA_GAIN_DBI,
+                             _directivity_gain_in_place, _link_budget_in_place,
+                             build_gain_matrix, path_loss_db, received_power_w)
 from compbss.scheduler import (SystemModel, associate, cluster_links, cluster_members,
                                link_rates)
 
@@ -40,14 +42,11 @@ def _directivity(offset_deg):
     return _directivity_gain_in_place(_floats(offset_deg))
 
 
-def _gain(pl_db, sector_gain_db, user_gain_dbi, penetration_db, shadow_db):
+def _gain(pl_db, sector_gain_db, shadow_db):
     """The drop stage's link budget, shadowed as a fading draw shadows it and
     turned into a linear gain: the received power over P_s."""
-    budget = _link_budget_in_place(_floats(pl_db), sector_gain_db, user_gain_dbi,
-                                   penetration_db)
-    params = ChannelParams()
-    return (received_power_w(_floats(budget - _floats(shadow_db)), params)
-            / per_subchannel_power_w(params))
+    budget = _link_budget_in_place(_floats(pl_db), sector_gain_db)
+    return received_power_w(_floats(budget - _floats(shadow_db))) / PER_SUBCHANNEL_POWER_W
 
 
 class TestDirectivity:
@@ -69,79 +68,74 @@ class TestDirectivity:
 
 class TestChannelGain:
     def test_identity(self):
-        assert _gain(0.0, 0.0, 0.0, 0.0, 0.0) == pytest.approx(1.0)
+        # a path "gain" of 20 dB cancels the penetration loss
+        assert _gain(-PENETRATION_LOSS_DB, 0.0, 0.0) == pytest.approx(1.0)
 
     def test_hand_value(self):
-        g = _gain(100.0, 25.0, 0.0, 20.0, 0.0)
+        g = _gain(100.0, 25.0, 0.0)
         assert g == pytest.approx(10 ** (-9.5), rel=1e-12)
 
     def test_kernels_have_the_bits_of_the_expressions(self):
         rng = np.random.default_rng(2)
         pl, shadow = rng.uniform(60.0, 160.0, size=(2, 50, 30))
         gain = rng.uniform(5.0, 25.0, size=30)
-        budget = _link_budget_in_place(pl.copy(), gain, 1.5, 20.0)
-        assert same_bits(budget, -pl + gain + 1.5 - 20.0)
-        params = ChannelParams()
-        assert same_bits(received_power_w(budget - shadow, params),
-                         per_subchannel_power_w(params) * 10.0 ** ((budget - shadow) / 10.0))
+        budget = _link_budget_in_place(pl.copy(), gain)
+        assert same_bits(budget, -pl + gain + USER_ANTENNA_GAIN_DBI - PENETRATION_LOSS_DB)
+        assert same_bits(received_power_w(budget - shadow),
+                         PER_SUBCHANNEL_POWER_W * 10.0 ** ((budget - shadow) / 10.0))
 
-    def test_shadow_determinism(self, layout, params):
+    def test_shadow_determinism(self, layout):
         drop = cb.drop_users(layout, 20.0, 5)
-        g1 = build_gain_matrix(layout, drop, params, 99)
-        g2 = build_gain_matrix(layout, drop, params, 99)
+        g1 = build_gain_matrix(layout, drop, 99)
+        g2 = build_gain_matrix(layout, drop, 99)
         assert np.array_equal(g1, g2)
-        g3 = build_gain_matrix(layout, drop, params, 100)
+        g3 = build_gain_matrix(layout, drop, 100)
         assert not np.array_equal(g1, g3)
 
-    def test_gains_positive_finite(self, layout, params):
+    def test_gains_positive_finite(self, layout):
         """Finite gains in dB, and positive, finite linear powers."""
         drop = cb.drop_users(layout, 20.0, 6)
-        g = build_gain_matrix(layout, drop, params, 1)
+        g = build_gain_matrix(layout, drop, 1)
         assert np.all(np.isfinite(g))
         assert g.shape == (drop.n_users, layout.n_sectors)
-        rx = received_power_w(g, params)
+        rx = received_power_w(g)
         assert np.all(rx > 0)
         assert np.all(np.isfinite(rx))
 
 
 class TestPower:
-    def test_table_operating_point(self, params):
-        p = per_subchannel_power_w(params)
-        assert p == pytest.approx(10 ** 1.6 / 297.0, rel=1e-12)
-        assert p == pytest.approx(0.13404, abs=5e-6)
+    def test_table_operating_point(self):
+        assert PER_SUBCHANNEL_POWER_W == pytest.approx(10 ** 1.6 / 297.0, rel=1e-12)
+        assert PER_SUBCHANNEL_POWER_W == pytest.approx(0.13404, abs=5e-6)
 
-    def test_one_subchannel(self):
-        p = per_subchannel_power_w(ChannelParams(p_bs_dbm=30.0, num_subchannels=1))
-        assert p == pytest.approx(1.0 / 3.0, rel=1e-12)
+    def test_bs_power_budget_conserved(self):
+        total = PER_SUBCHANNEL_POWER_W * 3 * NUM_SUBCHANNELS
+        assert total == pytest.approx(10 ** ((P_BS_DBM - 30) / 10), rel=1e-9)
 
-    def test_inverse_in_subchannels(self):
-        p1 = per_subchannel_power_w(ChannelParams(num_subchannels=50))
-        p2 = per_subchannel_power_w(ChannelParams(num_subchannels=100))
-        assert p1 == pytest.approx(2 * p2, rel=1e-12)
-
-    def test_bs_power_budget_conserved(self, params):
-        total = per_subchannel_power_w(params) * 3 * params.num_subchannels
-        assert total == pytest.approx(10 ** ((params.p_bs_dbm - 30) / 10), rel=1e-9)
+    def test_derived_constants_keep_their_bits(self):
+        """The rate scale and the power per subchannel have the bits that
+        every golden output was computed with."""
+        assert RATE_PER_BITS_SYMBOL == 16632000.0
+        assert PER_SUBCHANNEL_POWER_W == 10 ** 1.6 / 297
 
 
-def _associate(rx, active, noise_w):
+def _associate(rx, active):
     """``associate`` of every user under each row of the (P, S) masks."""
     act = np.atleast_2d(active)
-    return associate(rx, act, noise_w, linear_serving(rx, act))
+    return associate(rx, act, linear_serving(rx, act))
 
 
-def _model(vc_of_sector, noise_w):
+def _model(vc_of_sector):
     """A field of one sector per BS, grouped into virtual clusters by
     ``vc_of_sector``."""
     sizes = np.bincount(vc_of_sector)
     return SystemModel(sector_bs=np.arange(vc_of_sector.size), vc_of_sector=vc_of_sector,
-                       vc_sizes=sizes, multi_vc_ids=np.flatnonzero(sizes > 1),
-                       channel=ChannelParams(noise_w=noise_w))
+                       vc_sizes=sizes, multi_vc_ids=np.flatnonzero(sizes > 1))
 
 
 def _stages(rx, active, model):
     """``associate`` and ``cluster_links`` of every user under the masks."""
-    assoc = _associate(rx, active, model.noise_w)
+    assoc = _associate(rx, active)
     return assoc, cluster_links(model, rx, assoc,
                                 cluster_members(model, assoc.active_sector))
 
@@ -150,50 +144,49 @@ class TestSinr:
     """Serving SINR of ``associate`` and joint SINR of ``cluster_links``."""
 
     def test_unit_snr(self):
-        rx = np.array([[2.5e-15], [2.5e-15]])
-        assert _associate(rx, [True], 2.5e-15).sinr[0] == pytest.approx(1.0)
+        rx = np.full((2, 1), NOISE_W)
+        assert _associate(rx, [True]).sinr[0] == pytest.approx(1.0)
 
     def test_switching_interferer_off_increases_sinr(self):
-        rx = np.array([[1.0, 0.5, 0.2], [0.1, 0.2, 0.4]])
-        g = _associate(rx, [[True, True, True], [True, False, True]], 1e-3).sinr
+        rx = np.array([[1.0, 0.5, 0.2], [0.1, 0.2, 0.4]]) * (NOISE_W / 1e-3)
+        g = _associate(rx, [[True, True, True], [True, False, True]]).sinr
         assert g[1, 0] > g[0, 0]
 
-    def test_matrix_matches_bruteforce_resummation(self, realization, params, layout):
+    def test_matrix_matches_bruteforce_resummation(self, realization, layout):
         """Oracle: direct interference sum with plain loops, all sectors on and
         with the centre cluster's sectors 10-12 asleep."""
         _, _, rx = realization
         sub = rx[:5]
         act = np.ones((2, layout.n_sectors), bool)
         act[1, 9:12] = False
-        assoc = _associate(sub, act, params.noise_w)
+        assoc = _associate(sub, act)
         for p in range(2):
             for u in range(5):
                 s = assoc.sector[p, u]
                 assert act[p, s]
                 interf = sum(sub[u, t] for t in range(layout.n_sectors)
                              if t != s and act[p, t])
-                expect = sub[u, s] / (interf + params.noise_w)
+                expect = sub[u, s] / (interf + NOISE_W)
                 assert assoc.sinr[p, u] == pytest.approx(expect, rel=1e-9)
 
     def test_matrix_masks_inactive(self):
-        rx = np.array([[1.0, 3.0, 2.0], [1.0, 1.0, 2.0]])
-        assoc = _associate(rx, [True, False, True], 1e-3)
+        rx = np.array([[1.0, 3.0, 2.0], [1.0, 1.0, 2.0]]) * (NOISE_W / 1e-3)
+        assoc = _associate(rx, [True, False, True])
         assert assoc.sector[0, 0] == 2
         assert assoc.sinr[0, 0] == pytest.approx(2.0 / (1.0 + 1e-3))
 
     def test_comp_power_superposition(self):
         # two equal links at 0 dB SNR, no interference: joint SINR 3.01 dB
-        noise = 1e-15
-        rx = np.full((2, 2), noise)
-        _, links = _stages(rx, [True, True], _model(np.array([0, 0]), noise))
+        rx = np.full((2, 2), NOISE_W)
+        _, links = _stages(rx, [True, True], _model(np.array([0, 0])))
         assert 10 * np.log10(links.joint_sinr[0, 0]) == pytest.approx(3.0103, abs=1e-3)
 
-    def test_comp_singleton_equals_single(self, realization, params):
+    def test_comp_singleton_equals_single(self, realization):
         """A cluster with its serving sector as the only active member gives
         the serving SINR."""
         _, _, rx = realization
         sub = rx[:, :6]
-        model = _model(np.array([0, 0, 1, 2, 3, 4]), params.noise_w)
+        model = _model(np.array([0, 0, 1, 2, 3, 4]))
         assoc, links = _stages(sub, [True, False, True, True, True, True], model)
         served = assoc.sector[0] == 0
         assert served.any()
@@ -235,30 +228,29 @@ class TestMcs:
 
 
 class TestLinkRate:
-    """Link rate = MCS efficiency x ``rate_per_bits_symbol``, as ``link_rates``
+    """Link rate = MCS efficiency x ``RATE_PER_BITS_SYMBOL``, as ``link_rates``
     computes it."""
 
-    def test_unit_efficiency(self, params):
-        assert 1.0 * params.rate_per_bits_symbol == pytest.approx(16.632e6, rel=1e-9)
+    def test_unit_efficiency(self):
+        assert 1.0 * RATE_PER_BITS_SYMBOL == pytest.approx(16.632e6, rel=1e-9)
 
-    def test_lowest_mcs(self, params):
-        assert 0.15 * params.rate_per_bits_symbol == pytest.approx(2.4948e6, rel=1e-9)
+    def test_lowest_mcs(self):
+        assert 0.15 * RATE_PER_BITS_SYMBOL == pytest.approx(2.4948e6, rel=1e-9)
 
-    def test_zero(self, params):
+    def test_zero(self):
         """Below the MCS floor ``link_rates`` gives rate 0 and outage."""
-        noise = 1e-15
-        rx = np.array([[1e-20, 1e-21], [1e-12, 1e-21]])
-        model = _model(np.array([0, 1]), noise)
+        rx = np.array([[1e-20, 1e-21], [1e-12, 1e-21]]) * (NOISE_W / 1e-15)
+        model = _model(np.array([0, 1]))
         assoc, links = _stages(rx, [True, True], model)
         rates = link_rates(model, assoc, [links], [-1.0])
         assert rates.rate[0, 0] == 0.0 and rates.outage[0, 0]
-        assert rates.rate[0, 1] == 5.55 * params.rate_per_bits_symbol
+        assert rates.rate[0, 1] == 5.55 * RATE_PER_BITS_SYMBOL
         assert not rates.outage[0, 1]
 
 
-def test_received_power_shape(realization, params):
+def test_received_power_shape(realization):
     drop, gain_db, rx = realization
     assert rx.shape == gain_db.shape
-    assert np.allclose(rx, per_subchannel_power_w(params) * 10.0 ** (gain_db / 10.0))
+    assert np.allclose(rx, PER_SUBCHANNEL_POWER_W * 10.0 ** (gain_db / 10.0))
     rows = np.array([5, 0, 5])
-    assert same_bits(received_power_w(gain_db, params, rows=rows), rx[rows])
+    assert same_bits(received_power_w(gain_db, rows=rows), rx[rows])

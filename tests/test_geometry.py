@@ -363,12 +363,12 @@ def test_drop_tops_up_a_short_first_batch(layout):
     assert np.array_equal(drop.link_dist_m.argmin(axis=1), nearest)
 
 
-def test_empty_drop_has_empty_link_geometry(layout, params):
+def test_empty_drop_has_empty_link_geometry(layout):
     drop = drop_users(layout, 1e-4, 0)
     assert drop.n_users == 0
     assert drop.link_dist_m.shape == (0, layout.n_bs)
     assert drop.link_az_deg.shape == (0, layout.n_bs)
-    assert drop_link_budget(layout, drop, params).shape == (0, layout.n_sectors)
+    assert drop_link_budget(layout, drop).shape == (0, layout.n_sectors)
 
 
 @settings(max_examples=50, deadline=None)

@@ -67,26 +67,26 @@ def test_drop_records_with_every_preset_in_one_pass(tmp_path):
         _assert_records_equal(ctx, mu, 0)
 
 
-def _off_centre_model(layout, params):
+def _off_centre_model(layout):
     """C3 plus one multi-sector cluster of the three sectors of BS 8, which
     serve no metric-set user unless a sleeping sector hands one over."""
-    base = cb.build_system_model(layout, "C3", params)
+    base = cb.build_system_model(layout, "C3")
     vc = base.vc_of_sector.copy()
     outer = np.flatnonzero(layout.sector_bs == 7)
     vc[outer] = vc[outer[0]]
     _, vc = np.unique(vc, return_inverse=True)
     sizes = np.bincount(vc)
     return SystemModel(sector_bs=base.sector_bs, vc_of_sector=vc, vc_sizes=sizes,
-                       multi_vc_ids=np.flatnonzero(sizes > 1), channel=params)
+                       multi_vc_ids=np.flatnonzero(sizes > 1))
 
 
 @pytest.mark.parametrize("pattern_set", PATTERN_SETS)
-def test_off_centre_cluster_keeps_its_theta(tmp_path, layout, params, pattern_set):
+def test_off_centre_cluster_keeps_its_theta(tmp_path, layout, pattern_set):
     """The theta of a multi-sector cluster no metric-set user reaches is read
     by theta_mean, so every user of its sectors is a pool user.  The first
     configuration has no such cluster."""
     ctx = _context(tmp_path, pattern_set, ["none", "C3"], gamma_ds_db=[4.0])
-    model = _off_centre_model(layout, params)
+    model = _off_centre_model(layout)
     ctx = dataclasses.replace(
         ctx, models={"none": ctx.models["none"], "C3": model},
         members=[ctx.members[0], cluster_members(model, ctx.active_sectors)])
@@ -95,12 +95,12 @@ def test_off_centre_cluster_keeps_its_theta(tmp_path, layout, params, pattern_se
             _assert_records_equal(ctx, mu, d)
 
 
-def _draws(layout, params, model, seeds=range(2)):
+def _draws(layout, model, seeds=range(2)):
     center_idx = layout.center_cluster_sector_ids - 1
     for density in DENSITIES:
         for seed in seeds:
-            _, gain_db = make_realization(layout, params, density=density, seed=seed)
-            rx = cb.received_power_w(gain_db, params)
+            _, gain_db = make_realization(layout, density=density, seed=seed)
+            rx = cb.received_power_w(gain_db)
             vq = cb.center_cluster_users(model, rx.argmax(axis=1), center_idx)
             if vq.any():
                 yield density, seed, gain_db, rx, vq
@@ -115,14 +115,14 @@ def _check_pick(got, patterns, want_rates, k, feasible, n_eval, where):
 
 
 @pytest.mark.parametrize("config", ["none", "C1", "C2", "C3"])
-def test_selections_equal_full_field_oracle(layout, params, models, config):
+def test_selections_equal_full_field_oracle(layout, models, config):
     """The pattern-list pass of ``draw_rates`` on 5 and 127 patterns, with
     every row's rates, coverage SINR and cluster theta, and the heuristic and
     exhaustive oracle picks."""
     model = models[config]
     cb_idx = layout.center_cluster_bs_ids - 1
     n_checked = 0
-    for density, seed, gain_db, rx, vq in _draws(layout, params, model, seeds=range(1)):
+    for density, seed, gain_db, rx, vq in _draws(layout, model, seeds=range(1)):
         for alpha, gamma_d in ((1.0, -1.0), (3.0, 4.0)):
             sp = cb.SchedulerParams(alpha=alpha, gamma_d_db=gamma_d)
             for patterns in (cb.default_pattern_list(), all_patterns(7)):
@@ -131,7 +131,7 @@ def test_selections_equal_full_field_oracle(layout, params, models, config):
                 active = np.array([pattern_bs_mask(layout.n_bs, cb_idx, p)
                                    for p in patterns])[:, model.sector_bs]
                 users, rates = draw_rates([model], [cluster_members(model, active)], gain_db,
-                                          strongest_sectors(gain_db, params), vq, active,
+                                          strongest_sectors(gain_db), vq, active,
                                           [gamma_d])
                 got = allocate(rates, alpha)
                 where = (config, density, seed, alpha, len(patterns))
@@ -156,11 +156,11 @@ def test_selections_equal_full_field_oracle(layout, params, models, config):
     assert n_checked >= 30
 
 
-def test_pool_users_are_sorted_and_hold_the_metric_set(layout, params, models):
+def test_pool_users_are_sorted_and_hold_the_metric_set(layout, models):
     act = pattern_sector_masks(layout, all_patterns(7))
     shares = []
-    for _, _, gain_db, rx, vq in _draws(layout, params, models["C1"]):
-        strongest = strongest_sectors(gain_db, params)
+    for _, _, gain_db, rx, vq in _draws(layout, models["C1"]):
+        strongest = strongest_sectors(gain_db)
         assert np.array_equal(strongest, rx.argmax(axis=1))
         users, serving = pool_users(gain_db, strongest, vq, act, list(models.values()))
         assert np.array_equal(users, np.unique(users))
@@ -170,7 +170,7 @@ def test_pool_users_are_sorted_and_hold_the_metric_set(layout, params, models):
     assert 0.0 < min(shares) and max(shares) < 1.0
 
 
-def test_single_pool_user_keeps_a_second_row(models, params):
+def test_single_pool_user_keeps_a_second_row(models):
     """One metric-set user alone in its sector: the association still sums
     two users' columns, and the rates equal the full-field ones."""
     model = models["none"]
@@ -178,9 +178,9 @@ def test_single_pool_user_keeps_a_second_row(models, params):
         rng = np.random.default_rng(seed)
         gain_db = rng.normal(-120.0, 15.0, size=(3, model.n_sectors))
         gain_db[np.arange(3), [0, 60, 90]] = -60.0    # strongest: centre, then two outer
-        rx = cb.received_power_w(gain_db, params)
+        rx = cb.received_power_w(gain_db)
         vq = np.array([True, False, False])
-        users, _ = pool_users(gain_db, strongest_sectors(gain_db, params), vq,
+        users, _ = pool_users(gain_db, strongest_sectors(gain_db), vq,
                               np.ones((1, model.n_sectors), bool), [model])
         assert users.tolist() == [0, 1]
         sp = cb.SchedulerParams()

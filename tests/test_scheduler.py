@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import compbss as cb
-from compbss.channel import MCS_TABLE
+from compbss.channel import MCS_TABLE, NOISE_W, RATE_PER_BITS_SYMBOL
 from compbss.clusters import PRESET_GROUPS, PRESET_NAMES, sector_vclusters
 from compbss.metrics import alpha_fair_throughputs
 from compbss.scheduler import (ALPHA_RANGE, DEFAULT_GAMMA_D_RANGE_DB, TIE_MARGIN_DB,
@@ -25,9 +25,9 @@ positive_rates = arrays(np.float64, st.integers(1, 8),
 
 
 @functools.lru_cache(maxsize=None)
-def _realization_rx(layout, params, density, seed):
-    _, gain_db = make_realization(layout, params, density=density, seed=seed)
-    return cb.received_power_w(gain_db, params)
+def _realization_rx(layout, density, seed):
+    _, gain_db = make_realization(layout, density=density, seed=seed)
+    return cb.received_power_w(gain_db)
 
 
 def allocated_fractions(rates, alpha):
@@ -43,10 +43,10 @@ def allocated_theta(nc_rates, c_rates, alpha):
                                np.asarray(c_rates, dtype=float), alpha)[1]
 
 
-def _all_on_stages(rx, noise_w, model):
+def _all_on_stages(rx, model):
     """Association and cluster links of every user with every sector on."""
     act = np.ones((1, rx.shape[1]), bool)
-    assoc = associate(rx, act, noise_w, linear_serving(rx, act))
+    assoc = associate(rx, act, linear_serving(rx, act))
     return assoc, cluster_links(model, rx, assoc, cluster_members(model, act))
 
 
@@ -154,22 +154,21 @@ class TestUtility:
 
 
 class TestAssociation:
-    def test_argmax_matches_exhaustive_scan(self, realization, params, layout, models):
+    def test_argmax_matches_exhaustive_scan(self, realization, layout, models):
         """Oracle: plain scan of the SINR over all 147 sectors."""
         _, _, rx = realization
-        assoc, _ = _all_on_stages(rx, params.noise_w, models["none"])
+        assoc, _ = _all_on_stages(rx, models["none"])
         for u in range(min(40, rx.shape[0])):
             total = sum(rx[u])
             best, best_g = 0, -np.inf
             for s in range(layout.n_sectors):
-                g = rx[u, s] / (total - rx[u, s] + params.noise_w)
+                g = rx[u, s] / (total - rx[u, s] + NOISE_W)
                 if g > best_g:
                     best, best_g = s, g
             assert assoc.sector[0, u] == best
             assert assoc.sinr[0, u] == pytest.approx(best_g, rel=1e-9)
 
-    def test_association_moves_when_serving_bs_off(self, realization, params,
-                                                   layout, models):
+    def test_association_moves_when_serving_bs_off(self, realization, layout, models):
         _, _, rx = realization
         model = models["none"]
         sp = SchedulerParams(alpha=1.0, gamma_d_db=0.0)
@@ -188,32 +187,31 @@ class TestAssociation:
         ones; equal powers go to the lowest index."""
         gain_db = np.array([[2.0, 3.0, 3.0, 9.0]])
         act = np.array([[True, True, True, False]])
-        params = cb.ChannelParams()
-        strongest = strongest_sectors(gain_db, params)
-        assert serving_sectors(gain_db, act, strongest, params)[0, 0] == 1
+        strongest = strongest_sectors(gain_db)
+        assert serving_sectors(gain_db, act, strongest)[0, 0] == 1
 
     def test_no_active_sector_raises(self):
         rx = np.ones((2, 3))
         with pytest.raises(ValueError, match="active"):
-            associate(rx, np.zeros((1, 3), bool), 1e-3, np.zeros((1, 2), int))
+            associate(rx, np.zeros((1, 3), bool), np.zeros((1, 2), int))
 
 
-def _collapsing_pairs(params, n=8):
+def _collapsing_pairs(n=8):
     """dB gains g < h one ulp apart, at link-budget levels, whose received
     powers in watts are equal: over watts the lower index wins their tie."""
     g = np.random.default_rng(0).uniform(-128.0, -80.0, size=4000)
     h = np.nextafter(g, np.inf)
-    same = cb.received_power_w(g[:, None], params) == cb.received_power_w(h[:, None], params)
+    same = cb.received_power_w(g[:, None]) == cb.received_power_w(h[:, None])
     g, h = g[same[:, 0]], h[same[:, 0]]
     assert g.size >= n
     return g[:n], h[:n]
 
 
-def _near_tie_rows(params, n_sectors=12):
+def _near_tie_rows(n_sectors=12):
     """Rows of a dB draw whose two largest entries, at sectors 3 and 8 (in
     either order), are equal, one ulp apart with equal watts, within
     TIE_MARGIN_DB, or just outside it."""
-    g, h = _collapsing_pairs(params)
+    g, h = _collapsing_pairs()
     pairs = [(g, g), (g, h), (h, g), (g, g + 0.5 * TIE_MARGIN_DB),
              (g + 0.5 * TIE_MARGIN_DB, g), (g, g + 2.0 * TIE_MARGIN_DB)]
     rows = []
@@ -229,72 +227,71 @@ class TestCertifiedArgmax:
     the row in watts, ties to the lowest index, however close the two
     largest candidates lie."""
 
-    def test_strongest_sector_equals_linear_argmax(self, params):
-        gain_db = _near_tie_rows(params)
+    def test_strongest_sector_equals_linear_argmax(self):
+        gain_db = _near_tie_rows()
         drawn = gain_db.copy()
-        rx = cb.received_power_w(gain_db, params)
+        rx = cb.received_power_w(gain_db)
         want = rx.argmax(axis=1)
-        got = strongest_sectors(gain_db, params)
+        got = strongest_sectors(gain_db)
         assert same_bits(gain_db, drawn)
         assert np.array_equal(got, want)
         assert same_bits(rx[np.arange(rx.shape[0]), got], rx.max(axis=1))
         # the dB argmax alone picks sector 8 where watts tie at sector 3
         assert np.any(gain_db.argmax(axis=1) != want)
 
-    def test_sleeping_repick_equals_linear_argmax(self, params):
+    def test_sleeping_repick_equals_linear_argmax(self):
         """Sector 0 is the strongest and sleeps; the re-pick among the active
         sectors meets the same near ties."""
-        gain_db = _near_tie_rows(params)
+        gain_db = _near_tie_rows()
         gain_db[:, 0] = -60.0
         act = np.ones((2, gain_db.shape[1]), bool)
         act[:, 0] = False
         act[1, 5] = False
-        strongest = strongest_sectors(gain_db, params)
+        strongest = strongest_sectors(gain_db)
         assert not strongest.any()
-        rx = cb.received_power_w(gain_db, params)
+        rx = cb.received_power_w(gain_db)
         want = linear_serving(rx, act)
-        assert np.array_equal(serving_sectors(gain_db, act, strongest, params), want)
+        assert np.array_equal(serving_sectors(gain_db, act, strongest), want)
         masked = np.where(act[0], gain_db, -np.inf)
         assert np.any(masked.argmax(axis=1) != want[0])
 
-    def test_draws_of_the_campaign(self, layout, params):
+    def test_draws_of_the_campaign(self, layout):
         for density in (20.0, 160.0):
             for seed in range(3):
-                _, gain_db = make_realization(layout, params, density=density, seed=seed)
-                rx = cb.received_power_w(gain_db, params)
-                assert np.array_equal(strongest_sectors(gain_db, params), rx.argmax(axis=1))
+                _, gain_db = make_realization(layout, density=density, seed=seed)
+                rx = cb.received_power_w(gain_db)
+                assert np.array_equal(strongest_sectors(gain_db), rx.argmax(axis=1))
 
 
 class TestClassification:
     """CoMP flags of ``link_rates``: capable users at or below gamma_d."""
 
-    def test_threshold_below_all_sinrs(self, realization, params, models):
+    def test_threshold_below_all_sinrs(self, realization, models):
         _, _, rx = realization
         model = models["C1"]
-        assoc, links = _all_on_stages(rx, params.noise_w, model)
+        assoc, links = _all_on_stages(rx, model)
         assert not link_rates(model, assoc, [links], [-200.0]).comp.any()
 
-    def test_threshold_above_all_sinrs_comps_everyone_in_c1(self, realization,
-                                                            params, models):
+    def test_threshold_above_all_sinrs_comps_everyone_in_c1(self, realization, models):
         _, _, rx = realization
         model = models["C1"]
-        assoc, links = _all_on_stages(rx, params.noise_w, model)
+        assoc, links = _all_on_stages(rx, model)
         z = link_rates(model, assoc, [links], [200.0]).comp[0]
         in_multi = model.vc_sizes[model.vc_of_sector[assoc.sector[0]]] > 1
         assert in_multi.any()
         assert np.array_equal(z, in_multi)
 
-    def test_singletons_never_comp(self, realization, params, models):
+    def test_singletons_never_comp(self, realization, models):
         _, _, rx = realization
         model = models["none"]
-        assoc, links = _all_on_stages(rx, params.noise_w, model)
+        assoc, links = _all_on_stages(rx, model)
         assert not link_rates(model, assoc, [links], [200.0]).comp.any()
 
-    def test_partition_counts(self, realization, params, models):
+    def test_partition_counts(self, realization, models):
         """Each user joins one pool: its sector's, or its cluster's when CoMP."""
         _, _, rx = realization
         model = models["C3"]
-        assoc, links = _all_on_stages(rx, params.noise_w, model)
+        assoc, links = _all_on_stages(rx, model)
         rates = link_rates(model, assoc, [links], [0.0])
         comp, pool = rates.comp[0], rates.pool[0]
         assert comp.any() and not comp.all()
@@ -359,21 +356,22 @@ class TestSchedulePipeline:
 
     def test_schedule_against_straightline_reimplementation(self):
         """Oracle: independent loop-based scheduler on a 2-BS, 3-user instance."""
-        noise = 1e-15
+        noise = NOISE_W
         rate_scale = 16.632e6
         sector_bs = np.array([0, 0, 0, 1, 1, 1])
         # virtual clusters: sectors 0 and 3 cooperate, the rest are singletons
         vc_of_sector = np.array([0, 1, 2, 0, 3, 4])
         vc_sizes = np.array([2, 1, 1, 1, 1])
         model = SystemModel(sector_bs=sector_bs, vc_of_sector=vc_of_sector,
-                            vc_sizes=vc_sizes, multi_vc_ids=np.array([0]),
-                            channel=cb.ChannelParams(noise_w=noise))
-        assert model.rate_per_bits_symbol == rate_scale
+                            vc_sizes=vc_sizes, multi_vc_ids=np.array([0]))
+        assert RATE_PER_BITS_SYMBOL == rate_scale
+        # powers written for a 1e-15 W noise floor, scaled to NOISE_W so that
+        # every SINR keeps its value
         rx = np.array([
             [5.0e-15, 1.0e-15, 0.2e-15, 4.0e-15, 0.1e-15, 0.1e-15],
             [9.0e-15, 0.5e-15, 0.1e-15, 0.4e-15, 0.2e-15, 0.1e-15],
             [0.3e-15, 0.1e-15, 0.1e-15, 8.0e-15, 1.0e-15, 0.2e-15],
-        ])
+        ]) * (NOISE_W / 1e-15)
         alpha, gamma_d_db = 2.0, 3.0
         sol = schedule(model, rx, np.ones(2, bool),
                        SchedulerParams(alpha=alpha, gamma_d_db=gamma_d_db))
@@ -437,9 +435,9 @@ class TestSchedulePipeline:
            density=st.sampled_from([20.0, 160.0]),
            gamma_d_db=st.floats(-6.5, 10.0),
            config=st.sampled_from(["C1", "C2", "C3"]))
-    def test_alpha_range_gives_sound_allocations(self, layout, params, models, alpha,
+    def test_alpha_range_gives_sound_allocations(self, layout, models, alpha,
                                                  seed, density, gamma_d_db, config):
-        rx = _realization_rx(layout, params, density, seed)
+        rx = _realization_rx(layout, density, seed)
         model = models[config]
         with np.errstate(over="raise", invalid="raise"):
             sol = schedule(model, rx, np.ones(49, bool),
@@ -533,6 +531,6 @@ class TestPresets:
         assert sizes.tolist() == group_sizes + [1] * (len(set(want)) - n_multi)
         assert multi.tolist() == list(range(n_multi))
 
-    def test_unknown_preset(self, layout, params):
+    def test_unknown_preset(self, layout):
         with pytest.raises(ValueError, match=r"'C9'.*\('none', 'C1', 'C2', 'C3'\)"):
-            cb.build_system_model(layout, "C9", params)
+            cb.build_system_model(layout, "C9")

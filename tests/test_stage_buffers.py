@@ -26,23 +26,23 @@ ISDS = [500.0, 250.0, 1732.05]
 DENSITIES = [20.0, 60.0, 160.0]
 
 
-def _check_stages(layout, params, drop, seeds):
+def _check_stages(layout, drop, seeds):
     """Both stages and the received power of the whole draw and of some of
     its rows equal their oracles bit for bit, and leave their inputs
     untouched."""
     dist, az = drop.link_dist_m.copy(), drop.link_az_deg.copy()
-    budget = drop_link_budget(layout, drop, params)
-    assert same_bits(budget, expression_link_budget(layout, drop, params))
+    budget = drop_link_budget(layout, drop)
+    assert same_bits(budget, expression_link_budget(layout, drop))
     assert same_bits(drop.link_dist_m, dist) and same_bits(drop.link_az_deg, az)
     kept = budget.copy()
     for seed in seeds:
-        gain_db = draw_gain_matrix(budget, params, seed)
-        assert same_bits(gain_db, expression_gain_matrix(budget, params, seed))
+        gain_db = draw_gain_matrix(budget, seed)
+        assert same_bits(gain_db, expression_gain_matrix(budget, seed))
         drawn = gain_db.copy()
-        want = expression_received_power(gain_db, params)
-        assert same_bits(received_power_w(gain_db, params), want)
+        want = expression_received_power(gain_db)
+        assert same_bits(received_power_w(gain_db), want)
         for rows in (np.arange(0, gain_db.shape[0], 3), np.arange(gain_db.shape[0])[::-2]):
-            assert same_bits(received_power_w(gain_db, params, rows=rows), want[rows])
+            assert same_bits(received_power_w(gain_db, rows=rows), want[rows])
         assert same_bits(gain_db, drawn)
     assert same_bits(budget, kept)
 
@@ -54,20 +54,20 @@ def layouts():
 
 @pytest.mark.parametrize("isd", ISDS)
 @pytest.mark.parametrize("density", DENSITIES)
-def test_stages_match_expression_oracles(layouts, params, isd, density):
+def test_stages_match_expression_oracles(layouts, isd, density):
     layout = layouts[isd]
     for d in range(2):
         drop = cb.drop_users(layout, density, np.random.SeedSequence(d, spawn_key=(7,)))
-        _check_stages(layout, params, drop, seeds=[(d, 0), (d, 1)])
+        _check_stages(layout, drop, seeds=[(d, 0), (d, 1)])
 
 
-def test_empty_drop(layout, params):
+def test_empty_drop(layout):
     drop = cb.drop_users(layout, 1e-4, 0)
     assert drop.n_users == 0
-    budget = drop_link_budget(layout, drop, params)
+    budget = drop_link_budget(layout, drop)
     assert budget.shape == (0, layout.n_sectors)
-    _check_stages(layout, params, drop, seeds=[0])
-    assert draw_gain_matrix(budget, params, 0).shape == (0, layout.n_sectors)
+    _check_stages(layout, drop, seeds=[0])
+    assert draw_gain_matrix(budget, 0).shape == (0, layout.n_sectors)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 17, 2**40 + 3])
@@ -107,25 +107,25 @@ SLACK = 64 * 1024
 
 
 @pytest.mark.parametrize("density", [60.0, 160.0])
-def test_fading_stage_allocates_one_array(layout, params, density):
+def test_fading_stage_allocates_one_array(layout, density):
     drop, us, _ = _sizes(layout, density)
-    budget = drop_link_budget(layout, drop, params)
-    assert _traced_peak(draw_gain_matrix, budget, params, 9) <= us + SLACK
+    budget = drop_link_budget(layout, drop)
+    assert _traced_peak(draw_gain_matrix, budget, 9) <= us + SLACK
 
 
 @pytest.mark.parametrize("density", [60.0, 160.0])
-def test_power_of_some_rows_allocates_those_rows(layout, params, density):
+def test_power_of_some_rows_allocates_those_rows(layout, density):
     drop, us, _ = _sizes(layout, density)
-    gain_db = draw_gain_matrix(drop_link_budget(layout, drop, params), params, 9)
+    gain_db = draw_gain_matrix(drop_link_budget(layout, drop), 9)
     rows = np.arange(0, drop.n_users, 4)
     row_bytes = rows.size * layout.n_sectors * 8
-    assert _traced_peak(received_power_w, gain_db, params, rows) <= row_bytes + SLACK
+    assert _traced_peak(received_power_w, gain_db, rows) <= row_bytes + SLACK
 
 
 @pytest.mark.parametrize("density", [60.0, 160.0])
-def test_drop_stage_allocates_two_arrays_and_the_path_loss(layout, params, density):
+def test_drop_stage_allocates_two_arrays_and_the_path_loss(layout, density):
     drop, us, ub = _sizes(layout, density)
-    assert _traced_peak(drop_link_budget, layout, drop, params) <= 2 * us + ub + SLACK
+    assert _traced_peak(drop_link_budget, layout, drop) <= 2 * us + ub + SLACK
 
 
 DROP_FIELDS = ("positions", "link_dist_m", "link_az_deg")
@@ -141,7 +141,7 @@ def _same_drop(a, b):
         same_bits(a.link_dist_m, b.link_dist_m) and same_bits(a.link_az_deg, b.link_az_deg)
 
 
-def test_scratch_reuse_keeps_every_bit(layouts, params):
+def test_scratch_reuse_keeps_every_bit(layouts):
     """One scratch through drops that grow and shrink it, an empty one and
     two ISDs: each drop, its budget and two draws equal the calls without a
     scratch bit for bit, and the drop and its budget still do after both
@@ -153,47 +153,47 @@ def test_scratch_reuse_keeps_every_bit(layouts, params):
         want = cb.drop_users(layout, density, seed)
         drop = cb.drop_users(layout, density, seed, scratch)
         assert _same_drop(drop, want)
-        want_budget = drop_link_budget(layout, want, params)
-        budget = drop_link_budget(layout, drop, params, scratch)
+        want_budget = drop_link_budget(layout, want)
+        budget = drop_link_budget(layout, drop, scratch)
         assert same_bits(budget, want_budget)
         for f in range(2):
-            gain_db = draw_gain_matrix(budget, params, (i, f), scratch)
-            assert same_bits(gain_db, draw_gain_matrix(want_budget, params, (i, f)))
+            gain_db = draw_gain_matrix(budget, (i, f), scratch)
+            assert same_bits(gain_db, draw_gain_matrix(want_budget, (i, f)))
         assert _same_drop(drop, want) and same_bits(budget, want_budget)
         if drop.n_users:
             for arr in (drop.link_dist_m, drop.link_az_deg, budget, gain_db):
                 assert np.shares_memory(arr, scratch._buf)
     # both stages in one call, as the traffic campaign makes them
-    gain_db = build_gain_matrix(layout, drop, params, 3, scratch)
-    assert same_bits(gain_db, build_gain_matrix(layout, want, params, 3))
+    gain_db = build_gain_matrix(layout, drop, 3, scratch)
+    assert same_bits(gain_db, build_gain_matrix(layout, want, 3))
 
 
-def test_calls_without_a_scratch_share_no_memory(layout, params):
+def test_calls_without_a_scratch_share_no_memory(layout):
     arrays = []
     for seed in (1, 2):
         drop = cb.drop_users(layout, 60.0, seed)
-        budget = drop_link_budget(layout, drop, params)
+        budget = drop_link_budget(layout, drop)
         arrays += [getattr(drop, f) for f in DROP_FIELDS]
-        arrays += [budget, draw_gain_matrix(budget, params, seed),
-                   draw_gain_matrix(budget, params, seed + 10),
-                   build_gain_matrix(layout, drop, params, seed)]
+        arrays += [budget, draw_gain_matrix(budget, seed),
+                   draw_gain_matrix(budget, seed + 10),
+                   build_gain_matrix(layout, drop, seed)]
     for a, b in itertools.combinations(arrays, 2):
         assert not np.shares_memory(a, b)
 
 
-def test_scratch_sized_for_the_largest_density_keeps_its_buffer(layout, params):
+def test_scratch_sized_for_the_largest_density_keeps_its_buffer(layout):
     """A profile that ramps up to the density the scratch was sized for does
     not grow it."""
     scratch = DropScratch.for_density(layout, 160.0)
     buf = scratch._buf
     for t, density in enumerate([20.0, 60.0, 160.0, 160.0, 100.0, 20.0]):
         drop = cb.drop_users(layout, density, t, scratch)
-        draw_gain_matrix(drop_link_budget(layout, drop, params, scratch), params, t, scratch)
+        draw_gain_matrix(drop_link_budget(layout, drop, scratch), t, scratch)
     assert scratch._buf is buf
 
 
 @pytest.mark.parametrize("density", [60.0, 160.0])
-def test_warm_scratch_drop_allocates_less_than_a_table(layout, params, density):
+def test_warm_scratch_drop_allocates_less_than_a_table(layout, density):
     """On a warm scratch a second drop, its budget and one draw allocate less
     than one (U, B) float table: the candidate positions and the index arrays
     of the region test and the image search, none of the stages' tables."""
@@ -202,8 +202,7 @@ def test_warm_scratch_drop_allocates_less_than_a_table(layout, params, density):
 
     def stages():
         drop = cb.drop_users(layout, density, next(seeds), scratch)
-        return draw_gain_matrix(drop_link_budget(layout, drop, params, scratch), params, 9,
-                                scratch)
+        return draw_gain_matrix(drop_link_budget(layout, drop, scratch), 9, scratch)
 
     _, _, ub = _sizes(layout, density)
     n_users = cb.drop_users(layout, density, 6).n_users
@@ -230,8 +229,8 @@ def _draws_without_scratch(ctx, d):
     seed, mu = ctx.cfg.master_seed, ctx.cfg.densities_per_km2[0]
     drop_key, draw_keys = _drop_keys(ctx, d)
     drop = cb.drop_users(ctx.layout, mu, campaign._seed_key(seed, *drop_key))
-    budget = drop_link_budget(ctx.layout, drop, ctx.params)
-    return [draw_gain_matrix(budget, ctx.params, campaign._seed_key(seed, *key)).tobytes()
+    budget = drop_link_budget(ctx.layout, drop)
+    return [draw_gain_matrix(budget, campaign._seed_key(seed, *key)).tobytes()
             for key in draw_keys]
 
 
