@@ -76,7 +76,7 @@ def sort_patterns(patterns) -> list[BssPattern]:
 
 def validate_pattern_list(patterns: list[BssPattern], n_bs: int) -> None:
     """Refuse a list whose patterns do not flag ``n_bs`` BSs each, or that is
-    not strictly sorted (a repeat included), or that does not end all-on."""
+    not strictly sorted (a repeat included)."""
     if not patterns:
         raise ValueError("pattern list is empty")
     for row, p in enumerate(patterns, start=1):
@@ -88,8 +88,13 @@ def validate_pattern_list(patterns: list[BssPattern], n_bs: int) -> None:
             raise ValueError(f"pattern list repeats the pattern {b.describe()}")
         if (-a.a1, a.bit_value) > (-b.a1, b.bit_value):
             raise ValueError("pattern list must be sorted by increasing energy consumption")
+
+
+def validate_heuristic_list(patterns: list[BssPattern], n_bs: int) -> None:
+    """:func:`validate_pattern_list`; the list must also end all-on, the heuristic's fallback."""
+    validate_pattern_list(patterns, n_bs)
     if patterns[-1].a1 != 0:
-        raise ValueError("pattern list must end with the all-on fallback pattern")
+        raise ValueError("the heuristic's pattern list must end with the all-on fallback pattern")
 
 
 def default_pattern_list(n_bs: int = 7) -> list[BssPattern]:
@@ -120,10 +125,7 @@ def patterns_from_file(path) -> list[BssPattern]:
             cells = [c.strip() for c in row if c.strip() != ""]
             if not cells or cells[0].startswith("#"):
                 continue
-            label = ""
-            if not cells[-1] in ("0", "1"):
-                label = cells[-1]
-                cells = cells[:-1]
+            label = cells.pop() if cells[-1] not in ("0", "1") else ""
             flags = tuple(int(c) for c in cells)
             out.append(BssPattern(off_flags=flags, label=label))
     if not out:
@@ -160,18 +162,15 @@ def sector_masks(sector_bs: np.ndarray, cluster_bs_idx: np.ndarray,
     return active[:, sector_bs]
 
 
-def _select(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
-            cluster_bs_idx: np.ndarray, patterns, params: SchedulerParams,
-            rate_threshold_bps: float, walk: bool = True, strongest: np.ndarray | None = None,
-            active_sectors: np.ndarray | None = None, members=None) -> HeuristicResult:
+def _schedule_rows(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
+                   cluster_bs_idx: np.ndarray, patterns, params: SchedulerParams,
+                   rate_threshold_bps: float, strongest: np.ndarray | None = None,
+                   active_sectors: np.ndarray | None = None, members=None):
     """Schedule every pattern of the list in one batched pass, one row each,
-    over the pool users of the metric set in the dB draw ``gain_db``, and
-    keep the first pattern whose worst metric-set rate clears the threshold
-    (the last when none does).
-
-    ``patterns_evaluated`` counts the patterns a walk down the list would
-    have evaluated, or the whole list when ``walk`` is False.  The keyword
-    tables of :func:`heuristic_select` are computed here when not given.
+    over the pool users of the metric set in the dB draw ``gain_db``: returns
+    whether each row's worst metric-set rate clears the threshold, and
+    ``result(k, n)``, the HeuristicResult of row k after n patterns evaluated.
+    The keyword tables of :func:`heuristic_select` are computed when not given.
     """
     vq = np.asarray(vq_mask, dtype=bool)
     if not vq.any():
@@ -188,12 +187,9 @@ def _select(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
     lam = sol.lam[:, vq[users]]
     min_rate = lam.min(axis=1)
     feasible = min_rate >= rate_threshold_bps
-    k = int(feasible.argmax()) if feasible.any() else len(patterns) - 1
-    return HeuristicResult(pattern=patterns[k], rates_bps=lam[k],
-                           min_rate_bps=float(min_rate[k]), feasible=bool(feasible[k]),
-                           solution=sol.row(k),
-                           patterns_evaluated=k + 1 if walk else len(patterns),
-                           users=users)
+    return feasible, lambda k, n: HeuristicResult(
+        pattern=patterns[k], rates_bps=lam[k], min_rate_bps=float(min_rate[k]),
+        feasible=bool(feasible[k]), solution=sol.row(k), patterns_evaluated=n, users=users)
 
 
 def evaluate_pattern(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
@@ -207,8 +203,9 @@ def evaluate_pattern(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarra
     if pattern.a2 != len(cluster_bs_idx):
         raise ValueError(f"pattern {pattern.describe()} has {pattern.a2} off-flags; the "
                          f"cluster has {len(cluster_bs_idx)} BSs")
-    return _select(model, gain_db, vq_mask, cluster_bs_idx, [pattern], params,
-                   rate_threshold_bps)
+    _, result = _schedule_rows(model, gain_db, vq_mask, cluster_bs_idx, [pattern], params,
+                               rate_threshold_bps)
+    return result(0, 1)
 
 
 def heuristic_select(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
@@ -225,10 +222,12 @@ def heuristic_select(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarra
     the patterns' ``sector_masks`` or the model's ``cluster_members`` under
     them passes them as ``strongest``, ``active_sectors`` and ``members``.
     """
-    validate_pattern_list(patterns, len(cluster_bs_idx))
-    return _select(model, gain_db, vq_mask, cluster_bs_idx, patterns, params,
-                   rate_threshold_bps, strongest=strongest,
-                   active_sectors=active_sectors, members=members)
+    validate_heuristic_list(patterns, len(cluster_bs_idx))
+    feasible, result = _schedule_rows(model, gain_db, vq_mask, cluster_bs_idx, patterns,
+                                      params, rate_threshold_bps, strongest, active_sectors,
+                                      members)
+    k = int(feasible.argmax()) if feasible.any() else len(patterns) - 1
+    return result(k, k + 1)
 
 
 def exhaustive_oracle(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
@@ -236,13 +235,18 @@ def exhaustive_oracle(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarr
                       rate_threshold_bps: float) -> HeuristicResult:
     """Evaluate every admissible pattern; keep the feasible one switching the
     most BSs off (ties: lowest bit value).  Falls back to all-on, infeasible.
+    The pick reads neither the list order nor the heuristic's walk.
     """
     n_bs = len(cluster_bs_idx)
     if n_bs > MAX_ORACLE_BS:
         raise ValueError(f"exhaustive enumeration limited to {MAX_ORACLE_BS} BSs")
-    # most BSs off first, then by bit value; all-on last
-    return _select(model, gain_db, vq_mask, cluster_bs_idx, all_patterns(n_bs), params,
-                   rate_threshold_bps, walk=False)
+    patterns = all_patterns(n_bs)
+    feasible, result = _schedule_rows(model, gain_db, vq_mask, cluster_bs_idx, patterns,
+                                      params, rate_threshold_bps)
+    rows = np.flatnonzero(feasible)
+    k = (min(rows, key=lambda k: (-patterns[k].a1, patterns[k].bit_value)) if rows.size
+         else next(k for k, p in enumerate(patterns) if p.a1 == 0))
+    return result(int(k), len(patterns))
 
 
 def realization_stats(solution: SchedulingSolution, vq: np.ndarray, energy_pct,

@@ -52,8 +52,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .bss import (default_pattern_list, heuristic_select, patterns_from_file,
-                  realization_stats, sector_masks, validate_pattern_list)
+from .bss import (default_pattern_list, heuristic_select, patterns_from_file, realization_stats,
+                  sector_masks, validate_heuristic_list, validate_pattern_list)
 from .channel import draw_gain_matrix, drop_link_budget
 from .clusters import PRESET_NAMES
 from .geometry import DropScratch, build_layout, drop_region_area_m2, drop_users
@@ -170,14 +170,18 @@ class CampaignConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, source: str = "<config>") -> "CampaignConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"{source}: unknown config keys {sorted(unknown)}")
         try:
             cfg = cls(**raw)
         except (TypeError, ConfigError) as exc:
             raise ConfigError(f"{source}: {exc}") from exc
+        for key in ("densities_per_km2", "n_drops", "n_fading"):
+            if cfg.traffic_profile and key in raw:
+                raise ConfigError(f"{source}: {key} does not apply to a config with "
+                                  f"traffic_profile: each step draws one drop of its density "
+                                  f"and one fading draw")
         return cfg
 
     @classmethod
@@ -265,7 +269,8 @@ def build_context(cfg: CampaignConfig) -> _Context:
     try:
         patterns = (patterns_from_file(cfg.pattern_file) if cfg.pattern_file
                     else default_pattern_list())
-        validate_pattern_list(patterns, len(cluster_bs_idx))
+        check = validate_heuristic_list if cfg.traffic_profile else validate_pattern_list
+        check(patterns, len(cluster_bs_idx))
     except (OSError, ValueError, TypeError, csv.Error) as exc:
         raise ConfigError(f"pattern_file {cfg.pattern_file!r}: {exc}") from exc
     models = {name: build_system_model(layout, name) for name in cfg.comp_configs}
@@ -474,8 +479,8 @@ _RESULT_COLUMNS_OF = {
 def _manifest(cfg: CampaignConfig, rows: list, n_skipped: int, **extra) -> dict:
     config = asdict(cfg)
     if cfg.traffic_profile:
-        # each profile step draws one drop and one fading draw
-        del config["n_drops"], config["n_fading"]
+        # each profile step draws one drop of its density and one fading draw
+        del config["densities_per_km2"], config["n_drops"], config["n_fading"]
     return {
         "config": config,
         "master_seed": cfg.master_seed,
@@ -594,7 +599,7 @@ def emit_figure_data(rows: list, figure: str):
         src = _FIGURE_SOURCES.get(c, c)
         if src not in rows[0]:
             raise MissingAxisError(f"figure {figure} requires axis {src!r}")
-    if figure == "fig4" and len({r["pattern"] for r in rows}) > 1:
+    if figure == "fig4":
         # the joint-transmission share is a benchmark (all-on) quantity
         rows = [r for r in rows if r["energy_saving_pct"] == 0.0]
         if not rows:

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import compbss as cb
 from compbss.bss import (BssPattern, all_patterns, default_pattern_list,
                          evaluate_pattern, exhaustive_oracle, heuristic_select,
                          patterns_from_file, realization_stats, sector_masks,
-                         sort_patterns, validate_pattern_list)
+                         sort_patterns, validate_heuristic_list, validate_pattern_list)
 from compbss.metrics import STAT_FIELDS
 from compbss.scheduler import SchedulerParams, cluster_members, strongest_sectors
 
@@ -72,9 +73,18 @@ class TestPattern:
         with pytest.raises(ValueError):
             validate_pattern_list(pats, 7)
 
-    def test_validate_requires_all_on_fallback(self):
-        with pytest.raises(ValueError):
-            validate_pattern_list([BssPattern.from_off_ids((1,))], 7)
+    def test_validate_requires_all_on_fallback(self, c3_setup):
+        """Only the heuristic's walk needs the all-on fallback: a sweep list
+        may lack it, the heuristic's list may not."""
+        model, gain_db, vq, cb_idx = c3_setup
+        pats = [BssPattern.from_off_ids((1, 2)), BssPattern.from_off_ids((1,))]
+        validate_pattern_list(pats, 7)
+        shown = "the heuristic's pattern list must end with the all-on fallback pattern"
+        with pytest.raises(ValueError, match=shown):
+            validate_heuristic_list(pats, 7)
+        with pytest.raises(ValueError, match=shown):
+            heuristic_select(model, gain_db, vq, cb_idx, pats, SP, 0.0)
+        validate_heuristic_list(pats + [BssPattern.from_off_ids(())], 7)
 
     def test_default_list_is_nested_chain(self):
         pats = default_pattern_list()
@@ -100,6 +110,13 @@ class TestPattern:
         got = sector_masks(layout.sector_bs, layout.center_cluster_bs_ids - 1, patterns)
         assert got.shape == (len(patterns), layout.n_sectors) and got.dtype == bool
         assert np.array_equal(got, pattern_sector_masks(layout, patterns))
+
+    def test_shipped_pattern_file_is_the_default_list(self):
+        loaded = patterns_from_file(Path(__file__).resolve().parent.parent / "configs"
+                                    / "patterns_default.csv")
+        pats = default_pattern_list()
+        assert [p.off_flags for p in loaded] == [p.off_flags for p in pats]
+        assert [p.label for p in loaded] == [p.label for p in pats]
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "patterns.csv"

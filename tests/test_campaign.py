@@ -25,10 +25,10 @@ from compbss.cli import main as cli_main
 from helpers import patterns_to_file
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-# The figure each shipped campaign config feeds; every other configs/*.yaml
-# is a CoMP membership file.
+# The figure each shipped campaign config feeds
 CONFIG_FIGURES = {"campaign_desk": "fig8", "fig4_theta_sweep": "fig4",
-                  "fig8_tradeoffs": "fig8", "traffic_day": "fig11"}
+                  "fig8_tradeoffs": "fig8", "fig9_rate_coverage": "fig9",
+                  "fig10_rate_coverage": "fig10", "traffic_day": "fig11"}
 
 def tiny_config(**kw):
     base = dict(
@@ -279,6 +279,7 @@ class TestTraffic:
         echo = run_traffic_profile(tiny_config(traffic_profile=[20.0])).manifest["config"]
         assert echo["traffic_profile"] == [20.0]
         assert "n_drops" not in echo and "n_fading" not in echo
+        assert "densities_per_km2" not in echo
 
     def test_requires_profile(self):
         with pytest.raises(ConfigError):
@@ -397,6 +398,9 @@ class TestFigures:
         cols, data = emit_figure_data(rows, "fig4")
         assert cols == ("gamma_d_db", "alpha", "theta_star_mean")
         assert len(data) == 4  # 2 gammas x 2 alphas
+        # a sweep of one sleep pattern holds no all-on share to report
+        with pytest.raises(MissingAxisError, match="requires the all-on pattern"):
+            emit_figure_data([r for r in rows if r["pattern"] == "Z2/7"], "fig4")
 
     def test_fig5_layout(self, sweep_rows):
         rows = [r for r in sweep_rows if r["alpha"] == 1.0]
@@ -575,6 +579,43 @@ class TestCli:
         assert "unknown config keys ['gamma_d_range_db']" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_drops", 7), ("n_fading", 3), ("densities_per_km2", [5, 7]),
+    ])
+    def test_traffic_config_with_sweep_scale_key_is_exit_1(self, tmp_path, capsys, key, value):
+        """A profile step draws one drop of its density and one fading draw,
+        so a traffic config file that sets these keys is refused; a sweep
+        config takes them."""
+        p = tmp_path / "c.yaml"
+        p.write_text(f"traffic_profile: [20, 60]\n{key}: {value}\n"
+                     f"output: {tmp_path / 't.csv'}\n")
+        assert cli_main(["--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {p}: {key} does not apply to a config with "
+                              f"traffic_profile")
+        assert sorted(tmp_path.iterdir()) == [p]
+        assert getattr(CampaignConfig.from_dict({key: value}), key) == value
+
+    def test_pattern_list_without_all_on(self, tmp_path, capsys):
+        """A sweep list may lack the all-on pattern; the traffic profile's
+        heuristic needs it as its fallback, so the same list is refused
+        there before anything is written."""
+        pf = tmp_path / "pats.csv"
+        pf.write_text("1,1,0,0,0,0,0,Z2/7\n1,0,0,0,0,0,0,Z1/7\n")
+        out = tmp_path / "r.csv"
+        assert cli_main(["--drops", "1", "--fading", "1", "--out", str(out),
+                         "--patterns", str(pf)]) == 0
+        assert {line.split(",")[1] for line in out.read_text().splitlines()[1:]} == {
+            "Z2/7", "Z1/7"}
+        capsys.readouterr()
+        out = tmp_path / "traffic" / "t.csv"
+        assert cli_main(["--config", str(CONFIGS / "traffic_day.yaml"), "--figure", "fig11",
+                         "--out", str(out), "--patterns", str(pf)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: pattern_file '{pf}': the heuristic's pattern "
+                              f"list must end with the all-on fallback pattern")
+        assert not out.parent.exists()
+
     def test_traffic_profile_extra_alpha_is_exit_1(self, tmp_path, capsys):
         p = tmp_path / "c.yaml"
         p.write_text("traffic_profile: [60]\nalphas: [1, 2]\n"
@@ -680,7 +721,9 @@ class TestCli:
             assert path.stem in CONFIG_FIGURES, path.name
 
     @pytest.mark.parametrize("name", sorted(CONFIG_FIGURES))
-    def test_shipped_config_runs(self, tmp_path, name):
+    def test_shipped_config_runs(self, tmp_path, monkeypatch, name):
+        # a pattern_file is relative to the working directory, as output is
+        monkeypatch.chdir(CONFIGS.parent)
         figure = CONFIG_FIGURES[name]
         out = tmp_path / f"{name}.csv"
         # a traffic profile draws one drop per step and takes no scale flags
@@ -690,15 +733,6 @@ class TestCli:
         assert rc == 0
         fig = (tmp_path / f"{name}_{figure}.csv").read_text().splitlines()
         assert len(fig) > 1
-
-
-def test_rate_coverage_script_writes_its_csvs(tmp_path):
-    out = tmp_path / "rate_coverage.csv"
-    subprocess.run([sys.executable, str(CONFIGS.parent / "scripts" / "run_rate_coverage.py"),
-                    "--drops", "1", "--out", str(out)], check=True, capture_output=True,
-                   env={**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")}, timeout=120)
-    for name in ("rate_coverage.csv", "rate_coverage_fig9.csv", "rate_coverage_fig10.csv"):
-        assert len((tmp_path / name).read_text().splitlines()) > 1, name
 
 
 def test_cli_import_leaves_out_the_process_pool():
