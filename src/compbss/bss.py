@@ -17,7 +17,7 @@ import numpy as np
 
 from .metrics import STAT_FIELDS, alpha_fair_throughputs, rate_coverage, sinr_coverage
 from .scheduler import (SchedulerParams, SchedulingSolution, SystemModel, allocate,
-                        cluster_members, draw_rates, strongest_sectors)
+                        cluster_members, draw_pool, draw_rates, strongest_sectors)
 
 MAX_ORACLE_BS = 10
 
@@ -162,10 +162,10 @@ def sector_masks(sector_bs: np.ndarray, cluster_bs_idx: np.ndarray,
     return active[:, sector_bs]
 
 
-def _schedule_rows(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
+def _schedule_rows(model: SystemModel, gain_db: np.ndarray | None, vq_mask: np.ndarray,
                    cluster_bs_idx: np.ndarray, patterns, params: SchedulerParams,
                    rate_threshold_bps: float, strongest: np.ndarray | None = None,
-                   active_sectors: np.ndarray | None = None, members=None):
+                   active_sectors: np.ndarray | None = None, members=None, pool=None):
     """Schedule every pattern of the list in one batched pass, one row each,
     over the pool users of the metric set in the dB draw ``gain_db``: returns
     whether each row's worst metric-set rate clears the threshold, and
@@ -177,12 +177,13 @@ def _schedule_rows(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
         raise ValueError("empty metric set: no centre-cluster users in this realization")
     active = (sector_masks(model.sector_bs, cluster_bs_idx, patterns)
               if active_sectors is None else active_sectors)
-    if strongest is None:
-        strongest = strongest_sectors(gain_db)
+    if pool is None:
+        if strongest is None:
+            strongest = strongest_sectors(gain_db)
+        pool = draw_pool(gain_db, strongest, vq, active, [model])
     if members is None:
         members = cluster_members(model, active)
-    users, rates = draw_rates([model], [members], gain_db, strongest, vq, active,
-                              [params.gamma_d_db])
+    users, rates = draw_rates([model], [members], pool, active, [params.gamma_d_db])
     sol = allocate(rates, params.alpha)
     lam = sol.lam[:, vq[users]]
     min_rate = lam.min(axis=1)
@@ -208,11 +209,11 @@ def evaluate_pattern(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarra
     return result(0, 1)
 
 
-def heuristic_select(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
+def heuristic_select(model: SystemModel, gain_db: np.ndarray | None, vq_mask: np.ndarray,
                      cluster_bs_idx: np.ndarray, patterns: list[BssPattern],
                      params: SchedulerParams, rate_threshold_bps: float, *,
                      strongest: np.ndarray | None = None, active_sectors: np.ndarray | None = None,
-                     members=None) -> HeuristicResult:
+                     members=None, pool=None) -> HeuristicResult:
     """First feasible pattern of the energy-sorted list; all-on as fallback.
 
     If even the final pattern misses the threshold it is returned flagged
@@ -220,12 +221,14 @@ def heuristic_select(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarra
     one pass; ``patterns_evaluated`` counts the patterns a walk down the list
     would have evaluated.  A caller that holds the draw's ``strongest_sectors``,
     the patterns' ``sector_masks`` or the model's ``cluster_members`` under
-    them passes them as ``strongest``, ``active_sectors`` and ``members``.
+    them passes them as ``strongest``, ``active_sectors`` and ``members``;
+    one that holds the draw's ``draw_pool`` under those masks and ``[model]``
+    passes it as ``pool``, and ``gain_db`` is then not read.
     """
     validate_heuristic_list(patterns, len(cluster_bs_idx))
     feasible, result = _schedule_rows(model, gain_db, vq_mask, cluster_bs_idx, patterns,
                                       params, rate_threshold_bps, strongest, active_sectors,
-                                      members)
+                                      members, pool)
     k = int(feasible.argmax()) if feasible.any() else len(patterns) - 1
     return result(k, k + 1)
 

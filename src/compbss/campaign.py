@@ -6,18 +6,17 @@ fading draws.  Each quantity is computed once, at the outermost loop level
 it depends on:
 
 - drop: user positions and the link budget (geometry, path loss, antenna);
-- fading: the shadowed gains in dB, each user's strongest sector and the
-  centre-cluster metric set V_q (a drop of several draws makes each next
-  draw on a helper thread while the current one is scheduled, when a core is
-  free for it); a draw whose metric set is empty is skipped (the one skip
-  rule); then ``scheduler.draw_rates`` runs the draw's scheduling chain
-  once: the pool users of the metric set, their received powers in watts
-  (only these rows are converted), their max-SINR
-  association under every sleep pattern (shared by every CoMP
-  configuration), their joint SINR per (configuration, pattern), and the
-  CoMP flags and link rates of every (pattern, configuration, gamma_d) row
-  of a batched pass (the cluster-member tables are built once per
-  campaign);
+- fading: the shadowed gains in dB, each user's strongest sector, the
+  centre-cluster metric set V_q and ``scheduler.draw_pool``, the pool users
+  of the metric set and their received powers in watts (only these rows are
+  converted); the draws are made on a helper thread while the caller
+  schedules, when a core is free for it; a draw whose metric set is empty
+  is skipped (the one skip rule); then ``scheduler.draw_rates`` runs the
+  draw's scheduling chain once: the pool users' max-SINR association under
+  every sleep pattern (shared by every CoMP configuration), their joint
+  SINR per (configuration, pattern), and the CoMP flags and link rates of
+  every (pattern, configuration, gamma_d) row of a batched pass (the
+  cluster-member tables are built once per campaign);
 - alpha: ``allocate`` and ``realization_stats`` make one pass over all rows
   per alpha (so every power keeps a scalar exponent), the latter reducing
   every rate threshold too.
@@ -26,12 +25,14 @@ it depends on:
 every bit of the full field.  ``aggregate`` then summarises every sweep
 point of a density in one row reduction over the realizations.  The pattern
 selection of the traffic campaign (``bss.heuristic_select``) runs the same
-chain.  Both campaigns draw their realizations through one prologue,
-``_draws`` (drop, link budget, fading draw, strongest sectors and metric
-set), and skip a draw by the same test.  Substreams are derived from the
-master seed with counter-based spawn keys, (0, mu, drop) and (1, mu, drop,
-fading) for the sweep and (2, mu, step) and (3, mu, step) for the traffic
-profile, so results do not depend on execution order and identical (config,
+chain.  Both campaigns draw their realizations through one stream,
+``_realizations`` (drop, link budget, fading draw, strongest sectors,
+metric set and pool), over all the sweep's (mu, drop) tasks (a ``--jobs``
+worker streams one task at a time) or the profile's steps, and skip a draw
+by the same test.  Substreams are derived from the master seed with
+counter-based spawn keys, (0, mu, drop) and (1, mu, drop, fading) for the
+sweep and (2, mu, step) and (3, mu, step) for the traffic profile, so
+results do not depend on execution order and identical (config,
 seed) pairs reproduce the output byte for byte.
 """
 
@@ -54,13 +55,13 @@ import yaml
 from . import __version__
 from .bss import (default_pattern_list, heuristic_select, patterns_from_file, realization_stats,
                   sector_masks, validate_heuristic_list, validate_pattern_list)
-from .channel import draw_gain_matrix, drop_link_budget
+from .channel import _shadowed, _standard_normal, draw_gain_matrix, drop_link_budget
 from .clusters import PRESET_NAMES
-from .geometry import DropScratch, build_layout, drop_region_area_m2, drop_users
+from .geometry import DropScratch, build_layout, drop_count, drop_region_area_m2, drop_users
 from .metrics import STAT_FIELDS, aggregate, alpha_fair_throughputs
 from .scheduler import (SchedulerParams, allocate, alpha_range_error, build_system_model,
-                        center_cluster_users, cluster_members, draw_rates, gamma_d_error,
-                        strongest_sectors)
+                        center_cluster_users, cluster_members, draw_pool, draw_rates,
+                        gamma_d_error, strongest_sectors)
 
 
 class ConfigError(ValueError):
@@ -196,6 +197,10 @@ class CampaignConfig:
             raise ConfigError(f"{path}: malformed config: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: expected a mapping of config keys")
+        pattern_file = raw.get("pattern_file")
+        if isinstance(pattern_file, str) and pattern_file:  # anything else fails the checks
+            # relative to the config file; the join keeps an absolute path
+            raw["pattern_file"] = os.path.join(os.path.dirname(path), pattern_file)
         return cls.from_dict(raw, source=str(path))
 
 
@@ -251,7 +256,7 @@ class _Context:
     center_sector_idx: np.ndarray
     cluster_bs_idx: np.ndarray
     scratch: DropScratch | None = None
-    draw_helper: bool = True    # a drop of several draws makes each next one on a thread
+    draw_helper: bool = True    # the stream makes each next draw on a helper thread
 
     def drop_scratch(self) -> DropScratch:
         """The scratch of every drop of the campaign, sized at its first drop
@@ -282,66 +287,112 @@ def build_context(cfg: CampaignConfig) -> _Context:
                     cluster_bs_idx=cluster_bs_idx)
 
 
-def _draws(ctx: _Context, mu: float, drop_key, draw_keys):
-    """The realization prologue of both campaigns.
+def _realizations(ctx: _Context, plan, models):
+    """The realization stream of both campaigns, over a process's whole run.
 
-    Drops the users of density ``mu`` into the context's scratch and builds
-    their link budget, both under the seed of ``drop_key``, then yields
-    ``(gain_db, strongest, vq)`` for the fading draw of each of
-    ``draw_keys``: the gains in dB, each user's strongest sector and the
-    metric set V_q.  Each key is the spawn key of a substream of the master
-    seed.  A draw stays valid until the next one; the caller skips a draw
-    whose ``vq`` is empty (an empty drop skips every draw).
+    ``plan`` gives ``(mu, drop_key, draw_keys)`` for each drop in turn.  The
+    stream drops the users of density ``mu`` into the context's scratch and
+    builds their link budget, both under the seed of ``drop_key``, then
+    yields ``(strongest, vq, pool)`` for the fading draw of each of
+    ``draw_keys``: each user's strongest sector, the metric set V_q and the
+    draw's ``draw_pool`` for ``models`` under the context's masks, or None
+    for an empty metric set, which the caller skips (an empty drop skips
+    every draw).  Each key is the spawn key of a substream of the master
+    seed.  The dB draw itself is not yielded: it lives in the scratch, which
+    the next draw or drop may overwrite as soon as the pool is made.
 
-    With two or more keys and the context's ``draw_helper``, one helper
-    thread makes draw i + 1, in the other draw slot of the scratch, while the
-    caller schedules draw i: numpy fills the standard normal draw without
-    the interpreter lock.  The helper runs only the seeding and the draw,
-    which ``bench/spans.py`` does not wrap.  Leaving the executor's block,
-    also when the generator is closed or the caller raised, waits for a
-    pending draw, so no thread writes into the scratch after it.  Otherwise
-    each draw is made on the caller's thread.
+    With the context's ``draw_helper``, one helper thread makes the draws
+    while the caller schedules: numpy fills the standard normal draw without
+    the interpreter lock.  Within a drop, the next draw is handed to the
+    helper before the current one is read, into the other of the scratch's
+    two draw slots.  A drop's first draw goes to the scratch's first-draw
+    buffer instead: its standard normal draw needs only the drop's user
+    count (``drop_count``), so the helper makes it while the caller
+    schedules the last draw of the drop before and builds this drop, and the
+    caller then subtracts it from the budget.  That buffer holds a drop's
+    only draw until it is read, so the next first draw is handed out after
+    the read.  The helper runs only the seeding and the draws, which
+    ``bench/spans.py`` does not wrap.  Leaving the executor's block, also
+    when the generator is closed or the caller raised, waits for a pending
+    draw, so no thread writes into the scratch after it.  Without the helper
+    each draw, and each drop before its first draw, is made on the caller's
+    thread when it is asked for, in the two draw slots.
     """
     seed = ctx.cfg.master_seed
     scratch = ctx.drop_scratch()
-    drop = drop_users(ctx.layout, mu, _seed_key(seed, *drop_key), scratch)
-    budget_db = drop_link_budget(ctx.layout, drop, scratch)
-    model = next(iter(ctx.models.values()))    # every configuration has the same sectors
 
-    def draw(i):
-        return draw_gain_matrix(budget_db, _seed_key(seed, *draw_keys[i]), scratch, i % 2)
+    def budget(mu, drop_key):
+        drop = drop_users(ctx.layout, mu, _seed_key(seed, *drop_key), scratch)
+        return drop_link_budget(ctx.layout, drop, scratch)
 
-    def with_metric_set(gain_db):
+    def draw(budget_db, key, slot):
+        return draw_gain_matrix(budget_db, _seed_key(seed, *key), scratch, slot)
+
+    def read(gain_db):
         strongest = strongest_sectors(gain_db)
-        return gain_db, strongest, center_cluster_users(model, strongest, ctx.center_sector_idx)
+        # every configuration has the same sectors
+        vq = center_cluster_users(models[0], strongest, ctx.center_sector_idx)
+        if not vq.any():
+            return strongest, vq, None
+        return strongest, vq, draw_pool(gain_db, strongest, vq, ctx.active_sectors, models)
 
-    if len(draw_keys) == 1 or not ctx.draw_helper:
-        for i in range(len(draw_keys)):
-            yield with_metric_set(draw(i))
-        return
-    # only a drop of several draws pays for importing the thread pool
-    from concurrent.futures import ThreadPoolExecutor
+    def inline():
+        for mu, drop_key, draw_keys in plan:
+            budget_db = budget(mu, drop_key)
+            for i, key in enumerate(draw_keys):
+                yield read(draw(budget_db, key, i % 2))
 
-    with ThreadPoolExecutor(1) as helper:
-        gain_db = draw(0)
-        for i in range(1, len(draw_keys)):
-            pending = helper.submit(draw, i)
-            yield with_metric_set(gain_db)
-            gain_db = pending.result()
-        yield with_metric_set(gain_db)
+    def ahead():
+        # only a stream with a free core pays for importing the thread pool
+        from concurrent.futures import ThreadPoolExecutor
+
+        def normals(key, out):
+            return _standard_normal(_seed_key(seed, *key), out)
+
+        def first(step):
+            """Hand the helper the standard normal draw of the first draw of
+            ``step``'s drop, in the scratch's first-draw buffer."""
+            mu, drop_key, draw_keys = step
+            n_users = drop_count(ctx.layout, mu, _seed_key(seed, *drop_key))
+            out = scratch.first_draw((n_users, ctx.layout.n_sectors))
+            return helper.submit(normals, draw_keys[0], out)
+
+        with ThreadPoolExecutor(1) as helper:
+            steps = iter(plan)
+            step = next(steps, None)
+            pending = None if step is None else first(step)
+            while step is not None:
+                mu, drop_key, draw_keys = step
+                budget_db = budget(mu, drop_key)
+                gain_db = _shadowed(budget_db, pending.result())
+                step = next(steps, None)
+                for i, key in enumerate(draw_keys[1:], 1):
+                    pending = helper.submit(draw, budget_db, key, i % 2)
+                    yield read(gain_db)
+                    gain_db = pending.result()
+                # read first: a drop's only draw is in the first-draw buffer
+                done = read(gain_db)
+                pending = None if step is None else first(step)
+                yield done
+
+    if ctx.draw_helper:
+        return ahead()
+    return inline()
 
 
-def _drop_records(ctx: _Context, mu: float, d: int):
-    """Metrics of every sweep point of one user drop.
+def _drop_records(ctx: _Context, tasks):
+    """Metrics of every sweep point of each (mu, d) user drop of ``tasks``,
+    drawn in order through one realization stream.
 
-    Returns (values, n_skipped, n_scheduled, n_dropped).  ``values`` is an
-    (n, C, P, G, A, T, 7) array in output axis order: the STAT_FIELDS of each
-    (configuration, pattern, gamma_d, alpha, rate threshold) point for each
-    of the n non-skipped fading draws, in fading order (an empty drop has no
-    metric set and skips every draw).  Within a fading draw, every (pattern,
-    configuration, gamma_d) point is one row of a batched pass over the pool
-    users, one pass per alpha.  n_scheduled and n_dropped count the pool
-    users and the dropped users, each summed over the non-skipped draws.
+    Returns one (values, n_skipped, n_scheduled, n_dropped) per drop.
+    ``values`` is an (n, C, P, G, A, T, 7) array in output axis order: the
+    STAT_FIELDS of each (configuration, pattern, gamma_d, alpha, rate
+    threshold) point for each of the n non-skipped fading draws, in fading
+    order (an empty drop has no metric set and skips every draw).  Within a
+    fading draw, every (pattern, configuration, gamma_d) point is one row of
+    a batched pass over the pool users, one pass per alpha.  n_scheduled
+    and n_dropped count the pool users and the dropped users, each summed
+    over the non-skipped draws.
     """
     cfg = ctx.cfg
     models = list(ctx.models.values())
@@ -353,26 +404,30 @@ def _drop_records(ctx: _Context, mu: float, d: int):
     row_multi_ids = [model.multi_vc_ids for _, model in rows]
     points = (len(cfg.alphas), len(ctx.patterns), len(models), len(cfg.gamma_ds_db),
               len(cfg.rate_thresholds_bps), len(STAT_FIELDS))
-    blocks = []
-    skipped = n_scheduled = n_dropped = 0
-    key = (_mu_key(mu), d)
+    plan = ((mu, (0, _mu_key(mu), d), [(1, _mu_key(mu), d, f) for f in range(cfg.n_fading)])
+            for mu, d in tasks)
+    records = []
     # closed here, not when a traceback lets go of it: an error ends the helper now
-    with closing(_draws(ctx, mu, (0,) + key,
-                        [(1,) + key + (f,) for f in range(cfg.n_fading)])) as draws:
-        for gain_db, strongest, vq in draws:
-            if not vq.any():
-                skipped += 1
-                continue
-            users, rates = draw_rates(models, ctx.members, gain_db, strongest, vq,
-                                      ctx.active_sectors, cfg.gamma_ds_db)
-            n_scheduled += users.size
-            n_dropped += gain_db.shape[0]
-            for alpha in cfg.alphas:
-                blocks.append(realization_stats(allocate(rates, alpha), vq[users], row_energy,
-                                                row_multi_ids, cfg.rate_thresholds_bps, alpha))
-    # (n, A, P, C, G, T, 7) -> (n, C, P, G, A, T, 7), the output axis order
-    values = np.reshape(blocks, (-1,) + points).transpose(0, 3, 2, 4, 1, 5, 6)
-    return values, skipped, n_scheduled, n_dropped
+    with closing(_realizations(ctx, plan, models)) as draws:
+        for _ in tasks:
+            blocks = []
+            skipped = n_scheduled = n_dropped = 0
+            for strongest, vq, pool in itertools.islice(draws, cfg.n_fading):
+                if pool is None:
+                    skipped += 1
+                    continue
+                users, rates = draw_rates(models, ctx.members, pool, ctx.active_sectors,
+                                          cfg.gamma_ds_db)
+                n_scheduled += users.size
+                n_dropped += strongest.size
+                for alpha in cfg.alphas:
+                    blocks.append(realization_stats(allocate(rates, alpha), vq[users],
+                                                    row_energy, row_multi_ids,
+                                                    cfg.rate_thresholds_bps, alpha))
+            # (n, A, P, C, G, T, 7) -> (n, C, P, G, A, T, 7), the output axis order
+            values = np.reshape(blocks, (-1,) + points).transpose(0, 3, 2, 4, 1, 5, 6)
+            records.append((values, skipped, n_scheduled, n_dropped))
+    return records
 
 
 def _worker(args):
@@ -382,7 +437,7 @@ def _worker(args):
         ctx = build_context(CampaignConfig.from_dict(json.loads(cfg_json)))
         _worker_cache[cfg_json] = ctx
     ctx.draw_helper = draw_helper
-    return _drop_records(ctx, mu, d)
+    return _drop_records(ctx, [(mu, d)])[0]
 
 
 _worker_cache: dict = {}
@@ -423,7 +478,7 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
             results = list(pool.map(_worker, [(cfg_json, ctx.draw_helper, mu, d)
                                               for mu, d in tasks]))
     else:
-        results = [_drop_records(ctx, mu, d) for mu, d in tasks]
+        results = _drop_records(ctx, tasks)
     n_skipped, n_scheduled, n_dropped = map(sum, zip(*(res[1:] for res in results)))
 
     # One reduction per density summarises all of its sweep points.
@@ -515,6 +570,7 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
     if not cfg.traffic_profile:
         raise ConfigError("traffic_profile is required for the fig11 campaign")
     ctx = build_context(cfg)
+    ctx.draw_helper = _usable_cores() > 1
     alpha, r_thr = cfg.alphas[0], cfg.rate_thresholds_bps[0]
     params = SchedulerParams(alpha=alpha, gamma_d_db=cfg.gamma_ds_db[0])
     model = ctx.models[cfg.comp_configs[0]]
@@ -522,28 +578,30 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
     n_skipped = 0   # steps whose metric set is empty
     n_evaluated = {}    # patterns a walk down the list evaluates -> steps
     n_scheduled = n_dropped = 0
-    for t, mu in enumerate(map(float, cfg.traffic_profile)):
-        key = (_mu_key(mu), t)
-        gain_db, strongest, vq = next(_draws(ctx, mu, (2,) + key, [(3,) + key]))
-        if not vq.any():
-            n_skipped += 1
-            continue
-        res = heuristic_select(model, gain_db, vq, ctx.cluster_bs_idx, ctx.patterns,
-                               params, r_thr, strongest=strongest,
-                               active_sectors=ctx.active_sectors, members=ctx.members[0])
-        # realization_stats' t_alpha of the picked row, without its other fields
-        covered = res.rates_bps[res.rates_bps > 0]
-        t_alpha = alpha_fair_throughputs(covered, [covered.size], alpha)[0] if covered.size else 0
-        n_scheduled += res.users.size
-        n_dropped += gain_db.shape[0]
-        n_evaluated[res.patterns_evaluated] = n_evaluated.get(res.patterns_evaluated, 0) + 1
-        rows.append({
-            "t": t, "mu_per_km2": mu, "pattern": res.pattern.label,
-            "bs_off": "+".join(map(str, res.pattern.off_bs_ids)),
-            "a1": res.pattern.a1, "energy_pct": res.pattern.energy_saving_pct,
-            "t_alpha_bps": float(t_alpha),
-            "min_rate_bps": res.min_rate_bps, "feasible": int(res.feasible),
-        })
+    steps = list(enumerate(map(float, cfg.traffic_profile)))
+    plan = ((mu, (2, _mu_key(mu), t), [(3, _mu_key(mu), t)]) for t, mu in steps)
+    with closing(_realizations(ctx, plan, [model])) as draws:
+        for (t, mu), (strongest, vq, pool) in zip(steps, draws):
+            if pool is None:
+                n_skipped += 1
+                continue
+            res = heuristic_select(model, None, vq, ctx.cluster_bs_idx, ctx.patterns,
+                                   params, r_thr, active_sectors=ctx.active_sectors,
+                                   members=ctx.members[0], pool=pool)
+            # realization_stats' t_alpha of the picked row, without its other fields
+            covered = res.rates_bps[res.rates_bps > 0]
+            t_alpha = (alpha_fair_throughputs(covered, [covered.size], alpha)[0]
+                       if covered.size else 0)
+            n_scheduled += res.users.size
+            n_dropped += strongest.size
+            n_evaluated[res.patterns_evaluated] = n_evaluated.get(res.patterns_evaluated, 0) + 1
+            rows.append({
+                "t": t, "mu_per_km2": mu, "pattern": res.pattern.label,
+                "bs_off": "+".join(map(str, res.pattern.off_bs_ids)),
+                "a1": res.pattern.a1, "energy_pct": res.pattern.energy_saving_pct,
+                "t_alpha_bps": float(t_alpha),
+                "min_rate_bps": res.min_rate_bps, "feasible": int(res.feasible),
+            })
     if not rows:
         raise _all_skipped("traffic_profile", Counter(cfg.traffic_profile))
     manifest = _manifest(

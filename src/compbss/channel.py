@@ -22,21 +22,26 @@ Each step is the operation of the expression it replaces, in the same
 order, so every bit is kept, and a converted row has the bits it has in a
 conversion of the whole draw.  The draw is the floor of a realization on
 one thread, but ``standard_normal(out=)`` fills its buffer without the
-interpreter lock.  So ``campaign._draws`` makes each next draw of a drop on
-a helper thread, into the other of two draw slots, while the current draw
-is scheduled, when a core is free for it: the ``desk`` benchmark went from
+interpreter lock.  So the realization stream (``campaign._realizations``)
+makes the draws on a helper thread while the caller schedules, when a core
+is free for it.  Within a drop each next draw goes into the other of two
+draw slots while the current draw is read: the ``desk`` benchmark went from
 193 to 247 realizations/s (medians of 10 alternating 30 s pairs on a 2-core
-Xeon, all 10 won).  A drop of one draw, as in the fig4 sweep and every
-traffic step, keeps the serial path: it has no next draw to overlap, and an
-earlier helper that prefetched the next draw made the fig4 sweep about
-20 % slower through the lock's hand-offs.
+Xeon, all 10 won).  A drop's first draw is split: the helper makes its
+standard normal draw (:func:`_standard_normal`) while the caller schedules
+the drop before and builds this one, and the caller turns it into gains
+(:func:`_shadowed`), which gives a drop of one draw, as in the fig4 sweep
+and every traffic step, a draw to overlap too: ``traffic_day`` went from
+97.4 to 116.9 realizations/s (medians of 10 alternating 30 s pairs, all 10
+won).
 
 Given the campaign's :class:`~compbss.geometry.DropScratch`, both stages
 write into it instead of allocating (its roles are laid out in
 :mod:`compbss.geometry`): the path loss follows the drop's bearings and the
 budget the path loss, and the antenna gain's table becomes the first slot
 of the fading draws.  The drop's distance, bearing and path-loss tables,
-dead once the budget exists, are the second slot.  The budget stays valid
+dead once the budget exists, are the second slot, and a drop's first draw
+may take the scratch's first-draw buffer instead.  The budget stays valid
 until the next drop on the scratch, and a draw until the next draw into its
 slot or the next drop.  Without a scratch each call returns fresh arrays,
 with the same bits.  In the fig4 benchmark grid the link budget's fresh
@@ -164,11 +169,23 @@ def draw_gain_matrix(budget_db: np.ndarray, seed,
     ``slot`` 0 or 1 of the budget's ``scratch``, where the draw stays valid
     until the next draw into that slot or the next drop.  Slot 0 is the
     table that held the antenna gain; slot 1 overwrites the drop's distances,
-    bearings and path loss.
+    bearings and path loss.  The realization stream makes a drop's first
+    draw in the same two steps, :func:`_standard_normal` and
+    :func:`_shadowed`, in the scratch's ``first_draw`` buffer instead, where
+    it stays valid until the next drop's first draw.
     """
     table = budget_db.size // 3     # one (U, B) table: S = 3 B
-    shadow = np.random.default_rng(seed).standard_normal(
-        out=_array(scratch, _DRAW_SLOTS[slot] * table, budget_db.shape))
+    return _shadowed(budget_db, _standard_normal(
+        seed, _array(scratch, _DRAW_SLOTS[slot] * table, budget_db.shape)))
+
+
+def _standard_normal(seed, out: np.ndarray) -> np.ndarray:
+    """The standard normal draw of the shadowing under ``seed``, in ``out``."""
+    return np.random.default_rng(seed).standard_normal(out=out)
+
+
+def _shadowed(budget_db: np.ndarray, shadow: np.ndarray) -> np.ndarray:
+    """``budget - sigma * n`` in the array of the standard normal draw n."""
     shadow *= SHADOWING_STDDEV_DB
     return np.subtract(budget_db, shadow, out=shadow)
 

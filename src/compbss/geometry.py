@@ -38,11 +38,14 @@ region search's tables and the image search's offsets and rows take it.
 Once the budget exists, the distances, bearings and path loss are dead, and
 their three tables are a second fading-draw slot: a drop with several draws
 alternates them between the two slots, so that a helper thread can make the
-next draw while the current one is scheduled (``campaign._draws``).  The
-same ufuncs run on the same operands in the same order, so every bit is
-kept.  A drop's arrays stay valid until the next drop on the same scratch
-or the first draw into the second slot, the budget until the next drop, and
-a draw until the next draw into its slot or the next drop; a call without a
+next draw while the current one is read.  A drop's first draw may instead
+take a buffer of its own, :meth:`DropScratch.first_draw`, so that the
+helper can make it while the drop itself is built (the realization stream,
+``campaign._realizations``).  The same ufuncs run on the same operands in
+the same order, so every bit is kept.  A drop's arrays stay valid until the
+next drop on the same scratch or the first draw into the second slot, the
+budget until the next drop, and a draw until the next draw into its slot
+(or buffer) or the next drop; a call without a
 scratch returns fresh arrays.  On a 2-core Xeon the fig4 benchmark grid (10
 drops of one draw) took 5k-12k minor page faults per CLI campaign with
 fresh arrays whenever glibc returned its heap pages (most of them in this
@@ -250,9 +253,10 @@ def build_layout(inter_site_distance_m: float = 500.0) -> NetworkLayout:
 # link budget is built, and run as far as they need.  Once the budget exists
 # the distances, bearings and path loss are dead: their three tables are the
 # second fading-draw slot, _DRAW_SLOTS[1].  Only a drop of several draws
-# writes it, with every other draw (campaign._draws), while the draw before,
-# in _DRAW, is still read; a draw there lives until the next draw into the
-# slot or the next drop.  A single-draw drop never touches it.
+# writes it, with every other draw (campaign._realizations), while the draw
+# before, in _DRAW or the first-draw buffer, is still read; a draw there lives
+# until the next draw into the slot or the next drop.  A single-draw drop
+# never touches it.
 _DIST, _AZ, _PATH_LOSS, _BUDGET, _DRAW, _END = 0, 1, 2, 3, 6, 9
 _DRAW_SLOTS = (_DRAW, _DIST)
 
@@ -269,6 +273,7 @@ class DropScratch:
 
     def __init__(self, n_floats: int = 0):
         self._buf = np.empty(n_floats)
+        self._first = np.empty(0)
 
     @classmethod
     def for_density(cls, layout: NetworkLayout, density_per_km2: float) -> "DropScratch":
@@ -282,6 +287,17 @@ class DropScratch:
         """Grow the buffer to at least ``n_floats``."""
         if n_floats > self._buf.size:
             self._buf = np.empty(n_floats)
+
+    def first_draw(self, shape) -> np.ndarray:
+        """A float64 ``shape`` array over a buffer of its own, for a drop's
+        first fading draw, made while the drop itself is built; the array
+        stays valid until the next call.  The buffer grows to fit, and at
+        least to a draw slot of the drop buffer's size (three of its nine
+        tables)."""
+        n = math.prod(shape)
+        if n > self._first.size:
+            self._first = np.empty(max(n, self._buf.size // 3))
+        return self._first[:n].reshape(shape)
 
     def array(self, start: int, shape, dtype=np.float64) -> np.ndarray:
         """A C-ordered ``shape`` array over the buffer from float ``start``,
@@ -498,6 +514,19 @@ def _drop_box(layout: NetworkLayout):
     return lo, hi, layout.region_area_m2 / float(np.prod(hi - lo))
 
 
+def _user_count(rng: np.random.Generator, layout: NetworkLayout,
+                density_per_km2: float) -> int:
+    """The Poisson user count of a drop, the first value of its stream."""
+    area_km2 = layout.region_area_m2 / 1e6
+    return int(rng.poisson(density_per_km2 * area_km2))
+
+
+def drop_count(layout: NetworkLayout, density_per_km2: float, seed) -> int:
+    """The number of users that :func:`drop_users` drops under ``seed``,
+    without dropping them."""
+    return _user_count(np.random.default_rng(seed), layout, density_per_km2)
+
+
 def drop_users(layout: NetworkLayout, density_per_km2: float, seed,
                scratch: DropScratch | None = None) -> UserDrop:
     """Drop a Poisson number of users uniformly over the 49-cell region.
@@ -511,8 +540,7 @@ def drop_users(layout: NetworkLayout, density_per_km2: float, seed,
     if density_per_km2 <= 0:
         raise ValueError("density must be > 0")
     rng = np.random.default_rng(seed)
-    area_km2 = layout.region_area_m2 / 1e6
-    count = int(rng.poisson(density_per_km2 * area_km2))
+    count = _user_count(rng, layout, density_per_km2)
     lo, hi, accept_rate = _drop_box(layout)
 
     if scratch is not None:

@@ -8,11 +8,12 @@ theta = delta / (1 + delta) with
 delta = [sum_c (r*beta)^(1-alpha) / sum_nc (r*beta)^(1-alpha)]^(1/alpha).
 The scheduling pipeline here applies those forms to a whole field of
 sectors at once; it is independent of the site topology.  One fading draw
-runs :func:`draw_rates` (pool users, association, cluster links, link
-rates) and then :func:`allocate` once per alpha; :func:`draw_rates` states
-the rules that let it schedule part of the field and keep every bit.  A
-draw arrives in dB (``channel.draw_gain_matrix``): the strongest sectors are
-picked on the dB values, and only the pool users' rows become watts.
+runs :func:`draw_pool` (pool users and their received powers) and
+:func:`draw_rates` (association, cluster links, link rates), and then
+:func:`allocate` once per alpha; :func:`draw_rates` states the rules that
+let it schedule part of the field and keep every bit.  A draw arrives in dB
+(``channel.draw_gain_matrix``): the strongest sectors are picked on the dB
+values, and only the pool users' rows become watts.
 """
 
 from __future__ import annotations
@@ -352,11 +353,28 @@ def link_rates(model: SystemModel, assoc: Association, links, gamma_ds_db) -> Li
         n_vclusters=n_vc, n_pools=model.n_sectors + n_vc)
 
 
-def draw_rates(models, members, gain_db: np.ndarray, strongest: np.ndarray, vq: np.ndarray,
-               active_sectors: np.ndarray, gamma_ds_db) -> tuple[np.ndarray, LinkRates]:
-    """One fading draw from its dB gains to link rates, for every row of the
-    (P, S) active-sector masks, every configuration of ``models`` (with its
-    :func:`cluster_members` in ``members``) and every gamma_d.
+def draw_pool(gain_db: np.ndarray, strongest: np.ndarray, vq: np.ndarray,
+              active_sectors: np.ndarray, models) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All that :func:`draw_rates` reads of a fading draw: the sorted rows
+    of its :func:`pool_users` for the metric set ``vq``, their (P, n)
+    serving sectors and their received powers in watts.
+
+    Only the pool users' rows are turned into watts (``received_power_w``),
+    each with the bits it has in the whole draw; the strongest sectors are
+    picked on the dB values (:func:`strongest_sectors`), and ``strongest``
+    is ``strongest_sectors(gain_db)``.  Once the pool is made, the dB draw
+    may be overwritten.
+    """
+    users, serving = pool_users(gain_db, strongest, vq, active_sectors, models)
+    return users, serving, received_power_w(gain_db, rows=users)
+
+
+def draw_rates(models, members, pool, active_sectors: np.ndarray,
+               gamma_ds_db) -> tuple[np.ndarray, LinkRates]:
+    """One fading draw from its :func:`draw_pool` to link rates, for every
+    row of the (P, S) active-sector masks, every configuration of
+    ``models`` (with its :func:`cluster_members` in ``members``) and every
+    gamma_d.
 
     Returns the sorted rows of the draw that it scheduled and their
     :func:`link_rates`.  Only the users that share a pool with the metric
@@ -368,14 +386,8 @@ def draw_rates(models, members, gain_db: np.ndarray, strongest: np.ndarray, vq: 
     field order, so every bincount of :func:`allocate` adds the same users in
     the same order as over the whole field and keeps its bits.  With every
     user in ``vq`` the whole field is scheduled.
-
-    Only the pool users' rows are turned into watts (``received_power_w``),
-    each with the bits it has in the whole draw; the strongest sectors are
-    picked on the dB values (:func:`strongest_sectors`), and ``strongest``
-    is ``strongest_sectors(gain_db)``.
     """
-    users, serving = pool_users(gain_db, strongest, vq, active_sectors, models)
-    rx_w = received_power_w(gain_db, rows=users)
+    users, serving, rx_w = pool
     assoc = associate(rx_w, active_sectors, serving)
     links = [cluster_links(model, rx_w, assoc, member)
              for model, member in zip(models, members)]

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -11,15 +12,16 @@ import numpy as np
 import pytest
 import yaml
 
-from compbss import campaign, drop_users
+from compbss import campaign, channel, drop_users
 from compbss.bss import default_pattern_list, heuristic_select, realization_stats
 from compbss.campaign import (CampaignConfig, ConfigError, MissingAxisError,
-                              RESULT_COLUMNS, TRAFFIC_COLUMNS, _draws, _mu_key, _seed_key,
+                              RESULT_COLUMNS, TRAFFIC_COLUMNS, _mu_key, _realizations, _seed_key,
                               build_context, emit_figure_data, run_campaign,
                               run_traffic_profile, write_rows_csv)
-from compbss.channel import draw_gain_matrix
+from compbss.channel import build_gain_matrix
 from compbss.metrics import STAT_FIELDS
-from compbss.scheduler import SchedulerParams, draw_rates
+from compbss.scheduler import (SchedulerParams, center_cluster_users, draw_rates,
+                               strongest_sectors)
 from compbss.cli import main as cli_main
 
 from helpers import patterns_to_file
@@ -267,8 +269,10 @@ class TestTraffic:
         model = ctx.models["C3"]
         params = SchedulerParams(alpha=1.0, gamma_d_db=-1.0)
         for row in res.rows:
-            key = (_mu_key(row["mu_per_km2"]), row["t"])
-            gain_db, _, vq = next(_draws(ctx, row["mu_per_km2"], (2,) + key, [(3,) + key]))
+            mu, key = row["mu_per_km2"], (_mu_key(row["mu_per_km2"]), row["t"])
+            drop = drop_users(ctx.layout, mu, _seed_key(cfg.master_seed, 2, *key))
+            gain_db = build_gain_matrix(ctx.layout, drop, _seed_key(cfg.master_seed, 3, *key))
+            vq = center_cluster_users(model, strongest_sectors(gain_db), ctx.center_sector_idx)
             sel = heuristic_select(model, gain_db, vq, ctx.cluster_bs_idx, ctx.patterns,
                                    params, 3e5)
             stats = realization_stats(sel.solution, vq[sel.users], [0.0],
@@ -310,9 +314,9 @@ class TestTraffic:
 
 
 class TestThreads:
-    """A drop of several fading draws makes the next draw on a helper thread,
-    which ends with the drop, when a core is free for it; a single-draw drop
-    starts none."""
+    """The realization stream makes each next draw, of the drop or of the
+    next drop, on one helper thread, which ends with the stream, when a core
+    is free for it; on one core it starts none."""
 
     @pytest.fixture
     def four_cores(self, monkeypatch):
@@ -325,17 +329,41 @@ class TestThreads:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
 
-    def test_helper_ends_with_the_campaign(self, monkeypatch, four_cores):
-        baseline = threading.active_count()
+    @staticmethod
+    def count_threads(monkeypatch):
+        """The thread count at each standard normal draw, one per fading
+        draw, as a list that the draws fill."""
         seen = []
+        standard_normal = channel._standard_normal
 
         def draw_and_count(*args):
             seen.append(threading.active_count())
-            return draw_gain_matrix(*args)
+            return standard_normal(*args)
 
-        monkeypatch.setattr(campaign, "draw_gain_matrix", draw_and_count)
+        monkeypatch.setattr(channel, "_standard_normal", draw_and_count)
+        monkeypatch.setattr(campaign, "_standard_normal", draw_and_count)
+        return seen
+
+    def test_helper_ends_with_the_campaign(self, monkeypatch, four_cores):
+        baseline = threading.active_count()
+        seen = self.count_threads(monkeypatch)
         run_campaign(tiny_config(n_fading=3))
         assert max(seen) == baseline + 1 and len(seen) == 2 * 3
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("run", ["profile", "sweep"])
+    def test_single_draw_helper_ends_with_the_campaign(self, monkeypatch, four_cores, run):
+        """A profile and a sweep of single-draw drops make each next drop's
+        draw on the helper, which is gone when the campaign returns."""
+        baseline = threading.active_count()
+        seen = self.count_threads(monkeypatch)
+        if run == "profile":
+            assert run_traffic_profile(tiny_config(traffic_profile=[20.0, 160.0, 60.0])).rows
+            n_draws = 3
+        else:
+            assert run_campaign(tiny_config(densities_per_km2=[20.0, 160.0], n_drops=3)).rows
+            n_draws = 2 * 3
+        assert max(seen) == baseline + 1 and len(seen) == n_draws
         assert threading.active_count() == baseline
 
     def test_helper_ends_when_scheduling_raises(self, monkeypatch, four_cores):
@@ -353,35 +381,71 @@ class TestThreads:
             run_campaign(tiny_config(n_fading=3))
         assert threading.active_count() == baseline
 
-    def test_single_draw_drops_start_no_thread(self, monkeypatch, four_cores):
+    def test_helper_ends_when_the_heuristic_raises(self, monkeypatch, four_cores):
+        baseline = threading.active_count()
+        seen = self.count_threads(monkeypatch)
+        calls = []
+
+        def fail_second_step(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("selection failed")
+            return heuristic_select(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, "heuristic_select", fail_second_step)
+        with pytest.raises(RuntimeError, match="selection failed"):
+            run_traffic_profile(tiny_config(traffic_profile=[20.0, 60.0, 160.0, 60.0]))
+        assert len(calls) == 2 and max(seen) == baseline + 1
+        assert threading.active_count() == baseline
+
+    def test_abandoned_stream_ends_the_helper(self, four_cores):
+        baseline = threading.active_count()
+        ctx = build_context(tiny_config(n_fading=3))
+        stream = _realizations(ctx, [(60.0, (0, 1), [(1, 1, f) for f in range(3)]),
+                                     (60.0, (0, 2), [(1, 2, 0)])], list(ctx.models.values()))
+        next(stream)
+        assert threading.active_count() == baseline + 1
+        del stream
+        assert threading.active_count() == baseline
+
+    def test_single_draw_drops_start_no_thread(self, monkeypatch):
+        """With one usable core the stream makes every draw on the caller's
+        thread."""
+        monkeypatch.setattr(campaign, "_usable_cores", lambda: 1)
         self.refuse_threads(monkeypatch)
         assert run_campaign(tiny_config(n_fading=1)).rows
         assert run_traffic_profile(tiny_config(traffic_profile=[20.0, 60.0])).rows
 
     def test_no_helper_without_a_free_core(self, monkeypatch):
-        """One core runs the campaign serially, and a pool worker told that
-        the pool fills the cores does too, with the pipelined records."""
+        """One core runs the campaign on one thread, and a pool worker told
+        that the pool fills the cores does too, with the streamed records."""
         cfg = tiny_config(n_fading=3)
-        pipelined = campaign._drop_records(build_context(cfg), 60.0, 1)
+        tasks = [(60.0, 0), (60.0, 1)]
+        streamed = campaign._drop_records(build_context(cfg), tasks)
         monkeypatch.setattr(campaign, "_usable_cores", lambda: 1)
         monkeypatch.setattr(campaign, "_worker_cache", {})
         self.refuse_threads(monkeypatch)
         assert run_campaign(cfg).rows
         cfg_json = json.dumps(dataclasses.asdict(cfg), sort_keys=True)
-        serial = campaign._worker((cfg_json, False, 60.0, 1))
-        assert serial[0].tobytes() == pipelined[0].tobytes() and serial[1:] == pipelined[1:]
+        inline = [campaign._worker((cfg_json, False, mu, d)) for mu, d in tasks]
+        assert len(streamed) == 2
+        for got, want in zip(inline, streamed):
+            assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
 
     def test_process_pool_after_pipelined_campaign(self, tmp_path, four_cores):
-        """Forked workers of a process that ran pipelined drops in process
-        run their own helpers, with the serial run's bytes."""
+        """Forked workers of a process that streamed a sweep and a profile in
+        process run their own helpers, with the --jobs 1 run's bytes, for
+        drops of one draw and of several."""
         assert run_campaign(tiny_config(n_fading=3)).rows
-        outs = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}.csv"
-            assert cli_main(["--drops", "2", "--fading", "3", "--jobs", jobs,
-                             "--out", str(out)]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        assert run_traffic_profile(tiny_config(traffic_profile=[20.0, 60.0])).rows
+        for n_fading in ("1", "3"):
+            outs = []
+            for jobs in ("1", "2"):
+                out = tmp_path / f"jobs{jobs}.csv"
+                assert cli_main(["--drops", "5", "--fading", n_fading, "--jobs", jobs,
+                                 "--out", str(out)]) == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1]
 
 
 @pytest.fixture(scope="module")
@@ -487,12 +551,16 @@ class TestCli:
     ])
     def test_bad_config_value_is_exit_1(self, tmp_path, capsys, monkeypatch, line, shown):
         """Values that used to fail at run time are configuration errors, and
-        a refusal leaves no output directory behind."""
-        monkeypatch.chdir(CONFIGS.parent)
+        a refusal leaves no output directory behind.  A pattern file is read
+        next to the config, here given by a path relative to the working
+        directory, beside a copy of a config that is no pattern list."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "configs").mkdir()
+        shutil.copy(CONFIGS / "traffic_day.yaml", tmp_path / "configs")
         p = tmp_path / "c.yaml"
         p.write_text(f"n_drops: 1\nn_fading: 1\noutput: {tmp_path / 'new' / 'r.csv'}\n"
                      f"{line}\n")
-        assert cli_main(["--config", str(p)]) == 1
+        assert cli_main(["--config", p.name]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and shown in err and "Traceback" not in err
         assert not (tmp_path / "new").exists()
@@ -697,6 +765,20 @@ class TestCli:
         body = out.read_text()
         assert "Zcustom" in body and "Zall" in body
 
+    def test_pattern_file_is_relative_to_the_config(self, tmp_path, monkeypatch):
+        """The fig10 config names its pattern file next to it, and runs from
+        any directory; ``--patterns`` stays relative to the working one."""
+        monkeypatch.chdir(tmp_path)
+        rc = cli_main(["--config", str(CONFIGS / "fig10_rate_coverage.yaml"), "--figure",
+                       "fig10", "--drops", "1", "--out", "f.csv"])
+        assert rc == 0
+        assert {line.split(",")[1] for line in Path("f.csv").read_text().splitlines()[1:]} == {
+            "Z2/7"}
+        Path("pats.csv").write_text("0,0,1,0,0,0,0,Zcwd\n0,0,0,0,0,0,0,Zall\n")
+        rc = cli_main(["--config", str(CONFIGS / "fig10_rate_coverage.yaml"), "--drops", "1",
+                       "--patterns", "pats.csv", "--out", "p.csv"])
+        assert rc == 0 and "Zcwd" in Path("p.csv").read_text()
+
     @pytest.mark.parametrize("figure", ["fig4", "fig8"])
     def test_traffic_config_refuses_sweep_figure(self, tmp_path, capsys, figure):
         out = tmp_path / "t.csv"
@@ -721,9 +803,7 @@ class TestCli:
             assert path.stem in CONFIG_FIGURES, path.name
 
     @pytest.mark.parametrize("name", sorted(CONFIG_FIGURES))
-    def test_shipped_config_runs(self, tmp_path, monkeypatch, name):
-        # a pattern_file is relative to the working directory, as output is
-        monkeypatch.chdir(CONFIGS.parent)
+    def test_shipped_config_runs(self, tmp_path, name):
         figure = CONFIG_FIGURES[name]
         out = tmp_path / f"{name}.csv"
         # a traffic profile draws one drop per step and takes no scale flags

@@ -148,6 +148,15 @@ def test_drop_deterministic(layout):
     assert np.array_equal(d1.link_az_deg, d2.link_az_deg)
 
 
+def test_drop_count_is_the_drop_size(layout):
+    """The count that the realization stream sizes a drop's first draw by,
+    without dropping the users."""
+    for density, seed in itertools.product([1e-3, 20.0, 160.0], range(5)):
+        key = np.random.SeedSequence(7, spawn_key=(0, seed))
+        n_users = drop_users(layout, density, key).n_users
+        assert geometry.drop_count(layout, density, key) == n_users
+
+
 def test_drop_density_scaling(layout):
     n20 = np.mean([drop_users(layout, 20.0, s).n_users for s in range(40)])
     n160 = np.mean([drop_users(layout, 160.0, s).n_users for s in range(40)])

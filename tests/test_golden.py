@@ -72,10 +72,9 @@ def test_all_patterns_campaign_csv_is_pinned(tmp_path):
 
 
 @pytest.mark.parametrize("figure", sorted(FIGURE_SHA256))
-def test_rate_coverage_extract_is_pinned(tmp_path, monkeypatch, figure):
+def test_rate_coverage_extract_is_pinned(tmp_path, figure):
     """The rate-coverage curves of the shipped configs (fig9: every shipped
     pattern at alpha 1; fig10: the one pattern Z2/7 at alpha 1, 2 and 3)."""
-    monkeypatch.chdir(ROOT)     # the fig10 config's pattern_file is relative
     cfg = CampaignConfig.from_file(ROOT / "configs" / f"{figure}_rate_coverage.yaml")
     res = run_campaign(dataclasses.replace(cfg, n_drops=2, master_seed=7))
     columns, rows = emit_figure_data(res.rows, figure)

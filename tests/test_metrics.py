@@ -90,9 +90,8 @@ class TestCoverage:
             densities_per_km2=[20.0, 160.0], n_drops=4, n_fading=5,
             alphas=[0.5, 1.0, 3.0], gamma_ds_db=[-6.5, -1.0, 10.0],
             comp_configs=["none", "C1", "C2", "C3"], master_seed=5))
-        values = np.concatenate([_drop_records(ctx, mu, d)[0]
-                                 for mu in ctx.cfg.densities_per_km2
-                                 for d in range(ctx.cfg.n_drops)])
+        tasks = [(mu, d) for mu in ctx.cfg.densities_per_km2 for d in range(ctx.cfg.n_drops)]
+        values = np.concatenate([res[0] for res in _drop_records(ctx, tasks)])
         coverage, n_users, n_outage = (values[..., STAT_FIELDS.index(name)] for name in
                                        ("sinr_coverage", "n_users", "n_outage"))
         assert n_users.size == 7200 and n_outage.any()

@@ -14,7 +14,8 @@ import pytest
 import compbss as cb
 from compbss.bss import all_patterns, exhaustive_oracle, heuristic_select
 from compbss.campaign import CampaignConfig, _drop_records, build_context
-from compbss.scheduler import (SystemModel, allocate, cluster_members, draw_rates, pool_users,
+from compbss.scheduler import (SystemModel, allocate, cluster_members, draw_pool, draw_rates,
+                               pool_users,
                                strongest_sectors)
 
 from conftest import make_realization
@@ -37,7 +38,7 @@ def _context(tmp_path, pattern_set, configs, **overrides):
 
 
 def _assert_records_equal(ctx, mu, d):
-    values, skipped, n_scheduled, n_dropped = _drop_records(ctx, mu, d)
+    (values, skipped, n_scheduled, n_dropped), = _drop_records(ctx, [(mu, d)])
     want, want_skipped = full_field_drop_records(ctx, mu, d)
     assert skipped == want_skipped
     assert values.shape == want.shape
@@ -130,9 +131,9 @@ def test_selections_equal_full_field_oracle(layout, models, config):
                 want_rates = want.lam[:, vq]
                 active = np.array([pattern_bs_mask(layout.n_bs, cb_idx, p)
                                    for p in patterns])[:, model.sector_bs]
-                users, rates = draw_rates([model], [cluster_members(model, active)], gain_db,
-                                          strongest_sectors(gain_db), vq, active,
-                                          [gamma_d])
+                pool = draw_pool(gain_db, strongest_sectors(gain_db), vq, active, [model])
+                users, rates = draw_rates([model], [cluster_members(model, active)], pool,
+                                          active, [gamma_d])
                 got = allocate(rates, alpha)
                 where = (config, density, seed, alpha, len(patterns))
                 assert np.array_equal(got.lam[:, vq[users]], want_rates), where

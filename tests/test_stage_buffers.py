@@ -1,10 +1,13 @@
 """The drop and fading stages run in place, and the conversion to watts
 allocates its rows once: bit identity with the expression forms they replace,
 and a bound on the memory each stage allocates.  With a campaign's scratch
-the stages write into it, and keep every bit, also when a drop's draws are
-made on a helper thread into the scratch's two draw slots in turn."""
+the stages write into it, and keep every bit, also when the realization
+stream makes each next draw on a helper thread, into the scratch's two draw
+slots in turn, or a drop's first draw into a buffer of its own while the
+drop is built."""
 
 import itertools
+import math
 import sys
 import threading
 import tracemalloc
@@ -210,88 +213,211 @@ def test_warm_scratch_drop_allocates_less_than_a_table(layout, density):
     assert n_users * layout.n_bs * 8 <= 1.2 * ub    # the drops have about one size
 
 
-def _pipelined_context(n_fading, density=60.0):
-    cfg = CampaignConfig(densities_per_km2=[density], n_drops=2, n_fading=n_fading,
+def _stream_context(densities, n_fading, n_drops=2):
+    """A context whose scratch buffers are filled with a byte pattern, as a
+    perturbed allocator fills them, so that a stage that read a part it
+    never wrote would read neither zeros nor an earlier drop's values."""
+    cfg = CampaignConfig(densities_per_km2=densities, n_drops=n_drops, n_fading=n_fading,
                          comp_configs=["C3"], master_seed=29, output="unused.csv")
-    return build_context(cfg)
+    ctx = build_context(cfg)
+    ctx.scratch = DropScratch.for_density(ctx.layout, max(densities))
+    ctx.scratch.first_draw((1, ctx.layout.n_sectors))
+    for buf in (ctx.scratch._buf, ctx.scratch._first):
+        buf.view(np.uint8).fill(0xA5)
+    return ctx
 
 
-def _drop_keys(ctx, d):
-    """The drop key and draw keys of sweep drop ``d``, as ``_drop_records``
-    derives them."""
-    key = (campaign._mu_key(ctx.cfg.densities_per_km2[0]), d)
-    return (0,) + key, [(1,) + key + (f,) for f in range(ctx.cfg.n_fading)]
+def _sweep_plan(ctx):
+    """The stream plan of every sweep drop, with the keys that
+    ``_drop_records`` derives."""
+    cfg = ctx.cfg
+    return [(mu, (0, campaign._mu_key(mu), d),
+             [(1, campaign._mu_key(mu), d, f) for f in range(cfg.n_fading)])
+            for mu in cfg.densities_per_km2 for d in range(cfg.n_drops)]
 
 
-def _draws_without_scratch(ctx, d):
-    """The bytes of each fading draw of sweep drop ``d``, each made by
-    itself in fresh arrays."""
-    seed, mu = ctx.cfg.master_seed, ctx.cfg.densities_per_km2[0]
-    drop_key, draw_keys = _drop_keys(ctx, d)
-    drop = cb.drop_users(ctx.layout, mu, campaign._seed_key(seed, *drop_key))
-    budget = drop_link_budget(ctx.layout, drop)
-    return [draw_gain_matrix(budget, campaign._seed_key(seed, *key)).tobytes()
-            for key in draw_keys]
+def _profile_plan(profile):
+    """The stream plan of a traffic profile, with the keys that
+    ``run_traffic_profile`` derives."""
+    return [(mu, (2, campaign._mu_key(mu), t), [(3, campaign._mu_key(mu), t)])
+            for t, mu in enumerate(profile)]
+
+
+def _draws_without_scratch(ctx, plan):
+    """Each fading draw of the plan, made by itself in fresh arrays,
+    without a helper."""
+    seed = ctx.cfg.master_seed
+    want = []
+    for mu, drop_key, draw_keys in plan:
+        drop = cb.drop_users(ctx.layout, mu, campaign._seed_key(seed, *drop_key))
+        budget = drop_link_budget(ctx.layout, drop)
+        want += [draw_gain_matrix(budget, campaign._seed_key(seed, *key)) for key in draw_keys]
+    return want
+
+
+def _record_bytes(record):
+    """The bytes of a streamed (strongest, vq, pool) record."""
+    strongest, vq, pool = record
+    return [a.tobytes() for a in (strongest, vq) + (() if pool is None else pool)]
+
+
+def _records_without_scratch(ctx, plan):
+    """The bytes of the record of each fading draw of the plan, read from
+    the draw made without a scratch."""
+    models = list(ctx.models.values())
+    want = []
+    for gain_db in _draws_without_scratch(ctx, plan):
+        strongest = campaign.strongest_sectors(gain_db)
+        vq = campaign.center_cluster_users(models[0], strongest, ctx.center_sector_idx)
+        pool = (campaign.draw_pool(gain_db, strongest, vq, ctx.active_sectors, models)
+                if vq.any() else None)
+        want.append(_record_bytes((strongest, vq, pool)))
+    return want
+
+
+def _check_stream(monkeypatch, ctx, plan):
+    """Read the stream of the plan.  Each draw has the bits of the draw
+    made without a scratch when the stream starts to read it, and still has
+    them once the helper has made every draw handed to it before, which in a
+    drop of several draws is the next one.  Each record has the bits of the
+    one read from that draw, and keeps them after the next record.  Every
+    draw lies in the scratch, whose buffers do not grow, and no two draws in
+    a row of one drop share memory.  Returns the buffers."""
+    want = _draws_without_scratch(ctx, plan)
+    want_records = _records_without_scratch(ctx, plan)
+    # a drop's draws before its last one are read after the next is handed out
+    before_last = [f < len(keys) - 1 for _, _, keys in plan for f in range(len(keys))]
+    handed = [i + 1 + b for i, b in enumerate(before_last)]
+    buf, first = ctx.scratch._buf, ctx.scratch._first
+    done = threading.Semaphore(0)
+    n_done = 0
+    read = []
+
+    def signal(make):
+        def made(*args):
+            out = make(*args)
+            done.release()
+            return out
+        return made
+
+    def read_and_wait(gain_db):
+        nonlocal n_done
+        i = len(read)
+        assert same_bits(gain_db, want[i])
+        while n_done < handed[i]:
+            assert done.acquire(timeout=60)
+            n_done += 1
+        assert same_bits(gain_db, want[i])
+        assert np.shares_memory(gain_db, buf) or np.shares_memory(gain_db, first)
+        assert not (read and before_last[i - 1] and np.shares_memory(gain_db, read[-1]))
+        read.append(gain_db)
+        return cb.strongest_sectors(gain_db)
+
+    monkeypatch.setattr(campaign, "draw_gain_matrix", signal(draw_gain_matrix))
+    monkeypatch.setattr(campaign, "_standard_normal", signal(campaign._standard_normal))
+    monkeypatch.setattr(campaign, "strongest_sectors", read_and_wait)
+    last = None
+    for i, record in enumerate(campaign._realizations(ctx, plan, list(ctx.models.values()))):
+        assert _record_bytes(record) == want_records[i]
+        assert last is None or _record_bytes(last) == want_records[i - 1]
+        last = record
+    assert i + 1 == len(read) == n_done == len(want) and not done.acquire(blocking=False)
+    assert ctx.scratch._buf is buf and ctx.scratch._first is first
+    return buf, first
 
 
 @pytest.mark.parametrize("n_fading", [1, 2, 3, 10])
 def test_pipelined_draws_keep_their_bits(monkeypatch, n_fading):
-    """Every draw that the prologue yields, from either slot of a warm or a
-    fresh scratch, has the bits of the draw made without a scratch, and keeps
-    them after the helper has finished the draw that follows."""
-    ctx = _pipelined_context(n_fading)
-    mu = ctx.cfg.densities_per_km2[0]
-    done = threading.Semaphore(0)
+    """Every draw that the stream reads over two drops, from either slot or
+    the first-draw buffer of a warm or a fresh scratch, has the bits of the
+    draw made without a scratch, and keeps them while the helper makes the
+    draw after it."""
+    ctx = _stream_context([60.0], n_fading)
+    _check_stream(monkeypatch, ctx, _sweep_plan(ctx))
 
-    def draw_and_signal(*args):
-        gain_db = draw_gain_matrix(*args)
-        done.release()
-        return gain_db
 
-    monkeypatch.setattr(campaign, "draw_gain_matrix", draw_and_signal)
-    for d in range(2):
-        want = _draws_without_scratch(ctx, d)
-        n_done = 0
-        last = None
-        for i, (gain_db, _, _) in enumerate(campaign._draws(ctx, mu, *_drop_keys(ctx, d))):
-            while n_done < min(i + 2, n_fading):    # the draw after this one is made
-                assert done.acquire(timeout=60)
-                n_done += 1
-            assert gain_db.tobytes() == want[i]
-            assert np.shares_memory(gain_db, ctx.scratch._buf)
-            assert last is None or not np.shares_memory(gain_db, last)
-            last = gain_db
-        assert n_done == n_fading and not done.acquire(blocking=False)
+def _tables(layout, density):
+    """Floats of one (users, BSs) table of the drop size that a scratch for
+    ``density`` holds."""
+    mean = density * layout.region_area_m2 / 1e6
+    return math.ceil(mean + 4.0 * math.sqrt(mean)) * layout.n_bs
+
+
+@pytest.mark.parametrize("fast_switches", [False, True])
+@pytest.mark.parametrize("n_fading", [1, 3])
+@pytest.mark.parametrize("kind", ["profile", "sweep"])
+def test_stream_over_drops_that_grow_and_shrink(monkeypatch, kind, n_fading, fast_switches):
+    """Drops of 20, 160 and 20 users per km^2 in turn (a profile; a sweep of
+    two densities in order, two drops each): every draw keeps its bits while
+    the helper makes the next one, also a next drop's first draw while that
+    drop is built.  The scratch holds twelve tables of the largest density's
+    drops, nine for a drop and three for a first draw; a second drop layout
+    would need eighteen."""
+    ctx = _stream_context([20.0, 160.0], n_fading)
+    if kind == "profile":
+        plan = [(mu, drop_key, [(*key, f) for f in range(n_fading)])
+                for mu, drop_key, (key,) in _profile_plan([20.0, 160.0, 20.0, 160.0, 20.0])]
+    else:
+        plan = _sweep_plan(ctx) + _sweep_plan(ctx)[:2]
+    interval = sys.getswitchinterval()
+    if fast_switches:
+        sys.setswitchinterval(1e-6)
+    try:
+        buf, first = _check_stream(monkeypatch, ctx, plan)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (buf.size, first.size) == (9 * _tables(ctx.layout, 160.0),
+                                      3 * _tables(ctx.layout, 160.0))
+
+
+def _stream_without_pools(monkeypatch, ctx, plans):
+    """A call that runs the stream of the next of ``plans`` without making
+    the pools, whose rows are the scheduler's arrays, not the stream's."""
+    monkeypatch.setattr(campaign, "draw_pool", lambda *args: None)
+    plans = iter(plans)
+
+    def stream():
+        for _ in campaign._realizations(ctx, next(plans), list(ctx.models.values())):
+            pass
+
+    return stream
 
 
 @pytest.mark.parametrize("density", [60.0, 160.0])
-def test_warm_scratch_pipelined_drop_allocates_no_draw_array(layout, density):
-    """A drop of 10 draws on a warm scratch allocates less than one (U, B)
-    table: neither slot of the draws is a fresh (U, S) array."""
-    ctx = _pipelined_context(10, density)
-    drops = iter(range(2))
-
-    def prologue():
-        d = next(drops)
-        for _ in campaign._draws(ctx, density, *_drop_keys(ctx, d)):
-            pass
-
+def test_warm_scratch_pipelined_drop_allocates_no_draw_array(monkeypatch, layout, density):
+    """A stream over a drop of 10 draws on a warm scratch allocates less
+    than one (U, B) table: no draw is a fresh (U, S) array."""
+    ctx = _stream_context([density], 10)
+    stream = _stream_without_pools(monkeypatch, ctx, [[p] for p in _sweep_plan(ctx)])
     n_users = cb.drop_users(layout, density, campaign._seed_key(
-        ctx.cfg.master_seed, *_drop_keys(ctx, 1)[0])).n_users
-    assert _traced_peak(prologue) <= n_users * layout.n_bs * 8 + SLACK
+        ctx.cfg.master_seed, *_sweep_plan(ctx)[1][1])).n_users
+    assert _traced_peak(stream) <= n_users * layout.n_bs * 8 + SLACK
+
+
+def test_warm_scratch_stream_of_single_draws_allocates_no_draw_array(monkeypatch, layout):
+    """A stream over single-draw drops of 160 and 20 users per km^2 in turn
+    on a warm scratch allocates less than one (U, B) table of the larger
+    drops: no drop, budget or draw of it is a fresh array."""
+    profile = [160.0, 20.0, 160.0, 20.0, 160.0]
+    ctx = _stream_context([20.0, 160.0], 1)
+    stream = _stream_without_pools(monkeypatch, ctx,
+                                   [_profile_plan(profile), _profile_plan(profile)[::-1]])
+    n_users = max(cb.drop_users(layout, mu, campaign._seed_key(ctx.cfg.master_seed, *key)).n_users
+                  for mu, key, _ in _profile_plan(profile))
+    assert _traced_peak(stream) <= n_users * layout.n_bs * 8 + SLACK
 
 
 def test_pipelined_draws_keep_their_bits_under_fast_thread_switches():
     """With the interpreter switching threads every microsecond and the
-    caller reading each draw at once, every draw still has its bits."""
-    ctx = _pipelined_context(10)
-    want = [_draws_without_scratch(ctx, d) for d in range(2)]
+    caller reading each record at once, every record still has its bits."""
+    ctx = _stream_context([60.0], 10)
+    plan = _sweep_plan(ctx)
+    want = _records_without_scratch(ctx, plan)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = [[gain_db.tobytes() for gain_db, _, _ in
-                campaign._draws(ctx, ctx.cfg.densities_per_km2[0], *_drop_keys(ctx, d))]
-               for d in range(2)]
+        got = [_record_bytes(record)
+               for record in campaign._realizations(ctx, plan, list(ctx.models.values()))]
     finally:
         sys.setswitchinterval(interval)
     assert got == want
