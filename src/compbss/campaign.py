@@ -45,7 +45,7 @@ import math
 import numbers
 import os
 from collections import Counter
-from contextlib import closing
+from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -242,10 +242,9 @@ def _string_number_hint(value) -> str:
             "exponent, such as 1.0e+2" if finite else "")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _Context:
-    """Derived immutable campaign state, rebuilt once per worker process, and
-    the drop stages' scratch, which the first drop makes."""
+    """Derived campaign state, built once per process by ``build_context``."""
 
     cfg: CampaignConfig
     layout: object
@@ -255,20 +254,13 @@ class _Context:
     members: list           # per config: (P, n_multi, k) cluster_members tables
     center_sector_idx: np.ndarray
     cluster_bs_idx: np.ndarray
-    scratch: DropScratch | None = None
-    draw_helper: bool = True    # the stream makes each next draw on a helper thread
-
-    def drop_scratch(self) -> DropScratch:
-        """The scratch of every drop of the campaign, sized at its first drop
-        for the largest traffic-profile step or, without a profile, density;
-        a drop's arrays in it stay valid until the next drop."""
-        if self.scratch is None:
-            densities = self.cfg.traffic_profile or self.cfg.densities_per_km2
-            self.scratch = DropScratch.for_density(self.layout, max(densities))
-        return self.scratch
+    draw_helper: bool       # the stream makes its draws on a helper thread
+    scratch: DropScratch    # every drop's; a drop's arrays stay valid until the next
 
 
-def build_context(cfg: CampaignConfig) -> _Context:
+def build_context(cfg: CampaignConfig, jobs: int = 1) -> _Context:
+    """The state of a process that runs ``cfg`` as one of ``jobs`` campaign
+    processes."""
     layout = build_layout(cfg.inter_site_distance_m)
     cluster_bs_idx = layout.center_cluster_bs_ids - 1
     try:
@@ -284,7 +276,26 @@ def build_context(cfg: CampaignConfig) -> _Context:
     members = [cluster_members(model, active_sectors) for model in models.values()]
     return _Context(cfg=cfg, layout=layout, patterns=patterns, active_sectors=active_sectors,
                     models=models, members=members, center_sector_idx=center_sector_idx,
-                    cluster_bs_idx=cluster_bs_idx)
+                    cluster_bs_idx=cluster_bs_idx,
+                    # A draw helper gains only on a core that no campaign process
+                    # keeps busy: at --jobs 2 on two cores the helpers made the
+                    # campaign 5-6 % slower.
+                    draw_helper=jobs < _usable_cores(),
+                    # sized for the largest traffic-profile step or, without a
+                    # profile, density; np.empty touches no page before a drop
+                    scratch=DropScratch.for_density(
+                        layout, max(cfg.traffic_profile or cfg.densities_per_km2)))
+
+
+class _Done:
+    """A call made at once on the caller's thread: the stand-in for the
+    helper's future when no core is free for a helper."""
+
+    def __init__(self, fn, *args):
+        self._result = fn(*args)
+
+    def result(self):
+        return self._result
 
 
 def _realizations(ctx: _Context, plan, models):
@@ -301,32 +312,41 @@ def _realizations(ctx: _Context, plan, models):
     seed.  The dB draw itself is not yielded: it lives in the scratch, which
     the next draw or drop may overwrite as soon as the pool is made.
 
-    With the context's ``draw_helper``, one helper thread makes the draws
-    while the caller schedules: numpy fills the standard normal draw without
-    the interpreter lock.  Within a drop, the next draw is handed to the
-    helper before the current one is read, into the other of the scratch's
-    two draw slots.  A drop's first draw goes to the scratch's first-draw
-    buffer instead: its standard normal draw needs only the drop's user
-    count (``drop_count``), so the helper makes it while the caller
-    schedules the last draw of the drop before and builds this drop, and the
-    caller then subtracts it from the budget.  That buffer holds a drop's
-    only draw until it is read, so the next first draw is handed out after
-    the read.  The helper runs only the seeding and the draws, which
-    ``bench/spans.py`` does not wrap.  Leaving the executor's block, also
-    when the generator is closed or the caller raised, waits for a pending
-    draw, so no thread writes into the scratch after it.  Without the helper
-    each draw, and each drop before its first draw, is made on the caller's
-    thread when it is asked for, in the two draw slots.
+    Each draw is handed out before the draw before it is read.  Draw i of a
+    drop goes to the scratch's first-draw buffer when i is even and to the
+    drop buffer's draw table when i is odd, so a draw never overwrites the
+    one being read.  Draw 0 is split: its standard normal draw needs only
+    the drop's user count (``drop_count``), so it is handed out as soon as
+    the last draw of the drop before is read, before this drop is built, and
+    the caller then subtracts it from the budget.  With the context's
+    ``draw_helper``, one helper thread makes the handed-out draws while the
+    caller schedules and builds (numpy fills the standard normal draw
+    without the interpreter lock); without it, ``_Done`` makes each one at
+    once on the caller's thread.  The helper runs only the seeding and the
+    draws, which ``bench/spans.py`` does not wrap.  Leaving the executor's
+    block, also when the generator is closed or the caller raised, waits for
+    a pending draw, so no thread writes into the scratch after it.
     """
     seed = ctx.cfg.master_seed
-    scratch = ctx.drop_scratch()
+    scratch = ctx.scratch
 
-    def budget(mu, drop_key):
-        drop = drop_users(ctx.layout, mu, _seed_key(seed, *drop_key), scratch)
-        return drop_link_budget(ctx.layout, drop, scratch)
+    def normals(key, out):
+        return _standard_normal(_seed_key(seed, *key), out)
 
-    def draw(budget_db, key, slot):
-        return draw_gain_matrix(budget_db, _seed_key(seed, *key), scratch, slot)
+    def draw(budget_db, key, out):
+        """The draw of ``key`` in ``out``, or in the drop buffer's draw table
+        when ``out`` is None."""
+        if out is None:
+            return draw_gain_matrix(budget_db, _seed_key(seed, *key), scratch)
+        return _shadowed(budget_db, normals(key, out))
+
+    def first(step):
+        """Hand out the standard normal draw of the first draw of ``step``'s
+        drop, in the first-draw buffer."""
+        mu, drop_key, draw_keys = step
+        n_users = drop_count(ctx.layout, mu, _seed_key(seed, *drop_key))
+        return submit(normals, draw_keys[0],
+                      scratch.first_draw((n_users, ctx.layout.n_sectors)))
 
     def read(gain_db):
         strongest = strongest_sectors(gain_db)
@@ -336,48 +356,33 @@ def _realizations(ctx: _Context, plan, models):
             return strongest, vq, None
         return strongest, vq, draw_pool(gain_db, strongest, vq, ctx.active_sectors, models)
 
-    def inline():
-        for mu, drop_key, draw_keys in plan:
-            budget_db = budget(mu, drop_key)
-            for i, key in enumerate(draw_keys):
-                yield read(draw(budget_db, key, i % 2))
-
-    def ahead():
+    if ctx.draw_helper:
         # only a stream with a free core pays for importing the thread pool
         from concurrent.futures import ThreadPoolExecutor
 
-        def normals(key, out):
-            return _standard_normal(_seed_key(seed, *key), out)
-
-        def first(step):
-            """Hand the helper the standard normal draw of the first draw of
-            ``step``'s drop, in the scratch's first-draw buffer."""
+        helper = ThreadPoolExecutor(1)
+        submit = helper.submit
+    else:
+        helper, submit = nullcontext(), _Done
+    with helper:
+        steps = iter(plan)
+        step = next(steps, None)
+        pending = None if step is None else first(step)
+        while step is not None:
             mu, drop_key, draw_keys = step
-            n_users = drop_count(ctx.layout, mu, _seed_key(seed, *drop_key))
-            out = scratch.first_draw((n_users, ctx.layout.n_sectors))
-            return helper.submit(normals, draw_keys[0], out)
-
-        with ThreadPoolExecutor(1) as helper:
-            steps = iter(plan)
+            drop = drop_users(ctx.layout, mu, _seed_key(seed, *drop_key), scratch)
+            budget_db = drop_link_budget(ctx.layout, drop, scratch)
+            gain_db = _shadowed(budget_db, pending.result())
             step = next(steps, None)
+            for i, key in enumerate(draw_keys[1:], 1):
+                out = None if i % 2 else scratch.first_draw(budget_db.shape)
+                pending = submit(draw, budget_db, key, out)
+                yield read(gain_db)
+                gain_db = pending.result()
+            # read first: the last draw may lie in the first-draw buffer
+            done = read(gain_db)
             pending = None if step is None else first(step)
-            while step is not None:
-                mu, drop_key, draw_keys = step
-                budget_db = budget(mu, drop_key)
-                gain_db = _shadowed(budget_db, pending.result())
-                step = next(steps, None)
-                for i, key in enumerate(draw_keys[1:], 1):
-                    pending = helper.submit(draw, budget_db, key, i % 2)
-                    yield read(gain_db)
-                    gain_db = pending.result()
-                # read first: a drop's only draw is in the first-draw buffer
-                done = read(gain_db)
-                pending = None if step is None else first(step)
-                yield done
-
-    if ctx.draw_helper:
-        return ahead()
-    return inline()
+            yield done
 
 
 def _drop_records(ctx: _Context, tasks):
@@ -431,12 +436,11 @@ def _drop_records(ctx: _Context, tasks):
 
 
 def _worker(args):
-    cfg_json, draw_helper, mu, d = args
-    ctx = _worker_cache.get(cfg_json)
+    cfg_json, jobs, mu, d = args
+    ctx = _worker_cache.get((cfg_json, jobs))
     if ctx is None:
-        ctx = build_context(CampaignConfig.from_dict(json.loads(cfg_json)))
-        _worker_cache[cfg_json] = ctx
-    ctx.draw_helper = draw_helper
+        ctx = build_context(CampaignConfig.from_dict(json.loads(cfg_json)), jobs)
+        _worker_cache[cfg_json, jobs] = ctx
     return _drop_records(ctx, [(mu, d)])[0]
 
 
@@ -464,19 +468,16 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
     Workers process whole user drops; the fold into summaries is serialized
     and ordered, so the result is independent of the worker count.
     """
-    ctx = build_context(cfg)
-    # A draw helper gains only on a core that no campaign process keeps busy:
-    # at --jobs 2 on two cores the helpers made the campaign 5-6 % slower.
-    ctx.draw_helper = jobs < _usable_cores()
+    ctx = build_context(cfg, jobs)
     tasks = [(mu, d) for mu in cfg.densities_per_km2 for d in range(cfg.n_drops)]
     if jobs > 1:
         # only a parallel run pays for importing the process pool
         from concurrent.futures import ProcessPoolExecutor
 
         cfg_json = json.dumps(asdict(cfg), sort_keys=True)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_worker, [(cfg_json, ctx.draw_helper, mu, d)
-                                              for mu, d in tasks]))
+        # the pool forks all its workers at the first task, so no more than the tasks
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            results = list(pool.map(_worker, [(cfg_json, jobs, mu, d) for mu, d in tasks]))
     else:
         results = _drop_records(ctx, tasks)
     n_skipped, n_scheduled, n_dropped = map(sum, zip(*(res[1:] for res in results)))
@@ -514,7 +515,7 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
     notes = [f"no rows for {_skip_listing('densities_per_km2', empty)}: no draw had a "
              f"centre-cluster user"] if empty else []
     return CampaignResult(rows=rows, notes=notes, manifest=_manifest(
-        cfg, rows, n_skipped,
+        ctx, jobs, rows, n_skipped,
         n_realizations_skipped_per_density={str(mu): n for mu, n in skipped_of.items()},
         scheduled_user_frac=_scheduled_user_frac(n_scheduled, n_dropped)))
 
@@ -531,7 +532,10 @@ _RESULT_COLUMNS_OF = {
 }
 
 
-def _manifest(cfg: CampaignConfig, rows: list, n_skipped: int, **extra) -> dict:
+def _manifest(ctx: _Context, jobs: int, rows: list, n_skipped: int, **extra) -> dict:
+    import platform     # here, so that set-up does not pay for it
+
+    cfg = ctx.cfg
     config = asdict(cfg)
     if cfg.traffic_profile:
         # each profile step draws one drop of its density and one fading draw
@@ -539,7 +543,11 @@ def _manifest(cfg: CampaignConfig, rows: list, n_skipped: int, **extra) -> dict:
     return {
         "config": config,
         "master_seed": cfg.master_seed,
-        "versions": {"compbss": __version__, "numpy": np.__version__},
+        "versions": {"compbss": __version__, "numpy": np.__version__,
+                     "python": platform.python_version()},
+        "platform": platform.platform(),
+        "jobs": jobs,
+        "draw_helper": ctx.draw_helper,
         "n_rows": len(rows),
         "n_realizations_skipped": n_skipped,
         **extra,
@@ -570,7 +578,6 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
     if not cfg.traffic_profile:
         raise ConfigError("traffic_profile is required for the fig11 campaign")
     ctx = build_context(cfg)
-    ctx.draw_helper = _usable_cores() > 1
     alpha, r_thr = cfg.alphas[0], cfg.rate_thresholds_bps[0]
     params = SchedulerParams(alpha=alpha, gamma_d_db=cfg.gamma_ds_db[0])
     model = ctx.models[cfg.comp_configs[0]]
@@ -605,7 +612,7 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
     if not rows:
         raise _all_skipped("traffic_profile", Counter(cfg.traffic_profile))
     manifest = _manifest(
-        cfg, rows, n_skipped, mode="traffic_profile",
+        ctx, 1, rows, n_skipped, mode="traffic_profile",
         patterns_evaluated={str(n): n_evaluated[n] for n in sorted(n_evaluated)},
         n_infeasible=sum(not row["feasible"] for row in rows),
         scheduled_user_frac=_scheduled_user_frac(n_scheduled, n_dropped))

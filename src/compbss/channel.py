@@ -25,7 +25,7 @@ one thread, but ``standard_normal(out=)`` fills its buffer without the
 interpreter lock.  So the realization stream (``campaign._realizations``)
 makes the draws on a helper thread while the caller schedules, when a core
 is free for it.  Within a drop each next draw goes into the other of two
-draw slots while the current draw is read: the ``desk`` benchmark went from
+draw buffers while the current draw is read: the ``desk`` benchmark went from
 193 to 247 realizations/s (medians of 10 alternating 30 s pairs on a 2-core
 Xeon, all 10 won).  A drop's first draw is split: the helper makes its
 standard normal draw (:func:`_standard_normal`) while the caller schedules
@@ -38,16 +38,15 @@ won).
 Given the campaign's :class:`~compbss.geometry.DropScratch`, both stages
 write into it instead of allocating (its roles are laid out in
 :mod:`compbss.geometry`): the path loss follows the drop's bearings and the
-budget the path loss, and the antenna gain's table becomes the first slot
-of the fading draws.  The drop's distance, bearing and path-loss tables,
-dead once the budget exists, are the second slot, and a drop's first draw
-may take the scratch's first-draw buffer instead.  The budget stays valid
-until the next drop on the scratch, and a draw until the next draw into its
-slot or the next drop.  Without a scratch each call returns fresh arrays,
-with the same bits.  In the fig4 benchmark grid the link budget's fresh
-arrays took 1.6k-2.3k minor page faults per CLI campaign whenever glibc
-returned its heap pages, and about 6 in the scratch (2-core Xeon, means of
-30 in-process campaigns).
+budget the path loss, and the antenna gain's table becomes the draw table
+(:func:`draw_gain_matrix`).  The realization stream puts a drop's odd draws
+there and its even ones, the first included, in the scratch's first-draw
+buffer.  The budget stays valid until the next drop on the scratch, and a
+draw until the next draw into its table (or buffer) or the next drop.
+Without a scratch each call returns fresh arrays, with the same bits.  In
+the fig4 benchmark grid the link budget's fresh arrays took 1.6k-2.3k minor
+page faults per CLI campaign whenever glibc returned its heap pages, and
+about 6 in the scratch (2-core Xeon, means of 30 in-process campaigns).
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (_BUDGET, _DRAW, _DRAW_SLOTS, _PATH_LOSS, DropScratch, NetworkLayout,
-                       UserDrop, _array, _wrap_angle_in_place)
+from .geometry import (_BUDGET, _DRAW, _PATH_LOSS, DropScratch, NetworkLayout, UserDrop,
+                       _array, _wrap_angle_in_place)
 
 
 # 3GPP-style urban macro parameters (uniform power, reuse factor 1).
@@ -158,25 +157,23 @@ def drop_link_budget(layout: NetworkLayout, drop: UserDrop,
 
 
 def draw_gain_matrix(budget_db: np.ndarray, seed,
-                     scratch: DropScratch | None = None, slot: int = 0) -> np.ndarray:
+                     scratch: DropScratch | None = None) -> np.ndarray:
     """Fading-level stage: the (U, S) gains in dB of a drop's link budget
     under shadowing, ``budget - sigma * n``.
 
     Shadowing is an i.i.d. lognormal term per link, redrawn per realization;
     the same seed reproduces the matrix exactly.  The standard normal draw
     is scaled by sigma (the bits of ``normal(0, sigma)``) and subtracted
-    from the budget in place, in one (U, S) array: a fresh one, or draw
-    ``slot`` 0 or 1 of the budget's ``scratch``, where the draw stays valid
-    until the next draw into that slot or the next drop.  Slot 0 is the
-    table that held the antenna gain; slot 1 overwrites the drop's distances,
-    bearings and path loss.  The realization stream makes a drop's first
-    draw in the same two steps, :func:`_standard_normal` and
-    :func:`_shadowed`, in the scratch's ``first_draw`` buffer instead, where
-    it stays valid until the next drop's first draw.
+    from the budget in place, in one (U, S) array: a fresh one, or the draw
+    table of the budget's ``scratch``, the table that held the antenna gain,
+    where the draw stays valid until the next draw into it or the next drop.
+    The realization stream makes every other draw of a drop in the same two
+    steps, :func:`_standard_normal` and :func:`_shadowed`, in the scratch's
+    ``first_draw`` buffer instead.
     """
     table = budget_db.size // 3     # one (U, B) table: S = 3 B
     return _shadowed(budget_db, _standard_normal(
-        seed, _array(scratch, _DRAW_SLOTS[slot] * table, budget_db.shape)))
+        seed, _array(scratch, _DRAW * table, budget_db.shape)))
 
 
 def _standard_normal(seed, out: np.ndarray) -> np.ndarray:

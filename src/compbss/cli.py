@@ -12,6 +12,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from . import campaign
 from .campaign import (CampaignConfig, ConfigError, FIGURE_LAYOUTS, MissingAxisError,
                        RESULT_COLUMNS, TRAFFIC_COLUMNS, emit_figure_data, run_campaign,
                        run_traffic_profile, write_manifest, write_rows_csv,
@@ -43,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"use the full campaign scale "
                         f"({FULL_SCALE[0]} drops x {FULL_SCALE[1]} fading)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="parallel worker processes (default 1)")
+                   help="parallel worker processes, at most the usable cores (default 1)")
     return p
 
 
@@ -112,6 +113,10 @@ def main(argv=None) -> int:
                     raise ConfigError(f"{flag} does not apply to a config with "
                                       f"traffic_profile: its steps run in order in one "
                                       f"process, one drop and one fading draw each")
+        # a process pool forks all its workers at once
+        cores = campaign._usable_cores()
+        if args.jobs > cores:
+            raise ConfigError(f"--jobs {args.jobs} exceeds the {cores} usable cores")
         out = Path(cfg.output)
         manifest_path = out.with_name(out.stem + "_manifest.json")
         fig_path = out.with_name(f"{out.stem}_{args.figure}.csv")

@@ -32,25 +32,22 @@ drop and fading stages (here and in :mod:`compbss.channel`) write their
 large arrays into it with ``out=`` instead of allocating fresh ones.  Its
 buffers are shared by role, in units of one (users, BSs) float table: the
 drop's distances and bearings come first, and the path loss, the link
-budget and the antenna gain that becomes the fading draw follow.  Until the
+budget and the antenna gain that becomes the draw table follow.  Until the
 link budget is built, everything after the bearings is free, so the dense
 region search's tables and the image search's offsets and rows take it.
-Once the budget exists, the distances, bearings and path loss are dead, and
-their three tables are a second fading-draw slot: a drop with several draws
-alternates them between the two slots, so that a helper thread can make the
-next draw while the current one is read.  A drop's first draw may instead
-take a buffer of its own, :meth:`DropScratch.first_draw`, so that the
-helper can make it while the drop itself is built (the realization stream,
-``campaign._realizations``).  The same ufuncs run on the same operands in
-the same order, so every bit is kept.  A drop's arrays stay valid until the
-next drop on the same scratch or the first draw into the second slot, the
-budget until the next drop, and a draw until the next draw into its slot
-(or buffer) or the next drop; a call without a
-scratch returns fresh arrays.  On a 2-core Xeon the fig4 benchmark grid (10
-drops of one draw) took 5k-12k minor page faults per CLI campaign with
-fresh arrays whenever glibc returned its heap pages (most of them in this
-module, the rest in the link budget), and under 10 with the scratch
-(medians of 30 in-process campaigns).
+The fading draws of a drop alternate between that draw table and a buffer
+of their own, :meth:`DropScratch.first_draw`, so that a helper thread can
+make the next draw while the current one is read; the first-draw buffer
+takes a drop's first draw, which the helper can make while the drop itself
+is built (the realization stream, ``campaign._realizations``).  The same
+ufuncs run on the same operands in the same order, so every bit is kept.
+A drop's arrays and budget stay valid until the next drop on the same
+scratch, and a draw until the next draw into its table (or buffer) or the
+next drop; a call without a scratch returns fresh arrays.  On a 2-core
+Xeon the fig4 benchmark grid (10 drops of one draw) took 5k-12k minor page
+faults per CLI campaign with fresh arrays whenever glibc returned its heap
+pages (most of them in this module, the rest in the link budget), and under
+10 with the scratch (medians of 30 in-process campaigns).
 """
 
 from __future__ import annotations
@@ -250,15 +247,9 @@ def build_layout(inter_site_distance_m: float = 500.0) -> NetworkLayout:
 # Where each role of a DropScratch starts, for a drop of n users on B sites,
 # in units of one (n, B) float table; a (user, sector) array spans three.
 # The drop's own temporaries start at _PATH_LOSS, which is free until the
-# link budget is built, and run as far as they need.  Once the budget exists
-# the distances, bearings and path loss are dead: their three tables are the
-# second fading-draw slot, _DRAW_SLOTS[1].  Only a drop of several draws
-# writes it, with every other draw (campaign._realizations), while the draw
-# before, in _DRAW or the first-draw buffer, is still read; a draw there lives
-# until the next draw into the slot or the next drop.  A single-draw drop
-# never touches it.
+# link budget is built, and run as far as they need.  The antenna gain's
+# three tables at _DRAW become the draw table once the budget exists.
 _DIST, _AZ, _PATH_LOSS, _BUDGET, _DRAW, _END = 0, 1, 2, 3, 6, 9
-_DRAW_SLOTS = (_DRAW, _DIST)
 
 
 class DropScratch:
@@ -290,10 +281,9 @@ class DropScratch:
 
     def first_draw(self, shape) -> np.ndarray:
         """A float64 ``shape`` array over a buffer of its own, for a drop's
-        first fading draw, made while the drop itself is built; the array
-        stays valid until the next call.  The buffer grows to fit, and at
-        least to a draw slot of the drop buffer's size (three of its nine
-        tables)."""
+        even fading draws, the first of them made while the drop itself is
+        built; the array stays valid until the next call.  The buffer grows to fit, and at
+        least to the drop buffer's draw table (three of its nine tables)."""
         n = math.prod(shape)
         if n > self._first.size:
             self._first = np.empty(max(n, self._buf.size // 3))
@@ -534,8 +524,7 @@ def drop_users(layout: NetworkLayout, density_per_km2: float, seed,
     Deterministic for a given seed.  The image search of the region test
     also gives the nearest site whose table row starts the link geometry
     search of the accepted users.  With a ``scratch``, the link distances and
-    bearings live in it and stay valid until the next drop on it or the
-    first fading draw into its second draw slot.
+    bearings live in it and stay valid until the next drop on it.
     """
     if density_per_km2 <= 0:
         raise ValueError("density must be > 0")

@@ -1,7 +1,9 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -210,6 +212,42 @@ class TestRun:
         assert "compbss" in res.manifest["versions"]
         assert res.manifest["n_rows"] == len(res.rows)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_manifest_records_the_run_setup(self, monkeypatch, jobs):
+        """The manifest, not the rows, records the worker count, the draw
+        helper (only with a core free beside the workers), the Python
+        version and the platform."""
+        monkeypatch.setattr(campaign, "_usable_cores", lambda: 2)
+        res = run_campaign(tiny_config(), jobs=jobs)
+        manifest = res.manifest
+        assert (manifest["jobs"], manifest["draw_helper"]) == (jobs, jobs == 1)
+        assert manifest["versions"]["python"] == platform.python_version()
+        assert manifest["platform"] == platform.platform()
+        assert all(set(row) == set(RESULT_COLUMNS) for row in res.rows)
+
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
+        """A process pool forks all its workers at its first task, so a run
+        of two tasks at --jobs 5 asks for two."""
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(campaign, "_worker_cache", {})
+        cfg = tiny_config(n_drops=2)
+        assert run_campaign(cfg, jobs=5).rows == run_campaign(cfg).rows
+        assert sizes == [2]
+
     def test_theta_trend_visible_in_sweep_output(self):
         """Desk-scale rerun of the share-vs-threshold sweep keeps the trend."""
         cfg = tiny_config(n_drops=10, comp_configs=["C1"],
@@ -417,8 +455,8 @@ class TestThreads:
         assert run_traffic_profile(tiny_config(traffic_profile=[20.0, 60.0])).rows
 
     def test_no_helper_without_a_free_core(self, monkeypatch):
-        """One core runs the campaign on one thread, and a pool worker told
-        that the pool fills the cores does too, with the streamed records."""
+        """One core runs the campaign on one thread, and a pool worker of a
+        pool that fills the cores does too, with the streamed records."""
         cfg = tiny_config(n_fading=3)
         tasks = [(60.0, 0), (60.0, 1)]
         streamed = campaign._drop_records(build_context(cfg), tasks)
@@ -427,9 +465,9 @@ class TestThreads:
         self.refuse_threads(monkeypatch)
         assert run_campaign(cfg).rows
         cfg_json = json.dumps(dataclasses.asdict(cfg), sort_keys=True)
-        inline = [campaign._worker((cfg_json, False, mu, d)) for mu, d in tasks]
+        pooled = [campaign._worker((cfg_json, 1, mu, d)) for mu, d in tasks]
         assert len(streamed) == 2
-        for got, want in zip(inline, streamed):
+        for got, want in zip(pooled, streamed):
             assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
 
     def test_process_pool_after_pipelined_campaign(self, tmp_path, four_cores):
@@ -707,6 +745,21 @@ class TestCli:
         assert cli_main(["--drops", "1", "--fading", "1", "--jobs", jobs,
                          "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"config error: --jobs {jobs} must be >= 1")
+        assert not out.exists()
+
+    def test_jobs_above_the_usable_cores_is_exit_1(self, monkeypatch, tmp_path, capsys):
+        """A process pool forks all its workers at once, so --jobs may not
+        exceed the usable cores; the run starts no process."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was made")
+
+        monkeypatch.setattr(campaign, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        out = tmp_path / "r.csv"
+        assert cli_main(["--drops", "1", "--fading", "1", "--jobs", "5000",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: --jobs 5000 exceeds the 2 usable cores\n")
         assert not out.exists()
 
     def test_unwritable_output_is_exit_1(self):

@@ -2,9 +2,9 @@
 allocates its rows once: bit identity with the expression forms they replace,
 and a bound on the memory each stage allocates.  With a campaign's scratch
 the stages write into it, and keep every bit, also when the realization
-stream makes each next draw on a helper thread, into the scratch's two draw
-slots in turn, or a drop's first draw into a buffer of its own while the
-drop is built."""
+stream makes each next draw on a helper thread, into the first-draw buffer
+and the drop buffer's draw table in turn, a drop's first draw while the drop
+is built, and when it makes them on the caller's thread."""
 
 import itertools
 import math
@@ -213,14 +213,16 @@ def test_warm_scratch_drop_allocates_less_than_a_table(layout, density):
     assert n_users * layout.n_bs * 8 <= 1.2 * ub    # the drops have about one size
 
 
-def _stream_context(densities, n_fading, n_drops=2):
-    """A context whose scratch buffers are filled with a byte pattern, as a
-    perturbed allocator fills them, so that a stage that read a part it
+def _stream_context(monkeypatch, densities, n_fading, helper=True):
+    """A context of a process with (``helper``) or without a free core for
+    the draw helper, whose scratch buffers are filled with a byte pattern,
+    as a perturbed allocator fills them, so that a stage that read a part it
     never wrote would read neither zeros nor an earlier drop's values."""
-    cfg = CampaignConfig(densities_per_km2=densities, n_drops=n_drops, n_fading=n_fading,
+    cfg = CampaignConfig(densities_per_km2=densities, n_drops=2, n_fading=n_fading,
                          comp_configs=["C3"], master_seed=29, output="unused.csv")
+    monkeypatch.setattr(campaign, "_usable_cores", lambda: 2 if helper else 1)
     ctx = build_context(cfg)
-    ctx.scratch = DropScratch.for_density(ctx.layout, max(densities))
+    assert ctx.draw_helper == helper
     ctx.scratch.first_draw((1, ctx.layout.n_sectors))
     for buf in (ctx.scratch._buf, ctx.scratch._first):
         buf.view(np.uint8).fill(0xA5)
@@ -282,7 +284,8 @@ def _check_stream(monkeypatch, ctx, plan):
     drop of several draws is the next one.  Each record has the bits of the
     one read from that draw, and keeps them after the next record.  Every
     draw lies in the scratch, whose buffers do not grow, and no two draws in
-    a row of one drop share memory.  Returns the buffers."""
+    a row of one drop share memory.  A context without the helper starts no
+    thread.  Returns the buffers."""
     want = _draws_without_scratch(ctx, plan)
     want_records = _records_without_scratch(ctx, plan)
     # a drop's draws before its last one are read after the next is handed out
@@ -316,6 +319,8 @@ def _check_stream(monkeypatch, ctx, plan):
     monkeypatch.setattr(campaign, "draw_gain_matrix", signal(draw_gain_matrix))
     monkeypatch.setattr(campaign, "_standard_normal", signal(campaign._standard_normal))
     monkeypatch.setattr(campaign, "strongest_sectors", read_and_wait)
+    if not ctx.draw_helper:
+        monkeypatch.setattr(threading.Thread, "start", _refuse_to_start)
     last = None
     for i, record in enumerate(campaign._realizations(ctx, plan, list(ctx.models.values()))):
         assert _record_bytes(record) == want_records[i]
@@ -326,13 +331,24 @@ def _check_stream(monkeypatch, ctx, plan):
     return buf, first
 
 
-@pytest.mark.parametrize("n_fading", [1, 2, 3, 10])
-def test_pipelined_draws_keep_their_bits(monkeypatch, n_fading):
-    """Every draw that the stream reads over two drops, from either slot or
-    the first-draw buffer of a warm or a fresh scratch, has the bits of the
-    draw made without a scratch, and keeps them while the helper makes the
-    draw after it."""
-    ctx = _stream_context([60.0], n_fading)
+def _refuse_to_start(thread):
+    raise AssertionError(f"thread {thread.name} started")
+
+
+def _with_and_without_helper(values):
+    """Parameters ``(value, helper)``: each value with the helper, under the
+    value's own id, and without it."""
+    return ([pytest.param(v, True, id=str(v)) for v in values] +
+            [pytest.param(v, False, id=f"{v}-no-helper") for v in values])
+
+
+@pytest.mark.parametrize("n_fading, helper", _with_and_without_helper([1, 2, 3, 10]))
+def test_pipelined_draws_keep_their_bits(monkeypatch, n_fading, helper):
+    """Every draw that the stream reads over two drops, from the draw table
+    or the first-draw buffer of a warm or a fresh scratch, has the bits of
+    the draw made without a scratch, and keeps them while the helper, or the
+    caller's thread, makes the draw after it."""
+    ctx = _stream_context(monkeypatch, [60.0], n_fading, helper)
     _check_stream(monkeypatch, ctx, _sweep_plan(ctx))
 
 
@@ -343,17 +359,20 @@ def _tables(layout, density):
     return math.ceil(mean + 4.0 * math.sqrt(mean)) * layout.n_bs
 
 
-@pytest.mark.parametrize("fast_switches", [False, True])
+@pytest.mark.parametrize("fast_switches, helper", [
+    pytest.param(False, True, id="False"), pytest.param(True, True, id="True"),
+    pytest.param(False, False, id="no-helper")])
 @pytest.mark.parametrize("n_fading", [1, 3])
 @pytest.mark.parametrize("kind", ["profile", "sweep"])
-def test_stream_over_drops_that_grow_and_shrink(monkeypatch, kind, n_fading, fast_switches):
+def test_stream_over_drops_that_grow_and_shrink(monkeypatch, kind, n_fading, fast_switches,
+                                                helper):
     """Drops of 20, 160 and 20 users per km^2 in turn (a profile; a sweep of
     two densities in order, two drops each): every draw keeps its bits while
-    the helper makes the next one, also a next drop's first draw while that
-    drop is built.  The scratch holds twelve tables of the largest density's
-    drops, nine for a drop and three for a first draw; a second drop layout
-    would need eighteen."""
-    ctx = _stream_context([20.0, 160.0], n_fading)
+    the helper, or the caller's thread, makes the next one, also a next
+    drop's first draw while that drop is built.  The scratch holds twelve
+    tables of the largest density's drops, nine for a drop and three for
+    the first-draw buffer; a second drop layout would need eighteen."""
+    ctx = _stream_context(monkeypatch, [20.0, 160.0], n_fading, helper)
     if kind == "profile":
         plan = [(mu, drop_key, [(*key, f) for f in range(n_fading)])
                 for mu, drop_key, (key,) in _profile_plan([20.0, 160.0, 20.0, 160.0, 20.0])]
@@ -387,7 +406,7 @@ def _stream_without_pools(monkeypatch, ctx, plans):
 def test_warm_scratch_pipelined_drop_allocates_no_draw_array(monkeypatch, layout, density):
     """A stream over a drop of 10 draws on a warm scratch allocates less
     than one (U, B) table: no draw is a fresh (U, S) array."""
-    ctx = _stream_context([density], 10)
+    ctx = _stream_context(monkeypatch, [density], 10)
     stream = _stream_without_pools(monkeypatch, ctx, [[p] for p in _sweep_plan(ctx)])
     n_users = cb.drop_users(layout, density, campaign._seed_key(
         ctx.cfg.master_seed, *_sweep_plan(ctx)[1][1])).n_users
@@ -399,7 +418,7 @@ def test_warm_scratch_stream_of_single_draws_allocates_no_draw_array(monkeypatch
     on a warm scratch allocates less than one (U, B) table of the larger
     drops: no drop, budget or draw of it is a fresh array."""
     profile = [160.0, 20.0, 160.0, 20.0, 160.0]
-    ctx = _stream_context([20.0, 160.0], 1)
+    ctx = _stream_context(monkeypatch, [20.0, 160.0], 1)
     stream = _stream_without_pools(monkeypatch, ctx,
                                    [_profile_plan(profile), _profile_plan(profile)[::-1]])
     n_users = max(cb.drop_users(layout, mu, campaign._seed_key(ctx.cfg.master_seed, *key)).n_users
@@ -407,10 +426,10 @@ def test_warm_scratch_stream_of_single_draws_allocates_no_draw_array(monkeypatch
     assert _traced_peak(stream) <= n_users * layout.n_bs * 8 + SLACK
 
 
-def test_pipelined_draws_keep_their_bits_under_fast_thread_switches():
+def test_pipelined_draws_keep_their_bits_under_fast_thread_switches(monkeypatch):
     """With the interpreter switching threads every microsecond and the
     caller reading each record at once, every record still has its bits."""
-    ctx = _stream_context([60.0], 10)
+    ctx = _stream_context(monkeypatch, [60.0], 10)
     plan = _sweep_plan(ctx)
     want = _records_without_scratch(ctx, plan)
     interval = sys.getswitchinterval()
