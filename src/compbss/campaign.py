@@ -23,17 +23,17 @@ it depends on:
 
 ``scheduler.draw_rates`` states why scheduling the pool users alone keeps
 every bit of the full field.  ``aggregate`` then summarises every sweep
-point of a density in one row reduction over the realizations.  The pattern
-selection of the traffic campaign (``bss.heuristic_select``) runs the same
-chain.  Both campaigns draw their realizations through one stream,
-``_realizations`` (drop, link budget, fading draw, strongest sectors,
-metric set and pool), over all the sweep's (mu, drop) tasks (a ``--jobs``
-worker streams one task at a time) or the profile's steps, and skip a draw
-by the same test.  Substreams are derived from the master seed with
-counter-based spawn keys, (0, mu, drop) and (1, mu, drop, fading) for the
-sweep and (2, mu, step) and (3, mu, step) for the traffic profile, so
-results do not depend on execution order and identical (config,
-seed) pairs reproduce the output byte for byte.
+point of a density in one row reduction over the realizations.  Each step of
+the traffic campaign runs the same chain on its one draw, and
+``bss.heuristic_pick`` picks its pattern.  Both campaigns draw their
+realizations through one stream, ``_realizations`` (drop, link budget,
+fading draw, strongest sectors, metric set and pool), over all the sweep's
+(mu, drop) tasks (a ``--jobs`` worker streams one task at a time) or the
+profile's steps, and skip a draw by the same test.  Substreams are derived
+from the master seed with counter-based spawn keys, (0, mu, drop) and
+(1, mu, drop, fading) for the sweep and (2, mu, step) and (3, mu, step) for
+the traffic profile, so results do not depend on execution order and
+identical (config, seed) pairs reproduce the output byte for byte.
 """
 
 from __future__ import annotations
@@ -53,15 +53,15 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .bss import (default_pattern_list, heuristic_select, patterns_from_file, realization_stats,
+from .bss import (default_pattern_list, heuristic_pick, patterns_from_file, realization_stats,
                   sector_masks, validate_heuristic_list, validate_pattern_list)
 from .channel import _shadowed, _standard_normal, draw_gain_matrix, drop_link_budget
 from .clusters import PRESET_NAMES
 from .geometry import DropScratch, build_layout, drop_count, drop_region_area_m2, drop_users
-from .metrics import STAT_FIELDS, aggregate, alpha_fair_throughputs
-from .scheduler import (SchedulerParams, allocate, alpha_range_error, build_system_model,
-                        center_cluster_users, cluster_members, draw_pool, draw_rates,
-                        gamma_d_error, strongest_sectors)
+from .metrics import STAT_FIELDS, aggregate
+from .scheduler import (allocate, alpha_range_error, build_system_model, center_cluster_users,
+                        cluster_members, draw_pool, draw_rates, gamma_d_error,
+                        strongest_sectors)
 
 
 class ConfigError(ValueError):
@@ -253,7 +253,6 @@ class _Context:
     models: dict            # config name -> SystemModel
     members: list           # per config: (P, n_multi, k) cluster_members tables
     center_sector_idx: np.ndarray
-    cluster_bs_idx: np.ndarray
     draw_helper: bool       # the stream makes its draws on a helper thread
     scratch: DropScratch    # every drop's; a drop's arrays stay valid until the next
 
@@ -276,7 +275,6 @@ def build_context(cfg: CampaignConfig, jobs: int = 1) -> _Context:
     members = [cluster_members(model, active_sectors) for model in models.values()]
     return _Context(cfg=cfg, layout=layout, patterns=patterns, active_sectors=active_sectors,
                     models=models, members=members, center_sector_idx=center_sector_idx,
-                    cluster_bs_idx=cluster_bs_idx,
                     # A draw helper gains only on a core that no campaign process
                     # keeps busy: at --jobs 2 on two cores the helpers made the
                     # campaign 5-6 % slower.
@@ -574,49 +572,54 @@ def _scheduled_user_frac(n_scheduled: int, n_dropped: int):
 
 
 def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
-    """Per-time-step heuristic selection over a density profile (fig11)."""
+    """Per-time-step heuristic selection over a density profile (fig11): each
+    step schedules the pattern list as a sweep draw does and ``heuristic_pick`` picks."""
     if not cfg.traffic_profile:
         raise ConfigError("traffic_profile is required for the fig11 campaign")
     ctx = build_context(cfg)
     alpha, r_thr = cfg.alphas[0], cfg.rate_thresholds_bps[0]
-    params = SchedulerParams(alpha=alpha, gamma_d_db=cfg.gamma_ds_db[0])
-    model = ctx.models[cfg.comp_configs[0]]
+    models = list(ctx.models.values())
     rows = []
-    n_skipped = 0   # steps whose metric set is empty
+    skipped = []    # (t, mu) of the steps whose metric set is empty
     n_evaluated = {}    # patterns a walk down the list evaluates -> steps
     n_scheduled = n_dropped = 0
     steps = list(enumerate(map(float, cfg.traffic_profile)))
     plan = ((mu, (2, _mu_key(mu), t), [(3, _mu_key(mu), t)]) for t, mu in steps)
-    with closing(_realizations(ctx, plan, [model])) as draws:
+    with closing(_realizations(ctx, plan, models)) as draws:
         for (t, mu), (strongest, vq, pool) in zip(steps, draws):
             if pool is None:
-                n_skipped += 1
+                skipped.append((t, mu))
                 continue
-            res = heuristic_select(model, None, vq, ctx.cluster_bs_idx, ctx.patterns,
-                                   params, r_thr, active_sectors=ctx.active_sectors,
-                                   members=ctx.members[0], pool=pool)
-            # realization_stats' t_alpha of the picked row, without its other fields
-            covered = res.rates_bps[res.rates_bps > 0]
-            t_alpha = (alpha_fair_throughputs(covered, [covered.size], alpha)[0]
-                       if covered.size else 0)
-            n_scheduled += res.users.size
+            users, rates = draw_rates(models, ctx.members, pool, ctx.active_sectors,
+                                      cfg.gamma_ds_db)
+            sol = allocate(rates, alpha)
+            min_rate = sol.lam[:, vq[users]].min(axis=1)
+            feasible = min_rate >= r_thr
+            k = heuristic_pick(feasible)
+            pattern = ctx.patterns[k]
+            stats = realization_stats(sol.row(k), vq[users], [pattern.energy_saving_pct],
+                                      [models[0].multi_vc_ids], r_thr, alpha)[0]
+            n_scheduled += users.size
             n_dropped += strongest.size
-            n_evaluated[res.patterns_evaluated] = n_evaluated.get(res.patterns_evaluated, 0) + 1
+            n_evaluated[k + 1] = n_evaluated.get(k + 1, 0) + 1
             rows.append({
-                "t": t, "mu_per_km2": mu, "pattern": res.pattern.label,
-                "bs_off": "+".join(map(str, res.pattern.off_bs_ids)),
-                "a1": res.pattern.a1, "energy_pct": res.pattern.energy_saving_pct,
-                "t_alpha_bps": float(t_alpha),
-                "min_rate_bps": res.min_rate_bps, "feasible": int(res.feasible),
+                "t": t, "mu_per_km2": mu, "pattern": pattern.label,
+                "bs_off": "+".join(map(str, pattern.off_bs_ids)),
+                "a1": pattern.a1, "energy_pct": pattern.energy_saving_pct,
+                "t_alpha_bps": float(stats[STAT_FIELDS.index("t_alpha_bps")]),
+                "min_rate_bps": float(min_rate[k]), "feasible": int(feasible[k]),
             })
     if not rows:
         raise _all_skipped("traffic_profile", Counter(cfg.traffic_profile))
     manifest = _manifest(
-        ctx, 1, rows, n_skipped, mode="traffic_profile",
+        ctx, 1, rows, len(skipped), mode="traffic_profile",
         patterns_evaluated={str(n): n_evaluated[n] for n in sorted(n_evaluated)},
         n_infeasible=sum(not row["feasible"] for row in rows),
         scheduled_user_frac=_scheduled_user_frac(n_scheduled, n_dropped))
-    return CampaignResult(rows=rows, manifest=manifest)
+    notes = ["no rows for traffic_profile steps "
+             + ", ".join(f"t={t} (mu {mu!r})" for t, mu in skipped)
+             + ": the step's draw had no centre-cluster user"] if skipped else []
+    return CampaignResult(rows=rows, notes=notes, manifest=manifest)
 
 
 FIGURE_LAYOUTS = {

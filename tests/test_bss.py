@@ -1,4 +1,3 @@
-import dataclasses
 import re
 from pathlib import Path
 
@@ -7,11 +6,11 @@ import pytest
 
 import compbss as cb
 from compbss.bss import (BssPattern, all_patterns, default_pattern_list,
-                         evaluate_pattern, exhaustive_oracle, heuristic_select,
+                         evaluate_pattern, exhaustive_oracle, heuristic_pick, heuristic_select,
                          patterns_from_file, realization_stats, sector_masks,
                          sort_patterns, validate_heuristic_list, validate_pattern_list)
 from compbss.metrics import STAT_FIELDS
-from compbss.scheduler import SchedulerParams, cluster_members, strongest_sectors
+from compbss.scheduler import SchedulerParams, strongest_sectors
 
 from helpers import pattern_sector_masks, patterns_to_file
 
@@ -27,17 +26,6 @@ def c3_setup(layout, models):
 
 
 SP = SchedulerParams(alpha=1.0, gamma_d_db=0.0)
-
-
-def _same_fields(a, b) -> bool:
-    """Equal dataclasses, field by field; arrays must match in shape, dtype
-    and every bit."""
-    if isinstance(a, np.ndarray):
-        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    if dataclasses.is_dataclass(a):
-        return type(a) is type(b) and all(
-            _same_fields(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
-    return a == b
 
 
 class TestPattern:
@@ -211,23 +199,13 @@ class TestHeuristic:
         with pytest.raises(ValueError):
             heuristic_select(model, gain_db, vq, cb_idx, [], SP, 0.0)
 
-    @pytest.mark.parametrize("threshold", [0.0, 2e5, 1e12])
-    def test_given_strongest_sectors_keep_the_result(self, c3_setup, threshold):
-        """The draw's strongest sectors passed in, alone and with the patterns'
-        sector masks and the model's cluster-member tables, give the result
-        that taking them inside gives, bit for bit."""
-        model, gain_db, vq, cb_idx = c3_setup
-        pats = default_pattern_list()
-        want = heuristic_select(model, gain_db, vq, cb_idx, pats, SP, threshold)
-        strongest = strongest_sectors(gain_db)
-        got = heuristic_select(model, gain_db, vq, cb_idx, pats, SP, threshold,
-                               strongest=strongest)
-        assert _same_fields(got, want)
-        active = sector_masks(model.sector_bs, cb_idx, pats)
-        got = heuristic_select(model, gain_db, vq, cb_idx, pats, SP, threshold,
-                               strongest=strongest, active_sectors=active,
-                               members=cluster_members(model, active))
-        assert _same_fields(got, want)
+    @pytest.mark.parametrize("feasible, row", [
+        ([True, False, True, True], 0),
+        ([False, False, True, True], 2),
+        ([False, False, False, False], 3),  # the last row, the all-on fallback
+    ], ids=["first", "middle", "none"])
+    def test_pick_is_the_first_feasible_row_else_the_last(self, feasible, row):
+        assert heuristic_pick(np.array(feasible)) == row
 
     def test_matches_oracle_on_random_drops(self, layout, models):
         model = models["C3"]

@@ -15,7 +15,7 @@ import pytest
 import yaml
 
 from compbss import campaign, channel, drop_users
-from compbss.bss import default_pattern_list, heuristic_select, realization_stats
+from compbss.bss import default_pattern_list, heuristic_pick, heuristic_select, realization_stats
 from compbss.campaign import (CampaignConfig, ConfigError, MissingAxisError,
                               RESULT_COLUMNS, TRAFFIC_COLUMNS, _mu_key, _realizations, _seed_key,
                               build_context, emit_figure_data, run_campaign,
@@ -298,7 +298,9 @@ class TestTraffic:
     def test_row_t_alpha_is_the_realization_stats_field(self):
         """A row's t_alpha is ``realization_stats``' field of the picked
         pattern, bit for bit, on feasible steps and on infeasible ones, whose
-        fallback pattern leaves some of the metric set in outage."""
+        fallback pattern leaves some of the metric set in outage; its
+        pattern, minimum rate and feasibility are ``heuristic_select``'s on
+        the step's draw."""
         cfg = tiny_config(traffic_profile=[20.0, 160.0, 60.0, 120.0],
                           rate_thresholds_bps=[3e5])
         res = run_traffic_profile(cfg)
@@ -311,11 +313,13 @@ class TestTraffic:
             drop = drop_users(ctx.layout, mu, _seed_key(cfg.master_seed, 2, *key))
             gain_db = build_gain_matrix(ctx.layout, drop, _seed_key(cfg.master_seed, 3, *key))
             vq = center_cluster_users(model, strongest_sectors(gain_db), ctx.center_sector_idx)
-            sel = heuristic_select(model, gain_db, vq, ctx.cluster_bs_idx, ctx.patterns,
-                                   params, 3e5)
+            sel = heuristic_select(model, gain_db, vq, ctx.layout.center_cluster_bs_ids - 1,
+                                   ctx.patterns, params, 3e5)
             stats = realization_stats(sel.solution, vq[sel.users], [0.0],
                                       [model.multi_vc_ids], 3e5, 1.0)[0]
             assert row["t_alpha_bps"] == float(stats[STAT_FIELDS.index("t_alpha_bps")])
+            assert (row["pattern"], row["min_rate_bps"], row["feasible"]) == (
+                sel.pattern.label, sel.min_rate_bps, int(sel.feasible))
 
     def test_manifest_echoes_no_drop_counts(self):
         echo = run_traffic_profile(tiny_config(traffic_profile=[20.0])).manifest["config"]
@@ -428,9 +432,9 @@ class TestThreads:
             calls.append(1)
             if len(calls) == 2:
                 raise RuntimeError("selection failed")
-            return heuristic_select(*args, **kwargs)
+            return heuristic_pick(*args, **kwargs)
 
-        monkeypatch.setattr(campaign, "heuristic_select", fail_second_step)
+        monkeypatch.setattr(campaign, "heuristic_pick", fail_second_step)
         with pytest.raises(RuntimeError, match="selection failed"):
             run_traffic_profile(tiny_config(traffic_profile=[20.0, 60.0, 160.0, 60.0]))
         assert len(calls) == 2 and max(seen) == baseline + 1
@@ -664,6 +668,22 @@ class TestCli:
         assert manifest["n_realizations_skipped_per_density"] == {"0.001": 2, "60": 0}
         assert manifest["n_realizations_skipped"] == 2
         assert {line.split(",")[3] for line in out.read_text().splitlines()[1:]} == {"60"}
+
+    def test_traffic_step_without_rows_is_named(self, tmp_path, capsys):
+        """Profile steps whose draw has no metric set write no rows: stderr
+        names each one's step and density, and the manifest counts them."""
+        p = tmp_path / "c.yaml"
+        out = tmp_path / "t.csv"
+        p.write_text(f"traffic_profile: [20, 0.2, 0.2, 0.2, 20]\nmaster_seed: 1\n"
+                     f"output: {out}\n")
+        assert cli_main(["--config", str(p), "--figure", "fig11"]) == 0
+        err = capsys.readouterr().err
+        assert err == ("warning: no rows for traffic_profile steps t=1 (mu 0.2), "
+                       "t=2 (mu 0.2), t=3 (mu 0.2): the step's draw had no "
+                       "centre-cluster user\n")
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["0", "4"]
+        manifest = json.loads((tmp_path / "t_manifest.json").read_text())
+        assert manifest["n_realizations_skipped"] == 3
 
     @pytest.mark.parametrize("flags", [["--drops", "2"], ["--fading", "3"], ["--full-scale"],
                                        ["--jobs", "4"]])

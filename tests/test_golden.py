@@ -19,7 +19,24 @@ from compbss.campaign import (CampaignConfig, RESULT_COLUMNS, TRAFFIC_COLUMNS,
 from helpers import patterns_to_file
 
 CAMPAIGN_SHA256 = "31100517b4e5a7706b9985466d0f4301acb867df70cf07701bf1b1d0bdbeff5f"
-TRAFFIC_SHA256 = "ec0a66fa865d1100339143710c352e1c0fb169f7f6ce31157e8d5c02b593565a"
+# case -> (config, CSV SHA-256, manifest fields)
+TRAFFIC_CASES = {
+    # the shipped pattern chain at alpha 1
+    "chain": (dict(traffic_profile=[20.0, 60.0, 160.0, 100.0, 40.0], alphas=[1.0],
+                   gamma_ds_db=[-1.0], rate_thresholds_bps=[2e5], comp_configs=["C3"],
+                   master_seed=7),
+              "ec0a66fa865d1100339143710c352e1c0fb169f7f6ce31157e8d5c02b593565a",
+              {"patterns_evaluated": {"3": 1, "4": 1, "5": 3}, "n_infeasible": 2,
+               "n_realizations_skipped": 0, "scheduled_user_frac": 0.2819306930693069}),
+    # every pattern at alpha 3, with a step skipped for want of a metric set
+    "all_patterns": (dict(traffic_profile=[20.0, 0.2, 60.0, 160.0, 100.0, 40.0],
+                          alphas=[3.0], gamma_ds_db=[-4.0], rate_thresholds_bps=[5e5],
+                          comp_configs=["C2"], pattern_file="all.csv", master_seed=7),
+                     "7471b7b082812072ffd56ed1c8efc909105cb46ba6ce4d5bcf6e092be415c3c4",
+                     {"patterns_evaluated": {"34": 1, "36": 1, "71": 1, "127": 2},
+                      "n_infeasible": 2, "n_realizations_skipped": 1,
+                      "scheduled_user_frac": 0.38629441624365485}),
+}
 ALL_PATTERNS_SHA256 = "6544a4825cc68da1703e2600a7a31566a2955530b1ca9cb94d9b2a3c8eda4994"
 # The figure extracts of the shipped fig9 and fig10 configs at 2 drops, seed 7
 FIGURE_SHA256 = {
@@ -45,14 +62,17 @@ def test_campaign_csv_is_pinned(tmp_path):
     assert _csv_sha256(res.rows, RESULT_COLUMNS, tmp_path / "c.csv") == CAMPAIGN_SHA256
 
 
-def test_traffic_profile_csv_is_pinned(tmp_path):
-    """A short daily profile through the pattern-selection heuristic."""
-    cfg = CampaignConfig(traffic_profile=[20.0, 60.0, 160.0, 100.0, 40.0],
-                         alphas=[1.0], gamma_ds_db=[-1.0],
-                         rate_thresholds_bps=[2e5], comp_configs=["C3"],
-                         master_seed=7)
-    res = run_traffic_profile(cfg)
-    assert _csv_sha256(res.rows, TRAFFIC_COLUMNS, tmp_path / "t.csv") == TRAFFIC_SHA256
+@pytest.mark.parametrize("case", sorted(TRAFFIC_CASES))
+def test_traffic_profile_csv_is_pinned(tmp_path, case):
+    """Short daily profiles through the pattern-selection heuristic, with the
+    manifest's pattern-walk and skip counts."""
+    kwargs, sha256, manifest = TRAFFIC_CASES[case]
+    if "pattern_file" in kwargs:
+        patterns_to_file(all_patterns(7), tmp_path / "all.csv")
+        kwargs = dict(kwargs, pattern_file=str(tmp_path / "all.csv"))
+    res = run_traffic_profile(CampaignConfig(**kwargs))
+    assert _csv_sha256(res.rows, TRAFFIC_COLUMNS, tmp_path / "t.csv") == sha256
+    assert {key: res.manifest[key] for key in manifest} == manifest
 
 
 def test_all_patterns_campaign_csv_is_pinned(tmp_path):
