@@ -19,15 +19,14 @@ from .bss import (BssPattern, HeuristicResult, all_patterns, default_pattern_lis
 from .channel import build_gain_matrix, path_loss_db, received_power_w
 from .geometry import NetworkLayout, UserDrop, build_layout, drop_users
 from .metrics import STAT_FIELDS, aggregate, rate_coverage, sinr_coverage
-from .scheduler import (SchedulerParams, SchedulingSolution, SystemModel,
-                        build_system_model, center_cluster_users, schedule,
-                        strongest_sectors)
+from .scheduler import (SchedulingSolution, SystemModel, build_system_model,
+                        center_cluster_users, schedule, strongest_sectors)
 
 __all__ = [
-    "BssPattern", "HeuristicResult", "NetworkLayout", "STAT_FIELDS", "SchedulerParams",
-    "SchedulingSolution", "SystemModel", "UserDrop", "aggregate", "all_patterns",
-    "build_gain_matrix", "build_layout", "build_system_model", "center_cluster_users",
-    "default_pattern_list", "drop_users", "evaluate_pattern", "exhaustive_oracle",
-    "heuristic_select", "path_loss_db", "rate_coverage", "received_power_w", "schedule",
-    "sinr_coverage", "strongest_sectors",
+    "BssPattern", "HeuristicResult", "NetworkLayout", "STAT_FIELDS", "SchedulingSolution",
+    "SystemModel", "UserDrop", "aggregate", "all_patterns", "build_gain_matrix",
+    "build_layout", "build_system_model", "center_cluster_users", "default_pattern_list",
+    "drop_users", "evaluate_pattern", "exhaustive_oracle", "heuristic_select",
+    "path_loss_db", "rate_coverage", "received_power_w", "schedule", "sinr_coverage",
+    "strongest_sectors",
 ]

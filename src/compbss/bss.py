@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .metrics import STAT_FIELDS, alpha_fair_throughputs, rate_coverage, sinr_coverage
-from .scheduler import (SchedulerParams, SchedulingSolution, SystemModel, allocate,
+from .scheduler import (SchedulingSolution, SystemModel, allocate, check_scheduling_point,
                         cluster_members, draw_pool, draw_rates, strongest_sectors)
 
 MAX_ORACLE_BS = 10
@@ -163,21 +163,22 @@ def sector_masks(sector_bs: np.ndarray, cluster_bs_idx: np.ndarray,
 
 
 def _schedule_rows(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
-                   cluster_bs_idx: np.ndarray, patterns, params: SchedulerParams,
+                   cluster_bs_idx: np.ndarray, patterns, alpha: float, gamma_d_db: float,
                    rate_threshold_bps: float):
     """Schedule every pattern of the list in one batched pass, one row each,
     over the pool users of the metric set in the dB draw ``gain_db``: returns
     whether each row's worst metric-set rate clears the threshold, and
     ``result(k, n)``, the HeuristicResult of row k after n patterns evaluated.
     """
+    check_scheduling_point(alpha, gamma_d_db)
     vq = np.asarray(vq_mask, dtype=bool)
     if not vq.any():
         raise ValueError("empty metric set: no centre-cluster users in this realization")
     active = sector_masks(model.sector_bs, cluster_bs_idx, patterns)
     pool = draw_pool(gain_db, strongest_sectors(gain_db), vq, active, [model])
     users, rates = draw_rates([model], [cluster_members(model, active)], pool, active,
-                              [params.gamma_d_db])
-    sol = allocate(rates, params.alpha)
+                              [gamma_d_db])
+    sol = allocate(rates, alpha)
     lam = sol.lam[:, vq[users]]
     min_rate = lam.min(axis=1)
     feasible = min_rate >= rate_threshold_bps
@@ -187,9 +188,8 @@ def _schedule_rows(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
 
 
 def evaluate_pattern(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
-                     cluster_bs_idx: np.ndarray, pattern: BssPattern,
-                     params: SchedulerParams,
-                     rate_threshold_bps: float) -> HeuristicResult:
+                     cluster_bs_idx: np.ndarray, pattern: BssPattern, alpha: float,
+                     gamma_d_db: float, rate_threshold_bps: float) -> HeuristicResult:
     """Re-associate, re-classify, schedule, and check the rate constraint.
 
     Feasible when every user of the metric set reaches the threshold.
@@ -197,8 +197,8 @@ def evaluate_pattern(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarra
     if pattern.a2 != len(cluster_bs_idx):
         raise ValueError(f"pattern {pattern.describe()} has {pattern.a2} off-flags; the "
                          f"cluster has {len(cluster_bs_idx)} BSs")
-    _, result = _schedule_rows(model, gain_db, vq_mask, cluster_bs_idx, [pattern], params,
-                               rate_threshold_bps)
+    _, result = _schedule_rows(model, gain_db, vq_mask, cluster_bs_idx, [pattern], alpha,
+                               gamma_d_db, rate_threshold_bps)
     return result(0, 1)
 
 
@@ -209,8 +209,8 @@ def heuristic_pick(feasible) -> int:
 
 
 def heuristic_select(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
-                     cluster_bs_idx: np.ndarray, patterns: list[BssPattern],
-                     params: SchedulerParams, rate_threshold_bps: float) -> HeuristicResult:
+                     cluster_bs_idx: np.ndarray, patterns: list[BssPattern], alpha: float,
+                     gamma_d_db: float, rate_threshold_bps: float) -> HeuristicResult:
     """First feasible pattern of the energy-sorted list; all-on as fallback.
 
     If even the final pattern misses the threshold it is returned flagged
@@ -221,13 +221,13 @@ def heuristic_select(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarra
     """
     validate_heuristic_list(patterns, len(cluster_bs_idx))
     feasible, result = _schedule_rows(model, gain_db, vq_mask, cluster_bs_idx, patterns,
-                                      params, rate_threshold_bps)
+                                      alpha, gamma_d_db, rate_threshold_bps)
     k = heuristic_pick(feasible)
     return result(k, k + 1)
 
 
 def exhaustive_oracle(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarray,
-                      cluster_bs_idx: np.ndarray, params: SchedulerParams,
+                      cluster_bs_idx: np.ndarray, alpha: float, gamma_d_db: float,
                       rate_threshold_bps: float) -> HeuristicResult:
     """Evaluate every admissible pattern; keep the feasible one switching the
     most BSs off (ties: lowest bit value).  Falls back to all-on, infeasible.
@@ -238,7 +238,7 @@ def exhaustive_oracle(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarr
         raise ValueError(f"exhaustive enumeration limited to {MAX_ORACLE_BS} BSs")
     patterns = all_patterns(n_bs)
     feasible, result = _schedule_rows(model, gain_db, vq_mask, cluster_bs_idx, patterns,
-                                      params, rate_threshold_bps)
+                                      alpha, gamma_d_db, rate_threshold_bps)
     rows = np.flatnonzero(feasible)
     k = (min(rows, key=lambda k: (-patterns[k].a1, patterns[k].bit_value)) if rows.size
          else next(k for k, p in enumerate(patterns) if p.a1 == 0))
@@ -246,7 +246,7 @@ def exhaustive_oracle(model: SystemModel, gain_db: np.ndarray, vq_mask: np.ndarr
 
 
 def realization_stats(solution: SchedulingSolution, vq: np.ndarray, energy_pct,
-                      multi_vc_ids, rate_threshold_bps, alpha: float) -> np.ndarray:
+                      multi_vc_ids, rate_thresholds_bps, alpha: float) -> np.ndarray:
     """Cluster metrics of scheduled realizations, in STAT_FIELDS order.
 
     ``solution`` holds R scheduling points (``allocate`` rows for one
@@ -254,8 +254,7 @@ def realization_stats(solution: SchedulingSolution, vq: np.ndarray, energy_pct,
     ``vq`` marks the metric set among those users.  ``energy_pct`` and
     ``multi_vc_ids`` give each row's energy saving and multi-sector cluster
     ids (the rows of one configuration share one ids object), and
-    ``rate_threshold_bps`` is one threshold or a list of T.  Returns an
-    (R, 7) or (R, T, 7) float array.
+    ``rate_thresholds_bps`` lists T thresholds.  Returns an (R, T, 7) array.
     """
     vq = np.asarray(vq, dtype=bool)
     lam = np.atleast_2d(solution.lam)[:, vq]                 # (R, n)
@@ -265,9 +264,7 @@ def realization_stats(solution: SchedulingSolution, vq: np.ndarray, energy_pct,
     n_covered = np.count_nonzero(covered, axis=1)
     t_alpha = np.zeros(n_rows)
     rows = np.flatnonzero(n_covered)
-    if rows.size:
-        t_alpha[rows] = alpha_fair_throughputs(lam[rows][covered[rows]], n_covered[rows],
-                                               alpha)
+    t_alpha[rows] = alpha_fair_throughputs(lam[rows][covered[rows]], n_covered[rows], alpha)
 
     theta = np.atleast_2d(solution.theta)
     theta_mean = np.zeros(n_rows)
@@ -282,19 +279,18 @@ def realization_stats(solution: SchedulingSolution, vq: np.ndarray, energy_pct,
             # both axes would lay them out by column)
             theta_mean[at] = theta[at].take(ids, axis=1).mean(axis=1)
 
-    thr = np.asarray(rate_threshold_bps, dtype=float)
-    per_thr = (n_rows,) + (1,) * thr.ndim
+    thr = np.asarray(rate_thresholds_bps, dtype=float)
     coverage_sinr = np.atleast_2d(solution.coverage_sinr)[:, vq]
     values = {
-        "t_alpha_bps": t_alpha.reshape(per_thr),
-        "sinr_coverage": sinr_coverage(coverage_sinr).reshape(per_thr),
-        "rate_coverage": rate_coverage(lam.reshape(per_thr + (n,)), thr[..., None]),
-        "energy_saving_pct": np.asarray(energy_pct, dtype=float).reshape(per_thr),
-        "theta_mean": theta_mean.reshape(per_thr),
+        "t_alpha_bps": t_alpha[:, None],
+        "sinr_coverage": sinr_coverage(coverage_sinr)[:, None],
+        "rate_coverage": rate_coverage(lam[:, None], thr[:, None]),
+        "energy_saving_pct": np.asarray(energy_pct, dtype=float)[:, None],
+        "theta_mean": theta_mean[:, None],
         "n_users": n,
-        "n_outage": (n - n_covered).reshape(per_thr),
+        "n_outage": (n - n_covered)[:, None],
     }
-    out = np.empty((n_rows,) + thr.shape + (len(STAT_FIELDS),))
+    out = np.empty((n_rows, thr.size, len(STAT_FIELDS)))
     for i, name in enumerate(STAT_FIELDS):
         out[..., i] = values[name]
     return out

@@ -57,7 +57,8 @@ from .bss import (default_pattern_list, heuristic_pick, patterns_from_file, real
                   sector_masks, validate_heuristic_list, validate_pattern_list)
 from .channel import _shadowed, _standard_normal, draw_gain_matrix, drop_link_budget
 from .clusters import PRESET_NAMES
-from .geometry import DropScratch, build_layout, drop_count, drop_region_area_m2, drop_users
+from .geometry import (DropScratch, _is_finite_number, build_layout, drop_count,
+                       drop_region_area_m2, drop_users, inter_site_distance_error)
 from .metrics import STAT_FIELDS, aggregate
 from .scheduler import (allocate, alpha_range_error, build_system_model, center_cluster_users,
                         cluster_members, draw_pool, draw_rates, gamma_d_error,
@@ -138,8 +139,8 @@ class CampaignConfig:
         if self.master_seed < 0:
             raise ConfigError(f"master_seed={self.master_seed!r} must be >= 0")
         isd = self.inter_site_distance_m
-        if not _is_finite_number(isd) or isd <= 0:
-            raise ConfigError(f"inter_site_distance_m={isd!r} must be a finite number > 0")
+        if problem := inter_site_distance_error(isd):
+            raise ConfigError(problem)
         area_km2 = drop_region_area_m2(isd) / 1e6
         for name in ("densities_per_km2", "traffic_profile"):
             for value in getattr(self, name) or ():
@@ -224,11 +225,6 @@ def _seed_key(master_seed: int, *key) -> np.random.SeedSequence:
 
 def _mu_key(mu: float) -> int:
     return int(round(mu * 1000.0))
-
-
-def _is_finite_number(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 def _string_number_hint(value) -> str:
@@ -598,7 +594,7 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
             k = heuristic_pick(feasible)
             pattern = ctx.patterns[k]
             stats = realization_stats(sol.row(k), vq[users], [pattern.energy_saving_pct],
-                                      [models[0].multi_vc_ids], r_thr, alpha)[0]
+                                      [models[0].multi_vc_ids], [r_thr], alpha)[0, 0]
             n_scheduled += users.size
             n_dropped += strongest.size
             n_evaluated[k + 1] = n_evaluated.get(k + 1, 0) + 1

@@ -53,6 +53,7 @@ pages (most of them in this module, the rest in the link budget), and under
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,7 @@ BORESIGHTS_DEG = (0.0, 120.0, 240.0)
 
 # 7 clusters of 7 sites.
 N_SITES = 49
+MIN_DISTANCE_M = 1.0    # every link's floor, and the shortest inter-site distance
 
 
 # Relative shrink of the certified bounds: far above the float rounding of the
@@ -213,6 +215,18 @@ def drop_region_area_m2(inter_site_distance_m: float) -> float:
     return N_SITES * (math.sqrt(3.0) / 2.0) * inter_site_distance_m ** 2
 
 
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def inter_site_distance_error(isd) -> str | None:
+    """Why ``isd`` is refused as the inter-site distance, or None."""
+    if _is_finite_number(isd) and isd >= MIN_DISTANCE_M:
+        return None
+    return f"inter_site_distance_m={isd!r} must be a finite number >= {MIN_DISTANCE_M:g} m"
+
+
 def build_layout(inter_site_distance_m: float = 500.0) -> NetworkLayout:
     """Build the 49-BS wraparound layout, 7 clusters of 7 sites.
 
@@ -221,8 +235,8 @@ def build_layout(inter_site_distance_m: float = 500.0) -> NetworkLayout:
     7-cluster hexagonal tiling.
     """
     isd = inter_site_distance_m
-    if not (math.isfinite(isd) and isd > 0):
-        raise ValueError(f"inter_site_distance_m={isd!r} must be a finite number > 0")
+    if problem := inter_site_distance_error(isd):
+        raise ValueError(problem)
 
     local_xy = np.zeros((7, 2))
     for k, local in enumerate(_RING_LOCAL_IDS):
@@ -460,10 +474,10 @@ def _wrap_angle_in_place(y, scratch):
 def link_geometry(layout: NetworkLayout, points: np.ndarray):
     """Vectorised per-(user, BS) distance and bearing for gain construction.
 
-    Distances are clamped to 1 m to stay inside the path-loss domain.
+    Distances are clamped to MIN_DISTANCE_M to stay inside the path-loss domain.
     """
     dist, az, _ = _image_geometry(layout, points)
-    return np.maximum(dist, 1.0), az
+    return np.maximum(dist, MIN_DISTANCE_M), az
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,9 +6,10 @@ each user receives t_u / sum(t_v) with t = r^((1-alpha)/alpha), and the
 share of time a virtual cluster devotes to joint transmission is
 theta = delta / (1 + delta) with
 delta = [sum_c (r*beta)^(1-alpha) / sum_nc (r*beta)^(1-alpha)]^(1/alpha).
-The scheduling pipeline here applies those forms to a whole field of
-sectors at once; it is independent of the site topology.  One fading draw
-runs :func:`draw_pool` (pool users and their received powers) and
+A scheduling point is two plain arguments, ``alpha`` and ``gamma_d_db``
+(:func:`check_scheduling_point`).  The pipeline here applies the forms to a
+whole field of sectors at once, whatever its topology.  One fading draw runs
+:func:`draw_pool` (pool users and their received powers) and
 :func:`draw_rates` (association, cluster links, link rates), and then
 :func:`allocate` once per alpha; :func:`draw_rates` states the rules that
 let it schedule part of the field and keep every bit.  A draw arrives in dB
@@ -26,7 +27,7 @@ from .channel import MCS_TABLE, NOISE_W, RATE_PER_BITS_SYMBOL, from_db, received
 from .clusters import sector_vclusters
 from .geometry import NetworkLayout
 
-# The CoMP SINR thresholds gamma_d (dB) that SchedulerParams and a campaign
+# The CoMP SINR thresholds gamma_d (dB) that the scheduler and a campaign
 # config accept: from the MCS floor, below which no link has a rate.
 DEFAULT_GAMMA_D_RANGE_DB = (float(MCS_TABLE.thresholds_db[0]), 10.0)
 # Supported fairness values, with margin on both sides: a small alpha
@@ -57,17 +58,10 @@ def gamma_d_error(gamma_d_db) -> str | None:
     return f"gamma_d_db={gamma_d_db} outside the permitted range [{lo}, {hi}]"
 
 
-@dataclass(frozen=True)
-class SchedulerParams:
-    """Fairness parameter and CoMP SINR threshold."""
-
-    alpha: float = 1.0
-    gamma_d_db: float = -1.0
-
-    def __post_init__(self):
-        problem = alpha_range_error(self.alpha) or gamma_d_error(self.gamma_d_db)
-        if problem:
-            raise ValueError(problem)
+def check_scheduling_point(alpha, gamma_d_db) -> None:
+    """Refuse a scheduling point whose alpha or gamma_d a config would refuse."""
+    if problem := alpha_range_error(alpha) or gamma_d_error(gamma_d_db):
+        raise ValueError(problem)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,10 +117,8 @@ class SchedulingSolution:
 def _pool_fractions(rates: np.ndarray, pool_ids: np.ndarray, n_pools: int,
                     alpha: float) -> np.ndarray:
     """Closed-form alpha-fair split of each pool's unit time budget:
-    t_u / sum(t_v) with t = r^((1-alpha)/alpha), an equal split at 1."""
-    if alpha == 1.0:
-        share = np.bincount(pool_ids, minlength=n_pools).astype(float)[pool_ids]
-        return np.divide(1.0, share, out=share)
+    t_u / sum(t_v) with t = r^((1-alpha)/alpha).  At alpha = 1 every t is
+    exactly 1.0, so each sum is the exact count: an equal split."""
     t = rates ** ((1.0 - alpha) / alpha)
     sums = np.bincount(pool_ids, weights=t, minlength=n_pools)
     return np.divide(t, sums[pool_ids], out=t)
@@ -410,9 +402,8 @@ def allocate(rates: LinkRates, alpha: float) -> SchedulingSolution:
 
     # Pools: one per sector for non-CoMP users, one per cluster for CoMP users.
     beta = np.zeros((n_rows, n_users))
-    if sched.any():
-        beta[sched] = _pool_fractions(r_user[sched], _row_ids(rates.pool, rates.n_pools)[sched],
-                                      n_rows * rates.n_pools, alpha)
+    beta[sched] = _pool_fractions(r_user[sched], _row_ids(rates.pool, rates.n_pools)[sched],
+                                  n_rows * rates.n_pools, alpha)
 
     # Joint-transmission share per cluster from the scheduled products.
     c_s = comp & sched
@@ -447,18 +438,18 @@ def allocate(rates: LinkRates, alpha: float) -> SchedulingSolution:
 
 
 def schedule(model: SystemModel, rx_w: np.ndarray, active_bs: np.ndarray,
-             params: SchedulerParams) -> SchedulingSolution:
+             alpha: float, gamma_d_db: float) -> SchedulingSolution:
     """Associate, classify, and allocate optimal time fractions for all users.
 
     One scheduling point over every user of the received powers ``rx_w``:
     the stages of :func:`draw_rates` over the whole field.  The traced
     benchmark (``bench/spans.py``) wraps it by name.
     """
+    check_scheduling_point(alpha, gamma_d_db)
     act = np.asarray(active_bs, dtype=bool)[model.sector_bs][None]
-    serving = np.where(act, rx_w, -np.inf).argmax(axis=1)[None]
-    assoc = associate(rx_w, act, serving)
-    links = cluster_links(model, rx_w, assoc, cluster_members(model, act))
-    return allocate(link_rates(model, assoc, [links], [params.gamma_d_db]), params.alpha).row(0)
+    pool = (np.arange(rx_w.shape[0]), np.where(act, rx_w, -np.inf).argmax(axis=1)[None], rx_w)
+    _, rates = draw_rates([model], [cluster_members(model, act)], pool, act, [gamma_d_db])
+    return allocate(rates, alpha).row(0)
 
 
 def center_cluster_users(model: SystemModel, strongest: np.ndarray,

@@ -334,28 +334,29 @@ def point_summary(values):
     return float(v.mean()), std, 1.96 * std / math.sqrt(v.size)
 
 
-def point_evaluate(model, rx_w, vq, cluster_bs_idx, pattern, params):
+def point_evaluate(model, rx_w, vq, cluster_bs_idx, pattern, alpha, gamma_d_db):
     """Minimum metric-set rate of one pattern through every per-point stage."""
     act = pattern_bs_mask(int(model.sector_bs.max()) + 1, cluster_bs_idx,
                           pattern)[model.sector_bs]
     assoc = point_associate(rx_w, act, rx_w.argmax(axis=1))
     links = point_cluster_links(model, rx_w, assoc, act)
-    sol = point_allocate(model, links, point_link_rates(model, assoc, links,
-                                                        params.gamma_d_db), params.alpha)
+    sol = point_allocate(model, links, point_link_rates(model, assoc, links, gamma_d_db),
+                         alpha)
     return float(sol.lam[vq].min())
 
 
-def walk_heuristic(model, rx_w, vq, cluster_bs_idx, patterns, params, rate_threshold_bps):
+def walk_heuristic(model, rx_w, vq, cluster_bs_idx, patterns, alpha, gamma_d_db,
+                   rate_threshold_bps):
     """Walk the list one pattern at a time and stop at the first feasible one
     (or the last): (pattern, minimum rate, feasible, patterns evaluated)."""
     for n_eval, pattern in enumerate(patterns, start=1):
-        min_rate = point_evaluate(model, rx_w, vq, cluster_bs_idx, pattern, params)
+        min_rate = point_evaluate(model, rx_w, vq, cluster_bs_idx, pattern, alpha, gamma_d_db)
         if min_rate >= rate_threshold_bps:
             break
     return pattern, min_rate, min_rate >= rate_threshold_bps, n_eval
 
 
-def walk_oracle(model, rx_w, vq, cluster_bs_idx, params, rate_threshold_bps):
+def walk_oracle(model, rx_w, vq, cluster_bs_idx, alpha, gamma_d_db, rate_threshold_bps):
     """Evaluate every admissible pattern one at a time; keep the feasible one
     with the most BSs off (ties: lowest bit value), else all-on infeasible:
     (pattern, minimum rate, feasible, patterns evaluated)."""
@@ -365,7 +366,8 @@ def walk_oracle(model, rx_w, vq, cluster_bs_idx, params, rate_threshold_bps):
     for a1 in range(n_bs):
         for off in itertools.combinations(range(1, n_bs + 1), a1):
             pattern = cb.BssPattern.from_off_ids(off, n_bs=n_bs)
-            min_rate = point_evaluate(model, rx_w, vq, cluster_bs_idx, pattern, params)
+            min_rate = point_evaluate(model, rx_w, vq, cluster_bs_idx, pattern, alpha,
+                                      gamma_d_db)
             n_eval += 1
             if a1 == 0:
                 fallback = (pattern, min_rate)
@@ -430,7 +432,7 @@ def full_field_drop_records(ctx, mu, d):
     return np.reshape(blocks, (-1,) + points).transpose(order), skipped
 
 
-def full_field_patterns(model, rx_w, cluster_bs_idx, patterns, params):
+def full_field_patterns(model, rx_w, cluster_bs_idx, patterns, alpha, gamma_d_db):
     """Every pattern of the list scheduled over every user of the draw: the
     ``allocate`` solution with one row per pattern."""
     n_bs = int(model.sector_bs.max()) + 1
@@ -439,4 +441,4 @@ def full_field_patterns(model, rx_w, cluster_bs_idx, patterns, params):
     assoc = cb.scheduler.associate(rx_w, active, linear_serving(rx_w, active))
     links = full_field_links(model, rx_w, assoc)
     return cb.scheduler.allocate(
-        cb.scheduler.link_rates(model, assoc, [links], [params.gamma_d_db]), params.alpha)
+        cb.scheduler.link_rates(model, assoc, [links], [gamma_d_db]), alpha)

@@ -12,16 +12,17 @@ import pytest
 
 import compbss as cb
 from compbss.bss import all_patterns, default_pattern_list, evaluate_pattern, \
-    exhaustive_oracle, heuristic_select
+    exhaustive_oracle, heuristic_select, sector_masks
 from compbss.campaign import CampaignConfig, RESULT_COLUMNS, run_campaign, \
     write_rows_csv
 from compbss.channel import MCS_TABLE, PER_SUBCHANNEL_POWER_W, RATE_PER_BITS_SYMBOL, \
     _directivity_gain_in_place, path_loss_db
 from compbss.metrics import alpha_fair_throughputs
-from compbss.scheduler import SchedulerParams, allocate, schedule, strongest_sectors
+from compbss.scheduler import allocate, cluster_members, draw_pool, draw_rates, schedule, \
+    strongest_sectors
 
 from helpers import (closed_form_lambdas, instance_rates, make_instance, numeric_theta,
-                     random_feasible_utilities, utility_oracle)
+                     random_feasible_utilities, same_bits, utility_oracle)
 
 
 def _report(num, name, ok, detail=""):
@@ -51,34 +52,46 @@ R_GRID = np.array([0.0, 0.05e6, 0.1e6, 0.2e6, 0.5e6, 1e6, 2e6, 5e6])
 
 @pytest.fixture(scope="module")
 def ordering_matrix(layout, models):
-    """300 drops x 4 configs x 5 patterns at alpha=1, gamma_d=0, mu=60."""
-    sp = SchedulerParams(alpha=1.0, gamma_d_db=0.0)
+    """300 drops x 4 configs x 5 patterns at alpha=1, gamma_d=0, mu=60.
+
+    Each drop is one batched pass (``draw_rates`` over every (pattern,
+    configuration) row, then ``allocate``); on the first drops each row's
+    metric-set rates and coverage SINRs must have the bits of its own
+    ``evaluate_pattern`` pass.
+    """
     patterns = default_pattern_list()
     center_idx = layout.center_cluster_sector_ids - 1
     cb_idx = layout.center_cluster_bs_ids - 1
+    model_list = list(models.values())
+    active = sector_masks(layout.sector_bs, cb_idx, patterns)
+    members = [cluster_members(model, active) for model in model_list]
+    rows = [(p, c) for p in patterns for c in models]   # the row order of draw_rates
     acc = {(c, p.label): {"t": [], "cov": [], "rcov": []}
            for c in models for p in patterns}
     n_used = 0
     for d in range(300):
         drop, gain_db = _realization(layout, 60.0, 20250 + d, tag=7)
-        vq = cb.center_cluster_users(models["none"], strongest_sectors(gain_db),
-                                     center_idx)
+        strongest = strongest_sectors(gain_db)
+        vq = cb.center_cluster_users(models["none"], strongest, center_idx)
         if not vq.any():
             continue
         n_used += 1
-        for cname, model in models.items():
-            for p in patterns:
-                ev = evaluate_pattern(model, gain_db, vq, cb_idx, p, sp, 0.0)
+        pool = draw_pool(gain_db, strongest, vq, active, model_list)
+        users, rates = draw_rates(model_list, members, pool, active, [0.0])
+        sol = allocate(rates, 1.0)
+        lam_rows, cov_rows = sol.lam[:, vq[users]], sol.coverage_sinr[:, vq[users]]
+        for (p, cname), lam, cov in zip(rows, lam_rows, cov_rows):
+            if n_used <= 3:
+                ev = evaluate_pattern(models[cname], gain_db, vq, cb_idx, p, 1.0, 0.0, 0.0)
                 vq_ev = vq[ev.users]    # the solution covers the pool users
-                lam = ev.solution.lam[vq_ev]
-                covered = lam > 0
-                acc[(cname, p.label)]["t"].append(
-                    alpha_fair_throughputs(lam[covered], [covered.sum()], 1.0)[0]
-                    if covered.any() else 0.0)
-                acc[(cname, p.label)]["cov"].append(
-                    cb.sinr_coverage(ev.solution.coverage_sinr[vq_ev]))
-                acc[(cname, p.label)]["rcov"].append(
-                    [cb.rate_coverage(lam, r) for r in R_GRID])
+                assert same_bits(ev.solution.lam[vq_ev], lam), (d, cname, p.label)
+                assert same_bits(ev.solution.coverage_sinr[vq_ev], cov), (d, cname, p.label)
+            covered = lam > 0
+            acc[(cname, p.label)]["t"].append(
+                alpha_fair_throughputs(lam[covered], [covered.sum()], 1.0)[0]
+                if covered.any() else 0.0)
+            acc[(cname, p.label)]["cov"].append(cb.sinr_coverage(cov))
+            acc[(cname, p.label)]["rcov"].append([cb.rate_coverage(lam, r) for r in R_GRID])
     out = {k: {m: np.asarray(v[m]) for m in v} for k, v in acc.items()}
     out["n_drops"] = n_used
     out["pattern_labels"] = [p.label for p in patterns]
@@ -168,7 +181,6 @@ def test_c05_heuristic_equals_oracle(layout, models):
     """Full 127-pattern heuristic matches the exhaustive search on 200 drops."""
     t0 = time.time()
     model = models["C3"]
-    sp = SchedulerParams(alpha=1.0, gamma_d_db=0.0)
     center_idx = layout.center_cluster_sector_ids - 1
     cb_idx = layout.center_cluster_bs_ids - 1
     full = all_patterns(7)
@@ -181,8 +193,8 @@ def test_c05_heuristic_equals_oracle(layout, models):
         vq = cb.center_cluster_users(model, strongest_sectors(gain_db), center_idx)
         if not vq.any():
             continue
-        h = heuristic_select(model, gain_db, vq, cb_idx, full, sp, rate_threshold)
-        o = exhaustive_oracle(model, gain_db, vq, cb_idx, sp, rate_threshold)
+        h = heuristic_select(model, gain_db, vq, cb_idx, full, 1.0, 0.0, rate_threshold)
+        o = exhaustive_oracle(model, gain_db, vq, cb_idx, 1.0, 0.0, rate_threshold)
         n_checked += 1
         n_feasible += int(h.feasible)
         if h.pattern.off_flags != o.pattern.off_flags or h.feasible != o.feasible:
@@ -218,7 +230,7 @@ def test_c06_theta_trend(layout, models):
         for g in gammas:
             for a in alphas:
                 sol = schedule(model, rx, np.ones(layout.n_bs, bool),
-                               SchedulerParams(alpha=a, gamma_d_db=g))
+                               a, g)
                 sums[(g, a)].append(sol.theta[model.multi_vc_ids].mean())
     mean = {k: float(np.mean(v)) for k, v in sums.items()}
     ok = True

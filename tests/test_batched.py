@@ -139,8 +139,7 @@ def test_single_point_schedule_equals_oracle(layout, models):
             model = models[name]
             links = point_cluster_links(model, rx, assoc, act)
             for alpha, gamma_d in ((0.5, 4.0), (1.0, -1.0), (3.0, -6.0)):
-                sp = cb.SchedulerParams(alpha=alpha, gamma_d_db=gamma_d)
-                sol = cb.schedule(model, rx, active_bs, sp)
+                sol = cb.schedule(model, rx, active_bs, alpha, gamma_d)
                 ref = point_allocate(model, links,
                                      point_link_rates(model, assoc, links, gamma_d), alpha)
                 assert np.array_equal(sol.assoc_sector, assoc.sector)
@@ -148,15 +147,15 @@ def test_single_point_schedule_equals_oracle(layout, models):
                 for field in ("comp", "outage", "beta", "theta", "lam", "coverage_sinr"):
                     assert np.array_equal(getattr(sol, field), getattr(ref, field)), field
                 ev = cb.evaluate_pattern(model, gain_db, vq, layout.center_cluster_bs_ids - 1,
-                                         pattern, sp, 0.0)
+                                         pattern, alpha, gamma_d, 0.0)
                 assert np.array_equal(ev.solution.lam, sol.lam[ev.users])
                 stats = realization_stats(ev.solution, vq[ev.users], [pattern.energy_saving_pct],
-                                          [model.multi_vc_ids], 2e5, alpha)
+                                          [model.multi_vc_ids], [2e5], alpha)
                 want = point_realization_stats(ref, vq, model.multi_vc_ids, 2e5, alpha,
                                                pattern.energy_saving_pct)
-                assert stats.shape == (1, len(STAT_FIELDS))
+                assert stats.shape == (1, 1, len(STAT_FIELDS))
                 for i, field in enumerate(STAT_FIELDS):
-                    assert np.array_equal(stats[0, i], want[field]), field
+                    assert np.array_equal(stats[0, 0, i], want[field]), field
 
 
 @pytest.mark.parametrize("threshold", [0.0, 1e5, 2e5, 4e5, 1e12])
@@ -169,13 +168,13 @@ def test_one_pass_selection_equals_sequential_walk(layout, models, threshold):
                                                   densities=(60.0,), seeds=range(2)):
         for name, alpha in (("C3", 1.0), ("C1", 2.0)):
             model = models[name]
-            sp = cb.SchedulerParams(alpha=alpha, gamma_d_db=-1.0)
+            sp = (alpha, -1.0)
             for patterns in (cb.default_pattern_list(), full):
-                got = heuristic_select(model, gain_db, vq, cb_idx, patterns, sp, threshold)
-                want = walk_heuristic(model, rx, vq, cb_idx, patterns, sp, threshold)
+                got = heuristic_select(model, gain_db, vq, cb_idx, patterns, *sp, threshold)
+                want = walk_heuristic(model, rx, vq, cb_idx, patterns, *sp, threshold)
                 _check_selection(got, want, (name, seed, len(patterns)))
-            got = exhaustive_oracle(model, gain_db, vq, cb_idx, sp, threshold)
-            want = walk_oracle(model, rx, vq, cb_idx, sp, threshold)
+            got = exhaustive_oracle(model, gain_db, vq, cb_idx, *sp, threshold)
+            want = walk_oracle(model, rx, vq, cb_idx, *sp, threshold)
             _check_selection(got, want, (name, seed, "oracle"))
 
 

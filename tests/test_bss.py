@@ -10,7 +10,7 @@ from compbss.bss import (BssPattern, all_patterns, default_pattern_list,
                          patterns_from_file, realization_stats, sector_masks,
                          sort_patterns, validate_heuristic_list, validate_pattern_list)
 from compbss.metrics import STAT_FIELDS
-from compbss.scheduler import SchedulerParams, strongest_sectors
+from compbss.scheduler import strongest_sectors
 
 from helpers import pattern_sector_masks, patterns_to_file
 
@@ -25,7 +25,7 @@ def c3_setup(layout, models):
     return model, gain_db, vq, layout.center_cluster_bs_ids - 1
 
 
-SP = SchedulerParams(alpha=1.0, gamma_d_db=0.0)
+SP = (1.0, 0.0)     # alpha, gamma_d_db
 
 
 class TestPattern:
@@ -71,7 +71,7 @@ class TestPattern:
         with pytest.raises(ValueError, match=shown):
             validate_heuristic_list(pats, 7)
         with pytest.raises(ValueError, match=shown):
-            heuristic_select(model, gain_db, vq, cb_idx, pats, SP, 0.0)
+            heuristic_select(model, gain_db, vq, cb_idx, pats, *SP, 0.0)
         validate_heuristic_list(pats + [BssPattern.from_off_ids(())], 7)
 
     def test_default_list_is_nested_chain(self):
@@ -119,20 +119,20 @@ class TestEvaluate:
     def test_zero_threshold_always_feasible(self, c3_setup):
         model, gain_db, vq, cb_idx = c3_setup
         for pattern in default_pattern_list():
-            ev = evaluate_pattern(model, gain_db, vq, cb_idx, pattern, SP, 0.0)
+            ev = evaluate_pattern(model, gain_db, vq, cb_idx, pattern, *SP, 0.0)
             assert ev.feasible
 
     def test_unreachable_threshold_infeasible(self, c3_setup):
         model, gain_db, vq, cb_idx = c3_setup
         for pattern in default_pattern_list():
-            ev = evaluate_pattern(model, gain_db, vq, cb_idx, pattern, SP, 1e12)
+            ev = evaluate_pattern(model, gain_db, vq, cb_idx, pattern, *SP, 1e12)
             assert not ev.feasible
 
     def test_feasibility_monotone_in_threshold(self, c3_setup):
         model, gain_db, vq, cb_idx = c3_setup
         pattern = default_pattern_list()[2]
-        ev = evaluate_pattern(model, gain_db, vq, cb_idx, pattern, SP, 0.0)
-        feas = [evaluate_pattern(model, gain_db, vq, cb_idx, pattern, SP, r).feasible
+        ev = evaluate_pattern(model, gain_db, vq, cb_idx, pattern, *SP, 0.0)
+        feas = [evaluate_pattern(model, gain_db, vq, cb_idx, pattern, *SP, r).feasible
                 for r in [0.0, ev.min_rate_bps, ev.min_rate_bps + 1.0, 1e12]]
         assert feas == sorted(feas, reverse=True)
 
@@ -155,7 +155,7 @@ class TestEvaluate:
         model, gain_db, _, cb_idx = c3_setup
         with pytest.raises(ValueError):
             evaluate_pattern(model, gain_db, np.zeros(gain_db.shape[0], bool), cb_idx,
-                             default_pattern_list()[0], SP, 0.0)
+                             default_pattern_list()[0], *SP, 0.0)
 
     @pytest.mark.parametrize("off_flags", [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 1)])
     def test_flag_count_other_than_the_cluster_is_refused(self, c3_setup, off_flags):
@@ -164,13 +164,13 @@ class TestEvaluate:
         shown = (f"pattern {pattern.describe()} has {len(off_flags)} off-flags; "
                  f"the cluster has 7 BSs")
         with pytest.raises(ValueError, match=re.escape(shown)):
-            evaluate_pattern(model, gain_db, vq, cb_idx, pattern, SP, 0.0)
+            evaluate_pattern(model, gain_db, vq, cb_idx, pattern, *SP, 0.0)
 
 
 class TestHeuristic:
     def test_early_exit_on_first_feasible(self, c3_setup):
         model, gain_db, vq, cb_idx = c3_setup
-        res = heuristic_select(model, gain_db, vq, cb_idx, default_pattern_list(), SP, 0.0)
+        res = heuristic_select(model, gain_db, vq, cb_idx, default_pattern_list(), *SP, 0.0)
         assert res.patterns_evaluated == 1
         assert res.pattern.a1 == 4
         assert res.feasible
@@ -179,25 +179,25 @@ class TestHeuristic:
         """Cell-edge user forces every sleep pattern out; all-on just clears R."""
         model, gain_db, vq, cb_idx = c3_setup
         pats = default_pattern_list()
-        mins = [evaluate_pattern(model, gain_db, vq, cb_idx, p, SP, 0.0).min_rate_bps
+        mins = [evaluate_pattern(model, gain_db, vq, cb_idx, p, *SP, 0.0).min_rate_bps
                 for p in pats]
         assert mins[-1] > 0 and max(mins[:-1]) < mins[-1]
         r_mid = (max(mins[:-1]) + mins[-1]) / 2
-        res = heuristic_select(model, gain_db, vq, cb_idx, pats, SP, r_mid)
+        res = heuristic_select(model, gain_db, vq, cb_idx, pats, *SP, r_mid)
         assert res.pattern.a1 == 0
         assert res.feasible
         assert res.patterns_evaluated == len(pats)
 
     def test_infeasible_fallback_flagged(self, c3_setup):
         model, gain_db, vq, cb_idx = c3_setup
-        res = heuristic_select(model, gain_db, vq, cb_idx, default_pattern_list(), SP, 1e12)
+        res = heuristic_select(model, gain_db, vq, cb_idx, default_pattern_list(), *SP, 1e12)
         assert res.pattern.a1 == 0
         assert not res.feasible
 
     def test_empty_pattern_list_rejected(self, c3_setup):
         model, gain_db, vq, cb_idx = c3_setup
         with pytest.raises(ValueError):
-            heuristic_select(model, gain_db, vq, cb_idx, [], SP, 0.0)
+            heuristic_select(model, gain_db, vq, cb_idx, [], *SP, 0.0)
 
     @pytest.mark.parametrize("feasible, row", [
         ([True, False, True, True], 0),
@@ -220,8 +220,8 @@ class TestHeuristic:
             vq = cb.center_cluster_users(model, strongest_sectors(gain_db), center_idx)
             if not vq.any():
                 continue
-            h = heuristic_select(model, gain_db, vq, cb_idx, full, SP, 0.15e6)
-            o = exhaustive_oracle(model, gain_db, vq, cb_idx, SP, 0.15e6)
+            h = heuristic_select(model, gain_db, vq, cb_idx, full, *SP, 0.15e6)
+            o = exhaustive_oracle(model, gain_db, vq, cb_idx, *SP, 0.15e6)
             assert h.pattern.off_flags == o.pattern.off_flags
             assert h.feasible == o.feasible
             checked += 1
@@ -231,20 +231,20 @@ class TestHeuristic:
 class TestOracle:
     def test_zero_threshold_max_switch_off(self, c3_setup):
         model, gain_db, vq, cb_idx = c3_setup
-        res = exhaustive_oracle(model, gain_db, vq, cb_idx, SP, 0.0)
+        res = exhaustive_oracle(model, gain_db, vq, cb_idx, *SP, 0.0)
         assert res.pattern.a1 == 6
         assert res.feasible
 
     def test_enumeration_bound(self, c3_setup):
         model, gain_db, vq, _ = c3_setup
         with pytest.raises(ValueError):
-            exhaustive_oracle(model, gain_db, vq, np.arange(11), SP, 0.0)
+            exhaustive_oracle(model, gain_db, vq, np.arange(11), *SP, 0.0)
 
     def test_oracle_at_least_as_aggressive_as_restricted_heuristic(self, c3_setup):
         model, gain_db, vq, cb_idx = c3_setup
         r = 0.1e6
-        h = heuristic_select(model, gain_db, vq, cb_idx, default_pattern_list(), SP, r)
-        o = exhaustive_oracle(model, gain_db, vq, cb_idx, SP, r)
+        h = heuristic_select(model, gain_db, vq, cb_idx, default_pattern_list(), *SP, r)
+        o = exhaustive_oracle(model, gain_db, vq, cb_idx, *SP, r)
         if h.feasible:
             assert o.pattern.a1 >= h.pattern.a1
 
@@ -252,10 +252,10 @@ class TestOracle:
 class TestResultExport:
     def test_realization_stats_fields(self, c3_setup):
         model, gain_db, vq, cb_idx = c3_setup
-        ev = evaluate_pattern(model, gain_db, vq, cb_idx, default_pattern_list()[-1], SP, 0.0)
+        ev = evaluate_pattern(model, gain_db, vq, cb_idx, default_pattern_list()[-1], *SP, 0.0)
         st = dict(zip(STAT_FIELDS, realization_stats(
             ev.solution, vq[ev.users], [ev.pattern.energy_saving_pct],
-            [model.multi_vc_ids], 0.2e6, 1.0)[0]))
+            [model.multi_vc_ids], [0.2e6], 1.0)[0, 0]))
         assert st["n_users"] == int(vq.sum())
         assert 0.0 <= st["sinr_coverage"] <= 1.0
         assert 0.0 <= st["rate_coverage"] <= 1.0

@@ -22,8 +22,7 @@ from compbss.campaign import (CampaignConfig, ConfigError, MissingAxisError,
                               run_traffic_profile, write_rows_csv)
 from compbss.channel import build_gain_matrix
 from compbss.metrics import STAT_FIELDS
-from compbss.scheduler import (SchedulerParams, center_cluster_users, draw_rates,
-                               strongest_sectors)
+from compbss.scheduler import center_cluster_users, draw_rates, strongest_sectors
 from compbss.cli import main as cli_main
 
 from helpers import patterns_to_file
@@ -80,6 +79,7 @@ class TestConfig:
         ("inter_site_distance_m", float("inf"), "inf"), ("output", 5, "5"),
         ("output", "", "''"), ("pattern_file", 3, "3"),
         ("comp_configs", ["C3", "C3"], "repeats"), ("traffic_profile", [], "[]"),
+        ("inter_site_distance_m", 1.0e-200, "1e-200"), ("inter_site_distance_m", 0.5, "0.5"),
     ])
     def test_rejects_bad_sweep_values(self, key, value, shown):
         with pytest.raises(ConfigError) as info:
@@ -307,16 +307,15 @@ class TestTraffic:
         assert {r["feasible"] for r in res.rows} == {0, 1}
         ctx = build_context(cfg)
         model = ctx.models["C3"]
-        params = SchedulerParams(alpha=1.0, gamma_d_db=-1.0)
         for row in res.rows:
             mu, key = row["mu_per_km2"], (_mu_key(row["mu_per_km2"]), row["t"])
             drop = drop_users(ctx.layout, mu, _seed_key(cfg.master_seed, 2, *key))
             gain_db = build_gain_matrix(ctx.layout, drop, _seed_key(cfg.master_seed, 3, *key))
             vq = center_cluster_users(model, strongest_sectors(gain_db), ctx.center_sector_idx)
             sel = heuristic_select(model, gain_db, vq, ctx.layout.center_cluster_bs_ids - 1,
-                                   ctx.patterns, params, 3e5)
+                                   ctx.patterns, 1.0, -1.0, 3e5)
             stats = realization_stats(sel.solution, vq[sel.users], [0.0],
-                                      [model.multi_vc_ids], 3e5, 1.0)[0]
+                                      [model.multi_vc_ids], [3e5], 1.0)[0, 0]
             assert row["t_alpha_bps"] == float(stats[STAT_FIELDS.index("t_alpha_bps")])
             assert (row["pattern"], row["min_rate_bps"], row["feasible"]) == (
                 sel.pattern.label, sel.min_rate_bps, int(sel.feasible))
@@ -586,6 +585,8 @@ class TestCli:
         ("densities_per_km2: [0]", "densities_per_km2"), ("output: 5", "output"),
         ("rate_thresholds_bps: [-1]", "rate_thresholds_bps"),
         ("inter_site_distance_m: 0", "inter_site_distance_m"),
+        ("inter_site_distance_m: 1.0e-200", "inter_site_distance_m=1e-200"),
+        ("inter_site_distance_m: 0.5", "inter_site_distance_m=0.5"),
         ("comp_configs: [C9]", "comp_configs entry 'C9'"),
         ("comp_configs: [configs/traffic_day.yaml]", "comp_configs entry"),
         ("pattern_file: nope.csv", "pattern_file 'nope.csv'"),

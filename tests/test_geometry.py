@@ -135,7 +135,7 @@ def test_distance_clamped_to_one_meter(layout):
 
 
 def test_layout_config_validation():
-    for isd in (-1.0, 0.0, float("nan"), float("inf")):
+    for isd in (-1.0, 0.0, float("nan"), float("inf"), 1.0e-200, 0.5):
         with pytest.raises(ValueError, match=re.escape(f"inter_site_distance_m={isd!r}")):
             build_layout(isd)
 

@@ -102,13 +102,13 @@ class TestCoverageSuperposition:
     def test_c1_never_below_no_comp_on_same_realization(self, realization, models):
         """Joining sectors only adds received power, so the all-sector
         configuration covers at least every user the bare system covers."""
-        from compbss.scheduler import SchedulerParams, schedule
+        from compbss.scheduler import schedule
 
         _, _, rx = realization
-        sp = SchedulerParams(alpha=1.0, gamma_d_db=0.0)
+        sp = (1.0, 0.0)
         mask = np.ones(49, dtype=bool)
-        sol_none = schedule(models["none"], rx, mask, sp)
-        sol_c1 = schedule(models["C1"], rx, mask, sp)
+        sol_none = schedule(models["none"], rx, mask, *sp)
+        sol_c1 = schedule(models["C1"], rx, mask, *sp)
         assert np.all(sol_c1.coverage_sinr >= sol_none.coverage_sinr - 1e-18)
         assert sinr_coverage(sol_c1.coverage_sinr) >= sinr_coverage(sol_none.coverage_sinr)
 

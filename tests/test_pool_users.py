@@ -125,9 +125,8 @@ def test_selections_equal_full_field_oracle(layout, models, config):
     n_checked = 0
     for density, seed, gain_db, rx, vq in _draws(layout, model, seeds=range(1)):
         for alpha, gamma_d in ((1.0, -1.0), (3.0, 4.0)):
-            sp = cb.SchedulerParams(alpha=alpha, gamma_d_db=gamma_d)
             for patterns in (cb.default_pattern_list(), all_patterns(7)):
-                want = full_field_patterns(model, rx, cb_idx, patterns, sp)
+                want = full_field_patterns(model, rx, cb_idx, patterns, alpha, gamma_d)
                 want_rates = want.lam[:, vq]
                 active = np.array([pattern_bs_mask(layout.n_bs, cb_idx, p)
                                    for p in patterns])[:, model.sector_bs]
@@ -146,11 +145,12 @@ def test_selections_equal_full_field_oracle(layout, models, config):
                 for thr in (minima[0], minima[minima.size // 2], 1e12):
                     feasible = want_rates.min(axis=1) >= thr
                     k = int(feasible.argmax()) if feasible.any() else len(patterns) - 1
-                    pick = heuristic_select(model, gain_db, vq, cb_idx, patterns, sp, thr)
+                    pick = heuristic_select(model, gain_db, vq, cb_idx, patterns, alpha, gamma_d,
+                                            thr)
                     _check_pick(pick, patterns, want_rates, k, bool(feasible[k]), k + 1,
                                 where + (thr,))
                     if len(patterns) == 127:
-                        pick = exhaustive_oracle(model, gain_db, vq, cb_idx, sp, thr)
+                        pick = exhaustive_oracle(model, gain_db, vq, cb_idx, alpha, gamma_d, thr)
                         _check_pick(pick, patterns, want_rates, k, bool(feasible[k]), 127,
                                     where + (thr, "oracle"))
                     n_checked += 1
@@ -184,10 +184,10 @@ def test_single_pool_user_keeps_a_second_row(models):
         users, _ = pool_users(gain_db, strongest_sectors(gain_db), vq,
                               np.ones((1, model.n_sectors), bool), [model])
         assert users.tolist() == [0, 1]
-        sp = cb.SchedulerParams()
+        sp = (1.0, -1.0)
         pattern = cb.default_pattern_list()[-1]
-        got = cb.evaluate_pattern(model, gain_db, vq, np.arange(7), pattern, sp, 0.0)
-        want = full_field_patterns(model, rx, np.arange(7), [pattern], sp)
+        got = cb.evaluate_pattern(model, gain_db, vq, np.arange(7), pattern, *sp, 0.0)
+        want = full_field_patterns(model, rx, np.arange(7), [pattern], *sp)
         assert np.array_equal(got.solution.coverage_sinr[:1],
                               want.coverage_sinr[0, :1]), seed
         assert np.array_equal(got.rates_bps, want.lam[0, vq]), seed

@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from compbss.channel import MCS_TABLE, NOISE_W, RATE_PER_BITS_SYMBOL
 from compbss.clusters import PRESET_GROUPS, PRESET_NAMES, sector_vclusters
 from compbss.metrics import alpha_fair_throughputs
 from compbss.scheduler import (ALPHA_RANGE, DEFAULT_GAMMA_D_RANGE_DB, TIE_MARGIN_DB,
-                               SchedulerParams, SystemModel, allocate, associate,
-                               cluster_links, cluster_members, link_rates, schedule,
-                               serving_sectors, strongest_sectors)
+                               SystemModel, allocate, alpha_range_error, associate,
+                               cluster_links, cluster_members, gamma_d_error, link_rates,
+                               schedule, serving_sectors, strongest_sectors)
 
 from conftest import make_realization
 
@@ -171,13 +172,13 @@ class TestAssociation:
     def test_association_moves_when_serving_bs_off(self, realization, layout, models):
         _, _, rx = realization
         model = models["none"]
-        sp = SchedulerParams(alpha=1.0, gamma_d_db=0.0)
+        sp = (1.0, 0.0)
         all_on = np.ones(49, bool)
-        sol_on = schedule(model, rx, all_on, sp)
+        sol_on = schedule(model, rx, all_on, *sp)
         # switch BS 4 (centre) off and verify its users moved to active sectors
         mask = all_on.copy()
         mask[3] = False
-        sol_off = schedule(model, rx, mask, sp)
+        sol_off = schedule(model, rx, mask, *sp)
         was_b4 = model.sector_bs[sol_on.assoc_sector] == 3
         assert was_b4.any()
         assert np.all(model.sector_bs[sol_off.assoc_sector[was_b4]] != 3)
@@ -308,7 +309,7 @@ class TestSchedulePipeline:
         for name, model in models.items():
             for alpha in (1.0, 2.0):
                 sol = schedule(model, rx, np.ones(49, bool),
-                               SchedulerParams(alpha=alpha, gamma_d_db=0.0))
+                               alpha, 0.0)
                 sched = ~sol.outage
                 # per-sector non-CoMP budget
                 nc = sched & ~sol.comp
@@ -331,7 +332,7 @@ class TestSchedulePipeline:
         _, _, rx = realization
         model = models["C3"]
         sol = schedule(model, rx, np.ones(49, bool),
-                       SchedulerParams(alpha=2.0, gamma_d_db=2.0))
+                       2.0, 2.0)
         multi = np.zeros(model.n_vclusters, bool)
         multi[model.multi_vc_ids] = True
         assert np.all(sol.theta[~multi] == 0.0)
@@ -341,7 +342,7 @@ class TestSchedulePipeline:
         _, _, rx = realization
         model = models["C3"]
         sol = schedule(model, rx, np.ones(49, bool),
-                       SchedulerParams(alpha=1.0, gamma_d_db=0.0))
+                       1.0, 0.0)
         th = sol.theta[model.vc_of_sector[sol.assoc_sector]]
         # CoMP user rate form: theta * beta * r;  non-CoMP: (1-theta) * beta * r
         assert np.all(sol.lam[sol.outage] == 0.0)
@@ -374,7 +375,7 @@ class TestSchedulePipeline:
         ]) * (NOISE_W / 1e-15)
         alpha, gamma_d_db = 2.0, 3.0
         sol = schedule(model, rx, np.ones(2, bool),
-                       SchedulerParams(alpha=alpha, gamma_d_db=gamma_d_db))
+                       alpha, gamma_d_db)
 
         # straight-line reimplementation with plain python
         gamma_d = 10 ** (gamma_d_db / 10)
@@ -441,7 +442,7 @@ class TestSchedulePipeline:
         model = models[config]
         with np.errstate(over="raise", invalid="raise"):
             sol = schedule(model, rx, np.ones(49, bool),
-                           SchedulerParams(alpha=alpha, gamma_d_db=gamma_d_db))
+                           alpha, gamma_d_db)
             live = sol.lam > 0
             if live.any():
                 assert np.isfinite(alpha_fair_throughputs(sol.lam[live], [live.sum()],
@@ -458,20 +459,42 @@ class TestSchedulePipeline:
         assert np.all(sol.lam[sched] > 0)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.0999, 10.01, 50.0])
-    def test_alpha_outside_range_rejected(self, alpha):
-        with pytest.raises(ValueError, match=f"alpha={alpha!r}"):
-            SchedulerParams(alpha=alpha, gamma_d_db=0.0)
+    def test_alpha_outside_range_rejected(self, layout, models, realization, alpha):
+        for call in _point_calls(layout, models, realization):
+            with pytest.raises(ValueError, match=re.escape(alpha_range_error(alpha))):
+                call(alpha, 0.0)
 
-    def test_scheduler_params_validation(self):
-        for alpha in ALPHA_RANGE:
-            SchedulerParams(alpha=alpha, gamma_d_db=0.0)
-        with pytest.raises(ValueError):
-            SchedulerParams(alpha=0.0, gamma_d_db=0.0)
-        with pytest.raises(ValueError, match=r"gamma_d_db=99.0 outside the permitted "
-                                             r"range \[-6.5, 10.0\]"):
-            SchedulerParams(alpha=1.0, gamma_d_db=99.0)
-        for gamma_d in DEFAULT_GAMMA_D_RANGE_DB:
-            SchedulerParams(alpha=1.0, gamma_d_db=gamma_d)
+    def test_scheduler_params_validation(self, layout, models, realization):
+        """``schedule`` and the selections take alpha and gamma_d over the
+        ranges a config takes, and refuse the rest with the config's messages."""
+        for call in _point_calls(layout, models, realization):
+            for alpha in ALPHA_RANGE:
+                call(alpha, 0.0)
+            for gamma_d in DEFAULT_GAMMA_D_RANGE_DB:
+                call(1.0, gamma_d)
+            with pytest.raises(ValueError, match=re.escape(alpha_range_error(0.0))):
+                call(0.0, 0.0)
+            with pytest.raises(ValueError, match=r"gamma_d_db=99.0 outside the permitted "
+                                                 r"range \[-6.5, 10.0\]"):
+                call(1.0, 99.0)
+            with pytest.raises(ValueError, match=re.escape(gamma_d_error(-6.6))):
+                call(1.0, -6.6)
+
+
+def _point_calls(layout, models, realization):
+    """``schedule`` and the three selections, each as a call on (alpha, gamma_d_db)."""
+    _, gain_db, rx = realization
+    model = models["C3"]
+    vq = cb.center_cluster_users(model, strongest_sectors(gain_db),
+                                 layout.center_cluster_sector_ids - 1)
+    cb_idx = layout.center_cluster_bs_ids - 1
+    patterns = cb.default_pattern_list()
+    return [
+        lambda a, g: schedule(model, rx, np.ones(layout.n_bs, bool), a, g),
+        lambda a, g: cb.evaluate_pattern(model, gain_db, vq, cb_idx, patterns[0], a, g, 0.0),
+        lambda a, g: cb.heuristic_select(model, gain_db, vq, cb_idx, patterns, a, g, 0.0),
+        lambda a, g: cb.exhaustive_oracle(model, gain_db, vq, cb_idx, a, g, 0.0),
+    ]
 
 
 # The virtual-cluster id of each centre sector (1-21) under each preset: the
