@@ -57,9 +57,16 @@ class BssPattern:
     def off_bs_ids(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, f in enumerate(self.off_flags) if f)
 
+    @property
+    def sort_key(self) -> tuple[int, int]:
+        return -self.a1, self.bit_value     # list order: most BSs off first
+
+    @property
+    def bs_off(self) -> str:
+        return "+".join(map(str, self.off_bs_ids))  # the row label: "" when all are on
+
     def describe(self) -> str:
-        off = "+".join(str(i) for i in self.off_bs_ids)
-        return f"{self.label}[off={off or 'none'}]"
+        return f"{self.label}[off={self.bs_off or 'none'}]"
 
     @classmethod
     def from_off_ids(cls, off_ids, n_bs: int = 7, label: str = "") -> "BssPattern":
@@ -71,7 +78,7 @@ class BssPattern:
 
 def sort_patterns(patterns) -> list[BssPattern]:
     """Ascending energy consumption: most BSs off first, bit value breaks ties."""
-    return sorted(patterns, key=lambda p: (-p.a1, p.bit_value))
+    return sorted(patterns, key=lambda p: p.sort_key)
 
 
 def validate_pattern_list(patterns: list[BssPattern], n_bs: int) -> None:
@@ -84,9 +91,9 @@ def validate_pattern_list(patterns: list[BssPattern], n_bs: int) -> None:
             raise ValueError(f"pattern {row} ({p.label}) has {p.a2} off-flags; the "
                              f"cluster has {n_bs} BSs")
     for a, b in zip(patterns, patterns[1:]):
-        if (-a.a1, a.bit_value) == (-b.a1, b.bit_value):
+        if a.sort_key == b.sort_key:
             raise ValueError(f"pattern list repeats the pattern {b.describe()}")
-        if (-a.a1, a.bit_value) > (-b.a1, b.bit_value):
+        if a.sort_key > b.sort_key:
             raise ValueError("pattern list must be sorted by increasing energy consumption")
 
 

@@ -57,8 +57,8 @@ from .bss import (default_pattern_list, heuristic_pick, patterns_from_file, real
                   sector_masks, validate_heuristic_list, validate_pattern_list)
 from .channel import _shadowed, _standard_normal, draw_gain_matrix, drop_link_budget
 from .clusters import PRESET_NAMES
-from .geometry import (DropScratch, _is_finite_number, build_layout, drop_count,
-                       drop_region_area_m2, drop_users, inter_site_distance_error)
+from .geometry import (DropScratch, _is_finite_number, build_layout, drop_count, drop_users,
+                       expected_users, inter_site_distance_error)
 from .metrics import STAT_FIELDS, aggregate
 from .scheduler import (allocate, alpha_range_error, build_system_model, center_cluster_users,
                         cluster_members, draw_pool, draw_rates, gamma_d_error,
@@ -141,12 +141,11 @@ class CampaignConfig:
         isd = self.inter_site_distance_m
         if problem := inter_site_distance_error(isd):
             raise ConfigError(problem)
-        area_km2 = drop_region_area_m2(isd) / 1e6
         for name in ("densities_per_km2", "traffic_profile"):
             for value in getattr(self, name) or ():
                 if value <= 0:
                     raise ConfigError(f"{name} entry {value!r} must be > 0")
-                users = value * area_km2
+                users = expected_users(value, isd)
                 if users > MAX_USERS_PER_DROP:
                     raise ConfigError(
                         f"{name} entry {value!r} at inter_site_distance_m={isd!r} expects "
@@ -205,15 +204,21 @@ class CampaignConfig:
         return cls.from_dict(raw, source=str(path))
 
 
+# The result columns of each metric, in output order: its mean, std and ci95,
+# or its mean alone
+_RESULT_COLUMNS_OF = {
+    "t_alpha_bps": ("t_alpha_mean_bps", "t_alpha_std_bps", "t_alpha_ci95_bps"),
+    "sinr_coverage": ("sinr_coverage_mean", "sinr_coverage_std", "sinr_coverage_ci95"),
+    "rate_coverage": ("rate_coverage_mean", "rate_coverage_std", "rate_coverage_ci95"),
+    "theta_mean": ("theta_mean", "theta_std", "theta_ci95"),
+    "energy_saving_pct": ("energy_saving_pct",),
+    "n_users": ("n_users_mean",),
+    "n_outage": ("n_outage_mean",),
+}
+
 RESULT_COLUMNS = (
     "config", "pattern", "bs_off", "mu_per_km2", "gamma_d_db", "alpha",
-    "rate_threshold_bps", "n_realizations",
-    "t_alpha_mean_bps", "t_alpha_std_bps", "t_alpha_ci95_bps",
-    "sinr_coverage_mean", "sinr_coverage_std", "sinr_coverage_ci95",
-    "rate_coverage_mean", "rate_coverage_std", "rate_coverage_ci95",
-    "theta_mean", "theta_std", "theta_ci95",
-    "energy_saving_pct", "n_users_mean", "n_outage_mean",
-)
+    "rate_threshold_bps", "n_realizations", *itertools.chain(*_RESULT_COLUMNS_OF.values()))
 
 TRAFFIC_COLUMNS = ("t", "mu_per_km2", "pattern", "bs_off", "a1", "energy_pct",
                    "t_alpha_bps", "min_rate_bps", "feasible")
@@ -429,16 +434,18 @@ def _drop_records(ctx: _Context, tasks):
     return records
 
 
-def _worker(args):
-    cfg_json, jobs, mu, d = args
-    ctx = _worker_cache.get((cfg_json, jobs))
-    if ctx is None:
-        ctx = build_context(CampaignConfig.from_dict(json.loads(cfg_json)), jobs)
-        _worker_cache[cfg_json, jobs] = ctx
-    return _drop_records(ctx, [(mu, d)])[0]
+def _start_worker(cfg_json: str, jobs: int) -> None:
+    """Initializer of each ``--jobs`` worker process: build its context once,
+    for every task that it runs."""
+    global _worker_ctx
+    _worker_ctx = build_context(CampaignConfig.from_dict(json.loads(cfg_json)), jobs)
 
 
-_worker_cache: dict = {}
+def _worker(task):
+    return _drop_records(_worker_ctx, [task])[0]
+
+
+_worker_ctx: _Context | None = None
 
 
 def _usable_cores() -> int:
@@ -468,10 +475,10 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
         # only a parallel run pays for importing the process pool
         from concurrent.futures import ProcessPoolExecutor
 
-        cfg_json = json.dumps(asdict(cfg), sort_keys=True)
         # the pool forks all its workers at the first task, so no more than the tasks
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_worker, [(cfg_json, jobs, mu, d) for mu, d in tasks]))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)), initializer=_start_worker,
+                                 initargs=(json.dumps(asdict(cfg), sort_keys=True), jobs)) as pool:
+            results = list(pool.map(_worker, tasks))
     else:
         results = _drop_records(ctx, tasks)
     n_skipped, n_scheduled, n_dropped = map(sum, zip(*(res[1:] for res in results)))
@@ -497,10 +504,9 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
         if mu not in summaries:
             continue
         summ, n = summaries[mu]
-        row = {"config": config_name, "pattern": pattern.label,
-               "bs_off": "+".join(map(str, pattern.off_bs_ids)), "mu_per_km2": mu,
-               "gamma_d_db": gamma_d, "alpha": alpha, "rate_threshold_bps": r_thr,
-               "n_realizations": n}
+        row = {"config": config_name, "pattern": pattern.label, "bs_off": pattern.bs_off,
+               "mu_per_km2": mu, "gamma_d_db": gamma_d, "alpha": alpha,
+               "rate_threshold_bps": r_thr, "n_realizations": n}
         point = summ[:, c, p, g, a, t]      # (mean / std / ci95, STAT_FIELDS)
         for i, name in enumerate(STAT_FIELDS):
             for part, column in enumerate(_RESULT_COLUMNS_OF[name]):
@@ -512,18 +518,6 @@ def run_campaign(cfg: CampaignConfig, jobs: int = 1) -> CampaignResult:
         ctx, jobs, rows, n_skipped,
         n_realizations_skipped_per_density={str(mu): n for mu, n in skipped_of.items()},
         scheduled_user_frac=_scheduled_user_frac(n_scheduled, n_dropped)))
-
-
-# The result columns of each metric: its mean, std and ci95, or its mean alone
-_RESULT_COLUMNS_OF = {
-    "t_alpha_bps": ("t_alpha_mean_bps", "t_alpha_std_bps", "t_alpha_ci95_bps"),
-    "sinr_coverage": ("sinr_coverage_mean", "sinr_coverage_std", "sinr_coverage_ci95"),
-    "rate_coverage": ("rate_coverage_mean", "rate_coverage_std", "rate_coverage_ci95"),
-    "energy_saving_pct": ("energy_saving_pct",),
-    "theta_mean": ("theta_mean", "theta_std", "theta_ci95"),
-    "n_users": ("n_users_mean",),
-    "n_outage": ("n_outage_mean",),
-}
 
 
 def _manifest(ctx: _Context, jobs: int, rows: list, n_skipped: int, **extra) -> dict:
@@ -599,8 +593,7 @@ def run_traffic_profile(cfg: CampaignConfig) -> CampaignResult:
             n_dropped += strongest.size
             n_evaluated[k + 1] = n_evaluated.get(k + 1, 0) + 1
             rows.append({
-                "t": t, "mu_per_km2": mu, "pattern": pattern.label,
-                "bs_off": "+".join(map(str, pattern.off_bs_ids)),
+                "t": t, "mu_per_km2": mu, "pattern": pattern.label, "bs_off": pattern.bs_off,
                 "a1": pattern.a1, "energy_pct": pattern.energy_saving_pct,
                 "t_alpha_bps": float(stats[STAT_FIELDS.index("t_alpha_bps")]),
                 "min_rate_bps": float(min_rate[k]), "feasible": int(feasible[k]),

@@ -69,6 +69,9 @@ BORESIGHTS_DEG = (0.0, 120.0, 240.0)
 # 7 clusters of 7 sites.
 N_SITES = 49
 MIN_DISTANCE_M = 1.0    # every link's floor, and the shortest inter-site distance
+# The longest inter-site distance: far above any real network, and far below
+# the roughly 1e152 m at which the layout's squared site spacings overflow.
+MAX_DISTANCE_M = 1e9
 
 
 # Relative shrink of the certified bounds: far above the float rounding of the
@@ -215,6 +218,11 @@ def drop_region_area_m2(inter_site_distance_m: float) -> float:
     return N_SITES * (math.sqrt(3.0) / 2.0) * inter_site_distance_m ** 2
 
 
+def expected_users(density_per_km2: float, inter_site_distance_m: float) -> float:
+    """Mean user count of a drop: the density times the drop-region area."""
+    return density_per_km2 * (drop_region_area_m2(inter_site_distance_m) / 1e6)
+
+
 def _is_finite_number(value) -> bool:
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value))
@@ -222,9 +230,10 @@ def _is_finite_number(value) -> bool:
 
 def inter_site_distance_error(isd) -> str | None:
     """Why ``isd`` is refused as the inter-site distance, or None."""
-    if _is_finite_number(isd) and isd >= MIN_DISTANCE_M:
+    if _is_finite_number(isd) and MIN_DISTANCE_M <= isd <= MAX_DISTANCE_M:
         return None
-    return f"inter_site_distance_m={isd!r} must be a finite number >= {MIN_DISTANCE_M:g} m"
+    return (f"inter_site_distance_m={isd!r} must be a finite number in "
+            f"[{MIN_DISTANCE_M:g}, {MAX_DISTANCE_M:g}] m")
 
 
 def build_layout(inter_site_distance_m: float = 500.0) -> NetworkLayout:
@@ -285,7 +294,7 @@ class DropScratch:
         """A scratch that holds a drop of the mean user count at this density
         plus four Poisson standard deviations, so that drops of that density
         and below rarely grow it."""
-        mean = density_per_km2 * layout.region_area_m2 / 1e6
+        mean = expected_users(density_per_km2, layout.inter_site_distance_m)
         return cls(_drop_floats(layout, math.ceil(mean + 4.0 * math.sqrt(mean))))
 
     def reserve(self, n_floats: int) -> None:
@@ -521,8 +530,7 @@ def _drop_box(layout: NetworkLayout):
 def _user_count(rng: np.random.Generator, layout: NetworkLayout,
                 density_per_km2: float) -> int:
     """The Poisson user count of a drop, the first value of its stream."""
-    area_km2 = layout.region_area_m2 / 1e6
-    return int(rng.poisson(density_per_km2 * area_km2))
+    return int(rng.poisson(expected_users(density_per_km2, layout.inter_site_distance_m)))
 
 
 def drop_count(layout: NetworkLayout, density_per_km2: float, seed) -> int:

@@ -64,28 +64,19 @@ def rate_coverage(lams, rate_threshold_bps):
     return _fraction(np.asarray(lams, dtype=float) >= rate_threshold_bps)
 
 
-def _summary_rows(values: np.ndarray):
-    """Mean, sample stddev and 95% CI half-width of each row of a C-contiguous
-    (M, n) array; a row reduction sums exactly as the 1-D reduction does."""
-    n = values.shape[1]
-    mean = values.mean(axis=1)
-    if n < 2:
-        zero = np.zeros_like(mean)
-        return mean, zero, zero
-    std = values.std(axis=1, ddof=1)
-    return mean, std, 1.96 * std / math.sqrt(n)
-
-
 def aggregate(values: np.ndarray) -> np.ndarray:
     """Aggregate every metric of a realization batch in one reduction.
 
     ``values`` is an array (..., 7, n) of ``realization_stats`` values in
     STAT_FIELDS order with the n realizations last; its leading axes are
-    sweep points that are summarised at once.  Returns the (3, ..., 7)
-    array of the mean, the sample stddev and the 95% CI half-width.
+    sweep points, summarised as the rows of one C-contiguous array, each
+    of which sums as its 1-D reduction does.  Returns the (3, ..., 7) array
+    of the mean, the sample stddev and the 95% CI half-width (0 at n = 1).
     """
     n = values.shape[-1]
     if n == 0:
         raise ValueError("at least one realization required")
-    rows = _summary_rows(np.ascontiguousarray(values.reshape(-1, n)))
-    return np.stack(rows).reshape((3,) + values.shape[:-1])
+    rows = np.ascontiguousarray(values.reshape(-1, n))
+    mean = rows.mean(axis=1)
+    std = rows.std(axis=1, ddof=1) if n > 1 else np.zeros_like(mean)
+    return np.stack((mean, std, 1.96 * std / math.sqrt(n))).reshape((3,) + values.shape[:-1])

@@ -9,8 +9,8 @@ delta = [sum_c (r*beta)^(1-alpha) / sum_nc (r*beta)^(1-alpha)]^(1/alpha).
 A scheduling point is two plain arguments, ``alpha`` and ``gamma_d_db``
 (:func:`check_scheduling_point`).  The pipeline here applies the forms to a
 whole field of sectors at once, whatever its topology.  One fading draw runs
-:func:`draw_pool` (pool users and their received powers) and
-:func:`draw_rates` (association, cluster links, link rates), and then
+:func:`draw_pool` (the pool users, their serving sectors and received
+powers) and :func:`draw_rates` (association, cluster links, link rates), and then
 :func:`allocate` once per alpha; :func:`draw_rates` states the rules that
 let it schedule part of the field and keep every bit.  A draw arrives in dB
 (``channel.draw_gain_matrix``): the strongest sectors are picked on the dB
@@ -224,11 +224,10 @@ def associate(rx_w: np.ndarray, active_sectors: np.ndarray, serving: np.ndarray)
     With uniform transmit power the max-SINR sector is the max received
     power sector; ties resolve to the lowest sector index.  ``rx_w`` holds
     received powers in watts, and ``serving`` is the (P, U)
-    :func:`serving_sectors` of its users, which :func:`pool_users` returns
-    for the users it keeps.  The rows of
-    ``rx_w`` may be any subset of a draw's users (see :func:`pool_users`)
-    of at least two users: every value is computed per user, and the totals
-    below only sum along the sector axis.
+    :func:`serving_sectors` of its users, as :func:`draw_pool` returns both
+    for the users it keeps.  The rows of ``rx_w`` may be any subset of a
+    draw's users of at least two users: every value is computed per user,
+    and the totals below only sum along the sector axis.
     """
     act = np.asarray(active_sectors, dtype=bool)
     if not act.any(axis=1).all():
@@ -245,11 +244,12 @@ def associate(rx_w: np.ndarray, active_sectors: np.ndarray, serving: np.ndarray)
                        sinr=w_serv / (total - w_serv + NOISE_W))
 
 
-def pool_users(gain_db: np.ndarray, strongest: np.ndarray, vq: np.ndarray,
-               active_sectors: np.ndarray, models) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted rows of the pool users of the metric set ``vq`` (see
-    :func:`draw_rates`) in the dB draw, and their (P, n) serving sectors for
-    :func:`associate`.
+def draw_pool(gain_db: np.ndarray, strongest: np.ndarray, vq: np.ndarray,
+              active_sectors: np.ndarray, models) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All that :func:`draw_rates` reads of a fading draw: the sorted rows
+    of the pool users of the metric set ``vq`` in the dB draw, their (P, n)
+    :func:`serving_sectors` for :func:`associate` and their received powers
+    in watts, each row with its bits in the whole draw.
 
     T holds the sectors that serve a ``vq`` user under some row of the
     (P, S) masks, plus every sector of a multi-sector cluster of any of
@@ -257,6 +257,8 @@ def pool_users(gain_db: np.ndarray, strongest: np.ndarray, vq: np.ndarray,
     sector of T.  At least two rows are kept when the draw has two users: the
     sector sums of :func:`associate` over a single user's column would run
     along the contiguous axis, which numpy sums pairwise, not left to right.
+    ``strongest`` is :func:`strongest_sectors` of the dB draw, which may be
+    overwritten once the pool is made.
     """
     act = np.asarray(active_sectors, dtype=bool)
     serving = serving_sectors(gain_db, act, strongest)
@@ -268,7 +270,7 @@ def pool_users(gain_db: np.ndarray, strongest: np.ndarray, vq: np.ndarray,
     if np.count_nonzero(keep) == 1 and keep.size > 1:
         keep[1 if keep[0] else 0] = True
     users = np.flatnonzero(keep)
-    return users, serving[:, users]
+    return users, serving[:, users], received_power_w(gain_db, rows=users)
 
 
 def cluster_members(model: SystemModel, active_sectors: np.ndarray) -> np.ndarray:
@@ -345,22 +347,6 @@ def link_rates(model: SystemModel, assoc: Association, links, gamma_ds_db) -> Li
         n_vclusters=n_vc, n_pools=model.n_sectors + n_vc)
 
 
-def draw_pool(gain_db: np.ndarray, strongest: np.ndarray, vq: np.ndarray,
-              active_sectors: np.ndarray, models) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All that :func:`draw_rates` reads of a fading draw: the sorted rows
-    of its :func:`pool_users` for the metric set ``vq``, their (P, n)
-    serving sectors and their received powers in watts.
-
-    Only the pool users' rows are turned into watts (``received_power_w``),
-    each with the bits it has in the whole draw; the strongest sectors are
-    picked on the dB values (:func:`strongest_sectors`), and ``strongest``
-    is ``strongest_sectors(gain_db)``.  Once the pool is made, the dB draw
-    may be overwritten.
-    """
-    users, serving = pool_users(gain_db, strongest, vq, active_sectors, models)
-    return users, serving, received_power_w(gain_db, rows=users)
-
-
 def draw_rates(models, members, pool, active_sectors: np.ndarray,
                gamma_ds_db) -> tuple[np.ndarray, LinkRates]:
     """One fading draw from its :func:`draw_pool` to link rates, for every
@@ -371,13 +357,12 @@ def draw_rates(models, members, pool, active_sectors: np.ndarray,
     Returns the sorted rows of the draw that it scheduled and their
     :func:`link_rates`.  Only the users that share a pool with the metric
     set ``vq`` can change its rates, its coverage or the theta of a
-    multi-sector cluster, and :func:`pool_users` keeps exactly those: the
-    users served from a sector that serves a ``vq`` user under some row or
-    that belongs to a multi-sector cluster.  Each sector pool, CoMP pool and
-    cluster theta that an output reads then sums over pool users only, in
-    field order, so every bincount of :func:`allocate` adds the same users in
-    the same order as over the whole field and keeps its bits.  With every
-    user in ``vq`` the whole field is scheduled.
+    multi-sector cluster, and :func:`draw_pool` keeps exactly those.  Each
+    sector pool, CoMP pool and cluster theta that an output reads then sums
+    over pool users only, in field order, so every bincount of
+    :func:`allocate` adds the same users in the same order as over the whole
+    field and keeps its bits.  With every user in ``vq`` the whole field is
+    scheduled.
     """
     users, serving, rx_w = pool
     assoc = associate(rx_w, active_sectors, serving)

@@ -80,6 +80,8 @@ class TestConfig:
         ("output", "", "''"), ("pattern_file", 3, "3"),
         ("comp_configs", ["C3", "C3"], "repeats"), ("traffic_profile", [], "[]"),
         ("inter_site_distance_m", 1.0e-200, "1e-200"), ("inter_site_distance_m", 0.5, "0.5"),
+        ("inter_site_distance_m", 1.0e+155, "1e+155"),
+        ("inter_site_distance_m", 1.7e+308, "1.7e+308"),
     ])
     def test_rejects_bad_sweep_values(self, key, value, shown):
         with pytest.raises(ConfigError) as info:
@@ -231,8 +233,9 @@ class TestRun:
         sizes = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 sizes.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -243,7 +246,7 @@ class TestRun:
             map = staticmethod(map)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(campaign, "_worker_cache", {})
+        monkeypatch.setattr(campaign, "_worker_ctx", None)
         cfg = tiny_config(n_drops=2)
         assert run_campaign(cfg, jobs=5).rows == run_campaign(cfg).rows
         assert sizes == [2]
@@ -464,14 +467,25 @@ class TestThreads:
         tasks = [(60.0, 0), (60.0, 1)]
         streamed = campaign._drop_records(build_context(cfg), tasks)
         monkeypatch.setattr(campaign, "_usable_cores", lambda: 1)
-        monkeypatch.setattr(campaign, "_worker_cache", {})
+        monkeypatch.setattr(campaign, "_worker_ctx", None)
         self.refuse_threads(monkeypatch)
         assert run_campaign(cfg).rows
-        cfg_json = json.dumps(dataclasses.asdict(cfg), sort_keys=True)
-        pooled = [campaign._worker((cfg_json, 1, mu, d)) for mu, d in tasks]
+        campaign._start_worker(json.dumps(dataclasses.asdict(cfg), sort_keys=True), 1)
+        pooled = [campaign._worker(task) for task in tasks]
         assert len(streamed) == 2
         for got, want in zip(pooled, streamed):
             assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+
+    def test_forked_worker_builds_its_own_context(self, monkeypatch, four_cores):
+        """A worker forked from a process that holds the worker context of
+        another config builds its own in the pool initializer."""
+        cfg = tiny_config(n_fading=3)
+        other = dataclasses.replace(cfg, master_seed=cfg.master_seed + 1)
+        monkeypatch.setattr(campaign, "_worker_ctx", None)
+        campaign._start_worker(json.dumps(dataclasses.asdict(other), sort_keys=True), 2)
+        rows = run_campaign(cfg).rows
+        assert run_campaign(other).rows != rows
+        assert run_campaign(cfg, jobs=2).rows == rows
 
     def test_process_pool_after_pipelined_campaign(self, tmp_path, four_cores):
         """Forked workers of a process that streamed a sweep and a profile in
@@ -591,6 +605,7 @@ class TestCli:
         ("comp_configs: [configs/traffic_day.yaml]", "comp_configs entry"),
         ("pattern_file: nope.csv", "pattern_file 'nope.csv'"),
         ("pattern_file: configs/traffic_day.yaml", "pattern_file"),
+        ("inter_site_distance_m: 1.0e+155", "inter_site_distance_m=1e+155"),
     ])
     def test_bad_config_value_is_exit_1(self, tmp_path, capsys, monkeypatch, line, shown):
         """Values that used to fail at run time are configuration errors, and

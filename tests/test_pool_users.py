@@ -1,7 +1,7 @@
 """Scheduling the pool users alone gives the full-field bits.
 
 After the gain matrix, the campaign and the selections schedule only the
-users that share a pool with the metric set (``scheduler.pool_users``).  These
+users that share a pool with the metric set (``scheduler.draw_pool``).  These
 tests replay the same draws over every user of the field through the oracles
 in ``helpers`` and compare with ``np.array_equal``.
 """
@@ -15,7 +15,6 @@ import compbss as cb
 from compbss.bss import all_patterns, exhaustive_oracle, heuristic_select
 from compbss.campaign import CampaignConfig, _drop_records, build_context
 from compbss.scheduler import (SystemModel, allocate, cluster_members, draw_pool, draw_rates,
-                               pool_users,
                                strongest_sectors)
 
 from conftest import make_realization
@@ -163,7 +162,7 @@ def test_pool_users_are_sorted_and_hold_the_metric_set(layout, models):
     for _, _, gain_db, rx, vq in _draws(layout, models["C1"]):
         strongest = strongest_sectors(gain_db)
         assert np.array_equal(strongest, rx.argmax(axis=1))
-        users, serving = pool_users(gain_db, strongest, vq, act, list(models.values()))
+        users, serving, _ = draw_pool(gain_db, strongest, vq, act, list(models.values()))
         assert np.array_equal(users, np.unique(users))
         assert np.array_equal(serving, linear_serving(rx, act)[:, users])
         assert vq[users].sum() == vq.sum()
@@ -181,8 +180,8 @@ def test_single_pool_user_keeps_a_second_row(models):
         gain_db[np.arange(3), [0, 60, 90]] = -60.0    # strongest: centre, then two outer
         rx = cb.received_power_w(gain_db)
         vq = np.array([True, False, False])
-        users, _ = pool_users(gain_db, strongest_sectors(gain_db), vq,
-                              np.ones((1, model.n_sectors), bool), [model])
+        users, _, _ = draw_pool(gain_db, strongest_sectors(gain_db), vq,
+                                np.ones((1, model.n_sectors), bool), [model])
         assert users.tolist() == [0, 1]
         sp = (1.0, -1.0)
         pattern = cb.default_pattern_list()[-1]
